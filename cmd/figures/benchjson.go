@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -26,30 +28,56 @@ type benchResult struct {
 	Metrics    map[string]float64 `json:"metrics"`    // unit -> value, ns/op and ReportMetric units alike
 }
 
+// benchHost says where the numbers were taken: the goos/goarch/cpu header
+// and GOMAXPROCS suffix of the bench output, plus the Go version and CPU
+// count of the process writing the file (the same machine in every
+// documented pipeline).
+type benchHost struct {
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	CPU        string `json:"cpu,omitempty"`
+	GOMAXPROCS int    `json:"gomaxprocs,omitempty"`
+	NumCPU     int    `json:"num_cpu"`
+	GoVersion  string `json:"go_version"`
+}
+
 // benchFile is the BENCH_obs.json document.
 type benchFile struct {
 	GeneratedUnix int64         `json:"generated_unix"`
 	Source        string        `json:"source"`
+	Host          benchHost     `json:"host"`
 	Benchmarks    []benchResult `json:"benchmarks"`
 }
 
 // parseBenchOutput extracts benchmark result lines from `go test -bench`
-// output, tolerating the surrounding goos/pkg/PASS chatter. Repeated runs of
-// the same benchmark keep the last result.
-func parseBenchOutput(r io.Reader) ([]benchResult, error) {
+// output, tolerating the surrounding pkg/PASS chatter. Repeated runs of the
+// same benchmark (-count N) keep the last result and add the run count and
+// the min/median/max ns/op across runs, so a file says how noisy it is.
+func parseBenchOutput(r io.Reader) ([]benchResult, benchHost, error) {
 	byName := map[string]benchResult{}
+	nsPerOp := map[string][]float64{}
+	host := benchHost{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	var order []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		fields := strings.Fields(sc.Text())
+		line := sc.Text()
+		if v, ok := strings.CutPrefix(line, "goos: "); ok {
+			host.GOOS = v
+		} else if v, ok := strings.CutPrefix(line, "goarch: "); ok {
+			host.GOARCH = v
+		} else if v, ok := strings.CutPrefix(line, "cpu: "); ok {
+			host.CPU = v
+		}
+		fields := strings.Fields(line)
 		if len(fields) < 2 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
 		name := strings.TrimPrefix(fields[0], "Benchmark")
 		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+			if procs, err := strconv.Atoi(name[i+1:]); err == nil {
 				name = name[:i] // strip the GOMAXPROCS suffix
+				host.GOMAXPROCS = procs
 			}
 		}
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
@@ -60,7 +88,7 @@ func parseBenchOutput(r io.Reader) ([]benchResult, error) {
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("benchjson: bad value %q on line %q", fields[i], sc.Text())
+				return nil, host, fmt.Errorf("benchjson: bad value %q on line %q", fields[i], sc.Text())
 			}
 			res.Metrics[fields[i+1]] = v
 		}
@@ -68,16 +96,27 @@ func parseBenchOutput(r io.Reader) ([]benchResult, error) {
 			order = append(order, name)
 		}
 		byName[name] = res
+		if v, ok := res.Metrics["ns/op"]; ok {
+			nsPerOp[name] = append(nsPerOp[name], v)
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return nil, host, err
 	}
 	out := make([]benchResult, 0, len(order))
 	for _, n := range order {
-		out = append(out, byName[n])
+		res := byName[n]
+		if runs := nsPerOp[n]; len(runs) > 1 {
+			slices.Sort(runs)
+			res.Metrics["runs"] = float64(len(runs))
+			res.Metrics["ns/op-min"] = runs[0]
+			res.Metrics["ns/op-median"] = runs[len(runs)/2]
+			res.Metrics["ns/op-max"] = runs[len(runs)-1]
+		}
+		out = append(out, res)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out, nil
+	return out, host, nil
 }
 
 // benchJSON reads bench output from inPath ("-" = stdin) and writes
@@ -94,7 +133,7 @@ func benchJSON(inPath, outPath string) error {
 		in = f
 		source = inPath
 	}
-	results, err := parseBenchOutput(in)
+	results, host, err := parseBenchOutput(in)
 	if err != nil {
 		return err
 	}
@@ -111,6 +150,7 @@ func benchJSON(inPath, outPath string) error {
 	if err := enc.Encode(benchFile{
 		GeneratedUnix: time.Now().Unix(),
 		Source:        source,
+		Host:          host,
 		Benchmarks:    results,
 	}); err != nil {
 		return err

@@ -93,9 +93,12 @@ BenchmarkBroken-8              	  failure line without iters
 PASS
 ok  	repro	12.345s
 `
-	results, err := parseBenchOutput(strings.NewReader(sample))
+	results, host, err := parseBenchOutput(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if host.GOOS != "linux" || host.GOARCH != "amd64" || host.CPU != "whatever" || host.GOMAXPROCS != 8 || host.NumCPU < 1 || host.GoVersion == "" {
+		t.Fatalf("host = %+v", host)
 	}
 	if len(results) != 2 {
 		t.Fatalf("results = %+v, want 2", results)
@@ -110,6 +113,13 @@ ok  	repro	12.345s
 	}
 	if fig1.Metrics["worst-nearest-rtt-ms"] != 11.5 || fig1.Metrics["ns/op"] != 1.2e9 {
 		t.Fatalf("metrics = %+v", fig1.Metrics)
+	}
+	// ...and says how many runs there were and how far apart.
+	if fig1.Metrics["runs"] != 2 || fig1.Metrics["ns/op-min"] != 1.2e9 || fig1.Metrics["ns/op-max"] != 1234567890 {
+		t.Fatalf("run spread = %+v", fig1.Metrics)
+	}
+	if _, ok := results[0].Metrics["runs"]; ok {
+		t.Fatalf("single-run benchmark grew spread metrics: %+v", results[0].Metrics)
 	}
 }
 

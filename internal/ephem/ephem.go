@@ -30,6 +30,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/constellation"
@@ -141,7 +142,8 @@ type Engine struct {
 	grid      map[int64]*frame         // grid index → keyframe
 	gridOrder []int64                  // grid insertion order (FIFO eviction)
 
-	hits, misses, propagated, interpolations uint64 // guarded by mu
+	hits, misses, interpolations uint64 // guarded by mu
+	propagated                   atomic.Uint64
 }
 
 // New builds an engine over c. c must be non-nil and already built.
@@ -175,7 +177,7 @@ func (e *Engine) Stats() Stats {
 		Hits:           e.hits,
 		Misses:         e.misses,
 		Frames:         len(e.misc) + len(e.grid),
-		PropagatedSats: e.propagated,
+		PropagatedSats: e.propagated.Load(),
 		Interpolations: e.interpolations,
 	}
 }
@@ -289,6 +291,17 @@ func (e *Engine) SnapshotInto(t float64, dst []geo.Vec3) error {
 	return nil
 }
 
+// PositionAt returns satellite id's exact ECEF position at t — bit-identical
+// to SnapshotAt(t)[id] — without propagating, caching or consulting a
+// frame. It is for callers that follow a handful of satellites through many
+// instants (a Sticky look-ahead tracks its few band members every 5 s),
+// where a full frame per instant is a thousandfold over-fetch.
+func (e *Engine) PositionAt(t float64, id int) geo.Vec3 {
+	e.m.propagated.Inc()
+	e.propagated.Add(1)
+	return e.c.Satellites[id].Prop.ECEFAt(t)
+}
+
 // Keyframe returns the cached grid keyframe nearest at-or-below t,
 // propagating it on a miss. It always queries an exact grid instant, so
 // the protected tier absorbs it.
@@ -319,9 +332,7 @@ func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 	e.m.propagateSec.Observe(elapsed.Seconds())
 	e.m.propagateQ.Observe(float64(elapsed) / float64(time.Millisecond))
 	e.m.propagated.Add(uint64(len(sats)))
-	e.mu.Lock()
-	e.propagated += uint64(len(sats))
-	e.mu.Unlock()
+	e.propagated.Add(uint64(len(sats)))
 	if sp != nil {
 		sp.End()
 	}
@@ -337,9 +348,7 @@ func (e *Engine) velocities(t float64, dst []geo.Vec3) {
 		}
 	})
 	e.m.propagated.Add(uint64(len(sats)))
-	e.mu.Lock()
-	e.propagated += uint64(len(sats))
-	e.mu.Unlock()
+	e.propagated.Add(uint64(len(sats)))
 }
 
 // minParallelSats is the frame size below which fan-out costs more than

@@ -264,3 +264,39 @@ func TestCacheDisabled(t *testing.T) {
 		t.Fatal("NaN position")
 	}
 }
+
+// TestPositionAtMatchesSnapshot pins the per-satellite call bit-for-bit
+// against the full frame across an orbital period on the paper's two
+// constellations, and checks it is accounted as propagation work, not as a
+// cache lookup.
+func TestPositionAtMatchesSnapshot(t *testing.T) {
+	for _, build := range []func(constellation.Config) (*constellation.Constellation, error){
+		constellation.StarlinkPhase1, constellation.Kuiper,
+	} {
+		c, err := build(constellation.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := New(c, Config{Registry: obs.NewRegistry()})
+		period := c.Satellites[0].Prop.Elements().PeriodSec()
+		var calls uint64
+		for k := 0; k <= 40; k++ {
+			tt := float64(k) / 40 * period
+			snap := eng.SnapshotAt(tt)
+			before := eng.Stats()
+			for id := k % 7; id < c.Size(); id += 7 {
+				if got := eng.PositionAt(tt, id); got != snap[id] {
+					t.Fatalf("%s t=%g sat=%d: PositionAt %v != frame %v", c.Name, tt, id, got, snap[id])
+				}
+				calls++
+			}
+			after := eng.Stats()
+			if after.Hits != before.Hits || after.Misses != before.Misses || after.Frames != before.Frames {
+				t.Fatalf("%s: PositionAt touched the cache: %+v -> %+v", c.Name, before, after)
+			}
+		}
+		if got, want := eng.Stats().PropagatedSats, 41*uint64(c.Size())+calls; got != want {
+			t.Fatalf("%s: PropagatedSats = %d, want %d (41 frames + %d single calls)", c.Name, got, want, calls)
+		}
+	}
+}

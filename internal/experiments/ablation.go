@@ -5,11 +5,9 @@ import (
 
 	"repro/internal/constellation"
 	"repro/internal/geo"
-	"repro/internal/isl"
 	"repro/internal/meetup"
 	"repro/internal/netgraph"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/units"
 	"repro/internal/visibility"
 )
@@ -72,34 +70,23 @@ type TransferAblationResult struct {
 // latency over the free-space bound (DESIGN.md ablation "ISL vs LoS").
 func TransferAblation(cfg Fig67Config) (TransferAblationResult, error) {
 	cfg = cfg.withDefaults()
-	set := ConstellationSet{Starlink: true}
-	consts, err := set.build()
+	c, grid, planners, err := groupPlanners(cfg)
 	if err != nil {
 		return TransferAblationResult{}, err
 	}
-	c := consts[0]
-	grid := isl.NewPlusGrid(c)
-	groups, err := trace.Groups(trace.GroupConfig{
-		Seed: cfg.Seed, Groups: cfg.Groups, MinUsers: cfg.UsersMin, MaxUsers: cfg.UsersMax,
-		SpreadKm: cfg.SpreadKm, MaxAbsLatDeg: 52,
-	})
+	eng := engineFor(c)
+	outs, err := simulateSessions(eng, planners, []meetup.Policy{meetup.Sticky}, cfg.DurationSec, cfg.StepSec)
 	if err != nil {
 		return TransferAblationResult{}, err
 	}
 	res := TransferAblationResult{ISL: stats.NewCDF(), LineOfSight: stats.NewCDF()}
 	sumInfl, nInfl := 0.0, 0
-	for _, g := range groups {
-		p, err := meetup.NewPlanner(c, grid, g.Users, cfg.Meetup)
-		if err != nil {
-			return TransferAblationResult{}, err
-		}
-		prov := meetup.NewProviderFor(engineFor(c))
-		sr, err := p.Simulate(prov, meetup.Sticky, 0, cfg.DurationSec, cfg.StepSec)
-		if err != nil {
+	for _, o := range outs {
+		if o == nil {
 			continue
 		}
-		for _, h := range sr.Handoffs {
-			snap := prov.At(h.TimeSec)
+		for _, h := range o[0].Handoffs {
+			snap := eng.SnapshotAt(h.TimeSec)
 			islPath, err := netgraph.ISLShortest(grid, snap, h.From, h.To)
 			if err != nil {
 				continue // cross-shell pair: no ISL path exists

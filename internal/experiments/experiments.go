@@ -79,13 +79,15 @@ func pooledPreset(name string, build func(constellation.Config) (*constellation.
 	return c, nil
 }
 
-// Sweep-sized shared-engine caches. A figure-scale session sweep touches a
-// few hundred distinct instants; holding them all lets MinMax and Sticky
-// passes (and later figures) replay each other's frames instead of
-// re-propagating. 384 Starlink-scale frames is ~40 MiB — acceptable for
-// the batch figure/benchmark binaries that are this package's only
-// consumers. The protected grid tier additionally pins the 60 s keyframes
-// that Sticky lookahead sampling keeps revisiting.
+// Sweep-sized shared-engine caches. A paper-scale session sweep touches
+// 3,600 distinct step instants — far more than fit — so the session driver
+// (simulateSessions) shares each step frame structurally instead of through
+// the cache. What the LRU tier still absorbs is Sticky's successor frames
+// (several band members end at the same instant, or at a later step) and
+// later figures re-requesting an earlier figure's instants. 384
+// Starlink-scale frames is ~40 MiB — acceptable for the batch
+// figure/benchmark binaries that are this package's only consumers. The
+// protected grid tier additionally pins the 60 s keyframes.
 const (
 	sweepCacheFrames = 384
 	sweepGridFrames  = 128
@@ -144,19 +146,28 @@ func progress() *obs.Counter {
 func Progress() uint64 { return progress().Value() }
 
 // parallelFor runs fn(i) for i in [0,n) across CPUs, collecting the first
-// error. Experiment sweeps are embarrassingly parallel across latitudes and
-// user groups.
+// error, and counts each iteration as sweep progress. Experiment sweeps are
+// embarrassingly parallel across latitudes and user groups.
 func parallelFor(n int, fn func(i int) error) error {
 	done := progress()
+	return parallelForUncounted(n, func(i int) error {
+		err := fn(i)
+		done.Inc()
+		return err
+	})
+}
+
+// parallelForUncounted is parallelFor without the progress count, for
+// fan-outs that repeat over the same units (the session driver's per-window
+// passes) and would otherwise inflate the per-figure sample count.
+func parallelForUncounted(n int, fn func(i int) error) error {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			err := fn(i)
-			done.Inc()
-			if err != nil {
+			if err := fn(i); err != nil {
 				return err
 			}
 		}
@@ -180,7 +191,6 @@ func parallelFor(n int, fn func(i int) error) error {
 					}
 					mu.Unlock()
 				}
-				done.Inc()
 			}
 		}()
 	}

@@ -130,8 +130,8 @@ func Fig3(sc Fig3Scenario, cfg Fig3Config) (Fig3Result, error) {
 		}
 	}
 
-	prov := meetup.NewProviderFor(engineFor(c))
-	net := meetup.GroupNetwork(prov, sc.Users, sites)
+	eng := engineFor(c)
+	net := meetup.GroupNetwork(meetup.NewProviderFor(eng), sc.Users, sites)
 
 	res := Fig3Result{Scenario: sc}
 	perDCWorst := make([]float64, len(sites))
@@ -178,12 +178,11 @@ func Fig3(sc Fig3Scenario, cfg Fig3Config) (Fig3Result, error) {
 	// server ends each hold at the coverage edge). Falls back to the
 	// routed optimum when the group shares no satellite footprint.
 	res.InOrbitRTTMs = res.InOrbitBestRTTMs
-	grid := net.Grid
-	pm, err := meetup.NewPlanner(c, grid, sc.Users, meetup.Config{})
+	pm, err := meetup.NewPlanner(c, net.Grid, sc.Users, meetup.Config{})
 	if err == nil {
-		mm, errM := pm.Simulate(prov, meetup.MinMax, 0, cfg.DurationSec, 5)
-		st, errS := pm.Simulate(prov, meetup.Sticky, 0, cfg.DurationSec, 5)
-		if errM == nil && errS == nil {
+		outs, err := simulateSessions(eng, []*meetup.Planner{pm}, bothPolicies, cfg.DurationSec, 5)
+		if err == nil && outs[0] != nil {
+			mm, st := outs[0][0], outs[0][1]
 			res.StickyPremiumMs = st.RTT.Mean() - mm.RTT.Mean()
 			res.InOrbitRTTMs = st.RTT.Max()
 		}

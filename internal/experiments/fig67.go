@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/isl"
 	"repro/internal/meetup"
 	"repro/internal/plot"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Fig67Config parameterises the hand-off dynamics study.
@@ -103,50 +101,11 @@ func (r Fig67Result) Fig7Series() (mm, st plot.Series) {
 // between hand-offs and the per-hand-off state-transfer latency.
 func Fig67(cfg Fig67Config) (Fig67Result, error) {
 	cfg = cfg.withDefaults()
-	set := ConstellationSet{Starlink: true}
-	consts, err := set.build()
+	c, _, planners, err := groupPlanners(cfg)
 	if err != nil {
 		return Fig67Result{}, err
 	}
-	c := consts[0]
-	grid := isl.NewPlusGrid(c)
-
-	groups, err := trace.Groups(trace.GroupConfig{
-		Seed:         cfg.Seed,
-		Groups:       cfg.Groups,
-		MinUsers:     cfg.UsersMin,
-		MaxUsers:     cfg.UsersMax,
-		SpreadKm:     cfg.SpreadKm,
-		MaxAbsLatDeg: 52,
-	})
-	if err != nil {
-		return Fig67Result{}, err
-	}
-
-	type groupOut struct {
-		ok     bool
-		mm, st meetup.SessionResult
-	}
-	outs := make([]groupOut, len(groups))
-	err = parallelFor(len(groups), func(i int) error {
-		p, err := meetup.NewPlanner(c, grid, groups[i].Users, cfg.Meetup)
-		if err != nil {
-			return err
-		}
-		// Workers share the pooled engine: frames one group's session
-		// propagates (steps and Sticky lookahead keyframes alike) are
-		// cache hits for every other group and for the second policy pass.
-		prov := meetup.NewProviderFor(engineFor(c))
-		mm, errM := p.Simulate(prov, meetup.MinMax, 0, cfg.DurationSec, cfg.StepSec)
-		st, errS := p.Simulate(prov, meetup.Sticky, 0, cfg.DurationSec, cfg.StepSec)
-		if errM != nil || errS != nil {
-			// Group in a coverage gap at session start — skip it, as the
-			// paper's groups implicitly sit in covered regions.
-			return nil
-		}
-		outs[i] = groupOut{ok: true, mm: mm, st: st}
-		return nil
-	})
+	outs, err := simulateSessions(engineFor(c), planners, bothPolicies, cfg.DurationSec, cfg.StepSec)
 	if err != nil {
 		return Fig67Result{}, err
 	}
@@ -159,18 +118,19 @@ func Fig67(cfg Fig67Config) (Fig67Result, error) {
 	}
 	sumRTTmm, sumRTTst := 0.0, 0.0
 	for _, o := range outs {
-		if !o.ok {
-			continue
+		if o == nil {
+			continue // coverage gap at session start
 		}
+		mm, st := o[0], o[1]
 		res.GroupsSimulated++
-		res.IntervalsMinMax.AddAll(o.mm.HandoffIntervals())
-		res.IntervalsSticky.AddAll(o.st.HandoffIntervals())
-		res.TransfersMinMax.AddAll(o.mm.TransferLatencies())
-		res.TransfersSticky.AddAll(o.st.TransferLatencies())
-		res.HandoffsMinMax += len(o.mm.Handoffs)
-		res.HandoffsSticky += len(o.st.Handoffs)
-		sumRTTmm += o.mm.RTT.Mean()
-		sumRTTst += o.st.RTT.Mean()
+		res.IntervalsMinMax.AddAll(mm.HandoffIntervals())
+		res.IntervalsSticky.AddAll(st.HandoffIntervals())
+		res.TransfersMinMax.AddAll(mm.TransferLatencies())
+		res.TransfersSticky.AddAll(st.TransferLatencies())
+		res.HandoffsMinMax += len(mm.Handoffs)
+		res.HandoffsSticky += len(st.Handoffs)
+		sumRTTmm += mm.RTT.Mean()
+		sumRTTst += st.RTT.Mean()
 	}
 	if res.GroupsSimulated == 0 {
 		return Fig67Result{}, fmt.Errorf("experiments: every group hit a coverage gap")

@@ -7,9 +7,10 @@
 package meetup
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/constellation"
 	"repro/internal/ephem"
@@ -125,6 +126,9 @@ func (p *Provider) Constellation() *constellation.Constellation { return p.eng.C
 // Planner evaluates meetup-server choices for one user group against one
 // constellation. Eligibility means direct visibility from every user — the
 // regime of the paper's Fig 6/7 regional groups.
+//
+// A Planner, and every Session begun on it, is used by one goroutine at a
+// time: SelectSticky works in planner-owned scratch.
 type Planner struct {
 	c    *constellation.Constellation
 	obs  *visibility.Observer
@@ -137,6 +141,18 @@ type Planner struct {
 	// from the group centroid cannot be visible to all users; used to prune
 	// the per-step candidate scan.
 	prefilterChord2 []float64
+
+	// SelectSticky scratch, reused across calls.
+	elig  []Candidate
+	band  []bandMember
+	alive []int // indices into band still visible in the look-ahead
+}
+
+// bandMember is a latency-band candidate and the time its full-group
+// visibility ends (censored at the look-ahead horizon).
+type bandMember struct {
+	Candidate
+	end float64
 }
 
 // NewPlanner builds a planner for the group. The grid may be shared across
@@ -176,10 +192,9 @@ func NewPlanner(c *constellation.Constellation, grid *isl.Grid, users []geo.LatL
 // Users returns the group size.
 func (p *Planner) Users() int { return len(p.users) }
 
-// groupRTT returns the max RTT over users to satellite id, and whether the
-// satellite is visible to every user.
-func (p *Planner) groupRTT(snap []geo.Vec3, id int) (float64, bool) {
-	pos := snap[id]
+// groupRTT returns the max RTT over users to satellite id at position pos,
+// and whether the satellite is visible to every user.
+func (p *Planner) groupRTT(pos geo.Vec3, id int) (float64, bool) {
 	worst := 0.0
 	for _, u := range p.users {
 		rel := pos.Sub(u)
@@ -201,7 +216,7 @@ func (p *Planner) Eligible(snap []geo.Vec3, dst []Candidate) []Candidate {
 		if rel.Dot(rel) > p.prefilterChord2[id] {
 			continue
 		}
-		if rtt, ok := p.groupRTT(snap, id); ok {
+		if rtt, ok := p.groupRTT(pos, id); ok {
 			dst = append(dst, Candidate{SatID: id, GroupRTTMs: rtt})
 		}
 	}
@@ -219,7 +234,7 @@ func (p *Planner) SelectMinMax(snap []geo.Vec3) (Candidate, error) {
 		if rel.Dot(rel) > p.prefilterChord2[id] {
 			continue
 		}
-		if rtt, ok := p.groupRTT(snap, id); ok && rtt < best.GroupRTTMs {
+		if rtt, ok := p.groupRTT(pos, id); ok && rtt < best.GroupRTTMs {
 			best = Candidate{SatID: id, GroupRTTMs: rtt}
 		}
 	}
@@ -236,57 +251,60 @@ func (p *Planner) SelectMinMax(snap []geo.Vec3) (Candidate, error) {
 //  3. among those, the one whose eventual hand-off to its successor is
 //     cheapest (lowest state-transfer latency).
 func (p *Planner) SelectSticky(prov *Provider, t0 float64) (Candidate, error) {
-	snap := prov.At(t0)
-	elig := p.Eligible(snap, nil)
-	if len(elig) == 0 {
+	return p.selectSticky(prov, t0, prov.At(t0))
+}
+
+// selectSticky is SelectSticky given the t0 frame.
+func (p *Planner) selectSticky(prov *Provider, t0 float64, snap []geo.Vec3) (Candidate, error) {
+	p.elig = p.Eligible(snap, p.elig[:0])
+	if len(p.elig) == 0 {
 		return Candidate{}, ErrNoCandidate
 	}
 	minRTT := math.Inf(1)
-	for _, c := range elig {
+	for _, c := range p.elig {
 		if c.GroupRTTMs < minRTT {
 			minRTT = c.GroupRTTMs
 		}
 	}
-	var band []Candidate
-	for _, c := range elig {
+	band, alive := p.band[:0], p.alive[:0]
+	for _, c := range p.elig {
 		if c.GroupRTTMs <= minRTT*(1+p.cfg.LatencyBand) {
-			band = append(band, c)
+			alive = append(alive, len(band))
+			band = append(band, bandMember{Candidate: c})
 		}
 	}
 
 	// Lookahead: march forward in time, dropping band members as they lose
-	// full-group visibility; record each member's end time.
-	end := make(map[int]float64, len(band))
-	alive := make([]Candidate, len(band))
-	copy(alive, band)
+	// full-group visibility; record each member's end time. Only the band's
+	// own satellites are propagated — no frame is needed to test them.
 	horizon := t0 + p.cfg.LookaheadHorizonSec
 	for t := t0 + p.cfg.LookaheadStepSec; t <= horizon && len(alive) > 0; t += p.cfg.LookaheadStepSec {
-		fsnap := prov.At(t)
 		keep := alive[:0]
-		for _, c := range alive {
-			if _, ok := p.groupRTT(fsnap, c.SatID); ok {
-				keep = append(keep, c)
+		for _, i := range alive {
+			id := band[i].SatID
+			if _, ok := p.groupRTT(prov.eng.PositionAt(t, id), id); ok {
+				keep = append(keep, i)
 			} else {
-				end[c.SatID] = t
+				band[i].end = t
 			}
 		}
 		alive = keep
 	}
-	for _, c := range alive { // censored at the horizon
-		end[c.SatID] = horizon
+	for _, i := range alive { // censored at the horizon
+		band[i].end = horizon
 	}
+	p.band, p.alive = band, alive
 
-	// Top PoolSize by time-until-hand-off (stable on RTT then ID for
-	// determinism).
-	sort.SliceStable(band, func(i, j int) bool {
-		ei, ej := end[band[i].SatID], end[band[j].SatID]
-		if ei != ej {
-			return ei > ej
+	// Top PoolSize by time-until-hand-off (then RTT, then ID: a total order,
+	// for determinism).
+	slices.SortStableFunc(band, func(a, b bandMember) int {
+		if a.end != b.end {
+			return cmp.Compare(b.end, a.end)
 		}
-		if band[i].GroupRTTMs != band[j].GroupRTTMs {
-			return band[i].GroupRTTMs < band[j].GroupRTTMs
+		if a.GroupRTTMs != b.GroupRTTMs {
+			return cmp.Compare(a.GroupRTTMs, b.GroupRTTMs)
 		}
-		return band[i].SatID < band[j].SatID
+		return cmp.Compare(a.SatID, b.SatID)
 	})
 	pool := band
 	if len(pool) > p.cfg.PoolSize {
@@ -294,12 +312,12 @@ func (p *Planner) SelectSticky(prov *Provider, t0 float64) (Candidate, error) {
 	}
 
 	// Tie-break: cheapest hand-off to the successor at each candidate's end
-	// time. Successor = the MinMax choice then (excluding the candidate).
-	best := pool[0]
+	// time. Successor = the MinMax choice then (excluding the candidate);
+	// that scan and the ISL route need the whole constellation's frame.
+	best := pool[0].Candidate
 	bestTransfer := math.Inf(1)
 	for _, c := range pool {
-		te := end[c.SatID]
-		fsnap := prov.At(te)
+		fsnap := prov.At(c.end)
 		succ, err := p.selectMinMaxExcluding(fsnap, c.SatID)
 		if err != nil {
 			continue
@@ -310,14 +328,8 @@ func (p *Planner) SelectSticky(prov *Provider, t0 float64) (Candidate, error) {
 		}
 		if tr < bestTransfer {
 			bestTransfer = tr
-			best = c
+			best = c.Candidate
 		}
-	}
-	// Re-evaluate the chosen candidate's RTT at t0 (snap may have been
-	// overwritten by lookahead reuse).
-	snap = prov.At(t0)
-	if rtt, ok := p.groupRTT(snap, best.SatID); ok {
-		best.GroupRTTMs = rtt
 	}
 	return best, nil
 }
@@ -332,7 +344,7 @@ func (p *Planner) selectMinMaxExcluding(snap []geo.Vec3, exclude int) (Candidate
 		if rel.Dot(rel) > p.prefilterChord2[id] {
 			continue
 		}
-		if rtt, ok := p.groupRTT(snap, id); ok && rtt < best.GroupRTTMs {
+		if rtt, ok := p.groupRTT(pos, id); ok && rtt < best.GroupRTTMs {
 			best = Candidate{SatID: id, GroupRTTMs: rtt}
 		}
 	}
@@ -372,7 +384,7 @@ func (p *Planner) TransferLatencyMs(snap []geo.Vec3, a, b int) (float64, error) 
 func (p *Planner) TimeToExpiry(prov *Provider, satID int, t0 float64) (warnSec float64, capped bool) {
 	horizon := t0 + p.cfg.LookaheadHorizonSec
 	for t := t0 + p.cfg.LookaheadStepSec; t <= horizon; t += p.cfg.LookaheadStepSec {
-		if _, ok := p.groupRTT(prov.At(t), satID); !ok {
+		if _, ok := p.groupRTT(prov.eng.PositionAt(t, satID), satID); !ok {
 			return t - t0, false
 		}
 	}

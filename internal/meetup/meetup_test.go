@@ -82,7 +82,7 @@ func TestEligibleAllVisible(t *testing.T) {
 		t.Fatal("no eligible satellite for a compact group on a dense shell")
 	}
 	for _, cand := range elig {
-		rtt, ok := p.groupRTT(snap, cand.SatID)
+		rtt, ok := p.groupRTT(snap[cand.SatID], cand.SatID)
 		if !ok {
 			t.Fatalf("eligible sat %d not visible to all", cand.SatID)
 		}
@@ -143,6 +143,22 @@ func TestStickyWithinLatencyBand(t *testing.T) {
 	}
 	if st.GroupRTTMs > mm.GroupRTTMs*(1+cfg.LatencyBand)+1e-9 {
 		t.Fatalf("Sticky RTT %v exceeds band over MinMax %v", st.GroupRTTMs, mm.GroupRTTMs)
+	}
+}
+
+// TestSelectStickyScratchReuse: a planner that has run many selections picks
+// what a fresh planner picks — nothing leaks between calls through the
+// planner-owned scratch.
+func TestSelectStickyScratchReuse(t *testing.T) {
+	c := toyConst(t)
+	reused, prov := newPlanner(t, c, westAfrica(), Config{})
+	for t0 := 0.0; t0 <= 1800; t0 += 90 {
+		fresh, _ := newPlanner(t, c, westAfrica(), Config{})
+		want, errW := fresh.SelectSticky(prov, t0)
+		got, errG := reused.SelectSticky(prov, t0)
+		if got != want || !errors.Is(errG, errW) {
+			t.Fatalf("t0=%v: reused planner picked %+v (%v), fresh planner %+v (%v)", t0, got, errG, want, errW)
+		}
 	}
 }
 
@@ -322,12 +338,12 @@ func TestTimeToExpiry(t *testing.T) {
 		t.Fatalf("warning time %v s implausible", warn)
 	}
 	// At t0+warn the satellite is no longer fully visible; just before, it is.
-	if _, ok := p.groupRTT(prov.At(warn+p.cfg.LookaheadStepSec), cand.SatID); ok {
+	if _, ok := p.groupRTT(prov.At(warn + p.cfg.LookaheadStepSec)[cand.SatID], cand.SatID); ok {
 		t.Fatal("satellite still visible after reported expiry")
 	}
 	// A satellite that is already invisible expires within one step.
 	for id := 0; id < c.Size(); id++ {
-		if _, ok := p.groupRTT(prov.At(0), id); !ok {
+		if _, ok := p.groupRTT(prov.At(0)[id], id); !ok {
 			w, capped2 := p.TimeToExpiry(prov, id, 0)
 			if capped2 || w > p.cfg.LookaheadStepSec {
 				t.Fatalf("invisible sat %d has warning %v", id, w)

@@ -3,6 +3,7 @@ package meetup
 import (
 	"fmt"
 
+	"repro/internal/geo"
 	"repro/internal/stats"
 )
 
@@ -54,90 +55,107 @@ func (r SessionResult) TransferLatencies() []float64 {
 	return out
 }
 
-// Simulate runs one session of the given policy: the group holds a meetup
-// server, migrating per policy, from t0 for durationSec, evaluated every
-// stepSec.
+// Session is one policy's meetup session over a planner, advanced a step at
+// a time so a driver can walk many sessions through each frame it fetches
+// (Simulate is the single-session loop over the same stepper).
 //
 // MinMax switches whenever the latency-optimal satellite changes (the
 // paper's "picks the latency-optimal satellite at each instant"). Sticky
 // re-runs the Sticky selection only when the current server stops being
 // visible to the whole group.
+type Session struct {
+	p         *Planner
+	prov      *Provider
+	res       SessionResult
+	cur       Candidate
+	heldSince float64
+}
+
+// Begin starts a session at t0 by selecting the first server. snap is the
+// frame at t0; prov serves Sticky's look-ahead.
+func (p *Planner) Begin(prov *Provider, policy Policy, t0 float64, snap []geo.Vec3) (*Session, error) {
+	s := &Session{p: p, prov: prov, res: SessionResult{Policy: policy, StartSec: t0}, heldSince: t0}
+	var err error
+	switch policy {
+	case MinMax:
+		s.cur, err = p.SelectMinMax(snap)
+	case Sticky:
+		s.cur, err = p.selectSticky(prov, t0, snap)
+	default:
+		return nil, fmt.Errorf("meetup: unknown policy %v", policy)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("meetup: initial selection: %w", err)
+	}
+	s.res.RTT.Add(s.cur.GroupRTTMs)
+	return s, nil
+}
+
+// Step advances the session to time t, whose frame is snap. Steps must be
+// fed in increasing time order.
+func (s *Session) Step(t float64, snap []geo.Vec3) {
+	p := s.p
+	rtt, visible := p.groupRTT(snap[s.cur.SatID], s.cur.SatID)
+
+	// A failed selection is a coverage gap: no server for the group at all.
+	// Keep the current selection pending and retry next step.
+	var next Candidate
+	needSwitch := false
+	switch s.res.Policy {
+	case MinMax:
+		if mm, err := p.SelectMinMax(snap); err == nil && mm.SatID != s.cur.SatID {
+			needSwitch, next = true, mm
+		}
+	case Sticky:
+		if !visible {
+			if st, err := p.selectSticky(s.prov, t, snap); err == nil {
+				needSwitch, next = true, st
+			}
+		}
+	}
+	if !needSwitch {
+		if visible {
+			s.res.RTT.Add(rtt)
+		}
+		return
+	}
+	transfer, terr := p.TransferLatencyMs(snap, s.cur.SatID, next.SatID)
+	if terr != nil {
+		transfer = 0 // disconnected grid (degenerate topologies only)
+	}
+	s.res.Handoffs = append(s.res.Handoffs, Handoff{
+		TimeSec:    t,
+		From:       s.cur.SatID,
+		To:         next.SatID,
+		TransferMs: transfer,
+		HeldSec:    t - s.heldSince,
+	})
+	s.cur = next
+	s.heldSince = t
+	s.res.RTT.Add(s.cur.GroupRTTMs)
+}
+
+// Finish ends the session durationSec after its start and returns its
+// result.
+func (s *Session) Finish(durationSec float64) SessionResult {
+	s.res.DurationSec = durationSec
+	s.res.FinalHoldSec = s.res.StartSec + durationSec - s.heldSince
+	return s.res
+}
+
+// Simulate runs one session of the given policy: the group holds a meetup
+// server, migrating per policy, from t0 for durationSec, evaluated every
+// stepSec.
 func (p *Planner) Simulate(prov *Provider, policy Policy, t0, durationSec, stepSec float64) (SessionResult, error) {
 	if durationSec <= 0 || stepSec <= 0 {
 		return SessionResult{}, fmt.Errorf("meetup: bad session bounds duration=%v step=%v", durationSec, stepSec)
 	}
-	res := SessionResult{Policy: policy, StartSec: t0, DurationSec: durationSec}
-
-	sel := func(t float64) (Candidate, error) {
-		if policy == Sticky {
-			return p.SelectSticky(prov, t)
-		}
-		return p.SelectMinMax(prov.At(t))
-	}
-
-	cur, err := sel(t0)
+	s, err := p.Begin(prov, policy, t0, prov.At(t0))
 	if err != nil {
-		return SessionResult{}, fmt.Errorf("meetup: initial selection: %w", err)
+		return SessionResult{}, err
 	}
-	heldSince := t0
-	res.RTT.Add(cur.GroupRTTMs)
-
 	for t := t0 + stepSec; t <= t0+durationSec; t += stepSec {
-		snap := prov.At(t)
-		rtt, visible := p.groupRTT(snap, cur.SatID)
-
-		needSwitch := false
-		var next Candidate
-		switch policy {
-		case MinMax:
-			mm, err := p.SelectMinMax(snap)
-			if err != nil {
-				// Coverage gap: no server for the group at all. Keep the
-				// (invisible) current selection pending and retry; counts as
-				// a visibility loss below.
-				if !visible {
-					continue
-				}
-				res.RTT.Add(rtt)
-				continue
-			}
-			if mm.SatID != cur.SatID {
-				needSwitch, next = true, mm
-			}
-		case Sticky:
-			if !visible {
-				st, err := p.SelectSticky(prov, t)
-				if err != nil {
-					continue // coverage gap; retry next step
-				}
-				needSwitch, next = true, st
-			}
-		default:
-			return SessionResult{}, fmt.Errorf("meetup: unknown policy %v", policy)
-		}
-
-		if needSwitch {
-			snap = prov.At(t) // SelectSticky lookahead may have moved the buffer
-			transfer, terr := p.TransferLatencyMs(snap, cur.SatID, next.SatID)
-			if terr != nil {
-				transfer = 0 // disconnected grid (degenerate topologies only)
-			}
-			res.Handoffs = append(res.Handoffs, Handoff{
-				TimeSec:    t,
-				From:       cur.SatID,
-				To:         next.SatID,
-				TransferMs: transfer,
-				HeldSec:    t - heldSince,
-			})
-			cur = next
-			heldSince = t
-			res.RTT.Add(cur.GroupRTTMs)
-			continue
-		}
-		if visible {
-			res.RTT.Add(rtt)
-		}
+		s.Step(t, prov.At(t))
 	}
-	res.FinalHoldSec = t0 + durationSec - heldSince
-	return res, nil
+	return s.Finish(durationSec), nil
 }
