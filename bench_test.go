@@ -258,7 +258,7 @@ func BenchmarkAblationElevationMask(b *testing.B) {
 // Micro-benchmarks for the hot paths underneath every experiment.
 
 func BenchmarkServiceEdgeQuery(b *testing.B) {
-	svc, err := New(Starlink, Options{})
+	svc, err := New(Starlink)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func BenchmarkServiceEdgeQuery(b *testing.B) {
 }
 
 func BenchmarkMeetupMinMaxSelect(b *testing.B) {
-	svc, err := New(Starlink, Options{})
+	svc, err := New(Starlink)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func BenchmarkMeetupMinMaxSelect(b *testing.B) {
 }
 
 func BenchmarkVirtualServerHour(b *testing.B) {
-	svc, err := New(Starlink, Options{})
+	svc, err := New(Starlink)
 	if err != nil {
 		b.Fatal(err)
 	}

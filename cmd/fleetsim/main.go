@@ -63,7 +63,6 @@ type options struct {
 	churn    float64 // extra transient arrivals per second
 	dwellSec float64 // mean lifetime of transient sessions
 	demand   float64 // per-session cores demand
-	shards   int     // planner footprint-region shards (0 = auto)
 	csvPath  string
 	debug    string
 	progress bool
@@ -104,7 +103,6 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.churn, "churn", 2, "transient session arrivals per second (0 disables churn)")
 	fs.Float64Var(&o.dwellSec, "dwell", 1800, "mean transient session lifetime in seconds")
 	fs.Float64Var(&o.demand, "demand", 0.5, "per-session compute demand in cores")
-	fs.IntVar(&o.shards, "shards", 0, "planner footprint-region shards (0 = one per worker)")
 	fs.StringVar(&o.csvPath, "csv", "", "per-epoch CSV output path (empty = off)")
 	fs.StringVar(&o.debug, "debug", "", "debug listen address for /metrics, /healthz, /debug/pprof (empty = off)")
 	fs.BoolVar(&o.progress, "v", false, "log per-epoch progress to stderr")
@@ -153,9 +151,6 @@ func parseFlags(args []string) (options, error) {
 	}
 	if o.demand <= 0 {
 		return o, fmt.Errorf("demand %v must be positive", o.demand)
-	}
-	if o.shards < 0 {
-		return o, fmt.Errorf("shards %d must be non-negative", o.shards)
 	}
 	if o.satMTBFHr < 0 || o.islFlapHr < 0 {
 		return o, fmt.Errorf("sat-mtbf %v and isl-flap %v must be non-negative", o.satMTBFHr, o.islFlapHr)
@@ -279,7 +274,6 @@ func run(out io.Writer, o options) error {
 	}
 	orch, err := fleet.New(c, nil, fleet.Config{
 		StepSec:          o.stepSec,
-		PlannerShards:    o.shards,
 		ExpectedSessions: o.sessions,
 		Registry:         reg,
 		Faults:           inj,
@@ -563,7 +557,6 @@ func report(out io.Writer, orch *fleet.Orchestrator, in reportInputs) error {
 		{"mean migration downtime", fmt.Sprintf("%.1f ms", in.downtime.Mean()*1000)},
 		{"placement latency", fmt.Sprintf("p50 %.1f µs, p90 %.1f µs, p99 %.1f µs",
 			st.ReplanMs.P50*1000, st.ReplanMs.P90*1000, st.ReplanMs.P99*1000)},
-		{"planner shards", shardLine(st)},
 		{"satellites loaded", fmt.Sprintf("%d of %d", st.LoadedSats, st.Satellites)},
 		{"core utilisation", fmt.Sprintf("mean %.1f%%, p50 %.1f%%, p90 %.1f%%, max %.1f%%",
 			100*st.MeanUtilization, 100*st.UtilizationP50, 100*st.UtilizationP90, 100*st.UtilizationMax)},
@@ -629,26 +622,6 @@ func netgraphLine(s netgraph.Stats) string {
 	}
 	return fmt.Sprintf("%d queries (%d path / %d sssp / %d isl), %d snapshot freezes (%d delta)",
 		s.Queries(), s.PathQueries, s.SSSPQueries, s.ISLQueries, s.Freezes, s.DeltaFreezes)
-}
-
-// shardLine summarises the planner's footprint-region shard utilisation
-// from the last epoch: how even the per-region work split came out.
-func shardLine(st fleet.Stats) string {
-	if len(st.ShardWork) == 0 {
-		return fmt.Sprintf("%d (no epochs yet)", st.PlannerShards)
-	}
-	total, max := 0, 0
-	for _, w := range st.ShardWork {
-		total += w
-		if w > max {
-			max = w
-		}
-	}
-	if total == 0 {
-		return fmt.Sprintf("%d (idle last epoch)", st.PlannerShards)
-	}
-	balance := float64(max) * float64(len(st.ShardWork)) / float64(total)
-	return fmt.Sprintf("%d (last epoch: %d items, max/mean %.2f)", st.PlannerShards, total, balance)
 }
 
 func main() {

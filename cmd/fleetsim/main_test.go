@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"runtime"
 	"strings"
@@ -26,7 +25,6 @@ func TestParseFlags(t *testing.T) {
 		{"-dwell", "0"},
 		{"-demand", "0"},
 		{"-demand", "-0.5"},
-		{"-shards", "-1"},
 		{"-serve-rate", "10", "-serve-workers", "-1"},
 		{"-nope"},
 	}
@@ -304,24 +302,6 @@ func TestServeWorkersInvariance(t *testing.T) {
 	for _, w := range []string{"0", "8"} {
 		if got := tail(runServe(w)); got != want {
 			t.Fatalf("-serve-workers %s changed the serve report:\n--- got ---\n%s\n--- want ---\n%s", w, got, want)
-		}
-	}
-}
-
-// TestRunShardInvariance: the planner's footprint-region shard count must
-// never change its decisions — every -shards value reproduces the golden
-// CSV byte for byte.
-func TestRunShardInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("invariance runs simulate 15 epochs of telesat per shard count")
-	}
-	want, err := os.ReadFile("testdata/telesat_plain.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 3, 16} {
-		if got := runCSV(t, goldenFlags(false, "-shards", fmt.Sprint(shards))); got != string(want) {
-			t.Fatalf("-shards %d diverged from golden CSV:\n%s", shards, got)
 		}
 	}
 }

@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("improvement: %.1fx lower latency in orbit (paper: 46 ms -> 16 ms, ~3x)\n", res.Improvement)
 
 	// Session dynamics: MinMax vs Sticky over two hours.
-	svc, err := inorbit.New(inorbit.Starlink, inorbit.Options{})
+	svc, err := inorbit.New(inorbit.Starlink)
 	if err != nil {
 		log.Fatal(err)
 	}

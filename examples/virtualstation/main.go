@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	svc, err := inorbit.New(inorbit.Starlink, inorbit.Options{})
+	svc, err := inorbit.New(inorbit.Starlink)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -72,11 +72,9 @@ const (
 
 // Ephemeris is the stable propagation surface: where every satellite is at
 // time t. Frames from SnapshotAt are shared and immutable; SnapshotInto
-// fills a caller buffer with exact positions; Interpolated trades a
-// bounded position error (see WithInterpolation) for cheaper sub-step
-// queries. The service-wide implementation parallelises propagation over
-// GOMAXPROCS workers and caches keyframes so concurrent consumers reuse
-// each other's work.
+// fills a caller buffer with exact positions. The service-wide
+// implementation parallelises propagation across the available cores and
+// caches keyframes so concurrent consumers reuse each other's work.
 type Ephemeris interface {
 	// Size returns the number of satellites per frame.
 	Size() int
@@ -84,9 +82,6 @@ type Ephemeris interface {
 	SnapshotAt(tSec float64) []geo.Vec3
 	// SnapshotInto fills dst (length Size()) with exact positions at tSec.
 	SnapshotInto(tSec float64, dst []geo.Vec3) error
-	// Interpolated fills dst (length Size()) with positions interpolated
-	// between cached keyframes bracketing tSec.
-	Interpolated(tSec float64, dst []geo.Vec3) error
 }
 
 // Service is the in-orbit computing service. It embeds the core service —
@@ -99,8 +94,7 @@ type Service struct {
 }
 
 // New builds the service over a preset constellation. Pass functional
-// options (WithStepSec, WithFaults, WithEphemCache, ...) to configure it;
-// the legacy Options struct is also accepted.
+// options (WithStepSec, WithFaults, WithEphemCache, ...) to configure it.
 func New(choice core.ConstellationChoice, opts ...Option) (*Service, error) {
 	set := collect(opts)
 	svc, err := core.NewService(choice, set.core)
@@ -142,10 +136,9 @@ func (s *Service) Fleet() (*Fleet, error) { return s.NewFleet() }
 
 // NewFleet builds a fleet orchestrator from the service's construction
 // options refined by per-orchestrator FleetOptions (WithFleetSessions,
-// WithFleetEpoch, WithFleetCapacity, WithFleetShards, ...). The
-// orchestrator shares the service's ISL grid and ephemeris engine;
-// WithFaults arms it with a fresh injector. Each call returns an
-// independent orchestrator.
+// WithFleetEpoch, WithFleetCapacity, ...). The orchestrator shares the
+// service's ISL grid and ephemeris engine; WithFaults arms it with a fresh
+// injector. Each call returns an independent orchestrator.
 func (s *Service) NewFleet(opts ...FleetOption) (*Fleet, error) {
 	cfg := s.set.fleet
 	for _, o := range opts {
@@ -200,24 +193,13 @@ type FleetConfig = fleet.Config
 type FleetSession = fleet.Session
 
 // FleetStats is the stable fleet snapshot returned by Fleet.Stats:
-// population, decision and fault counters, utilisation and latency
-// distributions, and the planner's shard-utilization view.
+// population, decision and fault counters, and utilisation and latency
+// distributions.
 type FleetStats = fleet.Stats
 
 // ServerSpec is the per-satellite compute payload, for WithServer and
 // WithFleetCapacity.
 type ServerSpec = compute.ServerSpec
-
-// NewFleet builds a fleet orchestrator over the service's constellation,
-// sharing its ISL grid and ephemeris engine.
-//
-// Deprecated: call Service.NewFleet with per-orchestrator FleetOptions
-// (WithFleetSessions, WithFleetEpoch, WithFleetCapacity, WithFleetShards)
-// instead; this constructor ignores the service's construction options.
-func NewFleet(svc *Service, cfg FleetConfig) (*Fleet, error) {
-	cfg.Ephem = svc.Service.Ephemeris()
-	return fleet.New(svc.Constellation(), svc.Grid(), cfg)
-}
 
 // NewFleetSession builds a session for a user group with default demand;
 // adjust its exported fields before submitting.
@@ -234,13 +216,5 @@ type FaultInjector = faults.Injector
 // FaultConfig parameterises a FaultInjector.
 type FaultConfig = faults.Config
 
-// NewFaultInjector builds an injector for the service's constellation.
-//
-// Deprecated: build the service with WithFaults and use Service.Faults
-// (or Service.Fleet, which arms the orchestrator itself).
-func NewFaultInjector(svc *Service, cfg FaultConfig) (*FaultInjector, error) {
-	return faults.New(svc.Constellation().Size(), cfg)
-}
-
-// Interp compile-time check: the engine is the facade's Ephemeris.
+// Compile-time check: the engine is the facade's Ephemeris.
 var _ Ephemeris = (*ephem.Engine)(nil)

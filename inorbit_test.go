@@ -10,7 +10,7 @@ import (
 
 func service(t testing.TB) *Service {
 	t.Helper()
-	svc, err := New(Starlink, Options{})
+	svc, err := New(Starlink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCustomConstellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewCustom(c, Options{})
+	svc, err := NewCustom(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPolicyConstantsDistinct(t *testing.T) {
 
 func TestFleetFacade(t *testing.T) {
 	svc := service(t)
-	f, err := NewFleet(svc, FleetConfig{})
+	f, err := svc.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,9 +123,9 @@ func TestFleetFacade(t *testing.T) {
 	}
 }
 
-// TestFleetOptionsEquivalence pins the deprecated package-level
-// NewFleet(svc, cfg) shim to the options path: the same tuning expressed
-// either way must run the same workload to identical epoch reports and
+// TestFleetOptionsEquivalence pins the two option routes to each other:
+// the same tuning expressed service-wide (WithFleet) or per orchestrator
+// (FleetOptions) must run the same workload to identical epoch reports and
 // final assignments.
 func TestFleetOptionsEquivalence(t *testing.T) {
 	groups := [][]LatLon{
@@ -166,17 +166,17 @@ func TestFleetOptionsEquivalence(t *testing.T) {
 		return reps, sats
 	}
 
-	svc := service(t)
-	oldF, err := NewFleet(svc, FleetConfig{StepSec: 30, LookaheadSec: 900, PlannerShards: 3})
+	wide, err := New(Starlink, WithFleet(FleetConfig{StepSec: 30, LookaheadSec: 900}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	newF, err := svc.NewFleet(WithFleetEpoch(30), WithFleetLookahead(900), WithFleetShards(3))
+	oldF, err := wide.Fleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := newF.PlannerShards(); got != 3 {
-		t.Fatalf("PlannerShards = %d, want 3", got)
+	newF, err := service(t).NewFleet(WithFleetEpoch(30), WithFleetLookahead(900))
+	if err != nil {
+		t.Fatal(err)
 	}
 	oldReps, oldSats := run(oldF)
 	newReps, newSats := run(newF)
@@ -194,9 +194,6 @@ func TestFleetOptionsEquivalence(t *testing.T) {
 	st := newF.Stats()
 	if st.Sessions != len(groups) || st.Epochs != 5 {
 		t.Fatalf("Stats = %+v, want %d sessions over 5 epochs", st, len(groups))
-	}
-	if st.PlannerShards != 3 || len(st.ShardWork) != 3 {
-		t.Fatalf("Stats shards = %d (work %v), want 3", st.PlannerShards, st.ShardWork)
 	}
 }
 
@@ -271,36 +268,13 @@ func TestFaultsWithoutOption(t *testing.T) {
 }
 
 func TestOptionOrderAndLegacyMerge(t *testing.T) {
-	// A negative ISL rate is rejected at construction whichever style set it.
-	if _, err := New(Telesat, Options{ISLBandwidthGbps: -1}); err == nil {
-		t.Fatal("legacy Options must still reach core validation")
-	}
+	// A negative ISL rate is rejected at construction.
 	if _, err := New(Telesat, WithISLBandwidth(-1)); err == nil {
 		t.Fatal("WithISLBandwidth must reach core validation")
 	}
-	// Later options win: a valid legacy struct repairs the earlier option...
-	if _, err := New(Telesat, WithISLBandwidth(-1), Options{ISLBandwidthGbps: 2.5}); err != nil {
-		t.Fatalf("later Options should override earlier option: %v", err)
-	}
-	// ...but a zero-valued legacy struct merges nothing and must not reset
-	// settings accumulated before it.
-	if _, err := New(Telesat, WithISLBandwidth(-1), Options{}); err == nil {
-		t.Fatal("zero legacy Options must not clobber earlier options")
-	}
-}
-
-func TestDeprecatedConstructorsStillWork(t *testing.T) {
-	svc := smallService(t)
-	fl, err := NewFleet(svc, FleetConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if any(fl.Ephemeris()) != svc.Ephemeris() {
-		t.Fatal("NewFleet must share the service-wide ephemeris engine")
-	}
-	inj, err := NewFaultInjector(svc, FaultConfig{Seed: 1, SatMTBFHours: 4, SatMTTRSec: 600})
-	if err != nil || inj == nil {
-		t.Fatalf("NewFaultInjector: %v, %v", inj, err)
+	// Later options win: a valid rate repairs the earlier one.
+	if _, err := New(Telesat, WithISLBandwidth(-1), WithISLBandwidth(2.5)); err != nil {
+		t.Fatalf("later option should override earlier option: %v", err)
 	}
 }
 

@@ -4,31 +4,26 @@
 // epochs, visibility sweeps, meetup sessions, the figure pipelines — goes
 // through an Engine instead, which
 //
-//   - propagates full-constellation snapshots with a chunked worker pool
-//     sized to GOMAXPROCS (a snapshot is embarrassingly parallel: each
-//     satellite's position is an independent closed-form evaluation);
+//   - propagates full-constellation snapshots in contiguous chunks across
+//     par.Workers() cores (a snapshot is embarrassingly parallel: each
+//     satellite's position is an independent closed-form evaluation); and
 //   - keeps a time-keyed keyframe cache so consumers querying the same or
 //     nearby instants reuse one propagation instead of repeating it. The
 //     cache is two-tier: frames on the keyframe grid (multiples of
 //     GridStepSec) live in a protected ring that sequential sweeps cannot
-//     flush, all other instants share an LRU pool; and
-//   - offers optional Hermite/linear interpolation between grid keyframes
-//     for sub-step queries, trading a measured, bounded position error
-//     (see interp.go) for a large reduction in trigonometric work.
+//     flush, all other instants share an LRU pool.
 //
 // Frames returned by SnapshotAt are immutable and shared: callers must not
 // modify them, and may retain them for as long as they like (eviction only
-// drops the engine's reference, never reuses the memory). With
-// interpolation off every position is bit-identical to calling
-// Prop.ECEFAt directly, so engine-backed pipelines reproduce pre-engine
-// outputs byte for byte.
+// drops the engine's reference, never reuses the memory). Every position is
+// bit-identical to calling Prop.ECEFAt directly, so engine-backed pipelines
+// reproduce pre-engine outputs byte for byte.
 package ephem
 
 import (
 	"container/list"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,35 +31,13 @@ import (
 	"repro/internal/constellation"
 	"repro/internal/geo"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
-
-// Mode selects the interpolation scheme used by Interpolated.
-type Mode int
-
-const (
-	// Hermite is cubic Hermite interpolation over position + velocity
-	// keyframes: O(h⁴) error, metre-scale at the default 60 s grid.
-	Hermite Mode = iota
-	// Linear is chordal interpolation over position keyframes only:
-	// O(h²) error, kilometre-scale at the default 60 s grid.
-	Linear
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Hermite:
-		return "hermite"
-	case Linear:
-		return "linear"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // Config tunes an Engine. The zero value picks the defaults noted on each
 // field.
 type Config struct {
-	// Workers bounds snapshot propagation parallelism (default GOMAXPROCS).
+	// Workers bounds snapshot propagation parallelism (default par.Workers()).
 	// Workers == 1 propagates inline with no goroutine hand-off.
 	Workers int
 	// CacheFrames is the LRU capacity, in frames, for snapshots at
@@ -75,13 +48,11 @@ type Config struct {
 	// ring holding snapshots at multiples of GridStepSec (default 64;
 	// negative disables the tier). Grid frames are evicted FIFO and only
 	// by other grid frames, so a long off-grid sweep cannot flush the
-	// keyframes that interpolation and lookahead queries keep returning to.
+	// keyframes that lookahead queries keep returning to.
 	GridFrames int
 	// GridStepSec is the keyframe grid spacing in seconds (default 60,
 	// the meetup/fleet lookahead sampling step).
 	GridStepSec float64
-	// Interp selects the Interpolated scheme (default Hermite).
-	Interp Mode
 	// Registry receives the ephem_* metric families (default obs.Default()).
 	Registry *obs.Registry
 	// Tracer, when set, records one span per propagation batch.
@@ -90,7 +61,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = par.Workers()
 	}
 	if c.CacheFrames == 0 {
 		c.CacheFrames = 64
@@ -107,26 +78,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// frame is one cached full-constellation snapshot. pos is immutable once
-// published; vel is filled lazily (under the engine lock) the first time a
-// Hermite interpolation needs this keyframe.
+// frame is one cached full-constellation snapshot, immutable once
+// published.
 type frame struct {
 	t   float64
 	pos []geo.Vec3
-	vel []geo.Vec3
 }
 
 // Stats is a point-in-time view of one engine's cache behaviour.
 type Stats struct {
-	// Hits and Misses count cache lookups across SnapshotAt, SnapshotInto,
-	// and keyframe fetches.
+	// Hits and Misses count cache lookups across SnapshotAt and SnapshotInto.
 	Hits, Misses uint64
 	// Frames is the number of cached frames currently held (both tiers).
 	Frames int
 	// PropagatedSats counts individual satellite propagations performed.
 	PropagatedSats uint64
-	// Interpolations counts Interpolated calls served between keyframes.
-	Interpolations uint64
 }
 
 // Engine is a shared, parallel, cached ephemeris for one constellation.
@@ -142,8 +108,8 @@ type Engine struct {
 	grid      map[int64]*frame         // grid index → keyframe
 	gridOrder []int64                  // grid insertion order (FIFO eviction)
 
-	hits, misses, interpolations uint64 // guarded by mu
-	propagated                   atomic.Uint64
+	hits, misses uint64 // guarded by mu
+	propagated   atomic.Uint64
 }
 
 // New builds an engine over c. c must be non-nil and already built.
@@ -178,7 +144,6 @@ func (e *Engine) Stats() Stats {
 		Misses:         e.misses,
 		Frames:         len(e.misc) + len(e.grid),
 		PropagatedSats: e.propagated.Load(),
-		Interpolations: e.interpolations,
 	}
 }
 
@@ -302,18 +267,10 @@ func (e *Engine) PositionAt(t float64, id int) geo.Vec3 {
 	return e.c.Satellites[id].Prop.ECEFAt(t)
 }
 
-// Keyframe returns the cached grid keyframe nearest at-or-below t,
-// propagating it on a miss. It always queries an exact grid instant, so
-// the protected tier absorbs it.
-func (e *Engine) Keyframe(t float64) []geo.Vec3 {
-	t0 := math.Floor(t/e.cfg.GridStepSec) * e.cfg.GridStepSec
-	return e.SnapshotAt(t0)
-}
-
-// propagate fills dst with exact positions at t using the worker pool.
-// The chunked parallel loop performs, per satellite, the identical
-// float64 operations as the serial loop — only the goroutine doing them
-// differs — so results are bit-identical regardless of Workers.
+// propagate fills dst with exact positions at t. The chunked fan-out
+// performs, per satellite, the identical float64 operations as the serial
+// loop — only the goroutine doing them differs — so results are
+// bit-identical regardless of Workers.
 func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 	var sp *obs.Span
 	if e.cfg.Tracer != nil {
@@ -323,7 +280,11 @@ func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 	}
 	start := time.Now()
 	sats := e.c.Satellites
-	e.parallelFor(len(sats), minParallelSats, func(lo, hi int) {
+	width := e.cfg.Workers
+	if len(sats) < minParallelSats {
+		width = 1
+	}
+	par.Chunks(len(sats), width, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			dst[i] = sats[i].Prop.ECEFAt(t)
 		}
@@ -338,46 +299,6 @@ func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 	}
 }
 
-// velocities fills dst with exact ECEF velocities at t using the worker
-// pool.
-func (e *Engine) velocities(t float64, dst []geo.Vec3) {
-	sats := e.c.Satellites
-	e.parallelFor(len(sats), minParallelSats, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = sats[i].Prop.ECEFVelocityAt(t)
-		}
-	})
-	e.m.propagated.Add(uint64(len(sats)))
-	e.propagated.Add(uint64(len(sats)))
-}
-
 // minParallelSats is the frame size below which fan-out costs more than
 // the propagation it parallelises.
 const minParallelSats = 512
-
-// parallelFor splits [0, n) into one contiguous chunk per worker and runs
-// f on each. With one worker (or a small n) it runs inline.
-func (e *Engine) parallelFor(n, minN int, f func(lo, hi int)) {
-	w := e.cfg.Workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 || n < minN {
-		f(0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}

@@ -42,7 +42,6 @@ func TestDifferentialExact(t *testing.T) {
 	period := c.Satellites[0].Prop.Elements().PeriodSec()
 	want := make([]geo.Vec3, c.Size())
 	into := make([]geo.Vec3, c.Size())
-	interp := make([]geo.Vec3, c.Size())
 	for k := 0; k <= 97; k++ {
 		// Mix of grid (multiples of 60) and ragged off-grid instants.
 		tt := float64(k) / 97 * period
@@ -58,16 +57,6 @@ func TestDifferentialExact(t *testing.T) {
 			if want[i] != got[i] || want[i] != again[i] || want[i] != into[i] {
 				t.Fatalf("t=%g sat=%d: engine %v / %v / %v != direct %v", tt, i, got[i], again[i], into[i], want[i])
 			}
-		}
-	}
-	// Exact grid instants through Interpolated are copies of the exact
-	// keyframe, not interpolants.
-	if err := eng.Interpolated(120, interp); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range c.Satellites {
-		if interp[i] != s.Prop.ECEFAt(120) {
-			t.Fatalf("grid-instant Interpolated differs at sat %d", i)
 		}
 	}
 }
@@ -129,61 +118,6 @@ func TestSnapshotIntoLengthError(t *testing.T) {
 	if err := eng.SnapshotInto(0, make([]geo.Vec3, 3)); err == nil {
 		t.Fatal("want length-mismatch error")
 	}
-	if err := eng.Interpolated(0.5, make([]geo.Vec3, 3)); err == nil {
-		t.Fatal("want length-mismatch error")
-	}
-}
-
-// TestInterpolationErrorBounds pins the documented error bounds at the
-// default 60 s grid: Hermite stays metre-scale, Linear kilometre-scale
-// (chord sag r(ωh)²/8 ≈ 3.7 km for a 550 km shell).
-func TestInterpolationErrorBounds(t *testing.T) {
-	period := testConst(t).Satellites[0].Prop.Elements().PeriodSec()
-
-	herm := testEngine(t, Config{Interp: Hermite, GridFrames: 256})
-	hermKm, err := herm.MeasureError(0, period, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hermKm > 0.01 {
-		t.Fatalf("Hermite max error %.4f km, want metre-scale (< 0.01 km)", hermKm)
-	}
-
-	lin := testEngine(t, Config{Interp: Linear, GridFrames: 256})
-	linKm, err := lin.MeasureError(0, period, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if linKm < 0.5 || linKm > 10 {
-		t.Fatalf("Linear max error %.3f km, want chord-sag scale (0.5..10 km)", linKm)
-	}
-	if hermKm*50 > linKm {
-		t.Fatalf("Hermite (%.4f km) should beat Linear (%.3f km) by orders of magnitude", hermKm, linKm)
-	}
-}
-
-func TestKeyframeFloors(t *testing.T) {
-	eng := testEngine(t, Config{})
-	kf := eng.Keyframe(119.9)
-	want := eng.SnapshotAt(60)
-	if &kf[0] != &want[0] {
-		t.Fatal("Keyframe(119.9) should return the t=60 grid frame")
-	}
-	neg := eng.Keyframe(-0.5)
-	wantNeg := eng.SnapshotAt(-60)
-	if &neg[0] != &wantNeg[0] {
-		t.Fatal("Keyframe(-0.5) should floor to the t=-60 grid frame")
-	}
-}
-
-func TestMeasureErrorValidates(t *testing.T) {
-	eng := testEngine(t, Config{})
-	if _, err := eng.MeasureError(0, 0, 10); err == nil {
-		t.Fatal("want error for zero span")
-	}
-	if _, err := eng.MeasureError(0, 100, 0); err == nil {
-		t.Fatal("want error for zero samples")
-	}
 }
 
 // TestConcurrent hammers all entry points from many goroutines over
@@ -207,23 +141,10 @@ func TestConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if err := eng.Interpolated(tt+7.3, dst); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestModeString(t *testing.T) {
-	if Hermite.String() != "hermite" || Linear.String() != "linear" {
-		t.Fatal("mode names changed")
-	}
-	if Mode(42).String() != "Mode(42)" {
-		t.Fatal("unknown mode formatting changed")
-	}
 }
 
 // TestGridIndex covers grid classification edge cases, including

@@ -7,13 +7,12 @@ import "repro/internal/obs"
 // registry share families, so counters aggregate — use Engine.Stats for
 // per-engine numbers.
 type metricsSet struct {
-	hits           *obs.Counter   // ephem_cache_hits_total
-	misses         *obs.Counter   // ephem_cache_misses_total
-	propagated     *obs.Counter   // ephem_propagated_satellites_total
-	interpolations *obs.Counter   // ephem_interpolations_total
-	frames         *obs.Gauge     // ephem_cache_frames
-	propagateSec   *obs.Histogram // ephem_propagate_seconds
-	propagateQ     *obs.Quantile  // ephem_propagate_ms — cache-miss batch latency
+	hits         *obs.Counter   // ephem_cache_hits_total
+	misses       *obs.Counter   // ephem_cache_misses_total
+	propagated   *obs.Counter   // ephem_propagated_satellites_total
+	frames       *obs.Gauge     // ephem_cache_frames
+	propagateSec *obs.Histogram // ephem_propagate_seconds
+	propagateQ   *obs.Quantile  // ephem_propagate_ms — cache-miss batch latency
 }
 
 // One full-constellation batch is hundreds of µs serial, tens of µs when
@@ -28,8 +27,6 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 			"Snapshot requests that had to propagate the constellation."),
 		propagated: reg.Counter("ephem_propagated_satellites_total",
 			"Individual satellite position/velocity propagations performed."),
-		interpolations: reg.Counter("ephem_interpolations_total",
-			"Sub-step snapshot requests served by keyframe interpolation."),
 		frames: reg.Gauge("ephem_cache_frames",
 			"Full-constellation frames currently held across cache tiers."),
 		propagateSec: reg.Histogram("ephem_propagate_seconds",

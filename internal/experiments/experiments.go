@@ -7,12 +7,12 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/constellation"
 	"repro/internal/ephem"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // ConstellationSet names the constellations a sweep covers.
@@ -106,7 +106,6 @@ func EphemStats() ephem.Stats {
 		total.Misses += s.Misses
 		total.Frames += s.Frames
 		total.PropagatedSats += s.PropagatedSats
-		total.Interpolations += s.Interpolations
 	}
 	return total
 }
@@ -145,59 +144,17 @@ func progress() *obs.Counter {
 // sample count.
 func Progress() uint64 { return progress().Value() }
 
-// parallelFor runs fn(i) for i in [0,n) across CPUs, collecting the first
-// error, and counts each iteration as sweep progress. Experiment sweeps are
-// embarrassingly parallel across latitudes and user groups.
+// parallelFor runs fn(i) for i in [0,n) across CPUs, returning the error of
+// the lowest failing index, and counts each iteration as sweep progress.
+// Experiment sweeps are embarrassingly parallel across latitudes and user
+// groups. Fan-outs that repeat over the same units (the session driver's
+// per-window passes) call par.Each directly, or they would inflate the
+// per-figure sample count.
 func parallelFor(n int, fn func(i int) error) error {
 	done := progress()
-	return parallelForUncounted(n, func(i int) error {
+	return par.Each(n, par.Workers(), func(i int) error {
 		err := fn(i)
 		done.Inc()
 		return err
 	})
-}
-
-// parallelForUncounted is parallelFor without the progress count, for
-// fan-outs that repeat over the same units (the session driver's per-window
-// passes) and would otherwise inflate the per-figure sample count.
-func parallelForUncounted(n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return firstErr
 }

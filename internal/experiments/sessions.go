@@ -8,6 +8,7 @@ import (
 	"repro/internal/geo"
 	"repro/internal/isl"
 	"repro/internal/meetup"
+	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -71,7 +72,7 @@ func simulateSessions(eng *ephem.Engine, planners []*meetup.Planner, policies []
 			times = append(times, t)
 			frames = append(frames, prov.At(t))
 		}
-		err := parallelForUncounted(len(live), func(i int) error {
+		err := par.Each(len(live), par.Workers(), func(i int) error {
 			for k, t := range times {
 				for _, s := range live[i] {
 					s.Step(t, frames[k])

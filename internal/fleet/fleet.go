@@ -3,8 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"repro/internal/compute"
 	"repro/internal/constellation"
@@ -15,6 +13,7 @@ import (
 	"repro/internal/migrate"
 	"repro/internal/netgraph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/visibility"
@@ -43,18 +42,13 @@ type Config struct {
 	// Shards is the session-table shard count (default DefaultShards, or
 	// scaled up from ExpectedSessions when that is larger).
 	Shards int
-	// PlannerShards is how many footprint-region queues the epoch planner
-	// splits its work across (default Workers). Region queues sort and
-	// propose independently and merge back in session-ID order, so the
-	// planner's output is byte-identical for every shard count; shards only
-	// bound parallelism and bowl memory into region-local chunks.
-	PlannerShards int
 	// ExpectedSessions sizes the session table and per-epoch planner
 	// scratch for the intended population (default 0 = modest). It is a
 	// hint: the orchestrator grows past it without error.
 	ExpectedSessions int
 	// Workers bounds the parallelism of the detection and proposal phases
-	// (default GOMAXPROCS).
+	// (default par.Workers()). The planner's output is byte-identical for
+	// every worker count.
 	Workers int
 	// Server is the per-satellite compute payload (default the paper's
 	// reference server).
@@ -104,16 +98,10 @@ func (c Config) withDefaults() (Config, error) {
 		c.PoolSize = 5
 	}
 	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+		c.Workers = par.Workers()
 	}
 	if c.ExpectedSessions < 0 {
 		return c, fmt.Errorf("fleet: expected sessions %d must be non-negative", c.ExpectedSessions)
-	}
-	if c.PlannerShards == 0 {
-		c.PlannerShards = c.Workers
-	}
-	if c.PlannerShards < 0 {
-		return c, fmt.Errorf("fleet: planner shards %d must be positive", c.PlannerShards)
 	}
 	if c.Shards == 0 && c.ExpectedSessions > 0 {
 		// Keep shard occupancy near a few thousand sessions so shard-scan
@@ -308,9 +296,6 @@ func (o *Orchestrator) Ephemeris() *ephem.Engine { return o.eng }
 // Now returns the current simulated time.
 func (o *Orchestrator) Now() float64 { return o.now }
 
-// PlannerShards returns the resolved footprint-region shard count.
-func (o *Orchestrator) PlannerShards() int { return o.cfg.PlannerShards }
-
 // Utilization returns the per-satellite core utilisation, indexed by
 // satellite ID.
 func (o *Orchestrator) Utilization() []float64 {
@@ -447,7 +432,6 @@ type candidate struct {
 // workItem is one session needing placement this epoch.
 type workItem struct {
 	sess       *Session
-	region     int32 // footprint-region planner shard
 	expiring   bool
 	evacuating bool // current satellite hard-failed: move now, not at expiry
 }
@@ -488,42 +472,4 @@ func (o *Orchestrator) lifeEpochs(s *Session, satID int) int {
 		}
 	}
 	return o.k
-}
-
-// parallelFor splits [0,n) into contiguous chunks across the configured
-// workers. Chunked ranges keep writes to per-index slots deterministic.
-func (o *Orchestrator) parallelFor(n int, f func(lo, hi int)) {
-	o.parallelForW(n, func(_, lo, hi int) { f(lo, hi) })
-}
-
-// parallelForW is parallelFor with the worker slot exposed, for phases that
-// keep per-worker scratch. Slot w always owns the w-th contiguous chunk, so
-// which slot computed an item never affects what was computed.
-func (o *Orchestrator) parallelForW(n int, f func(w, lo, hi int)) {
-	workers := o.cfg.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			f(0, 0, n)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	w := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			f(w, lo, hi)
-		}(w, lo, hi)
-		w++
-	}
-	wg.Wait()
 }

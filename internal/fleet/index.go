@@ -190,16 +190,6 @@ func (ix *Index) Rebuild(snapshot []geo.Vec3) {
 // Snapshot returns the snapshot the index was last rebuilt on.
 func (ix *Index) Snapshot() []geo.Vec3 { return ix.snap }
 
-// Cells returns the total grid cell count.
-func (ix *Index) Cells() int { return ix.rows * ix.cols }
-
-// CellIndex maps a surface point to its row-major grid cell — the
-// footprint-region key the planner shards its work by. Stable across
-// Rebuilds (it depends only on the grid geometry, not the snapshot).
-func (ix *Index) CellIndex(latDeg, lonDeg float64) int {
-	return ix.rowOf(latDeg)*ix.cols + ix.colOf(lonDeg)
-}
-
 // ForEachNear calls fn(satID, pos) for every satellite whose subpoint may
 // lie within (max coverage angle + extraKm of surface arc) of the given
 // surface point — a superset of the satellites visible from any point

@@ -1,24 +1,21 @@
 package fleet
 
-// The streaming, region-sharded epoch planner. One Step runs:
+// The streaming epoch planner. One Step runs:
 //
 //	A0  fault events (serial)
 //	A   detection over table shards (parallel, disjoint output slots)
-//	A2  scatter work into footprint-region queues (serial, shard order)
-//	A3  per-region sort by session ID (parallel over regions)
-//	A4  batched SSSP transfer pricing over the epoch's source satellites
-//	B/C streaming rounds: merge the region queues back into global
-//	    session-ID order one chunk at a time, propose the chunk in
-//	    parallel into per-worker arenas, admit it serially
+//	A2  gather the work in shard order and sort it by session ID (serial)
+//	A3  batched SSSP transfer pricing over the epoch's source satellites
+//	B/C streaming rounds over the sorted work, one chunk at a time:
+//	    propose the chunk in parallel into per-worker arenas, admit it
+//	    serially
 //	D   ring rotation, index rebuild, clock advance (serial)
 //
-// Region queues exist for parallelism and bounded memory, not ordering:
-// the merge in B/C restores one global session-ID order before any
-// capacity decision, so the planner's output is byte-identical for every
-// PlannerShards and Workers setting. Streaming in chunks keeps the
-// per-epoch footprint at O(chunk · candidates) instead of materialising a
-// proposal list for the whole work set — the difference between 100k and
-// 1M+ sessions fitting the same epoch loop.
+// Every capacity decision is taken in one global session-ID order, so the
+// planner's output is byte-identical for every Workers setting. Streaming
+// in chunks keeps the per-epoch footprint at O(chunk · candidates) instead
+// of materialising a proposal list for the whole work set — the difference
+// between 100k and 1M+ sessions fitting the same epoch loop.
 //
 // Transfer pricing rides the frozen-CSR engine: the orchestrator chains a
 // groundless netgraph snapshot through Network.AtAfter each epoch and
@@ -31,6 +28,7 @@ package fleet
 // per-pair queries.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -41,10 +39,11 @@ import (
 	"repro/internal/geo"
 	"repro/internal/migrate"
 	"repro/internal/netgraph"
+	"repro/internal/par"
 	"repro/internal/units"
 )
 
-// streamChunk is how many merged work items one streaming round proposes
+// streamChunk is how many sorted work items one streaming round proposes
 // and admits. Large enough to amortise the fan-out, small enough that a
 // round's proposal arenas stay cache-resident.
 const streamChunk = 8192
@@ -80,13 +79,10 @@ type plannerState struct {
 	goneByShard  [][]*Session
 	deferByShard []int
 
-	rq         [][]workItem // footprint-region queues
-	regionWork []int        // per-region item counts of the last epoch
-	heads      []int        // merge cursors into rq
-	chunk      []workItem
-	props      []proposal
-	workers    []workerScratch
-	gone       []*Session
+	work    []workItem // the epoch's work list, ascending session ID
+	props   []proposal
+	workers []workerScratch
+	gone    []*Session
 
 	srcCount []int32           // per-satellite pending re-placement count
 	srcTouch []int32           // satellites with non-zero srcCount (reset list)
@@ -101,14 +97,6 @@ func (pl *plannerState) init(o *Orchestrator) {
 	pl.workByShard = make([][]workItem, nShards)
 	pl.goneByShard = make([][]*Session, nShards)
 	pl.deferByShard = make([]int, nShards)
-	p := o.cfg.PlannerShards
-	if p < 1 {
-		p = 1
-	}
-	pl.rq = make([][]workItem, p)
-	pl.regionWork = make([]int, p)
-	pl.heads = make([]int, p)
-	pl.chunk = make([]workItem, 0, streamChunk)
 	pl.props = make([]proposal, streamChunk)
 	pl.workers = make([]workerScratch, o.cfg.Workers)
 	pl.srcCount = make([]int32, o.c.Size())
@@ -126,12 +114,7 @@ func (pl *plannerState) reset() {
 	for i := range pl.deferByShard {
 		pl.deferByShard[i] = 0
 	}
-	for i := range pl.rq {
-		pl.rq[i] = pl.rq[i][:0]
-	}
-	for i := range pl.heads {
-		pl.heads[i] = 0
-	}
+	pl.work = pl.work[:0]
 	for _, sat := range pl.srcTouch {
 		pl.srcCount[sat] = 0
 	}
@@ -151,54 +134,6 @@ func (pl *plannerState) lazyRow(nodes int) []float64 {
 	r := pl.lazyRows[pl.lazyUsed]
 	pl.lazyUsed++
 	return r
-}
-
-// regionOf maps a session to its footprint-region planner shard: the
-// row-major footprint-index cell of its centroid, scaled onto the shard
-// count. Contiguous cells land in the same region, so a region's sessions
-// query neighbouring index cells.
-func (o *Orchestrator) regionOf(s *Session) int32 {
-	p := len(o.pl.rq)
-	if p <= 1 {
-		return 0
-	}
-	return int32(o.idx.CellIndex(s.CentroidLL.LatDeg, s.CentroidLL.LonDeg) * p / o.idx.Cells())
-}
-
-// nextChunk fills the next streaming chunk from the region queues in
-// ascending session-ID order. The queues are each ID-sorted, so this is a
-// k-way merge; with one region it degenerates to a plain cursor.
-func (pl *plannerState) nextChunk() []workItem {
-	chunk := pl.chunk[:0]
-	if len(pl.rq) == 1 {
-		q, h := pl.rq[0], pl.heads[0]
-		n := len(q) - h
-		if n > streamChunk {
-			n = streamChunk
-		}
-		chunk = append(chunk, q[h:h+n]...)
-		pl.heads[0] = h + n
-		pl.chunk = chunk
-		return chunk
-	}
-	for len(chunk) < streamChunk {
-		best := -1
-		var bestID uint64
-		for p := range pl.rq {
-			if pl.heads[p] < len(pl.rq[p]) {
-				if id := pl.rq[p][pl.heads[p]].sess.ID; best < 0 || id < bestID {
-					best, bestID = p, id
-				}
-			}
-		}
-		if best < 0 {
-			break
-		}
-		chunk = append(chunk, pl.rq[best][pl.heads[best]])
-		pl.heads[best]++
-	}
-	pl.chunk = chunk
-	return chunk
 }
 
 // cmpByRTT orders candidates by latency, ties by ID — the spill order.
@@ -270,7 +205,7 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	// and sessions needing (re-)placement. Sessions on a hard-failed
 	// satellite evacuate immediately, ahead of their visibility expiry;
 	// sessions inside a retry backoff window are deferred.
-	o.parallelFor(o.tab.NumShards(), func(lo, hi int) {
+	par.Chunks(o.tab.NumShards(), o.cfg.Workers, func(_, lo, hi int) {
 		for si := lo; si < hi; si++ {
 			o.tab.Shard(si, func(m map[uint64]*Session) {
 				for _, s := range m {
@@ -280,16 +215,13 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 					case s.Sat >= 0 && !o.satUp(s.Sat):
 						// A dead satellite overrides any retry backoff: the
 						// session must evacuate now, not when its timer says.
-						pl.workByShard[si] = append(pl.workByShard[si],
-							workItem{sess: s, region: o.regionOf(s), evacuating: true})
+						pl.workByShard[si] = append(pl.workByShard[si], workItem{sess: s, evacuating: true})
 					case s.RetryAt > o.now:
 						pl.deferByShard[si]++
 					case s.Sat < 0:
-						pl.workByShard[si] = append(pl.workByShard[si],
-							workItem{sess: s, region: o.regionOf(s)})
+						pl.workByShard[si] = append(pl.workByShard[si], workItem{sess: s})
 					case !o.visibleAll(s, s.Sat, o.ring[1]):
-						pl.workByShard[si] = append(pl.workByShard[si],
-							workItem{sess: s, region: o.regionOf(s), expiring: true})
+						pl.workByShard[si] = append(pl.workByShard[si], workItem{sess: s, expiring: true})
 					}
 				}
 			})
@@ -330,12 +262,12 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	o.m.departures.Add(uint64(rep.Departures))
 	pl.gone = gone[:0]
 
-	// Phase A2 — scatter work into region queues (serial, shard order; the
-	// per-region sort below makes the arrival order irrelevant) and count
-	// pending moves per source satellite for the SSSP batch.
+	// Phase A2 — gather the work in shard order, counting pending moves per
+	// source satellite for the SSSP batch, and sort it by session ID (map
+	// iteration made the arrival order arbitrary).
 	for si := range pl.workByShard {
 		for _, w := range pl.workByShard[si] {
-			pl.rq[w.region] = append(pl.rq[w.region], w)
+			pl.work = append(pl.work, w)
 			if sat := w.sess.Sat; sat >= 0 {
 				if pl.srcCount[sat] == 0 {
 					pl.srcTouch = append(pl.srcTouch, int32(sat))
@@ -344,26 +276,9 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 			}
 		}
 	}
+	slices.SortFunc(pl.work, func(a, b workItem) int { return cmp.Compare(a.sess.ID, b.sess.ID) })
 
-	// Phase A3 — per-region sort by session ID, parallel over regions.
-	o.parallelFor(len(pl.rq), func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			slices.SortFunc(pl.rq[p], func(a, b workItem) int {
-				if a.sess.ID < b.sess.ID {
-					return -1
-				}
-				if a.sess.ID > b.sess.ID {
-					return 1
-				}
-				return 0
-			})
-		}
-	})
-	for p := range pl.rq {
-		pl.regionWork[p] = len(pl.rq[p])
-	}
-
-	// Phase A4 — batched transfer pricing: every source satellite with
+	// Phase A3 — batched transfer pricing: every source satellite with
 	// several pending moves gets its SSSP row up front through the adaptive
 	// multi-source fan-out; stragglers fill in lazily inside admission.
 	slices.Sort(pl.srcTouch)
@@ -380,17 +295,14 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 		o.m.ssspBatched.Add(uint64(len(pl.batch)))
 	}
 
-	// Phases B/C — streaming rounds over the merged work: propose a chunk
+	// Phases B/C — streaming rounds over the sorted work: propose a chunk
 	// in parallel, admit it serially in session-ID order. Proposals read
 	// only the ring and index, never capacity, so chunking cannot change
 	// any admission decision.
-	for {
-		chunk := pl.nextChunk()
-		if len(chunk) == 0 {
-			break
-		}
+	for at := 0; at < len(pl.work); at += streamChunk {
+		chunk := pl.work[at:min(at+streamChunk, len(pl.work))]
 		o.m.streamChunks.Inc()
-		o.parallelForW(len(chunk), func(w, lo, hi int) {
+		par.Chunks(len(chunk), o.cfg.Workers, func(w, lo, hi int) {
 			sc := &pl.workers[w]
 			for i := lo; i < hi; i++ {
 				pl.props[i] = o.propose(sc, int32(w), chunk[i].sess)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/faults"
-	"repro/internal/geo"
 )
 
 // runEpochs drives one orchestrator over a fixed workload and returns its
@@ -42,31 +41,26 @@ func runEpochs(t testing.TB, cfg Config, nSessions, epochs int) ([]EpochReport, 
 	return reps, sats
 }
 
-// TestPlannerShardInvariance is the planner's core determinism contract:
-// the footprint-region shard count (including the 1-shard fast path) and
-// the worker count must never change a decision. Every combination
-// reproduces the same epoch reports and final assignments.
-func TestPlannerShardInvariance(t *testing.T) {
+// TestPlannerWorkerInvariance is the planner's core determinism contract:
+// the worker count (including the inline one-worker path) must never change
+// a decision. Every width reproduces the same epoch reports and final
+// assignments.
+func TestPlannerWorkerInvariance(t *testing.T) {
 	baseCfg := testConfig()
-	baseCfg.PlannerShards = 1
 	baseCfg.Workers = 1
 	baseReps, baseSats := runEpochs(t, baseCfg, 60, 10)
 
-	for _, tc := range []struct{ shards, workers int }{
-		{1, 8}, {3, 1}, {3, 4}, {17, 2}, {64, 8},
-	} {
+	for _, workers := range []int{2, 4, 8} {
 		cfg := testConfig()
-		cfg.PlannerShards = tc.shards
-		cfg.Workers = tc.workers
+		cfg.Workers = workers
 		reps, sats := runEpochs(t, cfg, 60, 10)
 		for i := range baseReps {
 			if !reflect.DeepEqual(stripWallClock(reps[i]), stripWallClock(baseReps[i])) {
-				t.Fatalf("shards=%d workers=%d epoch %d diverged:\n%+v\nwant\n%+v",
-					tc.shards, tc.workers, i, reps[i], baseReps[i])
+				t.Fatalf("workers=%d epoch %d diverged:\n%+v\nwant\n%+v", workers, i, reps[i], baseReps[i])
 			}
 		}
 		if !reflect.DeepEqual(sats, baseSats) {
-			t.Fatalf("shards=%d workers=%d final assignments diverged", tc.shards, tc.workers)
+			t.Fatalf("workers=%d final assignments diverged", workers)
 		}
 	}
 }
@@ -76,62 +70,6 @@ func TestPlannerShardInvariance(t *testing.T) {
 func stripWallClock(rep EpochReport) EpochReport {
 	rep.WallSec = 0
 	return rep
-}
-
-// TestPlannerEmptyRegions: a workload clustered in one footprint cell
-// leaves most region queues empty every epoch. The merge must skip them
-// cleanly and the shard-work view must show the imbalance.
-func TestPlannerEmptyRegions(t *testing.T) {
-	cfg := testConfig()
-	cfg.PlannerShards = 32
-	o, err := New(toyConst(t), nil, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All groups within ~50 km of one anchor: one footprint cell.
-	anchor := geo.LatLon{LatDeg: 35.7, LonDeg: 139.7}
-	for i := 0; i < 40; i++ {
-		users := []geo.LatLon{
-			geo.Destination(anchor, float64(i*37%360), 10+float64(i%5)*8),
-			geo.Destination(anchor, float64(i*91%360), 15+float64(i%3)*10),
-		}
-		s, err := NewSession(uint64(i+1), users)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := o.Submit(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := o.Start(0); err != nil {
-		t.Fatal(err)
-	}
-	var last EpochReport
-	for i := 0; i < 5; i++ {
-		rep, err := o.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = rep
-	}
-	if last.Assigned != 40 {
-		t.Fatalf("assigned %d of 40 clustered sessions", last.Assigned)
-	}
-	st := o.Stats()
-	if len(st.ShardWork) != 32 {
-		t.Fatalf("shard work has %d entries, want 32", len(st.ShardWork))
-	}
-	nonEmpty := 0
-	for _, w := range st.ShardWork {
-		if w > 0 {
-			nonEmpty++
-		}
-	}
-	// One cluster can straddle a cell boundary, but it cannot fill many
-	// regions; most queues must have been empty in the last epoch.
-	if nonEmpty > 4 {
-		t.Fatalf("clustered workload touched %d of 32 regions: %v", nonEmpty, st.ShardWork)
-	}
 }
 
 // TestPlannerAllCandidatesDead: an immediate permanent all-satellite

@@ -79,16 +79,9 @@ type Stats struct {
 	// hand-off one-way state-transfer latency distribution in simulated
 	// milliseconds (deterministic).
 	ReplanMs, TransferMs QuantileSummary
-
-	// PlannerShards is the footprint-region shard count; ShardWork holds
-	// each region's work-item count from the last epoch — the planner's
-	// shard-utilization view (empty before the first Step).
-	PlannerShards int
-	ShardWork     []int
 }
 
-// Stats snapshots the orchestrator. Safe to call between Steps; the
-// ShardWork slice is a copy.
+// Stats snapshots the orchestrator. Safe to call between Steps.
 func (o *Orchestrator) Stats() Stats {
 	st := Stats{
 		TSec:                o.now,
@@ -109,13 +102,9 @@ func (o *Orchestrator) Stats() Stats {
 		SatFailures:         o.tot.satFailures,
 		SatRecoveries:       o.tot.satRecoveries,
 		EvacuationsPending:  o.nEvacPending,
-		PlannerShards:       o.cfg.PlannerShards,
 	}
 	if o.cfg.Faults != nil {
 		st.DownSats = o.cfg.Faults.DownCount()
-	}
-	if o.tot.epochs > 0 {
-		st.ShardWork = append(st.ShardWork, o.pl.regionWork...)
 	}
 
 	util := make([]float64, 0, len(o.nodes))

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/constellation"
 	"repro/internal/geo"
+	"repro/internal/par"
 )
 
 // BenchmarkBestRouted places a six-user transcontinental group on a warm
@@ -127,5 +128,7 @@ func BenchmarkBestRouted(b *testing.B) {
 	}
 	b.ReportMetric(float64(parNs), "parallel-ns/op")
 	b.ReportMetric(float64(baseNs), "serial-ns/op")
-	b.ReportMetric(float64(baseNs)/float64(parNs), "parallel-speedup-x")
+	if par.Workers() > 1 {
+		b.ReportMetric(float64(baseNs)/float64(parNs), "parallel-speedup-x")
+	}
 }

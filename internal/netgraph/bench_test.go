@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/constellation"
 	"repro/internal/geo"
+	"repro/internal/par"
 )
 
 // benchCities are the queried sources; the full ground set adds a world
@@ -215,7 +216,9 @@ func BenchmarkAllSourcesLatencies(b *testing.B) {
 	}
 	b.ReportMetric(float64(parNs), "parallel-ns/op")
 	b.ReportMetric(float64(baseNs), "serial-ns/op")
-	b.ReportMetric(float64(baseNs)/float64(parNs), "parallel-speedup-x")
+	if par.Workers() > 1 {
+		b.ReportMetric(float64(baseNs)/float64(parNs), "parallel-speedup-x")
+	}
 }
 
 // BenchmarkISLShortest compares the pooled static-CSR ISL query against the

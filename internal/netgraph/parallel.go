@@ -15,11 +15,7 @@ package netgraph
 // entry points beat the per-call loop: rows come from one slab allocation
 // instead of one zeroed make per source.
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "repro/internal/par"
 
 // serialFanoutWork is the sources×nodes volume below which the goroutine
 // fan-out cannot recoup its setup cost and the batch runs serially. A
@@ -28,7 +24,7 @@ import (
 const serialFanoutWork = 1 << 12
 
 // AllSourcesLatencies runs LatencyToAllSats for every ground station index
-// in gis concurrently (up to GOMAXPROCS workers) and returns the results in
+// in gis concurrently (up to par.Workers() workers) and returns the results in
 // matching order: out[i][satID] is the one-way latency from gis[i]. Rows
 // share one backing slab.
 func (s *Snapshot) AllSourcesLatencies(gis []int) [][]float64 {
@@ -70,22 +66,12 @@ func slabRows(n, w int) [][]float64 {
 }
 
 // fanoutWorkers is the worker count forEachSource will use for a batch of n
-// sources over a nodes-node graph: 1 means the serial fallback. GOMAXPROCS
-// routinely exceeds the CPUs actually available (container quotas, taskset
-// pins); NumCPU is the parallelism that exists, and spawning past it just
-// time-slices CPU-bound Dijkstras on one core.
+// sources over a nodes-node graph: 1 means the serial fallback.
 func fanoutWorkers(n, nodes int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if cpus := runtime.NumCPU(); workers > cpus {
-		workers = cpus
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n*nodes < serialFanoutWork {
+	if n*nodes < serialFanoutWork {
 		return 1
 	}
-	return workers
+	return min(par.Workers(), n)
 }
 
 // forEachSource invokes run(0..n-1), fanning out over fanoutWorkers
@@ -93,31 +79,10 @@ func fanoutWorkers(n, nodes int) int {
 // it. The snapshot is frozen up front so workers never contend on the
 // sync.Once.
 func (s *Snapshot) forEachSource(n, nodes int, run func(int)) {
-	if n == 0 {
-		return
-	}
 	s.frozen()
-	workers := fanoutWorkers(n, nodes)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				run(i)
-			}
-		}()
-	}
-	wg.Wait()
+	// run cannot fail, so neither can Each.
+	_ = par.Each(n, fanoutWorkers(n, nodes), func(i int) error {
+		run(i)
+		return nil
+	})
 }

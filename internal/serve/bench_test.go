@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/compute"
+	"repro/internal/par"
 )
 
 // benchServe drives one policy over a fixed 2-minute trace and reports
@@ -121,5 +122,7 @@ func BenchmarkServeParallel(b *testing.B) {
 		b.Fatalf("adaptive and baseline engines diverged:\n--- adaptive ---\n%s\n--- baseline ---\n%s", got, want)
 	}
 	b.ReportMetric(float64(adaptRes.Offered)/(float64(adaptNs)/1e9), "req/s")
-	b.ReportMetric(float64(baseNs)/float64(adaptNs), "serve-parallel-speedup-x")
+	if par.Workers() > 1 {
+		b.ReportMetric(float64(baseNs)/float64(adaptNs), "serve-parallel-speedup-x")
+	}
 }

@@ -79,8 +79,8 @@ type Config struct {
 	// policies (default 3).
 	LookaheadEpochs int
 	// Workers is the event-simulation fan-out per slice: 0 picks
-	// min(GOMAXPROCS, NumCPU) with a serial fallback below a work
-	// threshold, 1 forces the serial loop, >1 forces that shard count.
+	// par.Workers() with a serial fallback below a work threshold, 1 forces
+	// the serial loop, >1 forces that shard count.
 	// Every worker count produces byte-identical results; only policies
 	// whose picks are slice-local (nearest, sticky) fan out — globally
 	// load-coupled policies (least-loaded) always run the serial merge.

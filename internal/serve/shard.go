@@ -41,14 +41,13 @@ package serve
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/constellation"
 	"repro/internal/geo"
 	"repro/internal/netgraph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
@@ -513,14 +512,7 @@ func (e *Engine) shardsFor(n int) int {
 	if n < serveSerialWork {
 		return 1
 	}
-	w = runtime.GOMAXPROCS(0)
-	if c := runtime.NumCPU(); w > c {
-		w = c
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return par.Workers()
 }
 
 // ---- fan-out path (slice-local policies) ----
@@ -530,28 +522,10 @@ func (e *Engine) runLocalSegment(lo, hi int, end float64, shards int) {
 	for len(e.acct) < shards {
 		e.acct = append(e.acct, shardAcct{})
 	}
-	if shards == 1 {
-		e.localClassify(lo, hi, 0, 1)
-		e.localSimulate(lo, hi, end, 0, 1)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < shards; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				e.localClassify(lo, hi, w, shards)
-			}(w)
-		}
-		wg.Wait() // memo barrier: phase B reads every shard's site picks
-		for w := 0; w < shards; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				e.localSimulate(lo, hi, end, w, shards)
-			}(w)
-		}
-		wg.Wait()
-	}
+	// One slot per shard; the return of the first fan-out is the memo
+	// barrier: phase B reads every shard's site picks.
+	par.Chunks(shards, shards, func(w, _, _ int) { e.localClassify(lo, hi, w, shards) })
+	par.Chunks(shards, shards, func(w, _, _ int) { e.localSimulate(lo, hi, end, w, shards) })
 	e.mergeSegment(lo, hi, shards)
 }
 

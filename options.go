@@ -3,7 +3,6 @@ package inorbit
 import (
 	"repro/internal/compute"
 	"repro/internal/core"
-	"repro/internal/ephem"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/meetup"
@@ -17,9 +16,7 @@ import (
 //	        inorbit.WithFaults(inorbit.FaultConfig{Seed: 7, SatMTBFSec: 6 * 3600}),
 //	        inorbit.WithEphemCache(128))
 //
-// Options apply in order; later options win on conflict. The legacy
-// Options struct also satisfies Option, so pre-redesign call sites keep
-// compiling unchanged.
+// Options apply in order; later options win on conflict.
 type Option interface {
 	apply(*settings)
 }
@@ -98,20 +95,13 @@ func WithEphemCache(frames int) Option {
 
 // WithEphemGridSec sets the keyframe grid spacing of the ephemeris engine
 // in seconds (default 60) — the instants pinned in the protected cache
-// tier and the nodes interpolation brackets with.
+// tier.
 func WithEphemGridSec(sec float64) Option {
 	return funcOption(func(s *settings) { s.core.Ephem.GridStepSec = sec })
 }
 
-// WithInterpolation selects the scheme Ephemeris.Interpolated uses between
-// keyframes: HermiteInterp (metre-scale error at the default grid) or
-// LinearInterp (kilometre-scale). Exact propagation paths are unaffected.
-func WithInterpolation(mode InterpMode) Option {
-	return funcOption(func(s *settings) { s.core.Ephem.Interp = mode })
-}
-
 // WithWorkers bounds the parallelism of snapshot propagation and fleet
-// planning (default GOMAXPROCS).
+// planning (default: the available cores).
 func WithWorkers(n int) Option {
 	return funcOption(func(s *settings) {
 		s.core.Ephem.Workers = n
@@ -134,8 +124,7 @@ func WithRegistry(reg *obs.Registry) Option {
 //
 //	fl, err := svc.NewFleet(
 //	        inorbit.WithFleetSessions(1_000_000),
-//	        inorbit.WithFleetEpoch(60),
-//	        inorbit.WithFleetShards(8))
+//	        inorbit.WithFleetEpoch(60))
 //
 // FleetOptions apply in order; later options win on conflict.
 type FleetOption interface {
@@ -174,48 +163,4 @@ func WithFleetLookahead(sec float64) FleetOption {
 // service-wide WithServer value).
 func WithFleetCapacity(spec ServerSpec) FleetOption {
 	return fleetFuncOption(func(c *fleet.Config) { c.Server = spec })
-}
-
-// WithFleetShards sets how many footprint-region queues the epoch planner
-// splits its work across (default: the worker count). Shard count never
-// changes planner decisions — output is byte-identical for every value —
-// it only bounds parallelism and per-region scratch.
-func WithFleetShards(n int) FleetOption {
-	return fleetFuncOption(func(c *fleet.Config) { c.PlannerShards = n })
-}
-
-// InterpMode selects the Ephemeris.Interpolated scheme.
-type InterpMode = ephem.Mode
-
-// Interpolation schemes for WithInterpolation.
-const (
-	// HermiteInterp is cubic Hermite over position+velocity keyframes.
-	HermiteInterp = ephem.Hermite
-	// LinearInterp is chordal interpolation over position keyframes.
-	LinearInterp = ephem.Linear
-)
-
-// Options is the legacy all-in-one configuration struct.
-//
-// Deprecated: pass functional options to New instead — for example
-// New(Starlink, WithServer(spec), WithISLBandwidth(2.5)). Options still
-// satisfies Option, so existing New(choice, Options{...}) calls keep
-// working; non-zero fields override the accumulated settings.
-type Options core.Options
-
-func (o Options) apply(s *settings) {
-	if o.Server != (compute.ServerSpec{}) {
-		s.core.Server = o.Server
-		s.fleet.Server = o.Server
-	}
-	if o.Meetup != (meetup.Config{}) {
-		s.core.Meetup = o.Meetup
-	}
-	if o.ISLBandwidthGbps != 0 {
-		s.core.ISLBandwidthGbps = o.ISLBandwidthGbps
-		s.fleet.ISLBandwidthGbps = o.ISLBandwidthGbps
-	}
-	if o.Ephem != (ephem.Config{}) {
-		s.core.Ephem = o.Ephem
-	}
 }
