@@ -131,8 +131,6 @@ func parseFlags(args []string) (options, error) {
 	fs.Int64Var(&o.serve.seed, "serve-seed", 1, "request workload seed (independent of the fleet seed)")
 	fs.StringVar(&o.serve.tracePath, "serve-trace", "", "write the request trace as JSONL (empty = off)")
 	fs.StringVar(&o.serve.replay, "serve-replay", "", "replay a JSONL request trace instead of generating one")
-	fs.IntVar(&o.serve.workers, "serve-workers", 0,
-		"serve engine worker fan-out: 0 = adaptive (GOMAXPROCS), 1 = serial, N = forced N-way")
 	fs.Float64Var(&o.serve.availSLO, "slo-serve-avail", 0.99, "SLO: served/offered request availability floor per policy, in (0,1]")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -443,7 +441,6 @@ func run(out io.Writer, o options) error {
 		chaos:        chaos,
 		tl:           tl,
 		slos:         slos,
-		sr:           sr,
 	}); err != nil {
 		return err
 	}
@@ -501,7 +498,6 @@ type reportInputs struct {
 
 	tl   *obs.Timeline // nil when -timeline=off
 	slos []obs.SLO
-	sr   *serveRun // nil when the serving layer is off
 }
 
 // chaosTotals accumulates the fault-injection story over the run. All of
@@ -562,9 +558,6 @@ func report(out io.Writer, orch *fleet.Orchestrator, in reportInputs) error {
 			100*st.MeanUtilization, 100*st.UtilizationP50, 100*st.UtilizationP90, 100*st.UtilizationMax)},
 		{"ephemeris cache", ephemLine(orch.Ephemeris().Stats())},
 		{"frozen-graph routing", netgraphLine(netgraph.TotalStats())},
-	}
-	if in.sr != nil {
-		rows = append(rows, []string{"serve engine", in.sr.engineLine()})
 	}
 	if in.tl != nil {
 		ts := in.tl.Stats()

@@ -25,7 +25,6 @@ func TestParseFlags(t *testing.T) {
 		{"-dwell", "0"},
 		{"-demand", "0"},
 		{"-demand", "-0.5"},
-		{"-serve-rate", "10", "-serve-workers", "-1"},
 		{"-nope"},
 	}
 	for _, args := range bad {
@@ -267,16 +266,14 @@ func TestRunGolden(t *testing.T) {
 	}
 }
 
-// TestServeWorkersInvariance: the serve engine's worker fan-out must never
-// change a simulated quantity. The serve-report tail (everything from
-// "serve report" on) is byte-identical across -serve-workers settings;
-// only the fleet report's "serve engine" row records the execution shape.
-func TestServeWorkersInvariance(t *testing.T) {
-	runServe := func(workers string) string {
+// TestServeReportDeterministic: the serve-report tail (everything from
+// "serve report" on) holds simulated quantities only, so two same-seed runs
+// print it byte for byte; the fleet report above it has wall-clock rows.
+func TestServeReportDeterministic(t *testing.T) {
+	tail := func() string {
 		o, err := parseFlags([]string{
 			"-name", "telesat", "-sessions", "20", "-hours", "0.05", "-step", "60", "-churn", "0",
 			"-serve-rate", "40", "-serve-sites", "6", "-serve-cores", "2", "-serve-queue", "4",
-			"-serve-workers", workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -285,24 +282,16 @@ func TestServeWorkersInvariance(t *testing.T) {
 		if err := run(&b, o); err != nil {
 			t.Fatal(err)
 		}
-		return b.String()
-	}
-	tail := func(out string) string {
+		out := b.String()
 		i := strings.Index(out, "serve report")
-		if i < 0 {
-			t.Fatalf("output missing serve report:\n%s", out)
+		if i < 0 || !strings.Contains(out[:i], "serve nearest avail") {
+			t.Fatalf("output missing the serve report or its SLO rows:\n%s", out)
 		}
 		return out[i:]
 	}
-	serial := runServe("1")
-	if !strings.Contains(serial, "serve engine") {
-		t.Fatalf("fleet report missing serve engine row:\n%s", serial)
-	}
-	want := tail(serial)
-	for _, w := range []string{"0", "8"} {
-		if got := tail(runServe(w)); got != want {
-			t.Fatalf("-serve-workers %s changed the serve report:\n--- got ---\n%s\n--- want ---\n%s", w, got, want)
-		}
+	want := tail()
+	if got := tail(); got != want {
+		t.Fatalf("same-seed serve reports differ:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 }
 

@@ -33,7 +33,6 @@ type serveOptions struct {
 	tracePath string  // write the generated trace as JSONL
 	replay    string  // replay a JSONL trace instead of generating
 	availSLO  float64 // served/offered availability objective per policy
-	workers   int     // engine worker fan-out (0 = adaptive, 1 = serial, N = forced)
 }
 
 // enabled reports whether the serving layer runs at all.
@@ -63,9 +62,6 @@ func (so serveOptions) validate() error {
 	}
 	if so.availSLO <= 0 || so.availSLO > 1 {
 		return fmt.Errorf("slo-serve-avail %v outside (0,1]", so.availSLO)
-	}
-	if so.workers < 0 {
-		return fmt.Errorf("serve-workers %d must be non-negative", so.workers)
 	}
 	if _, err := so.policies(); err != nil {
 		return err
@@ -173,7 +169,6 @@ func newServeRun(o options, c *constellation.Constellation, reg *obs.Registry,
 			Server:     server,
 			QueueCap:   so.queue,
 			RefreshSec: o.stepSec,
-			Workers:    so.workers,
 			Registry:   reg,
 			Faults:     inj,
 			Ephem:      eng,
@@ -195,25 +190,6 @@ func (sr *serveRun) advance(tSec float64) {
 	for _, e := range sr.engines {
 		e.RunUntil(tSec)
 	}
-}
-
-// engineLine summarises the sharded engine's execution shape — worker
-// fan-out and slice modes — aggregated across the compared policies. This
-// is a how-it-ran quantity, not a simulated one, so it belongs in the
-// fleet report: the serve-report tail stays byte-identical across
-// -serve-workers settings.
-func (sr *serveRun) engineLine() string {
-	workers := 0
-	par, ser := 0, 0
-	for _, e := range sr.engines {
-		st := e.Stats()
-		if st.Workers > workers {
-			workers = st.Workers
-		}
-		par += st.ParallelSlices
-		ser += st.SerialSlices
-	}
-	return fmt.Sprintf("%d workers (%d parallel / %d serial slices)", workers, par, ser)
 }
 
 // slos builds one availability objective per compared policy.

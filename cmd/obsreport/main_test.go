@@ -134,10 +134,10 @@ func TestBenchReportCommittedFormat(t *testing.T) {
 			continue
 		}
 		if strings.HasSuffix(p, "BENCH_serve.json") {
-			// The sharded serve engine's headline metric must surface in
-			// the perf trajectory, not just in the raw JSON.
-			if got := out.String(); !strings.Contains(got, "serve-parallel-speedup-x") {
-				t.Errorf("serve trajectory missing serve-parallel-speedup-x:\n%s", got)
+			// The serve engine's headline metric must surface in the perf
+			// trajectory, not just in the raw JSON.
+			if got := out.String(); !strings.Contains(got, "req/s") {
+				t.Errorf("serve trajectory missing req/s:\n%s", got)
 			}
 		}
 	}

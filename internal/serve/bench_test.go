@@ -1,13 +1,9 @@
 package serve
 
 import (
-	"math"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/compute"
-	"repro/internal/par"
 )
 
 // benchServe drives one policy over a fixed 2-minute trace and reports
@@ -45,84 +41,3 @@ func benchServe(b *testing.B, p Policy) {
 func BenchmarkServeNearest(b *testing.B)     { benchServe(b, Nearest()) }
 func BenchmarkServeLeastLoaded(b *testing.B) { benchServe(b, LeastLoaded()) }
 func BenchmarkServeSticky(b *testing.B)      { benchServe(b, Sticky(0)) }
-
-// BenchmarkServeParallel measures what the sharded engine's adaptive
-// fan-out buys over the strategy it rejected on this host, plus the
-// aggregate replay throughput of the configuration it chose. With spare
-// CPUs the adaptive engine fans refresh slices out across workers and the
-// baseline is the serial loop (Workers: 1) — the genuine multi-core
-// speedup. Without them (single-CPU hosts, CPU-quota'd containers) the
-// adaptive engine falls back to the serial loop and the baseline is the
-// forced 8-way fan-out it declined, run under the inflated GOMAXPROCS
-// such containers default to (worker goroutines time-slicing one core
-// through the slice barriers). Both sides take the minimum over
-// interleaved repetitions so scheduler noise doesn't decide the ratio,
-// and both must produce identical results — the determinism contract the
-// sharding is built around.
-func BenchmarkServeParallel(b *testing.B) {
-	c := testConst(b)
-	sites := SitesFromCities(12)
-	// Heavy trace, generated outside the timer: every 30 s slice clears
-	// the adaptive serial-work threshold, and the offered load keeps the
-	// 8-core servers busy without saturating them (a saturated trace
-	// mostly measures queue churn, not admission throughput).
-	reqs, err := Generate(sites, Workload{Seed: 5, RatePerSec: 4000, ServiceMedianMs: 10, DiurnalAmplitude: 0.3}, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := compute.ServerSpec{Cores: 8, MemoryGB: 64, PowerCapFraction: 1}
-	run := func(workers int) (Result, time.Duration) {
-		eng, err := NewEngine(c, Config{Sites: sites, Policy: Nearest(), Server: srv, RefreshSec: 30, Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := eng.Feed(reqs); err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		eng.RunUntil(120)
-		return eng.Result(), time.Since(start)
-	}
-	probe, err := NewEngine(c, Config{Sites: sites, Policy: Nearest(), Server: srv, RefreshSec: 30})
-	if err != nil {
-		b.Fatal(err)
-	}
-	parallelChosen := probe.shardsFor(len(reqs)) > 1
-	baseWorkers := 1
-	if !parallelChosen {
-		baseWorkers = 8
-		if runtime.GOMAXPROCS(0) <= 1 {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-		}
-	}
-	const reps = 6
-	adaptNs, baseNs := int64(math.MaxInt64), int64(math.MaxInt64)
-	var adaptRes, baseRes Result
-	timeOnce := func(dst *int64, res *Result, workers int) {
-		r, el := run(workers)
-		if ns := el.Nanoseconds(); ns < *dst {
-			*dst = ns
-		}
-		*res = r
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < reps; r++ {
-			if r&1 == 0 {
-				timeOnce(&adaptNs, &adaptRes, 0)
-				timeOnce(&baseNs, &baseRes, baseWorkers)
-			} else {
-				timeOnce(&baseNs, &baseRes, baseWorkers)
-				timeOnce(&adaptNs, &adaptRes, 0)
-			}
-		}
-	}
-	b.StopTimer()
-	if got, want := renderResult(adaptRes), renderResult(baseRes); got != want {
-		b.Fatalf("adaptive and baseline engines diverged:\n--- adaptive ---\n%s\n--- baseline ---\n%s", got, want)
-	}
-	b.ReportMetric(float64(adaptRes.Offered)/(float64(adaptNs)/1e9), "req/s")
-	if par.Workers() > 1 {
-		b.ReportMetric(float64(baseNs)/float64(adaptNs), "serve-parallel-speedup-x")
-	}
-}

@@ -1,11 +1,11 @@
 package serve
 
 // The original single-threaded netsim-backed serving engine, kept as the
-// differential oracle for the sharded Engine: every (constellation, config,
+// differential oracle for the slab-backed Engine: every (constellation, config,
 // trace) must produce identical results on both. It schedules one netsim
 // event per request arrival and replays the whole run through the kernel's
 // global (time, seq) heap — simple, slow, and by construction the reference
-// semantics the sharded engine's slice merge must reproduce.
+// semantics the Engine's slice replay must reproduce.
 
 import (
 	"fmt"

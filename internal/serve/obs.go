@@ -11,8 +11,6 @@ type metricsSet struct {
 	latency  *obs.QuantileVec // serve_request_ms{policy}
 	queue    *obs.GaugeVec    // serve_queue_depth{policy}
 	inflight *obs.GaugeVec    // serve_inflight{policy}
-	slices   *obs.CounterVec  // serve_slices_total{policy,mode}
-	workers  *obs.GaugeVec    // serve_workers{policy}
 }
 
 func newMetricsSet(reg *obs.Registry) *metricsSet {
@@ -32,10 +30,5 @@ func newMetricsSet(reg *obs.Registry) *metricsSet {
 			"Requests admitted and waiting for a core, summed over satellites.", "policy"),
 		inflight: reg.GaugeVec("serve_inflight",
 			"Requests admitted and not yet completed.", "policy"),
-		slices: reg.CounterVec("serve_slices_total",
-			"Refresh-aligned simulation slices executed, by mode (parallel fan-out vs serial loop).",
-			"policy", "mode"),
-		workers: reg.GaugeVec("serve_workers",
-			"Widest per-slice worker fan-out the engine has used.", "policy"),
 	}
 }

@@ -40,10 +40,10 @@ type Policy interface {
 // (prev, cands): it reads neither nowSec nor the FreeAtSec/Queued load
 // signals, and re-picks its own previous choice (Pick(Pick(prev, cands),
 // cands) selects the same satellite). Those properties make the pick
-// constant per site within a refresh slice, which is what lets the sharded
-// engine resolve routing once per (site, slice) and fan the simulation out
-// across satellites. The marker is deliberately unexported: external
-// policies cannot claim it, so they always get the order-exact serial loop.
+// constant per site within a refresh slice, which is what lets the engine
+// resolve routing once per (site, slice) and simulate each satellite on
+// its own heap. The marker is deliberately unexported: external policies
+// cannot claim it, so they always get the order-exact global replay.
 type sliceLocalPolicy interface{ sliceLocal() }
 
 // Nearest always routes to the lowest-propagation visible satellite — the

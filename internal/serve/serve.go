@@ -3,12 +3,11 @@
 // sites emit requests (diurnal Poisson arrivals, heavy-tailed service
 // times); a pluggable routing policy picks a visible satellite for each
 // request; per-satellite admission control bounds the queue and sheds the
-// rest with typed reasons. The engine shards the event simulation across
-// workers at refresh-aligned time slices (see shard.go) while staying
-// byte-identical to the serial reference for every seed; it runs over the
-// frozen netgraph visibility snapshots, shares the ephemeris engine with
-// the fleet orchestrator, and reports into the obs registry / flight
-// recorder.
+// rest with typed reasons. The engine simulates in refresh-aligned time
+// slices on one goroutine (see shard.go) while staying byte-identical to
+// the netsim reference for every seed; it runs over the frozen netgraph
+// visibility snapshots, shares the ephemeris engine with the fleet
+// orchestrator, and reports into the obs registry / flight recorder.
 package serve
 
 import (
@@ -52,7 +51,7 @@ func shedIdx(r ShedReason) int {
 
 // ErrNonMonotonic is returned by Engine.Feed when a request's arrival time
 // precedes an already-fed request or the engine's current simulation time.
-// The sharded engine assigns per-slice event order from feed order, so an
+// The engine assigns per-slice event order from feed order, so an
 // out-of-order feed would silently corrupt the (time, seq) contract the
 // determinism guarantees rest on; it is rejected instead.
 var ErrNonMonotonic = errors.New("non-monotonic request feed")
@@ -71,20 +70,12 @@ type Config struct {
 	QueueCap int
 	// RefreshSec is the cadence at which visibility snapshots and fault
 	// state are refreshed (default 60, matching the fleet epoch). It is
-	// also the engine's parallel slice width: workers synchronize at
-	// every refresh boundary.
+	// also the engine's slice width.
 	RefreshSec float64
 	// LookaheadEpochs is how many future refresh intervals the engine
 	// scans to estimate candidate visibility lifetime for affinity
 	// policies (default 3).
 	LookaheadEpochs int
-	// Workers is the event-simulation fan-out per slice: 0 picks
-	// par.Workers() with a serial fallback below a work threshold, 1 forces
-	// the serial loop, >1 forces that shard count.
-	// Every worker count produces byte-identical results; only policies
-	// whose picks are slice-local (nearest, sticky) fan out — globally
-	// load-coupled policies (least-loaded) always run the serial merge.
-	Workers int
 	// Registry, when set, receives the serve_* metric families.
 	Registry *obs.Registry
 	// Faults, when set, marks failed satellites unroutable at each
@@ -146,17 +137,16 @@ func (r Result) ShedTotal() int {
 	return n
 }
 
-// EngineStats reports how the sharded engine executed a run: the widest
-// slice fan-out it used and how many slices went parallel vs serial. Purely
-// informational — results are identical either way.
+// EngineStats is what is left of the deleted slice fan-out's execution
+// report. The engine runs on one goroutine; the type and Engine.Stats
+// remain only because bench/workloads.go reads these three fields, and
+// they leave with the next benchmark PR.
 type EngineStats struct {
-	// Workers is the largest shard count any slice fanned out to (1 when
-	// every slice ran the serial loop).
+	// Workers is always 1.
 	Workers int
-	// ParallelSlices counts slices simulated across >1 worker.
+	// ParallelSlices is always 0.
 	ParallelSlices int
-	// SerialSlices counts slices that ran the serial loop (forced, below
-	// the work threshold, or a globally load-coupled policy).
+	// SerialSlices counts the slices that had arrivals.
 	SerialSlices int
 }
 
@@ -176,9 +166,6 @@ func validateConfig(size int, cfg Config) error {
 	}
 	if err := cfg.Server.Validate(); err != nil {
 		return fmt.Errorf("serve: %w", err)
-	}
-	if cfg.Workers < 0 {
-		return fmt.Errorf("serve: workers %d must be non-negative", cfg.Workers)
 	}
 	if cfg.Faults != nil && cfg.Faults.N() != size {
 		return fmt.Errorf("serve: fault injector sized for %d sats, constellation has %d",

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/compute"
@@ -253,10 +254,23 @@ func TestEngineConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Feed([]Request{{TSec: 1, Site: 99, ServiceMs: 5}}); err == nil {
-		t.Fatal("out-of-range site accepted")
+	for _, bad := range []struct {
+		name string
+		req  Request
+	}{
+		{"out-of-range site", Request{TSec: 1, Site: 99, ServiceMs: 5}},
+		{"zero service time", Request{TSec: 1, Site: 0, ServiceMs: 0}},
+		{"NaN arrival", Request{TSec: math.NaN(), Site: 0, ServiceMs: 5}},
+		{"+Inf arrival", Request{TSec: math.Inf(1), Site: 0, ServiceMs: 5}},
+		{"+Inf service time", Request{TSec: 1, Site: 0, ServiceMs: math.Inf(1)}},
+		{"NaN service time", Request{TSec: 1, Site: 0, ServiceMs: math.NaN()}},
+	} {
+		if err := eng.Feed([]Request{bad.req}); err == nil {
+			t.Errorf("%s accepted", bad.name)
+		}
 	}
-	if err := eng.Feed([]Request{{TSec: 1, Site: 0, ServiceMs: 0}}); err == nil {
-		t.Fatal("invalid request accepted")
+	eng.RunUntil(10)
+	if r := eng.Result(); r.Offered != 0 {
+		t.Fatalf("%d rejected requests reached the engine", r.Offered)
 	}
 }

@@ -1,11 +1,10 @@
 package serve
 
-// The sharded discrete-event serving engine. The netsim-backed legacy
-// engine (legacy.go) replays one global (time, seq) heap; this engine gets
-// the same answers from a parallel plan, the playbook that scaled the fleet
-// planner: simulate in refresh-aligned time slices, fan each slice out
-// across workers, and merge worker results in a deterministic order so
-// every per-seed output byte matches the serial run.
+// The slab-backed discrete-event serving engine. The netsim-backed legacy
+// engine (legacy.go) replays one closure per event through a global
+// (time, seq) heap; this engine gets the same answers on one goroutine from
+// refresh-aligned time slices, and picks one of two replay orders from the
+// policy it was given.
 //
 // Why slices compose exactly:
 //
@@ -19,24 +18,28 @@ package serve
 //     order and the global replay order is irrelevant.
 //   - For slice-local policies (nearest, sticky — Pick reads neither the
 //     clock nor the load signals and re-picks its own choice), the picked
-//     satellite is constant per site within a slice, so the assignment is
-//     known up front: phase A classifies arrivals and memoizes one pick per
-//     site, phase B shards satellites across workers and runs each
-//     satellite's event heap. Site affinity (prev) commits at the slice
-//     barrier — within the slice the pick is a fixed point, so the legacy
-//     engine's per-arrival updates observe the same value.
+//     satellite is constant per site within a slice. One pass over the
+//     slice's arrivals memoizes one pick per site and advances only the
+//     picked satellite's own small heap up to the arrival; every other
+//     satellite catches up at the slice end. The legacy engine's per-arrival
+//     affinity (prev) updates only ever install that same fixed point.
 //   - Least-loaded (and any external policy) reads global load signals at
-//     every arrival, so its slices run a zero-alloc serial loop in exact
-//     global (time, seq) order instead — same semantics, no fan-out.
+//     every arrival, so its slices replay one global heap in exact
+//     (time, seq) order instead — same semantics, one Pick per arrival.
 //
-// Two merged artifacts are order-canonicalized rather than replayed: the
-// latency sample stream and the queue-depth delta stream, both keyed by
-// (event time, arrival index). Those keys are unique per request, so the
-// merge is a total order and identical for every worker count. Against the
-// legacy engine the key reproduces its event order except when two
-// *distinct* requests collide at an identical float64 timestamp on
-// different satellites — a measure-zero coincidence for the continuous
-// workloads the generator produces.
+// Both orders pay inside the repo benchmark (EXPERIMENTS.md, "Receipts"):
+// the memo + per-satellite heaps take about 40 % off the slice-local
+// policies' replay time against the global heap, and folding the
+// load-coupled policies onto per-satellite heaps with a lazy candidate
+// drain measured 30 % slower.
+//
+// On the slice-local path two artifacts are order-canonicalized rather than
+// replayed: the latency sample stream and the queue-depth delta stream,
+// both keyed by (event time, arrival index). Those keys are unique per
+// request, so the merge is a total order. Against the legacy engine the key
+// reproduces its event order except when two *distinct* requests collide at
+// an identical float64 timestamp on different satellites — a measure-zero
+// coincidence for the continuous workloads the generator produces.
 
 import (
 	"fmt"
@@ -47,15 +50,9 @@ import (
 	"repro/internal/geo"
 	"repro/internal/netgraph"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
-
-// serveSerialWork is the slice arrival count below which adaptive mode
-// (Workers == 0) keeps the serial loop: under ~2k arrivals the fan-out
-// barriers cost more than the parallel phase saves.
-const serveSerialWork = 2048
 
 // Shed slots in ShedReasons order, for the engine's fixed-size counters.
 const (
@@ -87,7 +84,7 @@ type satEvent struct {
 	t    float64
 	seq  uint32
 	kind uint8
-	sat  int32 // owning satellite (drives dispatch on the serial global heap)
+	sat  int32 // owning satellite (drives dispatch on the global heap)
 	ref  int32 // slab record (evUplink/evDone) or owner arrival (evRelease)
 }
 
@@ -99,9 +96,9 @@ type reqRec struct {
 	owner int32   // global arrival index: the deterministic merge key
 }
 
-// satShard is one satellite's simulation state. Each satellite is owned by
-// exactly one worker per slice, so none of this is locked; the slab + free
-// list recycle records across slices without churning the allocator.
+// satShard is one satellite's simulation state. The slab + free list
+// recycle records across slices without churning the allocator; heap and
+// seq are used only on the slice-local path.
 type satShard struct {
 	heap        []satEvent
 	seq         uint32
@@ -136,8 +133,8 @@ func (st *satShard) earliestFree() float64 {
 	return best
 }
 
-// deltaEvt is a queue-depth change; the merge replays all shards' deltas in
-// (t, owner) order to recover the global peak depth.
+// deltaEvt is a queue-depth change; the slice merge replays all
+// satellites' deltas in (t, owner) order to recover the global peak depth.
 type deltaEvt struct {
 	t     float64
 	owner int32
@@ -149,18 +146,6 @@ type sampleRec struct {
 	t     float64 // completion time
 	owner int32
 	ms    float64
-}
-
-// shardAcct is one worker's per-slice scratch: counters merged in worker
-// order, streams merged in key order. Padded so concurrent workers do not
-// share cache lines.
-type shardAcct struct {
-	served    int
-	inflightD int
-	shed      [4]int
-	samples   []sampleRec
-	deltas    []deltaEvt
-	_         [64]byte
 }
 
 // evLess orders events by (t, seq).
@@ -212,13 +197,12 @@ func heapPop(h *[]satEvent) satEvent {
 
 // Engine simulates request serving for one routing policy. Drive it with
 // Feed (workload) and RunUntil (time); read Result anytime. All behaviour
-// is deterministic in (constellation, config, fed requests) and identical
-// for every Workers setting and GOMAXPROCS value.
+// is deterministic in (constellation, config, fed requests).
 type Engine struct {
 	cfg    Config
 	net    *netgraph.Network
 	policy Policy
-	local  bool // policy picks are slice-local: slices may fan out
+	local  bool // policy picks are slice-local: memo + per-satellite heaps
 
 	coresPerSat int
 	queueCap    int // -1 = unbounded
@@ -241,18 +225,16 @@ type Engine struct {
 
 	sats []satShard
 
-	// Serial-path global heap (least-loaded and external policies): exact
-	// legacy (time, seq) replay, slab-backed instead of closure-backed.
+	// Global heap (least-loaded and external policies): exact legacy
+	// (time, seq) replay, slab-backed instead of closure-backed.
 	gheap []satEvent
 	gseq  uint32
 
-	// Per-slice scratch for the fan-out path.
+	// Per-slice scratch for the slice-local path.
 	segGen    uint32
 	siteGen   []uint32  // per site: memo generation
-	siteAdmit []uint32  // per site: generation of the last admitted slice
 	sitePick  []int32   // per site: sat (>=0) or -(1+shed slot)
 	sitePickD []float64 // per site: one-way seconds of the picked sat
-	acct      []shardAcct
 	segDeltas []deltaEvt
 	segSamps  []sampleRec
 
@@ -264,28 +246,21 @@ type Engine struct {
 	nQueued  int
 	peakQ    int
 
-	workersUsed    int
-	parallelSlices int
-	serialSlices   int
+	slices int // runSegment calls that had arrivals (EngineStats)
 
 	// Metric deltas since the last flush (RunUntil boundaries).
 	pendSamples []float64
 	repOffered  int
 	repServed   int
 	repShed     [4]int
-	repParallel int
-	repSerial   int
 
-	m          *metricsSet
-	reqC       *obs.Counter
-	servedC    *obs.Counter
-	shedC      map[ShedReason]*obs.Counter
-	latQ       *obs.Quantile
-	queueG     *obs.Gauge
-	inflightG  *obs.Gauge
-	slicesParC *obs.Counter
-	slicesSerC *obs.Counter
-	workersG   *obs.Gauge
+	m         *metricsSet
+	reqC      *obs.Counter
+	servedC   *obs.Counter
+	shedC     map[ShedReason]*obs.Counter
+	latQ      *obs.Quantile
+	queueG    *obs.Gauge
+	inflightG *obs.Gauge
 }
 
 // NewEngine builds a serving engine over the constellation. The refresh
@@ -311,7 +286,6 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 		prevSat:     make([]int, len(cfg.Sites)),
 		sats:        make([]satShard, c.Size()),
 		siteGen:     make([]uint32, len(cfg.Sites)),
-		siteAdmit:   make([]uint32, len(cfg.Sites)),
 		sitePick:    make([]int32, len(cfg.Sites)),
 		sitePickD:   make([]float64, len(cfg.Sites)),
 		latency:     stats.NewCDF(),
@@ -339,9 +313,6 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 		e.latQ = e.m.latency.With(name)
 		e.queueG = e.m.queue.With(name)
 		e.inflightG = e.m.inflight.With(name)
-		e.slicesParC = e.m.slices.With(name, "parallel")
-		e.slicesSerC = e.m.slices.With(name, "serial")
-		e.workersG = e.m.workers.With(name)
 	}
 	e.refresh(0)
 	e.refreshN = 1
@@ -462,8 +433,8 @@ func (e *Engine) RunUntil(tSec float64) {
 // Now returns the engine's simulation time.
 func (e *Engine) Now() float64 { return e.now }
 
-// runSegment consumes arrivals up to hi and advances every satellite's
-// event heap to hi (inclusive).
+// runSegment consumes arrivals up to hi and advances the simulation to hi
+// (inclusive).
 func (e *Engine) runSegment(hi float64, excludeAtHi bool) {
 	lo := e.cursor
 	j := lo
@@ -475,78 +446,42 @@ func (e *Engine) runSegment(hi float64, excludeAtHi bool) {
 		j++
 	}
 	e.cursor = j
-	n := j - lo
-	if !e.local {
-		if n > 0 {
-			e.serialSlices++
-			if e.workersUsed < 1 {
-				e.workersUsed = 1
-			}
-		}
-		e.runSerialSegment(lo, j, hi)
-		return
+	if j > lo {
+		e.slices++
+		e.offered += j - lo
 	}
-	shards := e.shardsFor(n)
-	if n > 0 {
-		if shards > 1 {
-			e.parallelSlices++
-		} else {
-			e.serialSlices++
-		}
-		if e.workersUsed < shards {
-			e.workersUsed = shards
-		}
+	if e.local {
+		e.runLocalSegment(lo, j, hi)
+	} else {
+		e.runGlobalSegment(lo, j, hi)
 	}
-	e.runLocalSegment(lo, j, hi, shards)
 }
 
-// shardsFor resolves the slice fan-out for n arrivals.
-func (e *Engine) shardsFor(n int) int {
-	w := e.cfg.Workers
-	switch {
-	case n == 0, w == 1:
-		return 1
-	case w > 1:
-		return w
-	}
-	if n < serveSerialWork {
-		return 1
-	}
-	return par.Workers()
-}
+// ---- slice-local policies: site memo + per-satellite heaps ----
 
-// ---- fan-out path (slice-local policies) ----
-
-func (e *Engine) runLocalSegment(lo, hi int, end float64, shards int) {
+// runLocalSegment admits the slice's arrivals in feed order, each against
+// its site's memoized pick, advancing only the picked satellite's heap up
+// to the arrival; then every satellite catches up to the slice end.
+func (e *Engine) runLocalSegment(lo, hi int, end float64) {
 	e.segGen++
-	for len(e.acct) < shards {
-		e.acct = append(e.acct, shardAcct{})
-	}
-	// One slot per shard; the return of the first fan-out is the memo
-	// barrier: phase B reads every shard's site picks.
-	par.Chunks(shards, shards, func(w, _, _ int) { e.localClassify(lo, hi, w, shards) })
-	par.Chunks(shards, shards, func(w, _, _ int) { e.localSimulate(lo, hi, end, w, shards) })
-	e.mergeSegment(lo, hi, shards)
-}
-
-// localClassify (phase A, sites sharded site%shards): memoize the one pick
-// every arrival at a site resolves to this slice, and count the sheds that
-// need no simulation.
-func (e *Engine) localClassify(lo, hi, w, shards int) {
-	a := &e.acct[w]
-	gen := e.segGen
 	for i := lo; i < hi; i++ {
-		site := int(e.pending[i].site)
-		if site%shards != w {
+		p := e.pending[i]
+		if e.siteGen[p.site] != e.segGen {
+			e.memoSite(int(p.site), p.t)
+		}
+		pick := e.sitePick[p.site]
+		if pick < 0 {
+			e.shedN[-pick-1]++
 			continue
 		}
-		if e.siteGen[site] != gen {
-			e.memoSite(site, e.pending[i].t, gen)
-		}
-		if pick := e.sitePick[site]; pick < 0 {
-			a.shed[-pick-1]++
-		}
+		st := &e.sats[pick]
+		e.drainSat(st, p.t, false)
+		e.admit(&st.heap, &st.seq, i, p, int(pick), e.sitePickD[p.site])
 	}
+	for s := range e.sats {
+		e.drainSat(&e.sats[s], end, true)
+	}
+	e.mergeSegment()
 }
 
 // memoSite resolves a site's slice pick. Slice-local picks ignore the clock
@@ -554,7 +489,7 @@ func (e *Engine) localClassify(lo, hi, w, shards int) {
 // stands in for every arrival the site gets this slice — including the
 // legacy engine's mid-slice prev updates, which only ever install this same
 // fixed point.
-func (e *Engine) memoSite(site int, tArr float64, gen uint32) {
+func (e *Engine) memoSite(site int, tArr float64) {
 	cands := e.cands[site]
 	var pick int32
 	var d float64
@@ -574,47 +509,14 @@ func (e *Engine) memoSite(site int, tArr float64, gen uint32) {
 	}
 	e.sitePick[site] = pick
 	e.sitePickD[site] = d
-	e.siteGen[site] = gen
-}
-
-// localSimulate (phase B, satellites sharded sat%shards): admit this
-// worker's satellites' arrivals in global feed order, interleaved with
-// their event heaps in per-satellite (time, seq) order.
-func (e *Engine) localSimulate(lo, hi int, end float64, w, shards int) {
-	a := &e.acct[w]
-	gen := e.segGen
-	for i := lo; i < hi; i++ {
-		p := e.pending[i]
-		pick := e.sitePick[p.site]
-		if pick < 0 {
-			continue
-		}
-		sat := int(pick)
-		if sat%shards != w {
-			continue
-		}
-		st := &e.sats[sat]
-		e.drainSat(st, a, p.t, false) // events strictly before the arrival
-		if e.queueCap >= 0 && st.outstanding >= e.coresPerSat+e.queueCap {
-			a.shed[shedQFull]++
-			continue
-		}
-		e.siteAdmit[p.site] = gen // single writer: this sat owns the site's slice
-		st.outstanding++
-		a.inflightD++
-		d := e.sitePickD[p.site]
-		ref := st.allocRec(reqRec{t: p.t, d: d, svc: p.svc, owner: int32(i)})
-		heapPush(&st.heap, satEvent{t: p.t + d, seq: st.seq, kind: evUplink, sat: pick, ref: ref})
-		st.seq++
-	}
-	for sat := w; sat < e.nsats; sat += shards {
-		e.drainSat(&e.sats[sat], a, end, true)
-	}
+	e.siteGen[site] = e.segGen
 }
 
 // drainSat runs one satellite's events up to limit (exclusive before an
-// arrival — arrivals win ties — inclusive at the slice end).
-func (e *Engine) drainSat(st *satShard, a *shardAcct, limit float64, inclusive bool) {
+// arrival — arrivals win ties — inclusive at the slice end). Satellites
+// interleave, so latency samples and queue-depth deltas are buffered under
+// their (t, owner) key for mergeSegment.
+func (e *Engine) drainSat(st *satShard, limit float64, inclusive bool) {
 	for len(st.heap) > 0 {
 		t := st.heap[0].t
 		if inclusive {
@@ -633,64 +535,30 @@ func (e *Engine) drainSat(st *satShard, a *shardAcct, limit float64, inclusive b
 			st.cores[ci] = start + rec.svc
 			st.busySec += rec.svc
 			if start > ev.t {
-				a.deltas = append(a.deltas, deltaEvt{t: ev.t, owner: rec.owner, d: 1})
+				e.segDeltas = append(e.segDeltas, deltaEvt{t: ev.t, owner: rec.owner, d: 1})
 				heapPush(&st.heap, satEvent{t: start, seq: st.seq, kind: evRelease, sat: ev.sat, ref: rec.owner})
 				st.seq++
 			}
 			heapPush(&st.heap, satEvent{t: start + rec.svc, seq: st.seq, kind: evDone, sat: ev.sat, ref: ev.ref})
 			st.seq++
 		case evRelease:
-			a.deltas = append(a.deltas, deltaEvt{t: ev.t, owner: ev.ref, d: -1})
+			e.segDeltas = append(e.segDeltas, deltaEvt{t: ev.t, owner: ev.ref, d: -1})
 		case evDone:
 			rec := st.slab[ev.ref]
 			st.outstanding--
-			a.inflightD--
-			a.served++
-			a.samples = append(a.samples, sampleRec{t: ev.t, owner: rec.owner, ms: (ev.t - rec.t + rec.d) * 1000})
+			e.inflight--
+			e.served++
+			e.segSamps = append(e.segSamps, sampleRec{t: ev.t, owner: rec.owner, ms: (ev.t - rec.t + rec.d) * 1000})
 			st.free = append(st.free, ev.ref)
 		}
 	}
 }
 
-// pickCore returns the satellite's earliest-free core index (lowest index
-// on ties, keeping runs deterministic).
-func (e *Engine) pickCore(st *satShard) int {
-	if st.cores == nil {
-		st.cores = make([]float64, e.coresPerSat)
-	}
-	ci, best := 0, st.cores[0]
-	for i := 1; i < len(st.cores); i++ {
-		if st.cores[i] < best {
-			best = st.cores[i]
-			ci = i
-		}
-	}
-	return ci
-}
-
-// mergeSegment folds worker results into the engine in deterministic order:
-// counters in worker order (sums commute), streams in (t, owner) key order,
-// site affinity at the barrier.
-func (e *Engine) mergeSegment(lo, hi, shards int) {
-	e.offered += hi - lo
-	e.segDeltas = e.segDeltas[:0]
-	e.segSamps = e.segSamps[:0]
-	for w := 0; w < shards; w++ {
-		a := &e.acct[w]
-		e.served += a.served
-		e.inflight += a.inflightD
-		for r := range e.shedN {
-			e.shedN[r] += a.shed[r]
-		}
-		e.segSamps = append(e.segSamps, a.samples...)
-		e.segDeltas = append(e.segDeltas, a.deltas...)
-		a.served, a.inflightD, a.shed = 0, 0, [4]int{}
-		a.samples = a.samples[:0]
-		a.deltas = a.deltas[:0]
-	}
-	// (t, owner) is unique per record — one completion per request, and a
-	// request's queue entry and exit never coincide — so both sorts induce
-	// a total order independent of the fan-out that produced the slices.
+// mergeSegment folds the slice's buffered streams into the engine in
+// (t, owner) key order. The key is unique per record — one completion per
+// request, and a request's queue entry and exit never coincide — so both
+// sorts induce a total order.
+func (e *Engine) mergeSegment() {
 	sort.Slice(e.segSamps, func(i, j int) bool {
 		if e.segSamps[i].t != e.segSamps[j].t {
 			return e.segSamps[i].t < e.segSamps[j].t
@@ -698,9 +566,9 @@ func (e *Engine) mergeSegment(lo, hi, shards int) {
 		return e.segSamps[i].owner < e.segSamps[j].owner
 	})
 	for _, s := range e.segSamps {
-		e.latency.Add(s.ms)
-		e.pendSamples = append(e.pendSamples, s.ms)
+		e.observe(s.ms)
 	}
+	e.segSamps = e.segSamps[:0]
 	sort.Slice(e.segDeltas, func(i, j int) bool {
 		if e.segDeltas[i].t != e.segDeltas[j].t {
 			return e.segDeltas[i].t < e.segDeltas[j].t
@@ -708,35 +576,25 @@ func (e *Engine) mergeSegment(lo, hi, shards int) {
 		return e.segDeltas[i].owner < e.segDeltas[j].owner
 	})
 	for _, d := range e.segDeltas {
-		e.nQueued += int(d.d)
-		if e.nQueued > e.peakQ {
-			e.peakQ = e.nQueued
-		}
+		e.queueDelta(int(d.d))
 	}
-	gen := e.segGen
-	for site := range e.sitePick {
-		if e.siteGen[site] == gen && e.siteAdmit[site] == gen {
-			e.prevSat[site] = int(e.sitePick[site])
-		}
-	}
+	e.segDeltas = e.segDeltas[:0]
 }
 
-// ---- serial path (globally load-coupled policies) ----
+// ---- load-coupled policies: one global heap ----
 
-// runSerialSegment replays the slice on one goroutine in exact global
-// (time, seq) order: what the legacy engine does, minus its per-event
-// closure allocations.
-func (e *Engine) runSerialSegment(lo, hi int, end float64) {
+// runGlobalSegment replays the slice in exact global (time, seq) order:
+// what the legacy engine does, minus its per-event closure allocations.
+func (e *Engine) runGlobalSegment(lo, hi int, end float64) {
 	for i := lo; i < hi; i++ {
 		p := e.pending[i]
-		e.serialDrain(p.t, false)
-		e.serialArrive(i, p)
+		e.globalDrain(p.t, false)
+		e.globalArrive(i, p)
 	}
-	e.serialDrain(end, true)
+	e.globalDrain(end, true)
 }
 
-func (e *Engine) serialArrive(idx int, p pendingReq) {
-	e.offered++
+func (e *Engine) globalArrive(idx int, p pendingReq) {
 	site := int(p.site)
 	cands := e.cands[site]
 	if len(cands) == 0 {
@@ -757,22 +615,13 @@ func (e *Engine) serialArrive(idx int, p pendingReq) {
 		e.shedN[shedRefuse]++
 		return
 	}
-	sat := cands[pi].SatID
-	st := &e.sats[sat]
-	if e.queueCap >= 0 && st.outstanding >= e.coresPerSat+e.queueCap {
-		e.shedN[shedQFull]++
-		return
-	}
-	e.prevSat[site] = sat
-	st.outstanding++
-	e.inflight++
-	d := cands[pi].OneWayMs / 1000
-	ref := st.allocRec(reqRec{t: p.t, d: d, svc: p.svc, owner: int32(idx)})
-	heapPush(&e.gheap, satEvent{t: p.t + d, seq: e.gseq, kind: evUplink, sat: int32(sat), ref: ref})
-	e.gseq++
+	e.admit(&e.gheap, &e.gseq, idx, p, cands[pi].SatID, cands[pi].OneWayMs/1000)
 }
 
-func (e *Engine) serialDrain(limit float64, inclusive bool) {
+// globalDrain is drainSat over the global heap: events already pop in
+// global order, so samples and queue-depth changes apply at once instead
+// of being buffered for mergeSegment.
+func (e *Engine) globalDrain(limit float64, inclusive bool) {
 	for len(e.gheap) > 0 {
 		t := e.gheap[0].t
 		if inclusive {
@@ -805,12 +654,45 @@ func (e *Engine) serialDrain(limit float64, inclusive bool) {
 			st.outstanding--
 			e.inflight--
 			e.served++
-			respMs := (ev.t - rec.t + rec.d) * 1000
-			e.latency.Add(respMs)
-			e.pendSamples = append(e.pendSamples, respMs)
+			e.observe((ev.t - rec.t + rec.d) * 1000)
 			st.free = append(st.free, ev.ref)
 		}
 	}
+}
+
+// ---- shared by both orders ----
+
+// admit applies the satellite's queue bound to arrival idx and, if it fits,
+// schedules its uplink on h (the satellite's heap or the global one, with
+// that heap's sequence counter).
+func (e *Engine) admit(h *[]satEvent, seq *uint32, idx int, p pendingReq, sat int, d float64) {
+	st := &e.sats[sat]
+	if e.queueCap >= 0 && st.outstanding >= e.coresPerSat+e.queueCap {
+		e.shedN[shedQFull]++
+		return
+	}
+	e.prevSat[p.site] = sat
+	st.outstanding++
+	e.inflight++
+	ref := st.allocRec(reqRec{t: p.t, d: d, svc: p.svc, owner: int32(idx)})
+	heapPush(h, satEvent{t: p.t + d, seq: *seq, kind: evUplink, sat: int32(sat), ref: ref})
+	*seq++
+}
+
+// pickCore returns the satellite's earliest-free core index (lowest index
+// on ties, keeping runs deterministic).
+func (e *Engine) pickCore(st *satShard) int {
+	if st.cores == nil {
+		st.cores = make([]float64, e.coresPerSat)
+	}
+	ci, best := 0, st.cores[0]
+	for i := 1; i < len(st.cores); i++ {
+		if st.cores[i] < best {
+			best = st.cores[i]
+			ci = i
+		}
+	}
+	return ci
 }
 
 func (e *Engine) queueDelta(d int) {
@@ -818,6 +700,12 @@ func (e *Engine) queueDelta(d int) {
 	if e.nQueued > e.peakQ {
 		e.peakQ = e.nQueued
 	}
+}
+
+// observe records a served request's end-to-end latency.
+func (e *Engine) observe(ms float64) {
+	e.latency.Add(ms)
+	e.pendSamples = append(e.pendSamples, ms)
 }
 
 // ---- reporting ----
@@ -847,30 +735,14 @@ func (e *Engine) flushMetrics() {
 		e.latQ.Observe(s)
 	}
 	e.pendSamples = e.pendSamples[:0]
-	if d := e.parallelSlices - e.repParallel; d > 0 {
-		e.slicesParC.Add(uint64(d))
-		e.repParallel = e.parallelSlices
-	}
-	if d := e.serialSlices - e.repSerial; d > 0 {
-		e.slicesSerC.Add(uint64(d))
-		e.repSerial = e.serialSlices
-	}
 	e.queueG.Set(float64(e.nQueued))
 	e.inflightG.Set(float64(e.inflight))
-	e.workersG.Set(float64(e.Stats().Workers))
 }
 
-// Stats reports the run's execution shape (fan-out and slice modes).
+// Stats reports the constants bench/workloads.go still reads; see
+// EngineStats.
 func (e *Engine) Stats() EngineStats {
-	w := e.workersUsed
-	if w < 1 {
-		w = 1
-	}
-	return EngineStats{
-		Workers:        w,
-		ParallelSlices: e.parallelSlices,
-		SerialSlices:   e.serialSlices,
-	}
+	return EngineStats{Workers: 1, SerialSlices: e.slices}
 }
 
 // Result snapshots the engine's accounting at the current simulation time.

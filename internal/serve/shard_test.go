@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -31,7 +30,7 @@ func diffScenarios() []diffScenario {
 	}
 }
 
-func (sc diffScenario) config(t testing.TB, c *constellation.Constellation, p Policy, workers int) Config {
+func (sc diffScenario) config(t testing.TB, c *constellation.Constellation, p Policy) Config {
 	t.Helper()
 	cfg := Config{
 		Sites:      testSites(),
@@ -39,7 +38,6 @@ func (sc diffScenario) config(t testing.TB, c *constellation.Constellation, p Po
 		Server:     sc.server,
 		QueueCap:   sc.queueCap,
 		RefreshSec: 15,
-		Workers:    workers,
 	}
 	if sc.chaos {
 		// Moderate failure pressure: a changing mix of up and down
@@ -113,70 +111,107 @@ func renderResult(r Result) string {
 	return b.String()
 }
 
-// TestShardedMatchesLegacy is the differential pin: for every policy,
-// scenario, and worker count, the sharded engine's results are identical to
-// the single-threaded netsim oracle — counters, shed reasons, peak queue,
-// utilization, and the full shape of the latency distribution.
+// TestShardedMatchesLegacy is the differential pin: for every policy and
+// scenario, the engine's results are identical to the netsim oracle —
+// counters, shed reasons, peak queue, utilization, and the full shape of
+// the latency distribution.
 func TestShardedMatchesLegacy(t *testing.T) {
 	c := testConst(t)
 	reqs := testTrace(t, 300, 60)
 	for _, p := range Policies() {
 		for _, sc := range diffScenarios() {
-			oracle := renderResult(runLegacyOracle(t, c, sc.config(t, c, p, 0), reqs, 90))
-			for _, workers := range []int{1, 2, 8} {
-				got := renderResult(runShardedSteps(t, c, sc.config(t, c, p, workers), reqs, 90, 10))
+			oracle := renderResult(runLegacyOracle(t, c, sc.config(t, c, p), reqs, 90))
+			got := renderResult(runShardedSteps(t, c, sc.config(t, c, p), reqs, 90, 10))
+			if got != oracle {
+				t.Errorf("%s/%s diverged from legacy:\n got: %s\nwant: %s", p.Name(), sc.name, got, oracle)
+			}
+		}
+	}
+}
+
+// boundaryTrace is a hand-built trace that lands where the generated ones
+// never do: several arrivals per site at exactly k x refreshSec (k = 0..6),
+// plus mid-slice arrivals between them, plus one site-0 arrival at the very
+// instant the site's first request completes on a satellite oneWaySec away
+// (the three t=0 requests fill a 1-core, 2-queue satellite, so whether the
+// arrival or the completion goes first decides a queue_full shed). Service
+// times differ per request so no two completions coincide.
+func boundaryTrace(refreshSec, oneWaySec float64) []Request {
+	var reqs []Request
+	svc := 3.0
+	add := func(tSec float64, site int) {
+		reqs = append(reqs, Request{TSec: tSec, Site: site, ServiceMs: svc})
+		svc += 0.37
+	}
+	nsites := len(testSites())
+	for k := 0; k <= 6; k++ {
+		base := float64(k) * refreshSec
+		for rep := 0; rep < 3; rep++ {
+			for site := 0; site < nsites; site++ {
+				add(base, site)
+			}
+		}
+		if k == 0 {
+			add(oneWaySec+reqs[0].ServiceMs/1000, 0)
+		}
+		if k == 6 {
+			break
+		}
+		for j := 1; j <= 4; j++ {
+			add(base+float64(j)*refreshSec/5, j%nsites)
+		}
+	}
+	return reqs
+}
+
+// TestBoundaryArrivalsMatchLegacy pins the two tie rules at refresh
+// boundaries against the oracle: arrivals at exactly the first boundary land
+// after that refresh (excludeAtHi), arrivals at later boundaries land before
+// it, and an arrival beats an event at the same instant. RunUntil steps of
+// one refresh, 10 s and half a refresh put the boundaries at the end of a
+// call, inside one, and at both.
+func TestBoundaryArrivalsMatchLegacy(t *testing.T) {
+	c := testConst(t)
+	probe, err := NewEngine(c, Config{Sites: testSites(), Policy: Nearest(), RefreshSec: 15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := boundaryTrace(15, probe.cands[0][0].OneWayMs/1000)
+	for _, p := range Policies() {
+		for _, sc := range diffScenarios() {
+			oracle := renderResult(runLegacyOracle(t, c, sc.config(t, c, p), reqs, 120))
+			for _, step := range []float64{15, 10, 7.5} {
+				got := renderResult(runShardedSteps(t, c, sc.config(t, c, p), reqs, 120, step))
 				if got != oracle {
-					t.Errorf("%s/%s workers=%d diverged from legacy:\n got: %s\nwant: %s",
-						p.Name(), sc.name, workers, got, oracle)
+					t.Errorf("%s/%s step=%gs diverged from legacy:\n got: %s\nwant: %s",
+						p.Name(), sc.name, step, got, oracle)
 				}
 			}
 		}
 	}
 }
 
-// TestShardedGOMAXPROCSInvariant pins byte-identical results across
-// GOMAXPROCS 1/2/8 at a forced 8-way fan-out: scheduling freedom must never
-// leak into outputs.
-func TestShardedGOMAXPROCSInvariant(t *testing.T) {
-	c := testConst(t)
-	reqs := testTrace(t, 300, 60)
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, p := range Policies() {
-		sc := diffScenarios()[1] // tight: queueing + shedding active
-		var want string
-		for _, procs := range []int{1, 2, 8} {
-			runtime.GOMAXPROCS(procs)
-			got := renderResult(runShardedSteps(t, c, sc.config(t, c, p, 8), reqs, 90, 15))
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Errorf("%s GOMAXPROCS=%d diverged:\n got: %s\nwant: %s", p.Name(), procs, got, want)
-			}
-		}
-	}
-}
-
-// TestTraceReplayShardingDeterminism replays one JSONL trace at workers=1
-// and workers=8 and byte-compares the reports and shed-reason counts — the
-// round-trip a recorded production trace would take.
+// TestTraceReplayShardingDeterminism replays one JSONL trace and
+// byte-compares the reports with feeding the in-memory trace it was written
+// from — the round-trip a recorded production trace would take.
 func TestTraceReplayShardingDeterminism(t *testing.T) {
 	c := testConst(t)
+	orig := testTrace(t, 400, 60)
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, testTrace(t, 400, 60)); err != nil {
+	if err := WriteTrace(&buf, orig); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
+	replayed, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := compute.ServerSpec{Cores: 2, MemoryGB: 16, PowerCapFraction: 1}
-	run := func(workers int) string {
-		reqs, err := ReadTrace(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(reqs []Request) string {
 		var out strings.Builder
 		for _, p := range Policies() {
 			eng, err := NewEngine(c, Config{
 				Sites: testSites(), Policy: p, Server: srv,
-				QueueCap: 4, RefreshSec: 15, Workers: workers,
+				QueueCap: 4, RefreshSec: 15,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -189,9 +224,8 @@ func TestTraceReplayShardingDeterminism(t *testing.T) {
 		}
 		return out.String()
 	}
-	serial, sharded := run(1), run(8)
-	if serial != sharded {
-		t.Fatalf("trace replay diverged between workers=1 and workers=8:\n%s\nvs\n%s", serial, sharded)
+	if mem, rep := run(orig), run(replayed); mem != rep {
+		t.Fatalf("trace replay diverged from the in-memory trace:\n%s\nvs\n%s", mem, rep)
 	}
 }
 
@@ -225,45 +259,6 @@ func TestFeedNonMonotonic(t *testing.T) {
 	}
 }
 
-// TestEngineStats pins the execution-shape accounting: forced fan-out goes
-// parallel for slice-local policies, stays serial for load-coupled ones,
-// and adaptive mode falls back to serial under light load.
-func TestEngineStats(t *testing.T) {
-	c := testConst(t)
-	reqs := testTrace(t, 300, 60)
-	run := func(p Policy, workers int) EngineStats {
-		eng, err := NewEngine(c, Config{
-			Sites: testSites(), Policy: p, Server: testServer(),
-			RefreshSec: 15, Workers: workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.Feed(reqs); err != nil {
-			t.Fatal(err)
-		}
-		eng.RunUntil(90)
-		return eng.Stats()
-	}
-	if st := run(Nearest(), 4); st.Workers != 4 || st.ParallelSlices == 0 || st.SerialSlices != 0 {
-		t.Fatalf("forced fan-out stats: %+v", st)
-	}
-	if st := run(LeastLoaded(), 4); st.Workers != 1 || st.ParallelSlices != 0 || st.SerialSlices == 0 {
-		t.Fatalf("load-coupled policy must run serial: %+v", st)
-	}
-	if st := run(Sticky(0), 1); st.Workers != 1 || st.ParallelSlices != 0 {
-		t.Fatalf("workers=1 stats: %+v", st)
-	}
-	// ~4.5k arrivals per 15 s slice: adaptive mode crosses the work
-	// threshold only when spare CPUs exist.
-	if st := run(Nearest(), 0); st.Workers > 1 && runtime.NumCPU() == 1 {
-		t.Fatalf("adaptive fan-out on a single-CPU host: %+v", st)
-	}
-	if _, err := NewEngine(c, Config{Sites: testSites(), Policy: Nearest(), Server: testServer(), Workers: -1}); err == nil {
-		t.Fatal("negative workers accepted")
-	}
-}
-
 // TestShardedMetricsMatchLegacy compares the obs registry contents the two
 // engines produce for an identical run.
 func TestShardedMetricsMatchLegacy(t *testing.T) {
@@ -278,7 +273,6 @@ func TestShardedMetricsMatchLegacy(t *testing.T) {
 	regS := obs.NewRegistry()
 	scfg := lcfg
 	scfg.Registry = regS
-	scfg.Workers = 8
 	_ = runShardedSteps(t, c, scfg, reqs, 90, 15)
 
 	for _, name := range []string{"serve_requests_total", "serve_served_total"} {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 )
 
 // WriteTrace serialises a request trace as JSON Lines — one Request object
@@ -55,14 +56,16 @@ func ReadTrace(r io.Reader) ([]Request, error) {
 // Validate reports whether the request is well-formed (site bounds are
 // checked against the engine's site list at Feed time).
 func (r Request) Validate() error {
-	if r.TSec < 0 {
-		return fmt.Errorf("request arrival %v before t=0", r.TSec)
+	// The negated comparisons also catch NaN, which fails every ordering
+	// test and would otherwise break the (time, seq) heap order.
+	if !(r.TSec >= 0) || math.IsInf(r.TSec, 1) {
+		return fmt.Errorf("request arrival %v must be finite and not before t=0", r.TSec)
 	}
 	if r.Site < 0 {
 		return fmt.Errorf("request site %d negative", r.Site)
 	}
-	if r.ServiceMs <= 0 {
-		return fmt.Errorf("request service time %v ms must be positive", r.ServiceMs)
+	if !(r.ServiceMs > 0) || math.IsInf(r.ServiceMs, 1) {
+		return fmt.Errorf("request service time %v ms must be finite and positive", r.ServiceMs)
 	}
 	return nil
 }
