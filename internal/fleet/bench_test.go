@@ -26,7 +26,7 @@ var benchAnchors = []geo.LatLon{
 // benchWorkload builds n two-user sessions scattered around the anchors.
 // Demand is 0.02 cores per session so a million sessions fit inside the
 // constellation's mid-latitude capacity band (~30% occupancy at 1M).
-func benchWorkload(b *testing.B, n int) []*Session {
+func benchWorkload(b testing.TB, n int) []*Session {
 	b.Helper()
 	rng := rand.New(rand.NewSource(17))
 	out := make([]*Session, 0, n)
@@ -53,7 +53,7 @@ func benchWorkload(b *testing.B, n int) []*Session {
 // metric is the scaling curve recorded in BENCH_fleet.json: it must not
 // grow with the population (sub-linear total cost), because per-epoch work
 // is dominated by the sessions that actually need re-placement and the
-// batched SSSP amortises better the more movers share a source satellite.
+// per-epoch fixed work (index rebuild, ring rotation) amortises.
 func BenchmarkFleetScale(b *testing.B) {
 	c, err := constellation.StarlinkPhase1(constellation.Config{})
 	if err != nil {

@@ -390,17 +390,19 @@ func (o *Orchestrator) visibleAll(s *Session, satID int, snap []geo.Vec3) bool {
 // groupRTT returns the session's max user RTT to sat in the snapshot; ok
 // is false when some user cannot see it.
 func (o *Orchestrator) groupRTT(s *Session, satID int, snap []geo.Vec3) (float64, bool) {
-	pos := snap[satID]
-	worst := 0.0
+	pos, limit := snap[satID], o.idx.chord2[satID]
+	worst2 := 0.0
 	for _, u := range s.Users {
-		if !o.obs.Visible(u, satID, pos) {
+		rel := pos.Sub(u)
+		d2 := rel.Dot(rel)
+		if d2 > limit {
 			return 0, false
 		}
-		if rtt := units.RTTMs(pos.Distance(u)); rtt > worst {
-			worst = rtt
-		}
+		worst2 = max(worst2, d2)
 	}
-	return worst, true
+	// sqrt and the km→ms scaling are monotone, so this is the largest
+	// per-user RTT, bit for bit.
+	return units.RTTMs(math.Sqrt(worst2)), true
 }
 
 // TimeToExpiry returns how long the session's current assignment stays

@@ -58,6 +58,9 @@ type Index struct {
 	// over all shells, in degrees. A satellite visible from a surface point
 	// has its subpoint within this angle of the point.
 	maxRadDeg float64
+	// maxSlantKm is the largest slant range at which any shell's satellites
+	// are visible: no visible satellite is farther from its observer.
+	maxSlantKm float64
 
 	// CSR cell storage, rebuilt per epoch: satellites of cell i are
 	// sats[start[i]:start[i+1]], ascending by ID. posCSR and chord2CSR
@@ -104,6 +107,7 @@ func NewIndex(c *constellation.Constellation, cellDeg float64) (*Index, error) {
 		if rad > ix.maxRadDeg {
 			ix.maxRadDeg = rad
 		}
+		ix.maxSlantKm = max(ix.maxSlantKm, visibility.MaxSlantRangeKm(sh.AltitudeKm, sh.MinElevationDeg))
 	}
 	cells := ix.rows * ix.cols
 	ix.start = make([]int32, cells+1)

@@ -29,6 +29,7 @@ type metricsSet struct {
 	streamChunks *obs.Counter // fleet_planner_chunks_total
 	ssspBatched  *obs.Counter // fleet_transfer_sssp_rows_total{mode="batched"}
 	ssspLazy     *obs.Counter // fleet_transfer_sssp_rows_total{mode="lazy"}
+	ssspSettled  *obs.Counter // fleet_transfer_sssp_settled_nodes_total
 
 	// Fault-injection families (all events are counted even when no
 	// injector is configured — they then stay at zero).
@@ -65,8 +66,10 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 	return &metricsSet{
 		streamChunks: reg.Counter("fleet_planner_chunks_total",
 			"Streaming chunks the epoch planner proposed and admitted."),
-		ssspBatched:  ssspRows.With("batched"),
-		ssspLazy:     ssspRows.With("lazy"),
+		ssspBatched: ssspRows.With("batched"),
+		ssspLazy:    ssspRows.With("lazy"),
+		ssspSettled: reg.Counter("fleet_transfer_sssp_settled_nodes_total",
+			"Nodes settled by the radius-bounded SSSP rows of hand-off transfer pricing."),
 		faultSatFail: faults.With("sat_fail"),
 		faultSatRec:  faults.With("sat_recover"),
 		faultMig:     faults.With("migration_fail"),

@@ -19,13 +19,18 @@ package fleet
 //
 // Transfer pricing rides the frozen-CSR engine: the orchestrator chains a
 // groundless netgraph snapshot through Network.AtAfter each epoch and
-// prices migrations with multi-source SSSP rows (one row per source
-// satellite, batched through AllSourcesNodeLatencies when a source has
-// several pending moves, lazily via LatencyToAllNodesInto otherwise)
-// instead of one point-to-point Dijkstra per satellite pair. The frozen
-// CSR's ISL weights are the same PropagationDelayMs values the pairwise
-// path computed on the fly, so pricing is bit-identical to the old
-// per-pair queries.
+// prices migrations off one SSSP row per source satellite — computed up
+// front through internal/par when the source has several pending moves,
+// lazily on first use otherwise. A move costs min(ISL path, ground relay),
+// and the relay is bounded by geometry the planner holds before any target
+// is known: every target b is visible to the session's users, so
+// |centroid − b| ≤ SpreadKm + the largest slant range of any shell.
+// Phase A2 turns that into a per-source pricing radius (srcState.radiusMs,
+// the max over the source's pending movers) and the row is a
+// netgraph.LatenciesWithin run to that radius: a prefix of the full SSSP
+// with bit-identical values, a dozen-odd settled nodes instead of a whole
+// shell. A target missing from the row is farther than the radius, hence
+// dearer than the relay, so min(row[b], relay) is the full row's answer.
 
 import (
 	"cmp"
@@ -54,21 +59,33 @@ const streamChunk = 8192
 // its row at all.
 const batchMinWork = 2
 
-// proposal locates one session's ranked candidate list inside a worker
-// arena: pl.workers[w].arena[lo:hi], best candidate first.
+// proposal locates one session's candidates inside a worker arena:
+// pl.workers[w].arena[lo:pool] is the ranked Sticky pool, best first, and
+// arena[pool:hi] the spill candidates as a min-heap on (rtt, id).
 type proposal struct {
-	w      int32
-	lo, hi int32
-	latSec float64
+	w            int32
+	lo, pool, hi int32
+	latSec       float64
 }
 
-// workerScratch is one proposal worker's private memory: the candidate
-// build buffer and the arena that holds the round's ranked lists. Padded
-// so neighbouring workers' slice headers do not false-share.
+// workerScratch is one worker's private memory: the candidate build buffer,
+// the arena that holds a round's proposals, and the epoch's pricing rows
+// this worker computed, back to back. Padded so neighbouring workers' slice
+// headers do not false-share.
 type workerScratch struct {
 	cands []candidate
 	arena []candidate
+	rows  []netgraph.NodeMs
 	_     [64]byte
+}
+
+// srcState is one source satellite's transfer-pricing state for the epoch.
+type srcState struct {
+	movers   int32   // pending re-placements off this satellite
+	radiusMs float64 // upper bound on any relay price those moves can see
+	// row is the priced row, a span of the computing worker's rows list; nil
+	// until computed (a row always holds at least its source).
+	row []netgraph.NodeMs
 }
 
 // plannerState is the orchestrator's reusable per-epoch scratch. Every
@@ -84,12 +101,9 @@ type plannerState struct {
 	workers []workerScratch
 	gone    []*Session
 
-	srcCount []int32           // per-satellite pending re-placement count
-	srcTouch []int32           // satellites with non-zero srcCount (reset list)
-	batch    []netgraph.NodeID // batched SSSP sources, ascending
-	rows     map[int][]float64 // source satellite → one-way latency row
-	lazyRows [][]float64       // reusable row buffers for lazy sources
-	lazyUsed int
+	src      []srcState // per-satellite pricing state
+	srcTouch []int32    // satellites with pending movers (reset list)
+	batch    []int32    // sources priced up front, ascending
 }
 
 func (pl *plannerState) init(o *Orchestrator) {
@@ -99,8 +113,7 @@ func (pl *plannerState) init(o *Orchestrator) {
 	pl.deferByShard = make([]int, nShards)
 	pl.props = make([]proposal, streamChunk)
 	pl.workers = make([]workerScratch, o.cfg.Workers)
-	pl.srcCount = make([]int32, o.c.Size())
-	pl.rows = make(map[int][]float64)
+	pl.src = make([]srcState, o.c.Size())
 }
 
 // reset clears the scratch for a new epoch, keeping every allocation.
@@ -116,24 +129,16 @@ func (pl *plannerState) reset() {
 	}
 	pl.work = pl.work[:0]
 	for _, sat := range pl.srcTouch {
-		pl.srcCount[sat] = 0
+		pl.src[sat] = srcState{}
 	}
 	pl.srcTouch = pl.srcTouch[:0]
 	pl.batch = pl.batch[:0]
-	for k := range pl.rows {
-		delete(pl.rows, k)
+	// A Step that failed mid-chunk left its arenas populated; later epochs
+	// must not append after the stale entries.
+	for w := range pl.workers {
+		pl.workers[w].arena = pl.workers[w].arena[:0]
+		pl.workers[w].rows = pl.workers[w].rows[:0]
 	}
-	pl.lazyUsed = 0
-}
-
-// lazyRow hands out the next reusable SSSP row buffer.
-func (pl *plannerState) lazyRow(nodes int) []float64 {
-	if pl.lazyUsed == len(pl.lazyRows) {
-		pl.lazyRows = append(pl.lazyRows, make([]float64, nodes))
-	}
-	r := pl.lazyRows[pl.lazyUsed]
-	pl.lazyUsed++
-	return r
 }
 
 // cmpByRTT orders candidates by latency, ties by ID — the spill order.
@@ -163,6 +168,49 @@ func cmpBand(a, b candidate) int {
 		return 1
 	}
 	return cmpByRTT(a, b)
+}
+
+// popSpill removes the least candidate of a spill heap (a binary min-heap
+// under cmpByRTT) and returns the shrunk heap.
+func popSpill(h []candidate) []candidate {
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	siftSpill(h, 0)
+	return h
+}
+
+// siftSpill restores the heap order below h[i].
+func siftSpill(h []candidate, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && cmpByRTT(h[r], h[m]) < 0 {
+			m = r
+		}
+		if cmpByRTT(h[m], h[i]) >= 0 {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// rankForAdmission puts cands — band candidates first, their life filled
+// in — into admission order in place and returns the pool size: the Sticky
+// pool (the first PoolSize band candidates under cmpBand) ranked, then
+// everything else as a min-heap under cmpByRTT. cmpByRTT is a total order,
+// so popping the heap yields the one sorted spill sequence.
+func rankForAdmission(cands []candidate, band, poolSize int) int {
+	slices.SortFunc(cands[:band], cmpBand)
+	pool := min(band, poolSize)
+	spill := cands[pool:]
+	for i := len(spill)/2 - 1; i >= 0; i-- {
+		siftSpill(spill, i)
+	}
+	return pool
 }
 
 // Step runs one planner epoch at the current simulated time: removes
@@ -263,37 +311,39 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	pl.gone = gone[:0]
 
 	// Phase A2 — gather the work in shard order, counting pending moves per
-	// source satellite for the SSSP batch, and sort it by session ID (map
-	// iteration made the arrival order arbitrary).
+	// source satellite and widening its pricing radius to cover each, and
+	// sort the work by session ID (map iteration made the arrival order
+	// arbitrary).
 	for si := range pl.workByShard {
 		for _, w := range pl.workByShard[si] {
 			pl.work = append(pl.work, w)
 			if sat := w.sess.Sat; sat >= 0 {
-				if pl.srcCount[sat] == 0 {
+				src := &pl.src[sat]
+				if src.movers == 0 {
 					pl.srcTouch = append(pl.srcTouch, int32(sat))
 				}
-				pl.srcCount[sat]++
+				src.movers++
+				src.radiusMs = max(src.radiusMs, o.relayBoundMs(w.sess))
 			}
 		}
 	}
 	slices.SortFunc(pl.work, func(a, b workItem) int { return cmp.Compare(a.sess.ID, b.sess.ID) })
 
 	// Phase A3 — batched transfer pricing: every source satellite with
-	// several pending moves gets its SSSP row up front through the adaptive
-	// multi-source fan-out; stragglers fill in lazily inside admission.
+	// several pending moves gets its row up front, fanned out over the
+	// workers; stragglers fill in lazily inside admission.
 	slices.Sort(pl.srcTouch)
 	for _, sat := range pl.srcTouch {
-		if pl.srcCount[sat] >= batchMinWork {
-			pl.batch = append(pl.batch, netgraph.NodeID(sat))
+		if pl.src[sat].movers >= batchMinWork {
+			pl.batch = append(pl.batch, sat)
 		}
 	}
-	if len(pl.batch) > 0 {
-		rows := o.nsnap.AllSourcesNodeLatencies(pl.batch)
-		for i, src := range pl.batch {
-			pl.rows[int(src)] = rows[i]
+	par.Chunks(len(pl.batch), o.cfg.Workers, func(w, lo, hi int) {
+		for _, sat := range pl.batch[lo:hi] {
+			o.priceRow(w, int(sat))
 		}
-		o.m.ssspBatched.Add(uint64(len(pl.batch)))
-	}
+	})
+	o.m.ssspBatched.Add(uint64(len(pl.batch)))
 
 	// Phases B/C — streaming rounds over the sorted work: propose a chunk
 	// in parallel, admit it serially in session-ID order. Proposals read
@@ -350,13 +400,17 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 }
 
 // admitChunk runs the serial admission phase over one streaming chunk:
-// first ranked candidate with spare capacity wins; sessions spill down
-// their ranking when a satellite is full, and are rejected (retrying next
-// epoch) when none fits.
+// first candidate in admission order with spare capacity wins. The Sticky
+// pool is walked as ranked; when it is full the session spills down the
+// latency order, popping the proposal's heap only as deep as capacity
+// forces it, and is rejected (retrying next epoch) when nothing fits.
 func (o *Orchestrator) admitChunk(chunk []workItem, rep *EpochReport) error {
 	pl := &o.pl
 	task := func(s *Session) compute.Task {
 		return compute.Task{ID: int(s.ID), Cores: s.CoresDemand, MemoryGB: s.MemoryGB}
+	}
+	fits := func(s *Session, id int) bool {
+		return id == s.Sat || o.nodes[id].Fits(task(s))
 	}
 	for i, w := range chunk {
 		s := w.sess
@@ -368,12 +422,20 @@ func (o *Orchestrator) admitChunk(chunk []workItem, rep *EpochReport) error {
 			o.m.migRetries.Inc()
 		}
 		pr := pl.props[i]
-		ranked := pl.workers[pr.w].arena[pr.lo:pr.hi]
+		arena := pl.workers[pr.w].arena
 		chosen := candidate{id: -1}
-		for _, cand := range ranked {
-			if cand.id == s.Sat || o.nodes[cand.id].Fits(task(s)) {
+		for _, cand := range arena[pr.lo:pr.pool] {
+			if fits(s, cand.id) {
 				chosen = cand
 				break
+			}
+		}
+		spill := arena[pr.pool:pr.hi]
+		for chosen.id < 0 && len(spill) > 0 {
+			if fits(s, spill[0].id) {
+				chosen = spill[0]
+			} else {
+				spill = popSpill(spill)
 			}
 		}
 		if chosen.id < 0 {
@@ -463,11 +525,13 @@ func (o *Orchestrator) admitChunk(chunk []workItem, rep *EpochReport) error {
 	return nil
 }
 
-// propose computes a session's ranked candidate list into the worker's
-// arena: all satellites visible to the whole group, Sticky-ordered —
-// candidates within the latency band ranked by remaining visibility (the
-// paper's stationarity objective), then the rest by latency for load
-// spill.
+// propose computes a session's candidates into the worker's arena: all
+// satellites visible to the whole group, in admission order — the Sticky
+// pool (band candidates ranked by remaining visibility, the paper's
+// stationarity objective) sorted, then every other candidate heap-ordered
+// by latency for load spill. Admission reads a couple of candidates per
+// session, so the spill tail is heapified here, O(n) and in the parallel
+// phase, rather than sorted.
 func (o *Orchestrator) propose(sc *workerScratch, w int32, s *Session) proposal {
 	t0 := time.Now()
 	snap := o.ring[0]
@@ -503,44 +567,35 @@ func (o *Orchestrator) propose(sc *workerScratch, w int32, s *Session) proposal 
 	for i := 0; i < band; i++ {
 		cands[i].life = o.lifeEpochs(s, cands[i].id)
 	}
-	slices.SortFunc(cands[:band], cmpBand)
-	rest := cands[band:]
-	slices.SortFunc(rest, cmpByRTT)
-	// Admission order: the Sticky pool first, then everything else by
-	// latency. Keeping the full list (not just the pool) is what lets
-	// admission spill under load instead of rejecting.
+	// Keeping the full list (not just the pool) is what lets admission
+	// spill under load instead of rejecting.
+	pool := rankForAdmission(cands, band, o.cfg.PoolSize)
 	lo := int32(len(sc.arena))
-	if band > o.cfg.PoolSize {
-		sc.arena = append(sc.arena, cands[:o.cfg.PoolSize]...)
-		overflow := cands[o.cfg.PoolSize:band]
-		slices.SortFunc(overflow, cmpByRTT)
-		sc.arena = mergeByLatency(sc.arena, overflow, rest)
-	} else {
-		sc.arena = append(sc.arena, cands...)
-	}
-	return proposal{w: w, lo: lo, hi: int32(len(sc.arena)), latSec: time.Since(t0).Seconds()}
+	sc.arena = append(sc.arena, cands...)
+	return proposal{w: w, lo: lo, pool: lo + int32(pool), hi: int32(len(sc.arena)), latSec: time.Since(t0).Seconds()}
 }
 
-// mergeByLatency appends the merge of two latency-sorted candidate slices
-// onto dst.
-func mergeByLatency(dst []candidate, a, b []candidate) []candidate {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].rtt < b[j].rtt || (a[i].rtt == b[j].rtt && a[i].id <= b[j].id) {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
+// relayBoundMs is an upper bound on the ground-relay price of any move the
+// session can make off its current satellite this epoch: a target is
+// visible to every user, so it lies within the group's spread plus the
+// largest slant range of the centroid. The factor absorbs float rounding.
+func (o *Orchestrator) relayBoundMs(s *Session) float64 {
+	km := o.ring[0][s.Sat].Distance(s.Centroid) + s.SpreadKm + o.idx.maxSlantKm
+	return units.PropagationDelayMs(km) * (1 + 1e-9)
+}
+
+// priceRow computes source satellite sat's pricing row into worker w's list.
+func (o *Orchestrator) priceRow(w, sat int) {
+	sc, src := &o.pl.workers[w], &o.pl.src[sat]
+	lo := len(sc.rows)
+	sc.rows = o.nsnap.LatenciesWithin(netgraph.NodeID(sat), src.radiusMs, sc.rows)
+	src.row = sc.rows[lo:]
+	o.m.ssspSettled.Add(uint64(len(src.row)))
 }
 
 // transferMs is the one-way state-transfer latency from sat a to b at the
 // current epoch: the cheaper of the shortest ISL path (same-shell pairs,
-// read off the source's SSSP row) and a ground relay through the session's
+// read off the source's pricing row) and a ground relay through the session's
 // region — the same accounting as meetup.Planner.TransferLatencyMs.
 func (o *Orchestrator) transferMs(a, b int, centroid geo.Vec3) float64 {
 	snap := o.ring[0]
@@ -553,13 +608,18 @@ func (o *Orchestrator) transferMs(a, b int, centroid geo.Vec3) float64 {
 		o.epochISL++
 		return relay // flapped path: spill the transfer to the ground relay
 	}
-	row, ok := o.pl.rows[a]
-	if !ok {
-		row = o.nsnap.LatencyToAllNodesInto(netgraph.NodeID(a), o.pl.lazyRow(o.net.Nodes()))
-		o.pl.rows[a] = row
+	src := &o.pl.src[a]
+	if src.row == nil {
+		// The serial phase owns every worker list between fan-outs.
+		o.priceRow(0, a)
 		o.m.ssspLazy.Inc()
 	}
-	// Unreachable pairs read +Inf off the row, so the relay wins — the
-	// degenerate-topology fallback of the pairwise path.
-	return math.Min(row[b], relay)
+	// A target beyond the pricing radius or unreachable is not in the row,
+	// and the relay wins — as it would against the full row's value.
+	for _, nm := range src.row {
+		if int(nm.Node) == b {
+			return math.Min(nm.Ms, relay)
+		}
+	}
+	return relay
 }

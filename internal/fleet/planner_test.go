@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -107,5 +108,88 @@ func TestPlannerAllCandidatesDead(t *testing.T) {
 	if st.DownSats != o.Constellation().Size() || st.EvacuationsPending != 30 {
 		t.Fatalf("Stats down=%d pending=%d, want %d/%d",
 			st.DownSats, st.EvacuationsPending, o.Constellation().Size(), 30)
+	}
+}
+
+// FuzzSpillOrder pins the admission order against its definition: the band
+// ranked by cmpBand, its first PoolSize entries, then everything else
+// sorted by cmpByRTT. The planner only sorts the pool and heap-orders the
+// rest, so the pool followed by successive heap pops must reproduce the
+// reference at every position — duplicate RTTs, empty bands and pools
+// wider than the band included.
+func FuzzSpillOrder(f *testing.F) {
+	f.Add([]byte{3, 1, 3, 0, 7, 2, 1, 1, 7, 3, 0, 0}, uint8(3), uint8(2), false)
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(5), uint8(8), true)
+	f.Add([]byte{9, 0}, uint8(0), uint8(1), false)
+	f.Add([]byte{}, uint8(0), uint8(5), false)
+	f.Fuzz(func(t *testing.T, raw []byte, bandByte, poolByte uint8, descendingIDs bool) {
+		n := len(raw) / 2
+		cands := make([]candidate, n)
+		for i := range cands {
+			id := i
+			if descendingIDs {
+				id = n - 1 - i
+			}
+			// Few distinct RTTs and lives, so ties reach the ID tie-break.
+			cands[i] = candidate{id: id, rtt: float64(raw[2*i] % 8), life: int(raw[2*i+1] % 4)}
+		}
+		band := int(bandByte) % (n + 1)
+		poolSize := 1 + int(poolByte)%8
+
+		want := slices.Clone(cands)
+		slices.SortFunc(want[:band], cmpBand)
+		slices.SortFunc(want[min(band, poolSize):], cmpByRTT)
+
+		pool := rankForAdmission(cands, band, poolSize)
+		if pool != min(band, poolSize) {
+			t.Fatalf("pool %d, want min(band %d, PoolSize %d)", pool, band, poolSize)
+		}
+		got := slices.Clone(cands[:pool])
+		for spill := cands[pool:]; len(spill) > 0; spill = popSpill(spill) {
+			got = append(got, spill[0])
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("band %d PoolSize %d:\n got %v\nwant %v", band, poolSize, got, want)
+		}
+	})
+}
+
+// TestResetClearsScratchAfterFailedStep: a Step that fails inside admission
+// returns with its chunk's proposals still in the worker arenas. The next
+// epoch's reset must drop them, or every later epoch appends after them.
+func TestResetClearsScratchAfterFailedStep(t *testing.T) {
+	o, err := New(toyConst(t), nil, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.SubmitBatch(testGroups(t, 60)); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Step(); err != nil {
+		t.Fatal(err)
+	}
+	// Make the first hand-off's migration costing fail.
+	o.cfg.DirtyRateMBps = 1e12
+	for epoch := 0; err == nil; epoch++ {
+		if epoch == 30 {
+			t.Fatal("no hand-off in 30 epochs")
+		}
+		_, err = o.Step()
+	}
+	stale := 0
+	for w := range o.pl.workers {
+		stale += len(o.pl.workers[w].arena)
+	}
+	if stale == 0 {
+		t.Fatal("failed Step left no proposals behind — the scenario no longer reaches the bug")
+	}
+	o.pl.reset()
+	for w := range o.pl.workers {
+		if sc := &o.pl.workers[w]; len(sc.arena) != 0 || len(sc.rows) != 0 {
+			t.Fatalf("worker %d keeps %d candidates and %d row entries across reset", w, len(sc.arena), len(sc.rows))
+		}
 	}
 }

@@ -410,10 +410,7 @@ func (s *Snapshot) LatencyToAllSatsInto(gi int, dst []float64) []float64 {
 		dst[v] = c.distAt(int32(v))
 	}
 	putCtx(c)
-	m.ssspQueries.Inc()
-	m.ssspSec.Observe(time.Since(start).Seconds())
-	m.ssspQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	totalSSSPQueries.Add(1)
+	m.observeSSSP(start)
 	return dst
 }
 
@@ -440,11 +437,25 @@ func (s *Snapshot) LatencyToAllNodesInto(src NodeID, dst []float64) []float64 {
 		out[v] = c.distAt(int32(v))
 	}
 	putCtx(c)
-	m.ssspQueries.Inc()
-	m.ssspSec.Observe(time.Since(start).Seconds())
-	m.ssspQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	totalSSSPQueries.Add(1)
+	m.observeSSSP(start)
 	return out
+}
+
+// LatenciesWithin appends to dst every node within maxMs one-way of src with
+// its latency, nearest first, and returns the extended slice: the prefix of
+// LatencyToAllNodes a caller with a known price ceiling needs, at the cost
+// of the nodes inside the radius instead of the whole reachable graph. Each
+// reported latency is bit-equal to the full row's; a node not reported is
+// farther than maxMs (or unreachable).
+func (s *Snapshot) LatenciesWithin(src NodeID, maxMs float64, dst []NodeMs) []NodeMs {
+	m := s.net.metrics()
+	start := time.Now()
+	f := s.frozen()
+	c := getCtx(f.nodes)
+	dst = c.dijkstraWithin(f.g, int32(src), maxMs, dst)
+	putCtx(c)
+	m.observeSSSP(start)
+	return dst
 }
 
 // GroundToGroundRTTMs returns the round-trip latency between two ground

@@ -3,6 +3,7 @@ package netgraph
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -74,6 +75,16 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 		ssspQ:       queryQ.With("sssp"),
 		islQ:        queryQ.With("isl"),
 	}
+}
+
+// observeSSSP records one finished SSSP query that began at start. The
+// clock is read once, so the histogram and the sketch see the same duration.
+func (m *metricsSet) observeSSSP(start time.Time) {
+	d := time.Since(start)
+	m.ssspQueries.Inc()
+	m.ssspSec.Observe(d.Seconds())
+	m.ssspQ.Observe(float64(d) / float64(time.Millisecond))
+	totalSSSPQueries.Add(1)
 }
 
 // QueryQuantiles returns streaming estimates (ms) of query latency for one

@@ -238,6 +238,36 @@ func (c *queryCtx) dijkstra(g csr, src, dst int32) {
 	}
 }
 
+// NodeMs is one node a radius-bounded SSSP settled and its one-way latency.
+type NodeMs struct {
+	Node NodeID
+	Ms   float64
+}
+
+// dijkstraWithin is the full-SSSP dijkstra stopped at the first pop farther
+// than maxMs, appending the nodes it settled to out in settle order: a prefix
+// of the unbounded run, so distances are bit-identical and every omitted node
+// is farther than maxMs. It is its own loop so that dijkstra carries no
+// per-pop radius test, and reads explicit weights only (frozen CSRs have them).
+func (c *queryCtx) dijkstraWithin(g csr, src int32, maxMs float64, out []NodeMs) []NodeMs {
+	c.stamp[src] = c.gen
+	c.dist[src] = 0
+	c.prev[src] = -1
+	c.push(src)
+	for len(c.heap) > 0 {
+		u := c.popMin()
+		du := c.dist[u]
+		if du > maxMs {
+			break
+		}
+		out = append(out, NodeMs{NodeID(u), du})
+		for k := g.off[u]; k < g.off[u+1]; k++ {
+			c.relax(u, g.adj[k], du+g.w[k])
+		}
+	}
+	return out
+}
+
 // heuristic is a lower bound on the remaining distance to a fixed query
 // destination; evaluations are memoised per node in the context's pi cache.
 type heuristic interface {
