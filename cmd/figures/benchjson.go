@@ -51,11 +51,12 @@ type benchFile struct {
 
 // parseBenchOutput extracts benchmark result lines from `go test -bench`
 // output, tolerating the surrounding pkg/PASS chatter. Repeated runs of the
-// same benchmark (-count N) keep the last result and add the run count and
-// the min/median/max ns/op across runs, so a file says how noisy it is.
+// same benchmark (-count N) keep the last result and add the run count, the
+// min/median/max ns/op across runs and a "<metric>-median" for every other
+// metric, so a file says how noisy it is and a gate can read a median.
 func parseBenchOutput(r io.Reader) ([]benchResult, benchHost, error) {
 	byName := map[string]benchResult{}
-	nsPerOp := map[string][]float64{}
+	perRun := map[string]map[string][]float64{} // benchmark → metric → one value per run
 	host := benchHost{NumCPU: runtime.NumCPU(), GoVersion: runtime.Version()}
 	var order []string
 	sc := bufio.NewScanner(r)
@@ -96,8 +97,11 @@ func parseBenchOutput(r io.Reader) ([]benchResult, benchHost, error) {
 			order = append(order, name)
 		}
 		byName[name] = res
-		if v, ok := res.Metrics["ns/op"]; ok {
-			nsPerOp[name] = append(nsPerOp[name], v)
+		if perRun[name] == nil {
+			perRun[name] = map[string][]float64{}
+		}
+		for m, v := range res.Metrics {
+			perRun[name][m] = append(perRun[name][m], v)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -106,12 +110,17 @@ func parseBenchOutput(r io.Reader) ([]benchResult, benchHost, error) {
 	out := make([]benchResult, 0, len(order))
 	for _, n := range order {
 		res := byName[n]
-		if runs := nsPerOp[n]; len(runs) > 1 {
+		for m, runs := range perRun[n] {
+			if len(runs) < 2 {
+				continue
+			}
 			slices.Sort(runs)
-			res.Metrics["runs"] = float64(len(runs))
-			res.Metrics["ns/op-min"] = runs[0]
-			res.Metrics["ns/op-median"] = runs[len(runs)/2]
-			res.Metrics["ns/op-max"] = runs[len(runs)-1]
+			res.Metrics[m+"-median"] = runs[len(runs)/2]
+			if m == "ns/op" {
+				res.Metrics["runs"] = float64(len(runs))
+				res.Metrics["ns/op-min"] = runs[0]
+				res.Metrics["ns/op-max"] = runs[len(runs)-1]
+			}
 		}
 		out = append(out, res)
 	}

@@ -118,6 +118,9 @@ ok  	repro	12.345s
 	if fig1.Metrics["runs"] != 2 || fig1.Metrics["ns/op-min"] != 1.2e9 || fig1.Metrics["ns/op-max"] != 1234567890 {
 		t.Fatalf("run spread = %+v", fig1.Metrics)
 	}
+	if fig1.Metrics["ns/op-median"] != 1234567890 || fig1.Metrics["worst-nearest-rtt-ms-median"] != 11.5 {
+		t.Fatalf("medians = %+v", fig1.Metrics)
+	}
 	if _, ok := results[0].Metrics["runs"]; ok {
 		t.Fatalf("single-run benchmark grew spread metrics: %+v", results[0].Metrics)
 	}

@@ -7,8 +7,8 @@ package netgraph
 //   - ISL edges come from the static +grid with weights evaluated at the
 //     snapshot's satellite positions;
 //   - ground↔satellite edges are discovered by one visibility scan per
-//     ground station — the scan the legacy edgeIter repeated on every node
-//     expansion — with each uplink weight computed once and shared bitwise
+//     ground station — the scan the pre-freeze oracle's edgeIter
+//     (legacy_test.go) repeats on every node expansion — with each uplink weight computed once and shared bitwise
 //     with the matching downlink (Vec3.Distance is exactly symmetric).
 //
 // Row layout reproduces the legacy edge-iteration order exactly, which pins
@@ -133,8 +133,8 @@ func buildFrozen(s *Snapshot) *frozen {
 	obsv := net.Observer
 	satPos := s.satPos
 
-	// One visibility scan per ground station — the edges legacy edgeIter
-	// re-derived per expansion. visSat rows are ascending by satellite ID.
+	// One visibility scan per ground station — the edges the oracle's edgeIter
+	// (legacy_test.go) re-derives per expansion. visSat rows are ascending by satellite ID.
 	visSat := make([][]int32, len(grounds))
 	visW := make([][]float64, len(grounds))
 	downDeg := make([]int32, net.Sats())

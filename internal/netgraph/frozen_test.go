@@ -1,7 +1,7 @@
 package netgraph
 
 // Differential tests pinning the frozen-graph engine against the legacy
-// implementations in legacy.go: bit-identical latencies (==, no tolerance),
+// implementations in legacy_test.go: bit-identical latencies (==, no tolerance),
 // identical tie-broken paths, identical errors — swept across a full
 // orbital period on the Starlink and Kuiper presets.
 

@@ -5,16 +5,17 @@
 // propagation-only latency accounting.
 //
 // Routing runs on a frozen-graph engine: each Snapshot freezes its topology
-// into CSR adjacency once (frozen.go), queries share a pooled Dijkstra core
-// with an index-addressed 4-ary heap (query.go), and multi-source fan-outs
-// parallelise across GOMAXPROCS (parallel.go). The public entry points here
-// are thin wrappers that return results bit-identical to the pre-freeze
-// implementations kept in legacy.go.
+// into CSR adjacency once (frozen.go), queries share a pooled search core on
+// one monotone bucket queue — plain Dijkstra for the SSSP rows, one-pass
+// goal-directed search for point-to-point paths (query.go, overlay.go) — and
+// multi-source fan-outs parallelise across GOMAXPROCS (parallel.go). The
+// public entry points here are thin wrappers that return results
+// bit-identical to the pre-freeze implementations the tests keep as their
+// oracle (legacy_test.go).
 package netgraph
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -236,32 +237,25 @@ func (s *Snapshot) ShortestPath(src, dst NodeID) (Path, error) {
 	if src == dst {
 		return Path{Nodes: []NodeID{src}}, nil
 	}
-	m := s.net.metrics()
 	start := time.Now()
 	f := s.frozen()
-	c := getCtx(f.nodes)
-	d := math.Inf(1)
-	if f.sats >= overlayMinSats {
-		// Goal-directed two-phase run with the line-of-sight bound (overlay.go):
-		// answers are bit-identical to the plain core below.
-		h := &losHeur{f: f, dst: f.pos(int32(dst))}
-		if c.goalDirected(f.g, int32(src), int32(dst), h) {
-			d = c.distAt(int32(dst))
-		}
-	} else {
-		c.dijkstra(f.g, int32(src), int32(dst))
-		d = c.distAt(int32(dst))
-	}
+	// Goal-directed with the line-of-sight bound (overlay.go); the answer is
+	// bit-identical to the plain dijkstra's.
+	h := &losHeur{f: f, dst: f.pos(int32(dst))}
+	return route(f.g, f.nodes, int32(src), int32(dst), h, &s.net.metrics().path, start)
+}
+
+// route answers one point-to-point query on g with the goal-directed search
+// and records it under kind k as begun at start.
+func route(g csr, nodes int, src, dst int32, h heuristic, k *kindMetrics, start time.Time) (Path, error) {
+	c := getCtx(nodes)
 	var p Path
-	if !math.IsInf(d, 1) {
-		p = Path{Nodes: c.pathTo(int32(dst)), OneWayMs: d}
+	if c.astar(g, src, dst, h) {
+		p = Path{Nodes: c.pathTo(dst), OneWayMs: c.dist[dst]}
 	}
 	putCtx(c)
-	m.pathQueries.Inc()
-	m.pathSec.Observe(time.Since(start).Seconds())
-	m.pathQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	totalPathQueries.Add(1)
-	if math.IsInf(d, 1) {
+	k.observe(start)
+	if p.Nodes == nil {
 		return Path{}, ErrNoPath
 	}
 	return p, nil
@@ -282,9 +276,7 @@ func (s *Snapshot) SatToSatLatencyMs(a, b int) (float64, error) {
 // overlay that prunes long-haul queries; the standalone ISLShortest then
 // picks it up from the cache.
 func (s *Snapshot) ISLPath(a, b int) (Path, error) {
-	if s.net.Sats() >= overlayMinSats {
-		s.net.islOverlay()
-	}
+	s.net.islOverlay()
 	return ISLShortest(s.net.Grid, s.satPos, a, b)
 }
 
@@ -349,41 +341,14 @@ func ISLShortest(g *isl.Grid, satPos []geo.Vec3, a, b int) (Path, error) {
 	if a == b {
 		return Path{Nodes: []NodeID{NodeID(a)}}, nil
 	}
-	m := defaultMetrics()
 	start := time.Now()
 	ic := islGraph(g, sats)
-	c := getCtx(sats)
-	gg := csr{off: ic.off, adj: ic.adj, pos: satPos}
-	d := math.Inf(1)
-	if sats >= overlayMinSats {
-		h := &islHeur{pos: satPos, dst: satPos[b]}
-		if ov := cachedOverlay(g, sats); ov != nil && ov.valid {
-			h.lm = ov.lm
-			base := b * overlayLandmarks
-			for i := range h.lt {
-				h.lt[i] = ov.lm[base+i]
-			}
-		}
-		if c.goalDirected(gg, int32(a), int32(b), h) {
-			d = c.distAt(int32(b))
-		}
-	} else {
-		c.dijkstra(gg, int32(a), int32(b))
-		d = c.distAt(int32(b))
+	h := &islHeur{pos: satPos, dst: satPos[b]}
+	if ov := cachedOverlay(g, sats); ov != nil && ov.valid {
+		h.lm = ov.lm
+		copy(h.lt[:], ov.lm[b*overlayLandmarks:])
 	}
-	var p Path
-	if !math.IsInf(d, 1) {
-		p = Path{Nodes: c.pathTo(int32(b)), OneWayMs: d}
-	}
-	putCtx(c)
-	m.islQueries.Inc()
-	m.islSec.Observe(time.Since(start).Seconds())
-	m.islQ.Observe(float64(time.Since(start)) / float64(time.Millisecond))
-	totalISLQueries.Add(1)
-	if math.IsInf(d, 1) {
-		return Path{}, ErrNoPath
-	}
-	return p, nil
+	return route(csr{off: ic.off, adj: ic.adj, pos: satPos}, sats, int32(a), int32(b), h, &defaultMetrics().isl, start)
 }
 
 // LatencyToAllSats returns the one-way latency in milliseconds from ground
@@ -397,7 +362,6 @@ func (s *Snapshot) LatencyToAllSats(gi int) []float64 {
 // LatencyToAllSatsInto is LatencyToAllSats writing into dst (grown if too
 // small), so steady-state callers make zero allocations per query.
 func (s *Snapshot) LatencyToAllSatsInto(gi int, dst []float64) []float64 {
-	m := s.net.metrics()
 	start := time.Now()
 	f := s.frozen()
 	c := getCtx(f.nodes)
@@ -410,7 +374,7 @@ func (s *Snapshot) LatencyToAllSatsInto(gi int, dst []float64) []float64 {
 		dst[v] = c.distAt(int32(v))
 	}
 	putCtx(c)
-	m.observeSSSP(start)
+	s.net.metrics().sssp.observe(start)
 	return dst
 }
 
@@ -424,7 +388,6 @@ func (s *Snapshot) LatencyToAllNodes(src NodeID) []float64 {
 // LatencyToAllNodesInto is LatencyToAllNodes writing into dst (grown if too
 // small), for callers batching many sources over one snapshot.
 func (s *Snapshot) LatencyToAllNodesInto(src NodeID, dst []float64) []float64 {
-	m := s.net.metrics()
 	start := time.Now()
 	f := s.frozen()
 	c := getCtx(f.nodes)
@@ -437,7 +400,7 @@ func (s *Snapshot) LatencyToAllNodesInto(src NodeID, dst []float64) []float64 {
 		out[v] = c.distAt(int32(v))
 	}
 	putCtx(c)
-	m.observeSSSP(start)
+	s.net.metrics().sssp.observe(start)
 	return out
 }
 
@@ -448,13 +411,12 @@ func (s *Snapshot) LatencyToAllNodesInto(src NodeID, dst []float64) []float64 {
 // reported latency is bit-equal to the full row's; a node not reported is
 // farther than maxMs (or unreachable).
 func (s *Snapshot) LatenciesWithin(src NodeID, maxMs float64, dst []NodeMs) []NodeMs {
-	m := s.net.metrics()
 	start := time.Now()
 	f := s.frozen()
 	c := getCtx(f.nodes)
 	dst = c.dijkstraWithin(f.g, int32(src), maxMs, dst)
 	putCtx(c)
-	m.observeSSSP(start)
+	s.net.metrics().sssp.observe(start)
 	return dst
 }
 

@@ -23,18 +23,17 @@ type metricsSet struct {
 	deltaPairs   *obs.Counter   // netgraph_freeze_delta_pairs_total
 	deltaSec     *obs.Histogram // netgraph_freeze_delta_seconds
 
-	pathQueries *obs.Counter   // netgraph_queries_total{kind=path}
-	ssspQueries *obs.Counter   // netgraph_queries_total{kind=sssp}
-	islQueries  *obs.Counter   // netgraph_queries_total{kind=isl}
-	pathSec     *obs.Histogram // netgraph_query_seconds{kind=path}
-	ssspSec     *obs.Histogram // netgraph_query_seconds{kind=sssp}
-	islSec      *obs.Histogram // netgraph_query_seconds{kind=isl}
+	path, sssp, isl kindMetrics // the {kind=path|sssp|isl} series
+}
 
-	// Streaming quantiles over the same query latencies (ms), feeding the
-	// timeline recorder without preset bucket bounds.
-	pathQ *obs.Quantile // netgraph_query_ms{kind=path}
-	ssspQ *obs.Quantile // netgraph_query_ms{kind=sssp}
-	islQ  *obs.Quantile // netgraph_query_ms{kind=isl}
+// kindMetrics is one query kind's series across the three query families.
+type kindMetrics struct {
+	queries *obs.Counter   // netgraph_queries_total{kind}
+	sec     *obs.Histogram // netgraph_query_seconds{kind}
+	// Streaming quantile over the same latencies (ms), feeding the timeline
+	// recorder without preset bucket bounds.
+	ms    *obs.Quantile  // netgraph_query_ms{kind}
+	total *atomic.Uint64 // the package-wide count TotalStats reports
 }
 
 // A freeze is one visibility scan per ground station plus the CSR fill —
@@ -52,6 +51,9 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 		"Wall-clock time of one routing query on a frozen snapshot.", queryBuckets, "kind")
 	queryQ := reg.QuantileVec("netgraph_query_ms",
 		"Streaming quantile of routing-query wall-clock latency in ms, by kind.", "kind")
+	kind := func(name string, total *atomic.Uint64) kindMetrics {
+		return kindMetrics{queries.With(name), querySec.With(name), queryQ.With(name), total}
+	}
 	return &metricsSet{
 		freezes: reg.Counter("netgraph_freeze_total",
 			"Snapshot topologies frozen into CSR adjacency."),
@@ -65,26 +67,20 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 			"Exact ground-satellite pair evaluations performed by delta freezes."),
 		deltaSec: reg.Histogram("netgraph_freeze_delta_seconds",
 			"Wall-clock time of one incremental (delta) snapshot freeze.", freezeBuckets),
-		pathQueries: queries.With("path"),
-		ssspQueries: queries.With("sssp"),
-		islQueries:  queries.With("isl"),
-		pathSec:     querySec.With("path"),
-		ssspSec:     querySec.With("sssp"),
-		islSec:      querySec.With("isl"),
-		pathQ:       queryQ.With("path"),
-		ssspQ:       queryQ.With("sssp"),
-		islQ:        queryQ.With("isl"),
+		path: kind("path", &totalPathQueries),
+		sssp: kind("sssp", &totalSSSPQueries),
+		isl:  kind("isl", &totalISLQueries),
 	}
 }
 
-// observeSSSP records one finished SSSP query that began at start. The
+// observe records one finished query of this kind that began at start. The
 // clock is read once, so the histogram and the sketch see the same duration.
-func (m *metricsSet) observeSSSP(start time.Time) {
+func (k *kindMetrics) observe(start time.Time) {
 	d := time.Since(start)
-	m.ssspQueries.Inc()
-	m.ssspSec.Observe(d.Seconds())
-	m.ssspQ.Observe(float64(d) / float64(time.Millisecond))
-	totalSSSPQueries.Add(1)
+	k.queries.Inc()
+	k.sec.Observe(d.Seconds())
+	k.ms.Observe(float64(d) / float64(time.Millisecond))
+	k.total.Add(1)
 }
 
 // QueryQuantiles returns streaming estimates (ms) of query latency for one
@@ -95,11 +91,11 @@ func QueryQuantiles(kind string, ps ...float64) []float64 {
 	var q *obs.Quantile
 	switch kind {
 	case "path":
-		q = m.pathQ
+		q = m.path.ms
 	case "sssp":
-		q = m.ssspQ
+		q = m.sssp.ms
 	case "isl":
-		q = m.islQ
+		q = m.isl.ms
 	default:
 		return make([]float64, len(ps))
 	}

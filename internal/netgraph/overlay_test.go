@@ -7,11 +7,10 @@ import (
 
 	"repro/internal/constellation"
 	"repro/internal/geo"
-	"repro/internal/units"
 )
 
 // overlayNet builds a full Starlink phase-1 network (5 shells, 4409 sats) —
-// large enough to cross the overlayMinSats gate — with a handful of ground
+// large enough to get ALT tables (overlayMinSats) — with a handful of ground
 // stations for the frozen-graph queries.
 func overlayNet(t *testing.T) *Network {
 	t.Helper()
@@ -190,24 +189,36 @@ func TestOverlayFrozenEquality(t *testing.T) {
 	}
 }
 
-// TestOverlayGate verifies small graphs bypass the two-phase machinery but
-// still answer identically (the toy 576-sat net sits above the gate only if
-// overlayMinSats allows; keep the gate honest either way).
+// TestOverlayGate: a grid below overlayMinSats gets no ALT tables — and its
+// ISL queries, goal-directed on the line-of-sight bound alone, still answer
+// exactly as the plain core does.
 func TestOverlayGate(t *testing.T) {
-	n := testNet(t, []geo.LatLon{{LatDeg: 10, LonDeg: 10}, {LatDeg: -20, LonDeg: 140}})
-	snap := n.At(60)
-	got, err := snap.ShortestPath(n.GroundNode(0), n.GroundNode(1))
+	c, err := constellation.Build("small", []constellation.Shell{
+		{Name: "s", AltitudeKm: 550, InclinationDeg: 53, Planes: 20, SatsPerPlane: 20, PhaseFactor: 3, MinElevationDeg: 10},
+	}, constellation.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.OneWayMs <= 0 || got.Hops() < 2 {
-		t.Fatalf("implausible path: %+v", got)
+	n := New(c, nil)
+	if n.Sats() >= overlayMinSats {
+		t.Fatalf("test shell has %d sats, not below the gate (%d)", n.Sats(), overlayMinSats)
 	}
-	// RTT sanity against the units helper: ground-ground one-way must exceed
-	// the straight-line lower bound between the two stations.
-	a := geo.LatLon{LatDeg: 10, LonDeg: 10}.ECEF()
-	b := geo.LatLon{LatDeg: -20, LonDeg: 140}.ECEF()
-	if lb := units.PropagationDelayMs(a.Distance(b)); got.OneWayMs < lb {
-		t.Fatalf("one-way %v below line-of-sight bound %v", got.OneWayMs, lb)
+	if ov := n.islOverlay(); ov.valid || ov.lm != nil {
+		t.Fatalf("ALT tables built for a %d-sat grid (gate %d)", n.Sats(), overlayMinSats)
+	}
+	snap := n.At(60)
+	ic := islGraph(n.Grid, n.Sats())
+	g := csr{off: ic.off, adj: ic.adj, pos: snap.satPos}
+	for a := 0; a < n.Sats(); a += 37 {
+		b := (a*7 + 191) % n.Sats()
+		if a == b {
+			continue
+		}
+		want, ok := rawISL(g, a, b)
+		got, err := snap.ISLPath(a, b)
+		if !ok || err != nil {
+			t.Fatalf("(%d,%d): reference ok=%v, ISLPath err=%v", a, b, ok, err)
+		}
+		pathsEqual(t, "small isl", got, want)
 	}
 }

@@ -1,32 +1,46 @@
 package netgraph
 
-// The frozen-graph query core: one Dijkstra implementation shared by every
-// routing entry point — ShortestPath, LatencyToAllSats, ISLShortest, and
-// the parallel multi-source fan-outs — running over flat CSR arrays with a
-// pooled, generation-stamped scratch context and an index-addressed 4-ary
-// heap with decrease-key. The core is equivalence-pinned against the
-// pre-freeze closure-driven Dijkstra (see legacy.go and the differential
-// tests): identical latencies bit for bit, identical tie-broken paths.
+// The frozen-graph query core: every routing entry point — ShortestPath,
+// LatencyToAllSats, LatenciesWithin, ISLShortest and the parallel multi-source
+// fan-outs — runs over flat CSR arrays with a pooled, generation-stamped
+// scratch context, and every search pops from one queue: the monotone
+// bucket queue below, which yields exact (key, node id) order, the order the
+// pre-freeze oracle's heap defines (legacy_test.go; the differential tests
+// pin identical latencies bit for bit and identical tie-broken paths).
 //
-// On top of the plain core sit two goal-directed variants used by the
-// overlay (overlay.go) for long-haul point-to-point queries:
+// Two searches share it. dijkstra (and its radius-bounded twin
+// dijkstraWithin) is the plain label-setting run behind the SSSP rows; in
+// what follows D(v) is the label it gives v and its "legacy order" is pop
+// order, ascending (D(v), v). astar is the goal-directed run behind every
+// point-to-point query: one pass keyed by dist+π for an admissible π
+// (overlay.go), whose dist[dst] and prev chain from dst are exactly
+// dijkstra's. The argument, in the floating-point arithmetic the code runs:
 //
-//   - astar: best-first search keyed by dist+π for an admissible heuristic
-//     π, stopping at the first settle of dst. Its result is the length of a
-//     real path, so it is an upper bound on the true distance (and equal to
-//     it whenever π is consistent, the common case). It runs on a separate
-//     lazy-deletion heap whose entries embed their keys, because its keys
-//     are not the dist[] values the decrease-key heap orders by.
-//   - dijkstraPruned: the exact legacy-order Dijkstra with one extra skip —
-//     a relaxation whose candidate distance nd has nd+π(v) > bound cannot
-//     lie on any path better than bound. With bound ≥ the true distance and
-//     π admissible, every relaxation that determines the unpruned run's
-//     reported path survives (each such node u lies on a shortest path, so
-//     dist[u]+π(u) ≤ d* ≤ bound), so the pruned run's reported path and
-//     length are bit-identical to the unpruned legacy order.
+//   - Labels. D is the least fixed point of D(v) = min over u of fl(D(u)+w(u,v)),
+//     and rounding is monotone, so astar's labels never drop below D. Let P be
+//     dijkstra's path to dst. While dist[dst] > D(dst), the last node p of P
+//     that carries its D label has not been expanded with it, and astar
+//     re-pushes on every improvement, so p is queued with key fl(D(p)+π(p)) ≤
+//     D(dst)·(1+hops·ulp): π(p) is at most the rest of P. astar stops only at
+//     the first popped key > dist[dst]·(1+goalEps), so it cannot stop before
+//     dist[dst] = D(dst), consistent π or not.
+//   - Predecessors. dijkstra relaxes on strict improvement only, so prev[v] is
+//     the tight predecessor (fl(D(u)+w) = D(v)) it pops first: the one with the
+//     least (D(u), u) among those before v in legacy order. astar expands in key
+//     order instead, so relaxAstar re-decides an exact tie by that rule: u
+//     replaces p when (dist[u], u) < (dist[p], p) and (dist[u], u) < (dist[v], v).
+//     A tight predecessor u of a node v on P has π(u) ≤ w(u,v) + (rest of P from
+//     v), up to the rounding of π itself, hence key ≤ D(dst)·(1+hops·ulp) ≤ the
+//     stop key: every one of them is expanded with its final label before the
+//     stop, and the last offer standing is dijkstra's choice. dst itself is
+//     never expanded — dijkstra returns on popping it.
+//
+// goalEps is what "up to rounding" costs: a few ulps per hop in dist+π and in
+// π, ≈ 1e-14 relative at a hundred hops, against 1e-12.
 
 import (
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/geo"
@@ -44,36 +58,22 @@ type csr struct {
 	pos []geo.Vec3
 }
 
-// queryCtx is the reusable Dijkstra scratch: dist/prev/heap arrays sized to
-// the graph, validity tracked by a generation stamp so starting a new query
-// is O(1) instead of an O(n) clear. A node's dist/prev/hpos entries are
-// meaningful only when stamp[v] == gen. The pi arrays memoise heuristic
-// evaluations for the goal-directed variants under their own generation, so
-// a two-phase query (astar then dijkstraPruned against the same
-// destination) evaluates π once per node across both phases.
+// queryCtx is the reusable search scratch: dist/prev arrays sized to the
+// graph, validity tracked by a generation stamp so starting a new query is
+// O(1) instead of an O(n) clear. A node's dist/prev entries — and, in a
+// goal-directed run, its memoised heuristic pi — are meaningful only when
+// stamp[v] == gen.
 type queryCtx struct {
 	dist  []float64
 	prev  []int32
 	stamp []uint32
-	hpos  []int32 // heap index of a queued node; -1 once popped
-	heap  []int32 // 4-ary min-heap of node ids keyed by dist
+	pi    []float64 // astar only: π(v), evaluated when v is first reached
 	gen   uint32
+	q     bucketQueue
 
-	// A* scratch: lazy-deletion heap of (key, node) entries plus the
-	// heuristic memo shared with the pruned pass.
-	fheap   []hentry
-	pi      []float64
-	piStamp []uint32
-	piGen   uint32
-}
-
-// hentry is one pending A* heap entry: a node and the key it was pushed
-// with. Entries are never updated in place — an improvement pushes a fresh
-// entry and the superseded one is discarded when popped (its key no longer
-// matches the node's current dist+π).
-type hentry struct {
-	d float64
-	v int32
+	// expanded counts node expansions by every search run on this context
+	// since it was made; tests read deltas (TestGoalDirectedSettlesOnce).
+	expanded uint64
 }
 
 var ctxPool = sync.Pool{New: func() any { return new(queryCtx) }}
@@ -86,16 +86,13 @@ func getCtx(n int) *queryCtx {
 		c.dist = make([]float64, n)
 		c.prev = make([]int32, n)
 		c.stamp = make([]uint32, n)
-		c.hpos = make([]int32, n)
 		c.pi = make([]float64, n)
-		c.piStamp = make([]uint32, n)
+		c.q.slot = make([]int32, n)
 	}
 	c.dist = c.dist[:n]
 	c.prev = c.prev[:n]
 	c.stamp = c.stamp[:n]
-	c.hpos = c.hpos[:n]
 	c.pi = c.pi[:n]
-	c.piStamp = c.piStamp[:n]
 	c.next()
 	return c
 }
@@ -103,7 +100,7 @@ func getCtx(n int) *queryCtx {
 // next opens a fresh query generation on an already-sized context — the
 // batched fan-outs call it between sources to skip the pool round-trip.
 func (c *queryCtx) next() {
-	c.heap = c.heap[:0]
+	c.q.reset()
 	c.gen++
 	if c.gen == 0 { // wrapped: stale stamps could alias the new generation
 		clear(c.stamp[:cap(c.stamp)])
@@ -113,80 +110,174 @@ func (c *queryCtx) next() {
 
 func putCtx(c *queryCtx) { ctxPool.Put(c) }
 
-// less orders heap entries by distance, ties broken on node id so pop order
-// is deterministic.
-func (c *queryCtx) less(a, b int32) bool {
-	da, db := c.dist[a], c.dist[b]
-	if da != db {
-		return da < db
+const (
+	// qWidthMs is the bucket width. 1/4, 1/8 and 1/16 ms read within
+	// run-to-run noise of each other on routing-sweep and the micro-benchmarks,
+	// so the coarsest keeps the bucket array smallest.
+	qWidthMs = 0.25
+	// qBuckets caps the bucket array (4 KB) at 256 ms past the base key,
+	// beyond any one-way LEO route; later keys share the last bucket.
+	qBuckets = 1024
+	// qSortMin is the bucket population above which opening a bucket calls
+	// slices.SortFunc instead of sorting by insertion: the last bucket of a
+	// graph with delays past the cap, or a width far above the key spread.
+	qSortMin = 32
+)
+
+// qent is one queued (key, node) pair. Entries are never updated in place:
+// an improvement pushes a fresh entry, and the superseded one is dropped —
+// by supersede while its bucket is unopened, else by the search when it pops
+// (its key no longer matches the node's label).
+type qent struct {
+	key  float64
+	v    int32
+	next int32 // bucket list link into bucketQueue.ents
+}
+
+func (a qent) before(b qent) bool {
+	if a.key != b.key {
+		return a.key < b.key
 	}
-	return a < b
+	return a.v < b.v
 }
 
-func (c *queryCtx) push(v int32) {
-	c.heap = append(c.heap, v)
-	c.siftUp(len(c.heap) - 1)
+// cmpQent is before as a slices.SortFunc comparator; queued (key, id) pairs
+// are distinct, so it never needs to report equality.
+func cmpQent(a, b qent) int {
+	if a.before(b) {
+		return -1
+	}
+	return 1
 }
 
-func (c *queryCtx) siftUp(i int) {
-	h := c.heap
-	v := h[i]
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !c.less(v, h[p]) {
+// bucketQueue is a Dial-style monotone priority queue over float keys that
+// pops in exact (key, node id) order — the order a comparison heap with that
+// tie-break produces. A key's bucket is ⌊(key − base)/qWidthMs⌋, clamped to
+// the last one; buckets are unordered linked lists threaded through one slab
+// until the scan reaches them, at which point a bucket is opened: moved into
+// the sorted open array and popped from there. Truncation is monotone in the
+// key, so every entry in a later bucket is larger than every entry at or
+// below the open one, and an entry pushed at or below the open bucket is
+// inserted into the open array in order. The bucket width therefore decides
+// only how much sorting there is, never the pop sequence.
+type bucketQueue struct {
+	base float64
+	ents []qent  // slab the bucket lists and the free list thread through
+	head []int32 // head[b] indexes bucket b's newest entry in ents; -1 empty
+	free int32   // slots of opened buckets, reused before the slab grows
+	slot []int32 // slot[v]: v's newest entry in ents, if it was linked into a bucket
+	open []qent  // open[pos:] is the sorted remainder of buckets ≤ cur
+	pos  int
+	cur  int // the open bucket; -1 before the first pop
+	hi   int // highest bucket pushed to since the last reset
+}
+
+// reset empties the queue in O(buckets touched): buckets at or below cur
+// were emptied when the scan passed them.
+func (q *bucketQueue) reset() {
+	if q.head == nil {
+		q.head = make([]int32, qBuckets+1)
+		q.cur, q.hi = -1, qBuckets // so that the loop below fills it
+	}
+	for b := q.cur + 1; b <= q.hi; b++ {
+		q.head[b] = -1
+	}
+	q.base = 0
+	q.ents, q.free = q.ents[:0], -1
+	q.open, q.pos = q.open[:0], 0
+	q.cur, q.hi = -1, -1
+}
+
+func (q *bucketQueue) push(key float64, v int32) {
+	b := qBuckets
+	if f := (key - q.base) * (1 / qWidthMs); f < qBuckets {
+		b = int(f)
+	}
+	if b <= q.cur {
+		q.slot[v] = -1
+		q.insertOpen(qent{key: key, v: v})
+		return
+	}
+	i := q.free
+	if i >= 0 {
+		q.free = q.ents[i].next
+	} else {
+		i = int32(len(q.ents))
+		q.ents = append(q.ents, qent{})
+	}
+	q.ents[i] = qent{key, v, q.head[b]}
+	q.head[b] = i
+	q.slot[v] = i
+	if b > q.hi {
+		q.hi = b
+	}
+}
+
+// supersede marks v's queued entry dead when it still sits in an unopened
+// bucket, so that opening the bucket neither sorts nor pops it.
+func (q *bucketQueue) supersede(v int32) {
+	if i := q.slot[v]; i >= 0 && q.ents[i].v == v {
+		q.ents[i].v = -1
+	}
+}
+
+// insertOpen places e in order among the open entries not yet popped.
+func (q *bucketQueue) insertOpen(e qent) {
+	q.open = append(q.open, e)
+	q.sink(len(q.open) - 1)
+}
+
+// sink moves open[i] down to its place among the sorted open[pos:i].
+func (q *bucketQueue) sink(i int) {
+	e := q.open[i]
+	for ; i > q.pos && e.before(q.open[i-1]); i-- {
+		q.open[i] = q.open[i-1]
+	}
+	q.open[i] = e
+}
+
+// pop removes and returns the smallest (key, id) entry; false when empty.
+func (q *bucketQueue) pop() (qent, bool) {
+	for q.pos == len(q.open) {
+		if !q.openNext() {
+			return qent{}, false
+		}
+	}
+	e := q.open[q.pos]
+	q.pos++
+	return e, true
+}
+
+// openNext advances to the next non-empty bucket and sorts it into open.
+func (q *bucketQueue) openNext() bool {
+	b := q.cur + 1
+	for b <= q.hi && q.head[b] < 0 {
+		b++
+	}
+	if b > q.hi {
+		return false
+	}
+	q.cur = b
+	q.open, q.pos = q.open[:0], 0
+	for i := q.head[b]; ; {
+		e := &q.ents[i]
+		if e.v >= 0 {
+			q.open = append(q.open, *e)
+		}
+		if i = e.next; i < 0 {
+			e.next = q.free // the emptied bucket's slots go back to push
 			break
 		}
-		h[i] = h[p]
-		c.hpos[h[p]] = int32(i)
-		i = p
 	}
-	h[i] = v
-	c.hpos[v] = int32(i)
-}
-
-func (c *queryCtx) siftDown(i int) {
-	h := c.heap
-	n := len(h)
-	v := h[i]
-	for {
-		lo := i<<2 + 1
-		if lo >= n {
-			break
+	q.free, q.head[b] = q.head[b], -1
+	if n := len(q.open); n > qSortMin {
+		slices.SortFunc(q.open, cmpQent)
+	} else {
+		for i := 1; i < n; i++ {
+			q.sink(i)
 		}
-		hi := lo + 4
-		if hi > n {
-			hi = n
-		}
-		m := lo
-		for k := lo + 1; k < hi; k++ {
-			if c.less(h[k], h[m]) {
-				m = k
-			}
-		}
-		if !c.less(h[m], v) {
-			break
-		}
-		h[i] = h[m]
-		c.hpos[h[m]] = int32(i)
-		i = m
 	}
-	h[i] = v
-	c.hpos[v] = int32(i)
-}
-
-func (c *queryCtx) popMin() int32 {
-	h := c.heap
-	v := h[0]
-	last := len(h) - 1
-	tail := h[last]
-	c.heap = h[:last]
-	if last > 0 {
-		c.heap[0] = tail
-		c.hpos[tail] = 0
-		c.siftDown(0)
-	}
-	c.hpos[v] = -1
-	return v
+	return true
 }
 
 // relax offers the candidate distance nd to v via predecessor u. Strict
@@ -195,34 +286,42 @@ func (c *queryCtx) popMin() int32 {
 func (c *queryCtx) relax(u, v int32, nd float64) {
 	if c.stamp[v] != c.gen {
 		c.stamp[v] = c.gen
-		c.dist[v] = nd
-		c.prev[v] = u
-		c.push(v)
+	} else if nd < c.dist[v] {
+		c.q.supersede(v)
+	} else {
 		return
 	}
-	if nd < c.dist[v] {
-		// Non-negative weights mean a settled node can never improve, so a
-		// successful decrease always finds v still queued (hpos >= 0).
-		c.dist[v] = nd
-		c.prev[v] = u
-		c.siftUp(int(c.hpos[v]))
-	}
+	c.dist[v] = nd
+	c.prev[v] = u
+	c.q.push(nd, v)
+}
+
+// start labels src as the origin of a fresh search.
+func (c *queryCtx) start(src int32) {
+	c.stamp[src] = c.gen
+	c.dist[src] = 0
+	c.prev[src] = -1
 }
 
 // dijkstra runs from src until dst is settled (dst >= 0) or the reachable
 // graph is exhausted (dst < 0: full single-source shortest paths). Results
 // live in c.dist/c.prev for nodes stamped with the current generation.
 func (c *queryCtx) dijkstra(g csr, src, dst int32) {
-	c.stamp[src] = c.gen
-	c.dist[src] = 0
-	c.prev[src] = -1
-	c.push(src)
-	for len(c.heap) > 0 {
-		u := c.popMin()
+	c.start(src)
+	c.q.push(0, src)
+	for {
+		e, ok := c.q.pop()
+		if !ok {
+			return
+		}
+		u, du := e.v, e.key
+		if du != c.dist[u] {
+			continue // superseded by a later, better push
+		}
 		if u == dst {
 			return
 		}
-		du := c.dist[u]
+		c.expanded++
 		lo, hi := g.off[u], g.off[u+1]
 		if g.w != nil {
 			for k := lo; k < hi; k++ {
@@ -250,130 +349,55 @@ type NodeMs struct {
 // is farther than maxMs. It is its own loop so that dijkstra carries no
 // per-pop radius test, and reads explicit weights only (frozen CSRs have them).
 func (c *queryCtx) dijkstraWithin(g csr, src int32, maxMs float64, out []NodeMs) []NodeMs {
-	c.stamp[src] = c.gen
-	c.dist[src] = 0
-	c.prev[src] = -1
-	c.push(src)
-	for len(c.heap) > 0 {
-		u := c.popMin()
-		du := c.dist[u]
-		if du > maxMs {
-			break
+	c.start(src)
+	c.q.push(0, src)
+	for {
+		e, ok := c.q.pop()
+		if !ok || e.key > maxMs {
+			return out
 		}
+		u, du := e.v, e.key
+		if du != c.dist[u] {
+			continue
+		}
+		c.expanded++
 		out = append(out, NodeMs{NodeID(u), du})
 		for k := g.off[u]; k < g.off[u+1]; k++ {
 			c.relax(u, g.adj[k], du+g.w[k])
 		}
 	}
-	return out
 }
 
 // heuristic is a lower bound on the remaining distance to a fixed query
-// destination; evaluations are memoised per node in the context's pi cache.
+// destination. astar evaluates it once per reached node.
 type heuristic interface {
 	eval(v int32) float64
 }
 
-// beginHeur opens a fresh heuristic-memo generation (one per two-phase
-// query: astar and the following dijkstraPruned share the cache).
-func (c *queryCtx) beginHeur() {
-	c.piGen++
-	if c.piGen == 0 {
-		clear(c.piStamp[:cap(c.piStamp)])
-		c.piGen = 1
-	}
-}
+// goalEps widens astar's stop key past dist[dst]: it absorbs the rounding in
+// dist+π along a path (≈ hops × 1.1e-16 relative) and in π itself, with
+// four orders of magnitude to spare at any hop count a constellation has.
+const goalEps = 1e-12
 
-func (c *queryCtx) hval(v int32, h heuristic) float64 {
-	if c.piStamp[v] != c.piGen {
-		c.pi[v] = h.eval(v)
-		c.piStamp[v] = c.piGen
-	}
-	return c.pi[v]
-}
-
-func (a hentry) fless(b hentry) bool {
-	if a.d != b.d {
-		return a.d < b.d
-	}
-	return a.v < b.v
-}
-
-func (c *queryCtx) pushF(e hentry) {
-	h := append(c.fheap, e)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !e.fless(h[p]) {
+// astar runs best-first search from src keyed by dist+π and reports whether
+// dst was reached; on true, c.dist[dst] and the prev chain from dst are
+// exactly what dijkstra(g, src, dst) leaves (see the file header).
+func (c *queryCtx) astar(g csr, src, dst int32, h heuristic) bool {
+	c.start(src)
+	c.pi[src] = h.eval(src)
+	c.q.base = c.pi[src]
+	c.q.push(c.pi[src], src)
+	for {
+		e, ok := c.q.pop()
+		if !ok || e.key > c.distAt(dst)*(1+goalEps) {
 			break
 		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = e
-	c.fheap = h
-}
-
-func (c *queryCtx) popF() hentry {
-	h := c.fheap
-	e := h[0]
-	last := len(h) - 1
-	tail := h[last]
-	h = h[:last]
-	i := 0
-	for last > 0 {
-		lo := i<<2 + 1
-		if lo >= last {
-			break
-		}
-		hi := lo + 4
-		if hi > last {
-			hi = last
-		}
-		m := lo
-		for k := lo + 1; k < hi; k++ {
-			if h[k].fless(h[m]) {
-				m = k
-			}
-		}
-		if !h[m].fless(tail) {
-			break
-		}
-		h[i] = h[m]
-		i = m
-	}
-	if last > 0 {
-		h[i] = tail
-	}
-	c.fheap = h
-	return e
-}
-
-// astar runs best-first search from src keyed by dist+π and returns the
-// distance label of dst at its first settle, or +Inf when dst is
-// unreachable. With π admissible the label is the length of a real path —
-// an upper bound on the true distance, exact when π is also consistent.
-// Improvements re-push (lazy deletion), so a slightly inconsistent π (e.g.
-// floating-point rounding at the ulp level) still terminates and still
-// returns a genuine path length. dist/prev are left populated for the
-// explored region but callers must not treat them as settled shortest
-// paths; the exact answer comes from the dijkstraPruned pass that follows.
-func (c *queryCtx) astar(g csr, src, dst int32, h heuristic) float64 {
-	c.fheap = c.fheap[:0]
-	c.stamp[src] = c.gen
-	c.dist[src] = 0
-	c.prev[src] = -1
-	c.pushF(hentry{c.hval(src, h), src})
-	for len(c.fheap) > 0 {
-		e := c.popF()
 		u := e.v
-		if e.d != c.dist[u]+c.hval(u, h) {
-			continue // stale: superseded by a later, better push
-		}
-		if u == dst {
-			return c.dist[u]
-		}
 		du := c.dist[u]
+		if u == dst || e.key != du+c.pi[u] {
+			continue // dst is never expanded; a mismatched key is superseded
+		}
+		c.expanded++
 		lo, hi := g.off[u], g.off[u+1]
 		if g.w != nil {
 			for k := lo; k < hi; k++ {
@@ -387,61 +411,30 @@ func (c *queryCtx) astar(g csr, src, dst int32, h heuristic) float64 {
 			}
 		}
 	}
-	return math.Inf(1)
+	return c.stamp[dst] == c.gen
 }
 
+// relaxAstar is relax plus the two things a goal-directed run needs: a
+// reached node's π is memoised, and an exact tie re-decides the predecessor
+// by the canonical rule, because expansion order here is not label order.
 func (c *queryCtx) relaxAstar(u, v int32, nd float64, h heuristic) {
 	if c.stamp[v] != c.gen {
 		c.stamp[v] = c.gen
-		c.dist[v] = nd
-		c.prev[v] = u
-		c.pushF(hentry{nd + c.hval(v, h), v})
+		c.pi[v] = h.eval(v)
+	} else if nd < c.dist[v] {
+		c.q.supersede(v)
+	} else {
+		if p := c.prev[v]; nd == c.dist[v] && p >= 0 {
+			du := c.dist[u]
+			if (du < nd || du == nd && u < v) && (du < c.dist[p] || du == c.dist[p] && u < p) {
+				c.prev[v] = u
+			}
+		}
 		return
 	}
-	if nd < c.dist[v] {
-		c.dist[v] = nd
-		c.prev[v] = u
-		c.pushF(hentry{nd + c.hval(v, h), v})
-	}
-}
-
-// dijkstraPruned is dijkstra with goal-directed pruning: a relaxation is
-// skipped when its candidate distance plus the heuristic's lower bound on
-// the remaining leg already exceeds bound. See the package comment above
-// for why the reported path stays bit-identical.
-func (c *queryCtx) dijkstraPruned(g csr, src, dst int32, h heuristic, bound float64) {
-	c.stamp[src] = c.gen
-	c.dist[src] = 0
-	c.prev[src] = -1
-	c.push(src)
-	for len(c.heap) > 0 {
-		u := c.popMin()
-		if u == dst {
-			return
-		}
-		du := c.dist[u]
-		lo, hi := g.off[u], g.off[u+1]
-		if g.w != nil {
-			for k := lo; k < hi; k++ {
-				v := g.adj[k]
-				nd := du + g.w[k]
-				if nd+c.hval(v, h) > bound {
-					continue
-				}
-				c.relax(u, v, nd)
-			}
-		} else {
-			pu := g.pos[u]
-			for k := lo; k < hi; k++ {
-				v := g.adj[k]
-				nd := du + units.PropagationDelayMs(pu.Distance(g.pos[v]))
-				if nd+c.hval(v, h) > bound {
-					continue
-				}
-				c.relax(u, v, nd)
-			}
-		}
-	}
+	c.dist[v] = nd
+	c.prev[v] = u
+	c.q.push(nd+c.pi[v], v)
 }
 
 // distAt returns the computed distance of v, +Inf when unreached.
@@ -453,7 +446,7 @@ func (c *queryCtx) distAt(v int32) float64 {
 }
 
 // pathTo rebuilds the src→dst node sequence from the prev chain; call only
-// after dijkstra settled dst.
+// after a search that reached dst.
 func (c *queryCtx) pathTo(dst int32) []NodeID {
 	n := 0
 	for at := dst; at != -1; at = c.prev[at] {

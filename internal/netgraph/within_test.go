@@ -69,30 +69,45 @@ func b2i(b bool) int {
 	return 0
 }
 
-// TestSSSPDurationRecordedOnce: every SSSP entry point reads the clock once
-// per query, so netgraph_query_seconds{kind=sssp} and the
-// netgraph_query_ms{kind=sssp} sketch record the same durations. Two reads
-// put tens of nanoseconds between them on every query.
+// TestSSSPDurationRecordedOnce: every query entry point — SSSP, path and
+// ISL — reads the clock once per query, so netgraph_query_seconds{kind} and
+// the netgraph_query_ms{kind} sketch record the same durations. Two reads put
+// tens of nanoseconds between them on every query.
 func TestSSSPDurationRecordedOnce(t *testing.T) {
 	n := presetNet(t, "kuiper").UseObs(obs.NewRegistry())
 	s := n.At(0)
 	s.frozen()
-	const queries = 30
-	for q := 0; q < queries; q++ {
-		switch q % 3 {
-		case 0:
-			s.LatenciesWithin(NodeID(q), 5, nil)
-		case 1:
-			s.LatencyToAllNodes(NodeID(q))
-		default:
-			s.LatencyToAllSats(q % len(diffGrounds))
-		}
-	}
 	m := n.metrics()
-	if got := m.ssspQueries.Value(); got != queries {
-		t.Fatalf("sssp queries counted = %d, want %d", got, queries)
+	kinds := []struct {
+		name string
+		k    *kindMetrics
+		run  func(q int)
+	}{
+		{"sssp", &m.sssp, func(q int) {
+			switch q % 3 {
+			case 0:
+				s.LatenciesWithin(NodeID(q), 5, nil)
+			case 1:
+				s.LatencyToAllNodes(NodeID(q))
+			default:
+				s.LatencyToAllSats(q % len(diffGrounds))
+			}
+		}},
+		{"path", &m.path, func(q int) { s.ShortestPath(n.GroundNode(q%len(diffGrounds)), n.SatNode(7*q+1)) }},
+		// ISLShortest has no network at hand: it records on the process default.
+		{"isl", &defaultMetrics().isl, func(q int) { s.ISLPath(q, 7*q+1) }},
 	}
-	if gapNs := math.Abs(m.ssspSec.Sum()*1e9 - m.ssspQ.Sum()*1e6); gapNs > 1 {
-		t.Fatalf("histogram and sketch disagree by %.0f ns over %d queries", gapNs, queries)
+	const queries = 30
+	for _, kd := range kinds {
+		count, sec, ms := kd.k.queries.Value(), kd.k.sec.Sum(), kd.k.ms.Sum()
+		for q := 0; q < queries; q++ {
+			kd.run(q)
+		}
+		if got := kd.k.queries.Value() - count; got != queries {
+			t.Fatalf("%s queries counted = %d, want %d", kd.name, got, queries)
+		}
+		if gapNs := math.Abs((kd.k.sec.Sum()-sec)*1e9 - (kd.k.ms.Sum()-ms)*1e6); gapNs > 1 {
+			t.Fatalf("%s: histogram and sketch disagree by %.0f ns over %d queries", kd.name, gapNs, queries)
+		}
 	}
 }
