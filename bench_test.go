@@ -376,12 +376,12 @@ func BenchmarkExtensionEdgeLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			if r.Policy == "least-busy" {
+			if r.Policy == "least-loaded" {
 				spillP99 = r.P99Ms
 			}
 		}
 	}
-	b.ReportMetric(spillP99, "least-busy-p99-ms-at-8000rps")
+	b.ReportMetric(spillP99, "least-loaded-p99-ms-at-8000rps")
 }
 
 func BenchmarkExtensionSeasonalPower(b *testing.B) {

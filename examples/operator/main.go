@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"os"
-	"repro/internal/capacity"
 	"repro/internal/compute"
 	"repro/internal/constellation"
 	"repro/internal/experiments"
@@ -27,23 +26,19 @@ func main() {
 	}
 
 	// 1. Fleet balance at 5% adoption.
-	rep, err := capacity.Balance(c, compute.DefaultServerSpec(), capacity.Demand{
-		AdoptionFraction:      0.05,
-		CoresPerThousandUsers: 1,
-	}, 500, 0)
+	balance, err := experiments.CapacityStudy([]float64{0.05}, 500)
 	if err != nil {
 		log.Fatal(err)
 	}
+	rep := balance[0]
 	fmt.Printf("\nfleet: %d satellite-servers, %.0f cores total\n",
 		c.Size(), float64(c.Size())*compute.DefaultServerSpec().EffectiveCores())
-	fmt.Printf("urban demand (top 500 cities, 5%% adoption): %.0f cores\n", rep.TotalDemandCores)
+	fmt.Printf("urban demand (top 500 cities, 5%% adoption): %.0f cores\n", rep.DemandCores)
 	fmt.Printf("servable now: %.1f%% of demand | fleet utilization %.1f%% | %d satellites idle (%.0f%%)\n",
-		rep.SatisfiedFraction()*100, rep.FleetUtilization*100,
+		rep.SatisfiedPct, rep.FleetUtilPct,
 		rep.IdleSats, 100*float64(rep.IdleSats)/float64(c.Size()))
-	if worst, ok := rep.WorstCity(); ok {
-		fmt.Printf("tightest market: %s — %.0f%% of %.0f demanded cores served by %d sats in view\n",
-			worst.Name, worst.SatisfiedFraction()*100, worst.DemandCores, worst.VisibleSats)
-	}
+	fmt.Printf("tightest market: %s — %.0f%% of %.0f demanded cores served by %d sats in view\n",
+		rep.WorstCity, rep.WorstSatisfiedPct, rep.WorstDemandCores, rep.WorstVisibleSats)
 
 	// 2. Weather exposure per climate zone.
 	fmt.Println("\nweather exposure (Ka user links):")

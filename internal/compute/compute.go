@@ -1,13 +1,9 @@
-// Package compute models the satellite-server resources and request
-// scheduling of the in-orbit compute service: per-satellite capacity
-// (cores, memory, power-capped utilisation) and placement of workloads onto
-// reachable satellites.
+// Package compute models the satellite-server resources of the in-orbit
+// compute service: per-satellite capacity (cores, memory, power-capped
+// utilisation) and the reservation of it by placed tasks.
 package compute
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ServerSpec is the compute capacity carried by one satellite.
 type ServerSpec struct {
@@ -107,82 +103,7 @@ func (n *Node) Release(taskID int) error {
 	return nil
 }
 
-// Tasks returns the number of placed tasks.
-func (n *Node) Tasks() int { return len(n.tasks) }
-
 // UtilizationCores returns used/effective core fraction.
 func (n *Node) UtilizationCores() float64 {
 	return n.usedCores / n.Spec.EffectiveCores()
-}
-
-// Cluster is the set of satellite-servers reachable for some placement
-// decision, with a latency for each.
-type Cluster struct {
-	nodes map[int]*Node
-}
-
-// NewCluster creates an empty cluster.
-func NewCluster() *Cluster { return &Cluster{nodes: make(map[int]*Node)} }
-
-// AddNode registers a satellite-server.
-func (c *Cluster) AddNode(n *Node) error {
-	if _, dup := c.nodes[n.SatID]; dup {
-		return fmt.Errorf("compute: sat %d already in cluster", n.SatID)
-	}
-	c.nodes[n.SatID] = n
-	return nil
-}
-
-// Node returns the node for a satellite, if present.
-func (c *Cluster) Node(satID int) (*Node, bool) {
-	n, ok := c.nodes[satID]
-	return n, ok
-}
-
-// Size returns the number of nodes.
-func (c *Cluster) Size() int { return len(c.nodes) }
-
-// Reachable is a placement candidate: a satellite with its current RTT to
-// the requesting user (or user group).
-type Reachable struct {
-	SatID int
-	RTTMs float64
-}
-
-// PlaceLatencyGreedy places the task on the lowest-RTT reachable node with
-// room, returning the chosen candidate. This is the edge-computing
-// placement of §3.1: nearest satellite first, spill to the next.
-func (c *Cluster) PlaceLatencyGreedy(t Task, reachable []Reachable) (Reachable, error) {
-	sorted := append([]Reachable(nil), reachable...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].RTTMs != sorted[j].RTTMs {
-			return sorted[i].RTTMs < sorted[j].RTTMs
-		}
-		return sorted[i].SatID < sorted[j].SatID
-	})
-	for _, cand := range sorted {
-		n, ok := c.nodes[cand.SatID]
-		if !ok {
-			continue
-		}
-		if n.Fits(t) {
-			if err := n.Place(t); err != nil {
-				return Reachable{}, err
-			}
-			return cand, nil
-		}
-	}
-	return Reachable{}, fmt.Errorf("compute: no reachable node can fit task %d", t.ID)
-}
-
-// TotalUtilization returns the mean core utilisation across nodes.
-func (c *Cluster) TotalUtilization() float64 {
-	if len(c.nodes) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, n := range c.nodes {
-		sum += n.UtilizationCores()
-	}
-	return sum / float64(len(c.nodes))
 }

@@ -47,9 +47,6 @@ func TestPlaceReleaseAccounting(t *testing.T) {
 	if err := n.Place(Task{ID: 1, Cores: 4, MemoryGB: 32}); err != nil {
 		t.Fatal(err)
 	}
-	if n.Tasks() != 1 {
-		t.Fatalf("Tasks = %d", n.Tasks())
-	}
 	if got := n.UtilizationCores(); math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("Utilization = %v", got)
 	}
@@ -83,69 +80,5 @@ func TestPlaceReleaseAccounting(t *testing.T) {
 func TestNodeRejectsBadSpec(t *testing.T) {
 	if _, err := NewNode(1, ServerSpec{}); err == nil {
 		t.Fatal("zero spec accepted")
-	}
-}
-
-func TestClusterPlacementGreedy(t *testing.T) {
-	c := NewCluster()
-	for sat := 0; sat < 3; sat++ {
-		if err := c.AddNode(newNode(t, sat, ServerSpec{Cores: 4, MemoryGB: 16, PowerCapFraction: 1})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if c.Size() != 3 {
-		t.Fatalf("Size = %d", c.Size())
-	}
-	if err := c.AddNode(newNode(t, 0, DefaultServerSpec())); err == nil {
-		t.Fatal("duplicate node accepted")
-	}
-	reach := []Reachable{{SatID: 2, RTTMs: 9}, {SatID: 0, RTTMs: 4}, {SatID: 1, RTTMs: 6}}
-
-	// First task goes to the lowest-latency satellite.
-	got, err := c.PlaceLatencyGreedy(Task{ID: 1, Cores: 4, MemoryGB: 8}, reach)
-	if err != nil || got.SatID != 0 {
-		t.Fatalf("placement = %+v, %v", got, err)
-	}
-	// Second task spills to the next-lowest (sat 0 is core-full).
-	got, err = c.PlaceLatencyGreedy(Task{ID: 2, Cores: 4, MemoryGB: 8}, reach)
-	if err != nil || got.SatID != 1 {
-		t.Fatalf("spill placement = %+v, %v", got, err)
-	}
-	// A task no node can fit fails.
-	if _, err := c.PlaceLatencyGreedy(Task{ID: 3, Cores: 100}, reach); err == nil {
-		t.Fatal("oversize task accepted")
-	}
-	// Unknown satellites in the reachable list are skipped gracefully.
-	got, err = c.PlaceLatencyGreedy(Task{ID: 4, Cores: 1, MemoryGB: 1},
-		[]Reachable{{SatID: 99, RTTMs: 1}, {SatID: 2, RTTMs: 9}})
-	if err != nil || got.SatID != 2 {
-		t.Fatalf("unknown-sat handling = %+v, %v", got, err)
-	}
-}
-
-func TestClusterUtilization(t *testing.T) {
-	c := NewCluster()
-	n0 := newNode(t, 0, ServerSpec{Cores: 4, MemoryGB: 16, PowerCapFraction: 1})
-	n1 := newNode(t, 1, ServerSpec{Cores: 4, MemoryGB: 16, PowerCapFraction: 1})
-	if err := c.AddNode(n0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddNode(n1); err != nil {
-		t.Fatal(err)
-	}
-	if err := n0.Place(Task{ID: 1, Cores: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.TotalUtilization(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("TotalUtilization = %v", got)
-	}
-	if NewCluster().TotalUtilization() != 0 {
-		t.Fatal("empty cluster utilization != 0")
-	}
-	if _, ok := c.Node(0); !ok {
-		t.Fatal("Node lookup failed")
-	}
-	if _, ok := c.Node(42); ok {
-		t.Fatal("phantom node found")
 	}
 }

@@ -87,76 +87,3 @@ func TestPlaceErrorPaths(t *testing.T) {
 		t.Fatal("release of unknown task accepted")
 	}
 }
-
-func TestClusterRejectsWhenNothingFits(t *testing.T) {
-	c := NewCluster()
-	for id := 0; id < 3; id++ {
-		n, err := NewNode(id, ServerSpec{Cores: 4, MemoryGB: 16, PowerCapFraction: 0.5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.AddNode(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reach := []Reachable{{SatID: 0, RTTMs: 5}, {SatID: 1, RTTMs: 6}, {SatID: 2, RTTMs: 7}}
-	// 3 cores demanded, 2 effective per node.
-	if _, err := c.PlaceLatencyGreedy(Task{ID: 1, Cores: 3, MemoryGB: 1}, reach); err == nil {
-		t.Fatal("placement succeeded with no fitting node")
-	}
-	// Reachable satellites not in the cluster are skipped, not errors.
-	if _, err := c.PlaceLatencyGreedy(Task{ID: 2, Cores: 1, MemoryGB: 1},
-		[]Reachable{{SatID: 42, RTTMs: 1}, {SatID: 1, RTTMs: 6}}); err != nil {
-		t.Fatalf("unknown reachable satellite broke placement: %v", err)
-	}
-}
-
-func TestPlaceLatencyGreedyTieBreak(t *testing.T) {
-	// Equal RTTs must break to the lower satellite ID, regardless of the
-	// order the candidates arrive in.
-	for _, order := range [][]Reachable{
-		{{SatID: 7, RTTMs: 10}, {SatID: 3, RTTMs: 10}, {SatID: 5, RTTMs: 10}},
-		{{SatID: 3, RTTMs: 10}, {SatID: 5, RTTMs: 10}, {SatID: 7, RTTMs: 10}},
-		{{SatID: 5, RTTMs: 10}, {SatID: 7, RTTMs: 10}, {SatID: 3, RTTMs: 10}},
-	} {
-		c := NewCluster()
-		for _, id := range []int{3, 5, 7} {
-			n, err := NewNode(id, ServerSpec{Cores: 4, MemoryGB: 16, PowerCapFraction: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.AddNode(n); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := c.PlaceLatencyGreedy(Task{ID: 1, Cores: 1, MemoryGB: 1}, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.SatID != 3 {
-			t.Fatalf("order %v: placed on sat %d, want 3", order, got.SatID)
-		}
-	}
-}
-
-func TestPlaceLatencyGreedySpillsInRTTOrder(t *testing.T) {
-	c := NewCluster()
-	for _, id := range []int{0, 1} {
-		n, err := NewNode(id, ServerSpec{Cores: 2, MemoryGB: 16, PowerCapFraction: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.AddNode(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reach := []Reachable{{SatID: 1, RTTMs: 20}, {SatID: 0, RTTMs: 5}}
-	first, err := c.PlaceLatencyGreedy(Task{ID: 1, Cores: 2, MemoryGB: 1}, reach)
-	if err != nil || first.SatID != 0 {
-		t.Fatalf("first placement on %d (%v), want nearest sat 0", first.SatID, err)
-	}
-	second, err := c.PlaceLatencyGreedy(Task{ID: 2, Cores: 2, MemoryGB: 1}, reach)
-	if err != nil || second.SatID != 1 {
-		t.Fatalf("spill placement on %d (%v), want sat 1", second.SatID, err)
-	}
-}

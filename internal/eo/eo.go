@@ -11,7 +11,6 @@ import (
 	"math"
 
 	"repro/internal/geo"
-	"repro/internal/netsim"
 	"repro/internal/orbit"
 	"repro/internal/visibility"
 )
@@ -128,8 +127,8 @@ type PassResult struct {
 	SensingSec float64
 }
 
-// SimulateStoreAndForward runs the mission over explicit contact windows on
-// the discrete-event engine: the sensor runs whenever the buffer has room,
+// SimulateStoreAndForward runs the mission over explicit contact windows in
+// fixed steps of stepSec: the sensor runs whenever the buffer has room,
 // data is preprocessed at ingest, and the buffer drains during contacts.
 // contacts are [start,end) pairs in seconds; horizonSec bounds the run.
 func SimulateStoreAndForward(m Mission, contacts [][2]float64, horizonSec, stepSec float64) (PassResult, error) {
@@ -153,7 +152,6 @@ func SimulateStoreAndForward(m Mission, contacts [][2]float64, horizonSec, stepS
 		return false
 	}
 
-	sim := netsim.New()
 	var res PassResult
 	backlog := 0.0 // gigabits buffered (post-preprocessing)
 
@@ -167,12 +165,7 @@ func SimulateStoreAndForward(m Mission, contacts [][2]float64, horizonSec, stepS
 		intakeRate = m.ProcessRateGbps / m.PreprocessFactor
 	}
 
-	var tick func()
-	tick = func() {
-		t := sim.Now()
-		if t >= horizonSec {
-			return
-		}
+	for t := 0.0; t < horizonSec; t += stepSec {
 		// Sense if the buffer has room for this step's intake.
 		intake := intakeRate * stepSec
 		if m.StorageGb == 0 || backlog+intake <= m.StorageGb {
@@ -198,14 +191,7 @@ func SimulateStoreAndForward(m Mission, contacts [][2]float64, horizonSec, stepS
 		if backlog > res.PeakBacklogGb {
 			res.PeakBacklogGb = backlog
 		}
-		if _, err := sim.After(stepSec, tick); err != nil {
-			panic(err) // cannot happen: positive delay
-		}
 	}
-	if _, err := sim.At(0, tick); err != nil {
-		return PassResult{}, err
-	}
-	sim.Run(horizonSec)
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -533,23 +534,38 @@ func TestEdgeLoadStudy(t *testing.T) {
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	var nearestHigh, leastHigh EdgeLoadRow
-	for _, r := range rows {
-		if r.ArrivalPerSec == 8000 {
-			if r.Policy == "nearest" {
-				nearestHigh = r
-			} else {
-				leastHigh = r
-			}
-		}
+	again, err := EdgeLoadStudy([]float64{100, 8000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Overload: nearest collapses, least-busy holds by spreading.
+	byPoint := map[string]EdgeLoadRow{}
+	for i, r := range rows {
+		if r != again[i] {
+			t.Fatalf("row %d differs across runs: %+v vs %+v", i, r, again[i])
+		}
+		// Every arrival is accounted for, and the unbounded queue sheds
+		// none of them.
+		if r.Offered == 0 || r.Offered != r.Served+r.Shed+r.InFlight {
+			t.Fatalf("conservation broken: %+v", r)
+		}
+		if r.Shed != 0 {
+			t.Fatalf("unbounded queue shed %d requests: %+v", r.Shed, r)
+		}
+		byPoint[fmt.Sprintf("%s@%.0f", r.Policy, r.ArrivalPerSec)] = r
+	}
+	// Light load: both policies sit on the nearest satellite.
+	nearestLow, leastLow := byPoint["nearest@100"], byPoint["least-loaded@100"]
+	if nearestLow.P50Ms != leastLow.P50Ms || nearestLow.ServersUsed != 1 || leastLow.ServersUsed != 1 {
+		t.Fatalf("light load should not spread: %+v vs %+v", nearestLow, leastLow)
+	}
+	// Overload: nearest collapses, least-loaded holds by spreading.
+	nearestHigh, leastHigh := byPoint["nearest@8000"], byPoint["least-loaded@8000"]
 	if nearestHigh.P99Ms < 10*leastHigh.P99Ms {
-		t.Fatalf("nearest p99 %v should dwarf least-busy %v under overload",
+		t.Fatalf("nearest p99 %v should dwarf least-loaded %v under overload",
 			nearestHigh.P99Ms, leastHigh.P99Ms)
 	}
 	if leastHigh.ServersUsed <= nearestHigh.ServersUsed {
-		t.Fatalf("least-busy should use more servers: %d vs %d",
+		t.Fatalf("least-loaded should use more servers: %d vs %d",
 			leastHigh.ServersUsed, nearestHigh.ServersUsed)
 	}
 }

@@ -1,182 +1,13 @@
 package experiments
 
 import (
-	"fmt"
-
-	"repro/internal/capacity"
 	"repro/internal/cdn"
 	"repro/internal/cities"
-	"repro/internal/compute"
 	"repro/internal/dcs"
-	"repro/internal/edgesim"
 	"repro/internal/geo"
-	"repro/internal/netgraph"
-	"repro/internal/routing"
 	"repro/internal/stats"
 	"repro/internal/visibility"
 )
-
-// ChurnRow is one ground-pair's route-dynamics summary.
-type ChurnRow struct {
-	Name            string
-	GeodesicKm      float64
-	MedianPathLifeS float64
-	PathChanges     int
-	MeanLatencyMs   float64
-	JitterMs        float64
-	Stretch         float64
-}
-
-// ChurnStudy monitors representative ground-to-ground routes over Starlink
-// and reports path lifetime, latency jitter, and stretch over the geodesic
-// bound — the network-transit face of "highly dynamic yet predictable".
-func ChurnStudy(durationSec, stepSec float64) ([]ChurnRow, error) {
-	if durationSec <= 0 {
-		durationSec = 1800
-	}
-	if stepSec <= 0 {
-		stepSec = 15
-	}
-	set := ConstellationSet{Starlink: true}
-	consts, err := set.build()
-	if err != nil {
-		return nil, err
-	}
-	c := consts[0]
-
-	pairs := []struct {
-		name string
-		a, b geo.LatLon
-	}{
-		{"NewYork-London", geo.LatLon{LatDeg: 40.71, LonDeg: -74.01}, geo.LatLon{LatDeg: 51.51, LonDeg: -0.13}},
-		{"Frankfurt-Singapore", geo.LatLon{LatDeg: 50.11, LonDeg: 8.68}, geo.LatLon{LatDeg: 1.35, LonDeg: 103.82}},
-		{"SaoPaulo-Lagos", geo.LatLon{LatDeg: -23.55, LonDeg: -46.63}, geo.LatLon{LatDeg: 6.52, LonDeg: 3.38}},
-		{"Abuja-Accra", geo.LatLon{LatDeg: 9.06, LonDeg: 7.49}, geo.LatLon{LatDeg: 5.60, LonDeg: -0.19}},
-	}
-	var out []ChurnRow
-	for _, p := range pairs {
-		net := netgraph.New(c, []geo.LatLon{p.a, p.b})
-		rep, err := routing.MonitorPair(net, 0, 1, 0, durationSec, stepSec)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: churn %s: %w", p.name, err)
-		}
-		geodesic := geo.GreatCircleKm(p.a, p.b)
-		row := ChurnRow{
-			Name:          p.name,
-			GeodesicKm:    geodesic,
-			PathChanges:   len(rep.Changes),
-			MeanLatencyMs: rep.Latency.Mean(),
-			JitterMs:      rep.JitterMs(),
-			Stretch:       routing.CompareWithGeodesic(rep, geodesic),
-		}
-		if rep.PathLifetimes.N() > 0 {
-			row.MedianPathLifeS = rep.PathLifetimes.Median()
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// CapacityRow is one adoption level's fleet balance.
-type CapacityRow struct {
-	AdoptionPct       float64
-	SatisfiedPct      float64
-	FleetUtilPct      float64
-	IdleSats          int
-	WorstCity         string
-	WorstSatisfiedPct float64
-}
-
-// CapacityStudy sweeps service adoption and balances urban core demand
-// against the fleet's servers (one DL325 per satellite), quantifying both
-// metro oversubscription and the idle southern fleet in one table.
-func CapacityStudy(adoptions []float64, topN int) ([]CapacityRow, error) {
-	if len(adoptions) == 0 {
-		adoptions = []float64{0.001, 0.01, 0.05, 0.2}
-	}
-	if topN <= 0 {
-		topN = 500
-	}
-	set := ConstellationSet{Starlink: true}
-	consts, err := set.build()
-	if err != nil {
-		return nil, err
-	}
-	c := consts[0]
-	spec := compute.DefaultServerSpec()
-
-	var out []CapacityRow
-	for _, a := range adoptions {
-		rep, err := capacity.Balance(c, spec, capacity.Demand{
-			AdoptionFraction:      a,
-			CoresPerThousandUsers: 1,
-		}, topN, 0)
-		if err != nil {
-			return nil, err
-		}
-		row := CapacityRow{
-			AdoptionPct:  a * 100,
-			SatisfiedPct: rep.SatisfiedFraction() * 100,
-			FleetUtilPct: rep.FleetUtilization * 100,
-			IdleSats:     rep.IdleSats,
-		}
-		if worst, ok := rep.WorstCity(); ok {
-			row.WorstCity = worst.Name
-			row.WorstSatisfiedPct = worst.SatisfiedFraction() * 100
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// EdgeLoadRow is one load point of the request-level edge study.
-type EdgeLoadRow struct {
-	ArrivalPerSec  float64
-	Policy         string
-	P50Ms, P99Ms   float64
-	ServersUsed    int
-	MaxUtilization float64
-}
-
-// EdgeLoadStudy runs the request-level simulation (§3.1 under load): a
-// city-scale request stream against the satellites in view, comparing the
-// nearest-satellite attachment with least-busy spreading.
-func EdgeLoadStudy(rates []float64) ([]EdgeLoadRow, error) {
-	set := ConstellationSet{Starlink: true}
-	consts, err := set.build()
-	if err != nil {
-		return nil, err
-	}
-	c := consts[0]
-	base := edgesim.Workload{ServiceSec: 0.01, Seed: 11}
-	if len(rates) == 0 {
-		rates = []float64{100, 1000, 4000, 8000}
-	}
-	var out []EdgeLoadRow
-	for _, pol := range []edgesim.Policy{edgesim.Nearest, edgesim.LeastBusy} {
-		cfg := edgesim.Config{
-			Site:        geo.LatLon{LatDeg: 6.52, LonDeg: 3.38}, // Lagos
-			CoresPerSat: 64,
-			Policy:      pol,
-			DurationSec: 20,
-		}
-		rows, err := edgesim.LoadSweep(c, cfg, base, rates)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range rows {
-			out = append(out, EdgeLoadRow{
-				ArrivalPerSec:  r.ArrivalPerSec,
-				Policy:         pol.String(),
-				P50Ms:          r.P50Ms,
-				P99Ms:          r.P99Ms,
-				ServersUsed:    r.ServersUsed,
-				MaxUtilization: r.MaxUtilization,
-			})
-		}
-	}
-	return out, nil
-}
 
 // CDNRow summarises the §3.1 latency distributions over population centers.
 type CDNRow struct {

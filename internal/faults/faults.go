@@ -3,8 +3,8 @@
 // degradation windows, and migration transfer failures. §4 of the paper
 // argues satellite-servers live with radiation-induced faults, no repairs,
 // and 5–7 year life-cycles — failure is the steady state — so the fleet
-// orchestrator, the netsim kernel, and the migrate protocol all consume
-// this package to answer "what does a 1% satellite failure rate do to
+// orchestrator (its hand-off transfers included) and the serve engine
+// consume this package to answer "what does a 1% satellite failure rate do to
 // hand-off rate and session survival?" reproducibly.
 //
 // Everything is a pure function of (Config.Seed, inputs): two injectors
@@ -19,8 +19,6 @@ package faults
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/netsim"
 )
 
 // Kind tags a fault event.
@@ -260,25 +258,6 @@ func (in *Injector) MigrationOK(session uint64, from, to, attempt int) bool {
 	}
 	h := in.hash01(streamMigration, session, uint64(from)<<32|uint64(to), uint64(attempt))
 	return h >= in.cfg.MigrationFailProb
-}
-
-// Drive replays the injector's satellite fault timeline onto a netsim
-// kernel: every failure/recovery up to horizon is scheduled as a
-// simulation event that calls fn at its fault time. It consumes the
-// injector's timeline (Advance to horizon) and returns how many events
-// were scheduled.
-func Drive(sim *netsim.Sim, in *Injector, horizon float64, fn func(Event)) (int, error) {
-	if sim == nil || in == nil || fn == nil {
-		return 0, fmt.Errorf("faults: Drive needs a sim, an injector, and a callback")
-	}
-	evs := in.Advance(horizon)
-	for _, ev := range evs {
-		ev := ev
-		if _, err := sim.At(ev.TSec, func() { fn(ev) }); err != nil {
-			return 0, err
-		}
-	}
-	return len(evs), nil
 }
 
 // Independent draw streams, folded into the hash so satellite failures,

@@ -1,11 +1,8 @@
 package faults
 
 import (
-	"math"
 	"reflect"
 	"testing"
-
-	"repro/internal/netsim"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -253,38 +250,5 @@ func TestMigrationOK(t *testing.T) {
 		if !sure.MigrationOK(s, 1, 2, 0) {
 			t.Fatal("failure with zero failure probability")
 		}
-	}
-}
-
-func TestDrive(t *testing.T) {
-	in, err := New(32, Config{Seed: 9, SatMTBFHours: 0.5, SatMTTRSec: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := netsim.New()
-	var fired []Event
-	n, err := Drive(sim, in, 3600, func(ev Event) {
-		if got := sim.Now(); math.Abs(got-ev.TSec) > 1e-9 {
-			t.Errorf("event %v fired at sim time %v", ev, got)
-		}
-		fired = append(fired, ev)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no events scheduled")
-	}
-	sim.RunAll()
-	if len(fired) != n {
-		t.Fatalf("fired %d of %d scheduled events", len(fired), n)
-	}
-	for i := 1; i < len(fired); i++ {
-		if fired[i].TSec < fired[i-1].TSec {
-			t.Fatalf("events fired out of order: %v after %v", fired[i], fired[i-1])
-		}
-	}
-	if _, err := Drive(nil, in, 10, func(Event) {}); err == nil {
-		t.Error("Drive(nil sim) should fail")
 	}
 }

@@ -79,63 +79,9 @@ func BestRouted(s *netgraph.Snapshot, users int) (RoutedPlacement, error) {
 	return best, nil
 }
 
-// TerrestrialPlacement is the baseline: the meetup server sits in a
-// terrestrial data center, and users reach it over the constellation
-// (the paper's "hybrid approach" in Fig 3).
-type TerrestrialPlacement struct {
-	// DCIndex is the chosen data-center ground index (see BestTerrestrial).
-	DCIndex int
-	// GroupRTTMs is the max RTT over users to that data center.
-	GroupRTTMs float64
-	// PerUserRTTMs lists each user's RTT.
-	PerUserRTTMs []float64
-}
-
-// BestTerrestrial picks the data-center ground station minimising the
-// group's max RTT. The network's grounds must be users followed by DC sites:
-// grounds[0:users] are user terminals, grounds[users:] are data centers.
-// The returned DCIndex is relative to the DC sub-slice.
-func BestTerrestrial(s *netgraph.Snapshot, users, dcs int) (TerrestrialPlacement, error) {
-	if users <= 0 || dcs <= 0 {
-		return TerrestrialPlacement{}, fmt.Errorf("meetup: users and dcs must be positive")
-	}
-	best := TerrestrialPlacement{DCIndex: -1, GroupRTTMs: math.Inf(1)}
-	rtts := make([][]float64, users) // per user: RTT to each DC
-	for u := 0; u < users; u++ {
-		rtts[u] = make([]float64, dcs)
-		for d := 0; d < dcs; d++ {
-			rtt, err := s.GroundToGroundRTTMs(u, users+d)
-			if err != nil {
-				rtt = math.Inf(1)
-			}
-			rtts[u][d] = rtt
-		}
-	}
-	for d := 0; d < dcs; d++ {
-		worst := 0.0
-		for u := 0; u < users; u++ {
-			if rtts[u][d] > worst {
-				worst = rtts[u][d]
-			}
-		}
-		if worst < best.GroupRTTMs {
-			best.DCIndex = d
-			best.GroupRTTMs = worst
-		}
-	}
-	if best.DCIndex < 0 || math.IsInf(best.GroupRTTMs, 1) {
-		return TerrestrialPlacement{}, ErrNoCandidate
-	}
-	best.PerUserRTTMs = make([]float64, users)
-	for u := 0; u < users; u++ {
-		best.PerUserRTTMs[u] = rtts[u][best.DCIndex]
-	}
-	return best, nil
-}
-
 // GroupNetwork builds a netgraph over the constellation with the given user
 // terminals (and optionally data-center sites) as ground stations, in the
-// layout BestRouted/BestTerrestrial expect.
+// layout BestRouted expects (users first).
 func GroupNetwork(p *Provider, users []geo.LatLon, dcSites []geo.LatLon) *netgraph.Network {
 	grounds := make([]geo.LatLon, 0, len(users)+len(dcSites))
 	grounds = append(grounds, users...)

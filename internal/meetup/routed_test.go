@@ -109,67 +109,3 @@ func TestBestRoutedNoCoverage(t *testing.T) {
 		t.Fatalf("err = %v, want ErrNoCandidate", err)
 	}
 }
-
-func TestBestTerrestrial(t *testing.T) {
-	users := []geo.LatLon{
-		{LatDeg: 9.06, LonDeg: 7.49},
-		{LatDeg: 5.60, LonDeg: -0.19},
-	}
-	dcSites := []geo.LatLon{
-		{LatDeg: -26.20, LonDeg: 28.05}, // Johannesburg
-		{LatDeg: 50.11, LonDeg: 8.68},   // Frankfurt
-	}
-	net := routedNet(t, users, dcSites)
-	snap := net.At(0)
-	placed, err := BestTerrestrial(snap, len(users), len(dcSites))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if placed.DCIndex < 0 || placed.DCIndex >= len(dcSites) {
-		t.Fatalf("DCIndex = %d", placed.DCIndex)
-	}
-	if len(placed.PerUserRTTMs) != len(users) {
-		t.Fatalf("per-user list = %d", len(placed.PerUserRTTMs))
-	}
-	// The group RTT is the max of the per-user values.
-	worst := 0.0
-	for _, v := range placed.PerUserRTTMs {
-		worst = math.Max(worst, v)
-	}
-	if math.Abs(worst-placed.GroupRTTMs) > 1e-9 {
-		t.Fatalf("group RTT %v vs per-user max %v", placed.GroupRTTMs, worst)
-	}
-	// The alternative DC must not be better.
-	other := 1 - placed.DCIndex
-	otherWorst := 0.0
-	for u := range users {
-		rtt, err := snap.GroundToGroundRTTMs(u, len(users)+other)
-		if err != nil {
-			t.Fatal(err)
-		}
-		otherWorst = math.Max(otherWorst, rtt)
-	}
-	if otherWorst < placed.GroupRTTMs-1e-9 {
-		t.Fatalf("BestTerrestrial picked DC %d (%v ms) but DC %d has %v ms",
-			placed.DCIndex, placed.GroupRTTMs, other, otherWorst)
-	}
-	// In-orbit beats the terrestrial bounce for this regional group.
-	routed, err := BestRouted(snap, len(users))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if routed.GroupRTTMs >= placed.GroupRTTMs {
-		t.Fatalf("in-orbit %v ms should beat terrestrial %v ms", routed.GroupRTTMs, placed.GroupRTTMs)
-	}
-}
-
-func TestBestTerrestrialValidation(t *testing.T) {
-	users := []geo.LatLon{{LatDeg: 0, LonDeg: 0}}
-	net := routedNet(t, users, []geo.LatLon{{LatDeg: 10, LonDeg: 10}})
-	if _, err := BestTerrestrial(net.At(0), 0, 1); err == nil {
-		t.Fatal("zero users accepted")
-	}
-	if _, err := BestTerrestrial(net.At(0), 1, 0); err == nil {
-		t.Fatal("zero dcs accepted")
-	}
-}

@@ -1,15 +1,13 @@
-// Package netsim is a small discrete-event simulation engine: an event
-// queue with deterministic ordering, plus capacity-constrained resources
-// (links, processors) modelled as FIFO servers. The Earth-observation
-// experiments (§3.3) and the migration timing studies run on it.
+// Package netsim is a small discrete-event simulation kernel: an event
+// queue with deterministic (time, schedule order) ordering. No production
+// code runs on it any more; it survives as the reference the serve
+// engine's differential tests replay on (internal/serve/legacy_test.go).
 package netsim
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
-
-	"repro/internal/obs"
 )
 
 // Event is a scheduled callback.
@@ -57,47 +55,10 @@ type Sim struct {
 	events eventHeap
 	free   []*Event // recycled pooled events (Schedule path)
 	ran    int
-	obs    *simObs // nil unless Instrument was called
 }
-
-// simObs holds the kernel's metric handles; the uninstrumented path pays a
-// single nil check per update site.
-type simObs struct {
-	queueDepth *obs.Gauge
-	eventsRun  *obs.Counter
-	queueWait  *obs.HistogramVec // per-resource job wait before service starts
-	util       *obs.GaugeVec     // per-resource busy fraction of sim time
-	jobs       *obs.CounterVec   // per-resource jobs submitted
-}
-
-// queueWaitBuckets spans sub-millisecond scheduling gaps to multi-minute
-// backlogs (simulated seconds).
-var queueWaitBuckets = []float64{0.001, 0.01, 0.1, 0.5, 1, 5, 10, 60, 300}
 
 // New creates a simulator starting at time 0.
 func New() *Sim { return &Sim{} }
-
-// Instrument registers the kernel's metrics on reg and starts updating them:
-// netsim_event_queue_depth, netsim_events_run_total, and per-resource
-// netsim_resource_queue_wait_seconds / netsim_resource_utilization /
-// netsim_resource_jobs_total. All values are in simulated time. Multiple
-// Sims instrumented on one registry share the families (the gauges then
-// reflect the most recent updater, counters aggregate).
-func (s *Sim) Instrument(reg *obs.Registry) {
-	s.obs = &simObs{
-		queueDepth: reg.Gauge("netsim_event_queue_depth",
-			"Pending events in the simulator queue (includes cancelled-but-unpopped)."),
-		eventsRun: reg.Counter("netsim_events_run_total",
-			"Events executed by the simulator kernel."),
-		queueWait: reg.HistogramVec("netsim_resource_queue_wait_seconds",
-			"Simulated seconds a job waits before its resource starts serving it.",
-			queueWaitBuckets, "resource"),
-		util: reg.GaugeVec("netsim_resource_utilization",
-			"Fraction of simulated time the resource has spent serving.", "resource"),
-		jobs: reg.CounterVec("netsim_resource_jobs_total",
-			"Jobs submitted to the resource.", "resource"),
-	}
-}
 
 // Now returns the current simulation time in seconds.
 func (s *Sim) Now() float64 { return s.now }
@@ -117,9 +78,6 @@ func (s *Sim) At(t float64, fn func()) (*Event, error) {
 	e := &Event{time: t, seq: s.seq, fn: fn}
 	s.seq++
 	heap.Push(&s.events, e)
-	if s.obs != nil {
-		s.obs.queueDepth.Set(float64(len(s.events)))
-	}
 	return e, nil
 }
 
@@ -153,9 +111,6 @@ func (s *Sim) Schedule(t float64, fn func()) error {
 	}
 	s.seq++
 	heap.Push(&s.events, e)
-	if s.obs != nil {
-		s.obs.queueDepth.Set(float64(len(s.events)))
-	}
 	return nil
 }
 
@@ -189,17 +144,11 @@ func (s *Sim) Run(horizon float64) float64 {
 			break
 		}
 		heap.Pop(&s.events)
-		if s.obs != nil {
-			s.obs.queueDepth.Set(float64(len(s.events)))
-		}
 		if next.dead {
 			continue
 		}
 		s.now = next.time
 		s.ran++
-		if s.obs != nil {
-			s.obs.eventsRun.Inc()
-		}
 		next.fn()
 		if next.pooled {
 			// Recycle only after fn returns: fn may schedule more events, and
@@ -227,111 +176,3 @@ func (s *Sim) Pending() int {
 	}
 	return n
 }
-
-// Resource is a FIFO server with a fixed service rate (units/second): a
-// radio downlink, a laser ISL, or a satellite CPU. Jobs queue and are
-// serviced in order; each job occupies the resource for size/rate seconds.
-type Resource struct {
-	sim  *Sim
-	name string
-	rate float64
-
-	busyUntil float64
-	// accounting
-	served     int
-	busyTime   float64
-	queuedMax  int
-	queuedNow  int
-	outages    int
-	outageTime float64
-}
-
-// NewResource creates a resource served at rate units/second.
-func NewResource(sim *Sim, name string, rate float64) (*Resource, error) {
-	if rate <= 0 {
-		return nil, fmt.Errorf("netsim: resource %q rate must be positive, got %v", name, rate)
-	}
-	return &Resource{sim: sim, name: name, rate: rate}, nil
-}
-
-// Name returns the resource label.
-func (r *Resource) Name() string { return r.name }
-
-// Rate returns the service rate.
-func (r *Resource) Rate() float64 { return r.rate }
-
-// Submit enqueues a job of the given size; done (optional) fires when the
-// job finishes, receiving the completion time. Returns the predicted
-// completion time.
-func (r *Resource) Submit(size float64, done func(finish float64)) (float64, error) {
-	if size < 0 {
-		return 0, fmt.Errorf("netsim: negative job size %v", size)
-	}
-	start := math.Max(r.sim.Now(), r.busyUntil)
-	finish := start + size/r.rate
-	r.busyUntil = finish
-	r.busyTime += size / r.rate
-	r.served++
-	r.queuedNow++
-	if r.queuedNow > r.queuedMax {
-		r.queuedMax = r.queuedNow
-	}
-	if o := r.sim.obs; o != nil {
-		o.jobs.With(r.name).Inc()
-		o.queueWait.With(r.name).Observe(start - r.sim.Now())
-	}
-	_, err := r.sim.At(finish, func() {
-		r.queuedNow--
-		if o := r.sim.obs; o != nil {
-			o.util.With(r.name).Set(r.Utilization())
-		}
-		if done != nil {
-			done(finish)
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return finish, nil
-}
-
-// Interrupt takes the resource out of service until the given simulated
-// time: queued jobs and jobs submitted during the outage start no earlier
-// than until. It models an injected fault — a flapped ISL or a satellite
-// payload fail-over (internal/faults drives these). Overlapping interrupts
-// extend the outage, never shorten it; an interrupt entirely in the past
-// or inside an existing commitment only counts the outage event.
-func (r *Resource) Interrupt(until float64) {
-	r.outages++
-	if gap := until - math.Max(r.sim.Now(), r.busyUntil); gap > 0 {
-		r.outageTime += gap
-	}
-	if until > r.busyUntil {
-		r.busyUntil = until
-	}
-}
-
-// Outages returns how many Interrupt calls the resource has absorbed.
-func (r *Resource) Outages() int { return r.outages }
-
-// OutageTime returns the total simulated seconds of injected unavailability
-// (time added beyond existing service commitments). Outage time does not
-// count as busy time in Utilization.
-func (r *Resource) OutageTime() float64 { return r.outageTime }
-
-// Utilization returns the fraction of [0, Now] the resource spent serving.
-func (r *Resource) Utilization() float64 {
-	if r.sim.Now() == 0 {
-		return 0
-	}
-	return math.Min(1, r.busyTime/r.sim.Now())
-}
-
-// Served returns the number of jobs submitted so far.
-func (r *Resource) Served() int { return r.served }
-
-// MaxQueue returns the largest number of jobs simultaneously in the system.
-func (r *Resource) MaxQueue() int { return r.queuedMax }
-
-// BusyUntil returns when the resource frees up given current commitments.
-func (r *Resource) BusyUntil() float64 { return r.busyUntil }

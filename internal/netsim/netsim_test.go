@@ -1,11 +1,6 @@
 package netsim
 
-import (
-	"math"
-	"testing"
-
-	"repro/internal/obs"
-)
+import "testing"
 
 func TestEventOrdering(t *testing.T) {
 	s := New()
@@ -112,93 +107,6 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-func TestResourceFIFO(t *testing.T) {
-	s := New()
-	r, err := NewResource(s, "downlink", 10) // 10 units/s
-	if err != nil {
-		t.Fatal(err)
-	}
-	var finishes []float64
-	submit := func(size float64) {
-		t.Helper()
-		if _, err := r.Submit(size, func(f float64) { finishes = append(finishes, f) }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	submit(20) // 2 s
-	submit(10) // queues: finishes at 3 s
-	submit(5)  // finishes at 3.5 s
-	s.RunAll()
-	want := []float64{2, 3, 3.5}
-	for i := range want {
-		if math.Abs(finishes[i]-want[i]) > 1e-9 {
-			t.Fatalf("finishes = %v, want %v", finishes, want)
-		}
-	}
-	if r.Served() != 3 {
-		t.Fatalf("Served = %d", r.Served())
-	}
-	if r.MaxQueue() != 3 {
-		t.Fatalf("MaxQueue = %d", r.MaxQueue())
-	}
-	if got := r.Utilization(); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("Utilization = %v, want 1 (fully busy)", got)
-	}
-	if r.Name() != "downlink" || r.Rate() != 10 {
-		t.Fatal("accessors wrong")
-	}
-}
-
-func TestResourceIdleGaps(t *testing.T) {
-	s := New()
-	r, err := NewResource(s, "cpu", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Job arrives later via a scheduled event; resource idles until then.
-	if _, err := s.At(5, func() {
-		if _, err := r.Submit(2, nil); err != nil {
-			t.Error(err)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	s.RunAll()
-	if s.Now() != 7 {
-		t.Fatalf("Now = %v, want 7", s.Now())
-	}
-	if got := r.Utilization(); math.Abs(got-2.0/7) > 1e-9 {
-		t.Fatalf("Utilization = %v, want 2/7", got)
-	}
-}
-
-func TestResourcePredictedFinish(t *testing.T) {
-	s := New()
-	r, _ := NewResource(s, "link", 100)
-	f1, err := r.Submit(50, nil)
-	if err != nil || f1 != 0.5 {
-		t.Fatalf("f1 = %v, %v", f1, err)
-	}
-	f2, err := r.Submit(100, nil)
-	if err != nil || f2 != 1.5 {
-		t.Fatalf("f2 = %v, %v", f2, err)
-	}
-	if r.BusyUntil() != 1.5 {
-		t.Fatalf("BusyUntil = %v", r.BusyUntil())
-	}
-}
-
-func TestResourceValidation(t *testing.T) {
-	s := New()
-	if _, err := NewResource(s, "x", 0); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	r, _ := NewResource(s, "x", 1)
-	if _, err := r.Submit(-1, nil); err == nil {
-		t.Fatal("negative size accepted")
-	}
-}
-
 func TestManyEventsDeterministic(t *testing.T) {
 	run := func() []float64 {
 		s := New()
@@ -223,50 +131,6 @@ func TestManyEventsDeterministic(t *testing.T) {
 		if a[i] < a[i-1] {
 			t.Fatal("time went backwards")
 		}
-	}
-}
-
-func TestInstrumentedSim(t *testing.T) {
-	reg := obs.NewRegistry()
-	s := New()
-	s.Instrument(reg)
-
-	r, err := NewResource(s, "downlink", 10) // 10 units/s
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two back-to-back jobs: the second queues behind the first for 1 s.
-	if _, err := r.Submit(10, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Submit(10, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.After(5, func() {}); err != nil {
-		t.Fatal(err)
-	}
-
-	depth := reg.Gauge("netsim_event_queue_depth", "")
-	if got := depth.Value(); got != 3 {
-		t.Fatalf("queue depth gauge = %v, want 3", got)
-	}
-	s.RunAll()
-	if got := depth.Value(); got != 0 {
-		t.Fatalf("queue depth after RunAll = %v, want 0", got)
-	}
-	if got := reg.Counter("netsim_events_run_total", "").Value(); got != 3 {
-		t.Fatalf("events run = %d, want 3", got)
-	}
-	if got := reg.CounterVec("netsim_resource_jobs_total", "", "resource").With("downlink").Value(); got != 2 {
-		t.Fatalf("jobs = %d, want 2", got)
-	}
-	wait := reg.HistogramVec("netsim_resource_queue_wait_seconds", "", queueWaitBuckets, "resource").With("downlink")
-	if wait.Count() != 2 || wait.Sum() != 1 {
-		t.Fatalf("queue wait count=%d sum=%v, want 2 observations summing 1s", wait.Count(), wait.Sum())
-	}
-	util := reg.GaugeVec("netsim_resource_utilization", "", "resource").With("downlink")
-	if got := util.Value(); got != 1 { // busy 2 s of the 2 s the resource ran
-		t.Fatalf("utilization = %v, want 1", got)
 	}
 }
 
@@ -347,51 +211,5 @@ func TestScheduleValidation(t *testing.T) {
 	}
 	if err := s.Schedule(6, nil); err == nil {
 		t.Fatal("nil pooled fn accepted")
-	}
-}
-
-func TestResourceInterrupt(t *testing.T) {
-	s := New()
-	r, err := NewResource(s, "isl", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// An outage on an idle resource pushes the next job's start to the
-	// outage end.
-	r.Interrupt(5)
-	if got := r.OutageTime(); got != 5 {
-		t.Fatalf("OutageTime = %v, want 5", got)
-	}
-	var finish float64
-	if _, err := r.Submit(10, func(f float64) { finish = f }); err != nil {
-		t.Fatal(err)
-	}
-	s.RunAll()
-	if finish != 6 { // starts at 5, serves 10 units at rate 10
-		t.Fatalf("job finished at %v, want 6", finish)
-	}
-
-	// An interrupt inside an existing commitment extends nothing and adds
-	// no outage time, but still counts the event.
-	r.Interrupt(3)
-	if got, want := r.Outages(), 2; got != want {
-		t.Fatalf("Outages = %d, want %d", got, want)
-	}
-	if got := r.OutageTime(); got != 5 {
-		t.Fatalf("OutageTime = %v, want 5 after no-op interrupt", got)
-	}
-
-	// Overlapping interrupts extend the outage, never shorten it.
-	r.Interrupt(8)
-	r.Interrupt(7)
-	if got := r.BusyUntil(); got != 8 {
-		t.Fatalf("BusyUntil = %v, want 8", got)
-	}
-	if got := r.OutageTime(); got != 7 { // 5 + (8-6)
-		t.Fatalf("OutageTime = %v, want 7", got)
-	}
-	// Outage time is not busy time: utilisation counts only served work.
-	if got := r.Utilization(); got != math.Min(1, 1.0/6.0) {
-		t.Fatalf("Utilization = %v, want %v", got, 1.0/6.0)
 	}
 }

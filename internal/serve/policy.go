@@ -80,8 +80,7 @@ func (leastLoaded) Name() string { return "least-loaded" }
 func (leastLoaded) Pick(nowSec float64, prev int, cands []Candidate) int {
 	idx, best := -1, math.Inf(1)
 	for i := range cands {
-		// Earliest predicted service start including propagation: the same
-		// ETA the single-site edge simulation has always used.
+		// Earliest predicted service start including propagation.
 		eta := math.Max(cands[i].FreeAtSec, nowSec) + cands[i].OneWayMs/1000
 		if eta < best {
 			best = eta

@@ -39,16 +39,6 @@ const (
 // ShedReasons lists the reasons in report order.
 var ShedReasons = []ShedReason{ShedNoCoverage, ShedSatDown, ShedQueueFull, ShedRefused}
 
-// shedIdx maps a reason to its slot in the engine's fixed-size counters.
-func shedIdx(r ShedReason) int {
-	for i, v := range ShedReasons {
-		if v == r {
-			return i
-		}
-	}
-	return -1
-}
-
 // ErrNonMonotonic is returned by Engine.Feed when a request's arrival time
 // precedes an already-fed request or the engine's current simulation time.
 // The engine assigns per-slice event order from feed order, so an
@@ -156,7 +146,7 @@ func containsSorted(xs []int, v int) bool {
 	return i < len(xs) && xs[i] == v
 }
 
-// validate rejects configurations both engine implementations refuse.
+// validateConfig rejects configurations the engine refuses.
 func validateConfig(size int, cfg Config) error {
 	if len(cfg.Sites) == 0 {
 		return fmt.Errorf("serve: no sites")

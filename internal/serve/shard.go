@@ -1,10 +1,10 @@
 package serve
 
 // The slab-backed discrete-event serving engine. The netsim-backed legacy
-// engine (legacy.go) replays one closure per event through a global
-// (time, seq) heap; this engine gets the same answers on one goroutine from
-// refresh-aligned time slices, and picks one of two replay orders from the
-// policy it was given.
+// engine (the test oracle, legacy_test.go) replays one closure per event
+// through a global (time, seq) heap; this engine gets the same answers on
+// one goroutine from refresh-aligned time slices, and picks one of two
+// replay orders from the policy it was given.
 //
 // Why slices compose exactly:
 //

@@ -190,55 +190,3 @@ func (c *CDF) Points() (xs, ps []float64) {
 	}
 	return xs, ps
 }
-
-// Histogram counts samples into nBins equal-width bins over [min,max].
-type Histogram struct {
-	// Lo and Hi are the histogram bounds.
-	Lo, Hi float64
-	// Counts holds the per-bin counts; out-of-range samples clamp into the
-	// first/last bins.
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with nBins bins over [lo,hi). It panics
-// if nBins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, nBins int) *Histogram {
-	if nBins <= 0 {
-		panic("stats: nBins must be positive")
-	}
-	if hi <= lo {
-		panic("stats: hi must exceed lo")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, nBins)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v float64) {
-	i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Fraction returns the fraction of samples in bin i (0 when empty).
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}

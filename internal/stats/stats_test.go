@@ -199,45 +199,6 @@ func TestCDFPointsDedup(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{0.5, 1, 3, 5, 7, 9, -1, 42} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	// -1 clamps to bin 0; 42 clamps to bin 4.
-	if h.Counts[0] != 3 { // 0.5, 1, -1
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9, 42
-		t.Fatalf("bin4 = %d", h.Counts[4])
-	}
-	if !almostEq(h.BinCenter(0), 1, 1e-12) || !almostEq(h.BinCenter(4), 9, 1e-12) {
-		t.Fatal("BinCenter wrong")
-	}
-	if !almostEq(h.Fraction(0), 3.0/8, 1e-12) {
-		t.Fatalf("Fraction = %v", h.Fraction(0))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(10, 10, 5) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("want panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestQuantileAgainstSort(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	vals := make([]float64, 101)
