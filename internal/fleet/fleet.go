@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/stats"
-	"repro/internal/units"
 	"repro/internal/visibility"
 )
 
@@ -317,7 +316,9 @@ func (o *Orchestrator) Submit(s *Session) error {
 	if s.ID > math.MaxInt64 {
 		return fmt.Errorf("fleet: session ID %d overflows the compute task ID space", s.ID)
 	}
-	s.Sat = -1
+	// The window is this orchestrator's grid and shells; the session may
+	// have been through another's.
+	s.Sat, s.win = -1, nil
 	return o.tab.Put(s)
 }
 
@@ -385,24 +386,6 @@ func (o *Orchestrator) visibleAll(s *Session, satID int, snap []geo.Vec3) bool {
 		}
 	}
 	return true
-}
-
-// groupRTT returns the session's max user RTT to sat in the snapshot; ok
-// is false when some user cannot see it.
-func (o *Orchestrator) groupRTT(s *Session, satID int, snap []geo.Vec3) (float64, bool) {
-	pos, limit := snap[satID], o.idx.chord2[satID]
-	worst2 := 0.0
-	for _, u := range s.Users {
-		rel := pos.Sub(u)
-		d2 := rel.Dot(rel)
-		if d2 > limit {
-			return 0, false
-		}
-		worst2 = max(worst2, d2)
-	}
-	// sqrt and the km→ms scaling are monotone, so this is the largest
-	// per-user RTT, bit for bit.
-	return units.RTTMs(math.Sqrt(worst2)), true
 }
 
 // TimeToExpiry returns how long the session's current assignment stays

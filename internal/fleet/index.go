@@ -34,16 +34,17 @@ import (
 
 // DefaultCellDeg is the default footprint-index cell size. ~4° keeps the
 // per-cell occupancy near one satellite for the constellations the paper
-// studies while a query window stays around a hundred cells.
+// studies while a shell's query box stays a few dozen cells.
 const DefaultCellDeg = 4
 
 // Index is a spherical lat/lon-grid footprint index over one constellation
-// snapshot. Each satellite is bucketed by its sub-satellite point; a
-// reachability query visits only the cells whose great-circle distance to
-// the ground point can be within the constellation's largest coverage cone,
-// then applies the exact per-satellite chord test. Queries assume ground
-// points on the Earth surface (AltKm 0) — the same regime where the
-// elevation mask is equivalent to a central-angle bound.
+// snapshot: one grid per shell, each satellite bucketed by its sub-satellite
+// point. A shell has one altitude and one elevation mask, hence one coverage
+// cone and one slant-range limit, so a reachability query visits, per
+// shell, only the cells that can lie within that shell's cone of the
+// ground point, then applies the exact chord test against that one limit.
+// Queries assume ground points on the Earth surface (AltKm 0) — the same
+// regime where the elevation mask is equivalent to a central-angle bound.
 //
 // Rebuild the index whenever the snapshot moves (once per epoch); queries
 // between rebuilds share the indexed snapshot. Rebuild is not safe
@@ -54,33 +55,42 @@ type Index struct {
 
 	cellDeg    float64
 	rows, cols int
-	// maxRadDeg is the search radius: the largest coverage central angle
-	// over all shells, in degrees. A satellite visible from a surface point
-	// has its subpoint within this angle of the point.
-	maxRadDeg float64
 	// maxSlantKm is the largest slant range at which any shell's satellites
 	// are visible: no visible satellite is farther from its observer.
 	maxSlantKm float64
+	shells     []shellGeom
 
-	// CSR cell storage, rebuilt per epoch: satellites of cell i are
-	// sats[start[i]:start[i+1]], ascending by ID. posCSR and chord2CSR
-	// mirror sats in the same order so a query streams contiguous memory
-	// (the linear scan's one advantage) instead of gathering random IDs.
+	// CSR cell storage, the shells' row-major grids back to back, rebuilt per
+	// epoch: the satellites of shell s in cell i are
+	// sats[start[s·rows·cols+i]:start[s·rows·cols+i+1]], ascending by ID.
+	// posCSR mirrors sats in the same order so a query streams contiguous
+	// memory (the linear scan's one advantage) instead of gathering random
+	// IDs, and a row's column window is one contiguous span of it.
 	start     []int32
 	sats      []int32
 	posCSR    []geo.Vec3
-	chord2CSR []float64
 	cellOfSat []int32
 	cursor    []int32
 	snap      []geo.Vec3
-
-	// chord2[id] is the squared max slant range of satellite id — the same
-	// threshold visibility.Observer applies.
-	chord2 []float64
-	// cosRow[r] is the minimum |cos lat| over row r's latitude band,
-	// precomputed so the query's per-row haversine bound does no trig.
-	cosRow []float64
 }
+
+// shellGeom is one shell's visibility geometry.
+type shellGeom struct {
+	// limit2 is the squared max slant range: a satellite of the shell is
+	// visible iff |sat−ground|² ≤ limit2 — the same threshold
+	// visibility.Observer applies.
+	limit2 float64
+	// radDeg is the coverage central angle in degrees, plus rounding slack:
+	// a visible satellite's subpoint lies within it of the ground point.
+	radDeg, sinRad float64
+}
+
+// cellBox is a rectangle of one shell's grid: rows rowLo..rowHi by columns
+// colLo..colHi, all inclusive. colLo > colHi wraps the dateline; rowLo >
+// rowHi is the empty box.
+type cellBox struct{ rowLo, rowHi, colLo, colHi uint16 }
+
+var emptyBox = cellBox{rowLo: 1}
 
 // NewIndex builds an empty index for the constellation. cellDeg is the grid
 // cell size in degrees; zero means DefaultCellDeg. Call Rebuild before
@@ -101,33 +111,20 @@ func NewIndex(c *constellation.Constellation, cellDeg float64) (*Index, error) {
 		cellDeg: cellDeg,
 		rows:    int(math.Ceil(180 / cellDeg)),
 		cols:    int(math.Ceil(360 / cellDeg)),
+		shells:  make([]shellGeom, len(c.Shells)),
 	}
-	for _, sh := range c.Shells {
-		rad := units.Rad2Deg(visibility.CoverageCentralAngleRad(sh.AltitudeKm, sh.MinElevationDeg))
-		if rad > ix.maxRadDeg {
-			ix.maxRadDeg = rad
-		}
-		ix.maxSlantKm = max(ix.maxSlantKm, visibility.MaxSlantRangeKm(sh.AltitudeKm, sh.MinElevationDeg))
+	for si, sh := range c.Shells {
+		d := visibility.MaxSlantRangeKm(sh.AltitudeKm, sh.MinElevationDeg)
+		rad := units.Rad2Deg(visibility.CoverageCentralAngleRad(sh.AltitudeKm, sh.MinElevationDeg)) + 1e-6
+		ix.shells[si] = shellGeom{limit2: d * d, radDeg: rad, sinRad: math.Sin(units.Deg2Rad(rad))}
+		ix.maxSlantKm = max(ix.maxSlantKm, d)
 	}
-	cells := ix.rows * ix.cols
+	cells := len(c.Shells) * ix.rows * ix.cols
 	ix.start = make([]int32, cells+1)
 	ix.cursor = make([]int32, cells)
 	ix.sats = make([]int32, c.Size())
 	ix.posCSR = make([]geo.Vec3, c.Size())
-	ix.chord2CSR = make([]float64, c.Size())
 	ix.cellOfSat = make([]int32, c.Size())
-	ix.chord2 = make([]float64, c.Size())
-	for id := range c.Satellites {
-		sh := c.Shells[c.Satellites[id].ShellIndex]
-		d := visibility.MaxSlantRangeKm(sh.AltitudeKm, sh.MinElevationDeg)
-		ix.chord2[id] = d * d
-	}
-	ix.cosRow = make([]float64, ix.rows)
-	for r := range ix.cosRow {
-		latTop := 90 - float64(r)*cellDeg
-		latBot := latTop - cellDeg
-		ix.cosRow[r] = math.Min(math.Cos(units.Deg2Rad(latTop)), math.Cos(units.Deg2Rad(latBot)))
-	}
 	return ix, nil
 }
 
@@ -139,24 +136,18 @@ func (ix *Index) CellDeg() float64 { return ix.cellDeg }
 
 // rowOf maps a latitude to a grid row (clamped).
 func (ix *Index) rowOf(latDeg float64) int {
-	r := int((90 - latDeg) / ix.cellDeg)
-	if r < 0 {
-		return 0
-	}
-	if r >= ix.rows {
-		return ix.rows - 1
-	}
-	return r
+	return min(max(int((90-latDeg)/ix.cellDeg), 0), ix.rows-1)
 }
 
-// colOf maps a longitude to a grid column (wrapped).
+// colOf maps a longitude to a grid column (wrapped; +180° is the −180°
+// meridian).
 func (ix *Index) colOf(lonDeg float64) int {
-	c := int(math.Floor((lonDeg + 180) / ix.cellDeg))
-	c %= ix.cols
-	if c < 0 {
-		c += ix.cols
+	if lonDeg < -180 || lonDeg >= 180 {
+		if lonDeg = math.Remainder(lonDeg, 360); lonDeg == 180 {
+			lonDeg = -180
+		}
 	}
-	return c
+	return min(int((lonDeg+180)/ix.cellDeg), ix.cols-1)
 }
 
 // Rebuild re-buckets every satellite by its subpoint in the snapshot.
@@ -170,7 +161,8 @@ func (ix *Index) Rebuild(snapshot []geo.Vec3) {
 	ix.snap = snapshot
 	for id, pos := range snapshot {
 		ll := geo.FromECEF(pos)
-		ix.cellOfSat[id] = int32(ix.rowOf(ll.LatDeg)*ix.cols + ix.colOf(ll.LonDeg))
+		row := ix.c.Satellites[id].ShellIndex*ix.rows + ix.rowOf(ll.LatDeg)
+		ix.cellOfSat[id] = int32(row*ix.cols + ix.colOf(ll.LonDeg))
 	}
 	for i := range ix.start {
 		ix.start[i] = 0
@@ -186,7 +178,6 @@ func (ix *Index) Rebuild(snapshot []geo.Vec3) {
 		k := ix.cursor[cell]
 		ix.sats[k] = int32(id)
 		ix.posCSR[k] = snapshot[id]
-		ix.chord2CSR[k] = ix.chord2[id]
 		ix.cursor[cell]++
 	}
 }
@@ -194,61 +185,88 @@ func (ix *Index) Rebuild(snapshot []geo.Vec3) {
 // Snapshot returns the snapshot the index was last rebuilt on.
 func (ix *Index) Snapshot() []geo.Vec3 { return ix.snap }
 
-// ForEachNear calls fn(satID, pos) for every satellite whose subpoint may
-// lie within (max coverage angle + extraKm of surface arc) of the given
-// surface point — a superset of the satellites visible from any point
-// within extraKm of it. Candidates are a small constant factor over the
-// true reachable set; callers apply their own exact test. Iteration order
-// is deterministic (row-major cells, ascending IDs within a cell).
-func (ix *Index) ForEachNear(latDeg, lonDeg, extraKm float64, fn func(satID int, pos geo.Vec3)) {
-	ix.forEachRange(latDeg, lonDeg, extraKm, func(lo, hi int32) {
-		for k := lo; k < hi; k++ {
-			fn(int(ix.sats[k]), ix.posCSR[k])
-		}
-	})
+// window returns, per shell, the box of cells that can hold a satellite
+// visible from every one of the surface points at once. It depends on the
+// grid and the shells, never on the snapshot: it is a constant of an
+// Earth-fixed group.
+func (ix *Index) window(users []geo.Vec3) []cellBox {
+	var buf [8]geo.LatLon
+	at := buf[:0]
+	for _, u := range users {
+		at = append(at, geo.FromECEF(u))
+	}
+	win := make([]cellBox, len(ix.shells))
+	for si := range win {
+		win[si] = ix.box(si, at)
+	}
+	return win
 }
 
-// forEachRange yields the CSR spans [lo, hi) of the cells a query window
-// touches: the row/column windowing shared by every query path.
-func (ix *Index) forEachRange(latDeg, lonDeg, extraKm float64, fn func(lo, hi int32)) {
-	radDeg := ix.maxRadDeg + units.Rad2Deg(extraKm/units.EarthRadiusKm) + 1e-9
-	radRad := units.Deg2Rad(radDeg)
-	sinHalfRad := math.Sin(radRad / 2)
-	cosG := math.Cos(units.Deg2Rad(latDeg))
+// box is shell si's part of window: the intersection of the points' coverage
+// bounding boxes, or a superset of it. A cap of angular radius θ about
+// latitude φ spans φ±θ and, unless it holds a pole, the longitudes within
+// asin(sin θ / cos φ) of its centre.
+func (ix *Index) box(si int, users []geo.LatLon) cellBox {
+	sh := &ix.shells[si]
+	rowLo, rowHi := 0, ix.rows-1
+	// Longitudes are offsets from the first user whose cap holds no pole, so
+	// a window across the dateline is still one interval. Such a cap is
+	// under 180° wide: the far side of another, 360° away, cannot reach an
+	// interval that starts inside this one.
+	lon0, lonLo, lonHi, bounded := 0.0, -180.0, 180.0, false
+	for _, ll := range users {
+		rowLo = max(rowLo, ix.rowOf(ll.LatDeg+sh.radDeg))
+		rowHi = min(rowHi, ix.rowOf(ll.LatDeg-sh.radDeg))
+		if math.Abs(ll.LatDeg)+sh.radDeg >= 90 {
+			continue // the cap holds a pole: every longitude
+		}
+		dLon := units.Rad2Deg(math.Asin(min(1, sh.sinRad/math.Cos(units.Deg2Rad(ll.LatDeg)))))
+		if !bounded {
+			lon0, bounded = ll.LonDeg, true
+		}
+		off := math.Remainder(ll.LonDeg-lon0, 360)
+		lonLo, lonHi = max(lonLo, off-dLon), min(lonHi, off+dLon)
+	}
+	switch {
+	case rowLo > rowHi || lonLo > lonHi:
+		return emptyBox
+	case !bounded:
+		return cellBox{uint16(rowLo), uint16(rowHi), 0, uint16(ix.cols - 1)}
+	}
+	return cellBox{uint16(rowLo), uint16(rowHi), uint16(ix.colOf(lon0 + lonLo)), uint16(ix.colOf(lon0 + lonHi))}
+}
 
-	rowLo := ix.rowOf(latDeg + radDeg)
-	rowHi := ix.rowOf(latDeg - radDeg)
-	for r := rowLo; r <= rowHi; r++ {
-		// Haversine bound: sin²(Δλ/2) ≤ sin²(θ/2)/(cos φ₁·cos φ₂), with
-		// cos φ₂ the row's precomputed band minimum.
-		full := false
-		var dLonDeg float64
-		prod := cosG * ix.cosRow[r]
-		if prod < 1e-9 {
-			full = true
-		} else if s := sinHalfRad / math.Sqrt(prod); s >= 1 {
-			full = true
-		} else {
-			dLonDeg = units.Rad2Deg(2 * math.Asin(s))
-			if 2*dLonDeg >= 360-ix.cellDeg {
-				full = true
+// halves returns b as boxes that do not wrap the dateline — itself and an
+// empty one, or its two sides — so that a scan's row loop has one contiguous
+// span per row: row-major storage makes a column window one range of sats.
+func (ix *Index) halves(b cellBox) [2]cellBox {
+	if b.colLo <= b.colHi {
+		return [2]cellBox{b, emptyBox}
+	}
+	return [2]cellBox{{b.rowLo, b.rowHi, 0, b.colHi}, {b.rowLo, b.rowHi, b.colLo, uint16(ix.cols - 1)}}
+}
+
+// rowSpan returns the CSR range [lo, hi) of row r of shell si inside the
+// non-wrapping box b.
+func (ix *Index) rowSpan(si int, b cellBox, r uint16) (lo, hi int32) {
+	row := ix.start[(si*ix.rows+int(r))*ix.cols:]
+	return row[b.colLo], row[b.colHi+1]
+}
+
+// forEachVisible calls fn(k, d2) for every CSR position k whose satellite
+// is visible from the surface point, d2 its squared slant range.
+func (ix *Index) forEachVisible(ground geo.Vec3, fn func(k int32, d2 float64)) {
+	at := []geo.LatLon{geo.FromECEF(ground)}
+	for si, sh := range ix.shells {
+		for _, b := range ix.halves(ix.box(si, at)) {
+			for r := b.rowLo; r <= b.rowHi; r++ {
+				for k, hi := ix.rowSpan(si, b, r); k < hi; k++ {
+					rel := ix.posCSR[k].Sub(ground)
+					if d2 := rel.Dot(rel); d2 <= sh.limit2 {
+						fn(k, d2)
+					}
+				}
 			}
-		}
-
-		// Row-major CSR means a contiguous column window is one contiguous
-		// span of sats — visit it as 1–2 flat segments, not per-cell.
-		base := r * ix.cols
-		if full {
-			fn(ix.start[base], ix.start[base+ix.cols])
-			continue
-		}
-		colLo := ix.colOf(lonDeg - dLonDeg)
-		colHi := ix.colOf(lonDeg + dLonDeg)
-		if colLo <= colHi {
-			fn(ix.start[base+colLo], ix.start[base+colHi+1])
-		} else { // window wraps the dateline
-			fn(ix.start[base+colLo], ix.start[base+ix.cols])
-			fn(ix.start[base], ix.start[base+colHi+1])
 		}
 	}
 }
@@ -256,26 +274,17 @@ func (ix *Index) forEachRange(latDeg, lonDeg, extraKm float64, fn func(lo, hi in
 // ReachableFrom appends a Pass for every satellite reachable from the
 // surface point ground to dst and returns the extended slice — the indexed
 // equivalent of Observer.Reachable over the indexed snapshot, with the same
-// dst append/reuse contract. Results are grouped by grid cell, not sorted
-// by satellite ID.
+// dst append/reuse contract. Results are grouped by shell and grid cell,
+// not sorted by satellite ID.
 func (ix *Index) ReachableFrom(ground geo.Vec3, dst []visibility.Pass) []visibility.Pass {
-	ll := geo.FromECEF(ground)
-	pos, chord2 := ix.posCSR, ix.chord2CSR
-	ix.forEachRange(ll.LatDeg, ll.LonDeg, 0, func(lo, hi int32) {
-		for k := lo; k < hi; k++ {
-			rel := pos[k].Sub(ground)
-			d2 := rel.Dot(rel)
-			if d2 > chord2[k] {
-				continue
-			}
-			d := math.Sqrt(d2)
-			dst = append(dst, visibility.Pass{
-				SatID:        int(ix.sats[k]),
-				SlantKm:      d,
-				ElevationDeg: visibility.ElevationDeg(ground, pos[k]),
-				RTTMs:        units.RTTMs(d),
-			})
-		}
+	ix.forEachVisible(ground, func(k int32, d2 float64) {
+		d := math.Sqrt(d2)
+		dst = append(dst, visibility.Pass{
+			SatID:        int(ix.sats[k]),
+			SlantKm:      d,
+			ElevationDeg: visibility.ElevationDeg(ground, ix.posCSR[k]),
+			RTTMs:        units.RTTMs(d),
+		})
 	})
 	return dst
 }
@@ -283,16 +292,7 @@ func (ix *Index) ReachableFrom(ground geo.Vec3, dst []visibility.Pass) []visibil
 // CountReachableFrom returns how many satellites are reachable from the
 // surface point without materialising the pass list.
 func (ix *Index) CountReachableFrom(ground geo.Vec3) int {
-	ll := geo.FromECEF(ground)
-	pos, chord2 := ix.posCSR, ix.chord2CSR
 	n := 0
-	ix.forEachRange(ll.LatDeg, ll.LonDeg, 0, func(lo, hi int32) {
-		for k := lo; k < hi; k++ {
-			rel := pos[k].Sub(ground)
-			if rel.Dot(rel) <= chord2[k] {
-				n++
-			}
-		}
-	})
+	ix.forEachVisible(ground, func(int32, float64) { n++ })
 	return n
 }

@@ -2,11 +2,16 @@ package fleet
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"repro/internal/constellation"
 	"repro/internal/geo"
+	"repro/internal/obs"
+	"repro/internal/trace"
+	"repro/internal/units"
 	"repro/internal/visibility"
 )
 
@@ -109,39 +114,6 @@ func TestReachableFromMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestForEachNearMargin checks the group-query guarantee: a satellite
-// visible from a point within extraKm of the anchor must appear among the
-// candidates of the widened query.
-func TestForEachNearMargin(t *testing.T) {
-	c := starlink(t)
-	obs := visibility.NewObserver(c)
-	ix, err := NewIndex(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := c.Snapshot(500)
-	ix.Rebuild(snap)
-
-	anchor := geo.LatLon{LatDeg: 40, LonDeg: -100}
-	const spreadKm = 600
-	offsets := []geo.LatLon{
-		geo.Destination(anchor, 0, spreadKm),
-		geo.Destination(anchor, 90, spreadKm),
-		geo.Destination(anchor, 225, spreadKm),
-	}
-	cands := map[int]bool{}
-	ix.ForEachNear(anchor.LatDeg, anchor.LonDeg, spreadKm, func(id int, _ geo.Vec3) {
-		cands[id] = true
-	})
-	for _, o := range offsets {
-		for _, p := range obs.Reachable(o.ECEF(), snap, nil) {
-			if !cands[p.SatID] {
-				t.Fatalf("sat %d visible from %v (within %v km of anchor) missing from candidates", p.SatID, o, spreadKm)
-			}
-		}
-	}
-}
-
 func TestReachableFromDstReuse(t *testing.T) {
 	c := starlink(t)
 	ix, err := NewIndex(c, 0)
@@ -220,5 +192,207 @@ func TestReachableFromEdgeCases(t *testing.T) {
 				t.Fatalf("t=%v %v: CountReachableFrom %d, want %d", tSec, g, n, len(want))
 			}
 		}
+	}
+}
+
+// forEachBoxed visits every CSR position inside the session's window: what
+// propose scans.
+func forEachBoxed(ix *Index, s *Session, fn func(k int32)) {
+	for si, win := range s.win {
+		for _, b := range ix.halves(win) {
+			for r := b.rowLo; r <= b.rowHi; r++ {
+				for k, hi := ix.rowSpan(si, b, r); k < hi; k++ {
+					fn(k)
+				}
+			}
+		}
+	}
+}
+
+// checkWindowHoldsFootprint checks the window as geometry, whatever
+// satellites happen to fly: any point a shell's satellite could be over
+// while every user sees it — within the shell's coverage angle of each — is
+// in that shell's box. It samples n points per shell around the users.
+func checkWindowHoldsFootprint(t *testing.T, ix *Index, win []cellBox, users []geo.LatLon, rng *rand.Rand, n int) {
+	t.Helper()
+	for si, sh := range ix.c.Shells {
+		theta := visibility.CoverageCentralAngleRad(sh.AltitudeKm, sh.MinElevationDeg)
+		b := win[si]
+	points:
+		for i := 0; i < n; i++ {
+			p := geo.Destination(users[rng.Intn(len(users))], rng.Float64()*360, rng.Float64()*theta*units.EarthRadiusKm)
+			for _, u := range users {
+				if geo.CentralAngleRad(p, u) > theta {
+					continue points
+				}
+			}
+			row, col := uint16(ix.rowOf(p.LatDeg)), uint16(ix.colOf(p.LonDeg))
+			inCols := b.colLo <= col && col <= b.colHi
+			if b.colLo > b.colHi {
+				inCols = col >= b.colLo || col <= b.colHi
+			}
+			if row < b.rowLo || row > b.rowHi || !inCols {
+				t.Fatalf("shell %d (θ %.2f°), cell %v°: %v is within θ of all of %v but its cell (%d,%d) is outside %+v",
+					si, units.Rad2Deg(theta), ix.cellDeg, p, users, row, col, b)
+			}
+		}
+	}
+}
+
+// TestWindowAcrossPolesAndDateline aims checkWindowHoldsFootprint at the
+// groups whose window is hardest to get right: a user whose cap holds a
+// pole (no longitude bound, and an arbitrary longitude label) beside one
+// whose cap does not, groups astride the dateline, and users either side of
+// a row boundary — on a narrow and a wide shell, at cell sizes that do and
+// do not divide 360.
+func TestWindowAcrossPolesAndDateline(t *testing.T) {
+	c, err := constellation.Build("two", []constellation.Shell{
+		{Name: "narrow", AltitudeKm: 350, InclinationDeg: 90, Planes: 2, SatsPerPlane: 2, MinElevationDeg: 40},
+		{Name: "wide", AltitudeKm: 1300, InclinationDeg: 90, Planes: 2, SatsPerPlane: 2, MinElevationDeg: 10},
+	}, constellation.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := [][]geo.LatLon{
+		{{LatDeg: 90, LonDeg: 0}, {LatDeg: 86, LonDeg: 170}},
+		{{LatDeg: 90, LonDeg: 0}, {LatDeg: 86, LonDeg: -175}, {LatDeg: 86.5, LonDeg: 178}},
+		{{LatDeg: 89.5, LonDeg: 20}, {LatDeg: 85.5, LonDeg: -165}, {LatDeg: 85, LonDeg: -150}},
+		{{LatDeg: -90, LonDeg: 45}, {LatDeg: -85, LonDeg: -140}},
+		{{LatDeg: -88, LonDeg: 100}, {LatDeg: -84.5, LonDeg: -80}, {LatDeg: -85, LonDeg: -100}},
+		{{LatDeg: 0, LonDeg: 179.9}, {LatDeg: 1, LonDeg: -179.9}},
+		{{LatDeg: 50, LonDeg: -179.99}, {LatDeg: 52, LonDeg: 179.5}, {LatDeg: 49, LonDeg: 178}},
+		{{LatDeg: 50.01, LonDeg: 10}, {LatDeg: 49.99, LonDeg: 12}}, // either side of a 4° row boundary
+		{{LatDeg: 70, LonDeg: -120}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, cellDeg := range []float64{0.5, 4, 7, 30} {
+		ix, err := NewIndex(c, cellDeg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, users := range groups {
+			var ecef []geo.Vec3
+			for _, u := range users {
+				ecef = append(ecef, u.ECEF())
+			}
+			checkWindowHoldsFootprint(t, ix, ix.window(ecef), users, rng, 2000)
+		}
+	}
+}
+
+// FuzzSessionWindow pins the session window and the fused scan to the
+// linear definition over random geometry: Walker shells of mixed altitude
+// and mask, any cell size, groups spread up to 1,500 km about an anchor that
+// may sit on a pole, the dateline or a row boundary. Every satellite the
+// linear Observer.Visible-for-all-users scan accepts must lie inside the
+// session's boxes, and propose must return exactly the oracle's candidate
+// set with bit-equal RTTs.
+func FuzzSessionWindow(f *testing.F) {
+	f.Add(int64(1), uint8(0), 4.0, 40.0, -100.0)
+	f.Add(int64(2), uint8(3), 0.5, 90.0, 0.0)     // north pole, finest grid
+	f.Add(int64(3), uint8(7), 30.0, -90.0, 45.0)  // south pole, coarsest grid
+	f.Add(int64(4), uint8(1), 7.0, 3.5, 180.0)    // dateline, a cell size that does not divide 360
+	f.Add(int64(5), uint8(2), 4.0, 50.0, -179.99) // row boundary (90−50 = 10·4) beside the dateline
+	f.Add(int64(6), uint8(5), 11.0, -66.0, 179.5)
+	f.Fuzz(func(t *testing.T, seed int64, nUsers uint8, cellDeg, lat, lon float64) {
+		if !(cellDeg >= 0.5 && cellDeg <= 30) || !(math.Abs(lat) <= 90) || !(math.Abs(lon) <= 180) {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		shells := make([]constellation.Shell, 1+rng.Intn(4))
+		for i := range shells {
+			shells[i] = constellation.Shell{
+				Name: "s", AltitudeKm: 300 + rng.Float64()*1700, InclinationDeg: 30 + rng.Float64()*70,
+				Planes: 6 + rng.Intn(26), SatsPerPlane: 6 + rng.Intn(30), PhaseFactor: rng.Intn(4),
+				MinElevationDeg: 5 + rng.Float64()*40,
+			}
+		}
+		c, err := constellation.Build("fuzz", shells, constellation.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		anchor := geo.LatLon{LatDeg: lat, LonDeg: lon}
+		users := []geo.LatLon{anchor}
+		for len(users) < 1+int(nUsers)%8 {
+			users = append(users, geo.Destination(anchor, rng.Float64()*360, rng.Float64()*750))
+		}
+		s, err := NewSession(1, users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := New(c, nil, Config{CellDeg: cellDeg, Workers: 1, Registry: obs.NewRegistry()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Start(rng.Float64() * 6000); err != nil {
+			t.Fatal(err)
+		}
+		got, pr := o.propose(nil, s)
+		if int(pr.hi) != len(got) || pr.lo != 0 {
+			t.Fatalf("proposal %+v over %d candidates", pr, len(got))
+		}
+
+		inBox := make([]bool, c.Size())
+		forEachBoxed(o.idx, s, func(k int32) { inBox[o.idx.sats[k]] = true })
+		checkWindowHoldsFootprint(t, o.idx, s.win, users, rng, 64)
+
+		var want []candidate
+		for id, pos := range o.ring[0] {
+			if !o.visibleAll(s, id, o.ring[0]) {
+				continue
+			}
+			if !inBox[id] {
+				t.Fatalf("sat %d (shell %d, subpoint %v) visible to all of %v but outside the window %+v",
+					id, c.Satellites[id].ShellIndex, geo.FromECEF(pos), users, s.win)
+			}
+			rtt := 0.0
+			for _, u := range s.Users {
+				rtt = max(rtt, units.RTTMs(pos.Distance(u)))
+			}
+			want = append(want, candidate{id: id, rtt: rtt})
+		}
+		t.Logf("%d shells, %d users, cell %v°: %d candidates", len(shells), len(users), cellDeg, len(want))
+		for i := range got {
+			got[i].life = 0
+		}
+		slices.SortFunc(got, func(a, b candidate) int { return a.id - b.id })
+		if !slices.Equal(got, want) {
+			t.Fatalf("propose kept %v\nlinear oracle  %v", got, want)
+		}
+	})
+}
+
+// TestProposeScansTightWindow is the count gate on the session window: on
+// Starlink, over city-weighted groups of 2–5 users, the satellites inside a
+// session's boxes — what propose scans — stay within 2.5× the candidates it
+// keeps. One rectangle at the largest shell's coverage angle about the
+// centroid read 3.6.
+func TestProposeScansTightWindow(t *testing.T) {
+	o, err := New(starlink(t), nil, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups, err := trace.Groups(trace.GroupConfig{Seed: 5, Groups: 2000, MinUsers: 2, MaxUsers: 5, SpreadKm: 300, MaxAbsLatDeg: 55})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	var scanned, kept int
+	for i, g := range groups {
+		s, err := NewSession(uint64(i+1), g.Users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands, _ := o.propose(nil, s)
+		kept += len(cands)
+		forEachBoxed(o.idx, s, func(int32) { scanned++ })
+	}
+	t.Logf("%d proposals scanned %d satellites (%.1f each) to keep %d (%.1f each): ratio %.2f",
+		len(groups), scanned, float64(scanned)/float64(len(groups)), kept, float64(kept)/float64(len(groups)),
+		float64(scanned)/float64(kept))
+	if kept == 0 || float64(scanned) > 2.5*float64(kept) {
+		t.Fatalf("propose scans %d satellites to keep %d, want at most 2.5 scanned per kept", scanned, kept)
 	}
 }

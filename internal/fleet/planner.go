@@ -7,15 +7,17 @@ package fleet
 //	A2  gather the work in shard order and sort it by session ID (serial)
 //	A3  batched SSSP transfer pricing over the epoch's source satellites
 //	B/C streaming rounds over the sorted work, one chunk at a time:
-//	    propose the chunk in parallel into per-worker arenas, admit it
-//	    serially
+//	    admit chunk k serially while the workers propose chunk k+1
 //	D   ring rotation, index rebuild, clock advance (serial)
 //
 // Every capacity decision is taken in one global session-ID order, so the
 // planner's output is byte-identical for every Workers setting. Streaming
 // in chunks keeps the per-epoch footprint at O(chunk · candidates) instead
 // of materialising a proposal list for the whole work set — the difference
-// between 100k and 1M+ sessions fitting the same epoch loop.
+// between 100k and 1M+ sessions fitting the same epoch loop. Proposals may
+// run a chunk ahead of admission because they read only what an epoch
+// holds still — the ring, the index, the fault state, the session's own
+// users — and never capacity or another session's assignment.
 //
 // Transfer pricing rides the frozen-CSR engine: the orchestrator chains a
 // groundless netgraph snapshot through Network.AtAfter each epoch and
@@ -50,8 +52,15 @@ import (
 
 // streamChunk is how many sorted work items one streaming round proposes
 // and admits. Large enough to amortise the fan-out, small enough that a
-// round's proposal arenas stay cache-resident.
-const streamChunk = 8192
+// round's proposal arenas stay cache-resident and that the last chunk's
+// admission, which has no proposals left to overlap, is a small share of
+// an epoch's.
+const streamChunk = 2048
+
+// proposeBlock is how many of a chunk's sessions a proposer claims at a
+// time: a worker that shares its core with the admission phase falls
+// behind, and must not be left holding half a chunk.
+const proposeBlock = 64
 
 // batchMinWork is the pending-move count at which a source satellite's
 // SSSP row joins the parallel batch; sources below it are priced lazily,
@@ -59,24 +68,21 @@ const streamChunk = 8192
 // its row at all.
 const batchMinWork = 2
 
-// proposal locates one session's candidates inside a worker arena:
-// pl.workers[w].arena[lo:pool] is the ranked Sticky pool, best first, and
-// arena[pool:hi] the spill candidates as a min-heap on (rtt, id).
+// proposal locates one session's candidates inside its block's arena:
+// arena[lo:pool] is the ranked Sticky pool, best first, and arena[pool:hi]
+// the spill candidates in no order.
 type proposal struct {
-	w            int32
-	lo, pool, hi int32
-	latSec       float64
+	lo, pool, hi    int32
+	scanSec, latSec float64 // wall clock of the index scan and of the whole proposal
 }
 
-// workerScratch is one worker's private memory: the candidate build buffer,
-// the arena that holds a round's proposals, and the epoch's pricing rows
-// this worker computed, back to back. Padded so neighbouring workers' slice
-// headers do not false-share.
-type workerScratch struct {
-	cands []candidate
-	arena []candidate
-	rows  []netgraph.NodeMs
-	_     [64]byte
+// chunkBuf holds one streaming round's proposals. props[i] is work item i's,
+// inside arenas[i/proposeBlock]: a block is proposed by one goroutine into
+// its own arena, so no arena is shared. There are two, so that one can fill
+// while the other is admitted.
+type chunkBuf struct {
+	props  []proposal
+	arenas [][]candidate
 }
 
 // srcState is one source satellite's transfer-pricing state for the epoch.
@@ -96,10 +102,11 @@ type plannerState struct {
 	goneByShard  [][]*Session
 	deferByShard []int
 
-	work    []workItem // the epoch's work list, ascending session ID
-	props   []proposal
-	workers []workerScratch
-	gone    []*Session
+	work     []workItem // the epoch's work list, ascending session ID
+	chunkLen int        // streamChunk, but for tests
+	bufs     [2]chunkBuf
+	rows     [][]netgraph.NodeMs // per worker: the epoch's pricing rows it computed, back to back
+	gone     []*Session
 
 	src      []srcState // per-satellite pricing state
 	srcTouch []int32    // satellites with pending movers (reset list)
@@ -111,8 +118,11 @@ func (pl *plannerState) init(o *Orchestrator) {
 	pl.workByShard = make([][]workItem, nShards)
 	pl.goneByShard = make([][]*Session, nShards)
 	pl.deferByShard = make([]int, nShards)
-	pl.props = make([]proposal, streamChunk)
-	pl.workers = make([]workerScratch, o.cfg.Workers)
+	pl.chunkLen = streamChunk
+	for b := range pl.bufs {
+		pl.bufs[b] = chunkBuf{make([]proposal, streamChunk), make([][]candidate, streamChunk/proposeBlock)}
+	}
+	pl.rows = make([][]netgraph.NodeMs, o.cfg.Workers)
 	pl.src = make([]srcState, o.c.Size())
 }
 
@@ -133,11 +143,8 @@ func (pl *plannerState) reset() {
 	}
 	pl.srcTouch = pl.srcTouch[:0]
 	pl.batch = pl.batch[:0]
-	// A Step that failed mid-chunk left its arenas populated; later epochs
-	// must not append after the stale entries.
-	for w := range pl.workers {
-		pl.workers[w].arena = pl.workers[w].arena[:0]
-		pl.workers[w].rows = pl.workers[w].rows[:0]
+	for w := range pl.rows {
+		pl.rows[w] = pl.rows[w][:0]
 	}
 }
 
@@ -170,47 +177,35 @@ func cmpBand(a, b candidate) int {
 	return cmpByRTT(a, b)
 }
 
-// popSpill removes the least candidate of a spill heap (a binary min-heap
-// under cmpByRTT) and returns the shrunk heap.
-func popSpill(h []candidate) []candidate {
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	siftSpill(h, 0)
-	return h
-}
-
-// siftSpill restores the heap order below h[i].
-func siftSpill(h []candidate, i int) {
-	for {
-		m := 2*i + 1
-		if m >= len(h) {
-			return
-		}
-		if r := m + 1; r < len(h) && cmpByRTT(h[r], h[m]) < 0 {
-			m = r
-		}
-		if cmpByRTT(h[m], h[i]) >= 0 {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
 // rankForAdmission puts cands — band candidates first, their life filled
 // in — into admission order in place and returns the pool size: the Sticky
 // pool (the first PoolSize band candidates under cmpBand) ranked, then
-// everything else as a min-heap under cmpByRTT. cmpByRTT is a total order,
-// so popping the heap yields the one sorted spill sequence.
+// everything else in no order. Admission takes the first of the pool that
+// fits, else the least under cmpByRTT that fits, and a minimum needs no
+// order (pick).
 func rankForAdmission(cands []candidate, band, poolSize int) int {
 	slices.SortFunc(cands[:band], cmpBand)
-	pool := min(band, poolSize)
-	spill := cands[pool:]
-	for i := len(spill)/2 - 1; i >= 0; i-- {
-		siftSpill(spill, i)
+	return min(band, poolSize)
+}
+
+// pick returns the first candidate in admission order that fits, id −1 when
+// none does: the ranked pool in order, then the spill candidates by
+// (rtt, id) — and the first that fits in a sorted order is the least that
+// fits, so one pass over the unordered tail finds it, reading capacity only
+// for a candidate that would displace the best so far.
+func pick(pool, spill []candidate, fits func(id int) bool) candidate {
+	for _, c := range pool {
+		if fits(c.id) {
+			return c
+		}
 	}
-	return pool
+	best := candidate{id: -1}
+	for _, c := range spill {
+		if (best.id < 0 || cmpByRTT(c, best) < 0) && fits(c.id) {
+			best = c
+		}
+	}
+	return best
 }
 
 // Step runs one planner epoch at the current simulated time: removes
@@ -345,28 +340,31 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	})
 	o.m.ssspBatched.Add(uint64(len(pl.batch)))
 
-	// Phases B/C — streaming rounds over the sorted work: propose a chunk
-	// in parallel, admit it serially in session-ID order. Proposals read
-	// only the ring and index, never capacity, so chunking cannot change
-	// any admission decision.
-	for at := 0; at < len(pl.work); at += streamChunk {
-		chunk := pl.work[at:min(at+streamChunk, len(pl.work))]
+	// Phases B/C — streaming rounds over the sorted work: admit chunk k
+	// serially in session-ID order while the workers propose chunk k+1 into
+	// the other buffer. Proposals never read capacity, so neither chunking
+	// nor running ahead can change any admission decision. Every path out
+	// of the loop joins the proposers it started (the last chunk's
+	// successor is empty and proposed inline).
+	chunkAt := func(k int) []workItem {
+		lo := min(k*pl.chunkLen, len(pl.work))
+		return pl.work[lo:min(lo+pl.chunkLen, len(pl.work))]
+	}
+	join := o.proposeAhead(&pl.bufs[0], chunkAt(0))
+	for k := 0; k*pl.chunkLen < len(pl.work); k++ {
+		chunk, buf := chunkAt(k), &pl.bufs[k&1]
+		join()
+		join = o.proposeAhead(&pl.bufs[(k+1)&1], chunkAt(k+1))
 		o.m.streamChunks.Inc()
-		par.Chunks(len(chunk), o.cfg.Workers, func(w, lo, hi int) {
-			sc := &pl.workers[w]
-			for i := lo; i < hi; i++ {
-				pl.props[i] = o.propose(sc, int32(w), chunk[i].sess)
-			}
-		})
-		if err := o.admitChunk(chunk, &rep); err != nil {
+		if err := o.admitChunk(chunk, buf, &rep); err != nil {
+			join()
 			return rep, err
 		}
-		for i := range chunk {
-			o.m.placeLat.Observe(pl.props[i].latSec)
-			o.m.replanQ.Observe(pl.props[i].latSec * 1e3)
-		}
-		for w := range pl.workers {
-			pl.workers[w].arena = pl.workers[w].arena[:0]
+		// Observed here, not by the proposers: one goroutine per series.
+		for _, pr := range buf.props[:len(chunk)] {
+			o.m.indexQuery.Observe(pr.scanSec)
+			o.m.placeLat.Observe(pr.latSec)
+			o.m.replanQ.Observe(pr.latSec * 1e3)
 		}
 	}
 	o.m.rejections.Add(uint64(rep.Rejections))
@@ -399,18 +397,35 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	return rep, nil
 }
 
-// admitChunk runs the serial admission phase over one streaming chunk:
-// first candidate in admission order with spare capacity wins. The Sticky
-// pool is walked as ranked; when it is full the session spills down the
-// latency order, popping the proposal's heap only as deep as capacity
-// forces it, and is rejected (retrying next epoch) when nothing fits.
-func (o *Orchestrator) admitChunk(chunk []workItem, rep *EpochReport) error {
-	pl := &o.pl
+// proposeAhead starts proposing chunk into buf and returns the call that
+// waits for it. With one worker, or nothing to propose, it has already run
+// on the caller's goroutine.
+func (o *Orchestrator) proposeAhead(buf *chunkBuf, chunk []workItem) (join func()) {
+	propose := func() {
+		blocks := (len(chunk) + proposeBlock - 1) / proposeBlock
+		_ = par.Each(blocks, o.cfg.Workers, func(b int) error {
+			arena := buf.arenas[b][:0]
+			for i := b * proposeBlock; i < min((b+1)*proposeBlock, len(chunk)); i++ {
+				arena, buf.props[i] = o.propose(arena, chunk[i].sess)
+			}
+			buf.arenas[b] = arena
+			return nil
+		})
+	}
+	if o.cfg.Workers == 1 || len(chunk) == 0 {
+		propose()
+		return func() {}
+	}
+	return par.Async(propose)
+}
+
+// admitChunk runs the serial admission phase over one streaming chunk and
+// its proposals in buf: first candidate in admission order with spare
+// capacity wins (pick), and the session is rejected (retrying next epoch)
+// when nothing fits.
+func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochReport) error {
 	task := func(s *Session) compute.Task {
 		return compute.Task{ID: int(s.ID), Cores: s.CoresDemand, MemoryGB: s.MemoryGB}
-	}
-	fits := func(s *Session, id int) bool {
-		return id == s.Sat || o.nodes[id].Fits(task(s))
 	}
 	for i, w := range chunk {
 		s := w.sess
@@ -421,23 +436,10 @@ func (o *Orchestrator) admitChunk(chunk []workItem, rep *EpochReport) error {
 		if s.Retries > 0 {
 			o.m.migRetries.Inc()
 		}
-		pr := pl.props[i]
-		arena := pl.workers[pr.w].arena
-		chosen := candidate{id: -1}
-		for _, cand := range arena[pr.lo:pr.pool] {
-			if fits(s, cand.id) {
-				chosen = cand
-				break
-			}
-		}
-		spill := arena[pr.pool:pr.hi]
-		for chosen.id < 0 && len(spill) > 0 {
-			if fits(s, spill[0].id) {
-				chosen = spill[0]
-			} else {
-				spill = popSpill(spill)
-			}
-		}
+		pr, arena := buf.props[i], buf.arenas[i/proposeBlock]
+		chosen := pick(arena[pr.lo:pr.pool], arena[pr.pool:pr.hi], func(id int) bool {
+			return id == s.Sat || o.nodes[id].Fits(task(s))
+		})
 		if chosen.id < 0 {
 			if s.Sat >= 0 {
 				_ = o.nodes[s.Sat].Release(int(s.ID))
@@ -478,10 +480,8 @@ func (o *Orchestrator) admitChunk(chunk []workItem, rep *EpochReport) error {
 				}
 				continue
 			}
-			if err := o.nodes[chosen.id].Place(task(s)); err != nil {
-				return fmt.Errorf("fleet: admission of session %d: %w", s.ID, err)
-			}
-			_ = o.nodes[from].Release(int(s.ID))
+			// Cost the move before any capacity moves, so that an error
+			// leaves the books as they were.
 			transfer := o.transferMs(from, chosen.id, s.Centroid)
 			res, merr := migrate.Live(
 				migrate.State{SessionMB: s.StateMB, DirtyRateMBps: o.cfg.DirtyRateMBps},
@@ -491,6 +491,10 @@ func (o *Orchestrator) admitChunk(chunk []workItem, rep *EpochReport) error {
 			if merr != nil {
 				return fmt.Errorf("fleet: migration cost of session %d: %w", s.ID, merr)
 			}
+			if err := o.nodes[chosen.id].Place(task(s)); err != nil {
+				return fmt.Errorf("fleet: admission of session %d: %w", s.ID, err)
+			}
+			_ = o.nodes[from].Release(int(s.ID))
 			rep.Handoffs++
 			s.Handoffs++
 			rep.Transfer.Add(transfer)
@@ -525,36 +529,59 @@ func (o *Orchestrator) admitChunk(chunk []workItem, rep *EpochReport) error {
 	return nil
 }
 
-// propose computes a session's candidates into the worker's arena: all
-// satellites visible to the whole group, in admission order — the Sticky
-// pool (band candidates ranked by remaining visibility, the paper's
-// stationarity objective) sorted, then every other candidate heap-ordered
-// by latency for load spill. Admission reads a couple of candidates per
-// session, so the spill tail is heapified here, O(n) and in the parallel
-// phase, rather than sorted.
-func (o *Orchestrator) propose(sc *workerScratch, w int32, s *Session) proposal {
+// propose appends a session's candidates to arena: all satellites visible
+// to the whole group, in admission order — the Sticky pool (band candidates
+// ranked by remaining visibility, the paper's stationarity objective)
+// sorted, then every other candidate, unordered, for load spill. The scan
+// walks the session's per-shell cell boxes over contiguous CSR positions,
+// testing every user's chord against the shell's one limit; sqrt and the
+// km→ms scaling are monotone, so the RTT of the worst squared range is the
+// largest per-user RTT, bit for bit.
+func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, proposal) {
 	t0 := time.Now()
-	snap := o.ring[0]
-	cands := sc.cands[:0]
-	qStart := time.Now()
-	o.idx.ForEachNear(s.CentroidLL.LatDeg, s.CentroidLL.LonDeg, s.SpreadKm, func(id int, pos geo.Vec3) {
-		if !o.satUp(id) {
-			return // hard-failed satellites take no placements
-		}
-		if rtt, ok := o.groupRTT(s, id, snap); ok {
-			cands = append(cands, candidate{id: id, rtt: rtt})
-		}
-	})
-	o.m.indexQuery.Observe(time.Since(qStart).Seconds())
-	sc.cands = cands
-	if len(cands) == 0 {
-		return proposal{w: w, latSec: time.Since(t0).Seconds()}
+	ix, lo, inj := o.idx, len(arena), o.cfg.Faults
+	if s.win == nil {
+		s.win = ix.window(s.Users)
 	}
-	minRTT := math.Inf(1)
-	for _, c := range cands {
-		if c.rtt < minRTT {
-			minRTT = c.rtt
+	first, rest, minRTT := s.Users[0], s.Users[1:], math.Inf(1)
+	for si, win := range s.win {
+		limit := ix.shells[si].limit2
+		for _, b := range ix.halves(win) {
+			for r := b.rowLo; r <= b.rowHi; r++ {
+			scan:
+				for k, hi := ix.rowSpan(si, b, r); k < hi; k++ {
+					pos := ix.posCSR[k]
+					rel := pos.Sub(first)
+					worst2 := rel.Dot(rel)
+					if worst2 > limit {
+						continue
+					}
+					for _, u := range rest {
+						rel := pos.Sub(u)
+						d2 := rel.Dot(rel)
+						if d2 > limit {
+							continue scan
+						}
+						if d2 > worst2 {
+							worst2 = d2
+						}
+					}
+					if id := int(ix.sats[k]); inj == nil || inj.SatUp(id) { // hard-failed satellites take no placements
+						rtt := units.RTTMs(math.Sqrt(worst2))
+						arena = append(arena, candidate{id: id, rtt: rtt})
+						if rtt < minRTT {
+							minRTT = rtt
+						}
+					}
+				}
+			}
 		}
+	}
+	pr := proposal{lo: int32(lo), hi: int32(len(arena)), scanSec: time.Since(t0).Seconds()}
+	cands := arena[lo:]
+	if len(cands) == 0 {
+		pr.pool, pr.latSec = pr.lo, pr.scanSec
+		return arena, pr
 	}
 	bound := minRTT * (1 + o.cfg.LatencyBand)
 	band := 0
@@ -569,10 +596,9 @@ func (o *Orchestrator) propose(sc *workerScratch, w int32, s *Session) proposal 
 	}
 	// Keeping the full list (not just the pool) is what lets admission
 	// spill under load instead of rejecting.
-	pool := rankForAdmission(cands, band, o.cfg.PoolSize)
-	lo := int32(len(sc.arena))
-	sc.arena = append(sc.arena, cands...)
-	return proposal{w: w, lo: lo, pool: lo + int32(pool), hi: int32(len(sc.arena)), latSec: time.Since(t0).Seconds()}
+	pr.pool = pr.lo + int32(rankForAdmission(cands, band, o.cfg.PoolSize))
+	pr.latSec = time.Since(t0).Seconds()
+	return arena, pr
 }
 
 // relayBoundMs is an upper bound on the ground-relay price of any move the
@@ -586,10 +612,10 @@ func (o *Orchestrator) relayBoundMs(s *Session) float64 {
 
 // priceRow computes source satellite sat's pricing row into worker w's list.
 func (o *Orchestrator) priceRow(w, sat int) {
-	sc, src := &o.pl.workers[w], &o.pl.src[sat]
-	lo := len(sc.rows)
-	sc.rows = o.nsnap.LatenciesWithin(netgraph.NodeID(sat), src.radiusMs, sc.rows)
-	src.row = sc.rows[lo:]
+	rows, src := &o.pl.rows[w], &o.pl.src[sat]
+	lo := len(*rows)
+	*rows = o.nsnap.LatenciesWithin(netgraph.NodeID(sat), src.radiusMs, *rows)
+	src.row = (*rows)[lo:]
 	o.m.ssspSettled.Add(uint64(len(src.row)))
 }
 
@@ -610,7 +636,8 @@ func (o *Orchestrator) transferMs(a, b int, centroid geo.Vec3) float64 {
 	}
 	src := &o.pl.src[a]
 	if src.row == nil {
-		// The serial phase owns every worker list between fan-outs.
+		// Proposers never touch the row lists, so the serial phase owns
+		// them all once the batch above has returned.
 		o.priceRow(0, a)
 		o.m.ssspLazy.Inc()
 	}

@@ -1,22 +1,30 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/compute"
+	"repro/internal/constellation"
 	"repro/internal/faults"
+	"repro/internal/units"
 )
 
-// runEpochs drives one orchestrator over a fixed workload and returns its
-// epoch reports plus the final (session → satellite) assignment map.
-func runEpochs(t testing.TB, cfg Config, nSessions, epochs int) ([]EpochReport, map[uint64]int) {
+// runEpochs drives one orchestrator over sessions on c, chunkLen work items
+// to a streaming round (0 = the default), and returns its epoch reports
+// plus the final (session → satellite) assignment map.
+func runEpochs(t testing.TB, c *constellation.Constellation, cfg Config, sessions []*Session, chunkLen, epochs int) ([]EpochReport, map[uint64]int) {
 	t.Helper()
-	o, err := New(toyConst(t), nil, cfg)
+	o, err := New(c, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.SubmitBatch(testGroups(t, nSessions)); err != nil {
+	if chunkLen > 0 {
+		o.pl.chunkLen = chunkLen
+	}
+	if err := o.SubmitBatch(sessions); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Start(0); err != nil {
@@ -28,41 +36,93 @@ func runEpochs(t testing.TB, cfg Config, nSessions, epochs int) ([]EpochReport, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps = append(reps, rep)
+		reps = append(reps, stripWallClock(rep))
 	}
 	sats := map[uint64]int{}
-	tab := o.Table()
-	for si := 0; si < tab.NumShards(); si++ {
-		tab.Shard(si, func(m map[uint64]*Session) {
-			for id, s := range m {
-				sats[id] = s.Sat
-			}
-		})
+	for _, s := range allSessions(o) {
+		sats[s.ID] = s.Sat
 	}
 	return reps, sats
 }
 
 // TestPlannerWorkerInvariance is the planner's core determinism contract:
-// the worker count (including the inline one-worker path) must never change
-// a decision. Every width reproduces the same epoch reports and final
-// assignments.
+// neither the worker count (including the inline one-worker path) nor where
+// the chunk boundaries fall may change a decision — proposals for chunk k+1
+// run while chunk k is admitted. 400 sessions at 96 to a chunk is five
+// rounds of two blocks the first epoch and a ragged tail after; every width
+// reproduces the one-worker, one-chunk reports and final assignments, with
+// a fault injector and without.
 func TestPlannerWorkerInvariance(t *testing.T) {
-	baseCfg := testConfig()
-	baseCfg.Workers = 1
-	baseReps, baseSats := runEpochs(t, baseCfg, 60, 10)
-
-	for _, workers := range []int{2, 4, 8} {
-		cfg := testConfig()
-		cfg.Workers = workers
-		reps, sats := runEpochs(t, cfg, 60, 10)
-		for i := range baseReps {
-			if !reflect.DeepEqual(stripWallClock(reps[i]), stripWallClock(baseReps[i])) {
-				t.Fatalf("workers=%d epoch %d diverged:\n%+v\nwant\n%+v", workers, i, reps[i], baseReps[i])
+	for _, chaos := range []bool{false, true} {
+		run := func(workers, chunkLen int) ([]EpochReport, map[uint64]int) {
+			cfg := testConfig()
+			cfg.Workers = workers
+			cfg.Server = compute.ServerSpec{Cores: 2, MemoryGB: 64, PowerCapFraction: 1} // full satellites: admission spills
+			if chaos {
+				inj, err := faults.New(toyConst(t).Size(), faults.Config{
+					Seed: 11, SatMTBFHours: 4, SatMTTRSec: 600, ISLFlapPerHour: 6, MigrationFailProb: 0.3,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Faults = inj
+			}
+			return runEpochs(t, toyConst(t), cfg, testGroups(t, 400), chunkLen, 12)
+		}
+		baseReps, baseSats := run(1, 0)
+		if n := baseReps[0].Placements + baseReps[0].Rejections; n < 3*96 {
+			t.Fatalf("first epoch planned %d sessions: the population no longer spans three chunks", n)
+		}
+		if baseReps[0].Rejections == 0 {
+			t.Fatal("no rejections: satellites are not full, so admission order is not exercised")
+		}
+		for _, workers := range []int{1, 2, 8} {
+			reps, sats := run(workers, 96)
+			for i := range baseReps {
+				if !reflect.DeepEqual(reps[i], baseReps[i]) {
+					t.Fatalf("chaos=%v workers=%d epoch %d diverged:\n%+v\nwant\n%+v", chaos, workers, i, reps[i], baseReps[i])
+				}
+			}
+			if !reflect.DeepEqual(sats, baseSats) {
+				t.Fatalf("chaos=%v workers=%d final assignments diverged", chaos, workers)
 			}
 		}
-		if !reflect.DeepEqual(sats, baseSats) {
-			t.Fatalf("workers=%d final assignments diverged", workers)
+	}
+}
+
+// TestResubmittedSessionsRebuildWindow: a session's cached window belongs
+// to one orchestrator's grid and shells. The same []*Session run through a
+// 4° Starlink orchestrator and then submitted to a 2° Telesat one must plan
+// there exactly as freshly built sessions do.
+func TestResubmittedSessionsRebuildWindow(t *testing.T) {
+	telesat, err := constellation.Telesat(constellation.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := func(cellDeg float64) Config {
+		c := testConfig()
+		c.CellDeg = cellDeg
+		return c
+	}
+	used := testGroups(t, 60)
+	runEpochs(t, starlink(t), cfg(4), used, 0, 3)
+	for _, s := range used {
+		if len(s.win) != 5 {
+			t.Fatalf("session %d: window %v after a Starlink run, want five boxes", s.ID, s.win)
 		}
+		// What a caller resets to re-use a session; the window is not theirs to reset.
+		s.Handoffs, s.PlacedAt, s.RTTMs = 0, 0, 0
+	}
+	gotReps, gotSats := runEpochs(t, telesat, cfg(2), used, 0, 8)
+	wantReps, wantSats := runEpochs(t, telesat, cfg(2), testGroups(t, 60), 0, 8)
+	if !reflect.DeepEqual(gotReps, wantReps) {
+		t.Fatalf("re-submitted sessions planned differently:\n%+v\nwant\n%+v", gotReps, wantReps)
+	}
+	if !reflect.DeepEqual(gotSats, wantSats) {
+		t.Fatal("re-submitted sessions ended on different satellites")
+	}
+	if wantReps[len(wantReps)-1].Assigned == 0 {
+		t.Fatal("nothing assigned on Telesat — the comparison is vacuous")
 	}
 }
 
@@ -111,18 +171,20 @@ func TestPlannerAllCandidatesDead(t *testing.T) {
 	}
 }
 
-// FuzzSpillOrder pins the admission order against its definition: the band
-// ranked by cmpBand, its first PoolSize entries, then everything else
-// sorted by cmpByRTT. The planner only sorts the pool and heap-orders the
-// rest, so the pool followed by successive heap pops must reproduce the
-// reference at every position — duplicate RTTs, empty bands and pools
-// wider than the band included.
-func FuzzSpillOrder(f *testing.F) {
-	f.Add([]byte{3, 1, 3, 0, 7, 2, 1, 1, 7, 3, 0, 0}, uint8(3), uint8(2), false)
-	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(5), uint8(8), true)
-	f.Add([]byte{9, 0}, uint8(0), uint8(1), false)
-	f.Add([]byte{}, uint8(0), uint8(5), false)
-	f.Fuzz(func(t *testing.T, raw []byte, bandByte, poolByte uint8, descendingIDs bool) {
+// FuzzAdmissionOrder pins the admission pick against its definition: the
+// band ranked by cmpBand, its first PoolSize entries, then everything else
+// sorted by cmpByRTT, and the first entry of that order that fits wins. The
+// planner only sorts the band and takes the least fitting candidate of the
+// unordered rest, so at every capacity mask — nothing fits, only the held
+// satellite fits, duplicate RTTs, empty bands and pools wider than the band
+// included — pick must return the reference's first fitting entry.
+func FuzzAdmissionOrder(f *testing.F) {
+	f.Add([]byte{3, 1, 3, 0, 7, 2, 1, 1, 7, 3, 0, 0}, uint8(3), uint8(2), false, uint64(0b101010), int8(4))
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(5), uint8(8), true, uint64(1<<4), int8(-1))
+	f.Add([]byte{9, 0}, uint8(0), uint8(1), false, uint64(0), int8(0))
+	f.Add([]byte{}, uint8(0), uint8(5), false, ^uint64(0), int8(-1))
+	f.Add([]byte{1, 1, 2, 2, 3, 3, 4, 0, 5, 1, 6, 2}, uint8(2), uint8(1), true, uint64(0), int8(-1))
+	f.Fuzz(func(t *testing.T, raw []byte, bandByte, poolByte uint8, descendingIDs bool, mask uint64, held int8) {
 		n := len(raw) / 2
 		cands := make([]candidate, n)
 		for i := range cands {
@@ -135,34 +197,44 @@ func FuzzSpillOrder(f *testing.F) {
 		}
 		band := int(bandByte) % (n + 1)
 		poolSize := 1 + int(poolByte)%8
+		// A satellite fits when its mask bit is set, or when the session
+		// already holds it.
+		fits := func(id int) bool { return id == int(held) || mask>>(id%64)&1 == 1 }
 
-		want := slices.Clone(cands)
-		slices.SortFunc(want[:band], cmpBand)
-		slices.SortFunc(want[min(band, poolSize):], cmpByRTT)
+		ref := slices.Clone(cands)
+		slices.SortFunc(ref[:band], cmpBand)
+		slices.SortFunc(ref[min(band, poolSize):], cmpByRTT)
+		want := candidate{id: -1}
+		if i := slices.IndexFunc(ref, func(c candidate) bool { return fits(c.id) }); i >= 0 {
+			want = ref[i]
+		}
 
 		pool := rankForAdmission(cands, band, poolSize)
-		if pool != min(band, poolSize) {
-			t.Fatalf("pool %d, want min(band %d, PoolSize %d)", pool, band, poolSize)
+		if pool != min(band, poolSize) || !slices.Equal(cands[:pool], ref[:pool]) {
+			t.Fatalf("pool %v (size %d), want %v", cands[:pool], pool, ref[:min(band, poolSize)])
 		}
-		got := slices.Clone(cands[:pool])
-		for spill := cands[pool:]; len(spill) > 0; spill = popSpill(spill) {
-			got = append(got, spill[0])
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("band %d PoolSize %d:\n got %v\nwant %v", band, poolSize, got, want)
+		if got := pick(cands[:pool], cands[pool:], fits); got != want {
+			t.Fatalf("band %d PoolSize %d mask %b held %d: picked %+v, reference order %v picks %+v",
+				band, poolSize, mask, held, got, ref, want)
 		}
 	})
 }
 
-// TestResetClearsScratchAfterFailedStep: a Step that fails inside admission
-// returns with its chunk's proposals still in the worker arenas. The next
-// epoch's reset must drop them, or every later epoch appends after them.
+// TestResetClearsScratchAfterFailedStep: a Step that fails inside
+// admission returns with a chunk half admitted, the next chunk's proposals
+// in the other buffer and — unless it joined them — proposers still running.
+// The orchestrator must be usable afterwards: the next Step neither races a
+// leftover proposer (run under -race) nor reads a stale candidate.
 func TestResetClearsScratchAfterFailedStep(t *testing.T) {
-	o, err := New(toyConst(t), nil, testConfig())
+	cfg := testConfig()
+	cfg.Workers = 4
+	o, err := New(toyConst(t), nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.SubmitBatch(testGroups(t, 60)); err != nil {
+	o.pl.chunkLen = 4 // several chunks and both buffers in play every epoch
+	sessions := testGroups(t, 200)
+	if err := o.SubmitBatch(sessions); err != nil {
 		t.Fatal(err)
 	}
 	if err := o.Start(0); err != nil {
@@ -172,6 +244,7 @@ func TestResetClearsScratchAfterFailedStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Make the first hand-off's migration costing fail.
+	dirty := o.cfg.DirtyRateMBps
 	o.cfg.DirtyRateMBps = 1e12
 	for epoch := 0; err == nil; epoch++ {
 		if epoch == 30 {
@@ -179,17 +252,46 @@ func TestResetClearsScratchAfterFailedStep(t *testing.T) {
 		}
 		_, err = o.Step()
 	}
-	stale := 0
-	for w := range o.pl.workers {
-		stale += len(o.pl.workers[w].arena)
+	if len(o.pl.work) <= 2*o.pl.chunkLen {
+		t.Fatalf("failing epoch had %d work items: no proposals were running ahead of the admission that failed", len(o.pl.work))
 	}
-	if stale == 0 {
-		t.Fatal("failed Step left no proposals behind — the scenario no longer reaches the bug")
-	}
-	o.pl.reset()
-	for w := range o.pl.workers {
-		if sc := &o.pl.workers[w]; len(sc.arena) != 0 || len(sc.rows) != 0 {
-			t.Fatalf("worker %d keeps %d candidates and %d row entries across reset", w, len(sc.arena), len(sc.rows))
+	o.cfg.DirtyRateMBps = dirty
+	// Recovery: later epochs read no stale candidate — every placement is
+	// on a satellite its whole group sees, at that group's own RTT.
+	var rep EpochReport
+	for epoch := 0; epoch < 5; epoch++ {
+		snap, now := o.ring[0], o.now
+		if rep, err = o.Step(); err != nil {
+			t.Fatal(err)
 		}
+		for _, s := range sessions {
+			if s.Sat < 0 || s.PlacedAt != now {
+				continue
+			}
+			rtt := 0.0
+			for _, u := range s.Users {
+				rtt = max(rtt, units.RTTMs(snap[s.Sat].Distance(u)))
+			}
+			if !o.visibleAll(s, s.Sat, snap) || s.RTTMs != rtt {
+				t.Fatalf("t=%v: session %d placed on sat %d at %v ms; its group sees it: %v, at %v ms",
+					now, s.ID, s.Sat, s.RTTMs, o.visibleAll(s, s.Sat, snap), rtt)
+			}
+		}
+	}
+	// The books balance: the failed Step costed its move before touching
+	// capacity, so no session is half moved or double-booked.
+	assigned, demand := 0, 0.0
+	for _, s := range sessions {
+		if s.Sat >= 0 {
+			assigned++
+			demand += s.CoresDemand
+		}
+	}
+	used := 0.0
+	for _, u := range o.Utilization() {
+		used += u * o.cfg.Server.EffectiveCores()
+	}
+	if assigned != rep.Assigned || math.Abs(used-demand) > 1e-6 {
+		t.Fatalf("report says %d assigned, sessions %d; nodes hold %.3f cores, sessions demand %.3f", rep.Assigned, assigned, used, demand)
 	}
 }

@@ -19,11 +19,11 @@ type Session struct {
 	// Users are the group's terminals (ECEF, on the surface).
 	Users []geo.Vec3
 	// Centroid is the group centroid (ECEF) and CentroidLL its geographic
-	// form, the anchor for footprint-index queries.
+	// form.
 	Centroid   geo.Vec3
 	CentroidLL geo.LatLon
 	// SpreadKm is the largest great-circle distance from a user to the
-	// centroid — the index query margin.
+	// centroid — the margin of the transfer-pricing radius.
 	SpreadKm float64
 
 	// CoresDemand and MemoryGB are the per-session resource demand.
@@ -52,6 +52,11 @@ type Session struct {
 	// failure and is still waiting for a new assignment — set and cleared
 	// by the orchestrator so every evacuation is accounted for.
 	Evacuating bool
+
+	// win is the session's footprint-index window, one cell box per shell:
+	// where a satellite visible to every user can be. Users and grid are both
+	// Earth-fixed, so it is built once, by the session's first proposal.
+	win []cellBox
 }
 
 // NewSession builds a session from user locations with the default demand

@@ -6,6 +6,7 @@
 // caller's goroutine when the resolved width is one, and both hand work out
 // by index alone, so what is computed never depends on the width; whether a
 // batch is worth fanning out is the call site's decision (its units differ).
+// Async is the one way to keep the caller busy meanwhile.
 package par
 
 import (
@@ -91,4 +92,16 @@ func Each(n, width int, f func(i int) error) error {
 	}
 	wg.Wait()
 	return first
+}
+
+// Async runs f on its own goroutine and returns the call that waits for it
+// to return — for a caller with work of its own to do while a fan-out runs.
+// The caller must join on every path.
+func Async(f func()) (join func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	return func() { <-done }
 }

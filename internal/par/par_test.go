@@ -132,3 +132,21 @@ func TestEachLowestIndexError(t *testing.T) {
 		}
 	}
 }
+
+// TestAsyncJoins: f runs off the caller's goroutine, join returns only after
+// f has, and joining again is harmless.
+func TestAsyncJoins(t *testing.T) {
+	caller := goid()
+	release := make(chan struct{})
+	var ran string
+	join := Async(func() {
+		<-release // the caller is provably not blocked while f runs
+		ran = goid()
+	})
+	close(release)
+	join()
+	join()
+	if ran == "" || ran == caller {
+		t.Fatalf("f ran on goroutine %q, caller is %s", ran, caller)
+	}
+}
