@@ -379,7 +379,9 @@ func run(out io.Writer, o options) error {
 				rep.TSec, rep.Sessions, rep.Assigned, rep.Handoffs, rep.Rejections, rep.WallSec)
 		}
 		if sr != nil {
-			sr.advance(orch.Now())
+			if err := sr.advance(orch.Now()); err != nil {
+				return err
+			}
 		}
 		if tl != nil {
 			tl.MaybeRecord(orch.Now())
@@ -387,10 +389,6 @@ func run(out io.Writer, o options) error {
 	}
 
 	if o.csvPath != "" {
-		f, err := os.Create(o.csvPath)
-		if err != nil {
-			return err
-		}
 		series := []plot.Series{
 			{Name: "sessions", X: tS, Y: sessS},
 			{Name: "assigned", X: tS, Y: assignS},
@@ -407,15 +405,7 @@ func run(out io.Writer, o options) error {
 				plot.Series{Name: "fault_events", X: tS, Y: faultS},
 			)
 		}
-		w := bufio.NewWriter(f)
-		err = plot.WriteCSV(w, series...)
-		if ferr := w.Flush(); err == nil {
-			err = ferr
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeFile(o.csvPath, func(w io.Writer) error { return plot.WriteCSV(w, series...) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "per-epoch series written to %s\n", o.csvPath)
@@ -452,32 +442,34 @@ func run(out io.Writer, o options) error {
 	return nil
 }
 
-// exportTimeline writes the recorded frames to the requested files.
-func exportTimeline(out io.Writer, tl *obs.Timeline, o options) error {
-	write := func(path string, render func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		w := bufio.NewWriter(f)
-		err = render(w)
-		if ferr := w.Flush(); err == nil {
-			err = ferr
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
+// writeFile creates path and renders into it through a buffered writer.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
 		return err
 	}
+	w := bufio.NewWriter(f)
+	err = render(w)
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// exportTimeline writes the recorded frames to the requested files.
+func exportTimeline(out io.Writer, tl *obs.Timeline, o options) error {
 	if o.timelineOut != "" {
-		if err := write(o.timelineOut, tl.WriteJSONL); err != nil {
+		if err := writeFile(o.timelineOut, tl.WriteJSONL); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "timeline JSONL written to %s\n", o.timelineOut)
 	}
 	if o.timelineHTML != "" {
 		title := fmt.Sprintf("fleetsim %s — %d sessions", o.name, o.sessions)
-		if err := write(o.timelineHTML, func(w io.Writer) error { return tl.WriteHTML(w, title) }); err != nil {
+		if err := writeFile(o.timelineHTML, func(w io.Writer) error { return tl.WriteHTML(w, title) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "timeline HTML written to %s\n", o.timelineHTML)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -267,14 +268,17 @@ func TestRunGolden(t *testing.T) {
 }
 
 // TestServeReportDeterministic: the serve-report tail (everything from
-// "serve report" on) holds simulated quantities only, so two same-seed runs
+// "serve report" on) holds simulated quantities only, so same-seed runs
 // print it byte for byte; the fleet report above it has wall-clock rows.
+// The arrivals reach the engines three ways — each pulling its own
+// generator, the same while one more generator streams to a trace file, and
+// that file read back and fed as one shared slice — and must not differ.
 func TestServeReportDeterministic(t *testing.T) {
-	tail := func() string {
-		o, err := parseFlags([]string{
+	tail := func(serveFlags ...string) string {
+		o, err := parseFlags(append([]string{
 			"-name", "telesat", "-sessions", "20", "-hours", "0.05", "-step", "60", "-churn", "0",
-			"-serve-rate", "40", "-serve-sites", "6", "-serve-cores", "2", "-serve-queue", "4",
-		})
+			"-serve-sites", "6", "-serve-cores", "2", "-serve-queue", "4",
+		}, serveFlags...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -289,9 +293,19 @@ func TestServeReportDeterministic(t *testing.T) {
 		}
 		return out[i:]
 	}
-	want := tail()
-	if got := tail(); got != want {
-		t.Fatalf("same-seed serve reports differ:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	trace := filepath.Join(t.TempDir(), "trace.jsonl")
+	want := tail("-serve-rate", "40")
+	if !strings.Contains(want, "requests offered per policy") || strings.Contains(want, " 0 requests offered") {
+		t.Fatalf("serve report offered nothing:\n%s", want)
+	}
+	for _, flags := range [][]string{
+		{"-serve-rate", "40"},
+		{"-serve-rate", "40", "-serve-trace", trace},
+		{"-serve-replay", trace},
+	} {
+		if got := tail(flags...); got != want {
+			t.Fatalf("%v: same-seed serve reports differ:\n--- got ---\n%s\n--- want ---\n%s", flags, got, want)
+		}
 	}
 }
 

@@ -81,62 +81,65 @@ func (so serveOptions) policies() ([]serve.Policy, error) {
 	return []serve.Policy{p}, nil
 }
 
-// serveRun is one engine per compared policy, all fed the same trace and
-// advanced in lockstep with the fleet epochs.
+// serveRun is one engine per compared policy, all given the same arrivals
+// and advanced in lockstep with the fleet epochs.
 type serveRun struct {
 	engines []*serve.Engine
-	offered int
 }
 
 // newServeRun builds the per-policy engines over the shared ephemeris
-// engine. Under chaos each engine gets its own fault injector from the
-// same seed, so every policy faces the identical failure schedule.
+// engine. Under -serve-rate no trace is ever held: each engine pulls from
+// its own generator, and generators built from one seed yield the same
+// requests. A replayed trace is read once and the engines share the slice.
+// Under chaos each engine gets its own fault injector from the same seed, so
+// every policy faces the identical failure schedule.
 func newServeRun(o options, c *constellation.Constellation, reg *obs.Registry,
 	eng *ephem.Engine, horizonSec float64, out io.Writer) (*serveRun, error) {
 	so := o.serve
 	sites := serve.SitesFromCities(so.sites)
-
-	var reqs []serve.Request
-	if so.replay != "" {
-		f, err := os.Open(so.replay)
-		if err != nil {
-			return nil, err
-		}
-		reqs, err = serve.ReadTrace(bufio.NewReader(f))
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(out, "serve: replaying %d requests from %s\n", len(reqs), so.replay)
-	} else {
-		var err error
-		reqs, err = serve.Generate(sites, serve.Workload{
+	newGenerator := func() (*serve.Generator, error) {
+		return serve.NewGenerator(sites, serve.Workload{
 			Seed:             so.seed,
 			RatePerSec:       so.rate,
 			ServiceMedianMs:  so.serviceMs,
 			ServiceSigma:     so.sigma,
 			DiurnalAmplitude: so.diurnal,
 		}, horizonSec)
-		if err != nil {
-			return nil, err
-		}
 	}
-	if so.tracePath != "" {
-		f, err := os.Create(so.tracePath)
+
+	var replayed []serve.Request
+	if so.replay != "" {
+		f, err := os.Open(so.replay)
 		if err != nil {
 			return nil, err
 		}
-		w := bufio.NewWriter(f)
-		err = serve.WriteTrace(w, reqs)
-		if ferr := w.Flush(); err == nil {
-			err = ferr
-		}
+		replayed, err = serve.ReadTrace(bufio.NewReader(f))
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
+			return nil, err
+		}
+		fmt.Fprintf(out, "serve: replaying %d requests from %s\n", len(replayed), so.replay)
+	}
+	if so.tracePath != "" {
+		write := func(w io.Writer) error { return serve.WriteTrace(w, replayed) }
+		if so.replay == "" {
+			// One more generator instance, streamed to the file run by run.
+			g, err := newGenerator()
+			if err != nil {
+				return nil, err
+			}
+			write = func(w io.Writer) error {
+				for run := g.Next(); len(run) > 0; run = g.Next() {
+					if err := serve.WriteTrace(w, run); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+		if err := writeFile(so.tracePath, write); err != nil {
 			return nil, err
 		}
 		fmt.Fprintf(out, "serve: trace written to %s\n", so.tracePath)
@@ -148,7 +151,7 @@ func newServeRun(o options, c *constellation.Constellation, reg *obs.Registry,
 	}
 	server := compute.DefaultServerSpec()
 	server.Cores = so.cores
-	sr := &serveRun{offered: len(reqs)}
+	sr := &serveRun{}
 	for _, p := range policies {
 		var inj *faults.Injector
 		if o.chaosEnabled() {
@@ -176,8 +179,16 @@ func newServeRun(o options, c *constellation.Constellation, reg *obs.Registry,
 		if err != nil {
 			return nil, err
 		}
-		if err := e.Feed(reqs); err != nil {
-			return nil, err
+		if so.replay != "" {
+			if err := e.Feed(replayed); err != nil {
+				return nil, err
+			}
+		} else {
+			g, err := newGenerator()
+			if err != nil {
+				return nil, err
+			}
+			e.FeedFrom(g)
 		}
 		sr.engines = append(sr.engines, e)
 	}
@@ -186,10 +197,13 @@ func newServeRun(o options, c *constellation.Constellation, reg *obs.Registry,
 
 // advance runs every policy engine up to the fleet's current epoch time,
 // so timeline frames capture the serve counters in lockstep.
-func (sr *serveRun) advance(tSec float64) {
+func (sr *serveRun) advance(tSec float64) error {
 	for _, e := range sr.engines {
-		e.RunUntil(tSec)
+		if err := e.RunUntil(tSec); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // slos builds one availability objective per compared policy.
@@ -213,7 +227,8 @@ func (sr *serveRun) slos(objective float64) []obs.SLO {
 // quantiles, shedding by reason, and how the load spread over the
 // satellite-servers. Simulated quantities only — diffable across runs.
 func serveReport(out io.Writer, sr *serveRun) error {
-	fmt.Fprintf(out, "\nserve report — %d requests offered per policy\n", sr.offered)
+	// Every engine pulled the same arrivals up to the same instant.
+	fmt.Fprintf(out, "\nserve report — %d requests offered per policy\n", sr.engines[0].Result().Offered)
 	header := []string{"policy", "served", "shed", "p50 ms", "p99 ms", "sats", "util p50", "util max", "peak q"}
 	rows := make([][]string, 0, len(sr.engines))
 	for _, e := range sr.engines {

@@ -35,7 +35,9 @@ func servePoints(c *constellation.Constellation, cfg serve.Config, policies []se
 			if err := e.Feed(reqs); err != nil {
 				return err
 			}
-			e.RunUntil(horizonSec + serveDrainSec)
+			if err := e.RunUntil(horizonSec + serveDrainSec); err != nil {
+				return err
+			}
 			r := e.Result()
 			if r.Offered == 0 {
 				return fmt.Errorf("experiments: serve study offered no requests at rate %v", rate)

@@ -39,11 +39,12 @@ const (
 // ShedReasons lists the reasons in report order.
 var ShedReasons = []ShedReason{ShedNoCoverage, ShedSatDown, ShedQueueFull, ShedRefused}
 
-// ErrNonMonotonic is returned by Engine.Feed when a request's arrival time
-// precedes an already-fed request or the engine's current simulation time.
-// The engine assigns per-slice event order from feed order, so an
-// out-of-order feed would silently corrupt the (time, seq) contract the
-// determinism guarantees rest on; it is rejected instead.
+// ErrNonMonotonic is returned by Engine.Feed — and by RunUntil for an
+// arrival pulled from a Source — when a request's arrival time precedes an
+// earlier request or the engine's current simulation time. The engine
+// assigns per-slice event order from arrival order, so an out-of-order
+// arrival would silently corrupt the (time, seq) contract the determinism
+// guarantees rest on; it is rejected instead.
 var ErrNonMonotonic = errors.New("non-monotonic request feed")
 
 // Config configures a serving engine for one policy.

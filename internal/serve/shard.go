@@ -42,8 +42,10 @@ package serve
 // coincidence for the continuous workloads the generator produces.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/constellation"
@@ -62,12 +64,23 @@ const (
 	shedRefuse
 )
 
-// pendingReq is a fed request in the arrival arena: feed order is the
-// global arrival sequence (Feed enforces monotonic times).
-type pendingReq struct {
-	t    float64 // arrival, seconds
-	svc  float64 // service, seconds
-	site int32
+// Source is a stream of arrivals in non-decreasing time order. The engine
+// pulls it one run at a time, as the simulation clock reaches the arrivals,
+// and copies nothing: memory is the in-flight requests plus the current run.
+type Source interface {
+	// Next returns the next run of arrivals, empty once the stream has
+	// ended. The engine only reads the run, and is done with it by the
+	// following call.
+	Next() []Request
+}
+
+// fedBatch is a slice handed to Feed, yielded whole and in place.
+type fedBatch struct{ reqs []Request }
+
+func (b *fedBatch) Next() []Request {
+	reqs := b.reqs
+	b.reqs = nil
+	return reqs
 }
 
 // Event kinds on a satellite's heap.
@@ -148,6 +161,17 @@ type sampleRec struct {
 	ms    float64
 }
 
+// byTimeOwner compares two (t, owner) merge keys.
+func byTimeOwner(at, bt float64, ao, bo int32) int {
+	if at != bt {
+		if at < bt {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(ao, bo)
+}
+
 // evLess orders events by (t, seq).
 func evLess(a, b satEvent) bool {
 	if a.t != b.t {
@@ -196,8 +220,8 @@ func heapPop(h *[]satEvent) satEvent {
 }
 
 // Engine simulates request serving for one routing policy. Drive it with
-// Feed (workload) and RunUntil (time); read Result anytime. All behaviour
-// is deterministic in (constellation, config, fed requests).
+// Feed or FeedFrom (workload) and RunUntil (time); read Result anytime. All
+// behaviour is deterministic in (constellation, config, arrivals).
 type Engine struct {
 	cfg    Config
 	net    *netgraph.Network
@@ -209,8 +233,7 @@ type Engine struct {
 	nsats       int
 
 	now      float64
-	refreshN int     // refreshes performed; the next is due at refreshN*RefreshSec
-	lastFed  float64 // monotonic-feed floor
+	refreshN int // refreshes performed; the next is due at refreshN*RefreshSec
 
 	// ring holds snapshots at now, now+refresh, ..., now+lookahead*refresh;
 	// rotated one slot per refresh so steady state freezes one new graph.
@@ -219,9 +242,17 @@ type Engine struct {
 	cands    [][]Candidate // per site, rebuilt each refresh
 	downOnly []bool        // per site: visible sats exist but all are down
 	prevSat  []int         // per site: satellite that served the last request
+	futures  [][]int       // refresh scratch: a site's visible sats at each lookahead slot
 
-	pending []pendingReq // arrival arena, consumed by cursor
-	cursor  int
+	// Arrivals: queued sources drained in order, one pulled run at a time.
+	// The engine owns no copy; cur aliases the source's (or Feed caller's)
+	// memory and cur[pos:] is what the clock has not reached yet.
+	queue    []Source
+	cur      []Request
+	pos      int
+	lastFed  float64 // Feed's monotonic floor: the last request accepted
+	lastPull float64 // the pull-time floor: the last arrival made current
+	srcErr   error   // first bad arrival pulled; ends the stream, sticky
 
 	sats []satShard
 
@@ -238,7 +269,7 @@ type Engine struct {
 	segDeltas []deltaEvt
 	segSamps  []sampleRec
 
-	offered  int
+	offered  int // arrivals simulated so far: the next one's merge key
 	served   int
 	inflight int
 	shedN    [4]int
@@ -345,10 +376,11 @@ func (e *Engine) refresh(t float64) {
 	now := e.ring[0]
 	for si := range e.cfg.Sites {
 		vis := now.VisibleSats(si)
-		futures := make([][]int, len(e.ring)-1)
-		for k := 1; k < len(e.ring); k++ {
-			futures[k-1] = e.ring[k].VisibleSats(si)
+		futures := e.futures[:0]
+		for _, s := range e.ring[1:] {
+			futures = append(futures, s.VisibleSats(si))
 		}
+		e.futures = futures
 		gpos := now.Position(e.net.GroundNode(si))
 		cands := e.cands[si][:0]
 		for _, sat := range vis {
@@ -379,36 +411,90 @@ func (e *Engine) refresh(t float64) {
 	}
 }
 
-// Feed appends requests to the arrival arena. Arrival times must be
-// non-decreasing across all Feed calls and must not predate the current
-// simulation time; violations return an error wrapping ErrNonMonotonic.
-func (e *Engine) Feed(reqs []Request) error {
+// checkArrivals applies the arrival contract to a run: each request
+// well-formed, its site in range, times non-decreasing from floor and never
+// behind the simulation clock. It returns how many leading requests pass
+// and, if that is not all of them, what is wrong with the next one.
+func (e *Engine) checkArrivals(reqs []Request, floor float64) (int, error) {
 	for i := range reqs {
-		r := reqs[i]
+		r := &reqs[i]
 		if err := r.Validate(); err != nil {
-			return fmt.Errorf("serve: request %d: %w", i, err)
+			return i, err
 		}
 		if r.Site >= len(e.cfg.Sites) {
-			return fmt.Errorf("serve: request %d: site %d out of range (%d sites)",
-				i, r.Site, len(e.cfg.Sites))
+			return i, fmt.Errorf("site %d out of range (%d sites)", r.Site, len(e.cfg.Sites))
 		}
-		if r.TSec < e.lastFed {
-			return fmt.Errorf("serve: request %d at t=%gs before already-fed t=%gs: %w",
-				i, r.TSec, e.lastFed, ErrNonMonotonic)
+		if r.TSec < floor {
+			return i, fmt.Errorf("t=%gs before earlier arrival t=%gs: %w", r.TSec, floor, ErrNonMonotonic)
 		}
 		if r.TSec < e.now {
-			return fmt.Errorf("serve: request %d at t=%gs before simulation time %gs: %w",
-				i, r.TSec, e.now, ErrNonMonotonic)
+			return i, fmt.Errorf("t=%gs before simulation time %gs: %w", r.TSec, e.now, ErrNonMonotonic)
 		}
-		e.lastFed = r.TSec
-		e.pending = append(e.pending, pendingReq{t: r.TSec, svc: r.ServiceMs / 1000, site: int32(r.Site)})
+		floor = r.TSec
 	}
+	return len(reqs), nil
+}
+
+// Feed queues a batch of arrivals. Arrival times must be non-decreasing
+// across all Feed calls and must not predate the current simulation time;
+// violations return an error wrapping ErrNonMonotonic. The whole batch is
+// checked first, so a rejected batch leaves the engine as it was.
+//
+// The engine keeps reqs itself, not a copy — several engines fed one trace
+// share it — and reads it until the clock has passed its last arrival: the
+// caller must not modify it before then.
+func (e *Engine) Feed(reqs []Request) error {
+	if n, err := e.checkArrivals(reqs, e.lastFed); err != nil {
+		return fmt.Errorf("serve: request %d: %w", n, err)
+	}
+	if len(reqs) == 0 {
+		return nil
+	}
+	e.lastFed = reqs[len(reqs)-1].TSec
+	e.queue = append(e.queue, &fedBatch{reqs})
+	// Every request fed can end as one latency sample: size the store once.
+	e.latency.Reserve(len(reqs))
 	return nil
 }
 
+// FeedFrom queues a source behind whatever is already queued. Its arrivals
+// are held to the same contract as Feed's, run by run as they are pulled:
+// the first violation ends the stream before that arrival is simulated and
+// comes back from RunUntil.
+func (e *Engine) FeedFrom(src Source) {
+	e.queue = append(e.queue, src)
+}
+
+// pull makes the next run of arrivals current; false when there is none.
+func (e *Engine) pull() bool {
+	e.cur, e.pos = nil, 0
+	for e.srcErr == nil && len(e.queue) > 0 {
+		run := e.queue[0].Next()
+		if len(run) == 0 {
+			e.queue[0] = nil
+			e.queue = e.queue[1:]
+			continue
+		}
+		n, err := e.checkArrivals(run, e.lastPull)
+		if err != nil {
+			e.srcErr = fmt.Errorf("serve: arrival %d: %w", e.offered+n, err)
+		}
+		if n == 0 {
+			return false
+		}
+		e.lastPull = run[n-1].TSec
+		e.cur = run[:n]
+		return true
+	}
+	return false
+}
+
 // RunUntil advances the simulation to tSec (inclusive of events at tSec),
-// slice by slice with a refresh at each boundary.
-func (e *Engine) RunUntil(tSec float64) {
+// slice by slice with a refresh at each boundary. The error is the first
+// bad arrival a source yielded, if any: the arrivals before it are
+// simulated, it and everything queued behind it are not, and every later
+// call reports it again.
+func (e *Engine) RunUntil(tSec float64) error {
 	for {
 		next := float64(e.refreshN) * e.cfg.RefreshSec
 		if next <= tSec {
@@ -428,60 +514,72 @@ func (e *Engine) RunUntil(tSec float64) {
 		break
 	}
 	e.flushMetrics()
+	return e.srcErr
 }
 
 // Now returns the engine's simulation time.
 func (e *Engine) Now() float64 { return e.now }
 
-// runSegment consumes arrivals up to hi and advances the simulation to hi
-// (inclusive).
+// runSegment pulls and admits the arrivals up to hi, then advances the
+// simulation to hi (inclusive).
 func (e *Engine) runSegment(hi float64, excludeAtHi bool) {
-	lo := e.cursor
-	j := lo
-	for j < len(e.pending) {
-		t := e.pending[j].t
-		if t > hi || (excludeAtHi && t == hi) {
+	e.segGen++
+	before := e.offered
+	for e.pos < len(e.cur) || e.pull() {
+		run := e.cur[e.pos:]
+		n := 0
+		for n < len(run) {
+			t := run[n].TSec
+			if t > hi || (excludeAtHi && t == hi) {
+				break
+			}
+			n++
+		}
+		e.pos += n
+		if e.local {
+			e.arriveLocal(run[:n])
+		} else {
+			e.arriveGlobal(run[:n])
+		}
+		if n < len(run) {
 			break
 		}
-		j++
 	}
-	e.cursor = j
-	if j > lo {
+	if e.offered > before {
 		e.slices++
-		e.offered += j - lo
 	}
 	if e.local {
-		e.runLocalSegment(lo, j, hi)
+		for s := range e.sats {
+			e.drainSat(&e.sats[s], hi, true)
+		}
+		e.mergeSegment()
 	} else {
-		e.runGlobalSegment(lo, j, hi)
+		e.globalDrain(hi, true)
 	}
 }
 
 // ---- slice-local policies: site memo + per-satellite heaps ----
 
-// runLocalSegment admits the slice's arrivals in feed order, each against
+// arriveLocal admits a run of the slice's arrivals in order, each against
 // its site's memoized pick, advancing only the picked satellite's heap up
-// to the arrival; then every satellite catches up to the slice end.
-func (e *Engine) runLocalSegment(lo, hi int, end float64) {
-	e.segGen++
-	for i := lo; i < hi; i++ {
-		p := e.pending[i]
-		if e.siteGen[p.site] != e.segGen {
-			e.memoSite(int(p.site), p.t)
+// to the arrival; every satellite catches up at the slice end (runSegment).
+func (e *Engine) arriveLocal(run []Request) {
+	for i := range run {
+		r := &run[i]
+		idx := e.offered
+		e.offered++
+		if e.siteGen[r.Site] != e.segGen {
+			e.memoSite(r.Site, r.TSec)
 		}
-		pick := e.sitePick[p.site]
+		pick := e.sitePick[r.Site]
 		if pick < 0 {
 			e.shedN[-pick-1]++
 			continue
 		}
 		st := &e.sats[pick]
-		e.drainSat(st, p.t, false)
-		e.admit(&st.heap, &st.seq, i, p, int(pick), e.sitePickD[p.site])
+		e.drainSat(st, r.TSec, false)
+		e.admit(&st.heap, &st.seq, idx, r, int(pick), e.sitePickD[r.Site])
 	}
-	for s := range e.sats {
-		e.drainSat(&e.sats[s], end, true)
-	}
-	e.mergeSegment()
 }
 
 // memoSite resolves a site's slice pick. Slice-local picks ignore the clock
@@ -559,22 +657,12 @@ func (e *Engine) drainSat(st *satShard, limit float64, inclusive bool) {
 // request, and a request's queue entry and exit never coincide — so both
 // sorts induce a total order.
 func (e *Engine) mergeSegment() {
-	sort.Slice(e.segSamps, func(i, j int) bool {
-		if e.segSamps[i].t != e.segSamps[j].t {
-			return e.segSamps[i].t < e.segSamps[j].t
-		}
-		return e.segSamps[i].owner < e.segSamps[j].owner
-	})
+	slices.SortFunc(e.segSamps, func(a, b sampleRec) int { return byTimeOwner(a.t, b.t, a.owner, b.owner) })
 	for _, s := range e.segSamps {
 		e.observe(s.ms)
 	}
 	e.segSamps = e.segSamps[:0]
-	sort.Slice(e.segDeltas, func(i, j int) bool {
-		if e.segDeltas[i].t != e.segDeltas[j].t {
-			return e.segDeltas[i].t < e.segDeltas[j].t
-		}
-		return e.segDeltas[i].owner < e.segDeltas[j].owner
-	})
+	slices.SortFunc(e.segDeltas, func(a, b deltaEvt) int { return byTimeOwner(a.t, b.t, a.owner, b.owner) })
 	for _, d := range e.segDeltas {
 		e.queueDelta(int(d.d))
 	}
@@ -583,19 +671,21 @@ func (e *Engine) mergeSegment() {
 
 // ---- load-coupled policies: one global heap ----
 
-// runGlobalSegment replays the slice in exact global (time, seq) order:
-// what the legacy engine does, minus its per-event closure allocations.
-func (e *Engine) runGlobalSegment(lo, hi int, end float64) {
-	for i := lo; i < hi; i++ {
-		p := e.pending[i]
-		e.globalDrain(p.t, false)
-		e.globalArrive(i, p)
+// arriveGlobal replays a run of the slice's arrivals in exact global
+// (time, seq) order: what the legacy engine does, minus its per-event
+// closure allocations.
+func (e *Engine) arriveGlobal(run []Request) {
+	for i := range run {
+		r := &run[i]
+		idx := e.offered
+		e.offered++
+		e.globalDrain(r.TSec, false)
+		e.globalArrive(idx, r)
 	}
-	e.globalDrain(end, true)
 }
 
-func (e *Engine) globalArrive(idx int, p pendingReq) {
-	site := int(p.site)
+func (e *Engine) globalArrive(idx int, r *Request) {
+	site := r.Site
 	cands := e.cands[site]
 	if len(cands) == 0 {
 		if e.downOnly[site] {
@@ -610,12 +700,12 @@ func (e *Engine) globalArrive(idx int, p pendingReq) {
 		cands[i].FreeAtSec = st.earliestFree()
 		cands[i].Queued = st.outstanding
 	}
-	pi := e.policy.Pick(p.t, e.prevSat[site], cands)
+	pi := e.policy.Pick(r.TSec, e.prevSat[site], cands)
 	if pi < 0 || pi >= len(cands) {
 		e.shedN[shedRefuse]++
 		return
 	}
-	e.admit(&e.gheap, &e.gseq, idx, p, cands[pi].SatID, cands[pi].OneWayMs/1000)
+	e.admit(&e.gheap, &e.gseq, idx, r, cands[pi].SatID, cands[pi].OneWayMs/1000)
 }
 
 // globalDrain is drainSat over the global heap: events already pop in
@@ -665,17 +755,17 @@ func (e *Engine) globalDrain(limit float64, inclusive bool) {
 // admit applies the satellite's queue bound to arrival idx and, if it fits,
 // schedules its uplink on h (the satellite's heap or the global one, with
 // that heap's sequence counter).
-func (e *Engine) admit(h *[]satEvent, seq *uint32, idx int, p pendingReq, sat int, d float64) {
+func (e *Engine) admit(h *[]satEvent, seq *uint32, idx int, r *Request, sat int, d float64) {
 	st := &e.sats[sat]
 	if e.queueCap >= 0 && st.outstanding >= e.coresPerSat+e.queueCap {
 		e.shedN[shedQFull]++
 		return
 	}
-	e.prevSat[p.site] = sat
+	e.prevSat[r.Site] = sat
 	st.outstanding++
 	e.inflight++
-	ref := st.allocRec(reqRec{t: p.t, d: d, svc: p.svc, owner: int32(idx)})
-	heapPush(h, satEvent{t: p.t + d, seq: *seq, kind: evUplink, sat: int32(sat), ref: ref})
+	ref := st.allocRec(reqRec{t: r.TSec, d: d, svc: r.ServiceMs / 1000, owner: int32(idx)})
+	heapPush(h, satEvent{t: r.TSec + d, seq: *seq, kind: evUplink, sat: int32(sat), ref: ref})
 	*seq++
 }
 
@@ -705,7 +795,9 @@ func (e *Engine) queueDelta(d int) {
 // observe records a served request's end-to-end latency.
 func (e *Engine) observe(ms float64) {
 	e.latency.Add(ms)
-	e.pendSamples = append(e.pendSamples, ms)
+	if e.m != nil {
+		e.pendSamples = append(e.pendSamples, ms)
+	}
 }
 
 // ---- reporting ----
@@ -714,7 +806,6 @@ func (e *Engine) observe(ms float64) {
 // RunUntil boundaries — the points the flight recorder samples.
 func (e *Engine) flushMetrics() {
 	if e.m == nil {
-		e.pendSamples = e.pendSamples[:0]
 		return
 	}
 	if d := e.offered - e.repOffered; d > 0 {

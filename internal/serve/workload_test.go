@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/geo"
@@ -162,5 +165,144 @@ func TestSitesFromCities(t *testing.T) {
 	// Population-ordered list: first site outweighs the last.
 	if sites[0].Weight <= sites[9].Weight {
 		t.Fatalf("weights not population-ordered: %v vs %v", sites[0].Weight, sites[9].Weight)
+	}
+}
+
+// generateSorted is the generator this package shipped before the k-way
+// merge — every site's stream appended in turn, then one sort on
+// (TSec, Site) — kept as the oracle Generate must equal bit for bit.
+func generateSorted(sites []Site, w Workload, horizonSec float64) []Request {
+	w = w.withDefaults()
+	totalW := 0.0
+	for _, s := range sites {
+		totalW += s.Weight
+	}
+	var out []Request
+	for si, s := range sites {
+		rate := w.RatePerSec * s.Weight / totalW
+		if rate == 0 {
+			continue
+		}
+		r := rand.New(rand.NewSource(w.Seed*1_000_003 + int64(si)))
+		peak := rate * (1 + w.DiurnalAmplitude)
+		sigma := w.ServiceSigma
+		for t := 0.0; ; {
+			t += r.ExpFloat64() / peak
+			if t >= horizonSec {
+				break
+			}
+			keep := diurnalFactor(t, s.Loc.LonDeg, w.DiurnalAmplitude, w.PeakLocalHour) / (1 + w.DiurnalAmplitude)
+			if r.Float64() >= keep {
+				continue
+			}
+			out = append(out, Request{
+				TSec:      t,
+				Site:      si,
+				ServiceMs: w.ServiceMedianMs * math.Exp(r.NormFloat64()*sigma),
+			})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].TSec != out[j].TSec {
+			return out[i].TSec < out[j].TSec
+		}
+		return out[i].Site < out[j].Site
+	})
+	return out
+}
+
+func sameTrace(t *testing.T, what string, got, want []Request) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d requests, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: request %d is %+v, want %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestGenerateMatchesSortOracle: the merged generator reproduces the
+// append-then-sort trace exactly — one drained slice, the source pulled in
+// one run, in single requests, and from a capacity hint that is far too
+// small — across site counts (one with a zero-weight site), diurnal
+// amplitudes and horizons down to one where most sites emit nothing.
+func TestGenerateMatchesSortOracle(t *testing.T) {
+	sawSilentSite := false
+	for _, nsites := range []int{1, 12, 40} {
+		sites := SitesFromCities(nsites)
+		if nsites == 12 {
+			sites[3].Weight = 0
+		}
+		for _, amp := range []float64{0, 0.3, 0.6, 0.95} {
+			for _, horizon := range []float64{1, 120, 3600} {
+				for seed := int64(1); seed <= 3; seed++ {
+					w := Workload{Seed: seed, RatePerSec: 15, ServiceMedianMs: 20, DiurnalAmplitude: amp}
+					what := fmt.Sprintf("sites=%d amp=%g horizon=%g seed=%d", nsites, amp, horizon, seed)
+					want := generateSorted(sites, w, horizon)
+					got, err := Generate(sites, w, horizon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameTrace(t, what, got, want)
+
+					emitted := map[int]bool{}
+					for _, r := range want {
+						emitted[r.Site] = true
+					}
+					if nsites == 40 && len(emitted) > 0 && len(emitted) < nsites {
+						sawSilentSite = true
+					}
+					if emitted[3] && nsites == 12 {
+						t.Fatalf("%s: the zero-weight site emitted", what)
+					}
+					if seed > 1 {
+						continue // the pull shapes need one seed per cell
+					}
+					for _, runLen := range []int{1, len(want) + 1} {
+						g, err := NewGenerator(sites, w, horizon)
+						if err != nil {
+							t.Fatal(err)
+						}
+						g.run = make([]Request, runLen)
+						var pulled []Request
+						for run := g.Next(); len(run) > 0; run = g.Next() {
+							pulled = append(pulled, run...)
+						}
+						sameTrace(t, fmt.Sprintf("%s pulled %d at a time", what, runLen), pulled, want)
+					}
+					g, err := NewGenerator(sites, w, horizon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hint := g.sizeHint(); hint < len(want) {
+						t.Fatalf("%s: size hint %d below the %d requests drawn", what, hint, len(want))
+					}
+					sameTrace(t, what+" from a short capacity hint", g.drain(1), want)
+				}
+			}
+		}
+	}
+	if !sawSilentSite {
+		t.Fatal("no cell had a site that emitted nothing; shorten the horizon")
+	}
+}
+
+// TestGenerateSizeHint: the presize holds the trace without regrowth and
+// without gross over-reservation at the benchmark's shape.
+func TestGenerateSizeHint(t *testing.T) {
+	sites := SitesFromCities(40)
+	w := Workload{Seed: 1, RatePerSec: 350, ServiceMedianMs: 20, DiurnalAmplitude: 0.6}
+	reqs, err := Generate(sites, w, 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(reqs) < len(reqs) || float64(cap(reqs)) > 1.05*float64(len(reqs)) {
+		t.Fatalf("trace of %d requests sits in capacity %d", len(reqs), cap(reqs))
+	}
+	g, _ := NewGenerator(sites, w, 600)
+	if cap(reqs) != g.sizeHint() {
+		t.Fatalf("capacity %d is not the size hint %d: the slice regrew", cap(reqs), g.sizeHint())
 	}
 }

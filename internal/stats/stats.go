@@ -101,6 +101,14 @@ func (c *CDF) AddAll(vs []float64) {
 	}
 }
 
+// Reserve makes room for n more samples in one allocation, for a caller
+// that knows the count ahead and would otherwise pay append's regrowth.
+func (c *CDF) Reserve(n int) {
+	if need := len(c.samples) + n; need > cap(c.samples) {
+		c.samples = append(make([]float64, 0, need), c.samples...)
+	}
+}
+
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.samples) }
 

@@ -268,3 +268,21 @@ func TestCDFDropsNaN(t *testing.T) {
 		t.Fatal("Add(NaN) grew the sample set")
 	}
 }
+
+// TestCDFReserve: a reservation changes no answer and takes the place of
+// every allocation the reserved samples would have cost.
+func TestCDFReserve(t *testing.T) {
+	c := NewCDF(3, 1)
+	c.Reserve(2000) // AllocsPerRun calls the function twice: a warm-up and the run
+	if c.N() != 2 || c.Median() != 2 {
+		t.Fatalf("reservation changed the samples: n=%d median=%v", c.N(), c.Median())
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 1000; i++ {
+			c.Add(float64(i))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations adding reserved samples", allocs)
+	}
+}
