@@ -428,12 +428,14 @@ func BenchmarkReachableLinearVsIndex(b *testing.B) {
 		b.Fatal(err)
 	}
 	obs := visibility.NewObserver(c)
-	ix, err := fleet.NewIndex(c, 0)
+	ix, err := visibility.NewIndex(obs, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	snap := c.Snapshot(0)
-	ix.Rebuild(snap)
+	if err := ix.Rebuild(snap); err != nil {
+		b.Fatal(err)
+	}
 	var grounds []geo.Vec3
 	for lat := -55.0; lat <= 55; lat += 11 {
 		for lon := -180.0; lon < 180; lon += 45 {
@@ -487,14 +489,16 @@ func BenchmarkFleetIndexRebuild(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix, err := fleet.NewIndex(c, 0)
+	ix, err := visibility.NewIndex(visibility.NewObserver(c), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	snap := c.Snapshot(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Rebuild(snap)
+		if err := ix.Rebuild(snap); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

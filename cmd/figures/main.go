@@ -110,7 +110,6 @@ func main() {
 	}
 	ns := netgraph.TotalStats()
 	info.NetgraphFreezes = ns.Freezes
-	info.NetgraphDeltaFreezes = ns.DeltaFreezes
 	info.NetgraphFrozenEdges = ns.FrozenEdges
 	info.NetgraphQueries = ns.Queries()
 	info.TimelineFrames = tl.Stats().Frames
@@ -128,8 +127,8 @@ func main() {
 		fatal(err)
 	}
 	if ns.Freezes > 0 {
-		fmt.Fprintf(os.Stderr, "netgraph: %d snapshot freezes (%d delta, %d edges), %d routing queries (%d path / %d sssp / %d isl)\n",
-			ns.Freezes, ns.DeltaFreezes, ns.FrozenEdges, ns.Queries(), ns.PathQueries, ns.SSSPQueries, ns.ISLQueries)
+		fmt.Fprintf(os.Stderr, "netgraph: %d snapshot freezes (%d edges), %d routing queries (%d path / %d sssp / %d isl)\n",
+			ns.Freezes, ns.FrozenEdges, ns.Queries(), ns.PathQueries, ns.SSSPQueries, ns.ISLQueries)
 	}
 
 	printTimingTable(info)

@@ -42,10 +42,9 @@ type runInfo struct {
 	// Frozen-graph routing activity: topology freezes (one per queried
 	// snapshot), their summed directed edge counts, and routing queries
 	// served from frozen CSR adjacency.
-	NetgraphFreezes      uint64 `json:"netgraph_freezes"`
-	NetgraphDeltaFreezes uint64 `json:"netgraph_delta_freezes"`
-	NetgraphFrozenEdges  uint64 `json:"netgraph_frozen_edges"`
-	NetgraphQueries      uint64 `json:"netgraph_queries"`
+	NetgraphFreezes     uint64 `json:"netgraph_freezes"`
+	NetgraphFrozenEdges uint64 `json:"netgraph_frozen_edges"`
+	NetgraphQueries     uint64 `json:"netgraph_queries"`
 
 	// Flight-recorder outcome: one timeline frame per figure, plus the
 	// streaming point-to-point routing-query latency estimates (ms) at the

@@ -605,8 +605,8 @@ func netgraphLine(s netgraph.Stats) string {
 	if s.Queries() == 0 && s.Freezes == 0 {
 		return "unused"
 	}
-	return fmt.Sprintf("%d queries (%d path / %d sssp / %d isl), %d snapshot freezes (%d delta)",
-		s.Queries(), s.PathQueries, s.SSSPQueries, s.ISLQueries, s.Freezes, s.DeltaFreezes)
+	return fmt.Sprintf("%d queries (%d path / %d sssp / %d isl), %d snapshot freezes",
+		s.Queries(), s.PathQueries, s.SSSPQueries, s.ISLQueries, s.Freezes)
 }
 
 func main() {

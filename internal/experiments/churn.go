@@ -143,12 +143,10 @@ func monitorPair(net *netgraph.Network, gi, gj int, t0, durationSec, stepSec flo
 		havePath  bool
 		current   netgraph.Path
 		pathSince float64
-		snap      *netgraph.Snapshot
 	)
 	for t := t0; t <= t0+durationSec; t += stepSec {
 		rep.samples++
-		snap = net.AtAfter(snap, t)
-		p, err := snap.ShortestPath(net.GroundNode(gi), net.GroundNode(gj))
+		p, err := net.At(t).ShortestPath(net.GroundNode(gi), net.GroundNode(gj))
 		if err != nil {
 			rep.unreachableSamples++
 			if havePath {

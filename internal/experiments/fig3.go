@@ -139,11 +139,8 @@ func Fig3(sc Fig3Scenario, cfg Fig3Config) (Fig3Result, error) {
 	for u := range userNodes {
 		userNodes[u] = net.GroundNode(u)
 	}
-	var snap *netgraph.Snapshot
 	for t := 0.0; t <= cfg.DurationSec; t += cfg.SampleEverySec {
-		// Chain each sweep instant onto the previous one so the visibility
-		// freeze runs as an incremental delta rather than a full rescan.
-		snap = net.AtAfter(snap, t)
+		snap := net.At(t)
 		// In-orbit: best routed placement at this instant; paper quotes the
 		// worst instant of the best placement.
 		routed, err := meetup.BestRouted(snap, len(sc.Users))

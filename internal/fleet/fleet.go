@@ -1,3 +1,25 @@
+// Package fleet is the fleet-scale session orchestrator — the control
+// plane of the in-orbit compute service. Where internal/meetup places one
+// user group at a time with full per-group machinery, fleet places and
+// migrates hundreds of thousands of concurrent sessions across the whole
+// constellation under per-satellite capacity constraints:
+//
+//   - the spherical lat/lon-grid footprint index (visibility.Index) makes
+//     reachable-set queries O(cells touched) instead of the O(N) scan of
+//     visibility.Observer.Reachable, rebuilt once per epoch and shared by
+//     every query of that epoch;
+//   - a sharded session table (Table) holds the session population with
+//     per-shard locking so ingest and scans scale across cores;
+//   - an epoch-batched hand-off planner (Orchestrator) advances simulated
+//     time in fixed steps, detects assignments about to lose visibility,
+//     re-places them Sticky-style (longest remaining visibility within a
+//     latency band) under load-aware admission, and costs every migration
+//     over the ISL grid (internal/netgraph) with the live-migration model
+//     (internal/migrate).
+//
+// Everything is deterministic under a fixed workload: parallel phases write
+// to disjoint slots and all order-sensitive decisions happen in session-ID
+// order.
 package fleet
 
 import (
@@ -36,7 +58,8 @@ type Config struct {
 	// before admission falls back to the remaining candidates by latency
 	// (default 5, the paper's Sticky pool).
 	PoolSize int
-	// CellDeg is the footprint-index cell size (default DefaultCellDeg).
+	// CellDeg is the footprint-index cell size (default
+	// visibility.DefaultCellDeg).
 	CellDeg float64
 	// Shards is the session-table shard count (default DefaultShards, or
 	// scaled up from ExpectedSessions when that is larger).
@@ -193,7 +216,7 @@ type Orchestrator struct {
 	c    *constellation.Constellation
 	obs  *visibility.Observer
 	grid *isl.Grid
-	idx  *Index
+	idx  *visibility.Index
 	tab  *Table
 	cfg  Config
 
@@ -210,7 +233,7 @@ type Orchestrator struct {
 	// net is the groundless routing view of the constellation: the same
 	// ISL grid as the planner, no ground nodes, so an SSSP over its frozen
 	// CSR prices exactly the ISL-only transfer paths. nsnap is the current
-	// epoch's snapshot, chained through AtAfter on every Step.
+	// epoch's snapshot.
 	net   *netgraph.Network
 	nsnap *netgraph.Snapshot
 
@@ -234,7 +257,8 @@ func New(c *constellation.Constellation, grid *isl.Grid, cfg Config) (*Orchestra
 	if err != nil {
 		return nil, err
 	}
-	idx, err := NewIndex(c, cfg.CellDeg)
+	obsv := visibility.NewObserver(c)
+	idx, err := visibility.NewIndex(obsv, cfg.CellDeg)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +283,7 @@ func New(c *constellation.Constellation, grid *isl.Grid, cfg Config) (*Orchestra
 	o := &Orchestrator{
 		c:     c,
 		eng:   eng,
-		obs:   idx.Observer(),
+		obs:   obsv,
 		grid:  grid,
 		idx:   idx,
 		tab:   NewTableSized(cfg.Shards, cfg.ExpectedSessions),
@@ -281,9 +305,6 @@ func New(c *constellation.Constellation, grid *isl.Grid, cfg Config) (*Orchestra
 
 // Table exposes the session table.
 func (o *Orchestrator) Table() *Table { return o.tab }
-
-// Index exposes the footprint index (valid after Start).
-func (o *Orchestrator) Index() *Index { return o.idx }
 
 // Constellation returns the underlying constellation.
 func (o *Orchestrator) Constellation() *constellation.Constellation { return o.c }
@@ -316,10 +337,13 @@ func (o *Orchestrator) Submit(s *Session) error {
 	if s.ID > math.MaxInt64 {
 		return fmt.Errorf("fleet: session ID %d overflows the compute task ID space", s.ID)
 	}
+	if err := o.tab.Put(s); err != nil {
+		return err // a duplicate: the session is live here, its assignment stands
+	}
 	// The window is this orchestrator's grid and shells; the session may
 	// have been through another's.
 	s.Sat, s.win = -1, nil
-	return o.tab.Put(s)
+	return nil
 }
 
 // SubmitBatch submits many sessions, stopping at the first error.
@@ -364,7 +388,9 @@ func (o *Orchestrator) Start(t0 float64) error {
 	for i := range o.ring {
 		o.ring[i] = o.eng.SnapshotAt(t0 + float64(i)*o.cfg.StepSec)
 	}
-	o.idx.Rebuild(o.ring[0])
+	if err := o.idx.Rebuild(o.ring[0]); err != nil {
+		return fmt.Errorf("fleet: footprint index at t=%g: %w", t0, err)
+	}
 	if o.cfg.Faults != nil {
 		// Bring the injector to t0; faults before the run started are not
 		// this orchestrator's to handle.

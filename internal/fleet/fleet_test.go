@@ -1,16 +1,19 @@
 package fleet
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/compute"
 	"repro/internal/constellation"
+	"repro/internal/ephem"
 	"repro/internal/geo"
 	"repro/internal/isl"
 	"repro/internal/meetup"
 	"repro/internal/obs"
+	"repro/internal/visibility"
 )
 
 // toyConst: dense single shell so regional groups always see several
@@ -116,6 +119,64 @@ func TestSubmitValidation(t *testing.T) {
 	s.CoresDemand = -1
 	if err := o.Submit(s); err == nil {
 		t.Fatal("negative demand should fail")
+	}
+}
+
+// TestResubmitKeepsLiveAssignment: re-submitting a session the table already
+// holds is refused and must leave it as it was — placed, with the books
+// still holding its task — so the following epochs run clean.
+func TestResubmitKeepsLiveAssignment(t *testing.T) {
+	o, err := New(toyConst(t), nil, testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testGroups(t, 1)[0]
+	if err := o.Submit(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := o.Step()
+	if err != nil || rep.Assigned != 1 || s.Sat < 0 {
+		t.Fatalf("first epoch: assigned %d, sat %d, err %v", rep.Assigned, s.Sat, err)
+	}
+	sat := s.Sat
+	if err := o.Submit(s); err == nil {
+		t.Fatal("duplicate submit accepted")
+	}
+	if s.Sat != sat {
+		t.Fatalf("refused submit moved the session off sat %d to %d", sat, s.Sat)
+	}
+	for epoch := 0; epoch < 3; epoch++ {
+		rep, err := o.Step()
+		if err != nil {
+			t.Fatalf("epoch %d after the refused submit: %v", epoch, err)
+		}
+		if rep.Assigned != 1 {
+			t.Fatalf("epoch %d: %d assigned, want 1", epoch, rep.Assigned)
+		}
+	}
+}
+
+// TestStartRejectsForeignEphemeris: a shared engine over another
+// constellation hands back snapshots of the wrong size; that is a typed
+// error out of Start, not a panic in the index.
+func TestStartRejectsForeignEphemeris(t *testing.T) {
+	other, err := constellation.Build("other", []constellation.Shell{
+		{Name: "s", AltitudeKm: 550, InclinationDeg: 53, Planes: 3, SatsPerPlane: 3, MinElevationDeg: 25},
+	}, constellation.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Ephem = ephem.New(other, ephem.Config{Registry: cfg.Registry})
+	o, err := New(toyConst(t), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(0); !errors.Is(err, visibility.ErrSnapshotSize) {
+		t.Fatalf("Start over a foreign engine: %v, want ErrSnapshotSize", err)
 	}
 }
 

@@ -19,9 +19,9 @@ package fleet
 // holds still — the ring, the index, the fault state, the session's own
 // users — and never capacity or another session's assignment.
 //
-// Transfer pricing rides the frozen-CSR engine: the orchestrator chains a
-// groundless netgraph snapshot through Network.AtAfter each epoch and
-// prices migrations off one SSSP row per source satellite — computed up
+// Transfer pricing rides the frozen-CSR engine: the orchestrator takes a
+// groundless netgraph snapshot each epoch and prices migrations off one
+// SSSP row per source satellite — computed up
 // front through internal/par when the source has several pending moves,
 // lazily on first use otherwise. A move costs min(ISL path, ground relay),
 // and the relay is bounded by geometry the planner holds before any target
@@ -239,10 +239,10 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 		rep.DownSats = f.DownCount()
 	}
 
-	// Chain the routing snapshot to this epoch. AtAfter rides the
-	// delta-freeze path; with no ground nodes the freeze is a bare CSR
-	// assembly over the static ISL grid, deferred until the first SSSP.
-	o.nsnap = o.net.AtAfter(o.nsnap, o.now)
+	// The routing snapshot of this epoch. With no ground nodes the freeze is
+	// a bare CSR assembly over the static ISL grid, deferred until the first
+	// SSSP.
+	o.nsnap = o.net.At(o.now)
 
 	// Phase A — detection, parallel across table shards: find departures
 	// and sessions needing (re-)placement. Sessions on a hard-failed
@@ -375,7 +375,9 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	o.now += o.cfg.StepSec
 	copy(o.ring, o.ring[1:])
 	o.ring[o.k] = o.eng.SnapshotAt(o.now + float64(o.k)*o.cfg.StepSec)
-	o.idx.Rebuild(o.ring[0])
+	if err := o.idx.Rebuild(o.ring[0]); err != nil {
+		return rep, fmt.Errorf("fleet: footprint index at t=%g: %w", o.now, err)
+	}
 
 	rep.Sessions = o.tab.Len()
 	rep.Assigned = o.nAssigned
@@ -541,16 +543,17 @@ func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, prop
 	t0 := time.Now()
 	ix, lo, inj := o.idx, len(arena), o.cfg.Faults
 	if s.win == nil {
-		s.win = ix.window(s.Users)
+		s.win = ix.Window(s.Users)
 	}
+	sats, posCSR := ix.CSR()
 	first, rest, minRTT := s.Users[0], s.Users[1:], math.Inf(1)
 	for si, win := range s.win {
-		limit := ix.shells[si].limit2
-		for _, b := range ix.halves(win) {
-			for r := b.rowLo; r <= b.rowHi; r++ {
+		limit := ix.Limit2(si)
+		for _, b := range ix.Halves(win) {
+			for r := b.RowLo; r <= b.RowHi; r++ {
 			scan:
-				for k, hi := ix.rowSpan(si, b, r); k < hi; k++ {
-					pos := ix.posCSR[k]
+				for k, hi := ix.RowSpan(si, b, r); k < hi; k++ {
+					pos := posCSR[k]
 					rel := pos.Sub(first)
 					worst2 := rel.Dot(rel)
 					if worst2 > limit {
@@ -566,7 +569,7 @@ func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, prop
 							worst2 = d2
 						}
 					}
-					if id := int(ix.sats[k]); inj == nil || inj.SatUp(id) { // hard-failed satellites take no placements
+					if id := int(sats[k]); inj == nil || inj.SatUp(id) { // hard-failed satellites take no placements
 						rtt := units.RTTMs(math.Sqrt(worst2))
 						arena = append(arena, candidate{id: id, rtt: rtt})
 						if rtt < minRTT {
@@ -606,7 +609,7 @@ func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, prop
 // visible to every user, so it lies within the group's spread plus the
 // largest slant range of the centroid. The factor absorbs float rounding.
 func (o *Orchestrator) relayBoundMs(s *Session) float64 {
-	km := o.ring[0][s.Sat].Distance(s.Centroid) + s.SpreadKm + o.idx.maxSlantKm
+	km := o.ring[0][s.Sat].Distance(s.Centroid) + s.SpreadKm + o.idx.MaxSlantKm()
 	return units.PropagationDelayMs(km) * (1 + 1e-9)
 }
 

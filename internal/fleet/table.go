@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/geo"
+	"repro/internal/visibility"
 )
 
 // Session is one placed (or placement-pending) compute session: a small
@@ -56,7 +57,7 @@ type Session struct {
 	// win is the session's footprint-index window, one cell box per shell:
 	// where a satellite visible to every user can be. Users and grid are both
 	// Earth-fixed, so it is built once, by the session's first proposal.
-	win []cellBox
+	win []visibility.CellBox
 }
 
 // NewSession builds a session from user locations with the default demand

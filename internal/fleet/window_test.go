@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/constellation"
@@ -24,184 +23,13 @@ func starlink(t testing.TB) *constellation.Constellation {
 	return c
 }
 
-func TestNewIndexValidation(t *testing.T) {
-	c := starlink(t)
-	if _, err := NewIndex(nil, 0); err == nil {
-		t.Fatal("nil constellation should fail")
-	}
-	if _, err := NewIndex(c, 0.01); err == nil {
-		t.Fatal("tiny cell should fail")
-	}
-	if _, err := NewIndex(c, 45); err == nil {
-		t.Fatal("huge cell should fail")
-	}
-	ix, err := NewIndex(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.CellDeg() != DefaultCellDeg {
-		t.Fatalf("cell size %v, want default %v", ix.CellDeg(), DefaultCellDeg)
-	}
-}
-
-func TestRebuildSizeMismatchPanics(t *testing.T) {
-	c := starlink(t)
-	ix, err := NewIndex(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short snapshot should panic")
-		}
-	}()
-	ix.Rebuild(make([]geo.Vec3, 3))
-}
-
-// sortPasses orders passes by satellite ID so index output (cell-grouped)
-// can be compared against the linear scan (ID-ordered).
-func sortPasses(ps []visibility.Pass) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].SatID < ps[j].SatID })
-}
-
-// TestReachableFromMatchesLinear is the index's correctness anchor: at
-// several epochs and ground points (equator, mid-latitudes, the dateline,
-// beyond-coverage latitudes, both hemispheres), the indexed query must
-// return exactly the passes of the exhaustive O(N) Observer.Reachable scan.
-func TestReachableFromMatchesLinear(t *testing.T) {
-	c := starlink(t)
-	obs := visibility.NewObserver(c)
-	ix, err := NewIndex(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grounds := []geo.LatLon{
-		{LatDeg: 0, LonDeg: 0},
-		{LatDeg: 51.5, LonDeg: -0.1},   // London
-		{LatDeg: -33.9, LonDeg: 151.2}, // Sydney
-		{LatDeg: 64.1, LonDeg: -21.9},  // Reykjavik, above the 53° shells
-		{LatDeg: 0.1, LonDeg: 179.95},  // dateline wrap
-		{LatDeg: -5, LonDeg: -179.9},   // dateline wrap, west side
-		{LatDeg: 80, LonDeg: 10},       // polar-shell-only coverage
-		{LatDeg: -90, LonDeg: 0},       // south pole
-	}
-	for _, tSec := range []float64{0, 731, 3600} {
-		snap := c.Snapshot(tSec)
-		ix.Rebuild(snap)
-		for _, g := range grounds {
-			ground := g.ECEF()
-			want := obs.Reachable(ground, snap, nil)
-			got := ix.ReachableFrom(ground, nil)
-			sortPasses(want)
-			sortPasses(got)
-			if len(got) != len(want) {
-				t.Fatalf("t=%v %v: index %d passes, linear %d", tSec, g, len(got), len(want))
-			}
-			for i := range want {
-				w, h := want[i], got[i]
-				if w.SatID != h.SatID {
-					t.Fatalf("t=%v %v: pass %d sat %d vs %d", tSec, g, i, h.SatID, w.SatID)
-				}
-				if math.Abs(w.SlantKm-h.SlantKm) > 1e-9 || math.Abs(w.RTTMs-h.RTTMs) > 1e-12 ||
-					math.Abs(w.ElevationDeg-h.ElevationDeg) > 1e-9 {
-					t.Fatalf("t=%v %v: pass for sat %d differs: %+v vs %+v", tSec, g, w.SatID, h, w)
-				}
-			}
-			if n := ix.CountReachableFrom(ground); n != len(want) {
-				t.Fatalf("t=%v %v: CountReachableFrom %d, want %d", tSec, g, n, len(want))
-			}
-		}
-	}
-}
-
-func TestReachableFromDstReuse(t *testing.T) {
-	c := starlink(t)
-	ix, err := NewIndex(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := c.Snapshot(0)
-	ix.Rebuild(snap)
-	ground := geo.LatLon{LatDeg: 10, LonDeg: 20}.ECEF()
-
-	first := ix.ReachableFrom(ground, nil)
-	if len(first) == 0 {
-		t.Fatal("no passes at a mid-latitude point")
-	}
-	// Appending into a recycled buffer must not disturb earlier entries.
-	buf := append(first[:0:0], first...)
-	again := ix.ReachableFrom(ground, buf[:0])
-	if len(again) != len(first) {
-		t.Fatalf("reuse changed result size: %d vs %d", len(again), len(first))
-	}
-	for i := range first {
-		if again[i] != first[i] {
-			t.Fatalf("pass %d differs after reuse", i)
-		}
-	}
-}
-
-// TestReachableFromEdgeCases pins the index to the exhaustive scan exactly
-// at the coordinate singularities: the poles (±90°), the dateline (±180°,
-// where colOf wraps), and points just shy of both — where row clamping and
-// dateline-window splitting are easiest to get wrong.
-func TestReachableFromEdgeCases(t *testing.T) {
-	c := starlink(t)
-	obs := visibility.NewObserver(c)
-	ix, err := NewIndex(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grounds := []geo.LatLon{
-		{LatDeg: 90, LonDeg: 0},    // north pole
-		{LatDeg: 90, LonDeg: 137},  // north pole, alternate longitude label
-		{LatDeg: -90, LonDeg: 0},   // south pole
-		{LatDeg: -90, LonDeg: -45}, // south pole, alternate longitude label
-		{LatDeg: 89.9, LonDeg: 10},
-		{LatDeg: -89.9, LonDeg: -170},
-		{LatDeg: 0, LonDeg: 180},  // dateline, east label
-		{LatDeg: 0, LonDeg: -180}, // dateline, west label (same meridian)
-		{LatDeg: 53, LonDeg: 180}, // dateline at shell inclination
-		{LatDeg: -53, LonDeg: -180},
-		{LatDeg: 12, LonDeg: 179.99},
-		{LatDeg: -12, LonDeg: -179.99},
-		{LatDeg: 89.9, LonDeg: 179.99}, // near-pole AND near-dateline
-		{LatDeg: -89.9, LonDeg: -179.99},
-	}
-	for _, tSec := range []float64{0, 1201} {
-		snap := c.Snapshot(tSec)
-		ix.Rebuild(snap)
-		for _, g := range grounds {
-			ground := g.ECEF()
-			want := obs.Reachable(ground, snap, nil)
-			got := ix.ReachableFrom(ground, nil)
-			sortPasses(want)
-			sortPasses(got)
-			if len(got) != len(want) {
-				t.Fatalf("t=%v %v: index %d passes, linear %d", tSec, g, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].SatID != want[i].SatID {
-					t.Fatalf("t=%v %v: pass %d sat %d vs %d", tSec, g, i, got[i].SatID, want[i].SatID)
-				}
-				if math.Abs(got[i].SlantKm-want[i].SlantKm) > 1e-9 {
-					t.Fatalf("t=%v %v: sat %d slant %v vs %v", tSec, g, want[i].SatID, got[i].SlantKm, want[i].SlantKm)
-				}
-			}
-			if n := ix.CountReachableFrom(ground); n != len(want) {
-				t.Fatalf("t=%v %v: CountReachableFrom %d, want %d", tSec, g, n, len(want))
-			}
-		}
-	}
-}
-
 // forEachBoxed visits every CSR position inside the session's window: what
 // propose scans.
-func forEachBoxed(ix *Index, s *Session, fn func(k int32)) {
+func forEachBoxed(ix *visibility.Index, s *Session, fn func(k int32)) {
 	for si, win := range s.win {
-		for _, b := range ix.halves(win) {
-			for r := b.rowLo; r <= b.rowHi; r++ {
-				for k, hi := ix.rowSpan(si, b, r); k < hi; k++ {
+		for _, b := range ix.Halves(win) {
+			for r := b.RowLo; r <= b.RowHi; r++ {
+				for k, hi := ix.RowSpan(si, b, r); k < hi; k++ {
 					fn(k)
 				}
 			}
@@ -212,10 +40,13 @@ func forEachBoxed(ix *Index, s *Session, fn func(k int32)) {
 // checkWindowHoldsFootprint checks the window as geometry, whatever
 // satellites happen to fly: any point a shell's satellite could be over
 // while every user sees it — within the shell's coverage angle of each — is
-// in that shell's box. It samples n points per shell around the users.
-func checkWindowHoldsFootprint(t *testing.T, ix *Index, win []cellBox, users []geo.LatLon, rng *rand.Rand, n int) {
+// in that shell's box. It samples n points per shell around the users, and
+// maps each to its cell from CellBox's documented layout (row 0 at the north
+// pole, column 0 at −180°), independently of the index's own mapping.
+func checkWindowHoldsFootprint(t *testing.T, shells []constellation.Shell, cell float64, win []visibility.CellBox, users []geo.LatLon, rng *rand.Rand, n int) {
 	t.Helper()
-	for si, sh := range ix.c.Shells {
+	rows, cols := int(math.Ceil(180/cell)), int(math.Ceil(360/cell))
+	for si, sh := range shells {
 		theta := visibility.CoverageCentralAngleRad(sh.AltitudeKm, sh.MinElevationDeg)
 		b := win[si]
 	points:
@@ -226,14 +57,19 @@ func checkWindowHoldsFootprint(t *testing.T, ix *Index, win []cellBox, users []g
 					continue points
 				}
 			}
-			row, col := uint16(ix.rowOf(p.LatDeg)), uint16(ix.colOf(p.LonDeg))
-			inCols := b.colLo <= col && col <= b.colHi
-			if b.colLo > b.colHi {
-				inCols = col >= b.colLo || col <= b.colHi
+			lon := p.LonDeg
+			if lon >= 180 {
+				lon -= 360
 			}
-			if row < b.rowLo || row > b.rowHi || !inCols {
+			row := uint16(min(max(int((90-p.LatDeg)/cell), 0), rows-1))
+			col := uint16(min(max(int((lon+180)/cell), 0), cols-1))
+			inCols := b.ColLo <= col && col <= b.ColHi
+			if b.ColLo > b.ColHi {
+				inCols = col >= b.ColLo || col <= b.ColHi
+			}
+			if row < b.RowLo || row > b.RowHi || !inCols {
 				t.Fatalf("shell %d (θ %.2f°), cell %v°: %v is within θ of all of %v but its cell (%d,%d) is outside %+v",
-					si, units.Rad2Deg(theta), ix.cellDeg, p, users, row, col, b)
+					si, units.Rad2Deg(theta), cell, p, users, row, col, b)
 			}
 		}
 	}
@@ -266,7 +102,7 @@ func TestWindowAcrossPolesAndDateline(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, cellDeg := range []float64{0.5, 4, 7, 30} {
-		ix, err := NewIndex(c, cellDeg)
+		ix, err := visibility.NewIndex(visibility.NewObserver(c), cellDeg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +111,7 @@ func TestWindowAcrossPolesAndDateline(t *testing.T) {
 			for _, u := range users {
 				ecef = append(ecef, u.ECEF())
 			}
-			checkWindowHoldsFootprint(t, ix, ix.window(ecef), users, rng, 2000)
+			checkWindowHoldsFootprint(t, c.Shells, cellDeg, ix.Window(ecef), users, rng, 2000)
 		}
 	}
 }
@@ -333,8 +169,9 @@ func FuzzSessionWindow(f *testing.F) {
 		}
 
 		inBox := make([]bool, c.Size())
-		forEachBoxed(o.idx, s, func(k int32) { inBox[o.idx.sats[k]] = true })
-		checkWindowHoldsFootprint(t, o.idx, s.win, users, rng, 64)
+		sats, _ := o.idx.CSR()
+		forEachBoxed(o.idx, s, func(k int32) { inBox[sats[k]] = true })
+		checkWindowHoldsFootprint(t, shells, cellDeg, s.win, users, rng, 64)
 
 		var want []candidate
 		for id, pos := range o.ring[0] {

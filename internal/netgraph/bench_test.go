@@ -6,12 +6,15 @@ package netgraph
 // still yields meaningful speedup and allocation metrics.
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cities"
 	"repro/internal/constellation"
 	"repro/internal/geo"
 	"repro/internal/par"
@@ -159,6 +162,13 @@ func naiveFanout(s *Snapshot, gis []int) [][]float64 {
 // GOMAXPROCS such containers default to (the pre-fix failure mode: worker
 // threads time-slicing one core). Both sides take the minimum over many
 // interleaved repetitions so scheduler noise doesn't decide the ratio.
+//
+// On a VM the reading also depends on whether the second vCPU is awake: a
+// 1.5 ms parallel section cannot amortise waking a halted one. Alone (its
+// serial arm's garbage keeps the collector's workers, and so the vCPU, busy)
+// it reads 1.5–1.7 on two cores; under GOGC=off, or right after benchmarks
+// that leave a large heap goal, it reads 0.97–0.99 (EXPERIMENTS.md
+// "Receipts"). The fan-out costs ≈ 2 % then and pays ≈ 60 % otherwise.
 func BenchmarkAllSourcesLatencies(b *testing.B) {
 	_, s := benchSnapshot(b)
 	f := s.frozen()
@@ -262,86 +272,47 @@ func BenchmarkISLShortest(b *testing.B) {
 	b.ReportMetric(float64(legacyNs)/float64(frozenNs), "frozen-speedup-x")
 }
 
-// deltaSweep runs one chained-vs-full freeze sweep at the given cadence and
-// returns per-mode freeze nanoseconds (steps 2+) and the chain's one-time
-// seeding cost (steps 0–1). Both modes time only the freeze (snapshot
-// propagation is pre-done), and every delta CSR is verified bitwise against
-// its full counterpart outside the timers.
-func deltaSweep(b *testing.B, n *Network, stepSec float64, steps int) (deltaNs, fullNs, initNs int64) {
-	b.Helper()
-	chain := make([]*Snapshot, steps)
-	full := make([]*Snapshot, steps)
-	chain[0] = n.At(0)
-	full[0] = n.At(0)
-	for k := 1; k < steps; k++ {
-		tSec := float64(k) * stepSec
-		chain[k] = n.AtAfter(chain[k-1], tSec)
-		full[k] = n.At(tSec)
-	}
-	// Steps 0–1 are the chain's full scan + calendar seeding.
-	start := time.Now()
-	chain[0].Freeze()
-	chain[1].Freeze()
-	initNs = time.Since(start).Nanoseconds()
-	start = time.Now()
-	for k := 2; k < steps; k++ {
-		chain[k].Freeze()
-	}
-	deltaNs = time.Since(start).Nanoseconds()
-	start = time.Now()
-	for k := 2; k < steps; k++ {
-		full[k].Freeze()
-	}
-	fullNs = time.Since(start).Nanoseconds()
-	for k := 0; k < steps; k++ {
-		cg, fg := chain[k].frozen().g, full[k].frozen().g
-		if len(cg.adj) != len(fg.adj) {
-			b.Fatalf("step %d: delta %d edges vs full %d", k, len(cg.adj), len(fg.adj))
-		}
-		for e := range cg.w {
-			if cg.adj[e] != fg.adj[e] || cg.w[e] != fg.w[e] {
-				b.Fatalf("step %d edge %d: delta (%d, %.17g) vs full (%d, %.17g)",
-					k, e, cg.adj[e], cg.w[e], fg.adj[e], fg.w[e])
-			}
-		}
-	}
-	return deltaNs, fullNs, initNs
-}
-
-// BenchmarkDeltaFreezeSweep compares chained (AtAfter) freeze sweeps against
-// from-scratch freezes at the same instants — the time-swept workload shape
-// of the figure suite, ablations, fleet epochs, and the serve refresh loop.
-// The primary cadence is the fleet-sim/meetup step (2 s, fig67's default),
-// where freezes dominate the sweep; the figure-sampling cadence (60 s) is
-// reported alongside, with more churn per step and thus a smaller win. The
-// chain's one-time calendar seeding is chain-init-ns; steady state is what
-// sweeps amortise to.
-func BenchmarkDeltaFreezeSweep(b *testing.B) {
+// BenchmarkFreeze times the two visibility scans on the same snapshots of the
+// Starlink preset, by ground count (the N most populous cities) — the
+// receipt behind indexMinGrounds. Snapshots are propagated outside the
+// timers; the primary run is 2 s apart (the hand-off cadence), the second a
+// minute apart (the figure and fleet cadence), which a stateless scan must
+// not care about. Every indexed CSR is checked against the linear one.
+func BenchmarkFreeze(b *testing.B) {
 	c, err := constellation.StarlinkPhase1(constellation.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := New(c, benchGrounds())
-	const steps = 32
-	var deltaNs, fullNs, initNs, delta60Ns, full60Ns int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d, f, ini := deltaSweep(b, n, 2, steps)
-		deltaNs += d
-		fullNs += f
-		initNs += ini
-		d, f, _ = deltaSweep(b, n, 60, steps)
-		delta60Ns += d
-		full60Ns += f
+	const steps = 16
+	for _, grounds := range []int{2, 16, 40, 200} {
+		b.Run(fmt.Sprintf("grounds=%d", grounds), func(b *testing.B) {
+			n := New(c, cities.Locations(cities.TopN(grounds)))
+			fp := newFootprint(n)
+			var ns [2]struct{ index, linear int64 }
+			for i := 0; i < b.N; i++ {
+				for ci, stepSec := range []float64{2, 60} {
+					for k := 0; k < steps; k++ {
+						s := n.At(float64(i*steps+k) * stepSec)
+						start := time.Now()
+						got := indexFrozen(s, fp)
+						ns[ci].index += time.Since(start).Nanoseconds()
+						start = time.Now()
+						want := buildFrozen(s)
+						ns[ci].linear += time.Since(start).Nanoseconds()
+						if !slices.Equal(got.g.adj, want.g.adj) || !slices.Equal(got.g.w, want.g.w) {
+							b.Fatalf("t=%g: indexed and linear freezes differ", s.Time())
+						}
+					}
+				}
+			}
+			per := float64(b.N * steps)
+			b.ReportMetric(float64(ns[0].index)/per, "index-ns/op")
+			b.ReportMetric(float64(ns[0].linear)/per, "linear-ns/op")
+			b.ReportMetric(float64(ns[0].linear)/float64(ns[0].index), "index-speedup-x")
+			b.ReportMetric(float64(ns[1].index)/per, "index60-ns/op")
+			b.ReportMetric(float64(ns[1].linear)/float64(ns[1].index), "index-speedup-60s-x")
+		})
 	}
-	b.StopTimer()
-	perStep := float64(b.N * (steps - 2))
-	b.ReportMetric(float64(deltaNs)/perStep, "delta-ns/op")
-	b.ReportMetric(float64(fullNs)/perStep, "full-ns/op")
-	b.ReportMetric(float64(initNs)/float64(b.N), "chain-init-ns")
-	b.ReportMetric(float64(fullNs)/float64(deltaNs), "delta-freeze-speedup-x")
-	b.ReportMetric(float64(delta60Ns)/perStep, "delta60-ns/op")
-	b.ReportMetric(float64(full60Ns)/float64(delta60Ns), "delta-freeze-speedup-60s-x")
 }
 
 // BenchmarkSnapshotFreeze times the one-time per-snapshot CSR build that

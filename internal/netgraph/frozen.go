@@ -16,18 +16,25 @@ package netgraph
 // followed by visible ground stations ascending; a ground row is its
 // visible satellites ascending.
 //
-// Snapshots chained with Network.AtAfter skip the full visibility scan:
-// the predecessor's deltaState (delta.go) advances to this snapshot's time
-// and hands assembleCSR the same visSat/visW/downDeg a full scan would
-// have produced, bit for bit.
+// The visibility scan comes in two forms that produce the same rows bit for
+// bit. buildFrozen tests every (ground, satellite) pair; indexFrozen buckets
+// the snapshot into a visibility.Index once and tests, per ground, only the
+// satellites inside that ground's cell boxes — static per Network, since
+// grounds are Earth-fixed. The index serves the ground sets big enough to
+// repay the bucketing pass; every input it does not cover (an elevated
+// ground, mixed thresholds inside a shell, a satellite below its shell's
+// lowest orbit) degrades to the full scan, never to a stale visible set.
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 	"time"
 
 	"repro/internal/geo"
 	"repro/internal/units"
+	"repro/internal/visibility"
 )
 
 // ErrGraphTooLarge is the panic value raised when a frozen snapshot's edge
@@ -64,62 +71,25 @@ func (f *frozen) pos(node int32) geo.Vec3 {
 func (s *Snapshot) frozen() *frozen {
 	s.frzOnce.Do(func() {
 		m := s.net.metrics()
-
-		// Chained snapshot: freeze the predecessor (so its delta state
-		// exists), then steal that state. The steal is atomic — if several
-		// snapshots chain off the same predecessor, exactly one advances the
-		// calendar; the rest fall back to a fresh full scan.
-		var st *deltaState
-		if p := s.prev; p != nil {
-			s.prev = nil
-			p.frozen()
-			if st = p.delta.Swap(nil); st != nil && !st.advance(s) {
-				st = nil
-			}
-		}
-
-		mode := "netgraph.freeze"
-		if st != nil {
-			mode = "netgraph.freeze.delta"
-		}
 		start := time.Now()
 		var sp spanEnder
 		if tr := tracer(); tr != nil {
-			sp = tr.Start(mode)
+			sp = tr.Start("netgraph.freeze")
 		}
-		switch {
-		case st != nil:
-			s.frz = assembleCSR(s, st.visSat, st.visW, st.downDeg)
-		case s.chained && s.net.chainable():
-			// Chain start: the full scan doubles as calendar seeding.
-			if st = newDeltaState(s); st != nil {
-				s.frz = assembleCSR(s, st.visSat, st.visW, st.downDeg)
-			} else {
-				s.frz = buildFrozen(s)
-			}
-		default:
+		if fp := s.net.footprint(); fp != nil {
+			s.frz = indexFrozen(s, fp)
+		}
+		if s.frz == nil {
 			s.frz = buildFrozen(s)
 		}
 		if sp != nil {
 			sp.End()
 		}
-		sec := time.Since(start).Seconds()
 		m.freezes.Inc()
-		m.freezeSec.Observe(sec)
+		m.freezeSec.Observe(time.Since(start).Seconds())
 		m.frozenEdges.Set(float64(len(s.frz.g.adj)))
 		totalFreezes.Add(1)
 		totalFrozenEdges.Add(uint64(len(s.frz.g.adj)))
-		if st != nil {
-			if st.advanced { // delta advance (vs chain-start full scan)
-				m.deltaFreezes.Inc()
-				m.deltaPairs.Add(uint64(st.evals))
-				m.deltaSec.Observe(sec)
-				totalDeltaFreezes.Add(1)
-			}
-			// Publish for the next snapshot in the chain.
-			s.delta.Store(st)
-		}
-		s.frozenDone.Store(true)
 	})
 	return s.frz
 }
@@ -153,9 +123,156 @@ func buildFrozen(s *Snapshot) *frozen {
 	return assembleCSR(s, visSat, visW, downDeg)
 }
 
+// indexMinGrounds is the ground count from which the indexed scan beats the
+// linear one: bucketing a snapshot is a fixed asin + atan2 per satellite
+// that a handful of grounds' scans cannot repay. Both costs grow with the
+// constellation, so the crossover is a ground count: BenchmarkFreeze reads
+// 0.40 / 0.72 / 0.97 / 1.11 / 1.2 / 2.6× at 2 / 16 / 24 / 32 / 40 / 200
+// grounds (EXPERIMENTS.md "Receipts").
+const indexMinGrounds = 32
+
+// footprint is the per-Network half of the indexed scan.
+type footprint struct {
+	// boxes holds one cell box per (ground, shell), ground-major: the cells of
+	// the shell that can hold a satellite visible from the ground.
+	boxes []visibility.CellBox
+	// free holds the idle scans, one per freeze that ever ran at once. Unlike
+	// a sync.Pool it survives the collector, so a freeze loop allocates only
+	// the CSR it returns.
+	mu   sync.Mutex
+	free []*indexScan
+}
+
+// indexScan is one freeze's scratch: the bucketed snapshot and the rows
+// assembleCSR copies out of.
+type indexScan struct {
+	ix *visibility.Index
+	// seen is the bitmap of one ground's visible satellites; ids and ws are
+	// every ground's row back to back, ground gi's ending at ends[gi], which
+	// visSat and visW slice.
+	seen    []uint64
+	ids     []int32
+	ws      []float64
+	ends    []int
+	visSat  [][]int32
+	visW    [][]float64
+	downDeg []int32
+}
+
+// footprint returns the network's indexed-scan state, built on first use,
+// or nil when the linear scan serves it.
+func (n *Network) footprint() *footprint {
+	n.fpOnce.Do(func() {
+		if len(n.Grounds) >= indexMinGrounds {
+			n.fp = newFootprint(n)
+		}
+	})
+	return n.fp
+}
+
+// newFootprint computes every ground's cell boxes. It returns nil for a
+// network the index does not cover: a ground off the surface (the boxes
+// bound central angles from the surface) or an observer the index rejects.
+func newFootprint(n *Network) *footprint {
+	for _, g := range n.Grounds {
+		if g.AltKm != 0 {
+			return nil
+		}
+	}
+	sc := newIndexScan(n)
+	if sc == nil {
+		return nil
+	}
+	fp := &footprint{free: []*indexScan{sc}}
+	for _, g := range n.groundECEF {
+		fp.boxes = append(fp.boxes, sc.ix.Window([]geo.Vec3{g})...)
+	}
+	return fp
+}
+
+func newIndexScan(n *Network) *indexScan {
+	ix, err := visibility.NewIndex(n.Observer, 0)
+	if err != nil {
+		return nil
+	}
+	return &indexScan{
+		ix:      ix,
+		seen:    make([]uint64, (n.Sats()+63)/64),
+		ends:    make([]int, len(n.groundECEF)),
+		visSat:  make([][]int32, len(n.groundECEF)),
+		visW:    make([][]float64, len(n.groundECEF)),
+		downDeg: make([]int32, n.Sats()),
+	}
+}
+
+// take returns an idle scan, or a new one; nil when the index rejects the
+// network's observer.
+func (fp *footprint) take(n *Network) *indexScan {
+	var sc *indexScan
+	fp.mu.Lock()
+	if last := len(fp.free) - 1; last >= 0 {
+		sc, fp.free = fp.free[last], fp.free[:last]
+	}
+	fp.mu.Unlock()
+	if sc == nil {
+		sc = newIndexScan(n)
+	}
+	return sc
+}
+
+func (fp *footprint) give(sc *indexScan) {
+	fp.mu.Lock()
+	fp.free = append(fp.free, sc)
+	fp.mu.Unlock()
+}
+
+// indexFrozen is buildFrozen through the footprint index: the same rows, from
+// the satellites inside each ground's boxes. It returns nil when the
+// snapshot cannot be bucketed.
+func indexFrozen(s *Snapshot, fp *footprint) *frozen {
+	sc := fp.take(s.net)
+	if sc == nil {
+		return nil
+	}
+	defer fp.give(sc)
+	if err := sc.ix.Rebuild(s.satPos); err != nil {
+		return nil
+	}
+	sats, _ := sc.ix.CSR()
+
+	// A ground's visible satellites are marked in the bitmap and read back in
+	// ascending ID order — the linear scan's row order, without a sort.
+	ids, ws, seen := sc.ids[:0], sc.ws[:0], sc.seen
+	mark := func(k int32, _ float64) { seen[sats[k]>>6] |= 1 << (sats[k] & 63) }
+	shells := len(s.net.Constellation.Shells)
+	clear(sc.downDeg)
+	for gi, g := range s.net.groundECEF {
+		for si, box := range fp.boxes[gi*shells : (gi+1)*shells] {
+			sc.ix.ScanBox(si, box, g, mark)
+		}
+		for w, word := range seen {
+			for ; word != 0; word &= word - 1 {
+				id := int32(w<<6 + bits.TrailingZeros64(word))
+				ids = append(ids, id)
+				ws = append(ws, units.PropagationDelayMs(g.Distance(s.satPos[id])))
+				sc.downDeg[id]++
+			}
+			seen[w] = 0
+		}
+		sc.ends[gi] = len(ids)
+	}
+	// The slabs have stopped growing: carve the rows.
+	sc.ids, sc.ws = ids, ws
+	lo := 0
+	for gi, hi := range sc.ends {
+		sc.visSat[gi], sc.visW[gi] = ids[lo:hi], ws[lo:hi]
+		lo = hi
+	}
+	return assembleCSR(s, sc.visSat, sc.visW, sc.downDeg)
+}
+
 // assembleCSR lays out the frozen CSR from per-ground visibility rows. Both
-// freeze paths funnel through it — the full scan (buildFrozen) and the
-// delta advance (delta.go) — so the array layout is shared by construction.
+// scans funnel through it, so the array layout is shared by construction.
 func assembleCSR(s *Snapshot, visSat [][]int32, visW [][]float64, downDeg []int32) *frozen {
 	net := s.net
 	sats := net.Sats()

@@ -17,7 +17,6 @@ package netgraph
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/constellation"
@@ -43,6 +42,11 @@ type Network struct {
 	groundECEF []geo.Vec3
 	eng        *ephem.Engine // optional shared ephemeris
 	m          *metricsSet   // optional registry override (UseObs)
+
+	// fp is the footprint-index half of the freeze (frozen.go), built by the
+	// first one; nil when the linear scan serves this network.
+	fpOnce sync.Once
+	fp     *footprint
 }
 
 // UseEphemeris routes snapshot propagation through a shared ephemeris
@@ -103,16 +107,6 @@ type Snapshot struct {
 	// satPos[id] is the ECEF position of satellite id.
 	satPos []geo.Vec3
 
-	// Delta-freeze chain plumbing (delta.go): prev is the predecessor this
-	// snapshot was chained onto with AtAfter, chainDepth bounds the freeze
-	// recursion over unfrozen ancestors, and delta carries the calendar
-	// state exactly one successor may steal after this snapshot freezes.
-	prev       *Snapshot
-	chained    bool
-	chainDepth int
-	frozenDone atomic.Bool
-	delta      atomic.Pointer[deltaState]
-
 	frzOnce sync.Once
 	frz     *frozen
 }
@@ -127,41 +121,10 @@ func (n *Network) At(tSec float64) *Snapshot {
 	return &Snapshot{net: n, tSec: tSec, satPos: n.Constellation.Snapshot(tSec)}
 }
 
-// AtAfter builds a snapshot at tSec chained onto prev, an earlier snapshot
-// of the same network. Chained snapshots freeze incrementally: the
-// predecessor's visibility state advances by the elapsed time instead of
-// rescanning every (ground, satellite) pair, producing a CSR bit-identical
-// to At(tSec).Freeze() at a fraction of the cost. Sweep loops and snapshot
-// rings should thread each new snapshot through the previous one:
-//
-//	snap := net.At(t0)
-//	for t := t0 + step; t < end; t += step {
-//		snap = net.AtAfter(snap, t)
-//		// ... query snap ...
-//	}
-//
-// A nil or foreign prev (different network, or time moving backwards) makes
-// AtAfter equivalent to At. Only one successor can continue a given chain;
-// extra successors of the same prev silently fall back to a full scan.
-func (n *Network) AtAfter(prev *Snapshot, tSec float64) *Snapshot {
-	s := n.At(tSec)
-	if prev == nil || prev.net != n || tSec < prev.tSec {
-		return s
-	}
-	// Freezing a chained snapshot freezes its unfrozen ancestors first;
-	// bound that recursion for pathological build-many-freeze-none callers.
-	depth := 1
-	if !prev.frozenDone.Load() {
-		depth = prev.chainDepth + 1
-	}
-	if depth > maxChainDepth {
-		return s
-	}
-	s.prev = prev
-	s.chained = true
-	s.chainDepth = depth
-	return s
-}
+// AtAfter is At(tSec): snapshots hold no state of their predecessors. It
+// remains only because bench/ calls it, and leaves with the next benchmark
+// PR (as serve.EngineStats does).
+func (n *Network) AtAfter(_ *Snapshot, tSec float64) *Snapshot { return n.At(tSec) }
 
 // Time returns the snapshot time in seconds after epoch.
 func (s *Snapshot) Time() float64 { return s.tSec }

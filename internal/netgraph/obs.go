@@ -16,12 +16,6 @@ type metricsSet struct {
 	freezes     *obs.Counter   // netgraph_freeze_total
 	freezeSec   *obs.Histogram // netgraph_freeze_seconds
 	frozenEdges *obs.Gauge     // netgraph_frozen_edges
-	// Delta-freeze families (AtAfter chains): freezes served incrementally,
-	// exact pair evaluations those freezes performed (the full-scan
-	// equivalent is grounds×sats per freeze), and their wall-clock cost.
-	deltaFreezes *obs.Counter   // netgraph_freeze_delta_total
-	deltaPairs   *obs.Counter   // netgraph_freeze_delta_pairs_total
-	deltaSec     *obs.Histogram // netgraph_freeze_delta_seconds
 
 	path, sssp, isl kindMetrics // the {kind=path|sssp|isl} series
 }
@@ -61,12 +55,6 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 			"Wall-clock time to freeze one snapshot topology.", freezeBuckets),
 		frozenEdges: reg.Gauge("netgraph_frozen_edges",
 			"Directed edge count of the most recently frozen snapshot."),
-		deltaFreezes: reg.Counter("netgraph_freeze_delta_total",
-			"Snapshot freezes served incrementally from a predecessor (AtAfter chains)."),
-		deltaPairs: reg.Counter("netgraph_freeze_delta_pairs_total",
-			"Exact ground-satellite pair evaluations performed by delta freezes."),
-		deltaSec: reg.Histogram("netgraph_freeze_delta_seconds",
-			"Wall-clock time of one incremental (delta) snapshot freeze.", freezeBuckets),
 		path: kind("path", &totalPathQueries),
 		sssp: kind("sssp", &totalSSSPQueries),
 		isl:  kind("isl", &totalISLQueries),
@@ -142,21 +130,17 @@ func tracer() *obs.Tracer { return pkgTracer.Load() }
 // Package-wide activity counters, kept separately from the obs registry so
 // CLIs can print a routing summary without scraping metric families.
 var (
-	totalFreezes      atomic.Uint64
-	totalDeltaFreezes atomic.Uint64
-	totalFrozenEdges  atomic.Uint64
-	totalPathQueries  atomic.Uint64
-	totalSSSPQueries  atomic.Uint64
-	totalISLQueries   atomic.Uint64
+	totalFreezes     atomic.Uint64
+	totalFrozenEdges atomic.Uint64
+	totalPathQueries atomic.Uint64
+	totalSSSPQueries atomic.Uint64
+	totalISLQueries  atomic.Uint64
 )
 
 // Stats is a point-in-time view of the package-wide frozen-graph activity.
 type Stats struct {
 	// Freezes counts snapshot topologies frozen into CSR form.
 	Freezes uint64
-	// DeltaFreezes counts the subset of Freezes served incrementally from a
-	// chained predecessor (Network.AtAfter) instead of a full scan.
-	DeltaFreezes uint64
 	// FrozenEdges sums the directed edge counts across those freezes.
 	FrozenEdges uint64
 	// PathQueries, SSSPQueries, and ISLQueries count point-to-point,
@@ -170,11 +154,10 @@ func (s Stats) Queries() uint64 { return s.PathQueries + s.SSSPQueries + s.ISLQu
 // TotalStats returns the process-wide frozen-graph activity since start.
 func TotalStats() Stats {
 	return Stats{
-		Freezes:      totalFreezes.Load(),
-		DeltaFreezes: totalDeltaFreezes.Load(),
-		FrozenEdges:  totalFrozenEdges.Load(),
-		PathQueries:  totalPathQueries.Load(),
-		SSSPQueries:  totalSSSPQueries.Load(),
-		ISLQueries:   totalISLQueries.Load(),
+		Freezes:     totalFreezes.Load(),
+		FrozenEdges: totalFrozenEdges.Load(),
+		PathQueries: totalPathQueries.Load(),
+		SSSPQueries: totalSSSPQueries.Load(),
+		ISLQueries:  totalISLQueries.Load(),
 	}
 }

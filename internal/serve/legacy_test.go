@@ -141,20 +141,14 @@ func (e *legacyEngine) refresh(t float64) {
 	}
 	step := e.cfg.RefreshSec
 	depth := e.cfg.LookaheadEpochs + 1
-	// Ring snapshots chain onto the previously built one, so each refresh
-	// freezes as a visibility delta instead of a full rescan (the times are
-	// strictly increasing across refreshes by construction).
 	if len(e.ring) == 0 {
-		e.ring = make([]*netgraph.Snapshot, 0, depth)
-		var prev *netgraph.Snapshot
-		for k := 0; k < depth; k++ {
-			s := e.net.AtAfter(prev, t+float64(k)*step)
-			e.ring = append(e.ring, s)
-			prev = s
+		e.ring = make([]*netgraph.Snapshot, depth)
+		for k := range e.ring {
+			e.ring[k] = e.net.At(t + float64(k)*step)
 		}
 	} else {
 		copy(e.ring, e.ring[1:])
-		e.ring[depth-1] = e.net.AtAfter(e.ring[depth-2], t+float64(depth-1)*step)
+		e.ring[depth-1] = e.net.At(t + float64(depth-1)*step)
 	}
 	now := e.ring[0]
 	for si := range e.cfg.Sites {

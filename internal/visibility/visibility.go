@@ -2,7 +2,10 @@
 // to, and at what range" — the geometric core behind the paper's Figures
 // 1, 2, 4, and 5. A satellite is reachable from a ground point when its
 // elevation angle above the local horizon meets the constellation's minimum
-// elevation mask.
+// elevation mask. Observer answers it with a linear scan over a snapshot;
+// Index (index.go) buckets the snapshot by sub-satellite point so bulk
+// callers — the fleet planner's session windows, netgraph's freeze — test
+// only the satellites that can be in view, with the same compare.
 package visibility
 
 import (
@@ -128,13 +131,6 @@ func NewObserverWithMask(c *constellation.Constellation, elevDeg float64) *Obser
 
 // Constellation returns the constellation the observer watches.
 func (o *Observer) Constellation() *constellation.Constellation { return o.c }
-
-// MaxChord2 returns the per-satellite squared slant-range thresholds the
-// visibility test compares against (indexed by satellite ID). The slice is
-// shared — callers must treat it as read-only. It lets bulk consumers
-// (netgraph's incremental freeze) replicate Visible's exact compare without
-// a per-pair method call.
-func (o *Observer) MaxChord2() []float64 { return o.maxChord2 }
 
 // Visible reports whether satellite id at position sat (ECEF) is reachable
 // from ground (ECEF).
