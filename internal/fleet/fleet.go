@@ -30,7 +30,6 @@ import (
 	"repro/internal/constellation"
 	"repro/internal/ephem"
 	"repro/internal/faults"
-	"repro/internal/geo"
 	"repro/internal/isl"
 	"repro/internal/migrate"
 	"repro/internal/netgraph"
@@ -92,7 +91,7 @@ type Config struct {
 	// after min(RetryBaseSec·2ⁿ⁻¹, RetryCapSec). Defaults: StepSec and
 	// 16·RetryBaseSec.
 	RetryBaseSec, RetryCapSec float64
-	// Ephem is the shared ephemeris engine backing the snapshot ring. Pass
+	// Ephem is the shared ephemeris engine backing the look-ahead ring. Pass
 	// one to share propagated frames with other consumers of the same
 	// constellation; nil builds a private engine sized to the ring (grid
 	// step = StepSec so every ring frame lands in the protected keyframe
@@ -220,14 +219,14 @@ type Orchestrator struct {
 	tab  *Table
 	cfg  Config
 
-	nodes []*compute.Node
+	// usedCores and usedMemGB are the capacity books, indexed by satellite
+	// ID: what the sessions placed on each satellite-server hold.
+	usedCores, usedMemGB []float64
 
-	// ring[k] is the constellation snapshot at now + k·step, k in [0, K].
-	// Entries are frames borrowed from the ephemeris engine: shared,
-	// immutable, never written in place.
-	ring [][]geo.Vec3
+	// ring is the look-ahead window over the ephemeris engine's frames: slot
+	// k is the constellation at now + k·step, k in [0, K]. Built by Start.
+	ring *visibility.Ring
 	eng  *ephem.Engine
-	k    int
 	now  float64
 
 	// net is the groundless routing view of the constellation: the same
@@ -281,23 +280,17 @@ func New(c *constellation.Constellation, grid *isl.Grid, cfg Config) (*Orchestra
 	net := netgraph.New(c, nil).UseEphemeris(eng)
 	net.Grid = grid // route transfers over the planner's own topology
 	o := &Orchestrator{
-		c:     c,
-		eng:   eng,
-		obs:   obsv,
-		grid:  grid,
-		idx:   idx,
-		tab:   NewTableSized(cfg.Shards, cfg.ExpectedSessions),
-		cfg:   cfg,
-		nodes: make([]*compute.Node, c.Size()),
-		net:   net,
-		m:     newMetrics(cfg.Registry),
-	}
-	for id := range o.nodes {
-		n, err := compute.NewNode(id, cfg.Server)
-		if err != nil {
-			return nil, err
-		}
-		o.nodes[id] = n
+		c:         c,
+		eng:       eng,
+		obs:       obsv,
+		grid:      grid,
+		idx:       idx,
+		tab:       NewTableSized(cfg.Shards, cfg.ExpectedSessions),
+		cfg:       cfg,
+		usedCores: make([]float64, c.Size()),
+		usedMemGB: make([]float64, c.Size()),
+		net:       net,
+		m:         newMetrics(cfg.Registry),
 	}
 	o.pl.init(o)
 	return o, nil
@@ -309,7 +302,7 @@ func (o *Orchestrator) Table() *Table { return o.tab }
 // Constellation returns the underlying constellation.
 func (o *Orchestrator) Constellation() *constellation.Constellation { return o.c }
 
-// Ephemeris returns the engine backing the snapshot ring (the configured
+// Ephemeris returns the engine backing the look-ahead ring (the configured
 // shared engine, or the private one built by New).
 func (o *Orchestrator) Ephemeris() *ephem.Engine { return o.eng }
 
@@ -319,11 +312,33 @@ func (o *Orchestrator) Now() float64 { return o.now }
 // Utilization returns the per-satellite core utilisation, indexed by
 // satellite ID.
 func (o *Orchestrator) Utilization() []float64 {
-	out := make([]float64, len(o.nodes))
-	for i, n := range o.nodes {
-		out[i] = n.UtilizationCores()
+	out := make([]float64, len(o.usedCores))
+	for i := range out {
+		out[i] = o.utilization(i)
 	}
 	return out
+}
+
+// utilization is satellite id's used share of its effective cores.
+func (o *Orchestrator) utilization(id int) float64 {
+	return o.usedCores[id] / o.cfg.Server.EffectiveCores()
+}
+
+// fits reports whether the session fits in satellite id's spare capacity.
+func (o *Orchestrator) fits(id int, s *Session) bool {
+	return o.usedCores[id]+s.CoresDemand <= o.cfg.Server.EffectiveCores()+1e-9 &&
+		o.usedMemGB[id]+s.MemoryGB <= float64(o.cfg.Server.MemoryGB)+1e-9
+}
+
+// debit books the session's demand on satellite id; credit returns it.
+func (o *Orchestrator) debit(id int, s *Session) {
+	o.usedCores[id] += s.CoresDemand
+	o.usedMemGB[id] += s.MemoryGB
+}
+
+func (o *Orchestrator) credit(id int, s *Session) {
+	o.usedCores[id] -= s.CoresDemand
+	o.usedMemGB[id] -= s.MemoryGB
 }
 
 // Submit adds a session to the fleet; it is placed on the next Step.
@@ -333,9 +348,6 @@ func (o *Orchestrator) Submit(s *Session) error {
 	}
 	if s.CoresDemand < 0 || s.MemoryGB < 0 || s.StateMB < 0 {
 		return fmt.Errorf("fleet: session %d has negative demand", s.ID)
-	}
-	if s.ID > math.MaxInt64 {
-		return fmt.Errorf("fleet: session ID %d overflows the compute task ID space", s.ID)
 	}
 	if err := o.tab.Put(s); err != nil {
 		return err // a duplicate: the session is live here, its assignment stands
@@ -363,7 +375,7 @@ func (o *Orchestrator) Remove(id uint64) bool {
 		return false
 	}
 	if s.Sat >= 0 {
-		_ = o.nodes[s.Sat].Release(int(s.ID))
+		o.credit(s.Sat, s)
 		s.Sat = -1
 		o.nAssigned--
 	}
@@ -374,21 +386,15 @@ func (o *Orchestrator) Remove(id uint64) bool {
 	return o.tab.Delete(id)
 }
 
-// Start fixes the epoch clock at t0 and builds the snapshot ring and
+// Start fixes the epoch clock at t0 and builds the look-ahead ring and
 // footprint index. Call once before Step.
 func (o *Orchestrator) Start(t0 float64) error {
 	if o.started {
 		return fmt.Errorf("fleet: already started")
 	}
-	o.k = int(math.Round(o.cfg.LookaheadSec / o.cfg.StepSec))
-	if o.k < 1 {
-		o.k = 1
-	}
-	o.ring = make([][]geo.Vec3, o.k+1)
-	for i := range o.ring {
-		o.ring[i] = o.eng.SnapshotAt(t0 + float64(i)*o.cfg.StepSec)
-	}
-	if err := o.idx.Rebuild(o.ring[0]); err != nil {
+	k := int(math.Round(o.cfg.LookaheadSec / o.cfg.StepSec))
+	o.ring = visibility.NewRing(o.obs, o.eng, t0, o.cfg.StepSec, k)
+	if err := o.idx.Rebuild(o.ring.Frame(0)); err != nil {
 		return fmt.Errorf("fleet: footprint index at t=%g: %w", t0, err)
 	}
 	if o.cfg.Faults != nil {
@@ -402,18 +408,6 @@ func (o *Orchestrator) Start(t0 float64) error {
 	return nil
 }
 
-// visibleAll reports whether sat is visible to every user of the session
-// in the given snapshot.
-func (o *Orchestrator) visibleAll(s *Session, satID int, snap []geo.Vec3) bool {
-	pos := snap[satID]
-	for _, u := range s.Users {
-		if !o.obs.Visible(u, satID, pos) {
-			return false
-		}
-	}
-	return true
-}
-
 // TimeToExpiry returns how long the session's current assignment stays
 // visible to the whole group, at epoch granularity — the fleet-scale
 // batched form of meetup.Planner.TimeToExpiry (capped=true when the
@@ -425,19 +419,18 @@ func (o *Orchestrator) TimeToExpiry(s *Session) (warnSec float64, capped bool, e
 	if s.Sat < 0 {
 		return 0, false, fmt.Errorf("fleet: session %d is unassigned", s.ID)
 	}
-	for k := 1; k <= o.k; k++ {
-		if !o.visibleAll(s, s.Sat, o.ring[k]) {
-			return float64(k) * o.cfg.StepSec, false, nil
-		}
+	life, k := o.ring.Life(s.Users, s.Sat), o.ring.K()
+	if life < k {
+		return float64(life+1) * o.cfg.StepSec, false, nil
 	}
-	return float64(o.k) * o.cfg.StepSec, true, nil
+	return float64(k) * o.cfg.StepSec, true, nil
 }
 
 // candidate is one placement option for a session.
 type candidate struct {
 	id   int
 	rtt  float64
-	life int // remaining epochs of full-group visibility, capped at o.k
+	life int // remaining epochs of full-group visibility, capped at the ring's K
 }
 
 // workItem is one session needing placement this epoch.
@@ -472,15 +465,4 @@ func (o *Orchestrator) deferEvacuation(s *Session, rep *EpochReport) {
 		s.Evacuating = true
 		o.nEvacPending++
 	}
-}
-
-// lifeEpochs returns how many future ring epochs the satellite stays
-// visible to the whole session, capped at the ring length.
-func (o *Orchestrator) lifeEpochs(s *Session, satID int) int {
-	for k := 1; k <= o.k; k++ {
-		if !o.visibleAll(s, satID, o.ring[k]) {
-			return k - 1
-		}
-	}
-	return o.k
 }

@@ -38,6 +38,17 @@ func testConfig() Config {
 	}
 }
 
+// visibleAll is the planner's full-group visibility test against any
+// snapshot, not just a ring slot: sat is visible to every user of s.
+func visibleAll(o *Orchestrator, s *Session, sat int, snap []geo.Vec3) bool {
+	for _, u := range s.Users {
+		if !o.obs.Visible(u, sat, snap[sat]) {
+			return false
+		}
+	}
+	return true
+}
+
 // testGroups scatters n small groups over mid-latitude land-ish points,
 // deterministically.
 func testGroups(t testing.TB, n int) []*Session {
@@ -85,6 +96,11 @@ func TestNewValidation(t *testing.T) {
 	bad.CellDeg = 0.01
 	if _, err := New(c, nil, bad); err == nil {
 		t.Fatal("bad cell size should fail")
+	}
+	bad = testConfig()
+	bad.Server = compute.ServerSpec{Cores: 8} // no memory
+	if _, err := New(c, nil, bad); err == nil {
+		t.Fatal("server without memory should fail")
 	}
 }
 
@@ -342,6 +358,143 @@ func TestCapacitySpill(t *testing.T) {
 			t.Fatalf("two sessions stacked on sat %d with capacity for one", s.Sat)
 		}
 		used[s.Sat] = true
+	}
+}
+
+// TestBooksFitDebitCredit: the capacity books fit against the effective
+// cores and the memory, debit and credit a session's demand, and a credit
+// frees the room for a full-capacity session.
+func TestBooksFitDebitCredit(t *testing.T) {
+	cfg := testConfig()
+	cfg.Server = compute.ServerSpec{Cores: 8, MemoryGB: 64, PowerCapFraction: 1}
+	o, err := New(toyConst(t), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	demand := func(cores, mem float64) *Session { return &Session{CoresDemand: cores, MemoryGB: mem} }
+	half := demand(4, 32)
+	o.debit(7, half)
+	if got := o.Utilization()[7]; got != 0.5 {
+		t.Fatalf("utilization %v after a half-server session, want 0.5", got)
+	}
+	if o.fits(7, demand(5, 0)) {
+		t.Fatal("core overflow fits")
+	}
+	if o.fits(7, demand(1, 64)) {
+		t.Fatal("memory overflow fits")
+	}
+	o.credit(7, half)
+	if !o.fits(7, demand(8, 64)) {
+		t.Fatal("full-capacity session does not fit after the credit")
+	}
+}
+
+// placedCores sums, per satellite, the core demand of the sessions placed
+// on it.
+func placedCores(sessions []*Session) map[int]float64 {
+	held := map[int]float64{}
+	for _, s := range sessions {
+		if s.Sat >= 0 {
+			held[s.Sat] += s.CoresDemand
+		}
+	}
+	return held
+}
+
+// colocated returns n sessions at one point, each demanding cores and mem.
+func colocated(t *testing.T, n int, cores, mem float64) []*Session {
+	t.Helper()
+	var out []*Session
+	for i := 0; i < n; i++ {
+		s, err := NewSession(uint64(i+1), []geo.LatLon{{LatDeg: 9.1, LonDeg: 7.5}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.CoresDemand, s.MemoryGB = cores, mem
+		out = append(out, s)
+	}
+	return out
+}
+
+// TestPowerCapBoundsSessions: 64 cores capped to 25% are 16 effective. A
+// 20-core session fits the raw hardware but not the power budget, so it is
+// never placed; 4-core sessions fill satellites to exactly 16 cores and no
+// further.
+func TestPowerCapBoundsSessions(t *testing.T) {
+	cfg := testConfig()
+	cfg.Server = compute.ServerSpec{Cores: 64, MemoryGB: 256, PowerCapFraction: 0.25}
+	o, err := New(toyConst(t), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := colocated(t, 80, 4, 1)
+	sessions[0].CoresDemand = 20
+	if err := o.SubmitBatch(sessions); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := o.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sessions[0].Sat >= 0 {
+		t.Fatalf("20-core session placed on sat %d with 16 effective cores", sessions[0].Sat)
+	}
+	if rep.Rejections < 2 {
+		t.Fatalf("%d rejections: the 80 sessions should overflow the satellites in view", rep.Rejections)
+	}
+	full := 0
+	for sat, cores := range placedCores(sessions) {
+		if cores > 16 {
+			t.Fatalf("sat %d holds %v cores of sessions, power cap allows 16", sat, cores)
+		}
+		if cores == 16 {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatal("no satellite filled to exactly its effective cores")
+	}
+}
+
+// TestMemoryBoundsSessions: a session larger than a satellite's memory is
+// never placed, and 12 GB sessions stack at most two to a 32 GB server.
+func TestMemoryBoundsSessions(t *testing.T) {
+	cfg := testConfig()
+	cfg.Server = compute.ServerSpec{Cores: 8, MemoryGB: 32, PowerCapFraction: 1}
+	o, err := New(toyConst(t), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := colocated(t, 60, 1, 12)
+	sessions[0].MemoryGB = 40
+	if err := o.SubmitBatch(sessions); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Start(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if sessions[0].Sat >= 0 {
+		t.Fatalf("40 GB session placed on sat %d with 32 GB", sessions[0].Sat)
+	}
+	perSat := map[int]int{}
+	for _, s := range sessions {
+		if s.Sat >= 0 {
+			perSat[s.Sat]++
+		}
+	}
+	for sat, n := range perSat {
+		if n > 2 {
+			t.Fatalf("sat %d holds %d 12 GB sessions in 32 GB", sat, n)
+		}
+	}
+	if len(perSat) == 0 {
+		t.Fatal("no session placed")
 	}
 }
 

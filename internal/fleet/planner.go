@@ -41,7 +41,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/compute"
 	"repro/internal/faults"
 	"repro/internal/geo"
 	"repro/internal/migrate"
@@ -263,7 +262,7 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 						pl.deferByShard[si]++
 					case s.Sat < 0:
 						pl.workByShard[si] = append(pl.workByShard[si], workItem{sess: s})
-					case !o.visibleAll(s, s.Sat, o.ring[1]):
+					case !o.ring.VisibleAll(s.Users, s.Sat, 1):
 						pl.workByShard[si] = append(pl.workByShard[si], workItem{sess: s, expiring: true})
 					}
 				}
@@ -291,7 +290,7 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	})
 	for _, s := range gone {
 		if s.Sat >= 0 {
-			_ = o.nodes[s.Sat].Release(int(s.ID))
+			o.credit(s.Sat, s)
 			s.Sat = -1
 			o.nAssigned--
 		}
@@ -373,19 +372,18 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	// horizon snapshot from the ephemeris engine (every other ring frame
 	// is a cache hit), re-bucket the index.
 	o.now += o.cfg.StepSec
-	copy(o.ring, o.ring[1:])
-	o.ring[o.k] = o.eng.SnapshotAt(o.now + float64(o.k)*o.cfg.StepSec)
-	if err := o.idx.Rebuild(o.ring[0]); err != nil {
+	o.ring.Advance(o.now)
+	if err := o.idx.Rebuild(o.ring.Frame(0)); err != nil {
 		return rep, fmt.Errorf("fleet: footprint index at t=%g: %w", o.now, err)
 	}
 
 	rep.Sessions = o.tab.Len()
 	rep.Assigned = o.nAssigned
 	util := 0.0
-	for _, n := range o.nodes {
-		util += n.UtilizationCores()
+	for id := range o.usedCores {
+		util += o.utilization(id)
 	}
-	rep.MeanUtilization = util / float64(len(o.nodes))
+	rep.MeanUtilization = util / float64(len(o.usedCores))
 	rep.ISLDegradations = o.epochISL
 	rep.WallSec = time.Since(wall).Seconds()
 
@@ -426,9 +424,6 @@ func (o *Orchestrator) proposeAhead(buf *chunkBuf, chunk []workItem) (join func(
 // capacity wins (pick), and the session is rejected (retrying next epoch)
 // when nothing fits.
 func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochReport) error {
-	task := func(s *Session) compute.Task {
-		return compute.Task{ID: int(s.ID), Cores: s.CoresDemand, MemoryGB: s.MemoryGB}
-	}
 	for i, w := range chunk {
 		s := w.sess
 		evac := w.evacuating || s.Evacuating
@@ -440,11 +435,11 @@ func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochRep
 		}
 		pr, arena := buf.props[i], buf.arenas[i/proposeBlock]
 		chosen := pick(arena[pr.lo:pr.pool], arena[pr.pool:pr.hi], func(id int) bool {
-			return id == s.Sat || o.nodes[id].Fits(task(s))
+			return id == s.Sat || o.fits(id, s)
 		})
 		if chosen.id < 0 {
 			if s.Sat >= 0 {
-				_ = o.nodes[s.Sat].Release(int(s.ID))
+				o.credit(s.Sat, s)
 				s.Sat = -1
 				o.nAssigned--
 			}
@@ -475,7 +470,7 @@ func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochRep
 					// The source is gone: the session rides out the backoff
 					// unassigned (its state restores from the replicated
 					// checkpoint on the next attempt).
-					_ = o.nodes[from].Release(int(s.ID))
+					o.credit(from, s)
 					s.Sat = -1
 					o.nAssigned--
 					o.deferEvacuation(s, rep)
@@ -493,10 +488,8 @@ func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochRep
 			if merr != nil {
 				return fmt.Errorf("fleet: migration cost of session %d: %w", s.ID, merr)
 			}
-			if err := o.nodes[chosen.id].Place(task(s)); err != nil {
-				return fmt.Errorf("fleet: admission of session %d: %w", s.ID, err)
-			}
-			_ = o.nodes[from].Release(int(s.ID))
+			o.debit(chosen.id, s)
+			o.credit(from, s)
 			rep.Handoffs++
 			s.Handoffs++
 			rep.Transfer.Add(transfer)
@@ -508,9 +501,7 @@ func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochRep
 		} else {
 			// Unassigned (re-)placements restore from the pre-replicated
 			// generic state plus checkpoint, so no transfer coin is flipped.
-			if err := o.nodes[chosen.id].Place(task(s)); err != nil {
-				return fmt.Errorf("fleet: admission of session %d: %w", s.ID, err)
-			}
+			o.debit(chosen.id, s)
 			rep.Placements++
 			o.nAssigned++
 			o.m.placeInitial.Inc()
@@ -595,7 +586,7 @@ func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, prop
 		}
 	}
 	for i := 0; i < band; i++ {
-		cands[i].life = o.lifeEpochs(s, cands[i].id)
+		cands[i].life = o.ring.Life(s.Users, cands[i].id)
 	}
 	// Keeping the full list (not just the pool) is what lets admission
 	// spill under load instead of rejecting.
@@ -609,7 +600,7 @@ func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, prop
 // visible to every user, so it lies within the group's spread plus the
 // largest slant range of the centroid. The factor absorbs float rounding.
 func (o *Orchestrator) relayBoundMs(s *Session) float64 {
-	km := o.ring[0][s.Sat].Distance(s.Centroid) + s.SpreadKm + o.idx.MaxSlantKm()
+	km := o.ring.Frame(0)[s.Sat].Distance(s.Centroid) + s.SpreadKm + o.idx.MaxSlantKm()
 	return units.PropagationDelayMs(km) * (1 + 1e-9)
 }
 
@@ -627,7 +618,7 @@ func (o *Orchestrator) priceRow(w, sat int) {
 // read off the source's pricing row) and a ground relay through the session's
 // region — the same accounting as meetup.Planner.TransferLatencyMs.
 func (o *Orchestrator) transferMs(a, b int, centroid geo.Vec3) float64 {
-	snap := o.ring[0]
+	snap := o.ring.Frame(0)
 	relay := units.PropagationDelayMs(snap[a].Distance(centroid) + centroid.Distance(snap[b]))
 	if o.c.Satellites[a].ShellIndex != o.c.Satellites[b].ShellIndex {
 		return relay // the +grid does not link shells

@@ -260,7 +260,7 @@ func TestResetClearsScratchAfterFailedStep(t *testing.T) {
 	// on a satellite its whole group sees, at that group's own RTT.
 	var rep EpochReport
 	for epoch := 0; epoch < 5; epoch++ {
-		snap, now := o.ring[0], o.now
+		snap, now := o.ring.Frame(0), o.now
 		if rep, err = o.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -272,9 +272,9 @@ func TestResetClearsScratchAfterFailedStep(t *testing.T) {
 			for _, u := range s.Users {
 				rtt = max(rtt, units.RTTMs(snap[s.Sat].Distance(u)))
 			}
-			if !o.visibleAll(s, s.Sat, snap) || s.RTTMs != rtt {
+			if !visibleAll(o, s, s.Sat, snap) || s.RTTMs != rtt {
 				t.Fatalf("t=%v: session %d placed on sat %d at %v ms; its group sees it: %v, at %v ms",
-					now, s.ID, s.Sat, s.RTTMs, o.visibleAll(s, s.Sat, snap), rtt)
+					now, s.ID, s.Sat, s.RTTMs, visibleAll(o, s, s.Sat, snap), rtt)
 			}
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/netgraph"
 	"repro/internal/stats"
 	"repro/internal/units"
+	"repro/internal/visibility"
 )
 
 // oracleTransferMs is transfer pricing as it was before rows were bounded:
@@ -38,7 +39,7 @@ type pricingEpoch struct {
 }
 
 func beforeStep(o *Orchestrator) pricingEpoch {
-	ep := pricingEpoch{snap: o.ring[0], now: o.now, sat: map[uint64]int{}, hand: map[uint64]int{}}
+	ep := pricingEpoch{snap: o.ring.Frame(0), now: o.now, sat: map[uint64]int{}, hand: map[uint64]int{}}
 	for _, s := range allSessions(o) {
 		ep.sat[s.ID], ep.hand[s.ID] = s.Sat, s.Handoffs
 	}
@@ -76,10 +77,11 @@ type pricedMove struct {
 func checkEpochPricing(t *testing.T, o *Orchestrator, ep pricingEpoch, rep EpochReport) []pricedMove {
 	t.Helper()
 	// transferMs reads the epoch's positions and clock; put them back for
-	// the re-pricing. The rows and radii live until the next Step's reset.
-	ring0, now := o.ring[0], o.now
-	o.ring[0], o.now = ep.snap, ep.now
-	defer func() { o.ring[0], o.now = ring0, now }()
+	// the re-pricing (a ring at the epoch's time starts on its frame). The
+	// rows and radii live until the next Step's reset.
+	ring, now := o.ring, o.now
+	o.ring, o.now = visibility.NewRing(o.obs, o.eng, ep.now, o.cfg.StepSec, 1), ep.now
+	defer func() { o.ring, o.now = ring, now }()
 
 	var moves []pricedMove
 	var want stats.Summary
@@ -147,7 +149,7 @@ func TestTransferPricingMatchesFullRowOracle(t *testing.T) {
 			if mv.got < mv.relay {
 				isl++
 			}
-			if !o.visibleAll(mv.sess, mv.from, ep.snap) {
+			if !visibleAll(o, mv.sess, mv.from, ep.snap) {
 				offSet++
 			}
 		}
@@ -207,7 +209,7 @@ func TestTransferPricingCornerMoves(t *testing.T) {
 	// shell is (sameShell) or is not the target's.
 	farthest := func(o *Orchestrator, s *Session, sameShell bool) int {
 		best, bestD := -1, 0.0
-		for id, pos := range o.ring[0] {
+		for id, pos := range o.ring.Frame(0) {
 			if (c.Satellites[id].ShellIndex == shell) != sameShell {
 				continue
 			}
@@ -227,12 +229,10 @@ func TestTransferPricingCornerMoves(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o, s := fresh()
 			from := farthest(o, s, tc.sameShell)
-			if err := o.nodes[from].Place(compute.Task{ID: int(s.ID), Cores: s.CoresDemand, MemoryGB: s.MemoryGB}); err != nil {
-				t.Fatal(err)
-			}
+			o.debit(from, s)
 			s.Sat = from
 			o.nAssigned++
-			if o.visibleAll(s, from, o.ring[0]) {
+			if o.ring.VisibleAll(s.Users, from, 0) {
 				t.Fatalf("satellite %d is above the horizon", from)
 			}
 			ep := beforeStep(o)

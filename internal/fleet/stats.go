@@ -107,11 +107,9 @@ func (o *Orchestrator) Stats() Stats {
 		st.DownSats = o.cfg.Faults.DownCount()
 	}
 
-	util := make([]float64, 0, len(o.nodes))
+	util := o.Utilization()
 	sum := 0.0
-	for _, n := range o.nodes {
-		u := n.UtilizationCores()
-		util = append(util, u)
+	for _, u := range util {
 		sum += u
 		if u > 0 {
 			st.LoadedSats++

@@ -174,8 +174,8 @@ func FuzzSessionWindow(f *testing.F) {
 		checkWindowHoldsFootprint(t, shells, cellDeg, s.win, users, rng, 64)
 
 		var want []candidate
-		for id, pos := range o.ring[0] {
-			if !o.visibleAll(s, id, o.ring[0]) {
+		for id, pos := range o.ring.Frame(0) {
+			if !o.ring.VisibleAll(s.Users, id, 0) {
 				continue
 			}
 			if !inBox[id] {

@@ -187,6 +187,12 @@ func (e *legacyEngine) refresh(t float64) {
 	}
 }
 
+// containsSorted reports whether sorted ascending xs contains v.
+func containsSorted(xs []int, v int) bool {
+	i := sort.SearchInts(xs, v)
+	return i < len(xs) && xs[i] == v
+}
+
 // Feed schedules requests into the simulation. Requests must not predate
 // the current simulation time; multiple Feeds accumulate.
 func (e *legacyEngine) Feed(reqs []Request) error {

@@ -5,15 +5,17 @@
 // request; per-satellite admission control bounds the queue and sheds the
 // rest with typed reasons. The engine simulates in refresh-aligned time
 // slices on one goroutine (see shard.go) while staying byte-identical to
-// the netsim reference for every seed; it runs over the frozen netgraph
-// visibility snapshots, shares the ephemeris engine with the fleet
-// orchestrator, and reports into the obs registry / flight recorder.
+// the netsim reference for every seed. Each refresh reads visibility
+// straight off the ephemeris frames through a visibility.Ring, the
+// look-ahead type the fleet orchestrator reads too (share its ephemeris
+// engine and the frames are the same), and the engine reports into the obs
+// registry / flight recorder. It builds no routing graph: netgraph is only
+// its test oracle (legacy_test.go).
 package serve
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/compute"
 	"repro/internal/ephem"
@@ -59,13 +61,14 @@ type Config struct {
 	// QueueCap bounds requests admitted per satellite beyond its cores;
 	// at capacity further requests are shed (default 64, -1 = unbounded).
 	QueueCap int
-	// RefreshSec is the cadence at which visibility snapshots and fault
-	// state are refreshed (default 60, matching the fleet epoch). It is
-	// also the engine's slice width.
+	// RefreshSec is the cadence at which the look-ahead ring advances and
+	// candidates and fault state are refreshed (default 60, matching the
+	// fleet epoch). It is also the engine's slice width.
 	RefreshSec float64
-	// LookaheadEpochs is how many future refresh intervals the engine
-	// scans to estimate candidate visibility lifetime for affinity
-	// policies (default 3).
+	// LookaheadEpochs is the depth of the engine's look-ahead ring: how
+	// many future refresh intervals a candidate's remaining visibility
+	// (Candidate.LifeSec, read by affinity policies) is counted over
+	// (default 3).
 	LookaheadEpochs int
 	// Registry, when set, receives the serve_* metric families.
 	Registry *obs.Registry
@@ -73,8 +76,9 @@ type Config struct {
 	// refresh. The engine owns Advance; give each engine its own
 	// injector (same seed = same schedule).
 	Faults *faults.Injector
-	// Ephem, when set, supplies cached position frames to the network
-	// snapshots (share the fleet orchestrator's engine).
+	// Ephem, when set, supplies the look-ahead ring's frames from its
+	// cache (share the fleet orchestrator's engine); nil propagates each
+	// frame fresh.
 	Ephem *ephem.Engine
 }
 
@@ -139,12 +143,6 @@ type EngineStats struct {
 	ParallelSlices int
 	// SerialSlices counts the slices that had arrivals.
 	SerialSlices int
-}
-
-// containsSorted reports whether sorted ascending xs contains v.
-func containsSorted(xs []int, v int) bool {
-	i := sort.SearchInts(xs, v)
-	return i < len(xs) && xs[i] == v
 }
 
 // validateConfig rejects configurations the engine refuses.

@@ -8,7 +8,7 @@ package serve
 //
 // Why slices compose exactly:
 //
-//   - Candidate lists, fault state, and the snapshot ring change only at
+//   - Candidate lists, fault state, and the look-ahead ring change only at
 //     refresh boundaries, so within a slice every arrival at a site sees
 //     the same candidates.
 //   - All mutable simulation state (core busy-until, outstanding count,
@@ -46,14 +46,13 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/constellation"
 	"repro/internal/geo"
-	"repro/internal/netgraph"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/units"
+	"repro/internal/visibility"
 )
 
 // Shed slots in ShedReasons order, for the engine's fixed-size counters.
@@ -224,7 +223,6 @@ func heapPop(h *[]satEvent) satEvent {
 // behaviour is deterministic in (constellation, config, arrivals).
 type Engine struct {
 	cfg    Config
-	net    *netgraph.Network
 	policy Policy
 	local  bool // policy picks are slice-local: memo + per-satellite heaps
 
@@ -235,14 +233,16 @@ type Engine struct {
 	now      float64
 	refreshN int // refreshes performed; the next is due at refreshN*RefreshSec
 
-	// ring holds snapshots at now, now+refresh, ..., now+lookahead*refresh;
-	// rotated one slot per refresh so steady state freezes one new graph.
-	ring []*netgraph.Snapshot
+	// ring holds the frames at now, now+refresh, ..., now+lookahead*refresh,
+	// advanced one slot per refresh; obs and grounds (the sites' surface
+	// vectors) are what refresh tests against them.
+	ring    *visibility.Ring
+	obs     *visibility.Observer
+	grounds []geo.Vec3
 
 	cands    [][]Candidate // per site, rebuilt each refresh
 	downOnly []bool        // per site: visible sats exist but all are down
 	prevSat  []int         // per site: satellite that served the last request
-	futures  [][]int       // refresh scratch: a site's visible sats at each lookahead slot
 
 	// Arrivals: queued sources drained in order, one pulled run at a time.
 	// The engine owns no copy; cur aliases the source's (or Feed caller's)
@@ -324,14 +324,12 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 	for i := range e.prevSat {
 		e.prevSat[i] = -1
 	}
-	gls := make([]geo.LatLon, len(cfg.Sites))
+	e.grounds = make([]geo.Vec3, len(cfg.Sites))
 	for i, s := range cfg.Sites {
-		gls[i] = s.Loc
+		e.grounds[i] = s.Loc.ECEF()
 	}
-	e.net = netgraph.New(c, gls)
-	if cfg.Ephem != nil {
-		e.net.UseEphemeris(cfg.Ephem)
-	}
+	e.obs = visibility.NewObserver(c)
+	e.ring = visibility.NewRing(e.obs, cfg.Ephem, 0, cfg.RefreshSec, cfg.LookaheadEpochs)
 	if cfg.Registry != nil {
 		e.m = newMetricsSet(cfg.Registry)
 		name := cfg.Policy.Name()
@@ -350,58 +348,43 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// refresh rebuilds fault state, the snapshot ring, and per-site candidate
-// lists at time t — the per-slice batch that replaces per-arrival lookups.
+// refresh rebuilds fault state and the per-site candidate lists at time t,
+// the ring's slot-0 time — the per-slice batch that replaces per-arrival
+// lookups. A site's candidates are the satellites up and in view in slot 0,
+// nearest first, each with how long the ring keeps it in view.
 func (e *Engine) refresh(t float64) {
-	if e.cfg.Faults != nil {
-		e.cfg.Faults.Advance(t)
+	inj := e.cfg.Faults
+	if inj != nil {
+		inj.Advance(t)
 	}
 	step := e.cfg.RefreshSec
-	depth := e.cfg.LookaheadEpochs + 1
-	if len(e.ring) == 0 {
-		e.ring = make([]*netgraph.Snapshot, depth)
-		for k := range e.ring {
-			e.ring[k] = e.net.At(t + float64(k)*step)
-		}
-	} else {
-		copy(e.ring, e.ring[1:])
-		e.ring[depth-1] = e.net.At(t + float64(depth-1)*step)
-	}
-	now := e.ring[0]
-	for si := range e.cfg.Sites {
-		vis := now.VisibleSats(si)
-		futures := e.futures[:0]
-		for _, s := range e.ring[1:] {
-			futures = append(futures, s.VisibleSats(si))
-		}
-		e.futures = futures
-		gpos := now.Position(e.net.GroundNode(si))
-		cands := e.cands[si][:0]
-		for _, sat := range vis {
-			if e.cfg.Faults != nil && !e.cfg.Faults.SatUp(sat) {
+	now := e.ring.Frame(0)
+	for si := range e.grounds {
+		site := e.grounds[si : si+1]
+		g := site[0]
+		cands, visible := e.cands[si][:0], false
+		for id, pos := range now {
+			if !e.obs.Visible(g, id, pos) {
+				continue
+			}
+			visible = true
+			if inj != nil && !inj.SatUp(id) {
 				continue
 			}
 			life := 0.0
-			for _, fut := range futures {
-				if !containsSorted(fut, sat) {
-					break
-				}
+			for n := e.ring.Life(site, id); n > 0; n-- {
 				life += step
 			}
-			cands = append(cands, Candidate{
-				SatID:    sat,
-				OneWayMs: units.PropagationDelayMs(gpos.Distance(now.Position(e.net.SatNode(sat)))),
-				LifeSec:  life,
-			})
+			cands = append(cands, Candidate{SatID: id, OneWayMs: units.PropagationDelayMs(g.Distance(pos)), LifeSec: life})
 		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].OneWayMs != cands[j].OneWayMs {
-				return cands[i].OneWayMs < cands[j].OneWayMs
+		slices.SortFunc(cands, func(a, b Candidate) int {
+			if c := cmp.Compare(a.OneWayMs, b.OneWayMs); c != 0 {
+				return c
 			}
-			return cands[i].SatID < cands[j].SatID
+			return cmp.Compare(a.SatID, b.SatID)
 		})
 		e.cands[si] = cands
-		e.downOnly[si] = len(cands) == 0 && len(vis) > 0
+		e.downOnly[si] = len(cands) == 0 && visible
 	}
 }
 
@@ -497,6 +480,7 @@ func (e *Engine) RunUntil(tSec float64) error {
 			// boundaries are scheduled mid-run and lose the tie to arrivals.
 			e.runSegment(next, e.refreshN == 1)
 			e.now = next
+			e.ring.Advance(next)
 			e.refresh(next)
 			e.refreshN++
 			continue
