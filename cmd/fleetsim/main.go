@@ -127,7 +127,7 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.serve.sigma, "serve-sigma", 0.5, "lognormal shape of the service-time distribution")
 	fs.Float64Var(&o.serve.diurnal, "serve-diurnal", 0.6, "diurnal arrival-rate amplitude in [0,1) around the local evening peak")
 	fs.IntVar(&o.serve.cores, "serve-cores", 8, "request-serving cores per satellite")
-	fs.IntVar(&o.serve.queue, "serve-queue", 64, "per-satellite queue bound beyond the cores (-1 = unbounded)")
+	fs.IntVar(&o.serve.queue, "serve-queue", 64, "per-satellite queue bound beyond the cores, at least 1 (-1 = unbounded; a zero-length queue cannot be expressed)")
 	fs.Int64Var(&o.serve.seed, "serve-seed", 1, "request workload seed (independent of the fleet seed)")
 	fs.StringVar(&o.serve.tracePath, "serve-trace", "", "write the request trace as JSONL (empty = off)")
 	fs.StringVar(&o.serve.replay, "serve-replay", "", "replay a JSONL request trace instead of generating one")

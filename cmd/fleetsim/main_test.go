@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -28,11 +29,22 @@ func TestParseFlags(t *testing.T) {
 		{"-demand", "-0.5"},
 		{"-serve-rate", "10", "-serve-sites", "0"},
 		{"-serve-rate", "10", "-serve-sites", "5000"},
+		{"-serve-rate", "10", "-serve-queue", "0"},
+		{"-serve-rate", "10", "-serve-queue", "-7"},
 		{"-nope"},
 	}
 	for _, args := range bad {
 		if _, err := parseFlags(args); err == nil {
 			t.Fatalf("args %v accepted", args)
+		}
+	}
+	for _, q := range []string{"-1", "1", "64"} {
+		o, err := parseFlags([]string{"-serve-rate", "10", "-serve-queue", q})
+		if err != nil {
+			t.Fatalf("-serve-queue %s refused: %v", q, err)
+		}
+		if got := strconv.Itoa(o.serve.queue); got != q {
+			t.Fatalf("-serve-queue %s parsed as %s", q, got)
 		}
 	}
 }

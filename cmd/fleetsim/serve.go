@@ -29,7 +29,7 @@ type serveOptions struct {
 	sigma     float64 // lognormal shape
 	diurnal   float64 // diurnal rate amplitude in [0,1)
 	cores     int     // request cores per satellite-server
-	queue     int     // per-satellite queue bound beyond the cores (-1 = unbounded)
+	queue     int     // per-satellite queue bound beyond the cores (>= 1, or -1 = unbounded)
 	seed      int64   // workload seed (independent of the fleet seed)
 	tracePath string  // write the generated trace as JSONL
 	replay    string  // replay a JSONL trace instead of generating
@@ -60,6 +60,9 @@ func (so serveOptions) validate() error {
 	}
 	if so.cores <= 0 {
 		return fmt.Errorf("serve-cores %d must be positive", so.cores)
+	}
+	if so.queue != -1 && so.queue < 1 {
+		return fmt.Errorf("serve-queue %d must be -1 (unbounded) or at least 1", so.queue)
 	}
 	if so.availSLO <= 0 || so.availSLO > 1 {
 		return fmt.Errorf("slo-serve-avail %v outside (0,1]", so.availSLO)

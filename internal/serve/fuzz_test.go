@@ -2,9 +2,78 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// fullScanLeastLoaded is least-loaded's pick without the early exit: every
+// candidate's ETA is computed and the first strict minimum wins.
+func fullScanLeastLoaded(nowSec float64, cands []Candidate) int {
+	idx, best := -1, math.Inf(1)
+	for i := range cands {
+		eta := math.Max(cands[i].FreeAtSec, nowSec) + cands[i].OneWayMs/1000
+		if eta < best {
+			best = eta
+			idx = i
+		}
+	}
+	return idx
+}
+
+// FuzzLeastLoadedPick: the early-exit Pick returns the full scan's index on
+// candidate lists in the engine's (OneWayMs, SatID) order. Each candidate
+// is 3 bytes: a coarse one-way delay (so delays tie), then how its free-at
+// time sits against nowSec (never claimed, below, at or above it) and by
+// how much — down to a few ULPs of nowSec, where rounding decides.
+func FuzzLeastLoadedPick(f *testing.F) {
+	f.Add(0.0, []byte{0, 0, 0})
+	f.Add(100.0, []byte{8, 1, 3, 8, 2, 0, 16, 3, 9, 16, 0, 0})
+	f.Add(1e6, []byte{4, 5, 200, 4, 6, 1, 4, 7, 255, 5, 1, 2, 9, 3, 40})
+	f.Add(31.25, []byte{1, 3, 100, 2, 7, 100, 2, 4, 255, 3, 11, 50})
+	f.Fuzz(func(t *testing.T, nowSec float64, data []byte) {
+		if math.IsNaN(nowSec) || math.IsInf(nowSec, 0) {
+			t.Skip()
+		}
+		if nowSec = math.Abs(nowSec); nowSec > 1e6 {
+			nowSec = math.Mod(nowSec, 1e6)
+		}
+		ulp := math.Nextafter(math.Max(nowSec, 1), math.Inf(1)) - math.Max(nowSec, 1)
+		var cands []Candidate
+		for i := 0; i+3 <= len(data); i += 3 {
+			c := Candidate{SatID: i / 3, OneWayMs: 2 + float64(data[i]%32)*0.25}
+			off := float64(data[i+2])
+			if data[i+1]&4 != 0 {
+				off *= ulp
+			} else {
+				off *= 1e-4
+			}
+			switch data[i+1] & 3 {
+			case 1:
+				c.FreeAtSec = nowSec - off
+			case 2:
+				c.FreeAtSec = nowSec
+			case 3:
+				c.FreeAtSec = nowSec + off
+			}
+			cands = append(cands, c)
+		}
+		if len(cands) == 0 {
+			return
+		}
+		slices.SortFunc(cands, func(a, b Candidate) int {
+			if c := cmp.Compare(a.OneWayMs, b.OneWayMs); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.SatID, b.SatID)
+		})
+		if got, want := LeastLoaded().Pick(nowSec, -1, cands), fullScanLeastLoaded(nowSec, cands); got != want {
+			t.Fatalf("nowSec %v: early exit picked %d, full scan %d, cands %+v", nowSec, got, want, cands)
+		}
+	})
+}
 
 // FuzzReadTrace feeds the JSONL trace reader arbitrary bytes: it must
 // never panic, every request it accepts must pass Validate (so Feed's

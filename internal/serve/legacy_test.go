@@ -238,7 +238,6 @@ func (e *legacyEngine) arrive(r Request) {
 	}
 	for i := range cands {
 		cands[i].FreeAtSec = e.earliestFree(cands[i].SatID)
-		cands[i].Queued = e.outstanding[cands[i].SatID]
 	}
 	idx := e.policy.Pick(now, e.prevSat[r.Site], cands)
 	if idx < 0 || idx >= len(cands) {

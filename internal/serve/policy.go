@@ -6,8 +6,8 @@ import (
 )
 
 // Candidate is one satellite a request could be routed to: its current
-// ground-to-satellite propagation delay plus the dynamic load signals the
-// engine refreshes before every policy decision.
+// ground-to-satellite propagation delay plus the load signal the engine
+// refreshes before every load-coupled policy decision.
 type Candidate struct {
 	// SatID is the satellite.
 	SatID int
@@ -16,9 +16,6 @@ type Candidate struct {
 	// FreeAtSec is the earliest simulated time a core on the satellite
 	// frees up (<= now when a core is idle).
 	FreeAtSec float64
-	// Queued is the number of requests admitted to the satellite but not
-	// yet completed.
-	Queued int
 	// LifeSec is how long the satellite stays visible from the requesting
 	// site, at the engine's refresh granularity (capped at the lookahead
 	// horizon). Zero when it sets before the next refresh.
@@ -29,16 +26,17 @@ type Candidate struct {
 // an index into cands, or -1 to refuse (the engine then sheds the request).
 // prev is the satellite that served the site's previous request (-1 for
 // none); policies that keep affinity use it. cands is never empty and is
-// ordered by ascending OneWayMs; implementations must be deterministic
-// functions of their arguments.
+// ordered by ascending (OneWayMs, SatID) — least-loaded stops its scan on
+// that order; implementations must be deterministic functions of their
+// arguments.
 type Policy interface {
 	Name() string
 	Pick(nowSec float64, prev int, cands []Candidate) int
 }
 
 // sliceLocalPolicy marks built-in policies whose Pick is a pure function of
-// (prev, cands): it reads neither nowSec nor the FreeAtSec/Queued load
-// signals, and re-picks its own previous choice (Pick(Pick(prev, cands),
+// (prev, cands): it reads neither nowSec nor the FreeAtSec load signal,
+// and re-picks its own previous choice (Pick(Pick(prev, cands),
 // cands) selects the same satellite). Those properties make the pick
 // constant per site within a refresh slice, which is what lets the engine
 // resolve routing once per (site, slice) and simulate each satellite on
@@ -77,12 +75,18 @@ type leastLoaded struct{}
 
 func (leastLoaded) Name() string { return "least-loaded" }
 
+// Pick returns the first candidate with the least ETA (service start plus
+// propagation). An ETA never undercuts nowSec + OneWayMs/1000, that floor
+// ascends with cands, and only a strictly lower ETA wins, so the scan stops
+// at the first floor that reaches the best ETA so far.
 func (leastLoaded) Pick(nowSec float64, prev int, cands []Candidate) int {
 	idx, best := -1, math.Inf(1)
 	for i := range cands {
-		// Earliest predicted service start including propagation.
-		eta := math.Max(cands[i].FreeAtSec, nowSec) + cands[i].OneWayMs/1000
-		if eta < best {
+		d := cands[i].OneWayMs / 1000
+		if nowSec+d >= best {
+			break
+		}
+		if eta := math.Max(cands[i].FreeAtSec, nowSec) + d; eta < best {
 			best = eta
 			idx = i
 		}

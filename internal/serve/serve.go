@@ -59,7 +59,7 @@ type Config struct {
 	// EffectiveCores (power-capped) sets the number of request cores.
 	Server compute.ServerSpec
 	// QueueCap bounds requests admitted per satellite beyond its cores;
-	// at capacity further requests are shed (default 64, -1 = unbounded).
+	// at capacity further requests are shed (0 = 64, -1 = unbounded).
 	QueueCap int
 	// RefreshSec is the cadence at which the look-ahead ring advances and
 	// candidates and fault state are refreshed (default 60, matching the
@@ -155,6 +155,9 @@ func validateConfig(size int, cfg Config) error {
 	}
 	if err := cfg.Server.Validate(); err != nil {
 		return fmt.Errorf("serve: %w", err)
+	}
+	if cfg.QueueCap < -1 {
+		return fmt.Errorf("serve: queue cap %d below -1 (unbounded)", cfg.QueueCap)
 	}
 	if cfg.Faults != nil && cfg.Faults.N() != size {
 		return fmt.Errorf("serve: fault injector sized for %d sats, constellation has %d",

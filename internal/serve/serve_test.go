@@ -250,6 +250,16 @@ func TestEngineConfigValidation(t *testing.T) {
 	if _, err := NewEngine(c, Config{Sites: testSites(), Policy: Nearest(), Faults: inj}); err == nil {
 		t.Fatal("mis-sized fault injector accepted")
 	}
+	for _, q := range []int{-2, -7, math.MinInt} {
+		if _, err := NewEngine(c, Config{Sites: testSites(), Policy: Nearest(), QueueCap: q}); err == nil {
+			t.Fatalf("queue cap %d accepted", q)
+		}
+	}
+	for _, q := range []int{-1, 0, 1} {
+		if _, err := NewEngine(c, Config{Sites: testSites(), Policy: Nearest(), QueueCap: q}); err != nil {
+			t.Fatalf("queue cap %d refused: %v", q, err)
+		}
+	}
 	eng, err := NewEngine(c, Config{Sites: testSites(), Policy: Nearest(), Server: testServer()})
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,8 @@ package serve
 //   - Least-loaded (and any external policy) reads global load signals at
 //     every arrival, so its slices replay one global heap in exact
 //     (time, seq) order instead — same semantics, one Pick per arrival.
+//     An arrival costs one freeAt load per candidate plus least-loaded's
+//     scan, which stops at the first candidate too far away to win.
 //
 // Both orders pay inside the repo benchmark (EXPERIMENTS.md, "Receipts"):
 // the memo + per-satellite heaps take about 40 % off the slice-local
@@ -130,19 +132,6 @@ func (st *satShard) allocRec(r reqRec) int32 {
 	}
 	st.slab = append(st.slab, r)
 	return int32(len(st.slab) - 1)
-}
-
-func (st *satShard) earliestFree() float64 {
-	if st.cores == nil {
-		return 0
-	}
-	best := st.cores[0]
-	for _, b := range st.cores[1:] {
-		if b < best {
-			best = b
-		}
-	}
-	return best
 }
 
 // deltaEvt is a queue-depth change; the slice merge replays all
@@ -257,9 +246,11 @@ type Engine struct {
 	sats []satShard
 
 	// Global heap (least-loaded and external policies): exact legacy
-	// (time, seq) replay, slab-backed instead of closure-backed.
-	gheap []satEvent
-	gseq  uint32
+	// (time, seq) replay, slab-backed instead of closure-backed. freeAt is
+	// its load book by sat ID: the min of its cores, 0 before a claim.
+	gheap  []satEvent
+	gseq   uint32
+	freeAt []float64
 
 	// Per-slice scratch for the slice-local path.
 	segGen    uint32
@@ -316,6 +307,7 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 		downOnly:    make([]bool, len(cfg.Sites)),
 		prevSat:     make([]int, len(cfg.Sites)),
 		sats:        make([]satShard, c.Size()),
+		freeAt:      make([]float64, c.Size()),
 		siteGen:     make([]uint32, len(cfg.Sites)),
 		sitePick:    make([]int32, len(cfg.Sites)),
 		sitePickD:   make([]float64, len(cfg.Sites)),
@@ -674,9 +666,7 @@ func (e *Engine) globalArrive(idx int, r *Request) {
 		return
 	}
 	for i := range cands {
-		st := &e.sats[cands[i].SatID]
-		cands[i].FreeAtSec = st.earliestFree()
-		cands[i].Queued = st.outstanding
+		cands[i].FreeAtSec = e.freeAt[cands[i].SatID]
 	}
 	pi := e.policy.Pick(r.TSec, e.prevSat[site], cands)
 	if pi < 0 || pi >= len(cands) {
@@ -707,6 +697,7 @@ func (e *Engine) globalDrain(limit float64, inclusive bool) {
 			ci := e.pickCore(st)
 			start := math.Max(ev.t, st.cores[ci])
 			st.cores[ci] = start + rec.svc
+			e.freeAt[ev.sat] = slices.Min(st.cores)
 			st.busySec += rec.svc
 			if start > ev.t {
 				e.queueDelta(+1)

@@ -194,6 +194,46 @@ func TestBoundaryArrivalsMatchLegacy(t *testing.T) {
 	}
 }
 
+// TestFreeAtMatchesCores pins the global path's load book: after every
+// RunUntil, each satellite's freeAt is the min over its cores (0 before
+// its first claim), so a core claim that skips the update fails here.
+func TestFreeAtMatchesCores(t *testing.T) {
+	c := testConst(t)
+	reqs := testTrace(t, 300, 60)
+	for _, sc := range diffScenarios() {
+		eng, err := NewEngine(c, sc.config(t, c, LeastLoaded()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Feed(reqs); err != nil {
+			t.Fatal(err)
+		}
+		claimed := 0
+		for ts := 7.5; ts <= 90; ts += 7.5 {
+			if err := eng.RunUntil(ts); err != nil {
+				t.Fatal(err)
+			}
+			claimed = 0
+			for s := range eng.sats {
+				want := 0.0
+				if cores := eng.sats[s].cores; cores != nil {
+					claimed++
+					want = cores[0]
+					for _, b := range cores[1:] {
+						want = math.Min(want, b)
+					}
+				}
+				if got := eng.freeAt[s]; got != want {
+					t.Fatalf("%s: t=%gs sat %d freeAt %x, min of its cores %x", sc.name, ts, s, got, want)
+				}
+			}
+		}
+		if claimed == 0 {
+			t.Fatalf("%s: no satellite claimed a core", sc.name)
+		}
+	}
+}
+
 // TestTraceReplayShardingDeterminism replays one JSONL trace and
 // byte-compares the reports with feeding the in-memory trace it was written
 // from — the round-trip a recorded production trace would take.
