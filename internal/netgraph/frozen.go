@@ -353,8 +353,12 @@ func checkEdgeBudget(edges int64) {
 }
 
 // groundRow returns the frozen uplink row of ground station gi: visible
-// satellite IDs ascending and their one-way weights.
+// satellite IDs ascending and their one-way weights; empty for a gi out of
+// range.
 func (f *frozen) groundRow(gi int) (adj []int32, w []float64) {
+	if gi < 0 || gi >= f.nodes-f.sats {
+		return nil, nil
+	}
 	lo, hi := f.g.off[f.sats+gi], f.g.off[f.sats+gi+1]
 	return f.g.adj[lo:hi], f.g.w[lo:hi]
 }

@@ -6,7 +6,7 @@
 //
 // Routing runs on a frozen-graph engine: each Snapshot freezes its topology
 // into CSR adjacency once (frozen.go), queries share a pooled search core on
-// one monotone bucket queue — plain Dijkstra for the SSSP rows, one-pass
+// one monotone bucket queue — a label-only search for the SSSP rows, one-pass
 // goal-directed search for point-to-point paths (query.go, overlay.go) — and
 // multi-source fan-outs parallelise across GOMAXPROCS (parallel.go). The
 // public entry points here are thin wrappers that return results
@@ -146,8 +146,9 @@ func (s *Snapshot) Position(id NodeID) geo.Vec3 {
 func (s *Snapshot) Freeze() { s.frozen() }
 
 // VisibleSats returns the satellite IDs currently reachable from ground
-// station gi, ascending. Served from the frozen CSR ground row — one
-// visibility scan per snapshot instead of one per call.
+// station gi, ascending; nil when gi is out of range, since it names no
+// ground. Served from the frozen CSR ground row — one visibility scan per
+// snapshot instead of one per call.
 func (s *Snapshot) VisibleSats(gi int) []int {
 	adj, _ := s.frozen().groundRow(gi)
 	if len(adj) == 0 {
@@ -316,8 +317,9 @@ func ISLShortest(g *isl.Grid, satPos []geo.Vec3, a, b int) (Path, error) {
 
 // LatencyToAllSats returns the one-way latency in milliseconds from ground
 // station gi to every satellite (indexed by satellite ID), +Inf where no
-// path exists. One Dijkstra pass; used by routed meetup-server selection
-// where the server need not be directly visible to every user.
+// path exists — everywhere when gi is out of range, since it names no
+// ground. One SSSP pass; used by routed meetup-server selection where the
+// server need not be directly visible to every user.
 func (s *Snapshot) LatencyToAllSats(gi int) []float64 {
 	return s.LatencyToAllSatsInto(gi, nil)
 }
@@ -325,25 +327,17 @@ func (s *Snapshot) LatencyToAllSats(gi int) []float64 {
 // LatencyToAllSatsInto is LatencyToAllSats writing into dst (grown if too
 // small), so steady-state callers make zero allocations per query.
 func (s *Snapshot) LatencyToAllSatsInto(gi int, dst []float64) []float64 {
-	start := time.Now()
-	f := s.frozen()
-	c := getCtx(f.nodes)
-	c.dijkstra(f.g, int32(s.net.GroundNode(gi)), -1)
-	if cap(dst) < f.sats {
-		dst = make([]float64, f.sats)
+	src := -1
+	if gi >= 0 && gi < len(s.net.Grounds) {
+		src = s.net.Sats() + gi
 	}
-	dst = dst[:f.sats]
-	for v := range dst {
-		dst[v] = c.distAt(int32(v))
-	}
-	putCtx(c)
-	s.net.metrics().sssp.observe(start)
-	return dst
+	return s.row(src, s.net.Sats(), dst)
 }
 
 // LatencyToAllNodes returns the one-way latency from src to every node
-// (satellites then ground stations), +Inf where unreachable. Used by fig3
-// to price one user against every data centre in a single pass.
+// (satellites then ground stations), +Inf where unreachable — everywhere
+// when src is out of range. Used by fig3 to price one user against every
+// data centre in a single pass.
 func (s *Snapshot) LatencyToAllNodes(src NodeID) []float64 {
 	return s.LatencyToAllNodesInto(src, nil)
 }
@@ -351,20 +345,24 @@ func (s *Snapshot) LatencyToAllNodes(src NodeID) []float64 {
 // LatencyToAllNodesInto is LatencyToAllNodes writing into dst (grown if too
 // small), for callers batching many sources over one snapshot.
 func (s *Snapshot) LatencyToAllNodesInto(src NodeID, dst []float64) []float64 {
+	return s.row(int(src), s.net.Nodes(), dst)
+}
+
+// row runs the label-only SSSP from node src (outside [0, Nodes) it reaches
+// nothing) and copies the first w latencies into dst, grown if too small.
+func (s *Snapshot) row(src, w int, dst []float64) []float64 {
 	start := time.Now()
 	f := s.frozen()
+	if cap(dst) < w {
+		dst = make([]float64, w)
+	}
+	dst = dst[:w]
 	c := getCtx(f.nodes)
-	c.dijkstra(f.g, int32(src), -1)
-	if cap(dst) < f.nodes {
-		dst = make([]float64, f.nodes)
-	}
-	out := dst[:f.nodes]
-	for v := range out {
-		out[v] = c.distAt(int32(v))
-	}
+	c.labels(f.g, src)
+	copy(dst, c.dist)
 	putCtx(c)
 	s.net.metrics().sssp.observe(start)
-	return out
+	return dst
 }
 
 // LatenciesWithin appends to dst every node within maxMs one-way of src with
@@ -372,13 +370,15 @@ func (s *Snapshot) LatencyToAllNodesInto(src NodeID, dst []float64) []float64 {
 // LatencyToAllNodes a caller with a known price ceiling needs, at the cost
 // of the nodes inside the radius instead of the whole reachable graph. Each
 // reported latency is bit-equal to the full row's; a node not reported is
-// farther than maxMs (or unreachable).
+// farther than maxMs (or unreachable). An out-of-range src appends nothing.
 func (s *Snapshot) LatenciesWithin(src NodeID, maxMs float64, dst []NodeMs) []NodeMs {
 	start := time.Now()
 	f := s.frozen()
-	c := getCtx(f.nodes)
-	dst = c.dijkstraWithin(f.g, int32(src), maxMs, dst)
-	putCtx(c)
+	if src >= 0 && int(src) < f.nodes {
+		c := getCtx(f.nodes)
+		dst = c.dijkstraWithin(f.g, int32(src), maxMs, dst)
+		putCtx(c)
+	}
 	s.net.metrics().sssp.observe(start)
 	return dst
 }

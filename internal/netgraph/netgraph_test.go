@@ -3,6 +3,7 @@ package netgraph
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/constellation"
@@ -72,6 +73,58 @@ func TestPathOutOfRange(t *testing.T) {
 	}
 	if _, err := s.ShortestPath(0, NodeID(n.Nodes())); err == nil {
 		t.Fatal("want range error")
+	}
+}
+
+// TestOutOfRangeSourcesReachNothing: a ground index or node ID outside the
+// network names no node, so nothing is reachable from it. Ground -1 used to
+// alias the last satellite (its row, its ISL neighbours as "visible") and an
+// index past the end panicked.
+func TestOutOfRangeSourcesReachNothing(t *testing.T) {
+	c, err := constellation.StarlinkPhase1(constellation.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(c, []geo.LatLon{{LatDeg: 47.6, LonDeg: -122.3}, {LatDeg: 51.5, LonDeg: -0.1}})
+	s := n.At(0)
+	allInf := func(tag string, row []float64, want int) {
+		t.Helper()
+		if len(row) != want {
+			t.Fatalf("%s: %d entries, want %d", tag, len(row), want)
+		}
+		for v, d := range row {
+			if !math.IsInf(d, 1) {
+				t.Fatalf("%s: node %d reachable at %v ms", tag, v, d)
+			}
+		}
+	}
+	grounds := len(n.Grounds)
+	for _, gi := range []int{-1, -5, -n.Sats(), grounds, grounds + 1, n.Nodes()} {
+		allInf("LatencyToAllSats", s.LatencyToAllSats(gi), n.Sats())
+		allInf("LatencyToAllSatsInto", s.LatencyToAllSatsInto(gi, make([]float64, 3, n.Sats())), n.Sats())
+		if vis := s.VisibleSats(gi); vis != nil {
+			t.Fatalf("VisibleSats(%d) = %v, want nil", gi, vis)
+		}
+	}
+	for _, src := range []NodeID{-1, -5, NodeID(n.Nodes()), NodeID(n.Nodes() + 7), 1<<32 + 3} {
+		allInf("LatencyToAllNodes", s.LatencyToAllNodes(src), n.Nodes())
+		allInf("LatencyToAllNodesInto", s.LatencyToAllNodesInto(src, nil), n.Nodes())
+		prefix := []NodeMs{{Node: 1, Ms: 2}}
+		if got := s.LatenciesWithin(src, math.Inf(1), prefix); len(got) != 1 || got[0] != prefix[0] {
+			t.Fatalf("LatenciesWithin(%d) = %v, want the prefix alone", src, got)
+		}
+	}
+	rows := s.AllSourcesLatencies([]int{-1, 0, grounds})
+	allInf("AllSourcesLatencies[-1]", rows[0], n.Sats())
+	allInf("AllSourcesLatencies[Grounds]", rows[2], n.Sats())
+	nodeRows := s.AllSourcesNodeLatencies([]NodeID{-1, n.GroundNode(0), NodeID(n.Nodes())})
+	allInf("AllSourcesNodeLatencies[-1]", nodeRows[0], n.Nodes())
+	allInf("AllSourcesNodeLatencies[Nodes]", nodeRows[2], n.Nodes())
+	// The in-range rows beside them are real rows.
+	for tag, row := range map[string][]float64{"sats": rows[1], "nodes": nodeRows[1]} {
+		if !slices.ContainsFunc(row, func(d float64) bool { return !math.IsInf(d, 1) }) {
+			t.Fatalf("in-range %s row from ground 0 reaches nothing", tag)
+		}
 	}
 }
 

@@ -89,7 +89,7 @@ func (n *Network) islOverlay() *overlay {
 			return ov
 		}
 	}
-	ov := buildOverlay(n)
+	ov := buildOverlay(n, (*queryCtx).labels)
 	overlayCache.Store(n.Grid, ov)
 	return ov
 }
@@ -106,7 +106,9 @@ func cachedOverlay(g *isl.Grid, sats int) *overlay {
 	return nil
 }
 
-func buildOverlay(n *Network) *overlay {
+// buildOverlay verifies the lower bounds and builds the tables, each row by
+// sssp, which fills c.dist from src: labels, or the ordered oracle in tests.
+func buildOverlay(n *Network, sssp func(c *queryCtx, g csr, src int)) *overlay {
 	sats := n.Sats()
 	ov := &overlay{sats: sats}
 	if sats < overlayMinSats {
@@ -180,12 +182,11 @@ func buildOverlay(n *Network) *overlay {
 		minD[v] = math.Inf(1)
 	}
 	c := getCtx(sats)
-	next := int32(0)
+	next := 0
 	for i := 0; i < overlayLandmarks; i++ {
 		c.next()
-		c.dijkstra(g, next, -1)
-		for v := 0; v < sats; v++ {
-			d := c.distAt(int32(v))
+		sssp(c, g, next)
+		for v, d := range c.dist {
 			ov.lm[v*overlayLandmarks+i] = d
 			if d < minD[v] {
 				minD[v] = d
@@ -196,7 +197,7 @@ func buildOverlay(n *Network) *overlay {
 		for v := 0; v < sats; v++ {
 			if minD[v] > best || math.IsInf(minD[v], 1) && !math.IsInf(best, 1) {
 				best = minD[v]
-				next = int32(v)
+				next = v
 				if math.IsInf(best, 1) {
 					break
 				}

@@ -70,6 +70,17 @@ func TestOverlayBuilds(t *testing.T) {
 	if len(ov.lm) != n.Sats()*overlayLandmarks {
 		t.Fatalf("landmark table size %d", len(ov.lm))
 	}
+	// The tables are labels rows over the lower-bound graph: the ordered
+	// oracle must build the same bits, and with them pick the same landmarks.
+	oracle := buildOverlay(n, oracleRow)
+	if !oracle.valid || len(oracle.lm) != len(ov.lm) {
+		t.Fatalf("oracle overlay valid=%v with %d entries", oracle.valid, len(oracle.lm))
+	}
+	for k, d := range ov.lm {
+		if math.Float64bits(d) != math.Float64bits(oracle.lm[k]) {
+			t.Fatalf("lm[sat %d, landmark %d] = %v, oracle %v", k/overlayLandmarks, k%overlayLandmarks, d, oracle.lm[k])
+		}
+	}
 	// Landmark tables must be admissible against real snapshot distances:
 	// spot-check π(v) ≤ d(v, dst) for a far pair via the reference Dijkstra.
 	snap := n.At(137)

@@ -18,9 +18,10 @@ package netgraph
 import "repro/internal/par"
 
 // serialFanoutWork is the sources×nodes volume below which the goroutine
-// fan-out cannot recoup its setup cost and the batch runs serially. A
-// settled node costs a few hundred nanoseconds; the fan-out machinery costs
-// tens of microseconds in spawns, atomics, and cross-worker cache traffic.
+// fan-out cannot recoup its setup cost and the batch runs serially. A node
+// of a label-only row costs about a hundred nanoseconds (≈ 0.5 ms for a
+// Starlink row); the fan-out machinery costs tens of microseconds in spawns,
+// atomics, and cross-worker cache traffic.
 const serialFanoutWork = 1 << 12
 
 // AllSourcesLatencies runs LatencyToAllSats for every ground station index

@@ -2,23 +2,26 @@ package netgraph
 
 // The frozen-graph query core: every routing entry point — ShortestPath,
 // LatencyToAllSats, LatenciesWithin, ISLShortest and the parallel multi-source
-// fan-outs — runs over flat CSR arrays with a pooled, generation-stamped
-// scratch context, and every search pops from one queue: the monotone
-// bucket queue below, which yields exact (key, node id) order, the order the
-// pre-freeze oracle's heap defines (legacy_test.go; the differential tests
-// pin identical latencies bit for bit and identical tie-broken paths).
+// fan-outs — runs over flat CSR arrays with a pooled scratch context, and
+// every search pops from one queue: the monotone bucket queue below, which
+// popped sorted yields exact (key, node id) order, the order the pre-freeze
+// oracle's heap defines (legacy_test.go).
 //
-// Two searches share it. dijkstra (and its radius-bounded twin
-// dijkstraWithin) is the plain label-setting run behind the SSSP rows; in
-// what follows D(v) is the label it gives v and its "legacy order" is pop
-// order, ascending (D(v), v). astar is the goal-directed run behind every
-// point-to-point query: one pass keyed by dist+π for an admissible π
-// (overlay.go), whose dist[dst] and prev chain from dst are exactly
-// dijkstra's. The argument, in the floating-point arithmetic the code runs:
+// Three searches share it. D(v) is the least fixed point of D(v) = min over u
+// of fl(D(u)+w(u,v)); "legacy order" is ascending (D(v), v), the pop order of
+// dijkstra, the ordered search query_test.go keeps as the oracle. labels, the
+// full rows, needs no order: weights are non-negative and rounding is
+// monotone, so a search that re-pushes on every strict improvement until its
+// queue is empty ends at D bit for bit in any expansion order — by induction
+// along an optimal path each label is at most its left-fold partial sum, and
+// every label is some path's sum. The other two read pop order:
+// dijkstraWithin returns a nearest-first prefix, and astar, behind every
+// point-to-point query, is one pass keyed by dist+π for an admissible π
+// (overlay.go) whose stop rule and tie rule make its dist[dst] and prev chain
+// from dst exactly dijkstra's. Why astar's are, in the arithmetic it runs:
 //
-//   - Labels. D is the least fixed point of D(v) = min over u of fl(D(u)+w(u,v)),
-//     and rounding is monotone, so astar's labels never drop below D. Let P be
-//     dijkstra's path to dst. While dist[dst] > D(dst), the last node p of P
+//   - Labels. Rounding is monotone, so astar's labels never drop below D. Let P
+//     be dijkstra's path to dst. While dist[dst] > D(dst), the last node p of P
 //     that carries its D label has not been expanded with it, and astar
 //     re-pushes on every improvement, so p is queued with key fl(D(p)+π(p)) ≤
 //     D(dst)·(1+hops·ulp): π(p) is at most the rest of P. astar stops only at
@@ -62,7 +65,7 @@ type csr struct {
 // graph, validity tracked by a generation stamp so starting a new query is
 // O(1) instead of an O(n) clear. A node's dist/prev entries — and, in a
 // goal-directed run, its memoised heuristic pi — are meaningful only when
-// stamp[v] == gen.
+// stamp[v] == gen, except after labels, which stamps nothing.
 type queryCtx struct {
 	dist  []float64
 	prev  []int32
@@ -159,14 +162,15 @@ func cmpQent(a, b qent) int {
 // key, so every entry in a later bucket is larger than every entry at or
 // below the open one, and an entry pushed at or below the open bucket is
 // inserted into the open array in order. The bucket width therefore decides
-// only how much sorting there is, never the pop sequence.
+// only how much sorting there is, never the pop sequence. Unsorted (labels),
+// buckets still come in order and their entries as they were queued.
 type bucketQueue struct {
 	base float64
 	ents []qent  // slab the bucket lists and the free list thread through
 	head []int32 // head[b] indexes bucket b's newest entry in ents; -1 empty
 	free int32   // slots of opened buckets, reused before the slab grows
 	slot []int32 // slot[v]: v's newest entry in ents, if it was linked into a bucket
-	open []qent  // open[pos:] is the sorted remainder of buckets ≤ cur
+	open []qent  // open[pos:] is the remainder of buckets ≤ cur, in pop order
 	pos  int
 	cur  int // the open bucket; -1 before the first pop
 	hi   int // highest bucket pushed to since the last reset
@@ -188,14 +192,19 @@ func (q *bucketQueue) reset() {
 	q.cur, q.hi = -1, -1
 }
 
-func (q *bucketQueue) push(key float64, v int32) {
+// push queues (key, v) for a search that pops sorted or not; an entry at or
+// below the open bucket joins open directly, sunk into order if sorted.
+func (q *bucketQueue) push(key float64, v int32, sorted bool) {
 	b := qBuckets
 	if f := (key - q.base) * (1 / qWidthMs); f < qBuckets {
 		b = int(f)
 	}
 	if b <= q.cur {
 		q.slot[v] = -1
-		q.insertOpen(qent{key: key, v: v})
+		q.open = append(q.open, qent{key: key, v: v})
+		if sorted {
+			q.sink(len(q.open) - 1)
+		}
 		return
 	}
 	i := q.free
@@ -221,12 +230,6 @@ func (q *bucketQueue) supersede(v int32) {
 	}
 }
 
-// insertOpen places e in order among the open entries not yet popped.
-func (q *bucketQueue) insertOpen(e qent) {
-	q.open = append(q.open, e)
-	q.sink(len(q.open) - 1)
-}
-
 // sink moves open[i] down to its place among the sorted open[pos:i].
 func (q *bucketQueue) sink(i int) {
 	e := q.open[i]
@@ -236,10 +239,11 @@ func (q *bucketQueue) sink(i int) {
 	q.open[i] = e
 }
 
-// pop removes and returns the smallest (key, id) entry; false when empty.
-func (q *bucketQueue) pop() (qent, bool) {
+// pop removes and returns the smallest (key, id) entry, or when !sorted any
+// entry of the lowest non-empty bucket; false when empty.
+func (q *bucketQueue) pop(sorted bool) (qent, bool) {
 	for q.pos == len(q.open) {
-		if !q.openNext() {
+		if !q.openNext(sorted) {
 			return qent{}, false
 		}
 	}
@@ -248,8 +252,8 @@ func (q *bucketQueue) pop() (qent, bool) {
 	return e, true
 }
 
-// openNext advances to the next non-empty bucket and sorts it into open.
-func (q *bucketQueue) openNext() bool {
+// openNext moves the next non-empty bucket into open, sorted if asked.
+func (q *bucketQueue) openNext(sorted bool) bool {
 	b := q.cur + 1
 	for b <= q.hi && q.head[b] < 0 {
 		b++
@@ -270,6 +274,9 @@ func (q *bucketQueue) openNext() bool {
 		}
 	}
 	q.free, q.head[b] = q.head[b], -1
+	if !sorted {
+		return true
+	}
 	if n := len(q.open); n > qSortMin {
 		slices.SortFunc(q.open, cmpQent)
 	} else {
@@ -293,7 +300,7 @@ func (c *queryCtx) relax(u, v int32, nd float64) {
 	}
 	c.dist[v] = nd
 	c.prev[v] = u
-	c.q.push(nd, v)
+	c.q.push(nd, v, true)
 }
 
 // start labels src as the origin of a fresh search.
@@ -303,35 +310,36 @@ func (c *queryCtx) start(src int32) {
 	c.prev[src] = -1
 }
 
-// dijkstra runs from src until dst is settled (dst >= 0) or the reachable
-// graph is exhausted (dst < 0: full single-source shortest paths). Results
-// live in c.dist/c.prev for nodes stamped with the current generation.
-func (c *queryCtx) dijkstra(g csr, src, dst int32) {
-	c.start(src)
-	c.q.push(0, src)
+// labels fills c.dist with the row from src, +Inf where unreachable and
+// everywhere when src names no node. It needs no order (file header), so it
+// pops unsorted, stamps nothing and keeps no predecessors: read c.dist, not
+// distAt. With every edge wider than a bucket (every Starlink edge is) no pop
+// improves a label in its own bucket, so each reachable node expands once;
+// narrower edges cost re-expansions, not exactness. Explicit weights only.
+func (c *queryCtx) labels(g csr, src int) {
+	dist := c.dist
+	for v := range dist {
+		dist[v] = math.Inf(1)
+	}
+	if src < 0 || src >= len(dist) {
+		return
+	}
+	dist[src] = 0
+	c.q.push(0, int32(src), false)
 	for {
-		e, ok := c.q.pop()
+		e, ok := c.q.pop(false)
 		if !ok {
 			return
 		}
 		u, du := e.v, e.key
-		if du != c.dist[u] {
+		if du != dist[u] {
 			continue // superseded by a later, better push
 		}
-		if u == dst {
-			return
-		}
 		c.expanded++
-		lo, hi := g.off[u], g.off[u+1]
-		if g.w != nil {
-			for k := lo; k < hi; k++ {
-				c.relax(u, g.adj[k], du+g.w[k])
-			}
-		} else {
-			pu := g.pos[u]
-			for k := lo; k < hi; k++ {
-				v := g.adj[k]
-				c.relax(u, v, du+units.PropagationDelayMs(pu.Distance(g.pos[v])))
+		for k, hi := g.off[u], g.off[u+1]; k < hi; k++ {
+			if v, nd := g.adj[k], du+g.w[k]; nd < dist[v] {
+				dist[v] = nd
+				c.q.push(nd, v, false)
 			}
 		}
 	}
@@ -343,16 +351,16 @@ type NodeMs struct {
 	Ms   float64
 }
 
-// dijkstraWithin is the full-SSSP dijkstra stopped at the first pop farther
+// dijkstraWithin is the ordered Dijkstra stopped at the first pop farther
 // than maxMs, appending the nodes it settled to out in settle order: a prefix
-// of the unbounded run, so distances are bit-identical and every omitted node
-// is farther than maxMs. It is its own loop so that dijkstra carries no
-// per-pop radius test, and reads explicit weights only (frozen CSRs have them).
+// of the full ordered run, so distances are bit-identical to labels' row and
+// every omitted node is farther than maxMs. It reads explicit weights only
+// (frozen CSRs have them).
 func (c *queryCtx) dijkstraWithin(g csr, src int32, maxMs float64, out []NodeMs) []NodeMs {
 	c.start(src)
-	c.q.push(0, src)
+	c.q.push(0, src, true)
 	for {
-		e, ok := c.q.pop()
+		e, ok := c.q.pop(true)
 		if !ok || e.key > maxMs {
 			return out
 		}
@@ -381,14 +389,14 @@ const goalEps = 1e-12
 
 // astar runs best-first search from src keyed by dist+π and reports whether
 // dst was reached; on true, c.dist[dst] and the prev chain from dst are
-// exactly what dijkstra(g, src, dst) leaves (see the file header).
+// exactly what the ordered Dijkstra leaves (see the file header).
 func (c *queryCtx) astar(g csr, src, dst int32, h heuristic) bool {
 	c.start(src)
 	c.pi[src] = h.eval(src)
 	c.q.base = c.pi[src]
-	c.q.push(c.pi[src], src)
+	c.q.push(c.pi[src], src, true)
 	for {
-		e, ok := c.q.pop()
+		e, ok := c.q.pop(true)
 		if !ok || e.key > c.distAt(dst)*(1+goalEps) {
 			break
 		}
@@ -434,10 +442,10 @@ func (c *queryCtx) relaxAstar(u, v int32, nd float64, h heuristic) {
 	}
 	c.dist[v] = nd
 	c.prev[v] = u
-	c.q.push(nd+c.pi[v], v)
+	c.q.push(nd+c.pi[v], v, true)
 }
 
-// distAt returns the computed distance of v, +Inf when unreached.
+// distAt returns the computed distance of v, +Inf when unreached (not after labels).
 func (c *queryCtx) distAt(v int32) float64 {
 	if c.stamp[v] != c.gen {
 		return math.Inf(1)

@@ -1,8 +1,10 @@
 package netgraph
 
-// Tests for the two properties the one-pass query core rests on: the bucket
-// queue pops in exact (key, id) order at any width, and astar reports
-// dijkstra's distance and node sequence even where exact ties are the norm.
+// Tests for the properties the query core rests on: the bucket queue pops in
+// exact (key, id) order at any width when sorted, and bucket by bucket when
+// not; labels equals the ordered dijkstra bit for bit and expands each node
+// once; and astar reports dijkstra's distance and node sequence even where
+// exact ties are the norm.
 
 import (
 	"math"
@@ -13,12 +15,60 @@ import (
 	"repro/internal/cities"
 	"repro/internal/constellation"
 	"repro/internal/geo"
+	"repro/internal/units"
 )
 
+// dijkstra is the ordered search, the oracle labels, dijkstraWithin and astar
+// are pinned against: it pops in legacy order, ascending (dist, id), and runs
+// from src until dst is settled (dst >= 0) or the reachable graph is
+// exhausted (dst < 0). Results live in c.dist/c.prev for nodes stamped with
+// the current generation; a nil g.w derives weights from g.pos.
+func (c *queryCtx) dijkstra(g csr, src, dst int32) {
+	c.start(src)
+	c.q.push(0, src, true)
+	for {
+		e, ok := c.q.pop(true)
+		if !ok {
+			return
+		}
+		u, du := e.v, e.key
+		if du != c.dist[u] {
+			continue // superseded by a later, better push
+		}
+		if u == dst {
+			return
+		}
+		c.expanded++
+		lo, hi := g.off[u], g.off[u+1]
+		if g.w != nil {
+			for k := lo; k < hi; k++ {
+				c.relax(u, g.adj[k], du+g.w[k])
+			}
+		} else {
+			pu := g.pos[u]
+			for k := lo; k < hi; k++ {
+				v := g.adj[k]
+				c.relax(u, v, du+units.PropagationDelayMs(pu.Distance(g.pos[v])))
+			}
+		}
+	}
+}
+
+// oracleRow is dijkstra as a labels stand-in: the full row from src, dense in
+// c.dist.
+func oracleRow(c *queryCtx, g csr, src int) {
+	c.dijkstra(g, int32(src), -1)
+	for v := range c.dist {
+		c.dist[v] = c.distAt(int32(v))
+	}
+}
+
 // TestBucketQueueOrder drives the queue directly against a sorted reference:
-// every pop must be the reference's minimum by (key, id), whatever the key
-// spread is relative to the bucket width, and a reset after a partial drain
-// must leave nothing behind.
+// every sorted pop must be the reference's minimum by (key, id), whatever the
+// key spread is relative to the bucket width, and a reset after a partial
+// drain must leave nothing behind. The unsorted case adds keys the way a
+// search does — none below the last key popped — and must pop the same
+// multiset with bucket indices that never decrease.
 func TestBucketQueueOrder(t *testing.T) {
 	span := qWidthMs * qBuckets
 	cases := []struct {
@@ -46,7 +96,7 @@ func TestBucketQueueOrder(t *testing.T) {
 				push := func() {
 					e := qent{key: tc.key(rng), v: id}
 					id++
-					q.push(e.key, e.v)
+					q.push(e.key, e.v, true)
 					ref = append(ref, e)
 				}
 				for i := rng.Intn(200); i >= 0; i-- {
@@ -61,7 +111,7 @@ func TestBucketQueueOrder(t *testing.T) {
 						continue
 					}
 					slices.SortFunc(ref, cmpQent)
-					got, ok := q.pop()
+					got, ok := q.pop(true)
 					if !ok {
 						t.Fatalf("round %d step %d: queue empty with %d entries outstanding", round, step, len(ref))
 					}
@@ -72,25 +122,87 @@ func TestBucketQueueOrder(t *testing.T) {
 				}
 				if round%2 == 0 { // drain fully on even rounds, abandon the rest on odd ones
 					for range ref {
-						if _, ok := q.pop(); !ok {
+						if _, ok := q.pop(true); !ok {
 							t.Fatalf("round %d: queue ran dry early", round)
 						}
 					}
-					if e, ok := q.pop(); ok {
+					if e, ok := q.pop(true); ok {
 						t.Fatalf("round %d: drained queue still popped (%v, %d)", round, e.key, e.v)
 					}
 				}
 			}
-			q.reset()
-			if e, ok := q.pop(); ok {
-				t.Fatalf("reset queue popped (%v, %d)", e.key, e.v)
+			checkReset(t, &q)
+		})
+		t.Run("unsorted/"+tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			var q bucketQueue
+			q.slot = make([]int32, 1<<12)
+			bucket := func(key float64) int {
+				if f := (key - q.base) * (1 / qWidthMs); f < qBuckets {
+					return int(f)
+				}
+				return qBuckets
 			}
-			for b, h := range q.head {
-				if h != -1 {
-					t.Fatalf("reset left bucket %d non-empty", b)
+			for round := 0; round < 20; round++ {
+				q.reset()
+				q.base = tc.base
+				var added, popped []qent
+				floor := tc.base
+				add := func() {
+					e := qent{key: max(tc.key(rng), floor), v: int32(len(added))}
+					q.push(e.key, e.v, false)
+					added = append(added, e)
+				}
+				pop := func() bool {
+					e, ok := q.pop(false)
+					if !ok {
+						return false
+					}
+					if n := len(popped); n > 0 && bucket(e.key) < bucket(popped[n-1].key) {
+						t.Fatalf("round %d: popped key %v (bucket %d) after %v (bucket %d)",
+							round, e.key, bucket(e.key), popped[n-1].key, bucket(popped[n-1].key))
+					}
+					popped = append(popped, qent{key: e.key, v: e.v})
+					floor = e.key
+					return true
+				}
+				for i := rng.Intn(200); i >= 0; i-- {
+					add()
+				}
+				for step := 0; step < 300 && len(popped) < len(added); step++ {
+					if rng.Intn(3) == 0 {
+						add()
+					} else if !pop() {
+						t.Fatalf("round %d step %d: queue empty with %d entries outstanding", round, step, len(added)-len(popped))
+					}
+				}
+				if round%2 == 1 { // abandon the rest on odd rounds
+					continue
+				}
+				for pop() {
+				}
+				slices.SortFunc(added, cmpQent)
+				slices.SortFunc(popped, cmpQent)
+				if !slices.Equal(added, popped) {
+					t.Fatalf("round %d: popped %d entries, not the %d added", round, len(popped), len(added))
 				}
 			}
+			checkReset(t, &q)
 		})
+	}
+}
+
+// checkReset resets q and checks that nothing is left to pop.
+func checkReset(t *testing.T, q *bucketQueue) {
+	t.Helper()
+	q.reset()
+	if e, ok := q.pop(true); ok {
+		t.Fatalf("reset queue popped (%v, %d)", e.key, e.v)
+	}
+	for b, h := range q.head {
+		if h != -1 {
+			t.Fatalf("reset left bucket %d non-empty", b)
+		}
 	}
 }
 
@@ -101,23 +213,146 @@ func TestBucketQueueSupersede(t *testing.T) {
 	var q bucketQueue
 	q.slot = make([]int32, 8)
 	q.reset()
-	q.push(5, 1)
-	q.push(5.01, 2)
-	q.push(9, 3)
+	q.push(5, 1, true)
+	q.push(5.01, 2, true)
+	q.push(9, 3, true)
 	q.supersede(3)
-	q.push(8, 3)
-	if e, _ := q.pop(); e.v != 1 {
+	q.push(8, 3, true)
+	if e, _ := q.pop(true); e.v != 1 {
 		t.Fatalf("first pop = %d, want 1", e.v)
 	}
 	q.supersede(2) // bucket already open: stays
-	q.push(5.001, 2)
+	q.push(5.001, 2, true)
 	var got []int32
-	for e, ok := q.pop(); ok; e, ok = q.pop() {
+	for e, ok := q.pop(true); ok; e, ok = q.pop(true) {
 		got = append(got, e.v)
 	}
 	if want := []int32{2, 2, 3}; !slices.Equal(got, want) {
 		t.Fatalf("pops = %v, want %v", got, want)
 	}
+}
+
+// TestLabelsSettleOnce is the count gate on label-only rows. Every Starlink
+// edge is wider than a bucket, so no pop improves a label in its own bucket
+// and labels expands each reachable node exactly once, stamping nothing; a
+// second pass, an edge below the width or stamps coming back fail it on any
+// host. On a three-node graph with one sub-width edge, the unsorted bucket
+// expands a node twice where a sorted one would not, so a sort coming back
+// fails it too.
+func TestLabelsSettleOnce(t *testing.T) {
+	c, err := constellation.StarlinkPhase1(constellation.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(c, cities.Locations(cities.TopN(200)))
+	s := n.At(0)
+	f := s.frozen()
+	if w := slices.Min(f.g.w); w <= qWidthMs {
+		t.Fatalf("lightest edge %v ms is not wider than a bucket (%v ms)", w, qWidthMs)
+	}
+	ctx := getCtx(f.nodes)
+	defer putCtx(ctx)
+	for gi := range n.Grounds {
+		ctx.next()
+		before := ctx.expanded
+		ctx.labels(f.g, int(n.GroundNode(gi)))
+		reached := 0
+		for _, d := range ctx.dist {
+			if !math.IsInf(d, 1) {
+				reached++
+			}
+		}
+		if got := ctx.expanded - before; got != uint64(reached) {
+			t.Fatalf("ground %d: %d expansions for %d reachable nodes", gi, got, reached)
+		}
+		if slices.Contains(ctx.stamp, ctx.gen) {
+			t.Fatalf("ground %d: labels stamped nodes", gi)
+		}
+		if row := s.LatencyToAllSats(gi); !slices.Equal(row, ctx.dist[:f.sats]) {
+			t.Fatalf("ground %d: LatencyToAllSats differs from labels", gi)
+		}
+	}
+
+	// 0→1 (1.01 ms) and 0→2 (1.2 ms) share a bucket and 2 is linked last, so
+	// unsorted it pops first, and 1→2 (0.001 ms) then improves it: four
+	// expansions, where (key, id) order takes three.
+	g := csr{off: []int32{0, 2, 3, 3}, adj: []int32{1, 2, 2}, w: []float64{1.01, 1.2, 0.001}}
+	small := getCtx(3)
+	defer putCtx(small)
+	before := small.expanded
+	small.labels(g, 0)
+	if got := small.expanded - before; got != 4 || small.dist[2] != 1.01+0.001 {
+		t.Fatalf("three-node graph: %d expansions, dist %v; want 4 and dist[2] = %v", got, small.dist, 1.01+0.001)
+	}
+}
+
+// FuzzLabelsMatchDijkstra: on random CSR graphs — zero and sub-width
+// weights, exact ties, keys past the 256 ms bucket cap, isolated nodes —
+// labels equals the ordered dijkstra in Float64bits on every node, and is
+// +Inf exactly where a breadth-first walk does not reach.
+func FuzzLabelsMatchDijkstra(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(3))
+	f.Add(int64(2), uint8(200), uint8(6))
+	f.Add(int64(3), uint8(7), uint8(1))
+	f.Add(int64(4), uint8(120), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, nodes, degree uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nodes)
+		weight := func() float64 {
+			switch rng.Intn(5) {
+			case 0:
+				return 0
+			case 1:
+				return rng.Float64() * qWidthMs // sub-width
+			case 2:
+				return float64(rng.Intn(8)) * qWidthMs / 2 // exact ties
+			case 3:
+				return 100 + 200*rng.Float64() // keys past the cap
+			default:
+				return 10 * rng.Float64()
+			}
+		}
+		// Every eighth node has no edges in or out.
+		isolated := func(v int) bool { return v%8 == 7 }
+		g := csr{off: make([]int32, n+1), w: []float64{}} // non-nil: the oracle reads w
+		for u := 0; u < n; u++ {
+			for d := rng.Intn(1 + int(degree)%8); d > 0 && !isolated(u); d-- {
+				if v := rng.Intn(n); !isolated(v) {
+					g.adj = append(g.adj, int32(v))
+					g.w = append(g.w, weight())
+				}
+			}
+			g.off[u+1] = int32(len(g.adj))
+		}
+		src := rng.Intn(n)
+
+		c := getCtx(n)
+		defer putCtx(c)
+		c.labels(g, src)
+		got := slices.Clone(c.dist)
+		c.next()
+		oracleRow(c, g, src)
+		reach := make([]bool, n)
+		reach[src] = true
+		for stack := []int32{int32(src)}; len(stack) > 0; {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, v := range g.adj[g.off[u]:g.off[u+1]] {
+				if !reach[v] {
+					reach[v] = true
+					stack = append(stack, v)
+				}
+			}
+		}
+		for v := range got {
+			if math.Float64bits(got[v]) != math.Float64bits(c.dist[v]) {
+				t.Fatalf("node %d: labels %v, dijkstra %v", v, got[v], c.dist[v])
+			}
+			if math.IsInf(got[v], 1) == reach[v] {
+				t.Fatalf("node %d: labels %v, reachable %v", v, got[v], reach[v])
+			}
+		}
+	})
 }
 
 // gridHeur is the Manhattan distance to dst on a side×side grid, scaled:
