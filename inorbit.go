@@ -202,7 +202,8 @@ type FleetStats = fleet.Stats
 type ServerSpec = compute.ServerSpec
 
 // NewFleetSession builds a session for a user group with default demand;
-// adjust its exported fields before submitting.
+// adjust its exported fields before submitting. Every user must be on the
+// surface (AltKm 0).
 func NewFleetSession(id uint64, users []LatLon) (*FleetSession, error) {
 	return fleet.NewSession(id, users)
 }

@@ -53,7 +53,10 @@ func benchWorkload(b testing.TB, n int) []*Session {
 // metric is the scaling curve recorded in BENCH_fleet.json: it must not
 // grow with the population (sub-linear total cost), because per-epoch work
 // is dominated by the sessions that actually need re-placement and the
-// per-epoch fixed work (index rebuild, ring rotation) amortises.
+// per-epoch fixed work (index rebuild, ring rotation) amortises. The
+// spill-shells metric counts, per epoch, the shells a proposal skipped that
+// admission scanned for the load spill: what a full 550 km shell costs the
+// larger populations.
 func BenchmarkFleetScale(b *testing.B) {
 	c, err := constellation.StarlinkPhase1(constellation.Config{})
 	if err != nil {
@@ -80,6 +83,7 @@ func BenchmarkFleetScale(b *testing.B) {
 			if _, err := o.Step(); err != nil {
 				b.Fatal(err)
 			}
+			spilled := o.m.spillShells.Value()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := o.Step(); err != nil {
@@ -90,6 +94,7 @@ func BenchmarkFleetScale(b *testing.B) {
 			perSession := b.Elapsed().Seconds() * 1e6 / float64(b.N) / float64(n)
 			b.ReportMetric(perSession, "us-per-session-epoch")
 			b.ReportMetric(float64(n), "sessions")
+			b.ReportMetric(float64(o.m.spillShells.Value()-spilled)/float64(b.N), "spill-shells/epoch")
 		})
 	}
 }

@@ -23,8 +23,10 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/compute"
 	"repro/internal/constellation"
@@ -36,6 +38,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/stats"
+	"repro/internal/units"
 	"repro/internal/visibility"
 )
 
@@ -218,6 +221,10 @@ type Orchestrator struct {
 	idx  *visibility.Index
 	tab  *Table
 	cfg  Config
+	// shellOrder lists the shells by ascending floor altitude; floorMs[i] is
+	// a strict lower bound on any surface user's RTT to shell shellOrder[i].
+	shellOrder []int
+	floorMs    []float64
 
 	// usedCores and usedMemGB are the capacity books, indexed by satellite
 	// ID: what the sessions placed on each satellite-server hold.
@@ -291,6 +298,14 @@ func New(c *constellation.Constellation, grid *isl.Grid, cfg Config) (*Orchestra
 		usedMemGB: make([]float64, c.Size()),
 		net:       net,
 		m:         newMetrics(cfg.Registry),
+	}
+	// |p − u| ≥ |p| − |u| ≥ floor for u on the surface; 1−1e-9 absorbs rounding.
+	for si := range c.Shells {
+		o.shellOrder = append(o.shellOrder, si)
+	}
+	slices.SortStableFunc(o.shellOrder, func(a, b int) int { return cmp.Compare(idx.FloorKm(a), idx.FloorKm(b)) })
+	for _, si := range o.shellOrder {
+		o.floorMs = append(o.floorMs, units.RTTMs(idx.FloorKm(si))*(1-1e-9))
 	}
 	o.pl.init(o)
 	return o, nil

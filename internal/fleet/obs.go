@@ -27,6 +27,7 @@ type metricsSet struct {
 
 	// Streaming-planner families.
 	streamChunks *obs.Counter // fleet_planner_chunks_total
+	spillShells  *obs.Counter // fleet_spill_shell_scans_total
 	ssspBatched  *obs.Counter // fleet_transfer_sssp_rows_total{mode="batched"}
 	ssspLazy     *obs.Counter // fleet_transfer_sssp_rows_total{mode="lazy"}
 	ssspSettled  *obs.Counter // fleet_transfer_sssp_settled_nodes_total
@@ -66,6 +67,8 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 	return &metricsSet{
 		streamChunks: reg.Counter("fleet_planner_chunks_total",
 			"Streaming chunks the epoch planner proposed and admitted."),
+		spillShells: reg.Counter("fleet_spill_shell_scans_total",
+			"Shells a proposal skipped that admission scanned because the load spill reached them."),
 		ssspBatched: ssspRows.With("batched"),
 		ssspLazy:    ssspRows.With("lazy"),
 		ssspSettled: reg.Counter("fleet_transfer_sssp_settled_nodes_total",
@@ -101,7 +104,7 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 		placeLat: reg.Histogram("fleet_placement_latency_seconds",
 			"Wall-clock time to compute one session's ranked placement proposal.", placementBuckets),
 		indexQuery: reg.Histogram("fleet_index_query_seconds",
-			"Wall-clock time of one footprint-index candidate query.", queryBuckets),
+			"Wall-clock time of one session's footprint-index scans: its proposal's plus any its spill needed in admission.", queryBuckets),
 		epochSec: reg.Histogram("fleet_epoch_seconds",
 			"Wall-clock time of one full planner epoch.", obs.DefBuckets),
 		transferMs: reg.Histogram("fleet_handoff_transfer_ms",

@@ -17,7 +17,10 @@ package fleet
 // between 100k and 1M+ sessions fitting the same epoch loop. Proposals may
 // run a chunk ahead of admission because they read only what an epoch
 // holds still — the ring, the index, the fault state, the session's own
-// users — and never capacity or another session's assignment.
+// users — and never capacity or another session's assignment. A proposal
+// stops at the first shell, by ascending floor, that cannot reach the Sticky
+// band; admission scans a skipped shell only when its spill reaches that
+// shell's floor, and by the same argument it picks what a full list would.
 //
 // Transfer pricing rides the frozen-CSR engine: the orchestrator takes a
 // groundless netgraph snapshot each epoch and prices migrations off one
@@ -69,10 +72,11 @@ const batchMinWork = 2
 
 // proposal locates one session's candidates inside its block's arena:
 // arena[lo:pool] is the ranked Sticky pool, best first, and arena[pool:hi]
-// the spill candidates in no order.
+// the spill candidates of the scanned shells in no order. The shells from
+// shellOrder[next] on were not scanned: none can reach the band.
 type proposal struct {
-	lo, pool, hi    int32
-	scanSec, latSec float64 // wall clock of the index scan and of the whole proposal
+	lo, pool, hi, next int32
+	scanSec, latSec    float64 // wall clock of the index scans and of the whole proposal
 }
 
 // chunkBuf holds one streaming round's proposals. props[i] is work item i's,
@@ -104,6 +108,7 @@ type plannerState struct {
 	work     []workItem // the epoch's work list, ascending session ID
 	chunkLen int        // streamChunk, but for tests
 	bufs     [2]chunkBuf
+	lazy     []candidate         // admission's scratch for a skipped shell's candidates
 	rows     [][]netgraph.NodeMs // per worker: the epoch's pricing rows it computed, back to back
 	gone     []*Session
 
@@ -187,19 +192,32 @@ func rankForAdmission(cands []candidate, band, poolSize int) int {
 	return min(band, poolSize)
 }
 
-// pick returns the first candidate in admission order that fits, id −1 when
-// none does: the ranked pool in order, then the spill candidates by
-// (rtt, id) — and the first that fits in a sorted order is the least that
-// fits, so one pass over the unordered tail finds it, reading capacity only
-// for a candidate that would displace the best so far.
-func pick(pool, spill []candidate, fits func(id int) bool) candidate {
+// pick returns the first candidate in admission order that fits (id −1 when
+// none does) and how many skipped shells it scanned. The order is the ranked
+// pool, then by (rtt, id) the spill and the skipped shells, whose candidates
+// scan(i) returns, each above the ascending floorsMs[i]. The first that fits
+// in a sorted order is the least that fits; a shell whose floor it already
+// undercuts cannot beat it, not even by a tie, so the scan stops there.
+func pick(pool, spill []candidate, floorsMs []float64, scan func(i int) []candidate, fits func(id int) bool) (candidate, int) {
 	for _, c := range pool {
 		if fits(c.id) {
-			return c
+			return c, 0
 		}
 	}
-	best := candidate{id: -1}
-	for _, c := range spill {
+	best := nearestFit(candidate{id: -1}, spill, fits)
+	for i, floor := range floorsMs {
+		if best.id >= 0 && best.rtt < floor {
+			return best, i
+		}
+		best = nearestFit(best, scan(i), fits)
+	}
+	return best, len(floorsMs)
+}
+
+// nearestFit returns the least of best and the cands that fit, by cmpByRTT,
+// reading capacity only for a candidate that would displace the best.
+func nearestFit(best candidate, cands []candidate, fits func(id int) bool) candidate {
+	for _, c := range cands {
 		if (best.id < 0 || cmpByRTT(c, best) < 0) && fits(c.id) {
 			best = c
 		}
@@ -434,9 +452,18 @@ func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochRep
 			o.m.migRetries.Inc()
 		}
 		pr, arena := buf.props[i], buf.arenas[i/proposeBlock]
-		chosen := pick(arena[pr.lo:pr.pool], arena[pr.pool:pr.hi], func(id int) bool {
-			return id == s.Sat || o.fits(id, s)
-		})
+		skipped, t0 := o.shellOrder[pr.next:], time.Time{}
+		chosen, scanned := pick(arena[pr.lo:pr.pool], arena[pr.pool:pr.hi], o.floorMs[pr.next:], func(k int) []candidate {
+			if k == 0 {
+				t0 = time.Now()
+			}
+			o.pl.lazy = o.scanShell(o.pl.lazy[:0], s, skipped[k])
+			return o.pl.lazy
+		}, func(id int) bool { return id == s.Sat || o.fits(id, s) })
+		if scanned > 0 { // the session's index time includes its spill's scans
+			buf.props[i].scanSec += time.Since(t0).Seconds()
+			o.m.spillShells.Add(uint64(scanned))
+		}
 		if chosen.id < 0 {
 			if s.Sat >= 0 {
 				o.credit(s.Sat, s)
@@ -522,62 +549,34 @@ func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochRep
 	return nil
 }
 
-// propose appends a session's candidates to arena: all satellites visible
-// to the whole group, in admission order — the Sticky pool (band candidates
-// ranked by remaining visibility, the paper's stationarity objective)
-// sorted, then every other candidate, unordered, for load spill. The scan
-// walks the session's per-shell cell boxes over contiguous CSR positions,
-// testing every user's chord against the shell's one limit; sqrt and the
-// km→ms scaling are monotone, so the RTT of the worst squared range is the
-// largest per-user RTT, bit for bit.
+// propose appends a session's candidates to arena in admission order — the
+// Sticky pool (band candidates ranked by remaining visibility, the paper's
+// stationarity objective) sorted, then the rest, unordered, for load spill.
+// It scans shells by ascending floor and stops at the first whose floor
+// exceeds the band's bound (infinite while nothing is found): no candidate
+// there or beyond can join the band or lower the optimum it is measured from.
 func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, proposal) {
 	t0 := time.Now()
-	ix, lo, inj := o.idx, len(arena), o.cfg.Faults
+	lo := len(arena)
 	if s.win == nil {
-		s.win = ix.Window(s.Users)
+		s.win = o.idx.Window(s.Users)
 	}
-	sats, posCSR := ix.CSR()
-	first, rest, minRTT := s.Users[0], s.Users[1:], math.Inf(1)
-	for si, win := range s.win {
-		limit := ix.Limit2(si)
-		for _, b := range ix.Halves(win) {
-			for r := b.RowLo; r <= b.RowHi; r++ {
-			scan:
-				for k, hi := ix.RowSpan(si, b, r); k < hi; k++ {
-					pos := posCSR[k]
-					rel := pos.Sub(first)
-					worst2 := rel.Dot(rel)
-					if worst2 > limit {
-						continue
-					}
-					for _, u := range rest {
-						rel := pos.Sub(u)
-						d2 := rel.Dot(rel)
-						if d2 > limit {
-							continue scan
-						}
-						if d2 > worst2 {
-							worst2 = d2
-						}
-					}
-					if id := int(sats[k]); inj == nil || inj.SatUp(id) { // hard-failed satellites take no placements
-						rtt := units.RTTMs(math.Sqrt(worst2))
-						arena = append(arena, candidate{id: id, rtt: rtt})
-						if rtt < minRTT {
-							minRTT = rtt
-						}
-					}
-				}
-			}
+	pr := proposal{lo: int32(lo)}
+	minRTT, bound := math.Inf(1), math.Inf(1)
+	for ; int(pr.next) < len(o.shellOrder) && o.floorMs[pr.next] <= bound; pr.next++ {
+		at := len(arena)
+		arena = o.scanShell(arena, s, o.shellOrder[pr.next])
+		for _, c := range arena[at:] {
+			minRTT = min(minRTT, c.rtt)
 		}
+		bound = minRTT * (1 + o.cfg.LatencyBand)
 	}
-	pr := proposal{lo: int32(lo), hi: int32(len(arena)), scanSec: time.Since(t0).Seconds()}
+	pr.hi, pr.scanSec = int32(len(arena)), time.Since(t0).Seconds()
 	cands := arena[lo:]
 	if len(cands) == 0 {
 		pr.pool, pr.latSec = pr.lo, pr.scanSec
 		return arena, pr
 	}
-	bound := minRTT * (1 + o.cfg.LatencyBand)
 	band := 0
 	for i := range cands {
 		if cands[i].rtt <= bound {
@@ -588,11 +587,48 @@ func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, prop
 	for i := 0; i < band; i++ {
 		cands[i].life = o.ring.Life(s.Users, cands[i].id)
 	}
-	// Keeping the full list (not just the pool) is what lets admission
+	// Keeping the scanned list (not just the pool) is what lets admission
 	// spill under load instead of rejecting.
 	pr.pool = pr.lo + int32(rankForAdmission(cands, band, o.cfg.PoolSize))
 	pr.latSec = time.Since(t0).Seconds()
 	return arena, pr
+}
+
+// scanShell appends every live satellite of shell si the whole group sees,
+// at the group's RTT: it walks the session's cell box over contiguous CSR
+// positions, testing every user's chord against the shell's one limit. sqrt
+// and km→ms are monotone, so the worst squared range gives the group RTT.
+func (o *Orchestrator) scanShell(arena []candidate, s *Session, si int) []candidate {
+	ix, inj := o.idx, o.cfg.Faults
+	sats, posCSR := ix.CSR()
+	first, rest, limit := s.Users[0], s.Users[1:], ix.Limit2(si)
+	for _, b := range ix.Halves(s.win[si]) {
+		for r := b.RowLo; r <= b.RowHi; r++ {
+		scan:
+			for k, hi := ix.RowSpan(si, b, r); k < hi; k++ {
+				pos := posCSR[k]
+				rel := pos.Sub(first)
+				worst2 := rel.Dot(rel)
+				if worst2 > limit {
+					continue
+				}
+				for _, u := range rest {
+					rel := pos.Sub(u)
+					d2 := rel.Dot(rel)
+					if d2 > limit {
+						continue scan
+					}
+					if d2 > worst2 {
+						worst2 = d2
+					}
+				}
+				if id := int(sats[k]); inj == nil || inj.SatUp(id) { // hard-failed satellites take no placements
+					arena = append(arena, candidate{id: id, rtt: units.RTTMs(math.Sqrt(worst2))})
+				}
+			}
+		}
+	}
+	return arena
 }
 
 // relayBoundMs is an upper bound on the ground-relay price of any move the

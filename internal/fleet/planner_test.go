@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"cmp"
 	"math"
 	"reflect"
 	"slices"
@@ -45,21 +46,39 @@ func runEpochs(t testing.TB, c *constellation.Constellation, cfg Config, session
 	return reps, sats
 }
 
+// twoShellConst is toyConst under a sparse 1,110 km shell: its floor RTT is
+// beyond the low shell's band over the test groups, so proposals skip it and
+// only admission's spill reads it.
+func twoShellConst(t testing.TB) *constellation.Constellation {
+	t.Helper()
+	c, err := constellation.Build("toy2", []constellation.Shell{
+		{Name: "low", AltitudeKm: 550, InclinationDeg: 53, Planes: 32, SatsPerPlane: 32, PhaseFactor: 11, MinElevationDeg: 20},
+		{Name: "high", AltitudeKm: 1110, InclinationDeg: 53, Planes: 12, SatsPerPlane: 12, PhaseFactor: 5, MinElevationDeg: 20},
+	}, constellation.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestPlannerWorkerInvariance is the planner's core determinism contract:
 // neither the worker count (including the inline one-worker path) nor where
 // the chunk boundaries fall may change a decision — proposals for chunk k+1
 // run while chunk k is admitted. 400 sessions at 96 to a chunk is five
 // rounds of two blocks the first epoch and a ragged tail after; every width
 // reproduces the one-worker, one-chunk reports and final assignments, with
-// a fault injector and without.
+// a fault injector and without. The satellites are full, so admission's
+// spill scans the high shell proposals skipped: the count of those scans is
+// a decision too, equal at every width.
 func TestPlannerWorkerInvariance(t *testing.T) {
+	c := twoShellConst(t)
 	for _, chaos := range []bool{false, true} {
-		run := func(workers, chunkLen int) ([]EpochReport, map[uint64]int) {
+		run := func(workers, chunkLen int) ([]EpochReport, map[uint64]int, uint64) {
 			cfg := testConfig()
 			cfg.Workers = workers
 			cfg.Server = compute.ServerSpec{Cores: 2, MemoryGB: 64, PowerCapFraction: 1} // full satellites: admission spills
 			if chaos {
-				inj, err := faults.New(toyConst(t).Size(), faults.Config{
+				inj, err := faults.New(c.Size(), faults.Config{
 					Seed: 11, SatMTBFHours: 4, SatMTTRSec: 600, ISLFlapPerHour: 6, MigrationFailProb: 0.3,
 				})
 				if err != nil {
@@ -67,17 +86,22 @@ func TestPlannerWorkerInvariance(t *testing.T) {
 				}
 				cfg.Faults = inj
 			}
-			return runEpochs(t, toyConst(t), cfg, testGroups(t, 400), chunkLen, 12)
+			reps, sats := runEpochs(t, c, cfg, testGroups(t, 400), chunkLen, 12)
+			return reps, sats, cfg.Registry.Counter("fleet_spill_shell_scans_total", "").Value()
 		}
-		baseReps, baseSats := run(1, 0)
+		baseReps, baseSats, baseScans := run(1, 0)
 		if n := baseReps[0].Placements + baseReps[0].Rejections; n < 3*96 {
 			t.Fatalf("first epoch planned %d sessions: the population no longer spans three chunks", n)
 		}
 		if baseReps[0].Rejections == 0 {
 			t.Fatal("no rejections: satellites are not full, so admission order is not exercised")
 		}
+		if baseScans == 0 {
+			t.Fatal("admission scanned no skipped shell: the lazy spill path is not exercised")
+		}
+		t.Logf("chaos=%v: %d skipped shells scanned by admission", chaos, baseScans)
 		for _, workers := range []int{1, 2, 8} {
-			reps, sats := run(workers, 96)
+			reps, sats, scans := run(workers, 96)
 			for i := range baseReps {
 				if !reflect.DeepEqual(reps[i], baseReps[i]) {
 					t.Fatalf("chaos=%v workers=%d epoch %d diverged:\n%+v\nwant\n%+v", chaos, workers, i, reps[i], baseReps[i])
@@ -85,6 +109,9 @@ func TestPlannerWorkerInvariance(t *testing.T) {
 			}
 			if !reflect.DeepEqual(sats, baseSats) {
 				t.Fatalf("chaos=%v workers=%d final assignments diverged", chaos, workers)
+			}
+			if scans != baseScans {
+				t.Fatalf("chaos=%v workers=%d: admission scanned %d skipped shells, want %d", chaos, workers, scans, baseScans)
 			}
 		}
 	}
@@ -173,35 +200,78 @@ func TestPlannerAllCandidatesDead(t *testing.T) {
 
 // FuzzAdmissionOrder pins the admission pick against its definition: the
 // band ranked by cmpBand, its first PoolSize entries, then everything else
-// sorted by cmpByRTT, and the first entry of that order that fits wins. The
-// planner only sorts the band and takes the least fitting candidate of the
-// unordered rest, so at every capacity mask — nothing fits, only the held
-// satellite fits, duplicate RTTs, empty bands and pools wider than the band
+// the session sees sorted by cmpByRTT, and the first entry of that order
+// that fits wins. The planner only sorts the band, takes the least fitting
+// candidate of the unordered rest of the scanned shells, and reveals the
+// skipped shells in floor order only while nothing that fits lies below the
+// next floor. Each candidate carries one of four shells, whose floor sits
+// strictly under all of its RTTs — just under, or below by a margin that
+// lands on other shells' RTTs — and a cut splits the shells, in floor order,
+// into scanned and skipped (the band lies in the scanned ones). At every
+// capacity mask — nothing fits, only the held satellite fits, duplicate
+// RTTs, equal floors, empty shells, bands and pools wider than the band
 // included — pick must return the reference's first fitting entry.
 func FuzzAdmissionOrder(f *testing.F) {
-	f.Add([]byte{3, 1, 3, 0, 7, 2, 1, 1, 7, 3, 0, 0}, uint8(3), uint8(2), false, uint64(0b101010), int8(4))
-	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(5), uint8(8), true, uint64(1<<4), int8(-1))
-	f.Add([]byte{9, 0}, uint8(0), uint8(1), false, uint64(0), int8(0))
-	f.Add([]byte{}, uint8(0), uint8(5), false, ^uint64(0), int8(-1))
-	f.Add([]byte{1, 1, 2, 2, 3, 3, 4, 0, 5, 1, 6, 2}, uint8(2), uint8(1), true, uint64(0), int8(-1))
-	f.Fuzz(func(t *testing.T, raw []byte, bandByte, poolByte uint8, descendingIDs bool, mask uint64, held int8) {
-		n := len(raw) / 2
-		cands := make([]candidate, n)
+	f.Add([]byte{3, 1, 0, 3, 0, 1, 7, 2, 2, 1, 1, 0, 7, 3, 3, 0, 0, 1}, uint8(3), uint8(2), false, uint64(0b101010), int8(4), uint8(0b11100100), uint8(1))
+	f.Add([]byte{5, 5, 0, 5, 5, 1, 5, 5, 2, 5, 5, 3, 5, 5, 0}, uint8(5), uint8(8), true, uint64(1<<4), int8(-1), uint8(0), uint8(2))
+	f.Add([]byte{9, 0, 1}, uint8(0), uint8(1), false, uint64(0), int8(0), uint8(0), uint8(0))
+	f.Add([]byte{}, uint8(0), uint8(5), false, ^uint64(0), int8(-1), uint8(0), uint8(4))
+	f.Add([]byte{1, 1, 0, 2, 2, 1, 3, 3, 2, 4, 0, 3, 5, 1, 1, 6, 2, 2}, uint8(2), uint8(1), true, uint64(0), int8(-1), uint8(0b01010101), uint8(1))
+	f.Add([]byte{1, 0, 0, 6, 1, 1, 2, 2, 1, 7, 3, 2, 3, 0, 3}, uint8(1), uint8(0), false, uint64(0b10100), int8(-1), uint8(0b10011000), uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, bandByte, poolByte uint8, descendingIDs bool, mask uint64, held int8, gaps, cutByte uint8) {
+		const nShells = 4
+		n := len(raw) / 3
+		cands, shellOf := make([]candidate, n), make([]int, n)
+		minRTT := []float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
 		for i := range cands {
 			id := i
 			if descendingIDs {
 				id = n - 1 - i
 			}
 			// Few distinct RTTs and lives, so ties reach the ID tie-break.
-			cands[i] = candidate{id: id, rtt: float64(raw[2*i] % 8), life: int(raw[2*i+1] % 4)}
+			cands[i] = candidate{id: id, rtt: float64(1 + raw[3*i]%8), life: int(raw[3*i+1] % 4)}
+			shellOf[i] = int(raw[3*i+2] % nShells)
+			minRTT[shellOf[i]] = min(minRTT[shellOf[i]], cands[i].rtt)
 		}
-		band := int(bandByte) % (n + 1)
+		floors := make([]float64, nShells)
+		for sh := range floors {
+			switch g := gaps >> (2 * sh) & 3; {
+			case math.IsInf(minRTT[sh], 1):
+				floors[sh] = 2.5 * float64(g+1) // an empty shell
+			case g == 0:
+				floors[sh] = math.Nextafter(minRTT[sh], 0)
+			default:
+				floors[sh] = minRTT[sh] - []float64{0, 0.5, 1, 2.5}[g]
+			}
+		}
+		order := []int{0, 1, 2, 3}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(floors[a], floors[b]) })
+		cut := int(cutByte) % (nShells + 1)
+		floorsMs := make([]float64, 0, nShells)
+		for _, sh := range order[cut:] {
+			floorsMs = append(floorsMs, floors[sh])
+		}
+		// The scanned shells' candidates in input order, and the skipped ones
+		// by shell.
+		var scanned []candidate
+		skipped := make([][]candidate, nShells)
+		for i, c := range cands {
+			if k := slices.Index(order, shellOf[i]); k < cut {
+				scanned = append(scanned, c)
+			} else {
+				skipped[k-cut] = append(skipped[k-cut], c)
+			}
+		}
+		band := int(bandByte) % (len(scanned) + 1)
 		poolSize := 1 + int(poolByte)%8
 		// A satellite fits when its mask bit is set, or when the session
 		// already holds it.
 		fits := func(id int) bool { return id == int(held) || mask>>(id%64)&1 == 1 }
 
-		ref := slices.Clone(cands)
+		ref := slices.Clone(scanned)
+		for _, sh := range skipped {
+			ref = append(ref, sh...)
+		}
 		slices.SortFunc(ref[:band], cmpBand)
 		slices.SortFunc(ref[min(band, poolSize):], cmpByRTT)
 		want := candidate{id: -1}
@@ -209,13 +279,21 @@ func FuzzAdmissionOrder(f *testing.F) {
 			want = ref[i]
 		}
 
-		pool := rankForAdmission(cands, band, poolSize)
-		if pool != min(band, poolSize) || !slices.Equal(cands[:pool], ref[:pool]) {
-			t.Fatalf("pool %v (size %d), want %v", cands[:pool], pool, ref[:min(band, poolSize)])
+		pool := rankForAdmission(scanned, band, poolSize)
+		if pool != min(band, poolSize) || !slices.Equal(scanned[:pool], ref[:pool]) {
+			t.Fatalf("pool %v (size %d), want %v", scanned[:pool], pool, ref[:min(band, poolSize)])
 		}
-		if got := pick(cands[:pool], cands[pool:], fits); got != want {
-			t.Fatalf("band %d PoolSize %d mask %b held %d: picked %+v, reference order %v picks %+v",
-				band, poolSize, mask, held, got, ref, want)
+		revealed := 0
+		got, nScanned := pick(scanned[:pool], scanned[pool:], floorsMs, func(k int) []candidate {
+			if k != revealed {
+				t.Fatalf("shell %d revealed out of floor order, after %d", k, revealed)
+			}
+			revealed++
+			return skipped[k]
+		}, fits)
+		if got != want || nScanned != revealed {
+			t.Fatalf("band %d PoolSize %d mask %b held %d floors %v cut %d: picked %+v after %d of %d shells (reported %d), reference order %v picks %+v",
+				band, poolSize, mask, held, floors, cut, got, revealed, len(floorsMs), nScanned, ref, want)
 		}
 	})
 }

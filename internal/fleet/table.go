@@ -17,7 +17,7 @@ import (
 type Session struct {
 	// ID identifies the session; unique within a table.
 	ID uint64
-	// Users are the group's terminals (ECEF, on the surface).
+	// Users are the group's terminals (ECEF, on the surface: AltKm 0).
 	Users []geo.Vec3
 	// Centroid is the group centroid (ECEF) and CentroidLL its geographic
 	// form.
@@ -62,7 +62,7 @@ type Session struct {
 
 // NewSession builds a session from user locations with the default demand
 // (half a core, 1 GB, 64 MB of session state, no departure). Adjust the
-// exported fields before Submit to override.
+// exported fields before Submit to override. Users must be on the surface.
 func NewSession(id uint64, users []geo.LatLon) (*Session, error) {
 	if len(users) == 0 {
 		return nil, fmt.Errorf("fleet: session %d has no users", id)
@@ -75,9 +75,9 @@ func NewSession(id uint64, users []geo.LatLon) (*Session, error) {
 		ExpiresAt:   math.Inf(1),
 		Sat:         -1,
 	}
-	for _, u := range users {
-		if !u.Valid() {
-			return nil, fmt.Errorf("fleet: session %d has invalid user location %v", id, u)
+	for i, u := range users {
+		if !u.Valid() || u.AltKm != 0 {
+			return nil, fmt.Errorf("fleet: session %d user %d at %v: invalid, or off the surface (AltKm ≠ 0)", id, i, u)
 		}
 		s.Users = append(s.Users, u.ECEF())
 	}

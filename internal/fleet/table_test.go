@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -46,6 +47,20 @@ func TestNewSessionValidation(t *testing.T) {
 	}
 	if _, err := NewSession(1, []geo.LatLon{{LatDeg: 91}}); err == nil {
 		t.Fatal("invalid location should fail")
+	}
+}
+
+// TestNewSessionRejectsOffSurfaceUsers: the footprint index sizes its boxes
+// for surface points and the shells' RTT floors bound only a surface user's
+// RTT, so a user above or below the surface — who sees a wider cone — is
+// refused, and the error names the user.
+func TestNewSessionRejectsOffSurfaceUsers(t *testing.T) {
+	for _, alt := range []float64{300, 100, 30, 1e-9, -50, math.NaN()} {
+		users := []geo.LatLon{{LatDeg: 40, LonDeg: -100}, {LatDeg: 41, LonDeg: -101, AltKm: alt}}
+		_, err := NewSession(7, users)
+		if err == nil || !strings.Contains(err.Error(), "user 1") {
+			t.Fatalf("user at %v km: error %v, want a refusal naming user 1", alt, err)
+		}
 	}
 }
 

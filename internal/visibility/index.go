@@ -143,6 +143,10 @@ func NewIndex(o *Observer, cellDeg float64) (*Index, error) {
 // Limit2 returns shell si's squared slant-range limit.
 func (ix *Index) Limit2(si int) float64 { return ix.shells[si].limit2 }
 
+// FloorKm returns shell si's floor altitude: Rebuild refuses a snapshot with
+// any of the shell's satellites below it (ErrBelowShell).
+func (ix *Index) FloorKm(si int) float64 { return ix.shells[si].minAltKm }
+
 // MaxSlantKm returns the largest slant range at which any satellite is
 // visible.
 func (ix *Index) MaxSlantKm() float64 { return ix.maxSlantKm }
