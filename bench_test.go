@@ -7,6 +7,7 @@ package inorbit
 // b.ReportMetric so `go test -bench` output doubles as a results table.
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -547,25 +548,42 @@ func BenchmarkFleetEpoch(b *testing.B) {
 	b.ReportMetric(float64(handoffs)/float64(b.N), "handoffs-per-epoch")
 }
 
-// BenchmarkFleetTableOps measures the sharded session table under
-// concurrent mixed put/get/delete traffic.
+// BenchmarkFleetTableOps measures the ID-ordered session table under
+// concurrent mixed put/get/delete traffic, closed by the ordered read the
+// planner's detection starts from. Ascending IDs append to the slab (racing
+// goroutines put a few just below its end); descending IDs all land below
+// its last ID, so the read merges every one of them in.
 func BenchmarkFleetTableOps(b *testing.B) {
-	tab := fleet.NewTable(0)
-	var next atomic.Uint64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			id := next.Add(1)
-			if err := tab.Put(&fleet.Session{ID: id}); err != nil {
-				b.Error(err)
-				return
+	for _, tc := range []struct {
+		name string
+		id   func(n uint64) uint64
+	}{
+		{"ascending", func(n uint64) uint64 { return n }},
+		{"descending", func(n uint64) uint64 { return math.MaxUint64 - n }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			tab := fleet.NewTable(0)
+			var next atomic.Uint64
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					n := next.Add(1)
+					id := tc.id(n)
+					if err := tab.Put(&fleet.Session{ID: id}); err != nil {
+						b.Error(err)
+						return
+					}
+					if _, ok := tab.Get(id); !ok {
+						b.Error("lost session")
+						return
+					}
+					if n%4 == 0 {
+						tab.Delete(id)
+					}
+				}
+			})
+			if got, want := len(tab.Ordered()), b.N-b.N/4; got != want {
+				b.Fatalf("ordered read holds %d sessions, want %d", got, want)
 			}
-			if _, ok := tab.Get(id); !ok {
-				b.Error("lost session")
-				return
-			}
-			if id%4 == 0 {
-				tab.Delete(id)
-			}
-		}
-	})
+		})
+	}
 }

@@ -47,16 +47,15 @@ func benchWorkload(b testing.TB, n int) []*Session {
 	return out
 }
 
-// BenchmarkFleetScale measures the steady-state epoch cost of the sharded
-// streaming planner over the full Starlink Phase I constellation at 100k,
-// 300k, and 1M concurrent sessions. The reported us-per-session-epoch
-// metric is the scaling curve recorded in BENCH_fleet.json: it must not
-// grow with the population (sub-linear total cost), because per-epoch work
-// is dominated by the sessions that actually need re-placement and the
-// per-epoch fixed work (index rebuild, ring rotation) amortises. The
-// spill-shells metric counts, per epoch, the shells a proposal skipped that
-// admission scanned for the load spill: what a full 550 km shell costs the
-// larger populations.
+// BenchmarkFleetScale measures the steady-state epoch cost of the streaming
+// planner over the full Starlink Phase I constellation at 100k, 300k, and
+// 1M concurrent sessions, recorded in BENCH_fleet.json. Two counts explain
+// that cost and repeat exactly on any host: movers/epoch, the work items
+// detection hands admission, and spill-shells/epoch, the shells a proposal
+// skipped that admission scanned for the load spill — what a full 550 km
+// shell costs the larger populations. CI gates the counts against the
+// committed record; the timings (us-per-session-epoch) are recorded, not
+// gated, since they describe whichever host ran them.
 func BenchmarkFleetScale(b *testing.B) {
 	c, err := constellation.StarlinkPhase1(constellation.Config{})
 	if err != nil {
@@ -83,17 +82,19 @@ func BenchmarkFleetScale(b *testing.B) {
 			if _, err := o.Step(); err != nil {
 				b.Fatal(err)
 			}
-			spilled := o.m.spillShells.Value()
+			spilled, movers := o.m.spillShells.Value(), 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := o.Step(); err != nil {
 					b.Fatal(err)
 				}
+				movers += len(o.pl.work)
 			}
 			b.StopTimer()
 			perSession := b.Elapsed().Seconds() * 1e6 / float64(b.N) / float64(n)
 			b.ReportMetric(perSession, "us-per-session-epoch")
 			b.ReportMetric(float64(n), "sessions")
+			b.ReportMetric(float64(movers)/float64(b.N), "movers/epoch")
 			b.ReportMetric(float64(o.m.spillShells.Value()-spilled)/float64(b.N), "spill-shells/epoch")
 		})
 	}

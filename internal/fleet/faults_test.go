@@ -34,21 +34,16 @@ func chaosOrch(t testing.TB, nSessions int, fc faults.Config) (*Orchestrator, *f
 // auditSessions scans the whole table and returns (assigned, evacuating,
 // onDownSat) counts.
 func auditSessions(o *Orchestrator, inj *faults.Injector) (assigned, evacuating, onDown int) {
-	tab := o.Table()
-	for si := 0; si < tab.NumShards(); si++ {
-		tab.Shard(si, func(m map[uint64]*Session) {
-			for _, s := range m {
-				if s.Sat >= 0 {
-					assigned++
-					if !inj.SatUp(s.Sat) {
-						onDown++
-					}
-				}
-				if s.Evacuating {
-					evacuating++
-				}
+	for _, s := range o.Table().Ordered() {
+		if s.Sat >= 0 {
+			assigned++
+			if !inj.SatUp(s.Sat) {
+				onDown++
 			}
-		})
+		}
+		if s.Evacuating {
+			evacuating++
+		}
 	}
 	return
 }
@@ -165,15 +160,10 @@ func TestMigrationFailureBackoff(t *testing.T) {
 	}
 
 	// Any session that completed a hand-off must have its backoff cleared.
-	tab := o.Table()
-	for si := 0; si < tab.NumShards(); si++ {
-		tab.Shard(si, func(m map[uint64]*Session) {
-			for _, s := range m {
-				if s.Handoffs > 0 && s.Sat >= 0 && s.Retries != 0 && s.RetryAt == 0 {
-					t.Errorf("session %d: retries not reset after successful hand-off", s.ID)
-				}
-			}
-		})
+	for _, s := range o.Table().Ordered() {
+		if s.Handoffs > 0 && s.Sat >= 0 && s.Retries != 0 && s.RetryAt == 0 {
+			t.Errorf("session %d: retries not reset after successful hand-off", s.ID)
+		}
 	}
 }
 

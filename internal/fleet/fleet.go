@@ -8,8 +8,9 @@
 //     reachable-set queries O(cells touched) instead of the O(N) scan of
 //     visibility.Observer.Reachable, rebuilt once per epoch and shared by
 //     every query of that epoch;
-//   - a sharded session table (Table) holds the session population with
-//     per-shard locking so ingest and scans scale across cores;
+//   - an ID-ordered session table (Table) holds the session population in
+//     one slab, so each epoch's detection walks contiguous ranges of it in
+//     parallel and hands admission its work already in session-ID order;
 //   - an epoch-batched hand-off planner (Orchestrator) advances simulated
 //     time in fixed steps, detects assignments about to lose visibility,
 //     re-places them Sticky-style (longest remaining visibility within a
@@ -63,12 +64,9 @@ type Config struct {
 	// CellDeg is the footprint-index cell size (default
 	// visibility.DefaultCellDeg).
 	CellDeg float64
-	// Shards is the session-table shard count (default DefaultShards, or
-	// scaled up from ExpectedSessions when that is larger).
-	Shards int
-	// ExpectedSessions sizes the session table and per-epoch planner
-	// scratch for the intended population (default 0 = modest). It is a
-	// hint: the orchestrator grows past it without error.
+	// ExpectedSessions sizes the session table for the intended population
+	// (default 0 = modest). It is a hint: the orchestrator grows past it
+	// without error.
 	ExpectedSessions int
 	// Workers bounds the parallelism of the detection and proposal phases
 	// (default par.Workers()). The planner's output is byte-identical for
@@ -126,11 +124,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ExpectedSessions < 0 {
 		return c, fmt.Errorf("fleet: expected sessions %d must be non-negative", c.ExpectedSessions)
-	}
-	if c.Shards == 0 && c.ExpectedSessions > 0 {
-		// Keep shard occupancy near a few thousand sessions so shard-scan
-		// chunks stay cache-friendly at million-session populations.
-		c.Shards = c.ExpectedSessions / 2048
 	}
 	if c.Server == (compute.ServerSpec{}) {
 		c.Server = compute.DefaultServerSpec()
@@ -292,7 +285,7 @@ func New(c *constellation.Constellation, grid *isl.Grid, cfg Config) (*Orchestra
 		obs:       obsv,
 		grid:      grid,
 		idx:       idx,
-		tab:       NewTableSized(cfg.Shards, cfg.ExpectedSessions),
+		tab:       NewTable(cfg.ExpectedSessions),
 		cfg:       cfg,
 		usedCores: make([]float64, c.Size()),
 		usedMemGB: make([]float64, c.Size()),
@@ -448,11 +441,11 @@ type candidate struct {
 	life int // remaining epochs of full-group visibility, capped at the ring's K
 }
 
-// workItem is one session needing placement this epoch.
+// workItem is one session needing placement this epoch: an arrival, an
+// expiring assignment, or an evacuation off a hard-failed satellite.
 type workItem struct {
-	sess       *Session
-	expiring   bool
-	evacuating bool // current satellite hard-failed: move now, not at expiry
+	sess    *Session
+	boundMs float64 // relayBoundMs off the held satellite; 0 when none is held
 }
 
 // satUp reports whether satellite id is serving (always true without an

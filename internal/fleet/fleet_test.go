@@ -33,7 +33,6 @@ func testConfig() Config {
 	return Config{
 		StepSec:      60,
 		LookaheadSec: 1200,
-		Shards:       16,
 		Registry:     obs.NewRegistry(),
 	}
 }

@@ -3,10 +3,10 @@ package fleet
 // The streaming epoch planner. One Step runs:
 //
 //	A0  fault events (serial)
-//	A   detection over table shards (parallel, disjoint output slots)
-//	A2  gather the work in shard order and sort it by session ID (serial)
+//	A   detection over ID ranges of the table (parallel, one slot per range)
+//	A2  gather the slots in session-ID order, fold pricing radii (serial)
 //	A3  batched SSSP transfer pricing over the epoch's source satellites
-//	B/C streaming rounds over the sorted work, one chunk at a time:
+//	B/C streaming rounds over the work, one chunk at a time:
 //	    admit chunk k serially while the workers propose chunk k+1
 //	D   ring rotation, index rebuild, clock advance (serial)
 //
@@ -24,21 +24,20 @@ package fleet
 //
 // Transfer pricing rides the frozen-CSR engine: the orchestrator takes a
 // groundless netgraph snapshot each epoch and prices migrations off one
-// SSSP row per source satellite — computed up
-// front through internal/par when the source has several pending moves,
-// lazily on first use otherwise. A move costs min(ISL path, ground relay),
-// and the relay is bounded by geometry the planner holds before any target
-// is known: every target b is visible to the session's users, so
-// |centroid − b| ≤ SpreadKm + the largest slant range of any shell.
-// Phase A2 turns that into a per-source pricing radius (srcState.radiusMs,
-// the max over the source's pending movers) and the row is a
-// netgraph.LatenciesWithin run to that radius: a prefix of the full SSSP
-// with bit-identical values, a dozen-odd settled nodes instead of a whole
-// shell. A target missing from the row is farther than the radius, hence
-// dearer than the relay, so min(row[b], relay) is the full row's answer.
+// SSSP row per source satellite — computed up front through internal/par
+// when the source has several pending moves, lazily on first use otherwise.
+// A move costs min(ISL path, ground relay), and the relay is bounded by
+// geometry the planner holds before any target is known: every target b is
+// visible to the session's users, so |centroid − b| ≤ SpreadKm + the largest
+// slant range of any shell. Detection bounds each mover (workItem.boundMs),
+// phase A2 folds the bounds into a per-source pricing radius
+// (srcState.radiusMs), and the row is a netgraph.LatenciesWithin run to that
+// radius: a prefix of the full SSSP with bit-identical values, a dozen-odd
+// settled nodes instead of a whole shell. A target missing from the row is
+// farther than the radius, hence dearer than the relay, so min(row[b], relay)
+// is the full row's answer.
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -101,16 +100,16 @@ type srcState struct {
 // slice is reset to length zero between epochs and grows to the workload's
 // high-water mark once.
 type plannerState struct {
-	workByShard  [][]workItem
-	goneByShard  [][]*Session
-	deferByShard []int
+	// Detection's output per worker, each in ascending session ID.
+	workBy  [][]workItem
+	goneBy  [][]*Session
+	deferBy []int
 
 	work     []workItem // the epoch's work list, ascending session ID
 	chunkLen int        // streamChunk, but for tests
 	bufs     [2]chunkBuf
 	lazy     []candidate         // admission's scratch for a skipped shell's candidates
 	rows     [][]netgraph.NodeMs // per worker: the epoch's pricing rows it computed, back to back
-	gone     []*Session
 
 	src      []srcState // per-satellite pricing state
 	srcTouch []int32    // satellites with pending movers (reset list)
@@ -118,10 +117,9 @@ type plannerState struct {
 }
 
 func (pl *plannerState) init(o *Orchestrator) {
-	nShards := o.tab.NumShards()
-	pl.workByShard = make([][]workItem, nShards)
-	pl.goneByShard = make([][]*Session, nShards)
-	pl.deferByShard = make([]int, nShards)
+	pl.workBy = make([][]workItem, o.cfg.Workers)
+	pl.goneBy = make([][]*Session, o.cfg.Workers)
+	pl.deferBy = make([]int, o.cfg.Workers)
 	pl.chunkLen = streamChunk
 	for b := range pl.bufs {
 		pl.bufs[b] = chunkBuf{make([]proposal, streamChunk), make([][]candidate, streamChunk/proposeBlock)}
@@ -132,14 +130,8 @@ func (pl *plannerState) init(o *Orchestrator) {
 
 // reset clears the scratch for a new epoch, keeping every allocation.
 func (pl *plannerState) reset() {
-	for i := range pl.workByShard {
-		pl.workByShard[i] = pl.workByShard[i][:0]
-	}
-	for i := range pl.goneByShard {
-		pl.goneByShard[i] = pl.goneByShard[i][:0]
-	}
-	for i := range pl.deferByShard {
-		pl.deferByShard[i] = 0
+	for w := range pl.workBy {
+		pl.workBy[w], pl.goneBy[w], pl.deferBy[w] = pl.workBy[w][:0], pl.goneBy[w][:0], 0
 	}
 	pl.work = pl.work[:0]
 	for _, sat := range pl.srcTouch {
@@ -261,85 +253,73 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	// SSSP.
 	o.nsnap = o.net.At(o.now)
 
-	// Phase A — detection, parallel across table shards: find departures
-	// and sessions needing (re-)placement. Sessions on a hard-failed
-	// satellite evacuate immediately, ahead of their visibility expiry;
-	// sessions inside a retry backoff window are deferred.
-	par.Chunks(o.tab.NumShards(), o.cfg.Workers, func(_, lo, hi int) {
-		for si := lo; si < hi; si++ {
-			o.tab.Shard(si, func(m map[uint64]*Session) {
-				for _, s := range m {
-					switch {
-					case s.ExpiresAt <= o.now:
-						pl.goneByShard[si] = append(pl.goneByShard[si], s)
-					case s.Sat >= 0 && !o.satUp(s.Sat):
-						// A dead satellite overrides any retry backoff: the
-						// session must evacuate now, not when its timer says.
-						pl.workByShard[si] = append(pl.workByShard[si], workItem{sess: s, evacuating: true})
-					case s.RetryAt > o.now:
-						pl.deferByShard[si]++
-					case s.Sat < 0:
-						pl.workByShard[si] = append(pl.workByShard[si], workItem{sess: s})
-					case !o.ring.VisibleAll(s.Users, s.Sat, 1):
-						pl.workByShard[si] = append(pl.workByShard[si], workItem{sess: s, expiring: true})
-					}
-				}
-			})
+	// Phase A — detection, parallel over contiguous ranges of the table's
+	// ID-ordered view: find departures and sessions needing (re-)placement,
+	// bounding each mover's relay price. Sessions on a hard-failed satellite
+	// evacuate immediately, ahead of their visibility expiry; sessions inside
+	// a retry backoff window are deferred. Work lists are grown once to the
+	// most they can hold, not by repeated doubling.
+	live := o.tab.Ordered()
+	par.Chunks(len(live), o.cfg.Workers, func(w, lo, hi int) {
+		work, gone, deferred := slices.Grow(pl.workBy[w], hi-lo), pl.goneBy[w], 0
+		for _, s := range live[lo:hi] {
+			switch {
+			case s.ExpiresAt <= o.now:
+				gone = append(gone, s)
+			case s.Sat >= 0 && !o.satUp(s.Sat):
+				// A dead satellite overrides any retry backoff: the session
+				// must evacuate now, not when its timer says.
+				work = append(work, workItem{s, o.relayBoundMs(s)})
+			case s.RetryAt > o.now:
+				deferred++
+			case s.Sat < 0:
+				work = append(work, workItem{s, 0})
+			case !o.ring.VisibleAll(s.Users, s.Sat, 1):
+				work = append(work, workItem{s, o.relayBoundMs(s)})
+			}
 		}
+		pl.workBy[w], pl.goneBy[w], pl.deferBy[w] = work, gone, deferred
 	})
-	for _, n := range pl.deferByShard {
+	for _, n := range pl.deferBy {
 		rep.BackoffDeferrals += n
 	}
 	o.m.retryDeferred.Add(uint64(rep.BackoffDeferrals))
 
 	// Departures leave before placement so their capacity frees this epoch.
-	gone := pl.gone[:0]
-	for si := range pl.goneByShard {
-		gone = append(gone, pl.goneByShard[si]...)
-	}
-	slices.SortFunc(gone, func(a, b *Session) int {
-		if a.ID < b.ID {
-			return -1
+	for _, gone := range pl.goneBy {
+		for _, s := range gone {
+			if s.Sat >= 0 {
+				o.credit(s.Sat, s)
+				s.Sat = -1
+				o.nAssigned--
+			}
+			if s.Evacuating {
+				s.Evacuating = false
+				o.nEvacPending--
+			}
+			o.tab.Delete(s.ID)
+			rep.Departures++
 		}
-		if a.ID > b.ID {
-			return 1
-		}
-		return 0
-	})
-	for _, s := range gone {
-		if s.Sat >= 0 {
-			o.credit(s.Sat, s)
-			s.Sat = -1
-			o.nAssigned--
-		}
-		if s.Evacuating {
-			s.Evacuating = false
-			o.nEvacPending--
-		}
-		o.tab.Delete(s.ID)
-		rep.Departures++
 	}
 	o.m.departures.Add(uint64(rep.Departures))
-	pl.gone = gone[:0]
 
-	// Phase A2 — gather the work in shard order, counting pending moves per
-	// source satellite and widening its pricing radius to cover each, and
-	// sort the work by session ID (map iteration made the arrival order
-	// arbitrary).
-	for si := range pl.workByShard {
-		for _, w := range pl.workByShard[si] {
-			pl.work = append(pl.work, w)
-			if sat := w.sess.Sat; sat >= 0 {
-				src := &pl.src[sat]
-				if src.movers == 0 {
-					pl.srcTouch = append(pl.srcTouch, int32(sat))
-				}
-				src.movers++
-				src.radiusMs = max(src.radiusMs, o.relayBoundMs(w.sess))
+	// Phase A2 — gather the work in slot order, which is session-ID order,
+	// counting pending moves per source satellite and widening its pricing
+	// radius to cover each.
+	pl.work = slices.Grow(pl.work, len(live))
+	for _, work := range pl.workBy {
+		pl.work = append(pl.work, work...)
+	}
+	for _, w := range pl.work {
+		if sat := w.sess.Sat; sat >= 0 {
+			src := &pl.src[sat]
+			if src.movers == 0 {
+				pl.srcTouch = append(pl.srcTouch, int32(sat))
 			}
+			src.movers++
+			src.radiusMs = max(src.radiusMs, w.boundMs)
 		}
 	}
-	slices.SortFunc(pl.work, func(a, b workItem) int { return cmp.Compare(a.sess.ID, b.sess.ID) })
 
 	// Phase A3 — batched transfer pricing: every source satellite with
 	// several pending moves gets its row up front, fanned out over the
@@ -444,8 +424,11 @@ func (o *Orchestrator) proposeAhead(buf *chunkBuf, chunk []workItem) (join func(
 func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochReport) error {
 	for i, w := range chunk {
 		s := w.sess
-		evac := w.evacuating || s.Evacuating
-		if w.expiring {
+		// A held satellite that is down makes this an evacuation, one still
+		// up an expiry, as detection found: the fault state holds still
+		// through an epoch, and only this admission moves the session.
+		evac := s.Evacuating || (s.Sat >= 0 && !o.satUp(s.Sat))
+		if s.Sat >= 0 && !evac {
 			rep.Expiring++
 		}
 		if s.Retries > 0 {

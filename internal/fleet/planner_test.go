@@ -3,6 +3,7 @@ package fleet
 import (
 	"cmp"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -40,7 +41,7 @@ func runEpochs(t testing.TB, c *constellation.Constellation, cfg Config, session
 		reps = append(reps, stripWallClock(rep))
 	}
 	sats := map[uint64]int{}
-	for _, s := range allSessions(o) {
+	for _, s := range o.tab.Ordered() {
 		sats[s.ID] = s.Sat
 	}
 	return reps, sats
@@ -112,6 +113,92 @@ func TestPlannerWorkerInvariance(t *testing.T) {
 			}
 			if scans != baseScans {
 				t.Fatalf("chaos=%v workers=%d: admission scanned %d skipped shells, want %d", chaos, workers, scans, baseScans)
+			}
+		}
+	}
+}
+
+// TestPlannerSubmitOrderInvariance: the table, not the caller, puts the work
+// in session-ID order. The same 400 sessions submitted ascending, descending
+// and shuffled — plus, mid-run, a Submit of an ID below every live one and
+// a Remove — must plan identically at every worker count, chaos on, on full
+// satellites where admission order decides who fits. A table that only
+// appended would hand admission its work in submission order.
+func TestPlannerSubmitOrderInvariance(t *testing.T) {
+	c := twoShellConst(t)
+	run := func(order string, workers int) ([]EpochReport, map[uint64]int, uint64) {
+		cfg := testConfig()
+		cfg.Workers = workers
+		cfg.Server = compute.ServerSpec{Cores: 2, MemoryGB: 64, PowerCapFraction: 1}
+		inj, err := faults.New(c.Size(), faults.Config{
+			Seed: 11, SatMTBFHours: 4, SatMTTRSec: 600, ISLFlapPerHour: 6, MigrationFailProb: 0.3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = inj
+		o, err := New(c, nil, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions := testGroups(t, 401)
+		held, rest := sessions[0], sessions[1:] // ID 1 arrives mid-run
+		switch order {
+		case "descending":
+			slices.Reverse(rest)
+		case "shuffled":
+			rand.New(rand.NewSource(5)).Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+		}
+		if err := o.SubmitBatch(rest); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Start(0); err != nil {
+			t.Fatal(err)
+		}
+		var reps []EpochReport
+		for epoch := 0; epoch < 12; epoch++ {
+			if epoch == 4 {
+				if err := o.Submit(held); err != nil {
+					t.Fatal(err)
+				}
+				if !o.Remove(200) {
+					t.Fatal("Remove(200) found no session")
+				}
+			}
+			rep, err := o.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, stripWallClock(rep))
+		}
+		sats := map[uint64]int{}
+		for _, s := range o.tab.Ordered() {
+			sats[s.ID] = s.Sat
+		}
+		return reps, sats, cfg.Registry.Counter("fleet_spill_shell_scans_total", "").Value()
+	}
+	baseReps, baseSats, baseScans := run("ascending", 1)
+	if baseReps[0].Rejections == 0 || baseScans == 0 {
+		t.Fatalf("%d rejections, %d spill scans: admission order is not exercised", baseReps[0].Rejections, baseScans)
+	}
+	_, late := baseSats[1]
+	_, removed := baseSats[200]
+	if len(baseSats) != 400 || !late || removed {
+		t.Fatalf("%d sessions at the end (late one in: %v, removed one in: %v), want 400, true, false", len(baseSats), late, removed)
+	}
+	for _, order := range []string{"ascending", "descending", "shuffled"} {
+		for _, workers := range []int{1, 2, 8} {
+			reps, sats, scans := run(order, workers)
+			for i := range baseReps {
+				if !reflect.DeepEqual(reps[i], baseReps[i]) {
+					t.Fatalf("%s workers=%d epoch %d diverged:\n%+v\nwant\n%+v", order, workers, i, reps[i], baseReps[i])
+				}
+			}
+			if !reflect.DeepEqual(sats, baseSats) {
+				t.Fatalf("%s workers=%d final assignments diverged", order, workers)
+			}
+			if scans != baseScans {
+				t.Fatalf("%s workers=%d: admission scanned %d skipped shells, want %d", order, workers, scans, baseScans)
 			}
 		}
 	}

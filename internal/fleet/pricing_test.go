@@ -1,9 +1,7 @@
 package fleet
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"testing"
 
 	"repro/internal/compute"
@@ -40,25 +38,10 @@ type pricingEpoch struct {
 
 func beforeStep(o *Orchestrator) pricingEpoch {
 	ep := pricingEpoch{snap: o.ring.Frame(0), now: o.now, sat: map[uint64]int{}, hand: map[uint64]int{}}
-	for _, s := range allSessions(o) {
+	for _, s := range o.tab.Ordered() {
 		ep.sat[s.ID], ep.hand[s.ID] = s.Sat, s.Handoffs
 	}
 	return ep
-}
-
-// allSessions returns the table's sessions in ascending ID order — the
-// order admission prices them in.
-func allSessions(o *Orchestrator) []*Session {
-	var out []*Session
-	for si := 0; si < o.tab.NumShards(); si++ {
-		o.tab.Shard(si, func(m map[uint64]*Session) {
-			for _, s := range m {
-				out = append(out, s)
-			}
-		})
-	}
-	slices.SortFunc(out, func(a, b *Session) int { return cmp.Compare(a.ID, b.ID) })
-	return out
 }
 
 // pricedMove is one hand-off the Step made and how it was priced.
@@ -85,7 +68,8 @@ func checkEpochPricing(t *testing.T, o *Orchestrator, ep pricingEpoch, rep Epoch
 
 	var moves []pricedMove
 	var want stats.Summary
-	for _, s := range allSessions(o) {
+	// In ascending ID order: the order admission prices them in.
+	for _, s := range o.tab.Ordered() {
 		if s.Handoffs == ep.hand[s.ID] {
 			continue
 		}

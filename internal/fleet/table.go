@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/geo"
@@ -91,114 +92,136 @@ func NewSession(id uint64, users []geo.LatLon) (*Session, error) {
 	return s, nil
 }
 
-// DefaultShards is the default session-table shard count.
-const DefaultShards = 256
-
-// Table is a sharded session store: power-of-two shards, each a mutex plus
-// map, so concurrent ingest, lookup, and shard-parallel scans contend only
-// within a shard.
+// Table is the session store: one mutex over a slab of sessions in
+// ascending ID order, so the planner's detection walks contiguous ranges of
+// it and its work list comes out in session-ID order. A delete leaves a nil
+// tombstone; a put below the slab's last ID waits in the late map. The next
+// ordered read squeezes out the one and merges in the other. Put, Get and
+// Delete cost amortised O(1) for ascending IDs and O(log n) in any order.
 type Table struct {
-	shards []tableShard
-	shift  uint
+	mu     sync.Mutex
+	ids    []uint64            // ids[i] is slab[i]'s ID, kept for a tombstone too
+	slab   []*Session          // ascending ID; nil where deleted
+	dead   int                 // tombstones in slab
+	late   map[uint64]*Session // puts below the slab's last ID, not yet merged
+	finger int                 // where the last search ended
 }
 
-type tableShard struct {
-	mu sync.Mutex
-	m  map[uint64]*Session
-	// pad the shard to its own cache line so neighbouring shard locks do
-	// not false-share.
-	_ [64 - 16]byte
+// NewTable creates an empty table whose slab is pre-sized for expected
+// sessions, so million-session ingest does not pay for incremental growth.
+// The hint is not a cap.
+func NewTable(expected int) *Table {
+	return &Table{ids: make([]uint64, 0, expected), slab: make([]*Session, 0, expected), late: map[uint64]*Session{}}
 }
 
-// NewTable creates a table with at least n shards (rounded up to a power
-// of two; n <= 0 means DefaultShards).
-func NewTable(n int) *Table { return NewTableSized(n, 0) }
-
-// NewTableSized is NewTable with a population hint: each shard map is
-// pre-sized for expected/shards sessions, so million-session ingest does
-// not pay for incremental map growth. The hint is not a cap.
-func NewTableSized(n, expected int) *Table {
-	if n <= 0 {
-		n = DefaultShards
+// find returns where id is, or would go, in the slab and whether it is
+// there. It gallops on from the last search, so a run of ascending IDs pays
+// O(1 + log gap) each; any other order pays O(log n).
+func (t *Table) find(id uint64) (int, bool) {
+	lo, hi := 0, len(t.ids)
+	if f := t.finger; f < hi && t.ids[f] <= id {
+		lo = f
+		step := 1
+		for lo+step < hi && t.ids[lo+step] <= id {
+			lo += step
+			step *= 2
+		}
+		hi = min(lo+step, hi)
 	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	t := &Table{shards: make([]tableShard, size), shift: 64}
-	for size > 1 {
-		size >>= 1
-		t.shift--
-	}
-	perShard := 0
-	if expected > 0 {
-		perShard = expected / len(t.shards)
-	}
-	for i := range t.shards {
-		t.shards[i].m = make(map[uint64]*Session, perShard)
-	}
-	return t
-}
-
-// NumShards returns the shard count.
-func (t *Table) NumShards() int { return len(t.shards) }
-
-// shardFor spreads IDs over shards with a Fibonacci hash, so dense
-// sequential IDs (the common arrival pattern) still balance.
-func (t *Table) shardFor(id uint64) *tableShard {
-	if t.shift >= 64 { // single shard
-		return &t.shards[0]
-	}
-	return &t.shards[(id*0x9E3779B97F4A7C15)>>t.shift]
+	i, ok := slices.BinarySearch(t.ids[lo:hi], id)
+	t.finger = lo + i
+	return t.finger, ok
 }
 
 // Put inserts the session; duplicate IDs are an error.
 func (t *Table) Put(s *Session) error {
-	sh := t.shardFor(s.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.m[s.ID]; dup {
-		return fmt.Errorf("fleet: session %d already in table", s.ID)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n := len(t.ids); n == 0 || s.ID > t.ids[n-1] {
+		t.ids, t.slab, t.finger = append(t.ids, s.ID), append(t.slab, s), n
+		return nil
 	}
-	sh.m[s.ID] = s
+	i, ok := t.find(s.ID)
+	switch {
+	case ok && t.slab[i] == nil: // a deleted ID returns to its slot
+		t.slab[i] = s
+		t.dead--
+	case ok || t.late[s.ID] != nil:
+		return fmt.Errorf("fleet: session %d already in table", s.ID)
+	default:
+		t.late[s.ID] = s
+	}
 	return nil
 }
 
 // Get returns the session with the given ID, if present.
 func (t *Table) Get(id uint64) (*Session, bool) {
-	sh := t.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.m[id]
-	sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i, ok := t.find(id); ok && t.slab[i] != nil {
+		return t.slab[i], true
+	}
+	s, ok := t.late[id]
 	return s, ok
 }
 
 // Delete removes the session, reporting whether it was present.
 func (t *Table) Delete(id uint64) bool {
-	sh := t.shardFor(id)
-	sh.mu.Lock()
-	_, ok := sh.m[id]
-	delete(sh.m, id)
-	sh.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if i, ok := t.find(id); ok && t.slab[i] != nil {
+		t.slab[i] = nil
+		t.dead++
+		return true
+	}
+	_, ok := t.late[id]
+	delete(t.late, id)
 	return ok
 }
 
 // Len returns the total session count.
 func (t *Table) Len() int {
-	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += len(t.shards[i].m)
-		t.shards[i].mu.Unlock()
-	}
-	return n
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.slab) - t.dead + len(t.late)
 }
 
-// Shard runs f over shard i's map while holding that shard's lock. f must
-// not call back into the table.
-func (t *Table) Shard(i int, f func(map[uint64]*Session)) {
-	sh := &t.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	f(sh.m)
+// Ordered returns the live sessions in ascending ID order, in O(n + k log k)
+// for k late puts. The slice is the table's own: the caller must not modify
+// it, and it is valid until the next Put or Delete.
+func (t *Table) Ordered() []*Session {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.dead > 0 { // by pointer alone: no Session is read
+		n := 0
+		for i, s := range t.slab {
+			if s != nil {
+				t.ids[n], t.slab[n] = t.ids[i], s
+				n++
+			}
+		}
+		clear(t.slab[n:])
+		t.ids, t.slab, t.dead = t.ids[:n], t.slab[:n], 0
+	}
+	if len(t.late) > 0 { // merged from the back, in place
+		keys := make([]uint64, 0, len(t.late))
+		for id := range t.late {
+			keys = append(keys, id)
+		}
+		slices.Sort(keys)
+		i := len(t.ids) - 1
+		t.ids = append(t.ids, keys...)
+		t.slab = append(t.slab, make([]*Session, len(keys))...)
+		for w, j := len(t.ids)-1, len(keys)-1; j >= 0; w-- {
+			if i >= 0 && t.ids[i] > keys[j] {
+				t.ids[w], t.slab[w] = t.ids[i], t.slab[i]
+				i--
+			} else {
+				t.ids[w], t.slab[w] = keys[j], t.late[keys[j]]
+				j--
+			}
+		}
+		clear(t.late)
+	}
+	return t.slab
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -64,16 +65,6 @@ func TestNewSessionRejectsOffSurfaceUsers(t *testing.T) {
 	}
 }
 
-func TestTableShardSizing(t *testing.T) {
-	for _, tc := range []struct{ n, want int }{
-		{-1, DefaultShards}, {0, DefaultShards}, {1, 1}, {2, 2}, {3, 4}, {100, 128}, {256, 256},
-	} {
-		if got := NewTable(tc.n).NumShards(); got != tc.want {
-			t.Fatalf("NewTable(%d) has %d shards, want %d", tc.n, got, tc.want)
-		}
-	}
-}
-
 func TestTableBasics(t *testing.T) {
 	tab := NewTable(8)
 	for id := uint64(0); id < 100; id++ {
@@ -99,34 +90,24 @@ func TestTableBasics(t *testing.T) {
 	if tab.Len() != 99 {
 		t.Fatalf("Len %d after delete, want 99", tab.Len())
 	}
-	seen := 0
-	for i := 0; i < tab.NumShards(); i++ {
-		tab.Shard(i, func(m map[uint64]*Session) { seen += len(m) })
+	view := tab.Ordered()
+	if len(view) != 99 {
+		t.Fatalf("ordered read saw %d sessions, want 99", len(view))
 	}
-	if seen != 99 {
-		t.Fatalf("shard scan saw %d sessions, want 99", seen)
-	}
-}
-
-// TestTableShardBalance: sequential IDs (the arrival pattern) must spread
-// across shards, not pile onto one.
-func TestTableShardBalance(t *testing.T) {
-	tab := NewTable(16)
-	const n = 16 * 64
-	for id := uint64(0); id < n; id++ {
-		if err := tab.Put(&Session{ID: id}); err != nil {
-			t.Fatal(err)
+	for i, s := range view {
+		want := uint64(i)
+		if want >= 55 { // 55 was deleted
+			want++
 		}
-	}
-	for i := 0; i < tab.NumShards(); i++ {
-		var got int
-		tab.Shard(i, func(m map[uint64]*Session) { got = len(m) })
-		if got == 0 || got > 4*64 {
-			t.Fatalf("shard %d holds %d of %d sessions — hash not spreading", i, got, n)
+		if s.ID != want {
+			t.Fatalf("ordered read [%d] = %d, want %d", i, s.ID, want)
 		}
 	}
 }
 
+// TestTableConcurrent puts from eight goroutines at once, each its own
+// ascending run, so most puts land below the slab's last ID and wait for an
+// ordered read's merge — which the goroutines also run, between their puts.
 func TestTableConcurrent(t *testing.T) {
 	tab := NewTable(0)
 	const workers, per = 8, 500
@@ -146,6 +127,9 @@ func TestTableConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("session %d vanished", id)
 					return
 				}
+				if i%100 == 99 {
+					tab.Ordered() // merge under contention; the view itself is not read
+				}
 			}
 		}(w)
 	}
@@ -157,4 +141,72 @@ func TestTableConcurrent(t *testing.T) {
 	if tab.Len() != workers*per {
 		t.Fatalf("Len %d, want %d", tab.Len(), workers*per)
 	}
+	for i, s := range tab.Ordered() {
+		if s.ID != uint64(i) {
+			t.Fatalf("ordered read [%d] = %d after concurrent puts", i, s.ID)
+		}
+	}
+}
+
+// FuzzTableOrder runs random Put, Delete, Get and ordered-read sequences
+// against a map plus a sorted key list. Each op is two bytes: a kind and an
+// ID from a small range, so duplicates, re-puts after a delete, and puts
+// below the slab's last ID are common. After every ordered read the view,
+// Len and a Get of every ID in range must all match the oracle.
+func FuzzTableOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 0, 3, 3, 0, 1, 2, 3, 0, 0, 2, 3, 0})             // ascending, delete, re-put
+	f.Add([]byte{0, 9, 0, 7, 0, 5, 0, 3, 2, 5, 3, 0, 0, 1, 1, 7, 3, 0, 0, 7}) // descending, late re-put
+	f.Add([]byte{0, 4, 0, 4, 1, 4, 0, 4, 0, 4, 3, 0, 1, 4, 1, 4, 0, 4, 3, 0}) // duplicates
+	f.Add([]byte{0, 1, 0, 8, 3, 0, 1, 1, 0, 2, 0, 1, 1, 8, 0, 8, 3, 0, 2, 2}) // tombstones beside late puts
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const idRange = 64
+		tab, oracle := NewTable(0), map[uint64]*Session{}
+		for k := 0; k+1 < len(ops); k += 2 {
+			id := uint64(ops[k+1] % idRange)
+			switch ops[k] % 4 {
+			case 0:
+				s := &Session{ID: id}
+				_, dup := oracle[id]
+				if err := tab.Put(s); (err != nil) != dup {
+					t.Fatalf("op %d: Put(%d) = %v, oracle has it: %v", k/2, id, err, dup)
+				}
+				if !dup {
+					oracle[id] = s
+				}
+			case 1:
+				_, had := oracle[id]
+				if got := tab.Delete(id); got != had {
+					t.Fatalf("op %d: Delete(%d) = %v, want %v", k/2, id, got, had)
+				}
+				delete(oracle, id)
+			case 2:
+				if s, ok := tab.Get(id); s != oracle[id] || ok != (oracle[id] != nil) {
+					t.Fatalf("op %d: Get(%d) = %v, %v; want %v", k/2, id, s, ok, oracle[id])
+				}
+			case 3:
+				keys := make([]uint64, 0, len(oracle))
+				for id := range oracle {
+					keys = append(keys, id)
+				}
+				slices.Sort(keys)
+				view := tab.Ordered()
+				if len(view) != len(keys) || tab.Len() != len(keys) {
+					t.Fatalf("op %d: ordered read of %d, Len %d, oracle %d", k/2, len(view), tab.Len(), len(keys))
+				}
+				for i, id := range keys {
+					if view[i] != oracle[id] {
+						t.Fatalf("op %d: ordered read [%d] = %v, want session %d", k/2, i, view[i], id)
+					}
+				}
+				for id := uint64(0); id < idRange; id++ {
+					if s, ok := tab.Get(id); s != oracle[id] || ok != (oracle[id] != nil) {
+						t.Fatalf("op %d: after the read, Get(%d) = %v, %v; want %v", k/2, id, s, ok, oracle[id])
+					}
+				}
+			}
+			if tab.Len() != len(oracle) {
+				t.Fatalf("op %d: Len %d, oracle %d", k/2, tab.Len(), len(oracle))
+			}
+		}
+	})
 }
