@@ -151,13 +151,13 @@ func figureSLOs(ns netgraph.Stats) []obs.SLO {
 	var slos []obs.SLO
 	if ns.PathQueries > 0 {
 		slos = append(slos, obs.SLO{Name: "p99 path query <= 5ms", Kind: obs.SLOLatency,
-			Metric: "netgraph_query_ms", Labels: map[string]string{"kind": "path"},
-			Q: 0.99, Objective: 5})
+			Metric: "netgraph_query_seconds", Labels: map[string]string{"kind": "path"},
+			Q: 0.99, Objective: 0.005})
 	}
 	if ns.SSSPQueries > 0 {
 		slos = append(slos, obs.SLO{Name: "p99 sssp query <= 50ms", Kind: obs.SLOLatency,
-			Metric: "netgraph_query_ms", Labels: map[string]string{"kind": "sssp"},
-			Q: 0.99, Objective: 50})
+			Metric: "netgraph_query_seconds", Labels: map[string]string{"kind": "sssp"},
+			Q: 0.99, Objective: 0.05})
 	}
 	return slos
 }

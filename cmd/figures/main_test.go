@@ -7,6 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/constellation"
+	"repro/internal/geo"
+	"repro/internal/netgraph"
 	"repro/internal/obs"
 )
 
@@ -154,6 +157,36 @@ func TestBenchJSONEndToEnd(t *testing.T) {
 	}
 	if err := benchJSON(empty, out); err == nil {
 		t.Fatal("empty bench output accepted")
+	}
+}
+
+// TestFigureSLOsJudgeLiveFamilies: each routing SLO names a family the
+// default registry records, so it judges frames instead of reading MET over
+// none — which is what an SLO whose metric was renamed away does.
+func TestFigureSLOsJudgeLiveFamilies(t *testing.T) {
+	c, err := constellation.Build("t", []constellation.Shell{
+		{Name: "s", AltitudeKm: 550, InclinationDeg: 53, Planes: 24, SatsPerPlane: 24, PhaseFactor: 5, MinElevationDeg: 10},
+	}, constellation.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netgraph.New(c, []geo.LatLon{{LatDeg: 40.71, LonDeg: -74.01}, {LatDeg: 51.51, LonDeg: -0.13}})
+	snap := net.At(0)
+	if _, err := snap.ShortestPath(net.GroundNode(0), net.GroundNode(1)); err != nil {
+		t.Fatal(err)
+	}
+	snap.LatencyToAllNodes(net.GroundNode(0))
+
+	tl := obs.NewTimeline(obs.Default(), obs.TimelineConfig{})
+	tl.Record(1)
+	slos := figureSLOs(netgraph.TotalStats())
+	if len(slos) != 2 {
+		t.Fatalf("figureSLOs = %d objectives after a path and an SSSP query, want 2", len(slos))
+	}
+	for _, res := range obs.EvalSLOs(tl, slos...) {
+		if res.Frames == 0 {
+			t.Errorf("SLO %q judged no frame: %s is not a recorded sketch", res.SLO.Name, res.SLO.Metric)
+		}
 	}
 }
 

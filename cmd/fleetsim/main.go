@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -135,11 +136,22 @@ func parseFlags(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
+	// NaN passes every range check below, and an infinite horizon or bound
+	// simulates or judges nothing.
+	var notFinite error
+	fs.VisitAll(func(f *flag.Flag) {
+		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && notFinite == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			notFinite = fmt.Errorf("%s %v must be finite", f.Name, v)
+		}
+	})
+	if notFinite != nil {
+		return o, notFinite
+	}
 	if o.sessions <= 0 {
 		return o, fmt.Errorf("sessions %d must be positive", o.sessions)
 	}
-	if o.hours <= 0 {
-		return o, fmt.Errorf("hours %v must be positive", o.hours)
+	if o.hours <= 0 || o.stepSec <= 0 {
+		return o, fmt.Errorf("hours %v and step %v must be positive", o.hours, o.stepSec)
 	}
 	if o.minUsers <= 0 || o.maxUsers < o.minUsers {
 		return o, fmt.Errorf("bad user bounds [%d,%d]", o.minUsers, o.maxUsers)
@@ -162,6 +174,9 @@ func parseFlags(args []string) (options, error) {
 	if o.timelineCap <= 0 {
 		return o, fmt.Errorf("timeline-cap %d must be positive", o.timelineCap)
 	}
+	if o.sloReplanMs <= 0 || o.sloXferMs <= 0 {
+		return o, fmt.Errorf("slo-replan-ms %v and slo-transfer-ms %v must be positive", o.sloReplanMs, o.sloXferMs)
+	}
 	if o.sloAvail <= 0 || o.sloAvail > 1 {
 		return o, fmt.Errorf("slo-avail %v outside (0,1]", o.sloAvail)
 	}
@@ -181,8 +196,8 @@ func (o options) timelineCadence() (float64, error) {
 		return o.stepSec, nil
 	}
 	sec, err := strconv.ParseFloat(o.timeline, 64)
-	if err != nil || sec <= 0 {
-		return 0, fmt.Errorf("timeline %q must be auto, off, or a positive sim-second cadence", o.timeline)
+	if err != nil || !(sec > 0) || math.IsInf(sec, 1) {
+		return 0, fmt.Errorf("timeline %q must be auto, off, or a positive finite sim-second cadence", o.timeline)
 	}
 	return sec, nil
 }

@@ -31,6 +31,16 @@ func TestParseFlags(t *testing.T) {
 		{"-serve-rate", "10", "-serve-sites", "5000"},
 		{"-serve-rate", "10", "-serve-queue", "0"},
 		{"-serve-rate", "10", "-serve-queue", "-7"},
+		{"-step", "0"},
+		{"-step", "-60"},
+		{"-hours", "NaN"},
+		{"-hours", "+Inf"},
+		{"-slo-avail", "NaN"},
+		{"-slo-replan-ms", "0"},
+		{"-slo-transfer-ms", "-1"},
+		{"-slo-replan-ms", "NaN"},
+		{"-slo-serve-avail", "NaN"},
+		{"-spread", "Inf"},
 		{"-nope"},
 	}
 	for _, args := range bad {

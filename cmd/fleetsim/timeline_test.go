@@ -33,6 +33,8 @@ func TestTimelineFlagParsing(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-timeline", "sometimes"},
 		{"-timeline", "-5"},
+		{"-timeline", "NaN"},
+		{"-timeline", "Inf"},
 		{"-timeline-cap", "0"},
 		{"-slo-avail", "0"},
 		{"-slo-avail", "1.5"},

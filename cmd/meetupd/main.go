@@ -127,7 +127,7 @@ type metrics struct {
 	commands   *obs.CounterVec // meetupd_commands_total{verb}
 	migrations *obs.CounterVec // meetupd_migrations_total{direction,result}
 	migBytes   *obs.CounterVec // meetupd_migration_bytes_total{direction}
-	migSeconds *obs.Histogram  // meetupd_migration_seconds
+	migSeconds *obs.Quantile   // meetupd_migration_seconds
 	stateKeys  *obs.Gauge      // meetupd_state_keys
 	stateUsers *obs.Gauge      // meetupd_state_users
 	seq        *obs.Gauge      // meetupd_seq
@@ -144,8 +144,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"State migrations by direction and result.", "direction", "result"),
 		migBytes: reg.CounterVec("meetupd_migration_bytes_total",
 			"Session-state payload bytes migrated.", "direction"),
-		migSeconds: reg.Histogram("meetupd_migration_seconds",
-			"Wall time of state migrations.", nil),
+		migSeconds: reg.Quantile("meetupd_migration_seconds",
+			"Wall time of state migrations."),
 		stateKeys:  reg.Gauge("meetupd_state_keys", "Keys in the shared session state."),
 		stateUsers: reg.Gauge("meetupd_state_users", "Participants joined to the session."),
 		seq:        reg.Gauge("meetupd_seq", "Session state sequence number."),

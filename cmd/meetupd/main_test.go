@@ -329,6 +329,7 @@ func TestDebugEndpointMetrics(t *testing.T) {
 		"meetupd_state_keys 1",
 		"meetupd_state_users 1",
 		"meetupd_serving 1",
+		"# TYPE meetupd_migration_seconds summary",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)

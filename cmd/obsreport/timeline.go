@@ -18,8 +18,7 @@ type seriesSummary struct {
 	kind   obs.Kind
 
 	frames   int
-	total    float64 // summed deltas (counter/histogram/quantile counts)
-	sum      float64 // summed sum-deltas (histogram/quantile)
+	total    float64 // summed deltas (counter/quantile counts)
 	maxRate  float64
 	last     float64 // last gauge level
 	min, max float64 // gauge extremes
@@ -102,7 +101,6 @@ func summarise(frames []obs.Frame) [][]string {
 				s.max = math.Max(s.max, p.Value)
 			default:
 				s.total += p.Value
-				s.sum += p.Sum
 				s.maxRate = math.Max(s.maxRate, p.Rate)
 				if len(p.Quantiles) > 0 {
 					s.lastQ = p.Quantiles
@@ -130,14 +128,12 @@ func (s *seriesSummary) text() string {
 		return fmt.Sprintf("last %g (min %g, max %g)", s.last, s.min, s.max)
 	case obs.KindCounter:
 		return fmt.Sprintf("total %g (peak rate %.4g/s)", s.total, s.maxRate)
-	case obs.KindQuantile:
+	default: // quantile
 		line := fmt.Sprintf("count %g", s.total)
 		for _, qp := range s.lastQ {
 			line += fmt.Sprintf(", p%g %.4g", qp.P*100, qp.Value)
 		}
 		return line
-	default: // histogram
-		return fmt.Sprintf("count %g, sum %.4g (peak rate %.4g/s)", s.total, s.sum, s.maxRate)
 	}
 }
 

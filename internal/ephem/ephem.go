@@ -289,9 +289,7 @@ func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 			dst[i] = sats[i].Prop.ECEFAt(t)
 		}
 	})
-	elapsed := time.Since(start)
-	e.m.propagateSec.Observe(elapsed.Seconds())
-	e.m.propagateQ.Observe(float64(elapsed) / float64(time.Millisecond))
+	e.m.propagateSec.Observe(time.Since(start).Seconds())
 	e.m.propagated.Add(uint64(len(sats)))
 	e.propagated.Add(uint64(len(sats)))
 	if sp != nil {

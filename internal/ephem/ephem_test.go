@@ -77,6 +77,41 @@ func TestSnapshotSharingAndStats(t *testing.T) {
 	}
 }
 
+// TestPropagateTimedOncePerMiss: ephem_propagate_seconds is a sketch that
+// records one duration per cache miss — hits, SnapshotInto misses and
+// single-satellite calls included in the mix.
+func TestPropagateTimedOncePerMiss(t *testing.T) {
+	reg := obs.NewRegistry()
+	eng := testEngine(t, Config{Registry: reg, CacheFrames: 2, GridFrames: 2})
+	dst := make([]geo.Vec3, eng.Size())
+	for k := 0; k < 12; k++ {
+		eng.SnapshotAt(float64(k%5) * 60)
+		if err := eng.SnapshotInto(float64(k)+0.5, dst); err != nil {
+			t.Fatal(err)
+		}
+		eng.PositionAt(float64(k), k)
+	}
+	var misses float64
+	var timed *obs.Sample
+	for _, fam := range reg.Snapshot() {
+		switch fam.Name {
+		case "ephem_cache_misses_total":
+			misses = fam.Samples[0].Value
+		case "ephem_propagate_seconds":
+			if fam.Kind != obs.KindQuantile {
+				t.Fatalf("ephem_propagate_seconds is a %s, want a quantile sketch", fam.Kind)
+			}
+			timed = &fam.Samples[0]
+		}
+	}
+	if timed == nil || misses == 0 || float64(timed.Count) != misses {
+		t.Fatalf("ephem_propagate_seconds = %+v over %g cache misses, want one duration per miss", timed, misses)
+	}
+	if timed.Value <= 0 || len(timed.Quantiles) == 0 {
+		t.Fatalf("ephem_propagate_seconds carries no time: %+v", timed)
+	}
+}
+
 func TestLRUEvictionBounded(t *testing.T) {
 	eng := testEngine(t, Config{CacheFrames: 4, GridFrames: 4})
 	for k := 0; k < 100; k++ {

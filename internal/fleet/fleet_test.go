@@ -687,11 +687,19 @@ func TestMetricsExposed(t *testing.T) {
 		"fleet_sessions_assigned",
 		`fleet_placements_total{kind="initial"}`,
 		"fleet_epochs_total 1",
-		"fleet_placement_latency_seconds",
-		"fleet_index_query_seconds",
+		"# TYPE fleet_index_query_seconds summary",
+		"# TYPE fleet_epoch_seconds summary",
+		"fleet_epoch_seconds_count 1",
+		"# TYPE fleet_replan_ms summary",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metric %q missing from registry render:\n%s", want, text)
+		}
+	}
+	// Each timed quantity is recorded once: the histogram twins are gone.
+	for _, gone := range []string{"fleet_placement_latency_seconds", "fleet_handoff_transfer_ms", "histogram"} {
+		if strings.Contains(text, gone) {
+			t.Fatalf("registry render still names %q:\n%s", gone, text)
 		}
 	}
 }

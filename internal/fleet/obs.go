@@ -4,26 +4,24 @@ import "repro/internal/obs"
 
 // Metric families the orchestrator maintains. Families are registered on
 // the configured registry (obs.Default() unless overridden); hot paths
-// hold the concrete metric so an update is one atomic op. Two
+// hold the concrete metric so an update is a few atomic ops. Two
 // orchestrators on the same registry share families — counters aggregate.
 type metricsSet struct {
-	sessions     *obs.Gauge     // fleet_sessions
-	assigned     *obs.Gauge     // fleet_sessions_assigned
-	placeInitial *obs.Counter   // fleet_placements_total{kind="initial"}
-	placeHandoff *obs.Counter   // fleet_placements_total{kind="handoff"}
-	handoffs     *obs.Counter   // fleet_handoffs_total
-	rejections   *obs.Counter   // fleet_rejections_total
-	departures   *obs.Counter   // fleet_departures_total
-	epochs       *obs.Counter   // fleet_epochs_total
-	placeLat     *obs.Histogram // fleet_placement_latency_seconds
-	indexQuery   *obs.Histogram // fleet_index_query_seconds
-	epochSec     *obs.Histogram // fleet_epoch_seconds
-	transferMs   *obs.Histogram // fleet_handoff_transfer_ms
+	sessions     *obs.Gauge   // fleet_sessions
+	assigned     *obs.Gauge   // fleet_sessions_assigned
+	placeInitial *obs.Counter // fleet_placements_total{kind="initial"}
+	placeHandoff *obs.Counter // fleet_placements_total{kind="handoff"}
+	handoffs     *obs.Counter // fleet_handoffs_total
+	rejections   *obs.Counter // fleet_rejections_total
+	departures   *obs.Counter // fleet_departures_total
+	epochs       *obs.Counter // fleet_epochs_total
 
-	// Streaming quantiles (no preset bucket bounds) feeding the timeline
-	// recorder and the fleetsim SLO report.
-	replanQ   *obs.Quantile // fleet_replan_ms — per-session proposal/replan latency
-	transferQ *obs.Quantile // fleet_transfer_ms — hand-off one-way transfer latency
+	// Streaming quantiles. The fleetsim SLO report reads replanQ and
+	// transferQ; the bench harness adds up indexQuery's sum by name.
+	indexQuery *obs.Quantile // fleet_index_query_seconds
+	epochSec   *obs.Quantile // fleet_epoch_seconds
+	replanQ    *obs.Quantile // fleet_replan_ms — per-session proposal/replan latency
+	transferQ  *obs.Quantile // fleet_transfer_ms — hand-off one-way transfer latency
 
 	// Streaming-planner families.
 	streamChunks *obs.Counter // fleet_planner_chunks_total
@@ -45,15 +43,6 @@ type metricsSet struct {
 	migRetries    *obs.Counter // fleet_migration_retries_total
 	retryDeferred *obs.Counter // fleet_retry_backoff_deferrals_total
 }
-
-var (
-	// Wall-clock buckets for per-session planner work (µs-scale).
-	placementBuckets = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2, 0.1}
-	// Footprint-index query buckets (sub-µs to ms).
-	queryBuckets = []float64{2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 5e-5, 1e-4, 1e-3}
-	// One-way state-transfer latency buckets in milliseconds.
-	transferBuckets = []float64{1, 2.5, 5, 10, 25, 50, 100, 250}
-)
 
 func newMetrics(reg *obs.Registry) *metricsSet {
 	placements := reg.CounterVec("fleet_placements_total",
@@ -101,14 +90,10 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 			"Sessions removed at their departure time."),
 		epochs: reg.Counter("fleet_epochs_total",
 			"Planner epochs executed."),
-		placeLat: reg.Histogram("fleet_placement_latency_seconds",
-			"Wall-clock time to compute one session's ranked placement proposal.", placementBuckets),
-		indexQuery: reg.Histogram("fleet_index_query_seconds",
-			"Wall-clock time of one session's footprint-index scans: its proposal's plus any its spill needed in admission.", queryBuckets),
-		epochSec: reg.Histogram("fleet_epoch_seconds",
-			"Wall-clock time of one full planner epoch.", obs.DefBuckets),
-		transferMs: reg.Histogram("fleet_handoff_transfer_ms",
-			"One-way state-transfer latency of hand-offs (ISL path or ground relay).", transferBuckets),
+		indexQuery: reg.Quantile("fleet_index_query_seconds",
+			"Wall-clock time of one session's footprint-index scans: its proposal's plus any its spill needed in admission."),
+		epochSec: reg.Quantile("fleet_epoch_seconds",
+			"Wall-clock time of one full planner epoch."),
 		replanQ: reg.Quantile("fleet_replan_ms",
 			"Streaming quantile of per-session placement/replan proposal latency in wall-clock ms."),
 		transferQ: reg.Quantile("fleet_transfer_ms",

@@ -360,7 +360,6 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 		// Observed here, not by the proposers: one goroutine per series.
 		for _, pr := range buf.props[:len(chunk)] {
 			o.m.indexQuery.Observe(pr.scanSec)
-			o.m.placeLat.Observe(pr.latSec)
 			o.m.replanQ.Observe(pr.latSec * 1e3)
 		}
 	}
@@ -504,7 +503,6 @@ func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochRep
 			s.Handoffs++
 			rep.Transfer.Add(transfer)
 			rep.Downtime.Add(res.DowntimeSec)
-			o.m.transferMs.Observe(transfer)
 			o.m.transferQ.Observe(transfer)
 			o.m.handoffs.Inc()
 			o.m.placeHandoff.Inc()

@@ -13,46 +13,33 @@ import (
 // several networks on one registry share families, so counters aggregate —
 // TotalStats gives the package-wide view the CLIs print.
 type metricsSet struct {
-	freezes     *obs.Counter   // netgraph_freeze_total
-	freezeSec   *obs.Histogram // netgraph_freeze_seconds
-	frozenEdges *obs.Gauge     // netgraph_frozen_edges
+	freezes     *obs.Counter  // netgraph_freeze_total
+	freezeSec   *obs.Quantile // netgraph_freeze_seconds
+	frozenEdges *obs.Gauge    // netgraph_frozen_edges
 
 	path, sssp, isl kindMetrics // the {kind=path|sssp|isl} series
 }
 
-// kindMetrics is one query kind's series across the three query families.
+// kindMetrics is one query kind's series across the two query families.
 type kindMetrics struct {
 	queries *obs.Counter   // netgraph_queries_total{kind}
-	sec     *obs.Histogram // netgraph_query_seconds{kind}
-	// Streaming quantile over the same latencies (ms), feeding the timeline
-	// recorder without preset bucket bounds.
-	ms    *obs.Quantile  // netgraph_query_ms{kind}
-	total *atomic.Uint64 // the package-wide count TotalStats reports
+	sec     *obs.Quantile  // netgraph_query_seconds{kind}
+	total   *atomic.Uint64 // the package-wide count TotalStats reports
 }
-
-// A freeze is one visibility scan per ground station plus the CSR fill —
-// tens of µs to a few ms at constellation scale; queries on the frozen
-// arrays run µs-scale.
-var (
-	freezeBuckets = []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2}
-	queryBuckets  = []float64{1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 5e-3}
-)
 
 func newMetrics(reg *obs.Registry) *metricsSet {
 	queries := reg.CounterVec("netgraph_queries_total",
 		"Routing queries served from frozen CSR snapshots, by kind.", "kind")
-	querySec := reg.HistogramVec("netgraph_query_seconds",
-		"Wall-clock time of one routing query on a frozen snapshot.", queryBuckets, "kind")
-	queryQ := reg.QuantileVec("netgraph_query_ms",
-		"Streaming quantile of routing-query wall-clock latency in ms, by kind.", "kind")
+	querySec := reg.QuantileVec("netgraph_query_seconds",
+		"Wall-clock time of one routing query on a frozen snapshot, by kind.", "kind")
 	kind := func(name string, total *atomic.Uint64) kindMetrics {
-		return kindMetrics{queries.With(name), querySec.With(name), queryQ.With(name), total}
+		return kindMetrics{queries.With(name), querySec.With(name), total}
 	}
 	return &metricsSet{
 		freezes: reg.Counter("netgraph_freeze_total",
 			"Snapshot topologies frozen into CSR adjacency."),
-		freezeSec: reg.Histogram("netgraph_freeze_seconds",
-			"Wall-clock time to freeze one snapshot topology.", freezeBuckets),
+		freezeSec: reg.Quantile("netgraph_freeze_seconds",
+			"Wall-clock time to freeze one snapshot topology."),
 		frozenEdges: reg.Gauge("netgraph_frozen_edges",
 			"Directed edge count of the most recently frozen snapshot."),
 		path: kind("path", &totalPathQueries),
@@ -61,33 +48,35 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 	}
 }
 
-// observe records one finished query of this kind that began at start. The
-// clock is read once, so the histogram and the sketch see the same duration.
+// observe records one finished query of this kind that began at start.
 func (k *kindMetrics) observe(start time.Time) {
-	d := time.Since(start)
 	k.queries.Inc()
-	k.sec.Observe(d.Seconds())
-	k.ms.Observe(float64(d) / float64(time.Millisecond))
+	k.sec.Observe(time.Since(start).Seconds())
 	k.total.Add(1)
 }
 
 // QueryQuantiles returns streaming estimates (ms) of query latency for one
 // kind ("path", "sssp", "isl") from the package-default metrics — what the
-// CLIs put in runinfo without scraping an HTTP endpoint.
+// CLIs put in runinfo without scraping an HTTP endpoint. The sketch records
+// seconds; the estimates are scaled to ms.
 func QueryQuantiles(kind string, ps ...float64) []float64 {
 	m := defaultMetrics()
 	var q *obs.Quantile
 	switch kind {
 	case "path":
-		q = m.path.ms
+		q = m.path.sec
 	case "sssp":
-		q = m.sssp.ms
+		q = m.sssp.sec
 	case "isl":
-		q = m.isl.ms
+		q = m.isl.sec
 	default:
 		return make([]float64, len(ps))
 	}
-	return q.Quantiles(ps...)
+	out := q.Quantiles(ps...)
+	for i := range out {
+		out[i] *= 1000
+	}
+	return out
 }
 
 var (

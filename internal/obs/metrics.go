@@ -1,6 +1,6 @@
 // Package obs is the repo's stdlib-only observability layer: a metrics
-// registry (labelled counters, gauges, fixed-bucket histograms, and
-// streaming-quantile sketches with lock-cheap atomic updates and
+// registry (labelled counters, gauges, and log-bucketed streaming-quantile
+// sketches — the one distribution type — with lock-cheap atomic updates and
 // Prometheus-text/JSON exposition), a span tracer with an injectable clock
 // (so simulated time can drive spans deterministically) and a bounded
 // finished-span ring, a flight recorder (Timeline: per-cadence samples of
@@ -12,8 +12,8 @@
 // Design notes: metric families are registered once (re-registration with
 // identical kind and label names returns the existing family; a mismatch
 // panics — it is a programming error on par with redeclaring a variable).
-// Hot paths hold the concrete *Counter/*Gauge/*Histogram and update it with
-// a single atomic op; label resolution (With) costs one RLock map hit and
+// Hot paths hold the concrete *Counter/*Gauge/*Quantile and update it with
+// a few atomic ops; label resolution (With) costs one RLock map hit and
 // should be hoisted out of loops.
 package obs
 
@@ -23,7 +23,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -34,17 +33,16 @@ type Kind string
 
 // The metric family kinds.
 const (
-	KindCounter   Kind = "counter"
-	KindGauge     Kind = "gauge"
-	KindHistogram Kind = "histogram"
+	KindCounter Kind = "counter"
+	KindGauge   Kind = "gauge"
 	// KindQuantile is a streaming-quantile sketch (see quantile.go); it is
 	// exposed in the Prometheus text format as a summary.
 	KindQuantile Kind = "quantile"
+	// KindHistogram is what is left of the deleted fixed-bucket histogram:
+	// no family has this kind. It remains only because bench/trace.go
+	// compiles against it, and it leaves with the next benchmark PR.
+	KindHistogram Kind = "histogram"
 )
-
-// DefBuckets is the default histogram bucketing (seconds-flavoured, matching
-// the Prometheus convention).
-var DefBuckets = []float64{0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // Counter is a monotonically increasing integer metric.
 type Counter struct{ n atomic.Uint64 }
@@ -78,47 +76,18 @@ func (g *Gauge) Add(delta float64) {
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram counts observations into fixed cumulative buckets.
-type Histogram struct {
-	bounds  []float64 // sorted upper bounds; +Inf bucket is implicit
-	counts  []atomic.Uint64
-	count   atomic.Uint64
-	sumBits atomic.Uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.counts[i].Add(1)
-	h.count.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
-
 // labelKey joins label values with a separator that cannot appear in them
 // unescaped ambiguity-free (0xff is invalid UTF-8, fine for a map key).
 func labelKey(values []string) string { return strings.Join(values, "\xff") }
 
 type family struct {
-	name    string
-	help    string
-	kind    Kind
-	labels  []string
-	buckets []float64 // histograms only
+	name   string
+	help   string
+	kind   Kind
+	labels []string
 
 	mu       sync.RWMutex
-	children map[string]any      // labelKey -> *Counter | *Gauge | *Histogram
+	children map[string]any      // labelKey -> *Counter | *Gauge | *Quantile
 	values   map[string][]string // labelKey -> label values
 }
 
@@ -158,19 +127,6 @@ type GaugeVec struct{ f *family }
 // With returns the gauge for the given label values (created on first use).
 func (v *GaugeVec) With(values ...string) *Gauge {
 	return v.f.child(values, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// HistogramVec is a histogram family with labels.
-type HistogramVec struct{ f *family }
-
-// With returns the histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	f := v.f
-	return f.child(values, func() any { return newHistogram(f.buckets) }).(*Histogram)
-}
-
-func newHistogram(buckets []float64) *Histogram {
-	return &Histogram{bounds: buckets, counts: make([]atomic.Uint64, len(buckets)+1)}
 }
 
 // Registry holds metric families. The zero value is not usable; call
@@ -217,7 +173,7 @@ func Default() *Registry {
 	return defaultReg
 }
 
-func (r *Registry) register(name, help string, kind Kind, labels, buckets []string, bounds []float64) *family {
+func (r *Registry) register(name, help string, kind Kind, labels []string) *family {
 	if name == "" {
 		panic("obs: empty metric name")
 	}
@@ -234,7 +190,6 @@ func (r *Registry) register(name, help string, kind Kind, labels, buckets []stri
 		help:     help,
 		kind:     kind,
 		labels:   append([]string(nil), labels...),
-		buckets:  bounds,
 		children: map[string]any{},
 		values:   map[string][]string{},
 	}
@@ -244,93 +199,31 @@ func (r *Registry) register(name, help string, kind Kind, labels, buckets []stri
 
 // Counter registers (or fetches) an unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, KindCounter, nil, nil, nil)
+	f := r.register(name, help, KindCounter, nil)
 	return f.child(nil, func() any { return &Counter{} }).(*Counter)
 }
 
 // CounterVec registers (or fetches) a labelled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.register(name, help, KindCounter, labels, nil, nil)}
+	return &CounterVec{r.register(name, help, KindCounter, labels)}
 }
 
 // Gauge registers (or fetches) an unlabelled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, KindGauge, nil, nil, nil)
+	f := r.register(name, help, KindGauge, nil)
 	return f.child(nil, func() any { return &Gauge{} }).(*Gauge)
 }
 
 // GaugeVec registers (or fetches) a labelled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, KindGauge, labels, nil, nil)}
-}
-
-// Histogram registers (or fetches) an unlabelled histogram. A nil buckets
-// slice uses DefBuckets. Buckets must be sorted ascending.
-func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, KindHistogram, nil, nil, checkBuckets(name, buckets))
-	bounds := f.buckets
-	return f.child(nil, func() any { return newHistogram(bounds) }).(*Histogram)
-}
-
-// HistogramVec registers (or fetches) a labelled histogram family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{r.register(name, help, KindHistogram, labels, nil, checkBuckets(name, buckets))}
-}
-
-func checkBuckets(name string, buckets []float64) []float64 {
-	if len(buckets) == 0 {
-		return DefBuckets
-	}
-	for i := 1; i < len(buckets); i++ {
-		if buckets[i] <= buckets[i-1] {
-			panic(fmt.Sprintf("obs: histogram %q buckets not strictly ascending at %d", name, i))
-		}
-	}
-	return append([]float64(nil), buckets...)
-}
-
-// Bucket is one cumulative histogram bucket in a snapshot. It serialises
-// the bound as a string ("+Inf" included) because JSON has no infinity.
-type Bucket struct {
-	UpperBound float64
-	Count      uint64 // cumulative: observations <= UpperBound
-}
-
-type bucketJSON struct {
-	Le    string `json:"le"`
-	Count uint64 `json:"count"`
-}
-
-// MarshalJSON renders the bound as a string so +Inf survives.
-func (b Bucket) MarshalJSON() ([]byte, error) {
-	return json.Marshal(bucketJSON{Le: formatLe(b.UpperBound), Count: b.Count})
-}
-
-// UnmarshalJSON parses the string bound back, accepting "+Inf".
-func (b *Bucket) UnmarshalJSON(data []byte) error {
-	var raw bucketJSON
-	if err := json.Unmarshal(data, &raw); err != nil {
-		return err
-	}
-	if raw.Le == "+Inf" {
-		b.UpperBound = math.Inf(1)
-	} else {
-		v, err := strconv.ParseFloat(raw.Le, 64)
-		if err != nil {
-			return err
-		}
-		b.UpperBound = v
-	}
-	b.Count = raw.Count
-	return nil
+	return &GaugeVec{r.register(name, help, KindGauge, labels)}
 }
 
 // Sample is one labelled series in a snapshot.
 type Sample struct {
 	Labels    map[string]string `json:"labels,omitempty"`
-	Value     float64           `json:"value"`               // counter/gauge value; histogram/quantile sum
-	Count     uint64            `json:"count,omitempty"`     // histogram/quantile only
-	Buckets   []Bucket          `json:"buckets,omitempty"`   // histogram only, cumulative
+	Value     float64           `json:"value"`               // counter/gauge value; quantile sum
+	Count     uint64            `json:"count,omitempty"`     // quantile only
 	Quantiles []QuantilePoint   `json:"quantiles,omitempty"` // quantile only, ExportQuantiles estimates
 }
 
@@ -374,16 +267,6 @@ func (r *Registry) Snapshot() []FamilySnapshot {
 				s.Value = float64(m.Value())
 			case *Gauge:
 				s.Value = m.Value()
-			case *Histogram:
-				s.Value = m.Sum()
-				s.Count = m.Count()
-				cum := uint64(0)
-				for i, b := range m.bounds {
-					cum += m.counts[i].Load()
-					s.Buckets = append(s.Buckets, Bucket{UpperBound: b, Count: cum})
-				}
-				cum += m.counts[len(m.bounds)].Load()
-				s.Buckets = append(s.Buckets, Bucket{UpperBound: math.Inf(1), Count: cum})
 			case *Quantile:
 				s.Value = m.Sum()
 				s.Count = m.Count()
@@ -419,12 +302,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(&b, "# TYPE %s %s\n", fam.Name, kind)
 		for _, s := range fam.Samples {
 			switch fam.Kind {
-			case KindHistogram:
-				for _, bk := range s.Buckets {
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", fam.Name, labelString(s.Labels, "le", formatLe(bk.UpperBound)), bk.Count)
-				}
-				fmt.Fprintf(&b, "%s_sum%s %s\n", fam.Name, labelString(s.Labels, "", ""), formatValue(s.Value))
-				fmt.Fprintf(&b, "%s_count%s %d\n", fam.Name, labelString(s.Labels, "", ""), s.Count)
 			case KindQuantile:
 				for _, qp := range s.Quantiles {
 					fmt.Fprintf(&b, "%s%s %s\n", fam.Name, labelString(s.Labels, "quantile", formatValue(qp.P)), formatValue(qp.Value))
@@ -440,13 +317,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return err
 }
 
-func formatLe(v float64) string {
-	if math.IsInf(v, 1) {
-		return "+Inf"
-	}
-	return formatValue(v)
-}
-
 func formatValue(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return fmt.Sprintf("%d", int64(v))
@@ -455,7 +325,7 @@ func formatValue(v float64) string {
 }
 
 // labelString renders {k="v",...} with labels sorted, optionally appending
-// one extra pair (used for the histogram "le" label).
+// one extra pair (used for the summary "quantile" label).
 func labelString(labels map[string]string, extraKey, extraVal string) string {
 	if len(labels) == 0 && extraKey == "" {
 		return ""

@@ -6,14 +6,13 @@ import (
 	"testing"
 )
 
-// TestHistogramVecConcurrentWith hammers the vec lookup itself — every
+// TestQuantileVecConcurrentWith hammers the vec lookup itself — every
 // Observe goes through With, mixing a shared series with per-worker ones —
 // so the label-map path is exercised under the race detector, not just the
 // cached child.
-func TestHistogramVecConcurrentWith(t *testing.T) {
+func TestQuantileVecConcurrentWith(t *testing.T) {
 	r := NewRegistry()
-	hv := r.HistogramVec("work_seconds", "", []float64{1, 2}, "worker")
-	qv := r.QuantileVec("work_ms", "", "worker")
+	qv := r.QuantileVec("work_seconds", "", "worker")
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -22,22 +21,18 @@ func TestHistogramVecConcurrentWith(t *testing.T) {
 			defer wg.Done()
 			own := fmt.Sprintf("w%d", w)
 			for i := 0; i < perWorker; i++ {
-				hv.With("shared").Observe(1.5)
-				hv.With(own).Observe(0.5)
 				qv.With("shared").Observe(1.5)
+				qv.With(own).Observe(0.5)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := hv.With("shared").Count(); got != workers*perWorker {
-		t.Errorf("shared histogram count = %d, want %d", got, workers*perWorker)
-	}
-	for w := 0; w < workers; w++ {
-		if got := hv.With(fmt.Sprintf("w%d", w)).Count(); got != perWorker {
-			t.Errorf("worker %d count = %d, want %d", w, got, perWorker)
-		}
-	}
 	if got := qv.With("shared").Count(); got != workers*perWorker {
 		t.Errorf("shared quantile count = %d, want %d", got, workers*perWorker)
+	}
+	for w := 0; w < workers; w++ {
+		if got := qv.With(fmt.Sprintf("w%d", w)).Count(); got != perWorker {
+			t.Errorf("worker %d count = %d, want %d", w, got, perWorker)
+		}
 	}
 }

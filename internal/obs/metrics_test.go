@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -50,53 +49,22 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-func TestHistogramSnapshot(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("latency_seconds", "Latency.", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.5, 0.5, 5, 50} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
-	}
-	if math.Abs(h.Sum()-56.05) > 1e-9 {
-		t.Fatalf("sum = %v, want 56.05", h.Sum())
-	}
-	snap := r.Snapshot()
-	s := snap[0].Samples[0]
-	want := []Bucket{{0.1, 1}, {1, 3}, {10, 4}, {math.Inf(1), 5}}
-	if len(s.Buckets) != len(want) {
-		t.Fatalf("buckets = %+v", s.Buckets)
-	}
-	for i, b := range want {
-		if s.Buckets[i] != b {
-			t.Fatalf("bucket[%d] = %+v, want %+v", i, s.Buckets[i], b)
-		}
-	}
-	// Boundary value lands in its bucket (le is inclusive).
-	h2 := r.Histogram("edge_seconds", "", []float64{1})
-	h2.Observe(1)
-	if got := r.Snapshot()[0].Samples[0].Buckets[0].Count; got != 1 {
-		t.Fatalf("observation at bound not counted in bucket: %d", got)
-	}
-}
-
 func TestConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n", "")
 	g := r.Gauge("g", "")
-	hv := r.HistogramVec("h", "", []float64{1, 2}, "worker")
+	qv := r.QuantileVec("q", "", "worker")
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := hv.With("w") // shared series across workers
+			q := qv.With("w") // shared series across workers
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(1.5)
+				q.Observe(1.5)
 			}
 		}(w)
 	}
@@ -107,8 +75,8 @@ func TestConcurrentUpdates(t *testing.T) {
 	if g.Value() != workers*perWorker {
 		t.Fatalf("gauge = %v, want %d", g.Value(), workers*perWorker)
 	}
-	if got := hv.With("w").Count(); got != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
+	if got := qv.With("w").Count(); got != workers*perWorker {
+		t.Fatalf("quantile count = %d, want %d", got, workers*perWorker)
 	}
 }
 
@@ -116,7 +84,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("requests_total", "Requests served.", "code").With("200").Add(9)
 	r.Gauge("temp", "Temperature.").Set(36.6)
-	r.Histogram("dur_seconds", "Duration.", []float64{0.5}).Observe(0.25)
+	r.Quantile("dur_seconds", "Duration.").Observe(0.25)
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -128,9 +96,8 @@ func TestWritePrometheus(t *testing.T) {
 		`requests_total{code="200"} 9`,
 		"# TYPE temp gauge",
 		"temp 36.6",
-		"# TYPE dur_seconds histogram",
-		`dur_seconds_bucket{le="0.5"} 1`,
-		`dur_seconds_bucket{le="+Inf"} 1`,
+		"# TYPE dur_seconds summary",
+		`dur_seconds{quantile="0.5"} 0.25`,
 		"dur_seconds_sum 0.25",
 		"dur_seconds_count 1",
 	} {
@@ -155,7 +122,7 @@ func TestPrometheusLabelEscaping(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "A.").Add(2)
-	r.Histogram("h_seconds", "H.", []float64{1}).Observe(0.5)
+	r.Quantile("q_seconds", "Q.").Observe(0.5)
 	var b strings.Builder
 	if err := r.WriteJSON(&b); err != nil {
 		t.Fatal(err)
@@ -167,10 +134,10 @@ func TestWriteJSON(t *testing.T) {
 	if len(snap) != 2 || snap[0].Name != "a_total" || snap[0].Samples[0].Value != 2 {
 		t.Fatalf("round-trip = %+v", snap)
 	}
-	// The histogram's +Inf bucket survives the JSON round trip.
-	buckets := snap[1].Samples[0].Buckets
-	if len(buckets) != 2 || !math.IsInf(buckets[1].UpperBound, 1) || buckets[1].Count != 1 {
-		t.Fatalf("histogram buckets = %+v", buckets)
+	// The sketch's count, sum and estimates survive the JSON round trip.
+	q := snap[1].Samples[0]
+	if q.Count != 1 || q.Value != 0.5 || len(q.Quantiles) != len(ExportQuantiles) || q.Quantiles[0].Value != 0.5 {
+		t.Fatalf("quantile sample = %+v", q)
 	}
 }
 

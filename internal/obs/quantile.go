@@ -3,9 +3,10 @@ package obs
 // Streaming quantiles. A Quantile is a log-bucketed (DDSketch/HDR-style)
 // sketch: observations land in geometrically spaced buckets, so p50/p95/p99
 // estimates carry a bounded *relative* error (~1%) with no preset bucket
-// bounds — unlike Histogram, which is only as good as its configured
-// cumulative buckets. Observe is lock-free (two atomic adds plus a CAS
-// float sum), making it safe on the same hot paths as Counter.
+// bounds, at any unit and scale. It is the registry's only distribution
+// type; it also keeps the exact count and sum, so busy-time totals are read
+// off it too. Observe is lock-free (two atomic adds plus a CAS float sum),
+// making it safe on the same hot paths as Counter.
 
 import (
 	"math"
@@ -187,11 +188,11 @@ func (v *QuantileVec) With(values ...string) *Quantile {
 
 // Quantile registers (or fetches) an unlabelled streaming-quantile metric.
 func (r *Registry) Quantile(name, help string) *Quantile {
-	f := r.register(name, help, KindQuantile, nil, nil, nil)
+	f := r.register(name, help, KindQuantile, nil)
 	return f.child(nil, func() any { return &Quantile{} }).(*Quantile)
 }
 
 // QuantileVec registers (or fetches) a labelled streaming-quantile family.
 func (r *Registry) QuantileVec(name, help string, labels ...string) *QuantileVec {
-	return &QuantileVec{r.register(name, help, KindQuantile, labels, nil, nil)}
+	return &QuantileVec{r.register(name, help, KindQuantile, labels)}
 }

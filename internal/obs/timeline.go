@@ -2,8 +2,8 @@ package obs
 
 // The flight recorder. A Timeline samples every family of a Registry at a
 // fixed simulated-time cadence into a bounded in-memory ring: counters are
-// stored as per-interval deltas (and rates), gauges as levels, histograms
-// as bucket deltas, quantile sketches as their current p50..p99 estimates.
+// stored as per-interval deltas (and rates), gauges as levels, quantile
+// sketches as count and sum deltas plus their current p50..p99 estimates.
 // The result is a time-resolved record of a multi-hour run — when hand-off
 // latency spiked, whether p99 stayed inside budget during a chaos window —
 // exportable as JSONL, CSV, and a self-contained HTML report, and servable
@@ -45,11 +45,10 @@ type Timeline struct {
 	dropped uint64
 	lastT   float64
 	started bool
-	// prev holds the last cumulative value per series+field so counters,
-	// histogram counts/sums, and bucket counts can be emitted as deltas.
+	// prev holds the last cumulative value per series+field so counters
+	// and sketch counts/sums can be emitted as deltas.
 	prevScalar map[string]float64
 	prevCount  map[string]uint64
-	prevBucket map[string][]uint64
 }
 
 // Frame is one timeline sample: every series of the registry at one
@@ -69,14 +68,12 @@ type Point struct {
 	Kind   Kind              `json:"kind"`
 	Labels map[string]string `json:"labels,omitempty"`
 	// Value is the gauge level, the counter increment over the interval,
-	// or the histogram/quantile observation-count increment.
+	// or the quantile observation-count increment.
 	Value float64 `json:"value"`
 	// Rate is Value per simulated second (0 on the first frame).
 	Rate float64 `json:"rate,omitempty"`
-	// Sum is the histogram/quantile sum increment over the interval.
+	// Sum is the quantile sum increment over the interval.
 	Sum float64 `json:"sum,omitempty"`
-	// Buckets are per-interval (non-cumulative) histogram bucket counts.
-	Buckets []Bucket `json:"buckets,omitempty"`
 	// Quantiles are the sketch's current estimates (not deltas: a
 	// streaming quantile summarises everything observed so far).
 	Quantiles []QuantilePoint `json:"quantiles,omitempty"`
@@ -95,7 +92,6 @@ func NewTimeline(reg *Registry, cfg TimelineConfig) *Timeline {
 		cfg:        cfg,
 		prevScalar: map[string]float64{},
 		prevCount:  map[string]uint64{},
-		prevBucket: map[string][]uint64{},
 	}
 }
 
@@ -137,37 +133,12 @@ func (tl *Timeline) Record(tSec float64) {
 			case KindCounter:
 				p.Value = s.Value - tl.prevScalar[key]
 				tl.prevScalar[key] = s.Value
-			case KindHistogram, KindQuantile:
+			case KindQuantile:
 				p.Value = float64(s.Count - tl.prevCount[key])
 				tl.prevCount[key] = s.Count
 				p.Sum = s.Value - tl.prevScalar[key]
 				tl.prevScalar[key] = s.Value
-				if fam.Kind == KindHistogram {
-					prev := tl.prevBucket[key]
-					cur := make([]uint64, len(s.Buckets))
-					for i, b := range s.Buckets {
-						cur[i] = b.Count
-						// De-cumulate across bounds, then diff against the
-						// previous frame's de-cumulated counts.
-						n := b.Count
-						if i > 0 {
-							n -= s.Buckets[i-1].Count
-						}
-						pn := uint64(0)
-						if i < len(prev) {
-							pn = prev[i]
-							if i > 0 {
-								pn -= prev[i-1]
-							}
-						}
-						if n > pn {
-							p.Buckets = append(p.Buckets, Bucket{UpperBound: b.UpperBound, Count: n - pn})
-						}
-					}
-					tl.prevBucket[key] = cur
-				} else {
-					p.Quantiles = s.Quantiles
-				}
+				p.Quantiles = s.Quantiles
 			}
 			if dt > 0 && fam.Kind != KindGauge {
 				p.Rate = p.Value / dt
@@ -304,9 +275,6 @@ func WriteFramesCSV(w io.Writer, frames []Frame) error {
 			case KindCounter:
 				row("delta", p.Value)
 				row("rate", p.Rate)
-			case KindHistogram:
-				row("count_delta", p.Value)
-				row("sum_delta", p.Sum)
 			case KindQuantile:
 				row("count_delta", p.Value)
 				for _, qp := range p.Quantiles {

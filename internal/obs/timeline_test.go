@@ -10,20 +10,16 @@ func TestTimelineDeltas(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("jobs_total", "jobs")
 	g := reg.Gauge("queue_depth", "depth")
-	h := reg.Histogram("job_seconds", "latency", []float64{1, 10})
 	q := reg.Quantile("job_ms", "latency sketch")
 	tl := NewTimeline(reg, TimelineConfig{CadenceSec: 10})
 
 	c.Add(5)
 	g.Set(3)
-	h.Observe(0.5)
-	h.Observe(5)
 	q.Observe(2)
 	tl.Record(10)
 
 	c.Add(2)
 	g.Set(7)
-	h.Observe(20)
 	q.Observe(8)
 	tl.Record(20)
 
@@ -55,16 +51,9 @@ func TestTimelineDeltas(t *testing.T) {
 	if p := get(second, "queue_depth"); p.Value != 7 || p.Rate != 0 {
 		t.Errorf("gauge = %g (rate %g), want 7 (rate 0)", p.Value, p.Rate)
 	}
-	// Histograms: count deltas plus non-cumulative bucket increments.
-	if p := get(second, "job_seconds"); p.Value != 1 || p.Sum != 20 {
-		t.Errorf("histogram count/sum delta = %g/%g, want 1/20", p.Value, p.Sum)
-	} else if len(p.Buckets) != 1 || p.Buckets[0].Count != 1 {
-		// Only the +Inf overflow bucket grew in the second interval.
-		t.Errorf("histogram bucket deltas = %+v, want one bucket with count 1", p.Buckets)
-	}
-	// Quantiles: count delta plus the sketch's current estimates.
-	if p := get(second, "job_ms"); p.Value != 1 || len(p.Quantiles) == 0 {
-		t.Errorf("quantile point = %+v, want count delta 1 with estimates", p)
+	// Quantiles: count and sum deltas plus the sketch's current estimates.
+	if p := get(second, "job_ms"); p.Value != 1 || p.Sum != 8 || len(p.Quantiles) == 0 {
+		t.Errorf("quantile point = %+v, want count/sum delta 1/8 with estimates", p)
 	}
 }
 

@@ -3,8 +3,7 @@ package obs
 // Self-contained HTML timeline report: one inline-SVG chart per series,
 // no external scripts or styles, so the file can be archived next to a
 // BENCH_*.json and opened years later. Counters plot as rates, gauges as
-// levels, histograms as observation rates, quantile sketches as p50 and
-// p99 curves.
+// levels, quantile sketches as p50 and p99 curves.
 
 import (
 	"bufio"
@@ -79,8 +78,6 @@ func buildHTMLSeries(frames []Frame) []htmlSeries {
 					a.s.unit, a.s.legend = "level", [2]string{"value", ""}
 				case KindCounter:
 					a.s.unit, a.s.legend = "per second", [2]string{"rate", ""}
-				case KindHistogram:
-					a.s.unit, a.s.legend = "obs per second", [2]string{"rate", ""}
 				case KindQuantile:
 					a.s.unit, a.s.legend = "value", [2]string{"p50", "p99"}
 				}
@@ -91,7 +88,7 @@ func buildHTMLSeries(frames []Frame) []htmlSeries {
 			switch p.Kind {
 			case KindGauge:
 				v = p.Value
-			case KindCounter, KindHistogram:
+			case KindCounter:
 				v = p.Rate
 			case KindQuantile:
 				for _, qp := range p.Quantiles {
