@@ -285,7 +285,7 @@ func BenchmarkMeetupMinMaxSelect(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap := svc.Provider().At(0)
+	snap := svc.Ephemeris().SnapshotAt(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.SelectMinMax(snap); err != nil && err != meetup.ErrNoCandidate {

@@ -33,7 +33,7 @@ func main() {
 	)
 	flag.Parse()
 
-	c, err := buildNamed(*name)
+	c, err := constellation.Preset(*name)
 	if err != nil {
 		fatal(err)
 	}
@@ -66,18 +66,6 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "constellation:", err)
 	os.Exit(1)
-}
-
-func buildNamed(name string) (*constellation.Constellation, error) {
-	switch name {
-	case "starlink":
-		return constellation.StarlinkPhase1(constellation.Config{})
-	case "kuiper":
-		return constellation.Kuiper(constellation.Config{})
-	case "telesat":
-		return constellation.Telesat(constellation.Config{})
-	}
-	return nil, fmt.Errorf("unknown constellation %q (want starlink, kuiper, telesat)", name)
 }
 
 func printInfo(out io.Writer, c *constellation.Constellation) error {

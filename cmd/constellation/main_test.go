@@ -4,26 +4,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/constellation"
 	"repro/internal/tle"
 )
 
-func TestBuildNamed(t *testing.T) {
-	for _, name := range []string{"starlink", "kuiper", "telesat"} {
-		c, err := buildNamed(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if c.Size() == 0 {
-			t.Fatalf("%s: empty", name)
-		}
-	}
-	if _, err := buildNamed("atlantis"); err == nil {
-		t.Fatal("unknown name accepted")
-	}
-}
-
 func TestPrintInfo(t *testing.T) {
-	c, err := buildNamed("kuiper")
+	c, err := constellation.Preset("kuiper")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +26,7 @@ func TestPrintInfo(t *testing.T) {
 }
 
 func TestExportTLERoundTrips(t *testing.T) {
-	c, err := buildNamed("telesat")
+	c, err := constellation.Preset("telesat")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +44,7 @@ func TestExportTLERoundTrips(t *testing.T) {
 }
 
 func TestPrintSnapshot(t *testing.T) {
-	c, err := buildNamed("kuiper")
+	c, err := constellation.Preset("kuiper")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,5 +61,22 @@ func TestPrintSnapshot(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "0,kuiper-") {
 		t.Fatalf("first row = %q", lines[1])
+	}
+}
+
+// TestBuildNamed checks that every name the -name flag offers builds a
+// constellation and that an unknown name is refused.
+func TestBuildNamed(t *testing.T) {
+	for _, name := range []string{"starlink", "kuiper", "telesat"} {
+		c, err := constellation.Preset(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.Size() == 0 {
+			t.Fatalf("%s: empty", name)
+		}
+	}
+	if _, err := constellation.Preset("atlantis"); err == nil {
+		t.Fatal("unknown name accepted")
 	}
 }

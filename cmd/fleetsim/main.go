@@ -214,18 +214,6 @@ func (o options) slos() []obs.SLO {
 	}
 }
 
-func buildNamed(name string) (*constellation.Constellation, error) {
-	switch name {
-	case "starlink":
-		return constellation.StarlinkPhase1(constellation.Config{})
-	case "kuiper":
-		return constellation.Kuiper(constellation.Config{})
-	case "telesat":
-		return constellation.Telesat(constellation.Config{})
-	}
-	return nil, fmt.Errorf("unknown constellation %q (want starlink, kuiper, telesat)", name)
-}
-
 // arrival is one transient session joining mid-run.
 type arrival struct {
 	at   float64
@@ -267,7 +255,7 @@ func buildWorkload(o options, horizonSec float64) (persistent []*fleet.Session, 
 }
 
 func run(out io.Writer, o options) error {
-	c, err := buildNamed(o.name)
+	c, err := constellation.Preset(o.name)
 	if err != nil {
 		return err
 	}

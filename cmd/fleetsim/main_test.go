@@ -1,12 +1,15 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/constellation"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -56,21 +59,6 @@ func TestParseFlags(t *testing.T) {
 		if got := strconv.Itoa(o.serve.queue); got != q {
 			t.Fatalf("-serve-queue %s parsed as %s", q, got)
 		}
-	}
-}
-
-func TestBuildNamed(t *testing.T) {
-	for _, name := range []string{"starlink", "kuiper", "telesat"} {
-		c, err := buildNamed(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if c.Size() == 0 {
-			t.Fatalf("%s: empty", name)
-		}
-	}
-	if _, err := buildNamed("atlantis"); err == nil {
-		t.Fatal("unknown name accepted")
 	}
 }
 
@@ -350,5 +338,22 @@ func TestRunGOMAXPROCSInvariance(t *testing.T) {
 		if got := runCSV(t, goldenFlags(false)); got != string(want) {
 			t.Fatalf("GOMAXPROCS=%d diverged from golden CSV:\n%s", procs, got)
 		}
+	}
+}
+
+// TestBuildNamed checks that every name the -name flag offers builds a
+// constellation and that an unknown name is refused.
+func TestBuildNamed(t *testing.T) {
+	for _, name := range []string{"starlink", "kuiper", "telesat"} {
+		c, err := constellation.Preset(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.Size() == 0 {
+			t.Fatalf("%s: empty", name)
+		}
+	}
+	if err := run(io.Discard, options{name: "atlantis"}); err == nil {
+		t.Fatal("unknown name accepted")
 	}
 }

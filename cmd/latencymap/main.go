@@ -44,18 +44,6 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-func buildNamed(name string) (*constellation.Constellation, error) {
-	switch name {
-	case "starlink":
-		return constellation.StarlinkPhase1(constellation.Config{})
-	case "kuiper":
-		return constellation.Kuiper(constellation.Config{})
-	case "telesat":
-		return constellation.Telesat(constellation.Config{})
-	}
-	return nil, fmt.Errorf("unknown constellation %q (want starlink, kuiper, telesat)", name)
-}
-
 // glyph maps a cell's nearest-server RTT to a heat-map character.
 func glyph(rttMs float64, covered bool) byte {
 	switch {
@@ -75,7 +63,7 @@ func glyph(rttMs float64, covered bool) byte {
 // run sweeps the lat/lon grid and writes the ASCII heat map to out and, when
 // csv is non-nil, the per-cell rows.
 func run(out, csv io.Writer, o options) error {
-	c, err := buildNamed(o.name)
+	c, err := constellation.Preset(o.name)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/constellation"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -21,21 +24,6 @@ func TestParseFlags(t *testing.T) {
 		if _, err := parseFlags(args); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
-	}
-}
-
-func TestBuildNamed(t *testing.T) {
-	for _, name := range []string{"starlink", "kuiper", "telesat"} {
-		c, err := buildNamed(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if c.Size() == 0 {
-			t.Fatalf("%s: empty", name)
-		}
-	}
-	if _, err := buildNamed("atlantis"); err == nil {
-		t.Fatal("unknown name accepted")
 	}
 }
 
@@ -74,5 +62,22 @@ func TestRunEndToEnd(t *testing.T) {
 	// 13 latitude rows × 25 longitude columns.
 	if len(csvLines) != 1+13*25 {
 		t.Fatalf("csv has %d lines, want %d", len(csvLines), 1+13*25)
+	}
+}
+
+// TestBuildNamed checks that every name the -name flag offers builds a
+// constellation and that an unknown name is refused.
+func TestBuildNamed(t *testing.T) {
+	for _, name := range []string{"starlink", "kuiper", "telesat"} {
+		c, err := constellation.Preset(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.Size() == 0 {
+			t.Fatalf("%s: empty", name)
+		}
+	}
+	if err := run(io.Discard, nil, options{name: "atlantis"}); err == nil {
+		t.Fatal("unknown name accepted")
 	}
 }

@@ -49,20 +49,8 @@ func parseFlags(args []string) (options, error) {
 	return o, nil
 }
 
-func buildNamed(name string) (*constellation.Constellation, error) {
-	switch name {
-	case "starlink":
-		return constellation.StarlinkPhase1(constellation.Config{})
-	case "kuiper":
-		return constellation.Kuiper(constellation.Config{})
-	case "telesat":
-		return constellation.Telesat(constellation.Config{})
-	}
-	return nil, fmt.Errorf("unknown constellation %q (want starlink, kuiper, telesat)", name)
-}
-
 func run(out io.Writer, o options) error {
-	c, err := buildNamed(o.name)
+	c, err := constellation.Preset(o.name)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/constellation"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -22,21 +25,6 @@ func TestParseFlags(t *testing.T) {
 		if _, err := parseFlags(args); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
-	}
-}
-
-func TestBuildNamed(t *testing.T) {
-	for _, name := range []string{"starlink", "kuiper", "telesat"} {
-		c, err := buildNamed(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if c.Size() == 0 {
-			t.Fatalf("%s: empty", name)
-		}
-	}
-	if _, err := buildNamed("atlantis"); err == nil {
-		t.Fatal("unknown name accepted")
 	}
 }
 
@@ -79,5 +67,22 @@ func TestRunNextPass(t *testing.T) {
 	}
 	if !strings.Contains(out, "duration") {
 		t.Fatalf("missing pass table:\n%s", out)
+	}
+}
+
+// TestBuildNamed checks that every name the -name flag offers builds a
+// constellation and that an unknown name is refused.
+func TestBuildNamed(t *testing.T) {
+	for _, name := range []string{"starlink", "kuiper", "telesat"} {
+		c, err := constellation.Preset(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.Size() == 0 {
+			t.Fatalf("%s: empty", name)
+		}
+	}
+	if err := run(io.Discard, options{name: "atlantis"}); err == nil {
+		t.Fatal("unknown name accepted")
 	}
 }

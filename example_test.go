@@ -56,7 +56,7 @@ func ExampleNew_options() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fleet, err := svc.Fleet()
+	fleet, err := svc.NewFleet()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -38,13 +38,13 @@ func main() {
 		{LatDeg: 3.87, LonDeg: 11.52}, // Yaoundé
 		{LatDeg: 5.60, LonDeg: -0.19}, // Accra
 	}
-	planner, err := svc.Meetup(users)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("\n--- two-hour session dynamics ---")
 	for _, pol := range []inorbit.Policy{inorbit.MinMax, inorbit.Sticky} {
-		sess, err := planner.Simulate(svc.Provider(), pol, 0, 7200, 2)
+		vs, err := svc.PlaceVirtualServer(users, pol, inorbit.State{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		sess, err := vs.Run(0, 7200, 2)
 		if err != nil {
 			log.Fatal(err)
 		}

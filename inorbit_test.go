@@ -170,7 +170,7 @@ func TestFleetOptionsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldF, err := wide.Fleet()
+	oldF, err := wide.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,21 +238,21 @@ func TestOptionsFacade(t *testing.T) {
 		t.Fatal("Faults() must build independent injectors")
 	}
 
-	// Fleet() honours the construction options and shares the service's
+	// NewFleet() honours the construction options and shares the service's
 	// ephemeris engine; each call is an independent orchestrator.
-	fl, err := svc.Fleet()
+	fl, err := svc.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if any(fl.Ephemeris()) != svc.Ephemeris() {
 		t.Fatal("Fleet must share the service-wide ephemeris engine")
 	}
-	fl2, err := svc.Fleet()
+	fl2, err := svc.NewFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fl == fl2 {
-		t.Fatal("Fleet() must build independent orchestrators")
+		t.Fatal("NewFleet() must build independent orchestrators")
 	}
 	if err := fl.Start(0); err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestFaultsWithoutOption(t *testing.T) {
 func TestOptionOrderAndLegacyMerge(t *testing.T) {
 	// A negative ISL rate is rejected at construction.
 	if _, err := New(Telesat, WithISLBandwidth(-1)); err == nil {
-		t.Fatal("WithISLBandwidth must reach core validation")
+		t.Fatal("WithISLBandwidth must reach construction-time validation")
 	}
 	// Later options win: a valid rate repairs the earlier one.
 	if _, err := New(Telesat, WithISLBandwidth(-1), WithISLBandwidth(2.5)); err != nil {

@@ -48,6 +48,29 @@ func TestPresetSizes(t *testing.T) {
 	}
 }
 
+// TestPresets: the names every command's -name flag takes build the three
+// presets, and an unknown name's error lists them.
+func TestPresets(t *testing.T) {
+	for name, want := range map[string]int{"starlink": 4409, "kuiper": 3236, "telesat": 1671} {
+		c, err := Preset(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c.Size() != want {
+			t.Fatalf("%s: Size() = %d, want %d", name, c.Size(), want)
+		}
+	}
+	_, err := Preset("atlantis")
+	if err == nil {
+		t.Fatal("unknown preset accepted")
+	}
+	for _, name := range []string{"starlink", "kuiper", "telesat"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("error %q does not list %q", err, name)
+		}
+	}
+}
+
 func TestShellValidate(t *testing.T) {
 	tests := []struct {
 		name    string

@@ -1,5 +1,7 @@
 package constellation
 
+import "fmt"
+
 // Preset shell parameters, taken from the FCC filings the paper relies on.
 // Phase factors are not public; we use small fixed offsets, which shifts
 // individual satellites but not the latitude-aggregated statistics the paper
@@ -56,4 +58,18 @@ func Kuiper(cfg Config) (*Constellation, error) {
 // Telesat builds the Telesat constellation (1,671 sats).
 func Telesat(cfg Config) (*Constellation, error) {
 	return Build("Telesat", TelesatShells(), cfg)
+}
+
+// Preset builds a preset constellation by the name every command's -name
+// flag takes: "starlink" (Phase I), "kuiper" or "telesat".
+func Preset(name string) (*Constellation, error) {
+	switch name {
+	case "starlink":
+		return StarlinkPhase1(Config{})
+	case "kuiper":
+		return Kuiper(Config{})
+	case "telesat":
+		return Telesat(Config{})
+	}
+	return nil, fmt.Errorf("constellation: unknown preset %q (want starlink, kuiper, telesat)", name)
 }

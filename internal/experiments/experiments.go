@@ -32,22 +32,14 @@ func Both() ConstellationSet { return ConstellationSet{Starlink: true, Kuiper: t
 // Fig 4 used, and so on across the whole suite.
 func (cs ConstellationSet) build() ([]*constellation.Constellation, error) {
 	var out []*constellation.Constellation
-	if cs.Starlink {
-		c, err := pooledPreset("starlink", constellation.StarlinkPhase1)
-		if err != nil {
-			return nil, err
+	for _, p := range []struct {
+		on   bool
+		name string
+	}{{cs.Starlink, "starlink"}, {cs.Kuiper, "kuiper"}, {cs.Telesat, "telesat"}} {
+		if !p.on {
+			continue
 		}
-		out = append(out, c)
-	}
-	if cs.Kuiper {
-		c, err := pooledPreset("kuiper", constellation.Kuiper)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	if cs.Telesat {
-		c, err := pooledPreset("telesat", constellation.Telesat)
+		c, err := pooledPreset(p.name)
 		if err != nil {
 			return nil, err
 		}
@@ -65,13 +57,14 @@ var (
 	enginePool = map[*constellation.Constellation]*ephem.Engine{}
 )
 
-func pooledPreset(name string, build func(constellation.Config) (*constellation.Constellation, error)) (*constellation.Constellation, error) {
+// pooledPreset returns the process-wide instance of a constellation.Preset.
+func pooledPreset(name string) (*constellation.Constellation, error) {
 	poolMu.Lock()
 	defer poolMu.Unlock()
 	if c, ok := constPool[name]; ok {
 		return c, nil
 	}
-	c, err := build(constellation.Config{})
+	c, err := constellation.Preset(name)
 	if err != nil {
 		return nil, err
 	}

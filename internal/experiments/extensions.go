@@ -115,13 +115,11 @@ func (c MatchmakingConfig) withDefaults() MatchmakingConfig {
 // centers and compare playable fractions.
 func Matchmaking(cfg MatchmakingConfig) ([]MatchmakingRow, error) {
 	cfg = cfg.withDefaults()
-	set := ConstellationSet{Starlink: true}
-	consts, err := set.build()
+	c, err := pooledPreset("starlink")
 	if err != nil {
 		return nil, err
 	}
-	c := consts[0]
-	prov := meetup.NewProviderFor(engineFor(c))
+	eng := engineFor(c)
 
 	// Terrestrial path model: fiber to the data center.
 	var popLocs []geo.LatLon
@@ -161,7 +159,7 @@ func Matchmaking(cfg MatchmakingConfig) ([]MatchmakingRow, error) {
 			ter := 2 * terOneWay
 
 			// In-orbit: routed meetup placement at one snapshot.
-			net := meetup.GroupNetwork(prov, users, nil)
+			net := meetup.GroupNetwork(eng, users, nil)
 			placed, err := meetup.BestRouted(net.At(0), len(users))
 			if err != nil {
 				continue // coverage gap; skip the pair

@@ -94,22 +94,10 @@ type Fig3Result struct {
 // Fig3 runs one scenario.
 func Fig3(sc Fig3Scenario, cfg Fig3Config) (Fig3Result, error) {
 	cfg = cfg.withDefaults()
-	set := ConstellationSet{}
-	switch sc.Constellation {
-	case "starlink":
-		set.Starlink = true
-	case "kuiper":
-		set.Kuiper = true
-	case "telesat":
-		set.Telesat = true
-	default:
-		return Fig3Result{}, fmt.Errorf("experiments: unknown constellation %q", sc.Constellation)
-	}
-	consts, err := set.build()
+	c, err := pooledPreset(sc.Constellation)
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	c := consts[0]
 
 	// Terrestrial candidate sites.
 	var sites []geo.LatLon
@@ -131,7 +119,7 @@ func Fig3(sc Fig3Scenario, cfg Fig3Config) (Fig3Result, error) {
 	}
 
 	eng := engineFor(c)
-	net := meetup.GroupNetwork(meetup.NewProviderFor(eng), sc.Users, sites)
+	net := meetup.GroupNetwork(eng, sc.Users, sites)
 
 	res := Fig3Result{Scenario: sc}
 	perDCWorst := make([]float64, len(sites))

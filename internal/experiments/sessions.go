@@ -34,13 +34,12 @@ var bothPolicies = []meetup.Policy{meetup.MinMax, meetup.Sticky}
 // planner's sessions share its scratch); the iteration counter moves once
 // per planner.
 func simulateSessions(eng *ephem.Engine, planners []*meetup.Planner, policies []meetup.Policy, durationSec, stepSec float64) ([][]meetup.SessionResult, error) {
-	prov := meetup.NewProviderFor(eng)
 	sessions := make([][]*meetup.Session, len(planners))
-	frame0 := prov.At(0)
+	frame0 := eng.SnapshotAt(0)
 	err := parallelFor(len(planners), func(i int) error {
 		ss := make([]*meetup.Session, len(policies))
 		for k, policy := range policies {
-			s, err := planners[i].Begin(prov, policy, 0, frame0)
+			s, err := planners[i].Begin(eng, policy, 0, frame0)
 			if errors.Is(err, meetup.ErrNoCandidate) {
 				return nil
 			}
@@ -70,7 +69,7 @@ func simulateSessions(eng *ephem.Engine, planners []*meetup.Planner, policies []
 		times, frames = times[:0], frames[:0]
 		for ; t <= durationSec && len(times) < sessionWindow; t += stepSec {
 			times = append(times, t)
-			frames = append(frames, prov.At(t))
+			frames = append(frames, eng.SnapshotAt(t))
 		}
 		err := par.Each(len(live), par.Workers(), func(i int) error {
 			for k, t := range times {
@@ -97,11 +96,10 @@ func simulateSessions(eng *ephem.Engine, planners []*meetup.Planner, policies []
 // groupPlanners builds the hand-off studies' shared inputs: Starlink, its
 // +grid, and one planner per seeded user group.
 func groupPlanners(cfg Fig67Config) (*constellation.Constellation, *isl.Grid, []*meetup.Planner, error) {
-	consts, err := ConstellationSet{Starlink: true}.build()
+	c, err := pooledPreset("starlink")
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	c := consts[0]
 	grid := isl.NewPlusGrid(c)
 	groups, err := trace.Groups(trace.GroupConfig{
 		Seed:         cfg.Seed,

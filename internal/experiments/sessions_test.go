@@ -46,12 +46,12 @@ func TestFig67TimeMajorMatchesSimulate(t *testing.T) {
 
 	// Oracle: fresh planners on a private engine, one Simulate per session.
 	_, oracle := testPlanners(t)
-	prov := meetup.NewProviderFor(sweepEngine(c, ephem.Config{}))
+	eng := sweepEngine(c, ephem.Config{})
 	want := make([][]meetup.SessionResult, len(oracle))
 	handoffs := 0
 	for i, p := range oracle {
 		for _, policy := range bothPolicies {
-			r, err := p.Simulate(prov, policy, 0, durationSec, stepSec)
+			r, err := p.Simulate(eng, policy, 0, durationSec, stepSec)
 			if err != nil {
 				want[i] = nil
 				break

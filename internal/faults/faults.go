@@ -87,6 +87,17 @@ const DefaultMTTRSec = 1800
 const DefaultFlapWindowSec = 60
 
 func (c Config) withDefaults() (Config, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"MTBF", c.SatMTBFHours}, {"MTTR", c.SatMTTRSec}, {"ISL flap rate", c.ISLFlapPerHour},
+		{"flap window", c.ISLFlapWindowSec}, {"migration failure probability", c.MigrationFailProb},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return c, fmt.Errorf("faults: %s %v must be finite", f.name, f.v)
+		}
+	}
 	if c.SatMTBFHours < 0 {
 		return c, fmt.Errorf("faults: MTBF %v h must be non-negative", c.SatMTBFHours)
 	}

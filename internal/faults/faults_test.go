@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -19,6 +20,11 @@ func TestConfigValidation(t *testing.T) {
 		{"saturated flap window", Config{ISLFlapPerHour: 100, ISLFlapWindowSec: 60}, false},
 		{"migration prob 1", Config{MigrationFailProb: 1}, false},
 		{"negative migration prob", Config{MigrationFailProb: -0.5}, false},
+		{"NaN MTBF", Config{SatMTBFHours: math.NaN()}, false},
+		{"NaN MTTR", Config{SatMTBFHours: 100, SatMTTRSec: math.NaN()}, false},
+		{"NaN flap rate", Config{ISLFlapPerHour: math.NaN()}, false},
+		{"NaN flap window", Config{ISLFlapPerHour: 0.5, ISLFlapWindowSec: math.NaN()}, false},
+		{"NaN migration prob", Config{MigrationFailProb: math.NaN()}, false},
 	}
 	for _, c := range cases {
 		_, err := New(10, c.cfg)

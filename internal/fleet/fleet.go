@@ -101,6 +101,18 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"step", c.StepSec}, {"lookahead", c.LookaheadSec}, {"latency band", c.LatencyBand},
+		{"cell size", c.CellDeg}, {"ISL bandwidth", c.ISLBandwidthGbps}, {"dirty rate", c.DirtyRateMBps},
+		{"retry base", c.RetryBaseSec}, {"retry cap", c.RetryCapSec},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return c, fmt.Errorf("fleet: %s %v must be finite", f.name, f.v)
+		}
+	}
 	if c.StepSec == 0 {
 		c.StepSec = 60
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -81,25 +82,29 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, nil, testConfig()); err == nil {
 		t.Fatal("nil constellation should fail")
 	}
-	bad := testConfig()
-	bad.LookaheadSec = 10 // < step
-	if _, err := New(c, nil, bad); err == nil {
-		t.Fatal("lookahead < step should fail")
-	}
-	bad = testConfig()
-	bad.DirtyRateMBps = 1e9 // >= link bandwidth
-	if _, err := New(c, nil, bad); err == nil {
-		t.Fatal("dirty rate above bandwidth should fail")
-	}
-	bad = testConfig()
-	bad.CellDeg = 0.01
-	if _, err := New(c, nil, bad); err == nil {
-		t.Fatal("bad cell size should fail")
-	}
-	bad = testConfig()
-	bad.Server = compute.ServerSpec{Cores: 8} // no memory
-	if _, err := New(c, nil, bad); err == nil {
-		t.Fatal("server without memory should fail")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"lookahead < step", func(c *Config) { c.LookaheadSec = 10 }},
+		{"dirty rate above bandwidth", func(c *Config) { c.DirtyRateMBps = 1e9 }},
+		{"bad cell size", func(c *Config) { c.CellDeg = 0.01 }},
+		{"server without memory", func(c *Config) { c.Server = compute.ServerSpec{Cores: 8} }},
+		{"NaN step", func(c *Config) { c.StepSec = nan }},
+		{"NaN lookahead", func(c *Config) { c.LookaheadSec = nan }},
+		{"NaN latency band", func(c *Config) { c.LatencyBand = nan }},
+		{"NaN cell size", func(c *Config) { c.CellDeg = nan }},
+		{"infinite ISL bandwidth", func(c *Config) { c.ISLBandwidthGbps = inf }},
+		{"NaN dirty rate", func(c *Config) { c.DirtyRateMBps = nan }},
+		{"NaN retry base", func(c *Config) { c.RetryBaseSec = nan }},
+		{"infinite retry cap", func(c *Config) { c.RetryCapSec = inf }},
+	} {
+		bad := testConfig()
+		tc.edit(&bad)
+		if _, err := New(c, nil, bad); err == nil {
+			t.Errorf("%s should fail", tc.name)
+		}
 	}
 }
 
@@ -626,7 +631,7 @@ func TestTimeToExpiryMatchesMeetup(t *testing.T) {
 	if _, err := o.Step(); err != nil {
 		t.Fatal(err)
 	}
-	prov := meetup.NewProvider(c)
+	eng := ephem.New(c, ephem.Config{})
 	grid := isl.NewPlusGrid(c)
 	mCfg := meetup.Config{LookaheadStepSec: cfg.StepSec, LookaheadHorizonSec: cfg.LookaheadSec}
 	checked := 0
@@ -642,7 +647,7 @@ func TestTimeToExpiryMatchesMeetup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantWarn, wantCapped := p.TimeToExpiry(prov, s.Sat, o.Now())
+		wantWarn, wantCapped := p.TimeToExpiry(eng, s.Sat, o.Now())
 		gotWarn, gotCapped, err := o.TimeToExpiry(s)
 		if err != nil {
 			t.Fatal(err)
@@ -674,30 +679,39 @@ func TestMetricsExposed(t *testing.T) {
 	if err := o.Start(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.Step(); err != nil {
-		t.Fatal(err)
+	const epochs = 20 // long enough for passes to end and force hand-offs
+	for i := 0; i < epochs; i++ {
+		if _, err := o.Step(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var buf strings.Builder
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
+	st := o.Stats()
+	if st.Handoffs == 0 {
+		t.Fatalf("no hand-offs in %d epochs", epochs)
+	}
 	for _, want := range []string{
 		"fleet_sessions 5",
 		"fleet_sessions_assigned",
 		`fleet_placements_total{kind="initial"}`,
-		"fleet_epochs_total 1",
+		fmt.Sprintf(`fleet_placements_total{kind="handoff"} %d`+"\n", st.Handoffs),
+		fmt.Sprintf("fleet_epochs_total %d\n", epochs),
 		"# TYPE fleet_index_query_seconds summary",
 		"# TYPE fleet_epoch_seconds summary",
-		"fleet_epoch_seconds_count 1",
+		fmt.Sprintf("fleet_epoch_seconds_count %d\n", epochs),
 		"# TYPE fleet_replan_ms summary",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metric %q missing from registry render:\n%s", want, text)
 		}
 	}
-	// Each timed quantity is recorded once: the histogram twins are gone.
-	for _, gone := range []string{"fleet_placement_latency_seconds", "fleet_handoff_transfer_ms", "histogram"} {
+	// Each quantity is recorded once: the histogram twins and the hand-off
+	// counter that duplicated fleet_placements_total{kind="handoff"} are gone.
+	for _, gone := range []string{"fleet_placement_latency_seconds", "fleet_handoff_transfer_ms", "fleet_handoffs_total", "histogram"} {
 		if strings.Contains(text, gone) {
 			t.Fatalf("registry render still names %q:\n%s", gone, text)
 		}

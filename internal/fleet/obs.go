@@ -11,7 +11,6 @@ type metricsSet struct {
 	assigned     *obs.Gauge   // fleet_sessions_assigned
 	placeInitial *obs.Counter // fleet_placements_total{kind="initial"}
 	placeHandoff *obs.Counter // fleet_placements_total{kind="handoff"}
-	handoffs     *obs.Counter // fleet_handoffs_total
 	rejections   *obs.Counter // fleet_rejections_total
 	departures   *obs.Counter // fleet_departures_total
 	epochs       *obs.Counter // fleet_epochs_total
@@ -82,8 +81,6 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 			"Sessions currently holding a satellite-server assignment."),
 		placeInitial: placements.With("initial"),
 		placeHandoff: placements.With("handoff"),
-		handoffs: reg.Counter("fleet_handoffs_total",
-			"Completed session migrations between satellite-servers."),
 		rejections: reg.Counter("fleet_rejections_total",
 			"Placement attempts that found no satellite with both visibility and capacity."),
 		departures: reg.Counter("fleet_departures_total",

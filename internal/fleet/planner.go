@@ -504,7 +504,6 @@ func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochRep
 			rep.Transfer.Add(transfer)
 			rep.Downtime.Add(res.DowntimeSec)
 			o.m.transferQ.Observe(transfer)
-			o.m.handoffs.Inc()
 			o.m.placeHandoff.Inc()
 		} else {
 			// Unassigned (re-)placements restore from the pre-replicated

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/constellation"
+	"repro/internal/ephem"
 	"repro/internal/geo"
 	"repro/internal/par"
 )
@@ -36,7 +37,7 @@ func BenchmarkBestRouted(b *testing.B) {
 		{LatDeg: -23.55, LonDeg: -46.63}, // São Paulo
 		{LatDeg: 28.61, LonDeg: 77.21},   // Delhi
 	}
-	net := GroupNetwork(NewProvider(c), users, nil)
+	net := GroupNetwork(ephem.New(c, ephem.Config{}), users, nil)
 	snap := net.At(0)
 	snap.Freeze()
 	if _, err := BestRouted(snap, len(users)); err != nil { // warm the context pool

@@ -96,33 +96,6 @@ type Candidate struct {
 	GroupRTTMs float64
 }
 
-// Provider supplies constellation snapshots by time. It lets many planners
-// share one propagation pass per time step.
-type Provider struct {
-	eng *ephem.Engine
-}
-
-// NewProvider wraps a constellation in a caching snapshot provider backed
-// by a private ephemeris engine.
-func NewProvider(c *constellation.Constellation) *Provider {
-	return NewProviderFor(ephem.New(c, ephem.Config{}))
-}
-
-// NewProviderFor wraps a shared ephemeris engine. Planners on the same
-// engine — across sessions, policies, and goroutines — reuse each other's
-// propagated frames.
-func NewProviderFor(eng *ephem.Engine) *Provider { return &Provider{eng: eng} }
-
-// At returns the ECEF snapshot at tSec. The returned slice is shared and
-// immutable: callers may retain it but must not modify it.
-func (p *Provider) At(tSec float64) []geo.Vec3 { return p.eng.SnapshotAt(tSec) }
-
-// Ephemeris returns the backing engine.
-func (p *Provider) Ephemeris() *ephem.Engine { return p.eng }
-
-// Constellation returns the underlying constellation.
-func (p *Provider) Constellation() *constellation.Constellation { return p.eng.Constellation() }
-
 // Planner evaluates meetup-server choices for one user group against one
 // constellation. Eligibility means direct visibility from every user — the
 // regime of the paper's Fig 6/7 regional groups.
@@ -250,12 +223,15 @@ func (p *Planner) SelectMinMax(snap []geo.Vec3) (Candidate, error) {
 //  2. the PoolSize candidates with the longest time until hand-off,
 //  3. among those, the one whose eventual hand-off to its successor is
 //     cheapest (lowest state-transfer latency).
-func (p *Planner) SelectSticky(prov *Provider, t0 float64) (Candidate, error) {
-	return p.selectSticky(prov, t0, prov.At(t0))
+//
+// eng must propagate the planner's constellation; planners sharing one
+// engine reuse each other's frames.
+func (p *Planner) SelectSticky(eng *ephem.Engine, t0 float64) (Candidate, error) {
+	return p.selectSticky(eng, t0, eng.SnapshotAt(t0))
 }
 
 // selectSticky is SelectSticky given the t0 frame.
-func (p *Planner) selectSticky(prov *Provider, t0 float64, snap []geo.Vec3) (Candidate, error) {
+func (p *Planner) selectSticky(eng *ephem.Engine, t0 float64, snap []geo.Vec3) (Candidate, error) {
 	p.elig = p.Eligible(snap, p.elig[:0])
 	if len(p.elig) == 0 {
 		return Candidate{}, ErrNoCandidate
@@ -282,7 +258,7 @@ func (p *Planner) selectSticky(prov *Provider, t0 float64, snap []geo.Vec3) (Can
 		keep := alive[:0]
 		for _, i := range alive {
 			id := band[i].SatID
-			if _, ok := p.groupRTT(prov.eng.PositionAt(t, id), id); ok {
+			if _, ok := p.groupRTT(eng.PositionAt(t, id), id); ok {
 				keep = append(keep, i)
 			} else {
 				band[i].end = t
@@ -317,7 +293,7 @@ func (p *Planner) selectSticky(prov *Provider, t0 float64, snap []geo.Vec3) (Can
 	best := pool[0].Candidate
 	bestTransfer := math.Inf(1)
 	for _, c := range pool {
-		fsnap := prov.At(c.end)
+		fsnap := eng.SnapshotAt(c.end)
 		succ, err := p.selectMinMaxExcluding(fsnap, c.SatID)
 		if err != nil {
 			continue
@@ -381,10 +357,10 @@ func (p *Planner) TransferLatencyMs(snap []geo.Vec3, a, b int) (float64, error) 
 // whole group after t0 — the warning time a migration planner has before
 // the hand-off must complete. Scans forward at the Sticky lookahead step;
 // capped at the lookahead horizon (returned with capped=true).
-func (p *Planner) TimeToExpiry(prov *Provider, satID int, t0 float64) (warnSec float64, capped bool) {
+func (p *Planner) TimeToExpiry(eng *ephem.Engine, satID int, t0 float64) (warnSec float64, capped bool) {
 	horizon := t0 + p.cfg.LookaheadHorizonSec
 	for t := t0 + p.cfg.LookaheadStepSec; t <= horizon; t += p.cfg.LookaheadStepSec {
-		if _, ok := p.groupRTT(prov.eng.PositionAt(t, satID), satID); !ok {
+		if _, ok := p.groupRTT(eng.PositionAt(t, satID), satID); !ok {
 			return t - t0, false
 		}
 	}

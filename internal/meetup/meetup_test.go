@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/constellation"
+	"repro/internal/ephem"
 	"repro/internal/geo"
 	"repro/internal/isl"
 )
@@ -31,14 +32,14 @@ func westAfrica() []geo.LatLon {
 	}
 }
 
-func newPlanner(t testing.TB, c *constellation.Constellation, users []geo.LatLon, cfg Config) (*Planner, *Provider) {
+func newPlanner(t testing.TB, c *constellation.Constellation, users []geo.LatLon, cfg Config) (*Planner, *ephem.Engine) {
 	t.Helper()
 	grid := isl.NewPlusGrid(c)
 	p, err := NewPlanner(c, grid, users, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p, NewProvider(c)
+	return p, ephem.New(c, ephem.Config{})
 }
 
 func TestNewPlannerValidation(t *testing.T) {
@@ -75,8 +76,8 @@ func TestConfigDefaults(t *testing.T) {
 
 func TestEligibleAllVisible(t *testing.T) {
 	c := toyConst(t)
-	p, prov := newPlanner(t, c, westAfrica(), Config{})
-	snap := prov.At(0)
+	p, eng := newPlanner(t, c, westAfrica(), Config{})
+	snap := eng.SnapshotAt(0)
 	elig := p.Eligible(snap, nil)
 	if len(elig) == 0 {
 		t.Fatal("no eligible satellite for a compact group on a dense shell")
@@ -99,8 +100,8 @@ func TestEligibleAllVisible(t *testing.T) {
 
 func TestSelectMinMaxIsOptimal(t *testing.T) {
 	c := toyConst(t)
-	p, prov := newPlanner(t, c, westAfrica(), Config{})
-	snap := prov.At(120)
+	p, eng := newPlanner(t, c, westAfrica(), Config{})
+	snap := eng.SnapshotAt(120)
 	best, err := p.SelectMinMax(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -120,11 +121,11 @@ func TestSelectMinMaxNoCandidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, prov := newPlanner(t, c, []geo.LatLon{{LatDeg: 80, LonDeg: 0}}, Config{})
-	if _, err := p.SelectMinMax(prov.At(0)); !errors.Is(err, ErrNoCandidate) {
+	p, eng := newPlanner(t, c, []geo.LatLon{{LatDeg: 80, LonDeg: 0}}, Config{})
+	if _, err := p.SelectMinMax(eng.SnapshotAt(0)); !errors.Is(err, ErrNoCandidate) {
 		t.Fatalf("err = %v, want ErrNoCandidate", err)
 	}
-	if _, err := p.SelectSticky(prov, 0); !errors.Is(err, ErrNoCandidate) {
+	if _, err := p.SelectSticky(eng, 0); !errors.Is(err, ErrNoCandidate) {
 		t.Fatalf("sticky err = %v, want ErrNoCandidate", err)
 	}
 }
@@ -132,12 +133,12 @@ func TestSelectMinMaxNoCandidate(t *testing.T) {
 func TestStickyWithinLatencyBand(t *testing.T) {
 	c := toyConst(t)
 	cfg := DefaultConfig()
-	p, prov := newPlanner(t, c, westAfrica(), cfg)
-	mm, err := p.SelectMinMax(prov.At(0))
+	p, eng := newPlanner(t, c, westAfrica(), cfg)
+	mm, err := p.SelectMinMax(eng.SnapshotAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.SelectSticky(prov, 0)
+	st, err := p.SelectSticky(eng, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +152,11 @@ func TestStickyWithinLatencyBand(t *testing.T) {
 // planner-owned scratch.
 func TestSelectStickyScratchReuse(t *testing.T) {
 	c := toyConst(t)
-	reused, prov := newPlanner(t, c, westAfrica(), Config{})
+	reused, eng := newPlanner(t, c, westAfrica(), Config{})
 	for t0 := 0.0; t0 <= 1800; t0 += 90 {
 		fresh, _ := newPlanner(t, c, westAfrica(), Config{})
-		want, errW := fresh.SelectSticky(prov, t0)
-		got, errG := reused.SelectSticky(prov, t0)
+		want, errW := fresh.SelectSticky(eng, t0)
+		got, errG := reused.SelectSticky(eng, t0)
 		if got != want || !errors.Is(errG, errW) {
 			t.Fatalf("t0=%v: reused planner picked %+v (%v), fresh planner %+v (%v)", t0, got, errG, want, errW)
 		}
@@ -180,13 +181,13 @@ func TestStickyHoldsLongerThanMinMax(t *testing.T) {
 		{LatDeg: 8.50, LonDeg: 9.00},
 		{LatDeg: 10.20, LonDeg: 6.30},
 	}
-	p, prov := newPlanner(t, c, tight, Config{})
+	p, eng := newPlanner(t, c, tight, Config{})
 
-	mm, err := p.Simulate(prov, MinMax, 0, 3600, 2)
+	mm, err := p.Simulate(eng, MinMax, 0, 3600, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.Simulate(prov, Sticky, 0, 3600, 2)
+	st, err := p.Simulate(eng, Sticky, 0, 3600, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +219,8 @@ func TestStickyHoldsLongerThanMinMax(t *testing.T) {
 
 func TestSimulateAccounting(t *testing.T) {
 	c := toyConst(t)
-	p, prov := newPlanner(t, c, westAfrica(), Config{})
-	res, err := p.Simulate(prov, MinMax, 0, 1200, 5)
+	p, eng := newPlanner(t, c, westAfrica(), Config{})
+	res, err := p.Simulate(eng, MinMax, 0, 1200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,22 +263,22 @@ func TestSimulateAccounting(t *testing.T) {
 
 func TestSimulateValidation(t *testing.T) {
 	c := toyConst(t)
-	p, prov := newPlanner(t, c, westAfrica(), Config{})
-	if _, err := p.Simulate(prov, MinMax, 0, 0, 1); err == nil {
+	p, eng := newPlanner(t, c, westAfrica(), Config{})
+	if _, err := p.Simulate(eng, MinMax, 0, 0, 1); err == nil {
 		t.Fatal("zero duration should fail")
 	}
-	if _, err := p.Simulate(prov, MinMax, 0, 10, 0); err == nil {
+	if _, err := p.Simulate(eng, MinMax, 0, 10, 0); err == nil {
 		t.Fatal("zero step should fail")
 	}
-	if _, err := p.Simulate(prov, Policy(42), 0, 10, 1); err == nil {
+	if _, err := p.Simulate(eng, Policy(42), 0, 10, 1); err == nil {
 		t.Fatal("unknown policy should fail")
 	}
 }
 
 func TestTransferLatency(t *testing.T) {
 	c := toyConst(t)
-	p, prov := newPlanner(t, c, westAfrica(), Config{})
-	snap := prov.At(0)
+	p, eng := newPlanner(t, c, westAfrica(), Config{})
+	snap := eng.SnapshotAt(0)
 	// Adjacent satellites: transfer latency equals one ISL hop.
 	got, err := p.TransferLatencyMs(snap, 0, 1)
 	if err != nil {
@@ -295,25 +296,6 @@ func TestTransferLatency(t *testing.T) {
 	}
 }
 
-func TestProviderCaching(t *testing.T) {
-	c := toyConst(t)
-	prov := NewProvider(c)
-	a := prov.At(100)
-	b := prov.At(100)
-	if &a[0] != &b[0] {
-		t.Fatal("same-time snapshots should share the buffer")
-	}
-	first := a[0]
-	_ = prov.At(200)
-	back := prov.At(100)
-	if back[0] != first {
-		t.Fatal("re-requested snapshot differs")
-	}
-	if prov.Constellation() != c {
-		t.Fatal("Constellation accessor wrong")
-	}
-}
-
 func TestUsersAccessor(t *testing.T) {
 	c := toyConst(t)
 	p, _ := newPlanner(t, c, westAfrica(), Config{})
@@ -324,13 +306,13 @@ func TestUsersAccessor(t *testing.T) {
 
 func TestTimeToExpiry(t *testing.T) {
 	c := toyConst(t)
-	p, prov := newPlanner(t, c, westAfrica(), Config{})
-	snap := prov.At(0)
+	p, eng := newPlanner(t, c, westAfrica(), Config{})
+	snap := eng.SnapshotAt(0)
 	cand, err := p.SelectMinMax(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warn, capped := p.TimeToExpiry(prov, cand.SatID, 0)
+	warn, capped := p.TimeToExpiry(eng, cand.SatID, 0)
 	if capped {
 		t.Skip("candidate visible beyond the lookahead horizon")
 	}
@@ -338,13 +320,13 @@ func TestTimeToExpiry(t *testing.T) {
 		t.Fatalf("warning time %v s implausible", warn)
 	}
 	// At t0+warn the satellite is no longer fully visible; just before, it is.
-	if _, ok := p.groupRTT(prov.At(warn + p.cfg.LookaheadStepSec)[cand.SatID], cand.SatID); ok {
+	if _, ok := p.groupRTT(eng.SnapshotAt(warn + p.cfg.LookaheadStepSec)[cand.SatID], cand.SatID); ok {
 		t.Fatal("satellite still visible after reported expiry")
 	}
 	// A satellite that is already invisible expires within one step.
 	for id := 0; id < c.Size(); id++ {
-		if _, ok := p.groupRTT(prov.At(0)[id], id); !ok {
-			w, capped2 := p.TimeToExpiry(prov, id, 0)
+		if _, ok := p.groupRTT(eng.SnapshotAt(0)[id], id); !ok {
+			w, capped2 := p.TimeToExpiry(eng, id, 0)
 			if capped2 || w > p.cfg.LookaheadStepSec {
 				t.Fatalf("invisible sat %d has warning %v", id, w)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/ephem"
 	"repro/internal/geo"
 	"repro/internal/netgraph"
 )
@@ -79,12 +80,13 @@ func BestRouted(s *netgraph.Snapshot, users int) (RoutedPlacement, error) {
 	return best, nil
 }
 
-// GroupNetwork builds a netgraph over the constellation with the given user
-// terminals (and optionally data-center sites) as ground stations, in the
-// layout BestRouted expects (users first).
-func GroupNetwork(p *Provider, users []geo.LatLon, dcSites []geo.LatLon) *netgraph.Network {
+// GroupNetwork builds a netgraph over the engine's constellation with the
+// given user terminals (and optionally data-center sites) as ground
+// stations, in the layout BestRouted expects (users first). Its snapshots
+// draw their frames from eng.
+func GroupNetwork(eng *ephem.Engine, users []geo.LatLon, dcSites []geo.LatLon) *netgraph.Network {
 	grounds := make([]geo.LatLon, 0, len(users)+len(dcSites))
 	grounds = append(grounds, users...)
 	grounds = append(grounds, dcSites...)
-	return netgraph.New(p.Constellation(), grounds).UseEphemeris(p.Ephemeris())
+	return netgraph.New(eng.Constellation(), grounds).UseEphemeris(eng)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/constellation"
+	"repro/internal/ephem"
 	"repro/internal/geo"
 	"repro/internal/netgraph"
 )
@@ -18,7 +19,7 @@ func routedNet(t *testing.T, users, dcs []geo.LatLon) *netgraph.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return GroupNetwork(NewProvider(c), users, dcs)
+	return GroupNetwork(ephem.New(c, ephem.Config{}), users, dcs)
 }
 
 func TestBestRoutedSingleUser(t *testing.T) {

@@ -3,6 +3,7 @@ package meetup
 import (
 	"fmt"
 
+	"repro/internal/ephem"
 	"repro/internal/geo"
 	"repro/internal/stats"
 )
@@ -65,22 +66,22 @@ func (r SessionResult) TransferLatencies() []float64 {
 // visible to the whole group.
 type Session struct {
 	p         *Planner
-	prov      *Provider
+	eng       *ephem.Engine
 	res       SessionResult
 	cur       Candidate
 	heldSince float64
 }
 
 // Begin starts a session at t0 by selecting the first server. snap is the
-// frame at t0; prov serves Sticky's look-ahead.
-func (p *Planner) Begin(prov *Provider, policy Policy, t0 float64, snap []geo.Vec3) (*Session, error) {
-	s := &Session{p: p, prov: prov, res: SessionResult{Policy: policy, StartSec: t0}, heldSince: t0}
+// frame at t0; eng serves Sticky's look-ahead.
+func (p *Planner) Begin(eng *ephem.Engine, policy Policy, t0 float64, snap []geo.Vec3) (*Session, error) {
+	s := &Session{p: p, eng: eng, res: SessionResult{Policy: policy, StartSec: t0}, heldSince: t0}
 	var err error
 	switch policy {
 	case MinMax:
 		s.cur, err = p.SelectMinMax(snap)
 	case Sticky:
-		s.cur, err = p.selectSticky(prov, t0, snap)
+		s.cur, err = p.selectSticky(eng, t0, snap)
 	default:
 		return nil, fmt.Errorf("meetup: unknown policy %v", policy)
 	}
@@ -108,7 +109,7 @@ func (s *Session) Step(t float64, snap []geo.Vec3) {
 		}
 	case Sticky:
 		if !visible {
-			if st, err := p.selectSticky(s.prov, t, snap); err == nil {
+			if st, err := p.selectSticky(s.eng, t, snap); err == nil {
 				needSwitch, next = true, st
 			}
 		}
@@ -146,16 +147,16 @@ func (s *Session) Finish(durationSec float64) SessionResult {
 // Simulate runs one session of the given policy: the group holds a meetup
 // server, migrating per policy, from t0 for durationSec, evaluated every
 // stepSec.
-func (p *Planner) Simulate(prov *Provider, policy Policy, t0, durationSec, stepSec float64) (SessionResult, error) {
+func (p *Planner) Simulate(eng *ephem.Engine, policy Policy, t0, durationSec, stepSec float64) (SessionResult, error) {
 	if durationSec <= 0 || stepSec <= 0 {
 		return SessionResult{}, fmt.Errorf("meetup: bad session bounds duration=%v step=%v", durationSec, stepSec)
 	}
-	s, err := p.Begin(prov, policy, t0, prov.At(t0))
+	s, err := p.Begin(eng, policy, t0, eng.SnapshotAt(t0))
 	if err != nil {
 		return SessionResult{}, err
 	}
 	for t := t0 + stepSec; t <= t0+durationSec; t += stepSec {
-		s.Step(t, prov.At(t))
+		s.Step(t, eng.SnapshotAt(t))
 	}
 	return s.Finish(durationSec), nil
 }

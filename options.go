@@ -2,7 +2,7 @@ package inorbit
 
 import (
 	"repro/internal/compute"
-	"repro/internal/core"
+	"repro/internal/ephem"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/meetup"
@@ -21,11 +21,15 @@ type Option interface {
 	apply(*settings)
 }
 
-// settings is the merged result of applying every Option.
+// settings is the merged result of applying every Option; zero fields mean
+// the defaults the option documenting each one names.
 type settings struct {
-	core   core.Options
-	fleet  fleet.Config
-	faults *faults.Config
+	server  compute.ServerSpec
+	meetup  meetup.Config
+	islGbps float64
+	ephem   ephem.Config
+	fleet   fleet.Config
+	faults  *faults.Config
 }
 
 // funcOption adapts a closure to the Option interface.
@@ -37,7 +41,7 @@ func (f funcOption) apply(s *settings) { f(s) }
 // HPE DL325 reference). It applies to both edge views and fleet capacity.
 func WithServer(spec compute.ServerSpec) Option {
 	return funcOption(func(s *settings) {
-		s.core.Server = spec
+		s.server = spec
 		s.fleet.Server = spec
 	})
 }
@@ -45,14 +49,14 @@ func WithServer(spec compute.ServerSpec) Option {
 // WithMeetup sets the meetup selection parameters (Sticky band, pool,
 // lookahead; default: the paper's §5 values).
 func WithMeetup(cfg meetup.Config) Option {
-	return funcOption(func(s *settings) { s.core.Meetup = cfg })
+	return funcOption(func(s *settings) { s.meetup = cfg })
 }
 
 // WithISLBandwidth sets the inter-satellite link rate in Gb/s used for
 // state migration (default: the laser-terminal class rate).
 func WithISLBandwidth(gbps float64) Option {
 	return funcOption(func(s *settings) {
-		s.core.ISLBandwidthGbps = gbps
+		s.islGbps = gbps
 		s.fleet.ISLBandwidthGbps = gbps
 	})
 }
@@ -65,15 +69,15 @@ func WithStepSec(sec float64) Option {
 }
 
 // WithFleet overrides the full fleet orchestrator configuration for
-// Service.Fleet. Finer-grained options (WithStepSec, WithFaults,
+// Service.NewFleet. Finer-grained options (WithStepSec, WithFaults,
 // WithWorkers) applied after it still take effect.
 func WithFleet(cfg FleetConfig) Option {
 	return funcOption(func(s *settings) { s.fleet = fleet.Config(cfg) })
 }
 
 // WithFaults arms the deterministic chaos layer: Service.Faults builds
-// injectors from this configuration and Service.Fleet wires one into the
-// orchestrator automatically.
+// injectors from this configuration and Service.NewFleet wires one into
+// the orchestrator automatically.
 func WithFaults(cfg FaultConfig) Option {
 	return funcOption(func(s *settings) {
 		c := faults.Config(cfg)
@@ -88,8 +92,8 @@ func WithFaults(cfg FaultConfig) Option {
 // re-propagating.
 func WithEphemCache(frames int) Option {
 	return funcOption(func(s *settings) {
-		s.core.Ephem.CacheFrames = frames
-		s.core.Ephem.GridFrames = frames
+		s.ephem.CacheFrames = frames
+		s.ephem.GridFrames = frames
 	})
 }
 
@@ -97,14 +101,14 @@ func WithEphemCache(frames int) Option {
 // in seconds (default 60) — the instants pinned in the protected cache
 // tier.
 func WithEphemGridSec(sec float64) Option {
-	return funcOption(func(s *settings) { s.core.Ephem.GridStepSec = sec })
+	return funcOption(func(s *settings) { s.ephem.GridStepSec = sec })
 }
 
 // WithWorkers bounds the parallelism of snapshot propagation and fleet
 // planning (default: the available cores).
 func WithWorkers(n int) Option {
 	return funcOption(func(s *settings) {
-		s.core.Ephem.Workers = n
+		s.ephem.Workers = n
 		s.fleet.Workers = n
 	})
 }
@@ -113,7 +117,7 @@ func WithWorkers(n int) Option {
 // registry instead of the process default.
 func WithRegistry(reg *obs.Registry) Option {
 	return funcOption(func(s *settings) {
-		s.core.Ephem.Registry = reg
+		s.ephem.Registry = reg
 		s.fleet.Registry = reg
 	})
 }

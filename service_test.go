@@ -1,28 +1,24 @@
-package core
+package inorbit
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/compute"
-	"repro/internal/constellation"
-	"repro/internal/geo"
-	"repro/internal/meetup"
-	"repro/internal/migrate"
 )
 
-// testService builds a service over a moderate constellation so the
+// denseService builds a service over a moderate 1,024-satellite shell so the
 // integration tests stay fast; preset-constellation behaviour is covered by
-// the bench harness and the skippable tests below.
-func testService(t testing.TB) *Service {
+// the facade tests, the bench harness and the skippable test below.
+func denseService(t testing.TB) *Service {
 	t.Helper()
-	c, err := constellation.Build("test", []constellation.Shell{
+	c, err := BuildConstellation("test", []Shell{
 		{Name: "low", AltitudeKm: 550, InclinationDeg: 53, Planes: 32, SatsPerPlane: 32, PhaseFactor: 11, MinElevationDeg: 20},
-	}, constellation.Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServiceFor(c, Options{})
+	s, err := NewCustom(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,23 +26,37 @@ func testService(t testing.TB) *Service {
 }
 
 func TestNewServiceValidation(t *testing.T) {
-	if _, err := NewService("atlantis", Options{}); err == nil {
+	if _, err := New("atlantis"); err == nil {
 		t.Fatal("unknown constellation accepted")
 	}
-	if _, err := NewServiceFor(nil, Options{}); err == nil {
+	if _, err := NewCustom(nil); err == nil {
 		t.Fatal("nil constellation accepted")
 	}
-	c, err := constellation.Build("x", []constellation.Shell{
+	c, err := BuildConstellation("x", []Shell{
 		{Name: "s", AltitudeKm: 550, InclinationDeg: 53, Planes: 2, SatsPerPlane: 2, MinElevationDeg: 25},
-	}, constellation.Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewServiceFor(c, Options{Server: compute.ServerSpec{Cores: -1, MemoryGB: 1, PowerCapFraction: 1}}); err == nil {
-		t.Fatal("invalid server spec accepted")
+	for name, opt := range map[string]Option{
+		"invalid server spec":          WithServer(compute.ServerSpec{Cores: -1, MemoryGB: 1, PowerCapFraction: 1}),
+		"negative ISL bandwidth":       WithISLBandwidth(-1),
+		"NaN ISL bandwidth":            WithISLBandwidth(math.NaN()),
+		"infinite ISL bandwidth":       WithISLBandwidth(math.Inf(1)),
+		"NaN ephemeris grid step":      WithEphemGridSec(math.NaN()),
+		"infinite ephemeris grid step": WithEphemGridSec(math.Inf(1)),
+	} {
+		if _, err := NewCustom(c, opt); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
-	if _, err := NewServiceFor(c, Options{ISLBandwidthGbps: -1}); err == nil {
-		t.Fatal("negative ISL bandwidth accepted")
+	// A fleet-only setting is checked where the fleet is built.
+	svc, err := NewCustom(c, WithStepSec(math.NaN()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.NewFleet(); err == nil {
+		t.Fatal("NaN fleet step accepted")
 	}
 }
 
@@ -55,7 +65,7 @@ func TestPresetConstruction(t *testing.T) {
 		t.Skip("builds full constellations")
 	}
 	for _, choice := range []ConstellationChoice{Starlink, Kuiper, Telesat} {
-		s, err := NewService(choice, Options{})
+		s, err := New(choice)
 		if err != nil {
 			t.Fatalf("%s: %v", choice, err)
 		}
@@ -66,8 +76,8 @@ func TestPresetConstruction(t *testing.T) {
 }
 
 func TestEdgeView(t *testing.T) {
-	s := testService(t)
-	loc := geo.LatLon{LatDeg: 9.06, LonDeg: 7.49}
+	s := denseService(t)
+	loc := LatLon{LatDeg: 9.06, LonDeg: 7.49}
 	view, err := s.Edge(0, loc)
 	if err != nil {
 		t.Fatal(err)
@@ -90,8 +100,8 @@ func TestEdgeView(t *testing.T) {
 }
 
 func TestEdgeUncovered(t *testing.T) {
-	s := testService(t)
-	pole := geo.LatLon{LatDeg: 89.9, LonDeg: 0}
+	s := denseService(t)
+	pole := LatLon{LatDeg: 89.9, LonDeg: 0}
 	view, err := s.Edge(0, pole)
 	if err != nil {
 		t.Fatal(err)
@@ -108,15 +118,29 @@ func TestEdgeUncovered(t *testing.T) {
 }
 
 func TestEdgeInvalidLocation(t *testing.T) {
-	s := testService(t)
-	if _, err := s.Edge(0, geo.LatLon{LatDeg: 120}); err == nil {
+	s := denseService(t)
+	if _, err := s.Edge(0, LatLon{LatDeg: 120}); err == nil {
 		t.Fatal("invalid location accepted")
 	}
 }
 
+// TestCoveredInvalidLocation: Covered agrees with Edge on a location Edge
+// rejects — it is not covered.
+func TestCoveredInvalidLocation(t *testing.T) {
+	s := denseService(t)
+	for _, loc := range []LatLon{{LatDeg: 500}, {LatDeg: math.NaN()}, {LonDeg: 181}} {
+		if _, err := s.Edge(0, loc); err == nil {
+			t.Fatalf("Edge accepted %v", loc)
+		}
+		if s.Covered(0, loc) {
+			t.Fatalf("Covered(%v) = true", loc)
+		}
+	}
+}
+
 func TestAccessors(t *testing.T) {
-	s := testService(t)
-	if s.Constellation() == nil || s.Observer() == nil || s.Grid() == nil || s.Provider() == nil {
+	s := denseService(t)
+	if s.Constellation() == nil || s.Observer() == nil || s.Grid() == nil || s.Ephemeris() == nil {
 		t.Fatal("nil accessor")
 	}
 	if s.Servers() != 1024 {
@@ -125,7 +149,7 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestFeasibilityPassthrough(t *testing.T) {
-	s := testService(t)
+	s := denseService(t)
 	r, err := s.Feasibility()
 	if err != nil {
 		t.Fatal(err)
@@ -136,17 +160,17 @@ func TestFeasibilityPassthrough(t *testing.T) {
 }
 
 func TestVirtualServerLifecycle(t *testing.T) {
-	s := testService(t)
-	users := []geo.LatLon{
+	s := denseService(t)
+	users := []LatLon{
 		{LatDeg: 9.06, LonDeg: 7.49},
 		{LatDeg: 8.50, LonDeg: 9.00},
 	}
-	state := migrate.State{SessionMB: 64, GenericMB: 1024, DirtyRateMBps: 8}
-	vs, err := s.PlaceVirtualServer(users, meetup.Sticky, state)
+	state := State{SessionMB: 64, GenericMB: 1024, DirtyRateMBps: 8}
+	vs, err := s.PlaceVirtualServer(users, Sticky, state)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs.Policy() != meetup.Sticky {
+	if vs.Policy() != Sticky {
 		t.Fatal("policy accessor wrong")
 	}
 	rep, err := vs.Run(0, 1800, 5)
@@ -179,23 +203,23 @@ func TestVirtualServerLifecycle(t *testing.T) {
 }
 
 func TestVirtualServerValidation(t *testing.T) {
-	s := testService(t)
-	users := []geo.LatLon{{LatDeg: 9.06, LonDeg: 7.49}}
-	if _, err := s.PlaceVirtualServer(users, meetup.MinMax, migrate.State{SessionMB: -1}); err == nil {
+	s := denseService(t)
+	users := []LatLon{{LatDeg: 9.06, LonDeg: 7.49}}
+	if _, err := s.PlaceVirtualServer(users, MinMax, State{SessionMB: -1}); err == nil {
 		t.Fatal("invalid state accepted")
 	}
-	if _, err := s.PlaceVirtualServer(nil, meetup.MinMax, migrate.State{}); err == nil {
+	if _, err := s.PlaceVirtualServer(nil, MinMax, State{}); err == nil {
 		t.Fatal("empty group accepted")
 	}
 }
 
 func TestMeetupIntegration(t *testing.T) {
-	s := testService(t)
-	p, err := s.Meetup([]geo.LatLon{{LatDeg: 9.06, LonDeg: 7.49}})
+	s := denseService(t)
+	p, err := s.Meetup([]LatLon{{LatDeg: 9.06, LonDeg: 7.49}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cand, err := p.SelectMinMax(s.Provider().At(0))
+	cand, err := p.SelectMinMax(s.Ephemeris().SnapshotAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
