@@ -44,6 +44,9 @@ func (s Shell) Validate() error {
 		return fmt.Errorf("constellation: shell %q needs positive planes (%d) and sats/plane (%d)",
 			s.Name, s.Planes, s.SatsPerPlane)
 	}
+	if !units.Finite(s.AltitudeKm, s.InclinationDeg, s.MinElevationDeg) {
+		return fmt.Errorf("constellation: shell %q needs finite altitude, inclination and min elevation", s.Name)
+	}
 	if s.AltitudeKm <= 0 {
 		return fmt.Errorf("constellation: shell %q altitude %.1f km must be positive", s.Name, s.AltitudeKm)
 	}
@@ -85,6 +88,7 @@ type Constellation struct {
 	Shells []Shell
 	// Satellites across all shells, IDs dense from 0.
 	Satellites []Satellite
+	props      []*orbit.Propagator // Satellites[i].Prop, the frame kernel's input
 }
 
 // Config controls constellation construction.
@@ -123,12 +127,17 @@ func Build(name string, shells []Shell, cfg Config) (*Constellation, error) {
 					Slot:       k,
 					Prop:       prop,
 				})
+				c.props = append(c.props, prop)
 				id++
 			}
 		}
 	}
 	return c, nil
 }
+
+// Propagators returns every satellite's propagator, indexed by satellite ID:
+// the input of orbit.ECEFInto. The slice is shared; do not modify it.
+func (c *Constellation) Propagators() []*orbit.Propagator { return c.props }
 
 // Size returns the total number of satellites.
 func (c *Constellation) Size() int { return len(c.Satellites) }
@@ -143,25 +152,19 @@ func (c *Constellation) MinElevationDeg(satID int) float64 {
 // epoch, indexed by satellite ID. The slice is freshly allocated.
 func (c *Constellation) Snapshot(tSec float64) []geo.Vec3 {
 	out := make([]geo.Vec3, len(c.Satellites))
-	for i, s := range c.Satellites {
-		out[i] = s.Prop.ECEFAt(tSec)
-	}
+	orbit.ECEFInto(c.props, tSec, out)
 	return out
 }
 
 // SnapshotInto fills dst (which must have length Size()) with ECEF positions
 // at t seconds after epoch, avoiding allocation in sweeps. A wrong-sized
-// dst panics immediately with a descriptive message rather than an
-// index-out-of-range deep in the loop (or, worse, silently filling a
-// prefix when dst is too long).
+// dst panics with a descriptive message rather than filling a prefix.
 func (c *Constellation) SnapshotInto(tSec float64, dst []geo.Vec3) {
 	if len(dst) != len(c.Satellites) {
 		panic(fmt.Sprintf("constellation: SnapshotInto dst length %d, want %d satellites (%s)",
 			len(dst), len(c.Satellites), c.Name))
 	}
-	for i, s := range c.Satellites {
-		dst[i] = s.Prop.ECEFAt(tSec)
-	}
+	orbit.ECEFInto(c.props, tSec, dst)
 }
 
 // MaxAltitudeKm returns the highest shell altitude, useful for sizing

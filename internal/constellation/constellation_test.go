@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/geo"
+	"repro/internal/orbit"
 	"repro/internal/units"
 )
 
@@ -82,6 +83,11 @@ func TestShellValidate(t *testing.T) {
 		{"no-sats", Shell{Name: "x", AltitudeKm: 550, Planes: 10, SatsPerPlane: 0}, true},
 		{"bad-alt", Shell{Name: "x", AltitudeKm: -1, Planes: 10, SatsPerPlane: 10}, true},
 		{"bad-elev", Shell{Name: "x", AltitudeKm: 550, Planes: 10, SatsPerPlane: 10, MinElevationDeg: 95}, true},
+		{"nan-alt", Shell{Name: "x", AltitudeKm: math.NaN(), Planes: 10, SatsPerPlane: 10}, true},
+		{"inf-alt", Shell{Name: "x", AltitudeKm: math.Inf(1), Planes: 10, SatsPerPlane: 10}, true},
+		{"nan-inc", Shell{Name: "x", AltitudeKm: 550, InclinationDeg: math.NaN(), Planes: 10, SatsPerPlane: 10}, true},
+		{"inf-inc", Shell{Name: "x", AltitudeKm: 550, InclinationDeg: math.Inf(-1), Planes: 10, SatsPerPlane: 10}, true},
+		{"nan-elev", Shell{Name: "x", AltitudeKm: 550, Planes: 10, SatsPerPlane: 10, MinElevationDeg: math.NaN()}, true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,6 +102,58 @@ func TestBuildRejectsBadShell(t *testing.T) {
 	if _, err := Build("bad", []Shell{{Name: "x", AltitudeKm: 550, Planes: 0, SatsPerPlane: 1}}, Config{}); err == nil {
 		t.Fatal("Build should reject an invalid shell")
 	}
+	for _, sh := range []Shell{
+		{Name: "nan-alt", AltitudeKm: math.NaN(), InclinationDeg: 53, Planes: 2, SatsPerPlane: 2},
+		{Name: "inf-alt", AltitudeKm: math.Inf(1), InclinationDeg: 53, Planes: 2, SatsPerPlane: 2},
+		{Name: "nan-inc", AltitudeKm: 550, InclinationDeg: math.NaN(), Planes: 2, SatsPerPlane: 2},
+	} {
+		if c, err := Build("bad", []Shell{sh}, Config{}); err == nil {
+			t.Fatalf("Build accepted shell %q (first position %v)", sh.Name, c.Snapshot(0)[0])
+		}
+	}
+}
+
+// TestFrameKernelMatchesECEFAt: Snapshot and SnapshotInto, which run the
+// frame kernel, equal each satellite's own ECEFAt bit for bit on all three
+// presets with J2 on and off and on an imported constellation (one synthetic
+// plane a shell, RAANs in no order), at signed zeros, negative, large and
+// fractional instants.
+func TestFrameKernelMatchesECEFAt(t *testing.T) {
+	var consts []*Constellation
+	for _, j2 := range []bool{false, true} {
+		for _, preset := range []func(Config) (*Constellation, error){StarlinkPhase1, Kuiper, Telesat} {
+			c, err := preset(Config{Orbit: orbit.Options{J2: j2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			consts = append(consts, c)
+		}
+	}
+	imp, err := FromTLEs("import", consts[2].ExportTLEs(1, 20, 100.5), 25, Config{Orbit: orbit.Options{J2: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	consts = append(consts, imp)
+	for _, c := range consts {
+		into := make([]geo.Vec3, c.Size())
+		for _, tt := range []float64{0, math.Copysign(0, -1), -3600.25, 1e7, 123.456} {
+			snap := c.Snapshot(tt)
+			c.SnapshotInto(tt, into)
+			for i, s := range c.Satellites {
+				want := s.Prop.ECEFAt(tt)
+				if !sameBits(snap[i], want) || !sameBits(into[i], want) {
+					t.Fatalf("%s t=%v sat %d: kernel %v / %v, ECEFAt %v", c.Name, tt, i, snap[i], into[i], want)
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether two positions are equal bit for bit (so -0 ≠ +0).
+func sameBits(a, b geo.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
 }
 
 func TestIDsDenseAndOrdered(t *testing.T) {

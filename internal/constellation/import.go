@@ -23,7 +23,7 @@ func FromTLEs(name string, tles []tle.TLE, minElevationDeg float64, cfg Config) 
 	if len(tles) == 0 {
 		return nil, fmt.Errorf("constellation: empty TLE catalog")
 	}
-	if minElevationDeg < 0 || minElevationDeg >= 90 {
+	if !(minElevationDeg >= 0 && minElevationDeg < 90) { // NaN fails too
 		return nil, fmt.Errorf("constellation: min elevation %v outside [0,90)", minElevationDeg)
 	}
 
@@ -86,6 +86,7 @@ func FromTLEs(name string, tles []tle.TLE, minElevationDeg float64, cfg Config) 
 				Slot:       slot,
 				Prop:       prop,
 			})
+			c.props = append(c.props, prop)
 			id++
 		}
 	}

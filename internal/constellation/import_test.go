@@ -75,8 +75,10 @@ func TestFromTLEsValidation(t *testing.T) {
 		t.Fatal("empty catalog accepted")
 	}
 	good := tle.FromElements("A", 1, mustElements(550, 53), 20, 1)
-	if _, err := FromTLEs("x", []tle.TLE{good}, 95, Config{}); err == nil {
-		t.Fatal("bad elevation accepted")
+	for _, elev := range []float64{95, math.NaN()} {
+		if _, err := FromTLEs("x", []tle.TLE{good}, elev, Config{}); err == nil {
+			t.Fatalf("elevation %v accepted", elev)
+		}
 	}
 	// A TLE decoding to an unusable orbit (mean motion → negative altitude).
 	bad := good

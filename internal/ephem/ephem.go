@@ -31,6 +31,7 @@ import (
 	"repro/internal/constellation"
 	"repro/internal/geo"
 	"repro/internal/obs"
+	"repro/internal/orbit"
 	"repro/internal/par"
 )
 
@@ -79,10 +80,11 @@ func (c Config) withDefaults() Config {
 }
 
 // frame is one cached full-constellation snapshot, immutable once
-// published.
+// published: ready is done once pos is filled.
 type frame struct {
-	t   float64
-	pos []geo.Vec3
+	t     float64
+	pos   []geo.Vec3
+	ready sync.WaitGroup
 }
 
 // Stats is a point-in-time view of one engine's cache behaviour.
@@ -107,6 +109,7 @@ type Engine struct {
 	lru       *list.List               // misc eviction order, front = most recent
 	grid      map[int64]*frame         // grid index → keyframe
 	gridOrder []int64                  // grid insertion order (FIFO eviction)
+	inflight  map[uint64]*frame        // Float64bits(t) → frame being propagated
 
 	hits, misses uint64 // guarded by mu
 	propagated   atomic.Uint64
@@ -158,7 +161,8 @@ func (e *Engine) gridIndex(t float64) (int64, bool) {
 	return int64(r), true
 }
 
-// lookup returns the cached frame for t, or nil. Caller holds e.mu.
+// lookup returns the cached or in-flight frame for t, or nil; a caller
+// waits on its ready before reading pos. Caller holds e.mu.
 func (e *Engine) lookup(t float64) *frame {
 	if gi, ok := e.gridIndex(t); ok {
 		if f, ok := e.grid[gi]; ok {
@@ -171,7 +175,7 @@ func (e *Engine) lookup(t float64) *frame {
 		e.lru.MoveToFront(el)
 		return el.Value.(*frame)
 	}
-	return nil
+	return e.inflight[math.Float64bits(t)]
 }
 
 // insert publishes f in the cache, evicting per-tier as needed, and
@@ -211,32 +215,41 @@ func (e *Engine) insert(f *frame) *frame {
 // SnapshotAt returns the ECEF position of every satellite at t seconds
 // after epoch, indexed by satellite ID. The returned slice is shared and
 // immutable: do not modify it. Repeated calls for the same t return the
-// same backing array while the frame is cached.
+// same backing array while the frame is cached. A caller that misses while
+// another is already propagating t waits for that frame and counts a hit.
 func (e *Engine) SnapshotAt(t float64) []geo.Vec3 {
 	e.mu.Lock()
 	if f := e.lookup(t); f != nil {
 		e.hits++
 		e.mu.Unlock()
 		e.m.hits.Inc()
+		f.ready.Wait()
 		return f.pos
 	}
 	e.misses++
+	f := &frame{t: t, pos: make([]geo.Vec3, e.c.Size())}
+	f.ready.Add(1)
+	if e.inflight == nil {
+		e.inflight = make(map[uint64]*frame)
+	}
+	e.inflight[math.Float64bits(t)] = f
 	e.mu.Unlock()
 	e.m.misses.Inc()
 
-	pos := make([]geo.Vec3, e.c.Size())
-	e.propagate(t, pos)
+	e.propagate(t, f.pos)
+	f.ready.Done()
 
 	e.mu.Lock()
-	f := e.insert(&frame{t: t, pos: pos})
+	delete(e.inflight, math.Float64bits(t))
+	f = e.insert(f)
 	e.mu.Unlock()
 	return f.pos
 }
 
 // SnapshotInto fills dst (length Size()) with ECEF positions at t seconds
-// after epoch. A cache hit is copied out; a miss propagates directly into
-// dst without caching, so sweeps over many distinct instants do not churn
-// the cache. dst is the caller's to mutate.
+// after epoch. A cached or in-flight frame is copied out; a miss propagates
+// directly into dst without caching, so sweeps over many distinct instants
+// do not churn the cache. dst is the caller's to mutate.
 func (e *Engine) SnapshotInto(t float64, dst []geo.Vec3) error {
 	if len(dst) != e.c.Size() {
 		return fmt.Errorf("ephem: SnapshotInto dst length %d, want %d satellites", len(dst), e.c.Size())
@@ -246,6 +259,7 @@ func (e *Engine) SnapshotInto(t float64, dst []geo.Vec3) error {
 		e.hits++
 		e.mu.Unlock()
 		e.m.hits.Inc()
+		f.ready.Wait()
 		copy(dst, f.pos)
 		return nil
 	}
@@ -267,10 +281,9 @@ func (e *Engine) PositionAt(t float64, id int) geo.Vec3 {
 	return e.c.Satellites[id].Prop.ECEFAt(t)
 }
 
-// propagate fills dst with exact positions at t. The chunked fan-out
-// performs, per satellite, the identical float64 operations as the serial
-// loop — only the goroutine doing them differs — so results are
-// bit-identical regardless of Workers.
+// propagate fills dst with exact positions at t, one orbit.ECEFInto per
+// chunk. A satellite's position does not depend on where its chunk starts,
+// so results are bit-identical regardless of Workers.
 func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 	var sp *obs.Span
 	if e.cfg.Tracer != nil {
@@ -279,19 +292,17 @@ func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 		sp.SetAttr("sats", fmt.Sprintf("%d", len(dst)))
 	}
 	start := time.Now()
-	sats := e.c.Satellites
+	props := e.c.Propagators()
 	width := e.cfg.Workers
-	if len(sats) < minParallelSats {
+	if len(props) < minParallelSats {
 		width = 1
 	}
-	par.Chunks(len(sats), width, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = sats[i].Prop.ECEFAt(t)
-		}
+	par.Chunks(len(props), width, func(_, lo, hi int) {
+		orbit.ECEFInto(props[lo:hi], t, dst[lo:hi])
 	})
 	e.m.propagateSec.Observe(time.Since(start).Seconds())
-	e.m.propagated.Add(uint64(len(sats)))
-	e.propagated.Add(uint64(len(sats)))
+	e.m.propagated.Add(uint64(len(props)))
+	e.propagated.Add(uint64(len(props)))
 	if sp != nil {
 		sp.End()
 	}

@@ -112,6 +112,36 @@ func TestPropagateTimedOncePerMiss(t *testing.T) {
 	}
 }
 
+// TestConcurrentMissPropagatesOnce: callers that miss one instant together
+// share the one propagation in flight — PropagatedSats grows by exactly one
+// frame and every caller gets the same shared array.
+func TestConcurrentMissPropagatesOnce(t *testing.T) {
+	eng := testEngine(t, Config{Workers: 2})
+	const callers = 8
+	got := make([][]geo.Vec3, callers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < callers; g++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[g] = eng.SnapshotAt(61.5)
+		}()
+	}
+	start.Done()
+	done.Wait()
+	st := eng.Stats()
+	if st.PropagatedSats != uint64(eng.Size()) || st.Misses != 1 || st.Hits != callers-1 {
+		t.Fatalf("stats = %+v, want %d propagated, 1 miss, %d hits", st, eng.Size(), callers-1)
+	}
+	for g := range got {
+		if &got[g][0] != &got[0][0] {
+			t.Fatalf("caller %d got its own frame", g)
+		}
+	}
+}
+
 func TestLRUEvictionBounded(t *testing.T) {
 	eng := testEngine(t, Config{CacheFrames: 4, GridFrames: 4})
 	for k := 0; k < 100; k++ {

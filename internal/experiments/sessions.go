@@ -10,6 +10,7 @@ import (
 	"repro/internal/meetup"
 	"repro/internal/par"
 	"repro/internal/trace"
+	"repro/internal/units"
 )
 
 // sessionWindow is how many step frames simulateSessions holds at once: long
@@ -34,6 +35,9 @@ var bothPolicies = []meetup.Policy{meetup.MinMax, meetup.Sticky}
 // planner's sessions share its scratch); the iteration counter moves once
 // per planner.
 func simulateSessions(eng *ephem.Engine, planners []*meetup.Planner, policies []meetup.Policy, durationSec, stepSec float64) ([][]meetup.SessionResult, error) {
+	if !units.Finite(durationSec, stepSec) {
+		return nil, errors.New("experiments: session duration and step must be finite")
+	}
 	sessions := make([][]*meetup.Session, len(planners))
 	frame0 := eng.SnapshotAt(0)
 	err := parallelFor(len(planners), func(i int) error {

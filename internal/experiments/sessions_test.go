@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -133,5 +134,24 @@ func TestSessionDriverCountsPlannersOnce(t *testing.T) {
 	}
 	if got := Progress() - before; got != uint64(len(planners)) {
 		t.Fatalf("progress moved by %d over %d planners and 4 windows", got, len(planners))
+	}
+}
+
+// TestHandoffStudiesRejectNonFinite: a NaN or infinite duration or step, or
+// a NaN spread, is an error — before, NaN ran no step and returned NaN holds,
+// and an infinite duration never ended.
+func TestHandoffStudiesRejectNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, cfg := range []Fig67Config{
+		{Groups: 2, DurationSec: nan}, {Groups: 2, DurationSec: inf},
+		{Groups: 2, DurationSec: 60, StepSec: nan}, {Groups: 2, DurationSec: 60, StepSec: inf},
+		{Groups: 2, DurationSec: 60, SpreadKm: nan},
+	} {
+		if res, err := Fig67(cfg); err == nil {
+			t.Fatalf("Fig67(%+v) accepted: %d groups, MinMax mean RTT %v", cfg, res.GroupsSimulated, res.MeanRTTMinMax)
+		}
+		if _, err := TransferAblation(cfg); err == nil {
+			t.Fatalf("TransferAblation(%+v) accepted", cfg)
+		}
 	}
 }

@@ -100,8 +100,11 @@ type Candidate struct {
 // constellation. Eligibility means direct visibility from every user — the
 // regime of the paper's Fig 6/7 regional groups.
 //
+// Step-time scans (MinMax, Sticky's band) read only the window near; other
+// scans read every satellite. Both walk ascending IDs and pick the same.
+//
 // A Planner, and every Session begun on it, is used by one goroutine at a
-// time: SelectSticky works in planner-owned scratch.
+// time: selection works in planner-owned scratch.
 type Planner struct {
 	c    *constellation.Constellation
 	obs  *visibility.Observer
@@ -114,12 +117,18 @@ type Planner struct {
 	// from the group centroid cannot be visible to all users; used to prune
 	// the per-step candidate scan.
 	prefilterChord2 []float64
+	reach2          []float64 // prefilterChord2 widened by a nearWindowSec move
+	all             []int     // every satellite ID, ascending
+	near            []int     // IDs within reach2 at nearT, ascending
+	nearT           float64
 
 	// SelectSticky scratch, reused across calls.
 	elig  []Candidate
 	band  []bandMember
 	alive []int // indices into band still visible in the look-ahead
 }
+
+const nearWindowSec, reachSlackKm = 60, 1 // a window's life; rounding room
 
 // bandMember is a latency-band candidate and the time its full-group
 // visibility ends (censored at the look-ahead horizon).
@@ -134,11 +143,16 @@ func NewPlanner(c *constellation.Constellation, grid *isl.Grid, users []geo.LatL
 	if len(users) == 0 {
 		return nil, fmt.Errorf("meetup: empty user group")
 	}
+	cfg = cfg.withDefaults()
+	if !units.Finite(cfg.LatencyBand, cfg.LookaheadStepSec, cfg.LookaheadHorizonSec) {
+		return nil, fmt.Errorf("meetup: config %+v must be finite", cfg)
+	}
 	p := &Planner{
-		c:    c,
-		obs:  visibility.NewObserver(c),
-		grid: grid,
-		cfg:  cfg.withDefaults(),
+		c:     c,
+		obs:   visibility.NewObserver(c),
+		grid:  grid,
+		cfg:   cfg,
+		nearT: math.NaN(), // no window yet: the first step-time scan builds one
 	}
 	for _, u := range users {
 		if !u.Valid() {
@@ -153,11 +167,15 @@ func NewPlanner(c *constellation.Constellation, grid *isl.Grid, users []geo.LatL
 			maxSpread = d
 		}
 	}
-	p.prefilterChord2 = make([]float64, c.Size())
-	for id := range c.Satellites {
-		sh := c.Shells[c.Satellites[id].ShellIndex]
+	n := c.Size()
+	p.prefilterChord2, p.reach2, p.all = make([]float64, n), make([]float64, n), make([]int, n)
+	for id, sat := range c.Satellites {
+		sh := c.Shells[sat.ShellIndex]
 		d := visibility.MaxSlantRangeKm(sh.AltitudeKm, sh.MinElevationDeg) + maxSpread
 		p.prefilterChord2[id] = d * d
+		r := d + sat.Prop.MaxECEFSpeedKmS()*nearWindowSec + reachSlackKm
+		p.reach2[id] = r * r
+		p.all[id] = id
 	}
 	return p, nil
 }
@@ -184,15 +202,7 @@ func (p *Planner) groupRTT(pos geo.Vec3, id int) (float64, bool) {
 
 // Eligible appends all candidates at the snapshot to dst and returns it.
 func (p *Planner) Eligible(snap []geo.Vec3, dst []Candidate) []Candidate {
-	for id, pos := range snap {
-		rel := pos.Sub(p.centroid)
-		if rel.Dot(rel) > p.prefilterChord2[id] {
-			continue
-		}
-		if rtt, ok := p.groupRTT(pos, id); ok {
-			dst = append(dst, Candidate{SatID: id, GroupRTTMs: rtt})
-		}
-	}
+	p.scan(snap, p.all, -1, &dst)
 	return dst
 }
 
@@ -201,13 +211,25 @@ var ErrNoCandidate = fmt.Errorf("meetup: no satellite visible to the whole group
 
 // SelectMinMax returns the candidate minimising the group's max RTT.
 func (p *Planner) SelectMinMax(snap []geo.Vec3) (Candidate, error) {
+	return p.scan(snap, p.all, -1, nil)
+}
+
+// scan is every MinMax-style scan: over ids, in ascending order, it returns
+// the candidate minimising the group's max RTT (the first on ties), skipping
+// satellite exclude, and appends every candidate to *elig when elig is set.
+func (p *Planner) scan(snap []geo.Vec3, ids []int, exclude int, elig *[]Candidate) (Candidate, error) {
 	best := Candidate{SatID: -1, GroupRTTMs: math.Inf(1)}
-	for id, pos := range snap {
+	for _, id := range ids {
+		pos := snap[id]
 		rel := pos.Sub(p.centroid)
-		if rel.Dot(rel) > p.prefilterChord2[id] {
+		if id == exclude || rel.Dot(rel) > p.prefilterChord2[id] {
 			continue
 		}
-		if rtt, ok := p.groupRTT(pos, id); ok && rtt < best.GroupRTTMs {
+		rtt, ok := p.groupRTT(pos, id)
+		if ok && elig != nil {
+			*elig = append(*elig, Candidate{SatID: id, GroupRTTMs: rtt})
+		}
+		if ok && rtt < best.GroupRTTMs {
 			best = Candidate{SatID: id, GroupRTTMs: rtt}
 		}
 	}
@@ -215,6 +237,21 @@ func (p *Planner) SelectMinMax(snap []geo.Vec3) (Candidate, error) {
 		return Candidate{}, ErrNoCandidate
 	}
 	return best, nil
+}
+
+// window returns near for instant t, whose frame is snap, first rebuilding
+// it when t is outside [nearT, nearT+nearWindowSec]: a satellite within the
+// prefilter at t was within reach2 at nearT, as it moved ≤ v_max·(t−nearT).
+func (p *Planner) window(t float64, snap []geo.Vec3) []int {
+	if !(t >= p.nearT && t <= p.nearT+nearWindowSec) {
+		p.nearT, p.near = t, p.near[:0]
+		for id, pos := range snap {
+			if rel := pos.Sub(p.centroid); rel.Dot(rel) <= p.reach2[id] {
+				p.near = append(p.near, id)
+			}
+		}
+	}
+	return p.near
 }
 
 // SelectSticky runs the paper's three-step heuristic at time t0:
@@ -230,21 +267,16 @@ func (p *Planner) SelectSticky(eng *ephem.Engine, t0 float64) (Candidate, error)
 	return p.selectSticky(eng, t0, eng.SnapshotAt(t0))
 }
 
-// selectSticky is SelectSticky given the t0 frame.
+// selectSticky is SelectSticky given the t0 frame; its band reads the window.
 func (p *Planner) selectSticky(eng *ephem.Engine, t0 float64, snap []geo.Vec3) (Candidate, error) {
-	p.elig = p.Eligible(snap, p.elig[:0])
-	if len(p.elig) == 0 {
-		return Candidate{}, ErrNoCandidate
-	}
-	minRTT := math.Inf(1)
-	for _, c := range p.elig {
-		if c.GroupRTTMs < minRTT {
-			minRTT = c.GroupRTTMs
-		}
+	p.elig = p.elig[:0]
+	opt, err := p.scan(snap, p.window(t0, snap), -1, &p.elig)
+	if err != nil {
+		return Candidate{}, err
 	}
 	band, alive := p.band[:0], p.alive[:0]
 	for _, c := range p.elig {
-		if c.GroupRTTMs <= minRTT*(1+p.cfg.LatencyBand) {
+		if c.GroupRTTMs <= opt.GroupRTTMs*(1+p.cfg.LatencyBand) {
 			alive = append(alive, len(band))
 			band = append(band, bandMember{Candidate: c})
 		}
@@ -294,7 +326,7 @@ func (p *Planner) selectSticky(eng *ephem.Engine, t0 float64, snap []geo.Vec3) (
 	bestTransfer := math.Inf(1)
 	for _, c := range pool {
 		fsnap := eng.SnapshotAt(c.end)
-		succ, err := p.selectMinMaxExcluding(fsnap, c.SatID)
+		succ, err := p.scan(fsnap, p.all, c.SatID, nil)
 		if err != nil {
 			continue
 		}
@@ -306,26 +338,6 @@ func (p *Planner) selectSticky(eng *ephem.Engine, t0 float64, snap []geo.Vec3) (
 			bestTransfer = tr
 			best = c.Candidate
 		}
-	}
-	return best, nil
-}
-
-func (p *Planner) selectMinMaxExcluding(snap []geo.Vec3, exclude int) (Candidate, error) {
-	best := Candidate{SatID: -1, GroupRTTMs: math.Inf(1)}
-	for id, pos := range snap {
-		if id == exclude {
-			continue
-		}
-		rel := pos.Sub(p.centroid)
-		if rel.Dot(rel) > p.prefilterChord2[id] {
-			continue
-		}
-		if rtt, ok := p.groupRTT(pos, id); ok && rtt < best.GroupRTTMs {
-			best = Candidate{SatID: id, GroupRTTMs: rtt}
-		}
-	}
-	if best.SatID < 0 {
-		return Candidate{}, ErrNoCandidate
 	}
 	return best, nil
 }

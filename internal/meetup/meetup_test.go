@@ -51,6 +51,17 @@ func TestNewPlannerValidation(t *testing.T) {
 	if _, err := NewPlanner(c, grid, []geo.LatLon{{LatDeg: 91}}, Config{}); err == nil {
 		t.Fatal("invalid location should fail")
 	}
+	// A NaN band used to empty Sticky's band and panic on pool[0]; a NaN
+	// step or an infinite horizon used to skip or never end the look-ahead.
+	for _, cfg := range []Config{
+		{LatencyBand: math.NaN()}, {LatencyBand: math.Inf(1)},
+		{LookaheadStepSec: math.NaN()}, {LookaheadStepSec: math.Inf(1)},
+		{LookaheadHorizonSec: math.NaN()}, {LookaheadHorizonSec: math.Inf(1)},
+	} {
+		if _, err := NewPlanner(c, grid, westAfrica(), cfg); err == nil {
+			t.Fatalf("config %+v accepted", cfg)
+		}
+	}
 }
 
 func TestPolicyString(t *testing.T) {
@@ -272,6 +283,14 @@ func TestSimulateValidation(t *testing.T) {
 	}
 	if _, err := p.Simulate(eng, Policy(42), 0, 10, 1); err == nil {
 		t.Fatal("unknown policy should fail")
+	}
+	// NaN bounds used to return a NaN hold or run no step; an infinite
+	// duration never ended.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, b := range [][3]float64{{0, nan, 2}, {0, 60, nan}, {0, inf, 2}, {0, 60, inf}, {nan, 60, 2}, {inf, 60, 2}} {
+		if res, err := p.Simulate(eng, MinMax, b[0], b[1], b[2]); err == nil {
+			t.Fatalf("t0=%v duration=%v step=%v accepted (final hold %v)", b[0], b[1], b[2], res.FinalHoldSec)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"repro/internal/ephem"
 	"repro/internal/geo"
 	"repro/internal/stats"
+	"repro/internal/units"
 )
 
 // Handoff records one meetup-server migration event during a session.
@@ -72,14 +73,14 @@ type Session struct {
 	heldSince float64
 }
 
-// Begin starts a session at t0 by selecting the first server. snap is the
-// frame at t0; eng serves Sticky's look-ahead.
+// Begin starts a session at t0 by selecting the first server. snap must be
+// the frame at t0; eng serves Sticky's look-ahead.
 func (p *Planner) Begin(eng *ephem.Engine, policy Policy, t0 float64, snap []geo.Vec3) (*Session, error) {
 	s := &Session{p: p, eng: eng, res: SessionResult{Policy: policy, StartSec: t0}, heldSince: t0}
 	var err error
 	switch policy {
 	case MinMax:
-		s.cur, err = p.SelectMinMax(snap)
+		s.cur, err = p.scan(snap, p.window(t0, snap), -1, nil)
 	case Sticky:
 		s.cur, err = p.selectSticky(eng, t0, snap)
 	default:
@@ -92,8 +93,8 @@ func (p *Planner) Begin(eng *ephem.Engine, policy Policy, t0 float64, snap []geo
 	return s, nil
 }
 
-// Step advances the session to time t, whose frame is snap. Steps must be
-// fed in increasing time order.
+// Step advances the session to time t. snap must be the frame at t: the
+// planner's candidate window relies on it. Feed steps in increasing time.
 func (s *Session) Step(t float64, snap []geo.Vec3) {
 	p := s.p
 	rtt, visible := p.groupRTT(snap[s.cur.SatID], s.cur.SatID)
@@ -104,7 +105,7 @@ func (s *Session) Step(t float64, snap []geo.Vec3) {
 	needSwitch := false
 	switch s.res.Policy {
 	case MinMax:
-		if mm, err := p.SelectMinMax(snap); err == nil && mm.SatID != s.cur.SatID {
+		if mm, err := p.scan(snap, p.window(t, snap), -1, nil); err == nil && mm.SatID != s.cur.SatID {
 			needSwitch, next = true, mm
 		}
 	case Sticky:
@@ -148,8 +149,8 @@ func (s *Session) Finish(durationSec float64) SessionResult {
 // server, migrating per policy, from t0 for durationSec, evaluated every
 // stepSec.
 func (p *Planner) Simulate(eng *ephem.Engine, policy Policy, t0, durationSec, stepSec float64) (SessionResult, error) {
-	if durationSec <= 0 || stepSec <= 0 {
-		return SessionResult{}, fmt.Errorf("meetup: bad session bounds duration=%v step=%v", durationSec, stepSec)
+	if !units.Finite(t0, durationSec, stepSec) || durationSec <= 0 || stepSec <= 0 {
+		return SessionResult{}, fmt.Errorf("meetup: bad session bounds t0=%v duration=%v step=%v", t0, durationSec, stepSec)
 	}
 	s, err := p.Begin(eng, policy, t0, eng.SnapshotAt(t0))
 	if err != nil {

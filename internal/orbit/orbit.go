@@ -9,7 +9,6 @@
 package orbit
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -35,6 +34,9 @@ type Elements struct {
 // Validate reports whether the elements describe a physically meaningful
 // LEO-ish orbit.
 func (e Elements) Validate() error {
+	if !units.Finite(e.AltitudeKm, e.InclinationDeg, e.RAANDeg, e.ArgLatDeg) {
+		return fmt.Errorf("orbit: elements %+v must be finite", e)
+	}
 	if e.AltitudeKm <= 0 {
 		return fmt.Errorf("orbit: altitude %.1f km must be positive", e.AltitudeKm)
 	}
@@ -77,7 +79,8 @@ func (e Elements) J2NodalRateRadS() float64 {
 // value is not useful; construct with NewPropagator.
 type Propagator struct {
 	elems    Elements
-	incRad   float64
+	sinInc   float64 // sin and cos of the inclination
+	cosInc   float64
 	raan0    float64 // radians at epoch
 	argLat0  float64 // radians at epoch
 	meanRate float64 // rad/s
@@ -100,12 +103,12 @@ func NewPropagator(e Elements, opts Options) (*Propagator, error) {
 	}
 	p := &Propagator{
 		elems:    e,
-		incRad:   units.Deg2Rad(e.InclinationDeg),
 		raan0:    units.Deg2Rad(e.RAANDeg),
 		argLat0:  units.Deg2Rad(e.ArgLatDeg),
 		meanRate: e.MeanMotionRadS(),
 		radius:   e.SemiMajorAxisKm(),
 	}
+	p.sinInc, p.cosInc = math.Sincos(units.Deg2Rad(e.InclinationDeg))
 	if opts.J2 {
 		p.raanRate = e.J2NodalRateRadS()
 	}
@@ -115,12 +118,11 @@ func NewPropagator(e Elements, opts Options) (*Propagator, error) {
 // Elements returns the epoch elements the propagator was built from.
 func (p *Propagator) Elements() Elements { return p.elems }
 
-// RAANRateRadS returns the secular RAAN drift rate the propagator actually
-// applies — J2NodalRateRadS when the J2 option is enabled, zero otherwise.
-// Consumers that model orbital-plane motion analytically (netgraph's
-// incremental freeze certificates) need the applied rate, not the nominal
-// one, so their plane normals track the propagated positions exactly.
-func (p *Propagator) RAANRateRadS() float64 { return p.raanRate }
+// MaxECEFSpeedKmS bounds the Earth-fixed speed at every instant: the
+// along-track rate plus the frame's turn under it, r(n + |Ω̇| + ω_E).
+func (p *Propagator) MaxECEFSpeedKmS() float64 {
+	return p.radius * (p.meanRate + math.Abs(p.raanRate) + units.EarthRotationRadS)
+}
 
 // ECIAt returns the inertial-frame position at t seconds after epoch.
 func (p *Propagator) ECIAt(tSec float64) geo.Vec3 {
@@ -128,7 +130,7 @@ func (p *Propagator) ECIAt(tSec float64) geo.Vec3 {
 	raan := p.raan0 + p.raanRate*tSec
 	su, cu := math.Sincos(u)
 	sR, cR := math.Sincos(raan)
-	si, ci := math.Sincos(p.incRad)
+	si, ci := p.sinInc, p.cosInc
 	return geo.Vec3{
 		X: p.radius * (cR*cu - sR*su*ci),
 		Y: p.radius * (sR*cu + cR*su*ci),
@@ -144,6 +146,25 @@ func (p *Propagator) ECEFAt(tSec float64) geo.Vec3 {
 	return p.ECIAt(tSec).RotateZ(-units.EarthRotationRadS * tSec)
 }
 
+// ECEFInto fills dst[i] with props[i].ECEFAt(tSec) bit for bit, a frame at a
+// time: the Earth-rotation sincos is taken once per call and the RAAN sincos
+// once per run of bit-equal RAANs (a Walker plane; bits, because sin(-0) is
+// -0), keeping ECEFAt's association. dst must be as long as props.
+func ECEFInto(props []*Propagator, tSec float64, dst []geo.Vec3) {
+	sE, cE := math.Sincos(-units.EarthRotationRadS * tSec)
+	var sR, cR, prev float64
+	for i, p := range props {
+		if raan := p.raan0 + p.raanRate*tSec; i == 0 || math.Float64bits(raan) != math.Float64bits(prev) {
+			prev = raan
+			sR, cR = math.Sincos(raan)
+		}
+		su, cu := math.Sincos(p.argLat0 + p.meanRate*tSec)
+		x := p.radius * (cR*cu - sR*su*p.cosInc)
+		y := p.radius * (sR*cu + cR*su*p.cosInc)
+		dst[i] = geo.Vec3{X: cE*x - sE*y, Y: sE*x + cE*y, Z: p.radius * (su * p.sinInc)}
+	}
+}
+
 // SubpointAt returns the geographic point directly beneath the satellite at
 // t seconds after epoch (altitude = orbit altitude).
 func (p *Propagator) SubpointAt(tSec float64) geo.LatLon {
@@ -157,7 +178,7 @@ func (p *Propagator) ECIVelocityAt(tSec float64) geo.Vec3 {
 	raan := p.raan0 + p.raanRate*tSec
 	su, cu := math.Sincos(u)
 	sR, cR := math.Sincos(raan)
-	si, ci := math.Sincos(p.incRad)
+	si, ci := p.sinInc, p.cosInc
 	v := p.radius * p.meanRate
 	// d/du of the position, times du/dt (RAAN drift is ~5 orders smaller
 	// and ignored in the velocity).
@@ -179,10 +200,6 @@ func (p *Propagator) ECEFVelocityAt(tSec float64) geo.Vec3 {
 	omegaCrossR := geo.Vec3{X: -units.EarthRotationRadS * r.Y, Y: units.EarthRotationRadS * r.X}
 	return vRot.Sub(omegaCrossR)
 }
-
-// ErrNeverVisible is returned by visibility search helpers when the target
-// condition cannot occur for the given geometry.
-var ErrNeverVisible = errors.New("orbit: condition never satisfied for this geometry")
 
 // InShadowAt reports whether the satellite is inside the Earth's shadow at
 // t seconds after epoch, given the unit vector pointing from the Earth to

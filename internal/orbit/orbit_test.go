@@ -32,6 +32,13 @@ func TestValidate(t *testing.T) {
 		{"zero-alt", Elements{AltitudeKm: 0, InclinationDeg: 53}, true},
 		{"neg-alt", Elements{AltitudeKm: -10, InclinationDeg: 53}, true},
 		{"bad-inc", Elements{AltitudeKm: 550, InclinationDeg: 190}, true},
+		{"nan-alt", Elements{AltitudeKm: math.NaN(), InclinationDeg: 53}, true},
+		{"inf-alt", Elements{AltitudeKm: math.Inf(1), InclinationDeg: 53}, true},
+		{"nan-inc", Elements{AltitudeKm: 550, InclinationDeg: math.NaN()}, true},
+		{"nan-raan", Elements{AltitudeKm: 550, InclinationDeg: 53, RAANDeg: math.NaN()}, true},
+		{"inf-raan", Elements{AltitudeKm: 550, InclinationDeg: 53, RAANDeg: math.Inf(-1)}, true},
+		{"nan-arglat", Elements{AltitudeKm: 550, InclinationDeg: 53, ArgLatDeg: math.NaN()}, true},
+		{"inf-arglat", Elements{AltitudeKm: 550, InclinationDeg: 53, ArgLatDeg: math.Inf(1)}, true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -327,4 +334,87 @@ func TestECEFSpeedBelowECISpeed(t *testing.T) {
 	if p.ECEFVelocityAt(0).Norm() >= p.ECIVelocityAt(0).Norm() {
 		t.Fatal("prograde equatorial ECEF speed should be below ECI speed")
 	}
+}
+
+// TestMaxECEFSpeedBoundsVelocity: MaxECEFSpeedKmS bounds the Earth-fixed
+// speed, analytic and numeric, over a whole period with J2 on, for prograde,
+// polar and retrograde planes.
+func TestMaxECEFSpeedBoundsVelocity(t *testing.T) {
+	for _, e := range []Elements{
+		{AltitudeKm: 550, InclinationDeg: 53, RAANDeg: 10, ArgLatDeg: 30},
+		{AltitudeKm: 1015, InclinationDeg: 98.98, RAANDeg: 200},
+		{AltitudeKm: 340, InclinationDeg: 0},
+		{AltitudeKm: 1325, InclinationDeg: 150, ArgLatDeg: 270},
+	} {
+		p := mustProp(t, e, Options{J2: true})
+		vmax := p.MaxECEFSpeedKmS()
+		for tt := 0.0; tt <= e.PeriodSec(); tt += 7 {
+			h := 0.01
+			num := p.ECEFAt(tt + h).Sub(p.ECEFAt(tt - h)).Scale(1 / (2 * h)).Norm()
+			if v := p.ECEFVelocityAt(tt).Norm(); v > vmax || num > vmax {
+				t.Fatalf("%+v t=%v: speed %v (numeric %v) above bound %v", e, tt, v, num, vmax)
+			}
+		}
+	}
+}
+
+// propsFor builds one propagator per element set.
+func propsFor(t testing.TB, elems []Elements, opts Options) []*Propagator {
+	props := make([]*Propagator, len(elems))
+	for i, e := range elems {
+		p, err := NewPropagator(e, opts)
+		if err != nil {
+			t.Fatalf("NewPropagator(%+v): %v", e, err)
+		}
+		props[i] = p
+	}
+	return props
+}
+
+// FuzzFrameMatchesECEFAt: the frame kernel fills every position bit for bit
+// as ECEFAt does, for random planes whose members share or differ in RAAN by
+// a bit, with J2 on and off.
+func FuzzFrameMatchesECEFAt(f *testing.F) {
+	f.Add(550.0, 53.0, 0.0, 10.0, 0.0, uint8(6), false)
+	f.Add(1110.0, 98.98, 359.5, 7.0, -1234.5, uint8(9), true)
+	f.Add(340.0, 0.0, math.Copysign(0, -1), 90.0, 1e7, uint8(4), true)
+	f.Fuzz(func(t *testing.T, alt, inc, raan, argStep, tSec float64, n uint8, j2 bool) {
+		base := Elements{AltitudeKm: alt, InclinationDeg: inc, RAANDeg: raan}
+		if base.Validate() != nil || !units.Finite(argStep, tSec) || math.Abs(tSec) > 1e9 {
+			t.Skip()
+		}
+		var elems []Elements
+		for k := 0; k < int(n%16)+1; k++ {
+			e := base
+			e.ArgLatDeg = float64(k) * argStep
+			switch k % 4 {
+			case 2: // a different plane
+				e.RAANDeg = raan + 1
+			case 3: // the same RAAN one bit away, or the other zero
+				e.RAANDeg = math.Nextafter(raan, math.Inf(1))
+				if raan == 0 {
+					e.RAANDeg = math.Copysign(0, -math.Copysign(1, raan))
+				}
+			}
+			if e.Validate() != nil {
+				t.Skip()
+			}
+			elems = append(elems, e)
+		}
+		props := propsFor(t, elems, Options{J2: j2})
+		got := make([]geo.Vec3, len(props))
+		ECEFInto(props, tSec, got)
+		for i, p := range props {
+			if want := p.ECEFAt(tSec); !sameBits(got[i], want) {
+				t.Fatalf("sat %d t=%v: kernel %v, ECEFAt %v", i, tSec, got[i], want)
+			}
+		}
+	})
+}
+
+// sameBits reports whether two positions are equal bit for bit (so -0 ≠ +0).
+func sameBits(a, b geo.Vec3) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) &&
+		math.Float64bits(a.Y) == math.Float64bits(b.Y) &&
+		math.Float64bits(a.Z) == math.Float64bits(b.Z)
 }

@@ -85,6 +85,16 @@ func WrapDegrees(a float64) float64 {
 	return a
 }
 
+// Finite reports whether no value is NaN or ±Inf.
+func Finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // Clamp limits v to the closed interval [lo, hi].
 func Clamp(v, lo, hi float64) float64 {
 	switch {
