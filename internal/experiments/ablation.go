@@ -67,7 +67,8 @@ type TransferAblationResult struct {
 }
 
 // TransferAblation measures how much the +grid topology inflates transfer
-// latency over the free-space bound (DESIGN.md ablation "ISL vs LoS").
+// latency over the free-space bound (DESIGN.md ablation "ISL vs LoS"). It
+// prices the ISL route alone, not the study's min(ISL, ground relay).
 func TransferAblation(cfg Fig67Config) (TransferAblationResult, error) {
 	cfg = cfg.withDefaults()
 	c, grid, planners, err := groupPlanners(cfg)

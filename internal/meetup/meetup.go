@@ -348,7 +348,8 @@ func (p *Planner) selectSticky(eng *ephem.Engine, t0 float64, snap []geo.Vec3) (
 // group centroid, back up). The relay covers cross-shell pairs — the +grid
 // does not link shells — and the long-way-around +grid cases where an
 // ascending and a descending satellite cover the same region from distant
-// planes.
+// planes. The ISL search stops once the relay is cheaper; it errors only on
+// out-of-range IDs.
 func (p *Planner) TransferLatencyMs(snap []geo.Vec3, a, b int) (float64, error) {
 	if a < 0 || a >= len(snap) || b < 0 || b >= len(snap) {
 		return 0, fmt.Errorf("meetup: transfer satellites out of range (a=%d b=%d sats=%d)", a, b, len(snap))
@@ -357,12 +358,8 @@ func (p *Planner) TransferLatencyMs(snap []geo.Vec3, a, b int) (float64, error) 
 		return 0, nil
 	}
 	relay := units.PropagationDelayMs(snap[a].Distance(p.centroid) + p.centroid.Distance(snap[b]))
-	path, err := netgraph.ISLShortest(p.grid, snap, a, b)
-	if err != nil {
-		// Different shells: the grid has no path; the relay is the route.
-		return relay, nil
-	}
-	return math.Min(path.OneWayMs, relay), nil
+	ms, _ := netgraph.ISLWithin(p.grid, snap, a, b, relay) // min(ISL, relay) either way
+	return ms, nil
 }
 
 // TimeToExpiry returns how long satellite satID remains visible to the

@@ -15,8 +15,8 @@ type Handoff struct {
 	TimeSec float64
 	// From and To are the satellite IDs involved.
 	From, To int
-	// TransferMs is the one-way state-transfer latency over the ISL grid at
-	// hand-off time.
+	// TransferMs is the one-way state-transfer latency at hand-off time: the
+	// cheaper of the ISL grid path and the ground relay (TransferLatencyMs).
 	TransferMs float64
 	// HeldSec is how long From had been the meetup server.
 	HeldSec float64
@@ -123,7 +123,7 @@ func (s *Session) Step(t float64, snap []geo.Vec3) {
 	}
 	transfer, terr := p.TransferLatencyMs(snap, s.cur.SatID, next.SatID)
 	if terr != nil {
-		transfer = 0 // disconnected grid (degenerate topologies only)
+		transfer = 0 // out-of-range satellite IDs; a pathless grid prices the relay
 	}
 	s.res.Handoffs = append(s.res.Handoffs, Handoff{
 		TimeSec:    t,

@@ -16,6 +16,7 @@ package netgraph
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -214,7 +215,7 @@ func (s *Snapshot) ShortestPath(src, dst NodeID) (Path, error) {
 func route(g csr, nodes int, src, dst int32, h heuristic, k *kindMetrics, start time.Time) (Path, error) {
 	c := getCtx(nodes)
 	var p Path
-	if c.astar(g, src, dst, h) {
+	if c.astar(g, src, dst, h, math.Inf(1)) {
 		p = Path{Nodes: c.pathTo(dst), OneWayMs: c.dist[dst]}
 	}
 	putCtx(c)
@@ -307,12 +308,34 @@ func ISLShortest(g *isl.Grid, satPos []geo.Vec3, a, b int) (Path, error) {
 	}
 	start := time.Now()
 	ic := islGraph(g, sats)
-	h := &islHeur{pos: satPos, dst: satPos[b]}
-	if ov := cachedOverlay(g, sats); ov != nil && ov.valid {
-		h.lm = ov.lm
-		copy(h.lt[:], ov.lm[b*overlayLandmarks:])
-	}
+	h := new(islHeur)
+	h.init(g, satPos, b)
 	return route(csr{off: ic.off, adj: ic.adj, pos: satPos}, sats, int32(a), int32(b), h, &defaultMetrics().isl, start)
+}
+
+// ISLWithin is ISLShortest's latency D capped at maxMs, bit for bit: (D, true)
+// when D ≤ maxMs, else (maxMs, false), for no path too. Its search stops past
+// maxMs; out-of-range IDs and a NaN or negative maxMs run none. It builds no
+// Path, allocates nothing and records on the isl query kind.
+func ISLWithin(g *isl.Grid, satPos []geo.Vec3, a, b int, maxMs float64) (ms float64, ok bool) {
+	sats := len(satPos)
+	if a < 0 || a >= sats || b < 0 || b >= sats || !(maxMs >= 0) {
+		return maxMs, false
+	}
+	if a == b {
+		return 0, true
+	}
+	start := time.Now()
+	ic := islGraph(g, sats)
+	c := getCtx(sats)
+	c.ih.init(g, satPos, b)
+	ms = maxMs
+	if c.astar(csr{off: ic.off, adj: ic.adj, pos: satPos}, int32(a), int32(b), &c.ih, maxMs) && c.dist[b] <= maxMs {
+		ms, ok = c.dist[b], true
+	}
+	putCtx(c)
+	defaultMetrics().isl.observe(start)
+	return ms, ok
 }
 
 // LatencyToAllSats returns the one-way latency in milliseconds from ground

@@ -231,6 +231,15 @@ type islHeur struct {
 	lt  [overlayLandmarks]float64
 }
 
+// init aims h at satellite b under satPos, with g's ALT tables when built.
+func (h *islHeur) init(g *isl.Grid, satPos []geo.Vec3, b int) {
+	*h = islHeur{pos: satPos, dst: satPos[b]}
+	if ov := cachedOverlay(g, len(satPos)); ov != nil && ov.valid {
+		h.lm = ov.lm
+		copy(h.lt[:], ov.lm[b*overlayLandmarks:])
+	}
+}
+
 func (h *islHeur) eval(v int32) float64 {
 	pi := units.PropagationDelayMs(h.pos[v].Distance(h.dst))
 	if h.lm != nil {

@@ -37,6 +37,10 @@ package netgraph
 //     stop key: every one of them is expanded with its final label before the
 //     stop, and the last offer standing is dijkstra's choice. dst itself is
 //     never expanded — dijkstra returns on popping it.
+//   - Bounds. A bounded run (ISLWithin) stops at the first popped key >
+//     min(dist[dst], bound)·(1+goalEps). If D(dst) ≤ bound, p's key is under
+//     both stop keys and the above holds unchanged. Otherwise dist[dst] ≥
+//     D(dst) > bound if set, and the caller reports bound = min(D(dst), bound).
 //
 // goalEps is what "up to rounding" costs: a few ulps per hop in dist+π and in
 // π, ≈ 1e-14 relative at a hundred hops, against 1e-12.
@@ -73,6 +77,7 @@ type queryCtx struct {
 	pi    []float64 // astar only: π(v), evaluated when v is first reached
 	gen   uint32
 	q     bucketQueue
+	ih    islHeur // ISLWithin's heuristic, kept here so the query allocates nothing
 
 	// expanded counts node expansions by every search run on this context
 	// since it was made; tests read deltas (TestGoalDirectedSettlesOnce).
@@ -388,16 +393,18 @@ type heuristic interface {
 const goalEps = 1e-12
 
 // astar runs best-first search from src keyed by dist+π and reports whether
-// dst was reached; on true, c.dist[dst] and the prev chain from dst are
-// exactly what the ordered Dijkstra leaves (see the file header).
-func (c *queryCtx) astar(g csr, src, dst int32, h heuristic) bool {
+// dst was reached; on true with c.dist[dst] ≤ bound, c.dist[dst] and the prev
+// chain from dst are exactly what the ordered Dijkstra leaves (see the file
+// header). Pass +Inf for an unbounded search.
+func (c *queryCtx) astar(g csr, src, dst int32, h heuristic, bound float64) bool {
 	c.start(src)
 	c.pi[src] = h.eval(src)
 	c.q.base = c.pi[src]
 	c.q.push(c.pi[src], src, true)
+	stop := bound * (1 + goalEps)
 	for {
 		e, ok := c.q.pop(true)
-		if !ok || e.key > c.distAt(dst)*(1+goalEps) {
+		if !ok || e.key > c.distAt(dst)*(1+goalEps) || e.key > stop {
 			break
 		}
 		u := e.v

@@ -436,7 +436,7 @@ func TestGoalDirectedTieTorture(t *testing.T) {
 		}
 		want, _ := rawISL(tr.g, src, dst)
 		c := getCtx(side * side)
-		if !c.astar(tr.g, int32(src), int32(dst), gridHeur{side, int32(dst), tr.scale}) {
+		if !c.astar(tr.g, int32(src), int32(dst), gridHeur{side, int32(dst), tr.scale}, math.Inf(1)) {
 			t.Fatalf("pair %d (%d→%d): astar found no path", i, src, dst)
 		}
 		got := Path{Nodes: c.pathTo(int32(dst)), OneWayMs: c.dist[dst]}
