@@ -100,15 +100,8 @@ func printInfo(out io.Writer, c *constellation.Constellation) error {
 }
 
 func exportTLE(out io.Writer, c *constellation.Constellation) error {
-	w := bufio.NewWriter(out)
-	defer w.Flush()
-	for _, sat := range c.Satellites {
-		t := tle.FromElements(sat.Name(c.Shells), 90000+sat.ID, sat.Prop.Elements(), 20, 310.0)
-		if _, err := fmt.Fprintln(w, t.Encode()); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := io.WriteString(out, tle.EncodeAll(c.ExportTLEs(90000, 20, 310.0)))
+	return err
 }
 
 func printSnapshot(out io.Writer, c *constellation.Constellation, tSec float64) error {

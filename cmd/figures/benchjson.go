@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"slices"
@@ -87,8 +88,9 @@ func parseBenchOutput(r io.Reader) ([]benchResult, benchHost, error) {
 		}
 		res := benchResult{Name: name, Iterations: iters, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(fields); i += 2 {
+			// NaN and ±Inf parse, but no JSON document can hold them.
 			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 				return nil, host, fmt.Errorf("benchjson: bad value %q on line %q", fields[i], sc.Text())
 			}
 			res.Metrics[fields[i+1]] = v

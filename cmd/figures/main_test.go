@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,6 +128,44 @@ ok  	repro	12.345s
 	if _, ok := results[0].Metrics["runs"]; ok {
 		t.Fatalf("single-run benchmark grew spread metrics: %+v", results[0].Metrics)
 	}
+}
+
+// TestParseBenchOutputRejectsNonFinite: a NaN or infinite value fails the
+// parse with its line, as any other bad value does, instead of failing the
+// JSON encoding later without one.
+func TestParseBenchOutputRejectsNonFinite(t *testing.T) {
+	for _, v := range []string{"NaN", "nan", "+Inf", "-Inf", "Infinity", "1e400"} {
+		line := "BenchmarkX-4 3 " + v + " ns/op"
+		_, _, err := parseBenchOutput(strings.NewReader("BenchmarkY-4 1 5 ns/op\n" + line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("value %s: err = %v, want one naming the line", v, err)
+		}
+	}
+}
+
+// FuzzParseBenchOutput: any input either fails to parse or yields results
+// whose every metric is finite, so the document always encodes.
+func FuzzParseBenchOutput(f *testing.F) {
+	f.Add("goos: linux\nBenchmarkA-8 1 1234 ns/op 11.2 worst-rtt-ms\nBenchmarkA-8 2 1200 ns/op 11.5 worst-rtt-ms\nPASS\n")
+	f.Add("BenchmarkX-4 3 NaN ns/op\n")
+	f.Add("BenchmarkX 3 -Inf things\nBenchmarkX 3 1e308 things\n")
+	f.Add("BenchmarkBroken-8 failure line without iters\n")
+	f.Fuzz(func(t *testing.T, data string) {
+		results, _, err := parseBenchOutput(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, r := range results {
+			for m, v := range r.Metrics {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("%s: metric %q = %v", r.Name, m, v)
+				}
+			}
+		}
+		if _, err := json.Marshal(benchFile{Benchmarks: results}); err != nil {
+			t.Fatalf("parsed results do not encode: %v", err)
+		}
+	})
 }
 
 func TestBenchJSONEndToEnd(t *testing.T) {

@@ -9,8 +9,8 @@
 //     visibility.Observer.Reachable, rebuilt once per epoch and shared by
 //     every query of that epoch;
 //   - an ID-ordered session table (Table) holds the session population in
-//     one slab, so each epoch's detection walks contiguous ranges of it in
-//     parallel and hands admission its work already in session-ID order;
+//     one slab, so each epoch's detection is one walk over it that hands
+//     admission its work already in session-ID order;
 //   - an epoch-batched hand-off planner (Orchestrator) advances simulated
 //     time in fixed steps, detects assignments about to lose visibility,
 //     re-places them Sticky-style (longest remaining visibility within a
@@ -68,9 +68,9 @@ type Config struct {
 	// (default 0 = modest). It is a hint: the orchestrator grows past it
 	// without error.
 	ExpectedSessions int
-	// Workers bounds the parallelism of the detection and proposal phases
-	// (default par.Workers()). The planner's output is byte-identical for
-	// every worker count.
+	// Workers bounds the parallelism of the proposal phase (default
+	// par.Workers()). The planner's output is byte-identical for every
+	// worker count.
 	Workers int
 	// Server is the per-satellite compute payload (default the paper's
 	// reference server).
@@ -451,13 +451,6 @@ type candidate struct {
 	id   int
 	rtt  float64
 	life int // remaining epochs of full-group visibility, capped at the ring's K
-}
-
-// workItem is one session needing placement this epoch: an arrival, an
-// expiring assignment, or an evacuation off a hard-failed satellite.
-type workItem struct {
-	sess    *Session
-	boundMs float64 // relayBoundMs off the held satellite; 0 when none is held
 }
 
 // satUp reports whether satellite id is serving (always true without an

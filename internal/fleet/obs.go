@@ -25,7 +25,6 @@ type metricsSet struct {
 	// Streaming-planner families.
 	streamChunks *obs.Counter // fleet_planner_chunks_total
 	spillShells  *obs.Counter // fleet_spill_shell_scans_total
-	ssspBatched  *obs.Counter // fleet_transfer_sssp_rows_total{mode="batched"}
 	ssspLazy     *obs.Counter // fleet_transfer_sssp_rows_total{mode="lazy"}
 	ssspSettled  *obs.Counter // fleet_transfer_sssp_settled_nodes_total
 
@@ -57,8 +56,7 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 			"Streaming chunks the epoch planner proposed and admitted."),
 		spillShells: reg.Counter("fleet_spill_shell_scans_total",
 			"Shells a proposal skipped that admission scanned because the load spill reached them."),
-		ssspBatched: ssspRows.With("batched"),
-		ssspLazy:    ssspRows.With("lazy"),
+		ssspLazy: ssspRows.With("lazy"),
 		ssspSettled: reg.Counter("fleet_transfer_sssp_settled_nodes_total",
 			"Nodes settled by the radius-bounded SSSP rows of hand-off transfer pricing."),
 		faultSatFail: faults.With("sat_fail"),

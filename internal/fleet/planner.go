@@ -3,9 +3,8 @@ package fleet
 // The streaming epoch planner. One Step runs:
 //
 //	A0  fault events (serial)
-//	A   detection over ID ranges of the table (parallel, one slot per range)
-//	A2  gather the slots in session-ID order, fold pricing radii (serial)
-//	A3  batched SSSP transfer pricing over the epoch's source satellites
+//	A   detection: one walk over the table in session-ID order that lists
+//	    the work and folds each mover's pricing radius (serial)
 //	B/C streaming rounds over the work, one chunk at a time:
 //	    admit chunk k serially while the workers propose chunk k+1
 //	D   ring rotation, index rebuild, clock advance (serial)
@@ -24,18 +23,18 @@ package fleet
 //
 // Transfer pricing rides the frozen-CSR engine: the orchestrator takes a
 // groundless netgraph snapshot each epoch and prices migrations off one
-// SSSP row per source satellite — computed up front through internal/par
-// when the source has several pending moves, lazily on first use otherwise.
-// A move costs min(ISL path, ground relay), and the relay is bounded by
-// geometry the planner holds before any target is known: every target b is
-// visible to the session's users, so |centroid − b| ≤ SpreadKm + the largest
-// slant range of any shell. Detection bounds each mover (workItem.boundMs),
-// phase A2 folds the bounds into a per-source pricing radius
-// (srcState.radiusMs), and the row is a netgraph.LatenciesWithin run to that
-// radius: a prefix of the full SSSP with bit-identical values, a dozen-odd
-// settled nodes instead of a whole shell. A target missing from the row is
-// farther than the radius, hence dearer than the relay, so min(row[b], relay)
-// is the full row's answer.
+// SSSP row per source satellite, computed the first time a migration off
+// that source reads it — a source none of whose movers migrates is never
+// priced. A move costs min(ISL path, ground relay), and the relay is bounded
+// by geometry the planner holds before any target is known: every target b
+// is visible to the session's users, so |centroid − b| ≤ SpreadKm + the
+// largest slant range of any shell. Detection folds each mover's bound
+// (relayBoundMs) into a per-source pricing radius (srcState.radiusMs), and
+// the row is a netgraph.LatenciesWithin run to that radius: a prefix of the
+// full SSSP with bit-identical values, a dozen-odd settled nodes instead of
+// a whole shell. A target missing from the row is farther than the radius,
+// hence dearer than the relay, so min(row[b], relay) is the full row's
+// answer.
 
 import (
 	"fmt"
@@ -63,12 +62,6 @@ const streamChunk = 2048
 // behind, and must not be left holding half a chunk.
 const proposeBlock = 64
 
-// batchMinWork is the pending-move count at which a source satellite's
-// SSSP row joins the parallel batch; sources below it are priced lazily,
-// one row on first use, since a rejected or holding session may never need
-// its row at all.
-const batchMinWork = 2
-
 // proposal locates one session's candidates inside its block's arena:
 // arena[lo:pool] is the ranked Sticky pool, best first, and arena[pool:hi]
 // the spill candidates of the scanned shells in no order. The shells from
@@ -89,10 +82,9 @@ type chunkBuf struct {
 
 // srcState is one source satellite's transfer-pricing state for the epoch.
 type srcState struct {
-	movers   int32   // pending re-placements off this satellite
-	radiusMs float64 // upper bound on any relay price those moves can see
-	// row is the priced row, a span of the computing worker's rows list; nil
-	// until computed (a row always holds at least its source).
+	radiusMs float64 // upper bound on any relay price its movers can see; 0 when none
+	// row is the priced row, a span of plannerState.rows; nil until computed
+	// (a row always holds at least its source).
 	row []netgraph.NodeMs
 }
 
@@ -100,48 +92,32 @@ type srcState struct {
 // slice is reset to length zero between epochs and grows to the workload's
 // high-water mark once.
 type plannerState struct {
-	// Detection's output per worker, each in ascending session ID.
-	workBy  [][]workItem
-	goneBy  [][]*Session
-	deferBy []int
-
-	work     []workItem // the epoch's work list, ascending session ID
+	work     []*Session // the epoch's work list, ascending session ID
+	gone     []*Session // the epoch's departures
 	chunkLen int        // streamChunk, but for tests
 	bufs     [2]chunkBuf
-	lazy     []candidate         // admission's scratch for a skipped shell's candidates
-	rows     [][]netgraph.NodeMs // per worker: the epoch's pricing rows it computed, back to back
+	lazy     []candidate       // admission's scratch for a skipped shell's candidates
+	rows     []netgraph.NodeMs // the epoch's pricing rows, back to back
 
 	src      []srcState // per-satellite pricing state
 	srcTouch []int32    // satellites with pending movers (reset list)
-	batch    []int32    // sources priced up front, ascending
 }
 
 func (pl *plannerState) init(o *Orchestrator) {
-	pl.workBy = make([][]workItem, o.cfg.Workers)
-	pl.goneBy = make([][]*Session, o.cfg.Workers)
-	pl.deferBy = make([]int, o.cfg.Workers)
 	pl.chunkLen = streamChunk
 	for b := range pl.bufs {
 		pl.bufs[b] = chunkBuf{make([]proposal, streamChunk), make([][]candidate, streamChunk/proposeBlock)}
 	}
-	pl.rows = make([][]netgraph.NodeMs, o.cfg.Workers)
 	pl.src = make([]srcState, o.c.Size())
 }
 
 // reset clears the scratch for a new epoch, keeping every allocation.
 func (pl *plannerState) reset() {
-	for w := range pl.workBy {
-		pl.workBy[w], pl.goneBy[w], pl.deferBy[w] = pl.workBy[w][:0], pl.goneBy[w][:0], 0
-	}
-	pl.work = pl.work[:0]
+	pl.work, pl.gone, pl.rows = pl.work[:0], pl.gone[:0], pl.rows[:0]
 	for _, sat := range pl.srcTouch {
 		pl.src[sat] = srcState{}
 	}
 	pl.srcTouch = pl.srcTouch[:0]
-	pl.batch = pl.batch[:0]
-	for w := range pl.rows {
-		pl.rows[w] = pl.rows[w][:0]
-	}
 }
 
 // cmpByRTT orders candidates by latency, ties by ID — the spill order.
@@ -253,89 +229,54 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	// SSSP.
 	o.nsnap = o.net.At(o.now)
 
-	// Phase A — detection, parallel over contiguous ranges of the table's
-	// ID-ordered view: find departures and sessions needing (re-)placement,
-	// bounding each mover's relay price. Sessions on a hard-failed satellite
-	// evacuate immediately, ahead of their visibility expiry; sessions inside
-	// a retry backoff window are deferred. Work lists are grown once to the
-	// most they can hold, not by repeated doubling.
+	// Phase A — detection, one walk over the table's ID-ordered view: find
+	// departures and sessions needing (re-)placement, widening each mover's
+	// source pricing radius to cover its relay price. Sessions on a
+	// hard-failed satellite evacuate immediately, ahead of their visibility
+	// expiry; sessions inside a retry backoff window are deferred. The work
+	// list is grown once to the most it can hold, not by repeated doubling.
 	live := o.tab.Ordered()
-	par.Chunks(len(live), o.cfg.Workers, func(w, lo, hi int) {
-		work, gone, deferred := slices.Grow(pl.workBy[w], hi-lo), pl.goneBy[w], 0
-		for _, s := range live[lo:hi] {
-			switch {
-			case s.ExpiresAt <= o.now:
-				gone = append(gone, s)
-			case s.Sat >= 0 && !o.satUp(s.Sat):
-				// A dead satellite overrides any retry backoff: the session
-				// must evacuate now, not when its timer says.
-				work = append(work, workItem{s, o.relayBoundMs(s)})
-			case s.RetryAt > o.now:
-				deferred++
-			case s.Sat < 0:
-				work = append(work, workItem{s, 0})
-			case !o.ring.VisibleAll(s.Users, s.Sat, 1):
-				work = append(work, workItem{s, o.relayBoundMs(s)})
-			}
+	pl.work = slices.Grow(pl.work, len(live))
+	for _, s := range live {
+		switch {
+		case s.ExpiresAt <= o.now:
+			pl.gone = append(pl.gone, s)
+			continue
+		case s.Sat >= 0 && !o.satUp(s.Sat):
+			// A dead satellite overrides any retry backoff: the session must
+			// evacuate now, not when its timer says.
+		case s.RetryAt > o.now:
+			rep.BackoffDeferrals++
+			continue
+		case s.Sat >= 0 && o.ring.VisibleAll(s.Users, s.Sat, 1):
+			continue // still in view next epoch: it stays
 		}
-		pl.workBy[w], pl.goneBy[w], pl.deferBy[w] = work, gone, deferred
-	})
-	for _, n := range pl.deferBy {
-		rep.BackoffDeferrals += n
+		pl.work = append(pl.work, s)
+		if s.Sat >= 0 {
+			src := &pl.src[s.Sat]
+			if src.radiusMs == 0 {
+				pl.srcTouch = append(pl.srcTouch, int32(s.Sat))
+			}
+			src.radiusMs = max(src.radiusMs, o.relayBoundMs(s))
+		}
 	}
 	o.m.retryDeferred.Add(uint64(rep.BackoffDeferrals))
 
 	// Departures leave before placement so their capacity frees this epoch.
-	for _, gone := range pl.goneBy {
-		for _, s := range gone {
-			if s.Sat >= 0 {
-				o.credit(s.Sat, s)
-				s.Sat = -1
-				o.nAssigned--
-			}
-			if s.Evacuating {
-				s.Evacuating = false
-				o.nEvacPending--
-			}
-			o.tab.Delete(s.ID)
-			rep.Departures++
+	for _, s := range pl.gone {
+		if s.Sat >= 0 {
+			o.credit(s.Sat, s)
+			s.Sat = -1
+			o.nAssigned--
 		}
+		if s.Evacuating {
+			s.Evacuating = false
+			o.nEvacPending--
+		}
+		o.tab.Delete(s.ID)
+		rep.Departures++
 	}
 	o.m.departures.Add(uint64(rep.Departures))
-
-	// Phase A2 — gather the work in slot order, which is session-ID order,
-	// counting pending moves per source satellite and widening its pricing
-	// radius to cover each.
-	pl.work = slices.Grow(pl.work, len(live))
-	for _, work := range pl.workBy {
-		pl.work = append(pl.work, work...)
-	}
-	for _, w := range pl.work {
-		if sat := w.sess.Sat; sat >= 0 {
-			src := &pl.src[sat]
-			if src.movers == 0 {
-				pl.srcTouch = append(pl.srcTouch, int32(sat))
-			}
-			src.movers++
-			src.radiusMs = max(src.radiusMs, w.boundMs)
-		}
-	}
-
-	// Phase A3 — batched transfer pricing: every source satellite with
-	// several pending moves gets its row up front, fanned out over the
-	// workers; stragglers fill in lazily inside admission.
-	slices.Sort(pl.srcTouch)
-	for _, sat := range pl.srcTouch {
-		if pl.src[sat].movers >= batchMinWork {
-			pl.batch = append(pl.batch, sat)
-		}
-	}
-	par.Chunks(len(pl.batch), o.cfg.Workers, func(w, lo, hi int) {
-		for _, sat := range pl.batch[lo:hi] {
-			o.priceRow(w, int(sat))
-		}
-	})
-	o.m.ssspBatched.Add(uint64(len(pl.batch)))
 
 	// Phases B/C — streaming rounds over the sorted work: admit chunk k
 	// serially in session-ID order while the workers propose chunk k+1 into
@@ -343,7 +284,7 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	// nor running ahead can change any admission decision. Every path out
 	// of the loop joins the proposers it started (the last chunk's
 	// successor is empty and proposed inline).
-	chunkAt := func(k int) []workItem {
+	chunkAt := func(k int) []*Session {
 		lo := min(k*pl.chunkLen, len(pl.work))
 		return pl.work[lo:min(lo+pl.chunkLen, len(pl.work))]
 	}
@@ -397,13 +338,13 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 // proposeAhead starts proposing chunk into buf and returns the call that
 // waits for it. With one worker, or nothing to propose, it has already run
 // on the caller's goroutine.
-func (o *Orchestrator) proposeAhead(buf *chunkBuf, chunk []workItem) (join func()) {
+func (o *Orchestrator) proposeAhead(buf *chunkBuf, chunk []*Session) (join func()) {
 	propose := func() {
 		blocks := (len(chunk) + proposeBlock - 1) / proposeBlock
 		_ = par.Each(blocks, o.cfg.Workers, func(b int) error {
 			arena := buf.arenas[b][:0]
 			for i := b * proposeBlock; i < min((b+1)*proposeBlock, len(chunk)); i++ {
-				arena, buf.props[i] = o.propose(arena, chunk[i].sess)
+				arena, buf.props[i] = o.propose(arena, chunk[i])
 			}
 			buf.arenas[b] = arena
 			return nil
@@ -420,9 +361,8 @@ func (o *Orchestrator) proposeAhead(buf *chunkBuf, chunk []workItem) (join func(
 // its proposals in buf: first candidate in admission order with spare
 // capacity wins (pick), and the session is rejected (retrying next epoch)
 // when nothing fits.
-func (o *Orchestrator) admitChunk(chunk []workItem, buf *chunkBuf, rep *EpochReport) error {
-	for i, w := range chunk {
-		s := w.sess
+func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochReport) error {
+	for i, s := range chunk {
 		// A held satellite that is down makes this an evacuation, one still
 		// up an expiry, as detection found: the fault state holds still
 		// through an epoch, and only this admission moves the session.
@@ -620,19 +560,11 @@ func (o *Orchestrator) relayBoundMs(s *Session) float64 {
 	return units.PropagationDelayMs(km) * (1 + 1e-9)
 }
 
-// priceRow computes source satellite sat's pricing row into worker w's list.
-func (o *Orchestrator) priceRow(w, sat int) {
-	rows, src := &o.pl.rows[w], &o.pl.src[sat]
-	lo := len(*rows)
-	*rows = o.nsnap.LatenciesWithin(netgraph.NodeID(sat), src.radiusMs, *rows)
-	src.row = (*rows)[lo:]
-	o.m.ssspSettled.Add(uint64(len(src.row)))
-}
-
 // transferMs is the one-way state-transfer latency from sat a to b at the
 // current epoch: the cheaper of the shortest ISL path (same-shell pairs,
-// read off the source's pricing row) and a ground relay through the session's
-// region — the same accounting as meetup.Planner.TransferLatencyMs.
+// read off the source's pricing row, which the first read computes) and a
+// ground relay through the session's region — the same accounting as
+// meetup.Planner.TransferLatencyMs.
 func (o *Orchestrator) transferMs(a, b int, centroid geo.Vec3) float64 {
 	snap := o.ring.Frame(0)
 	relay := units.PropagationDelayMs(snap[a].Distance(centroid) + centroid.Distance(snap[b]))
@@ -644,12 +576,13 @@ func (o *Orchestrator) transferMs(a, b int, centroid geo.Vec3) float64 {
 		o.epochISL++
 		return relay // flapped path: spill the transfer to the ground relay
 	}
-	src := &o.pl.src[a]
+	pl, src := &o.pl, &o.pl.src[a]
 	if src.row == nil {
-		// Proposers never touch the row lists, so the serial phase owns
-		// them all once the batch above has returned.
-		o.priceRow(0, a)
+		lo := len(pl.rows)
+		pl.rows = o.nsnap.LatenciesWithin(netgraph.NodeID(a), src.radiusMs, pl.rows)
+		src.row = pl.rows[lo:]
 		o.m.ssspLazy.Inc()
+		o.m.ssspSettled.Add(uint64(len(src.row)))
 	}
 	// A target beyond the pricing radius or unreachable is not in the row,
 	// and the relay wins — as it would against the full row's value.

@@ -229,7 +229,7 @@ func TestTransferPricingCornerMoves(t *testing.T) {
 				t.Fatalf("moves %+v, want one move %d→%d", moves, from, target)
 			}
 			mv := moves[0]
-			rows, settled := o.m.ssspLazy.Value()+o.m.ssspBatched.Value(), o.m.ssspSettled.Value()
+			rows, settled := o.m.ssspLazy.Value(), o.m.ssspSettled.Value()
 			t.Logf("move %d→%d: price %v ms, relay %v ms, radius %v ms, %d row(s) settled %d nodes",
 				mv.from, mv.to, mv.got, mv.relay, o.pl.src[from].radiusMs, rows, settled)
 			if tc.sameShell {
@@ -264,7 +264,7 @@ func TestTransferPricingStaysLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rows := o.m.ssspBatched.Value() + o.m.ssspLazy.Value()
+	rows := o.m.ssspLazy.Value()
 	settled := o.m.ssspSettled.Value()
 	if rows == 0 {
 		t.Fatal("no transfer-pricing rows in 10 epochs")
@@ -272,5 +272,77 @@ func TestTransferPricingStaysLocal(t *testing.T) {
 	t.Logf("%d rows settled %d nodes: %.1f per row", rows, settled, float64(settled)/float64(rows))
 	if settled > 64*rows {
 		t.Fatalf("pricing rows settle %.1f nodes each, want at most 64", float64(settled)/float64(rows))
+	}
+}
+
+// TestUnmovedSourceIsNotPriced pins lazy pricing: two sessions share a
+// source satellite they must leave, nothing else has room for them, and none
+// migrates — they are rejected off a satellite already below the horizon,
+// or held on one that is setting. No pricing row may be computed for that
+// source, however many movers it had.
+func TestUnmovedSourceIsNotPriced(t *testing.T) {
+	c := starlink(t)
+	users := []geo.LatLon{{LatDeg: 51.5, LonDeg: -0.1}, {LatDeg: 48.9, LonDeg: 2.3}}
+	for _, tc := range []struct {
+		name    string
+		visible bool // whether the source is in view this epoch: held, else rejected
+	}{
+		{"rejected", false},
+		{"held", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o, err := New(c, nil, testConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ss []*Session
+			for id := uint64(1); id <= 2; id++ {
+				s, err := NewSession(id, users)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.MemoryGB = 1e6 // fits on no satellite
+				if err := o.Submit(s); err != nil {
+					t.Fatal(err)
+				}
+				ss = append(ss, s)
+			}
+			if err := o.Start(0); err != nil {
+				t.Fatal(err)
+			}
+			from := -1
+			for id := range c.Satellites {
+				if o.ring.VisibleAll(ss[0].Users, id, 0) == tc.visible && !o.ring.VisibleAll(ss[0].Users, id, 1) {
+					from = id
+					break
+				}
+			}
+			if from < 0 {
+				t.Fatal("no satellite leaves the group's view at the next epoch")
+			}
+			for _, s := range ss {
+				o.debit(from, s)
+				s.Sat = from
+				o.nAssigned++
+			}
+			rep, err := o.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Handoffs != 0 {
+				t.Fatalf("%d hand-offs, want none", rep.Handoffs)
+			}
+			for _, s := range ss {
+				if held := s.Sat == from; held != tc.visible {
+					t.Fatalf("session %d on satellite %d after the epoch (source %d)", s.ID, s.Sat, from)
+				}
+			}
+			if o.pl.src[from].radiusMs == 0 {
+				t.Fatalf("source %d has no pricing radius: its sessions were not movers", from)
+			}
+			if rows := o.m.ssspLazy.Value(); rows != 0 {
+				t.Fatalf("%d pricing row(s) computed for a source none of whose movers migrated", rows)
+			}
+		})
 	}
 }

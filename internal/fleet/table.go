@@ -93,8 +93,8 @@ func NewSession(id uint64, users []geo.LatLon) (*Session, error) {
 }
 
 // Table is the session store: one mutex over a slab of sessions in
-// ascending ID order, so the planner's detection walks contiguous ranges of
-// it and its work list comes out in session-ID order. A delete leaves a nil
+// ascending ID order, so the planner's detection walks it once and its work
+// list comes out in session-ID order. A delete leaves a nil
 // tombstone; a put below the slab's last ID waits in the late map. The next
 // ordered read squeezes out the one and merges in the other. Put, Get and
 // Delete cost amortised O(1) for ascending IDs and O(log n) in any order.

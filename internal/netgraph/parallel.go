@@ -1,8 +1,9 @@
 package netgraph
 
 // Parallel multi-source SSSP for the fan-out callers: meetup.BestRouted runs
-// one source per user, fig3 one per user against every data centre, the
-// fleet hand-off planner one per session. Sources share the frozen CSR
+// one source per user, fig3 one per user against every data centre. (The
+// fleet hand-off planner prices each source satellite serially, with one
+// radius-bounded LatenciesWithin row.) Sources share the frozen CSR
 // (built once, before the workers start) and draw pooled query contexts, so
 // the fan-out is embarrassingly parallel with deterministic per-slot output.
 //

@@ -47,7 +47,7 @@ type SpanRecord struct {
 func (r SpanRecord) Duration() float64 { return r.End - r.Start }
 
 // NewTracer creates a tracer. A nil clock uses wall time; pass a simulation
-// clock (e.g. netsim's Sim.Now) to drive spans from simulated time
+// clock (e.g. serve's Engine.Now) to drive spans from simulated time
 // deterministically.
 func NewTracer(clock func() float64) *Tracer {
 	if clock == nil {

@@ -1,13 +1,14 @@
 package serve
 
-// The original single-threaded netsim-backed serving engine, kept as the
-// differential oracle for the slab-backed Engine: every (constellation, config,
-// trace) must produce identical results on both. It schedules one netsim
-// event per request arrival and replays the whole run through the kernel's
-// global (time, seq) heap — simple, slow, and by construction the reference
-// semantics the Engine's slice replay must reproduce.
+// The original single-threaded serving engine, kept as the differential
+// oracle for Engine: every (constellation, config, trace) must produce
+// identical results on both. It schedules one callback per request arrival
+// and replays the whole run through one global (time, seq) event queue —
+// simple, slow, and by construction the reference semantics the Engine's
+// slice replay must reproduce.
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -15,15 +16,76 @@ import (
 	"repro/internal/constellation"
 	"repro/internal/geo"
 	"repro/internal/netgraph"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
 
+// event is one scheduled callback of the oracle's event queue.
+type event struct {
+	t   float64
+	seq uint64 // tie-break: schedule order, keeping runs deterministic
+	fn  func()
+}
+
+type eventHeap []event
+
+func (h eventHeap) Len() int { return len(h) }
+func (h eventHeap) Less(i, j int) bool {
+	if h[i].t != h[j].t {
+		return h[i].t < h[j].t
+	}
+	return h[i].seq < h[j].seq
+}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *eventHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// eventQueue is the oracle's discrete-event kernel: callbacks fire in
+// (time, schedule order).
+type eventQueue struct {
+	now    float64
+	seq    uint64
+	events eventHeap
+}
+
+// Now returns the current simulation time in seconds.
+func (q *eventQueue) Now() float64 { return q.now }
+
+// Schedule queues fn at absolute time t, which must not predate Now.
+func (q *eventQueue) Schedule(t float64, fn func()) error {
+	if t < q.now {
+		return fmt.Errorf("cannot schedule at %v before now %v", t, q.now)
+	}
+	heap.Push(&q.events, event{t, q.seq, fn})
+	q.seq++
+	return nil
+}
+
+// ScheduleAfter queues fn delay seconds from now.
+func (q *eventQueue) ScheduleAfter(delay float64, fn func()) error {
+	return q.Schedule(q.now+delay, fn)
+}
+
+// Run fires events up to horizon (inclusive), including those they
+// schedule, then moves the clock to horizon.
+func (q *eventQueue) Run(horizon float64) {
+	for len(q.events) > 0 && q.events[0].t <= horizon {
+		ev := heap.Pop(&q.events).(event)
+		q.now = ev.t
+		ev.fn()
+	}
+	q.now = max(q.now, horizon)
+}
+
 type legacyEngine struct {
 	cfg    Config
-	sim    *netsim.Sim
+	sim    eventQueue
 	net    *netgraph.Network
 	policy Policy
 
@@ -80,7 +142,6 @@ func newLegacyEngine(c *constellation.Constellation, cfg Config) (*legacyEngine,
 	}
 	e := &legacyEngine{
 		cfg:         cfg,
-		sim:         netsim.New(),
 		policy:      cfg.Policy,
 		coresPerSat: int(math.Max(1, math.Floor(cfg.Server.EffectiveCores()))),
 		queueCap:    cfg.QueueCap,

@@ -5,7 +5,7 @@
 // request; per-satellite admission control bounds the queue and sheds the
 // rest with typed reasons. The engine simulates in refresh-aligned time
 // slices on one goroutine (see shard.go) while staying byte-identical to
-// the netsim reference for every seed. Each refresh reads visibility
+// the legacy event-queue reference (legacy_test.go) for every seed. Each refresh reads visibility
 // straight off the ephemeris frames through a visibility.Ring, the
 // look-ahead type the fleet orchestrator reads too (share its ephemeris
 // engine and the frames are the same), and the engine reports into the obs

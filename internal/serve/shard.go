@@ -1,8 +1,8 @@
 package serve
 
-// The slab-backed discrete-event serving engine. The netsim-backed legacy
-// engine (the test oracle, legacy_test.go) replays one closure per event
-// through a global (time, seq) heap; this engine gets the same answers on
+// The slab-backed discrete-event serving engine. The legacy engine (the
+// test oracle, legacy_test.go) replays one closure per event through a
+// global (time, seq) heap; this engine gets the same answers on
 // one goroutine from refresh-aligned time slices, and picks one of two
 // replay orders from the policy it was given.
 //
@@ -111,8 +111,10 @@ type reqRec struct {
 }
 
 // satShard is one satellite's simulation state. The slab + free list
-// recycle records across slices without churning the allocator; heap and
-// seq are used only on the slice-local path.
+// recycle records across slices without churning the allocator, and keep
+// heap entries at 24 bytes: carrying the request inline doubles them and
+// measured slower on serve-heavy (EXPERIMENTS.md, "Receipts"). heap and seq
+// are used only on the slice-local path.
 type satShard struct {
 	heap        []satEvent
 	seq         uint32

@@ -115,7 +115,7 @@ func renderResult(r Result) string {
 }
 
 // TestShardedMatchesLegacy is the differential pin: for every policy and
-// scenario, the engine's results are identical to the netsim oracle —
+// scenario, the engine's results are identical to the legacy oracle —
 // counters, shed reasons, peak queue, utilization, and the full shape of
 // the latency distribution.
 func TestShardedMatchesLegacy(t *testing.T) {

@@ -258,6 +258,17 @@ func Decode(text string, verifyChecksum bool) (TLE, error) {
 	return t, nil
 }
 
+// EncodeAll renders a catalog: each TLE's Encode on lines of its own, the
+// text DecodeAll reads back.
+func EncodeAll(tles []TLE) string {
+	var b strings.Builder
+	for _, t := range tles {
+		b.WriteString(t.Encode())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // DecodeAll parses a catalog of concatenated TLEs (with or without name
 // lines). Blank lines between entries are ignored.
 func DecodeAll(text string, verifyChecksum bool) ([]TLE, error) {
