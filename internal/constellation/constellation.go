@@ -4,6 +4,7 @@
 package constellation
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/geo"
@@ -156,15 +157,21 @@ func (c *Constellation) Snapshot(tSec float64) []geo.Vec3 {
 	return out
 }
 
+// ErrSnapshotLength is wrapped by SnapshotInto's error for a dst whose
+// length is not the constellation's size.
+var ErrSnapshotLength = errors.New("snapshot buffer length is not the satellite count")
+
 // SnapshotInto fills dst (which must have length Size()) with ECEF positions
-// at t seconds after epoch, avoiding allocation in sweeps. A wrong-sized
-// dst panics with a descriptive message rather than filling a prefix.
-func (c *Constellation) SnapshotInto(tSec float64, dst []geo.Vec3) {
+// at t seconds after epoch, avoiding allocation in sweeps. A wrong-sized dst
+// is left untouched and reported as an error wrapping ErrSnapshotLength,
+// rather than filling a prefix.
+func (c *Constellation) SnapshotInto(tSec float64, dst []geo.Vec3) error {
 	if len(dst) != len(c.Satellites) {
-		panic(fmt.Sprintf("constellation: SnapshotInto dst length %d, want %d satellites (%s)",
-			len(dst), len(c.Satellites), c.Name))
+		return fmt.Errorf("constellation: SnapshotInto dst length %d, want %d satellites (%s): %w",
+			len(dst), len(c.Satellites), c.Name, ErrSnapshotLength)
 	}
 	orbit.ECEFInto(c.props, tSec, dst)
+	return nil
 }
 
 // MaxAltitudeKm returns the highest shell altitude, useful for sizing

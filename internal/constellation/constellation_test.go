@@ -1,6 +1,8 @@
 package constellation
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -138,7 +140,9 @@ func TestFrameKernelMatchesECEFAt(t *testing.T) {
 		into := make([]geo.Vec3, c.Size())
 		for _, tt := range []float64{0, math.Copysign(0, -1), -3600.25, 1e7, 123.456} {
 			snap := c.Snapshot(tt)
-			c.SnapshotInto(tt, into)
+			if err := c.SnapshotInto(tt, into); err != nil {
+				t.Fatal(err)
+			}
 			for i, s := range c.Satellites {
 				want := s.Prop.ECEFAt(tt)
 				if !sameBits(snap[i], want) || !sameBits(into[i], want) {
@@ -241,7 +245,9 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 	}
 	a := c.Snapshot(777)
 	b := make([]geo.Vec3, c.Size())
-	c.SnapshotInto(777, b)
+	if err := c.SnapshotInto(777, b); err != nil {
+		t.Fatal(err)
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("mismatch at %d: %v vs %v", i, a[i], b[i])
@@ -249,25 +255,24 @@ func TestSnapshotIntoMatchesSnapshot(t *testing.T) {
 	}
 }
 
-func TestSnapshotIntoWrongLengthPanics(t *testing.T) {
+// TestSnapshotIntoWrongLengthErrors: a wrong-sized dst is an error wrapping
+// ErrSnapshotLength that names the length, and dst is left untouched.
+func TestSnapshotIntoWrongLengthErrors(t *testing.T) {
 	c, err := Telesat(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range []int{0, 3, c.Size() - 1, c.Size() + 1} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("dst length %d: want panic", n)
-				}
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, "SnapshotInto dst length") {
-					t.Fatalf("dst length %d: unhelpful panic %v", n, r)
-				}
-			}()
-			c.SnapshotInto(0, make([]geo.Vec3, n))
-		}()
+		dst := make([]geo.Vec3, n)
+		err := c.SnapshotInto(0, dst)
+		if !errors.Is(err, ErrSnapshotLength) || !strings.Contains(err.Error(), fmt.Sprintf("SnapshotInto dst length %d", n)) {
+			t.Fatalf("dst length %d: error %v, want one wrapping ErrSnapshotLength", n, err)
+		}
+		for i, v := range dst {
+			if v != (geo.Vec3{}) {
+				t.Fatalf("dst length %d: satellite %d written (%v)", n, i, v)
+			}
+		}
 	}
 }
 

@@ -77,7 +77,9 @@ func BenchmarkSnapshotSerial(b *testing.B) {
 	sink := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.SnapshotInto(float64(i), dst)
+		if err := c.SnapshotInto(float64(i), dst); err != nil {
+			b.Fatal(err)
+		}
 		sink = checksum(dst)
 	}
 	b.ReportMetric(float64(c.Size()), "sats")

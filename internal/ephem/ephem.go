@@ -13,9 +13,12 @@
 //     GridStepSec) live in a protected ring that sequential sweeps cannot
 //     flush, all other instants share an LRU pool.
 //
-// Frames returned by SnapshotAt are immutable and shared: callers must not
-// modify them, and may retain them for as long as they like (eviction only
-// drops the engine's reference, never reuses the memory). Every position is
+// Frames returned by Engine.SnapshotAt are immutable and shared: callers must
+// not modify them, and may retain them for as long as they like (eviction
+// only drops the engine's reference, never reuses the memory). A Sweep, the
+// forward-only store for a driver that walks time strictly forward, is the
+// exception: it recycles a frame's buffer once its floor passes the frame's
+// instant, so its frames live only until then. Every position is
 // bit-identical to calling Prop.ECEFAt directly, so engine-backed pipelines
 // reproduce pre-engine outputs byte for byte.
 package ephem
@@ -79,17 +82,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// frame is one cached full-constellation snapshot, immutable once
-// published: ready is done once pos is filled.
+// frame is one full-constellation snapshot, immutable once published: done
+// is closed once pos is filled.
 type frame struct {
-	t     float64
-	pos   []geo.Vec3
-	ready sync.WaitGroup
+	t    float64
+	pos  []geo.Vec3
+	done chan struct{}
+}
+
+// newFrame returns an unfilled frame at t over pos.
+func newFrame(t float64, pos []geo.Vec3) *frame {
+	return &frame{t: t, pos: pos, done: make(chan struct{})}
 }
 
 // Stats is a point-in-time view of one engine's cache behaviour.
 type Stats struct {
-	// Hits and Misses count cache lookups across SnapshotAt and SnapshotInto.
+	// Hits and Misses count cache lookups across SnapshotAt and SnapshotInto,
+	// the engine's Sweeps included.
 	Hits, Misses uint64
 	// Frames is the number of cached frames currently held (both tiers).
 	Frames int
@@ -111,8 +120,7 @@ type Engine struct {
 	gridOrder []int64                  // grid insertion order (FIFO eviction)
 	inflight  map[uint64]*frame        // Float64bits(t) → frame being propagated
 
-	hits, misses uint64 // guarded by mu
-	propagated   atomic.Uint64
+	hits, misses, propagated atomic.Uint64
 }
 
 // New builds an engine over c. c must be non-nil and already built.
@@ -143,11 +151,22 @@ func (e *Engine) Stats() Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return Stats{
-		Hits:           e.hits,
-		Misses:         e.misses,
+		Hits:           e.hits.Load(),
+		Misses:         e.misses.Load(),
 		Frames:         len(e.misc) + len(e.grid),
 		PropagatedSats: e.propagated.Load(),
 	}
+}
+
+// hit and miss count one frame lookup in the engine's counters and metrics.
+func (e *Engine) hit() {
+	e.hits.Add(1)
+	e.m.hits.Inc()
+}
+
+func (e *Engine) miss() {
+	e.misses.Add(1)
+	e.m.misses.Inc()
 }
 
 // gridIndex reports whether t lies exactly on the keyframe grid and, if
@@ -162,7 +181,7 @@ func (e *Engine) gridIndex(t float64) (int64, bool) {
 }
 
 // lookup returns the cached or in-flight frame for t, or nil; a caller
-// waits on its ready before reading pos. Caller holds e.mu.
+// waits on its done before reading pos. Caller holds e.mu.
 func (e *Engine) lookup(t float64) *frame {
 	if gi, ok := e.gridIndex(t); ok {
 		if f, ok := e.grid[gi]; ok {
@@ -220,24 +239,21 @@ func (e *Engine) insert(f *frame) *frame {
 func (e *Engine) SnapshotAt(t float64) []geo.Vec3 {
 	e.mu.Lock()
 	if f := e.lookup(t); f != nil {
-		e.hits++
 		e.mu.Unlock()
-		e.m.hits.Inc()
-		f.ready.Wait()
+		e.hit()
+		<-f.done
 		return f.pos
 	}
-	e.misses++
-	f := &frame{t: t, pos: make([]geo.Vec3, e.c.Size())}
-	f.ready.Add(1)
+	f := newFrame(t, make([]geo.Vec3, e.c.Size()))
 	if e.inflight == nil {
 		e.inflight = make(map[uint64]*frame)
 	}
 	e.inflight[math.Float64bits(t)] = f
 	e.mu.Unlock()
-	e.m.misses.Inc()
+	e.miss()
 
 	e.propagate(t, f.pos)
-	f.ready.Done()
+	close(f.done)
 
 	e.mu.Lock()
 	delete(e.inflight, math.Float64bits(t))
@@ -255,17 +271,15 @@ func (e *Engine) SnapshotInto(t float64, dst []geo.Vec3) error {
 		return fmt.Errorf("ephem: SnapshotInto dst length %d, want %d satellites", len(dst), e.c.Size())
 	}
 	e.mu.Lock()
-	if f := e.lookup(t); f != nil {
-		e.hits++
-		e.mu.Unlock()
-		e.m.hits.Inc()
-		f.ready.Wait()
+	f := e.lookup(t)
+	e.mu.Unlock()
+	if f != nil {
+		e.hit()
+		<-f.done
 		copy(dst, f.pos)
 		return nil
 	}
-	e.misses++
-	e.mu.Unlock()
-	e.m.misses.Inc()
+	e.miss()
 	e.propagate(t, dst)
 	return nil
 }

@@ -72,20 +72,6 @@ func pooledPreset(name string) (*constellation.Constellation, error) {
 	return c, nil
 }
 
-// Sweep-sized shared-engine caches. A paper-scale session sweep touches
-// 3,600 distinct step instants — far more than fit — so the session driver
-// (simulateSessions) shares each step frame structurally instead of through
-// the cache. What the LRU tier still absorbs is Sticky's successor frames
-// (several band members end at the same instant, or at a later step) and
-// later figures re-requesting an earlier figure's instants. 384
-// Starlink-scale frames is ~40 MiB — acceptable for the batch
-// figure/benchmark binaries that are this package's only consumers. The
-// protected grid tier additionally pins the 60 s keyframes.
-const (
-	sweepCacheFrames = 384
-	sweepGridFrames  = 128
-)
-
 // EphemStats sums cache statistics across the pooled per-constellation
 // ephemeris engines — the figure runner reports it so a run shows how much
 // propagation work the shared cache absorbed.
@@ -111,7 +97,7 @@ func engineFor(c *constellation.Constellation) *ephem.Engine {
 	if e, ok := enginePool[c]; ok {
 		return e
 	}
-	e := ephem.New(c, ephem.Config{CacheFrames: sweepCacheFrames, GridFrames: sweepGridFrames})
+	e := ephem.New(c, ephem.Config{})
 	enginePool[c] = e
 	return e
 }

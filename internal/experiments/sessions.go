@@ -13,21 +13,26 @@ import (
 	"repro/internal/units"
 )
 
-// sessionWindow is how many step frames simulateSessions holds at once: long
-// enough to amortise the per-window fan-out barrier, short enough (~3.4 MiB
-// at Starlink scale) that no run retains more than the engine's cache tiers
-// plus one window.
+// sessionWindow is how many step frames simulateSessions fetches at once:
+// long enough to amortise the per-window fan-out barrier, short enough
+// (~3.4 MiB at Starlink scale) to stay a small share of a run's memory. The
+// frames come from one ephem.Sweep per call, advanced to each window's first
+// instant: a window's step frames, and every successor frame Sticky fetches
+// at or after it, stay valid until the next window begins, when the buffers
+// below its first instant are recycled. No session holds a frame past a Step.
 const sessionWindow = 32
 
 // bothPolicies is the pair every MinMax-vs-Sticky study simulates.
 var bothPolicies = []meetup.Policy{meetup.MinMax, meetup.Sticky}
 
 // simulateSessions runs one session per policy for every planner, from t=0
-// for durationSec at stepSec, time-major: each step frame is fetched from
-// the engine once and every live session of every planner advances through
-// it, so the frame is shared by construction rather than by hoping a cache
-// still holds it when the next session's sweep comes round. Results are
-// those of a stand-alone Planner.Simulate per (planner, policy), bit for bit.
+// for durationSec at stepSec, time-major: each step frame is fetched once and
+// every live session of every planner advances through it, so the frame is
+// shared by construction rather than by hoping a cache still holds it when
+// the next session's sweep comes round. Step and successor frames come from
+// a forward-only ephem.Sweep over eng, whose buffers are reused from window
+// to window. Results are those of a stand-alone Planner.Simulate per
+// (planner, policy), bit for bit.
 //
 // out[i][k] is planner i's session under policies[k]. out[i] is nil where
 // the group sits in a coverage gap at t=0 — skipped, as the paper's groups
@@ -35,15 +40,20 @@ var bothPolicies = []meetup.Policy{meetup.MinMax, meetup.Sticky}
 // planner's sessions share its scratch); the iteration counter moves once
 // per planner.
 func simulateSessions(eng *ephem.Engine, planners []*meetup.Planner, policies []meetup.Policy, durationSec, stepSec float64) ([][]meetup.SessionResult, error) {
+	return sweepSessions(eng.Sweep(), planners, policies, durationSec, stepSec)
+}
+
+// sweepSessions is simulateSessions over the store sw.
+func sweepSessions(sw *ephem.Sweep, planners []*meetup.Planner, policies []meetup.Policy, durationSec, stepSec float64) ([][]meetup.SessionResult, error) {
 	if !units.Finite(durationSec, stepSec) {
 		return nil, errors.New("experiments: session duration and step must be finite")
 	}
 	sessions := make([][]*meetup.Session, len(planners))
-	frame0 := eng.SnapshotAt(0)
+	frame0 := sw.SnapshotAt(0)
 	err := parallelFor(len(planners), func(i int) error {
 		ss := make([]*meetup.Session, len(policies))
 		for k, policy := range policies {
-			s, err := planners[i].Begin(eng, policy, 0, frame0)
+			s, err := planners[i].Begin(sw, policy, 0, frame0)
 			if errors.Is(err, meetup.ErrNoCandidate) {
 				return nil
 			}
@@ -70,10 +80,11 @@ func simulateSessions(eng *ephem.Engine, planners []*meetup.Planner, policies []
 	// t accumulates exactly as Simulate's loop does, so both see the same
 	// instants to the bit. With no session live there is nothing to step.
 	for t := stepSec; t <= durationSec && len(live) > 0; {
+		sw.Advance(t)
 		times, frames = times[:0], frames[:0]
 		for ; t <= durationSec && len(times) < sessionWindow; t += stepSec {
 			times = append(times, t)
-			frames = append(frames, eng.SnapshotAt(t))
+			frames = append(frames, sw.SnapshotAt(t))
 		}
 		err := par.Each(len(live), par.Workers(), func(i int) error {
 			for k, t := range times {

@@ -98,13 +98,13 @@ func TestSessionDriverPropagatesEachStepOnce(t *testing.T) {
 		t.Fatalf("MinMax sweep: %d frame misses for %d step instants", st.Misses, instants)
 	}
 
-	// With Sticky on a sweep-sized engine the extra misses are successor
-	// frames; no instant, step or successor, is ever propagated twice. (One
-	// worker: two groups missing the same successor instant at the same
-	// moment would both propagate it.)
+	// With Sticky the extra misses are successor frames; no instant, step
+	// or successor, is ever propagated twice. (One worker: two groups
+	// missing the same successor instant at the same moment would both
+	// propagate it.)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tr := obs.NewTracer(nil)
-	eng = sweepEngine(c, ephem.Config{CacheFrames: sweepCacheFrames, GridFrames: sweepGridFrames, Tracer: tr})
+	eng = sweepEngine(c, ephem.Config{Tracer: tr})
 	if _, err := simulateSessions(eng, planners, bothPolicies, durationSec, stepSec); err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +152,33 @@ func TestHandoffStudiesRejectNonFinite(t *testing.T) {
 		}
 		if _, err := TransferAblation(cfg); err == nil {
 			t.Fatalf("TransferAblation(%+v) accepted", cfg)
+		}
+	}
+}
+
+// TestSessionDriverRecyclesFrames is the driver's memory gate: a run's step
+// and successor frames come from one ephem.Sweep whose buffers are recycled
+// from window to window, so the store allocates 39 frames for 314 propagated
+// instants (301 steps and 13 successors), where one frame per miss would
+// allocate 314. The count is exact at any worker count: buffers are freed
+// only between windows.
+func TestSessionDriverRecyclesFrames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long simulation")
+	}
+	const durationSec, stepSec = 600, 2
+	const wantBuffers, wantMisses = 39, 314
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		c, planners := testPlanners(t)
+		eng := sweepEngine(c, ephem.Config{})
+		sw := eng.Sweep()
+		if _, err := sweepSessions(sw, planners, bothPolicies, durationSec, stepSec); err != nil {
+			t.Fatal(err)
+		}
+		if st := eng.Stats(); sw.Buffers() != wantBuffers || st.Misses != wantMisses {
+			t.Fatalf("GOMAXPROCS=%d: %d buffers for %d misses, want %d for %d", procs, sw.Buffers(), st.Misses, wantBuffers, wantMisses)
 		}
 	}
 }

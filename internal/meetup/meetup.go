@@ -104,7 +104,9 @@ type Candidate struct {
 // scans read every satellite. Both walk ascending IDs and pick the same.
 //
 // A Planner, and every Session begun on it, is used by one goroutine at a
-// time: selection works in planner-owned scratch.
+// time: selection works in planner-owned scratch. Neither keeps a frame past
+// the call that was given or fetched it, which is what lets a driver feed
+// them from a recycling ephem.Sweep.
 type Planner struct {
 	c    *constellation.Constellation
 	obs  *visibility.Observer
@@ -268,7 +270,7 @@ func (p *Planner) SelectSticky(eng *ephem.Engine, t0 float64) (Candidate, error)
 }
 
 // selectSticky is SelectSticky given the t0 frame; its band reads the window.
-func (p *Planner) selectSticky(eng *ephem.Engine, t0 float64, snap []geo.Vec3) (Candidate, error) {
+func (p *Planner) selectSticky(eng Ephemeris, t0 float64, snap []geo.Vec3) (Candidate, error) {
 	p.elig = p.elig[:0]
 	opt, err := p.scan(snap, p.window(t0, snap), -1, &p.elig)
 	if err != nil {

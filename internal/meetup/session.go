@@ -65,17 +65,29 @@ func (r SessionResult) TransferLatencies() []float64 {
 // paper's "picks the latency-optimal satellite at each instant"). Sticky
 // re-runs the Sticky selection only when the current server stops being
 // visible to the whole group.
+//
+// A session holds no frame between calls: the frames Begin and Step are given
+// may be recycled once the call returns (an ephem.Sweep reuses a buffer once
+// its floor passes the instant), and the look-ahead fetches its own frames
+// from the Ephemeris.
 type Session struct {
 	p         *Planner
-	eng       *ephem.Engine
+	eng       Ephemeris
 	res       SessionResult
 	cur       Candidate
 	heldSince float64
 }
 
+// Ephemeris is where a session reads positions: an *ephem.Engine, or the
+// *ephem.Sweep of a driver that walks time forward.
+type Ephemeris interface {
+	SnapshotAt(t float64) []geo.Vec3
+	PositionAt(t float64, id int) geo.Vec3
+}
+
 // Begin starts a session at t0 by selecting the first server. snap must be
 // the frame at t0; eng serves Sticky's look-ahead.
-func (p *Planner) Begin(eng *ephem.Engine, policy Policy, t0 float64, snap []geo.Vec3) (*Session, error) {
+func (p *Planner) Begin(eng Ephemeris, policy Policy, t0 float64, snap []geo.Vec3) (*Session, error) {
 	s := &Session{p: p, eng: eng, res: SessionResult{Policy: policy, StartSec: t0}, heldSince: t0}
 	var err error
 	switch policy {

@@ -123,17 +123,23 @@ func (o *Observer) NextPassAny(ground geo.Vec3, t0, horizonSec, coarseStepSec fl
 		return PassWindow{}, false, fmt.Errorf("visibility: positive horizon and step required")
 	}
 	snap := make([]geo.Vec3, o.c.Size())
-	anyVis := func(t float64) (int, bool) {
-		o.snapshotInto(t, snap)
+	anyVis := func(t float64) (int, bool, error) {
+		if err := o.snapshotInto(t, snap); err != nil {
+			return -1, false, err
+		}
 		for id, pos := range snap {
 			if o.Visible(ground, id, pos) {
-				return id, true
+				return id, true, nil
 			}
 		}
-		return -1, false
+		return -1, false, nil
 	}
 	for t := t0; t <= t0+horizonSec; t += coarseStepSec {
-		if id, ok := anyVis(t); ok {
+		id, ok, err := anyVis(t)
+		if err != nil {
+			return PassWindow{}, false, err
+		}
+		if ok {
 			// Delegate to the per-satellite refinement from just before t.
 			start := math.Max(t0, t-coarseStepSec)
 			ws, err := o.PassWindows(ground, id, start, horizonSec-(start-t0), coarseStepSec)

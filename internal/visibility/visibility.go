@@ -95,14 +95,14 @@ func (o *Observer) UseEphemeris(eng *ephem.Engine) *Observer {
 }
 
 // snapshotInto fills dst with the constellation at t, through the shared
-// engine when one is attached.
-func (o *Observer) snapshotInto(t float64, dst []geo.Vec3) {
+// engine when one is attached; a wrong-sized dst is an error.
+func (o *Observer) snapshotInto(t float64, dst []geo.Vec3) error {
 	if o.eng != nil {
 		if err := o.eng.SnapshotInto(t, dst); err == nil {
-			return
+			return nil
 		}
 	}
-	o.c.SnapshotInto(t, dst)
+	return o.c.SnapshotInto(t, dst)
 }
 
 // NewObserver builds an Observer for the constellation using each shell's
