@@ -588,10 +588,11 @@ func report(out io.Writer, orch *fleet.Orchestrator, in reportInputs) error {
 	return plot.Table(out, nil, crows)
 }
 
-// ephemLine formats the ring's ephemeris-cache outcome. A standalone run
-// requests every epoch instant exactly once (the ring rotation keeps old
-// frames alive without re-querying), so hits stay at zero unless the
-// engine is shared with other consumers of the same constellation.
+// ephemLine formats the ring's ephemeris-cache outcome. The ring requests
+// each epoch instant once, when it enters slot K; every epoch's routing
+// snapshot then re-reads slot 0's instant from the store, so a standalone
+// run counts about one hit per epoch (telesat, 40 sessions, 0.5 h: 31 hits
+// / 51 misses), and more when other consumers share the engine.
 func ephemLine(s ephem.Stats) string {
 	total := s.Hits + s.Misses
 	if total == 0 {

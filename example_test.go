@@ -45,12 +45,10 @@ func ExampleNew_kuiper() {
 }
 
 // ExampleNew_options configures the service with functional options: a
-// 30-second fleet epoch, a deeper ephemeris cache, and seeded fault
-// injection, then builds the fleet orchestrator those options describe.
+// 30-second fleet epoch and seeded fault injection, then builds the fleet orchestrator those options describe.
 func ExampleNew_options() {
 	svc, err := inorbit.New(inorbit.Telesat,
 		inorbit.WithStepSec(30),
-		inorbit.WithEphemCache(128),
 		inorbit.WithFaults(inorbit.FaultConfig{Seed: 7, SatMTBFHours: 6, SatMTTRSec: 1800}),
 	)
 	if err != nil {
@@ -75,8 +73,7 @@ func ExampleNew_options() {
 }
 
 // ExampleService_Ephemeris queries the stable propagation surface: shared
-// exact frames, exact fills of a caller buffer, and sub-step
-// interpolation between cached keyframes.
+// exact frames and exact fills of a caller buffer.
 func ExampleService_Ephemeris() {
 	svc, err := inorbit.New(inorbit.Telesat)
 	if err != nil {

@@ -10,7 +10,7 @@
 //
 //	svc, _ := inorbit.New(inorbit.Starlink,
 //	        inorbit.WithStepSec(30),
-//	        inorbit.WithEphemCache(128))
+//	        inorbit.WithWorkers(4))
 //	view, _ := svc.Edge(0, inorbit.LatLon{LatDeg: 9.06, LonDeg: 7.49})
 //	fmt.Printf("nearest satellite-server: %.1f ms RTT\n", view.NearestRTTMs)
 //
@@ -80,7 +80,7 @@ const (
 // time t. Frames from SnapshotAt are shared and immutable; SnapshotInto
 // fills a caller buffer with exact positions. The service-wide
 // implementation parallelises propagation across the available cores and
-// caches keyframes so concurrent consumers reuse each other's work.
+// stores recent frames so concurrent consumers reuse each other's work.
 type Ephemeris interface {
 	// Size returns the number of satellites per frame.
 	Size() int
@@ -100,7 +100,7 @@ type Service struct {
 }
 
 // New builds the service over a preset constellation. Pass functional
-// options (WithStepSec, WithFaults, WithEphemCache, ...) to configure it.
+// options (WithStepSec, WithFaults, WithWorkers, ...) to configure it.
 func New(choice ConstellationChoice, opts ...Option) (*Service, error) {
 	c, err := constellation.Preset(string(choice))
 	if err != nil {
@@ -132,9 +132,6 @@ func NewCustom(c *constellation.Constellation, opts ...Option) (*Service, error)
 	}
 	if set.islGbps < 0 || math.IsNaN(set.islGbps) || math.IsInf(set.islGbps, 0) {
 		return nil, fmt.Errorf("inorbit: ISL bandwidth %v Gb/s must be positive and finite", set.islGbps)
-	}
-	if g := set.ephem.GridStepSec; math.IsNaN(g) || math.IsInf(g, 0) {
-		return nil, fmt.Errorf("inorbit: ephemeris grid step %v s must be finite", g)
 	}
 	// One engine serves every snapshot consumer in the service: edge views,
 	// meetup planners and virtual servers, the observer's pass sweeps, and

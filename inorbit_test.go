@@ -223,7 +223,6 @@ func smallService(t testing.TB, opts ...Option) *Service {
 func TestOptionsFacade(t *testing.T) {
 	svc := smallService(t,
 		WithStepSec(30),
-		WithEphemCache(16),
 		WithWorkers(2),
 		WithFaults(FaultConfig{Seed: 3, SatMTBFHours: 4, SatMTTRSec: 600}),
 	)

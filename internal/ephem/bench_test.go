@@ -87,13 +87,14 @@ func BenchmarkSnapshotSerial(b *testing.B) {
 }
 
 // BenchmarkSnapshotParallel compares one-worker and par.Workers()
-// propagation through the engine with caching disabled, asserting the
-// frames are bit-identical. On a 1-CPU host both engines are serial, so the
-// speedup is reported only where there is parallelism to measure.
+// propagation through the engine's SnapshotInto, which stores no frame on a
+// miss (every instant here is distinct), asserting the frames are
+// bit-identical. On a 1-CPU host both engines are serial, so the speedup is
+// reported only where there is parallelism to measure.
 func BenchmarkSnapshotParallel(b *testing.B) {
 	c := starlink(b)
-	serial := ephem.New(c, ephem.Config{Workers: 1, CacheFrames: -1, GridFrames: -1})
-	wide := ephem.New(c, ephem.Config{CacheFrames: -1, GridFrames: -1})
+	serial := ephem.New(c, ephem.Config{Workers: 1})
+	wide := ephem.New(c, ephem.Config{})
 	dst := make([]geo.Vec3, c.Size())
 	var serialNs, parNs float64
 	b.ResetTimer()
@@ -137,7 +138,7 @@ func BenchmarkSnapshotCached(b *testing.B) {
 	sink := 0.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := ephem.New(c, ephem.Config{CacheFrames: frameReps + 1, GridFrames: frameReps + 1})
+		eng := ephem.New(c, ephem.Config{}) // frameReps fits the default store
 		t0 := time.Now()
 		for r := 0; r < frameReps; r++ {
 			sink = checksum(eng.SnapshotAt(float64(r) * 60))

@@ -7,11 +7,11 @@
 //   - propagates full-constellation snapshots in contiguous chunks across
 //     par.Workers() cores (a snapshot is embarrassingly parallel: each
 //     satellite's position is an independent closed-form evaluation); and
-//   - keeps a time-keyed keyframe cache so consumers querying the same or
-//     nearby instants reuse one propagation instead of repeating it. The
-//     cache is two-tier: frames on the keyframe grid (multiples of
-//     GridStepSec) live in a protected ring that sequential sweeps cannot
-//     flush, all other instants share an LRU pool.
+//   - keeps a time-keyed frame store so consumers querying the same instant
+//     reuse one propagation instead of repeating it. The store is one FIFO
+//     over every instant, grid or not, in flight or filled; its capacity is
+//     set by the deepest look-ahead ring that reads it (Engine.Reserve),
+//     and is never below 16 frames.
 //
 // Frames returned by Engine.SnapshotAt are immutable and shared: callers must
 // not modify them, and may retain them for as long as they like (eviction
@@ -24,7 +24,6 @@
 package ephem
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"sync"
@@ -44,18 +43,9 @@ type Config struct {
 	// Workers bounds snapshot propagation parallelism (default par.Workers()).
 	// Workers == 1 propagates inline with no goroutine hand-off.
 	Workers int
-	// CacheFrames is the LRU capacity, in frames, for snapshots at
-	// off-grid instants (default 64; negative disables the LRU tier).
-	// One Starlink-scale frame is ~105 KiB.
-	CacheFrames int
-	// GridFrames is the capacity, in frames, of the protected keyframe
-	// ring holding snapshots at multiples of GridStepSec (default 64;
-	// negative disables the tier). Grid frames are evicted FIFO and only
-	// by other grid frames, so a long off-grid sweep cannot flush the
-	// keyframes that lookahead queries keep returning to.
-	GridFrames int
-	// GridStepSec is the keyframe grid spacing in seconds (default 60,
-	// the meetup/fleet lookahead sampling step).
+	// GridStepSec is ignored: the store no longer keeps a keyframe grid.
+	// It is a shim for the repository benchmark, which still sets it, and
+	// leaves with the next change to the benchmark.
 	GridStepSec float64
 	// Registry receives the ephem_* metric families (default obs.Default()).
 	Registry *obs.Registry
@@ -67,20 +57,15 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = par.Workers()
 	}
-	if c.CacheFrames == 0 {
-		c.CacheFrames = 64
-	}
-	if c.GridFrames == 0 {
-		c.GridFrames = 64
-	}
-	if c.GridStepSec <= 0 {
-		c.GridStepSec = 60
-	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
 	}
 	return c
 }
+
+// minFrames is the store's capacity before any reader reserves more. One
+// Starlink-scale frame is ~105 KiB.
+const minFrames = 16
 
 // frame is one full-constellation snapshot, immutable once published: done
 // is closed once pos is filled.
@@ -100,7 +85,7 @@ type Stats struct {
 	// Hits and Misses count cache lookups across SnapshotAt and SnapshotInto,
 	// the engine's Sweeps included.
 	Hits, Misses uint64
-	// Frames is the number of cached frames currently held (both tiers).
+	// Frames is the number of frames the store holds, in flight included.
 	Frames int
 	// PropagatedSats counts individual satellite propagations performed.
 	PropagatedSats uint64
@@ -113,12 +98,10 @@ type Engine struct {
 	cfg Config
 	m   *metricsSet
 
-	mu        sync.Mutex
-	misc      map[uint64]*list.Element // Float64bits(t) → *frame element
-	lru       *list.List               // misc eviction order, front = most recent
-	grid      map[int64]*frame         // grid index → keyframe
-	gridOrder []int64                  // grid insertion order (FIFO eviction)
-	inflight  map[uint64]*frame        // Float64bits(t) → frame being propagated
+	mu       sync.Mutex
+	frames   map[uint64]*frame // Float64bits(t) → frame at t, filled or in flight
+	order    []uint64          // frames' keys, oldest first (FIFO eviction)
+	capacity int               // max(minFrames, largest Reserve)
 
 	hits, misses, propagated atomic.Uint64
 }
@@ -127,12 +110,11 @@ type Engine struct {
 func New(c *constellation.Constellation, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
-		c:    c,
-		cfg:  cfg,
-		m:    newMetrics(cfg.Registry),
-		misc: make(map[uint64]*list.Element),
-		lru:  list.New(),
-		grid: make(map[int64]*frame),
+		c:        c,
+		cfg:      cfg,
+		m:        newMetrics(cfg.Registry),
+		frames:   make(map[uint64]*frame),
+		capacity: minFrames,
 	}
 }
 
@@ -142,8 +124,15 @@ func (e *Engine) Constellation() *constellation.Constellation { return e.c }
 // Size returns the number of satellites per frame.
 func (e *Engine) Size() int { return e.c.Size() }
 
-// GridStepSec returns the keyframe grid spacing.
-func (e *Engine) GridStepSec() float64 { return e.cfg.GridStepSec }
+// Reserve raises the store's capacity to at least n frames. A reader that
+// keeps n frames in use, such as a look-ahead ring, reserves them so that
+// its frames are still stored when it reads them again. Capacity never
+// shrinks.
+func (e *Engine) Reserve(n int) {
+	e.mu.Lock()
+	e.capacity = max(e.capacity, n)
+	e.mu.Unlock()
+}
 
 // Stats returns this engine's cache counters. Metrics on the configured
 // registry aggregate across engines; Stats is always per-engine.
@@ -153,7 +142,7 @@ func (e *Engine) Stats() Stats {
 	return Stats{
 		Hits:           e.hits.Load(),
 		Misses:         e.misses.Load(),
-		Frames:         len(e.misc) + len(e.grid),
+		Frames:         len(e.frames),
 		PropagatedSats: e.propagated.Load(),
 	}
 }
@@ -169,96 +158,33 @@ func (e *Engine) miss() {
 	e.m.misses.Inc()
 }
 
-// gridIndex reports whether t lies exactly on the keyframe grid and, if
-// so, its grid index.
-func (e *Engine) gridIndex(t float64) (int64, bool) {
-	q := t / e.cfg.GridStepSec
-	r := math.Round(q)
-	if q != r || math.Abs(r) > 1e15 { // beyond 2^53 the grid is meaningless
-		return 0, false
-	}
-	return int64(r), true
-}
-
-// lookup returns the cached or in-flight frame for t, or nil; a caller
-// waits on its done before reading pos. Caller holds e.mu.
-func (e *Engine) lookup(t float64) *frame {
-	if gi, ok := e.gridIndex(t); ok {
-		if f, ok := e.grid[gi]; ok {
-			return f
-		}
-		// A grid instant may still sit in the LRU tier if the grid tier is
-		// disabled; fall through.
-	}
-	if el, ok := e.misc[math.Float64bits(t)]; ok {
-		e.lru.MoveToFront(el)
-		return el.Value.(*frame)
-	}
-	return e.inflight[math.Float64bits(t)]
-}
-
-// insert publishes f in the cache, evicting per-tier as needed, and
-// returns the canonical frame for f.t (an earlier racer's frame wins so
-// same-time callers share one buffer). Caller holds e.mu.
-func (e *Engine) insert(f *frame) *frame {
-	if gi, ok := e.gridIndex(f.t); ok && e.cfg.GridFrames > 0 {
-		if have, ok := e.grid[gi]; ok {
-			return have
-		}
-		e.grid[gi] = f
-		e.gridOrder = append(e.gridOrder, gi)
-		if len(e.gridOrder) > e.cfg.GridFrames {
-			delete(e.grid, e.gridOrder[0])
-			e.gridOrder = e.gridOrder[1:]
-		}
-		e.m.frames.Set(float64(len(e.misc) + len(e.grid)))
-		return f
-	}
-	if e.cfg.CacheFrames <= 0 {
-		return f
-	}
-	key := math.Float64bits(f.t)
-	if el, ok := e.misc[key]; ok {
-		return el.Value.(*frame)
-	}
-	e.misc[key] = e.lru.PushFront(f)
-	if e.lru.Len() > e.cfg.CacheFrames {
-		last := e.lru.Back()
-		e.lru.Remove(last)
-		delete(e.misc, math.Float64bits(last.Value.(*frame).t))
-	}
-	e.m.frames.Set(float64(len(e.misc) + len(e.grid)))
-	return f
-}
-
 // SnapshotAt returns the ECEF position of every satellite at t seconds
 // after epoch, indexed by satellite ID. The returned slice is shared and
 // immutable: do not modify it. Repeated calls for the same t return the
-// same backing array while the frame is cached. A caller that misses while
+// same backing array while the frame is stored. A caller that misses while
 // another is already propagating t waits for that frame and counts a hit.
 func (e *Engine) SnapshotAt(t float64) []geo.Vec3 {
+	key := math.Float64bits(t)
 	e.mu.Lock()
-	if f := e.lookup(t); f != nil {
+	if f, ok := e.frames[key]; ok {
 		e.mu.Unlock()
 		e.hit()
 		<-f.done
 		return f.pos
 	}
 	f := newFrame(t, make([]geo.Vec3, e.c.Size()))
-	if e.inflight == nil {
-		e.inflight = make(map[uint64]*frame)
+	e.frames[key] = f
+	e.order = append(e.order, key)
+	for len(e.order) > e.capacity {
+		delete(e.frames, e.order[0])
+		e.order = e.order[1:]
 	}
-	e.inflight[math.Float64bits(t)] = f
+	e.m.frames.Set(float64(len(e.frames)))
 	e.mu.Unlock()
 	e.miss()
 
 	e.propagate(t, f.pos)
 	close(f.done)
-
-	e.mu.Lock()
-	delete(e.inflight, math.Float64bits(t))
-	f = e.insert(f)
-	e.mu.Unlock()
 	return f.pos
 }
 
@@ -271,9 +197,9 @@ func (e *Engine) SnapshotInto(t float64, dst []geo.Vec3) error {
 		return fmt.Errorf("ephem: SnapshotInto dst length %d, want %d satellites", len(dst), e.c.Size())
 	}
 	e.mu.Lock()
-	f := e.lookup(t)
+	f, ok := e.frames[math.Float64bits(t)]
 	e.mu.Unlock()
-	if f != nil {
+	if ok {
 		e.hit()
 		<-f.done
 		copy(dst, f.pos)

@@ -1,7 +1,6 @@
 package ephem
 
 import (
-	"math"
 	"sync"
 	"testing"
 
@@ -82,7 +81,8 @@ func TestSnapshotSharingAndStats(t *testing.T) {
 // single-satellite calls included in the mix.
 func TestPropagateTimedOncePerMiss(t *testing.T) {
 	reg := obs.NewRegistry()
-	eng := testEngine(t, Config{Registry: reg, CacheFrames: 2, GridFrames: 2})
+	eng := testEngine(t, Config{Registry: reg})
+	eng.capacity = 2
 	dst := make([]geo.Vec3, eng.Size())
 	for k := 0; k < 12; k++ {
 		eng.SnapshotAt(float64(k%5) * 60)
@@ -142,39 +142,34 @@ func TestConcurrentMissPropagatesOnce(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionBounded(t *testing.T) {
-	eng := testEngine(t, Config{CacheFrames: 4, GridFrames: 4})
+// TestFIFOEvictionBounded: over a mix of grid and off-grid instants the
+// store never holds more than its capacity, evicts in insertion order even
+// when the oldest frame was just read, and still serves the newest frame.
+func TestFIFOEvictionBounded(t *testing.T) {
+	eng := testEngine(t, Config{})
+	eng.capacity = 4
 	for k := 0; k < 100; k++ {
-		eng.SnapshotAt(float64(k) + 0.5) // off-grid → LRU tier
+		tt := float64(k) * 60 // on the 60 s grid
+		if k%3 != 0 {
+			tt += 0.5
+		}
+		eng.SnapshotAt(tt)
+		if st := eng.Stats(); st.Frames > 4 {
+			t.Fatalf("t=%g: store held %d frames, capacity 4", tt, st.Frames)
+		}
 	}
-	if st := eng.Stats(); st.Frames > 4 {
-		t.Fatalf("LRU held %d frames, cap 4", st.Frames)
-	}
-	for k := 0; k < 100; k++ {
-		eng.SnapshotAt(float64(k) * 60) // grid tier
-	}
-	if st := eng.Stats(); st.Frames > 8 {
-		t.Fatalf("both tiers held %d frames, caps 4+4", st.Frames)
-	}
-}
-
-// TestGridTierProtected is the point of the two-tier cache: a long
-// off-grid sweep (the LRU-adversarial access pattern of session
-// simulations) must not flush grid keyframes.
-func TestGridTierProtected(t *testing.T) {
-	eng := testEngine(t, Config{CacheFrames: 2, GridFrames: 8})
-	kf := eng.SnapshotAt(60) // grid keyframe
-	for k := 0; k < 50; k++ {
-		eng.SnapshotAt(float64(k) + 0.25) // flood the LRU tier
-	}
+	const oldest, newer = 96 * 60, 6000.5
+	eng.SnapshotAt(oldest)          // a hit that an LRU would count as a use
+	newest := eng.SnapshotAt(newer) // evicts oldest all the same
 	before := eng.Stats()
-	again := eng.SnapshotAt(60)
+	eng.SnapshotAt(oldest)
+	again := eng.SnapshotAt(newer)
 	after := eng.Stats()
-	if after.Hits != before.Hits+1 {
-		t.Fatal("grid keyframe was evicted by the off-grid sweep")
+	if after.Misses != before.Misses+1 || after.Hits != before.Hits+1 {
+		t.Fatalf("stats %+v -> %+v, want the evicted oldest frame to miss and the newest to hit", before, after)
 	}
-	if &kf[0] != &again[0] {
-		t.Fatal("grid keyframe re-propagated instead of shared")
+	if &again[0] != &newest[0] {
+		t.Fatal("newest frame re-propagated instead of shared")
 	}
 }
 
@@ -185,11 +180,19 @@ func TestSnapshotIntoLengthError(t *testing.T) {
 	}
 }
 
-// TestConcurrent hammers all entry points from many goroutines over
-// overlapping instants; run under -race in CI.
+// TestConcurrent hammers all entry points, Reserve included, from many
+// goroutines over overlapping instants; run under -race in CI.
 func TestConcurrent(t *testing.T) {
-	eng := testEngine(t, Config{Workers: 2, CacheFrames: 8, GridFrames: 8})
+	eng := testEngine(t, Config{Workers: 2})
+	eng.capacity = 8
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // readers see the store grow under them
+		defer wg.Done()
+		for n := 8; n <= 12; n++ {
+			eng.Reserve(n)
+		}
+	}()
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -210,45 +213,6 @@ func TestConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestGridIndex covers grid classification edge cases, including
-// negative times.
-func TestGridIndex(t *testing.T) {
-	eng := testEngine(t, Config{})
-	cases := []struct {
-		t    float64
-		idx  int64
-		grid bool
-	}{
-		{0, 0, true}, {60, 1, true}, {-60, -1, true}, {120, 2, true},
-		{30, 0, false}, {59.999, 0, false}, {-0.5, 0, false},
-	}
-	for _, c := range cases {
-		idx, ok := eng.gridIndex(c.t)
-		if ok != c.grid || (ok && idx != c.idx) {
-			t.Fatalf("gridIndex(%g) = %d,%v want %d,%v", c.t, idx, ok, c.idx, c.grid)
-		}
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	eng := testEngine(t, Config{CacheFrames: -1, GridFrames: -1})
-	a := eng.SnapshotAt(0)
-	b := eng.SnapshotAt(0)
-	if &a[0] == &b[0] {
-		t.Fatal("caching disabled, snapshots should be distinct buffers")
-	}
-	if st := eng.Stats(); st.Frames != 0 || st.Hits != 0 {
-		t.Fatalf("stats = %+v, want no frames/hits with caching off", st)
-	}
-	// Values still exact.
-	if a[0] != b[0] {
-		t.Fatal("uncached snapshots disagree")
-	}
-	if math.IsNaN(a[0].X) {
-		t.Fatal("NaN position")
-	}
 }
 
 // TestPositionAtMatchesSnapshot pins the per-satellite call bit-for-bit

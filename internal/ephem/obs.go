@@ -17,13 +17,13 @@ type metricsSet struct {
 func newMetrics(reg *obs.Registry) *metricsSet {
 	return &metricsSet{
 		hits: reg.Counter("ephem_cache_hits_total",
-			"Snapshot requests served from the keyframe cache."),
+			"Snapshot requests served from a stored frame."),
 		misses: reg.Counter("ephem_cache_misses_total",
 			"Snapshot requests that had to propagate the constellation."),
 		propagated: reg.Counter("ephem_propagated_satellites_total",
 			"Individual satellite position/velocity propagations performed."),
 		frames: reg.Gauge("ephem_cache_frames",
-			"Full-constellation frames currently held across cache tiers."),
+			"Full-constellation frames currently held in the frame store."),
 		propagateSec: reg.Quantile("ephem_propagate_seconds",
 			"Wall-clock time of one full-constellation propagation batch."),
 	}

@@ -12,7 +12,7 @@ import (
 // above the floor is propagated once, through the engine, and every caller
 // of that instant shares the one frame; hits and misses count in the
 // engine's Stats and metrics, and concurrent misses of one instant share one
-// propagation. Unlike the engine's cache tiers, a Sweep reuses memory: once
+// propagation. Unlike the engine's own store, a Sweep reuses memory: once
 // Advance moves the floor past a frame's instant, its buffer goes back to a
 // free list and a later miss refills it. So a frame from a Sweep is valid
 // only until the floor passes its instant; a caller must not hold one past

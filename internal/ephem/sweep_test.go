@@ -30,7 +30,8 @@ func sameFrame(got, want []geo.Vec3) int {
 func TestSweepMatchesEngine(t *testing.T) {
 	c := testConst(t)
 	ref := New(c, Config{Registry: obs.NewRegistry()})
-	eng := New(c, Config{Registry: obs.NewRegistry(), CacheFrames: -1, GridFrames: -1})
+	eng := New(c, Config{Registry: obs.NewRegistry()})
+	eng.capacity = 0 // the engine stores nothing
 	sw := eng.Sweep()
 	rng := rand.New(rand.NewSource(1))
 	floor := 0.0
@@ -55,7 +56,7 @@ func TestSweepMatchesEngine(t *testing.T) {
 			propagated[tt] = true
 		}
 	}
-	// With the engine's tiers off, every below-floor request propagates.
+	// With the engine's store off, every below-floor request propagates.
 	if st := eng.Stats(); st.Misses != uint64(len(propagated))+fallThrough || fallThrough == 0 {
 		t.Fatalf("%d misses for %d distinct sweep instants and %d below-floor requests", st.Misses, len(propagated), fallThrough)
 	}
@@ -163,13 +164,16 @@ func TestSweepConcurrentMissPropagatesOnce(t *testing.T) {
 	}
 }
 
-// FuzzSweepMatchesEngine drives a Sweep with an arbitrary sequence of
-// requests — repeats and below-floor instants included — interleaved with
-// Advance. Every frame it returns equals Constellation.Snapshot bit for bit,
-// and every frame still at or above the floor keeps its bits to the end.
+// FuzzSweepMatchesEngine drives a Sweep and its engine with an arbitrary
+// sequence of operations — Sweep requests (repeats and below-floor instants
+// included), Advance, and the engine's own SnapshotAt, SnapshotInto and
+// Reserve. Every frame either returns equals Constellation.Snapshot bit for
+// bit, every engine frame and every Sweep frame still at or above the floor
+// keeps its bits to the end, and the engine never stores more frames than
+// its capacity.
 func FuzzSweepMatchesEngine(f *testing.F) {
-	f.Add([]byte{1, 3, 3, 8, 5, 1, 17, 0, 255})
-	f.Add([]byte{121, 121, 40, 3, 121, 9, 60, 41, 1})
+	f.Add([]byte{1, 3, 3, 8, 5, 1, 17, 0, 255, 12, 14, 42})
+	f.Add([]byte{121, 121, 40, 3, 121, 9, 60, 41, 1, 22, 37, 39, 34})
 	c := testConst(f)
 	want := map[float64][]geo.Vec3{}
 	snapshot := func(at float64) []geo.Vec3 {
@@ -180,26 +184,50 @@ func FuzzSweepMatchesEngine(f *testing.F) {
 		return want[at]
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		eng := New(c, Config{Registry: obs.NewRegistry(), CacheFrames: 2, GridFrames: 2})
+		eng := New(c, Config{Registry: obs.NewRegistry()})
+		eng.capacity = 2
+		capacity := 2
 		sw := eng.Sweep()
+		dst := make([]geo.Vec3, c.Size())
 		floor := math.Inf(-1)
 		held := map[float64][]geo.Vec3{}
+		var engineAt []float64 // instants of the engine frames returned, in order
+		var engineHeld [][]geo.Vec3
 		for _, op := range ops {
-			at := float64(op>>1) * 7.5 // 128 instants, every eighth on the 60 s grid
-			if op&1 == 0 {
+			at := float64(op/5) * 7.5 // 52 instants, every eighth on the 60 s grid
+			var got []geo.Vec3
+			switch op % 5 {
+			case 0:
 				sw.Advance(at)
 				floor = math.Max(floor, at)
-				continue
-			}
-			got := sw.SnapshotAt(at)
-			if i := sameFrame(got, snapshot(at)); i >= 0 {
-				t.Fatalf("t=%g (floor %g) sat %d: sweep %v != Snapshot %v", at, floor, i, got[i], snapshot(at)[i])
-			}
-			if at >= floor {
-				if h, ok := held[at]; ok && &h[0] != &got[0] {
-					t.Fatalf("t=%g propagated twice above the floor", at)
+			case 1:
+				got = sw.SnapshotAt(at)
+				if at >= floor {
+					if h, ok := held[at]; ok && &h[0] != &got[0] {
+						t.Fatalf("t=%g propagated twice above the floor", at)
+					}
+					held[at] = got
 				}
-				held[at] = got
+			case 2:
+				got = eng.SnapshotAt(at)
+				engineAt, engineHeld = append(engineAt, at), append(engineHeld, got)
+			case 3:
+				if err := eng.SnapshotInto(at, dst); err != nil {
+					t.Fatal(err)
+				}
+				got = dst
+			case 4:
+				n := int(op/5) % 8
+				eng.Reserve(n)
+				capacity = max(capacity, n)
+			}
+			if got != nil {
+				if i := sameFrame(got, snapshot(at)); i >= 0 {
+					t.Fatalf("op %d t=%g (floor %g) sat %d: %v != Snapshot %v", op%5, at, floor, i, got[i], snapshot(at)[i])
+				}
+			}
+			if st := eng.Stats(); st.Frames > capacity {
+				t.Fatalf("engine stores %d frames, capacity %d", st.Frames, capacity)
 			}
 		}
 		for at, h := range held {
@@ -208,6 +236,11 @@ func FuzzSweepMatchesEngine(f *testing.F) {
 			}
 			if i := sameFrame(h, snapshot(at)); i >= 0 {
 				t.Fatalf("frame t=%g at floor %g rewritten: sat %d", at, floor, i)
+			}
+		}
+		for i, h := range engineHeld {
+			if sat := sameFrame(h, snapshot(engineAt[i])); sat >= 0 {
+				t.Fatalf("engine frame t=%g rewritten: sat %d", engineAt[i], sat)
 			}
 		}
 	})

@@ -50,8 +50,9 @@ func ChurnStudy(durationSec, stepSec float64) ([]ChurnRow, error) {
 	}
 	var out []ChurnRow
 	for _, p := range pairs {
-		// The four routes sample the same instants; the shared engine
-		// propagates each once.
+		// The four routes sample the same instants, but each route walks
+		// all of them before the next starts, and they outnumber the frames
+		// the shared engine stores: every route propagates its own.
 		net := netgraph.New(c, []geo.LatLon{p.a, p.b}).UseEphemeris(engineFor(c))
 		rep, err := monitorPair(net, 0, 1, 0, durationSec, stepSec)
 		if err != nil {

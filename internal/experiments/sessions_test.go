@@ -88,9 +88,9 @@ func TestSessionDriverPropagatesEachStepOnce(t *testing.T) {
 	const durationSec, stepSec, instants = 600, 2, 301
 	c, planners := testPlanners(t)
 
-	// MinMax alone asks for step frames only, so even an LRU no larger than
-	// the window misses exactly once per instant.
-	eng := sweepEngine(c, ephem.Config{CacheFrames: sessionWindow, GridFrames: -1})
+	// MinMax alone asks for step frames only, all from the driver's Sweep,
+	// so it misses exactly once per instant.
+	eng := sweepEngine(c, ephem.Config{})
 	if _, err := simulateSessions(eng, planners, bothPolicies[:1], durationSec, stepSec); err != nil {
 		t.Fatal(err)
 	}

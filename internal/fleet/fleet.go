@@ -94,9 +94,8 @@ type Config struct {
 	RetryBaseSec, RetryCapSec float64
 	// Ephem is the shared ephemeris engine backing the look-ahead ring. Pass
 	// one to share propagated frames with other consumers of the same
-	// constellation; nil builds a private engine sized to the ring (grid
-	// step = StepSec so every ring frame lands in the protected keyframe
-	// tier).
+	// constellation; nil builds a private one. Either way the ring
+	// reserves its depth in the engine's frame store.
 	Ephem *ephem.Engine
 }
 
@@ -278,16 +277,8 @@ func New(c *constellation.Constellation, grid *isl.Grid, cfg Config) (*Orchestra
 	}
 	eng := cfg.Ephem
 	if eng == nil {
-		// Private engine: keyframe grid = the epoch grid, protected tier
-		// sized to hold the whole lookahead ring plus advance slack.
-		ringLen := int(math.Round(cfg.LookaheadSec/cfg.StepSec)) + 1
-		eng = ephem.New(c, ephem.Config{
-			Workers:     cfg.Workers,
-			GridStepSec: cfg.StepSec,
-			GridFrames:  ringLen + 2,
-			CacheFrames: ringLen + 2,
-			Registry:    cfg.Registry,
-		})
+		// Private engine: the look-ahead ring reserves its own depth.
+		eng = ephem.New(c, ephem.Config{Workers: cfg.Workers, Registry: cfg.Registry})
 	}
 	net := netgraph.New(c, nil).UseEphemeris(eng)
 	net.Grid = grid // route transfers over the planner's own topology

@@ -244,6 +244,17 @@ func ReadFramesJSONL(r io.Reader) ([]Frame, error) {
 		if err := json.Unmarshal([]byte(line), &fr); err != nil {
 			return nil, fmt.Errorf("obs: bad timeline line %q: %w", truncate(line, 80), err)
 		}
+		// The writer omits empty labels and quantiles, so read them as
+		// absent: a parse then survives a write and re-read unchanged.
+		for i := range fr.Points {
+			p := &fr.Points[i]
+			if len(p.Labels) == 0 {
+				p.Labels = nil
+			}
+			if len(p.Quantiles) == 0 {
+				p.Quantiles = nil
+			}
+		}
 		out = append(out, fr)
 	}
 	return out, sc.Err()

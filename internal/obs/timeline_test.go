@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -125,6 +126,32 @@ func TestTimelineJSONLRoundTrip(t *testing.T) {
 	if _, err := ReadFramesJSONL(strings.NewReader("{not json\n")); err == nil {
 		t.Error("bad JSONL line not rejected")
 	}
+}
+
+// FuzzReadFramesJSONL: any input either fails to parse or parses to frames
+// that survive a WriteFramesJSONL round trip unchanged.
+func FuzzReadFramesJSONL(f *testing.F) {
+	f.Add([]byte(`{"t_sec":30,"dt_sec":0,"points":[{"name":"req_total","kind":"counter","labels":{"code":"200"},"value":9}]}` + "\n\n"))
+	f.Add([]byte(`{"t_sec":60,"dt_sec":30,"points":[{"name":"job_ms","kind":"quantile","value":2,"rate":0.1,"sum":4,"quantiles":[{"p":0.5,"value":2}]}]}`))
+	f.Add([]byte(`{"points":[{"labels":{},"quantiles":[]}]}`))
+	f.Add([]byte("{not json\n"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		frames, err := ReadFramesJSONL(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteFramesJSONL(&buf, frames); err != nil {
+			t.Fatalf("parsed frames do not write: %v", err)
+		}
+		again, err := ReadFramesJSONL(&buf)
+		if err != nil {
+			t.Fatalf("written frames do not parse: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(again, frames) {
+			t.Fatalf("round trip changed the frames:\n got %#v\nwant %#v", again, frames)
+		}
+	})
 }
 
 func TestTimelineCSVAndHTML(t *testing.T) {

@@ -77,8 +77,8 @@ type Config struct {
 	// injector (same seed = same schedule).
 	Faults *faults.Injector
 	// Ephem, when set, supplies the look-ahead ring's frames from its
-	// cache (share the fleet orchestrator's engine); nil propagates each
-	// frame fresh.
+	// frame store (share the fleet orchestrator's engine), where the ring
+	// reserves its depth; nil propagates each frame fresh.
 	Ephem *ephem.Engine
 }
 

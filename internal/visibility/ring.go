@@ -20,9 +20,13 @@ type Ring struct {
 }
 
 // NewRing builds the ring of k+1 frames at t0, t0+step, ..., t0+k·step
-// (k < 1 is taken as 1). eng may be nil.
+// (k < 1 is taken as 1). eng may be nil; when set, the ring reserves its
+// frames plus two of advance slack in eng's store.
 func NewRing(o *Observer, eng *ephem.Engine, t0, step float64, k int) *Ring {
 	r := &Ring{obs: o, eng: eng, step: step, frames: make([][]geo.Vec3, max(k, 1)+1)}
+	if eng != nil {
+		eng.Reserve(len(r.frames) + 2)
+	}
 	for i := range r.frames {
 		r.frames[i] = r.frameAt(t0 + float64(i)*step)
 	}

@@ -38,6 +38,29 @@ func TestRingAdvanceMatchesFreshRing(t *testing.T) {
 	}
 }
 
+// TestRingReservesItsDepth: a ring over a default-capacity engine reserves
+// its K+1 frames plus two of slack, so after many advances the engine still
+// stores the frame in slot 0 and a re-read of that instant hits.
+func TestRingReservesItsDepth(t *testing.T) {
+	c := testConstellation(t)
+	eng := ephem.New(c, ephem.Config{Registry: obs.NewRegistry()})
+	const step, k = 60.0, 20
+	r := NewRing(NewObserver(c), eng, 0, step, k)
+	now := 0.0
+	for n := 0; n < 40; n++ {
+		now += step
+		r.Advance(now)
+	}
+	before := eng.Stats()
+	if before.Frames != k+3 {
+		t.Fatalf("engine stores %d frames, want the ring's %d", before.Frames, k+3)
+	}
+	again := eng.SnapshotAt(now)
+	if after := eng.Stats(); after.Hits != before.Hits+1 || &again[0] != &r.Frame(0)[0] {
+		t.Fatalf("slot 0 at t=%g missed: stats %+v -> %+v", now, before, after)
+	}
+}
+
 // TestRingLifeMatchesBruteForce checks VisibleAll and Life against
 // Observer.Visible over freshly propagated snapshots, for random groups of
 // one to three nearby ground points, and requires the walk to reach the

@@ -13,8 +13,7 @@ import (
 //
 //	svc, err := inorbit.New(inorbit.Starlink,
 //	        inorbit.WithStepSec(1),
-//	        inorbit.WithFaults(inorbit.FaultConfig{Seed: 7, SatMTBFSec: 6 * 3600}),
-//	        inorbit.WithEphemCache(128))
+//	        inorbit.WithFaults(inorbit.FaultConfig{Seed: 7, SatMTBFSec: 6 * 3600}))
 //
 // Options apply in order; later options win on conflict.
 type Option interface {
@@ -83,25 +82,6 @@ func WithFaults(cfg FaultConfig) Option {
 		c := faults.Config(cfg)
 		s.faults = &c
 	})
-}
-
-// WithEphemCache sets how many full-constellation frames the shared
-// ephemeris engine caches per tier (default 64 LRU + 64 protected grid
-// keyframes; one Starlink-scale frame is ~105 KiB). Larger caches let
-// repeated sweeps over the same window replay frames instead of
-// re-propagating.
-func WithEphemCache(frames int) Option {
-	return funcOption(func(s *settings) {
-		s.ephem.CacheFrames = frames
-		s.ephem.GridFrames = frames
-	})
-}
-
-// WithEphemGridSec sets the keyframe grid spacing of the ephemeris engine
-// in seconds (default 60) — the instants pinned in the protected cache
-// tier.
-func WithEphemGridSec(sec float64) Option {
-	return funcOption(func(s *settings) { s.ephem.GridStepSec = sec })
 }
 
 // WithWorkers bounds the parallelism of snapshot propagation and fleet

@@ -39,12 +39,10 @@ func TestNewServiceValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, opt := range map[string]Option{
-		"invalid server spec":          WithServer(compute.ServerSpec{Cores: -1, MemoryGB: 1, PowerCapFraction: 1}),
-		"negative ISL bandwidth":       WithISLBandwidth(-1),
-		"NaN ISL bandwidth":            WithISLBandwidth(math.NaN()),
-		"infinite ISL bandwidth":       WithISLBandwidth(math.Inf(1)),
-		"NaN ephemeris grid step":      WithEphemGridSec(math.NaN()),
-		"infinite ephemeris grid step": WithEphemGridSec(math.Inf(1)),
+		"invalid server spec":    WithServer(compute.ServerSpec{Cores: -1, MemoryGB: 1, PowerCapFraction: 1}),
+		"negative ISL bandwidth": WithISLBandwidth(-1),
+		"NaN ISL bandwidth":      WithISLBandwidth(math.NaN()),
+		"infinite ISL bandwidth": WithISLBandwidth(math.Inf(1)),
 	} {
 		if _, err := NewCustom(c, opt); err == nil {
 			t.Fatalf("%s accepted", name)
