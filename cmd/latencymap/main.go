@@ -38,6 +38,9 @@ func parseFlags(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
+	if !units.Finite(o.stepDeg, o.atSec) {
+		return o, fmt.Errorf("-step and -t must be finite")
+	}
 	if o.stepDeg <= 0 || o.stepDeg > 30 {
 		return o, fmt.Errorf("step %v out of (0,30]", o.stepDeg)
 	}

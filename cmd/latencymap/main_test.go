@@ -19,6 +19,10 @@ func TestParseFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-step", "0"},
 		{"-step", "31"},
+		{"-step", "NaN"},
+		{"-t", "NaN"},
+		{"-t", "Inf"},
+		{"-t", "-Inf"},
 		{"-nope"},
 	} {
 		if _, err := parseFlags(args); err == nil {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/constellation"
 	"repro/internal/geo"
 	"repro/internal/plot"
+	"repro/internal/units"
 	"repro/internal/visibility"
 )
 
@@ -39,6 +40,9 @@ func parseFlags(args []string) (options, error) {
 	fs.BoolVar(&o.next, "next", false, "just report the next pass of any satellite")
 	if err := fs.Parse(args); err != nil {
 		return o, err
+	}
+	if !units.Finite(o.site.LatDeg, o.site.LonDeg, o.hours) {
+		return o, fmt.Errorf("-lat, -lon and -hours must be finite")
 	}
 	if !o.site.Valid() {
 		return o, fmt.Errorf("invalid site %v", o.site)

@@ -20,6 +20,11 @@ func TestParseFlags(t *testing.T) {
 		{"-lat", "91"},
 		{"-lon", "181"},
 		{"-hours", "0"},
+		{"-hours", "NaN"},
+		{"-hours", "Inf"},
+		{"-hours", "Inf", "-next"},
+		{"-lat", "NaN"},
+		{"-lon", "-Inf"},
 		{"-nope"},
 	} {
 		if _, err := parseFlags(args); err == nil {

@@ -206,9 +206,9 @@ func (s *Service) Covered(tSec float64, loc LatLon) bool {
 }
 
 // Meetup builds a meetup planner for a user group over the service's
-// constellation and ISL grid, with the WithMeetup parameters.
+// constellation and ISL grid, with the paper's §5 Sticky parameters.
 func (s *Service) Meetup(users []LatLon) (*meetup.Planner, error) {
-	return meetup.NewPlanner(s.constellation, s.grid, users, s.set.meetup)
+	return meetup.NewPlanner(s.constellation, s.grid, users, meetup.DefaultConfig())
 }
 
 // Feasibility runs the §4 analysis with the paper's defaults.

@@ -78,11 +78,12 @@ type MatchmakingRow struct {
 	MeanTerrestrialMs, MeanInOrbitMs float64
 }
 
+// matchLatencyCapMs is the matchmaking playability threshold (competitive
+// games: 50-80 ms RTT).
+const matchLatencyCapMs = 80
+
 // MatchmakingConfig tunes the study.
 type MatchmakingConfig struct {
-	// LatencyCapMs is the playability threshold (competitive games:
-	// 50-80 ms RTT).
-	LatencyCapMs float64
 	// PairsPerBucket is how many two-player groups to sample per
 	// separation.
 	PairsPerBucket int
@@ -93,9 +94,6 @@ type MatchmakingConfig struct {
 }
 
 func (c MatchmakingConfig) withDefaults() MatchmakingConfig {
-	if c.LatencyCapMs <= 0 {
-		c.LatencyCapMs = 80
-	}
 	if c.PairsPerBucket <= 0 {
 		c.PairsPerBucket = 20
 	}
@@ -169,10 +167,10 @@ func Matchmaking(cfg MatchmakingConfig) ([]MatchmakingRow, error) {
 			n++
 			sumT += ter
 			sumO += orb
-			if ter <= cfg.LatencyCapMs {
+			if ter <= matchLatencyCapMs {
 				playT++
 			}
-			if orb <= cfg.LatencyCapMs {
+			if orb <= matchLatencyCapMs {
 				playO++
 			}
 		}

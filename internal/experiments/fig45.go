@@ -15,9 +15,10 @@ type Fig4Config struct {
 	Constellations ConstellationSet
 	// NValues are the city-count grid points (default 100..1000 step 100).
 	NValues []int
-	// SnapshotSec is the evaluation instant (paper: one snapshot).
-	SnapshotSec float64
 }
+
+// fig4SnapshotSec is Fig 4's evaluation instant (paper: one snapshot).
+const fig4SnapshotSec = 0
 
 func (c Fig4Config) withDefaults() Fig4Config {
 	if !c.Constellations.Starlink && !c.Constellations.Kuiper && !c.Constellations.Telesat {
@@ -70,7 +71,7 @@ func Fig4(cfg Fig4Config) ([]Fig4Result, error) {
 	var out []Fig4Result
 	for _, c := range consts {
 		obs := visibility.NewObserver(c)
-		snap := engineFor(c).SnapshotAt(cfg.SnapshotSec)
+		snap := engineFor(c).SnapshotAt(fig4SnapshotSec)
 		// firstSeen[id] = smallest city rank (1-based) that sees sat id,
 		// or 0 when no city in the full list does. One pass covers all n.
 		firstSeen := make([]int, c.Size())

@@ -12,8 +12,6 @@ import (
 type Fig67Config struct {
 	// Groups is how many seeded user groups to simulate (default 20).
 	Groups int
-	// UsersMin/UsersMax bound group size (default 3..5).
-	UsersMin, UsersMax int
 	// SpreadKm is the group geographic spread (default 600 km — regional
 	// friend groups, the paper's West Africa regime).
 	SpreadKm float64
@@ -30,12 +28,6 @@ type Fig67Config struct {
 func (c Fig67Config) withDefaults() Fig67Config {
 	if c.Groups <= 0 {
 		c.Groups = 20
-	}
-	if c.UsersMin <= 0 {
-		c.UsersMin = 3
-	}
-	if c.UsersMax < c.UsersMin {
-		c.UsersMax = c.UsersMin + 2
 	}
 	if c.SpreadKm <= 0 {
 		c.SpreadKm = 600

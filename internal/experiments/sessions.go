@@ -108,6 +108,9 @@ func sweepSessions(sw *ephem.Sweep, planners []*meetup.Planner, policies []meetu
 	return out, nil
 }
 
+// groupUsersMin and groupUsersMax bound the hand-off studies' group size.
+const groupUsersMin, groupUsersMax = 3, 5
+
 // groupPlanners builds the hand-off studies' shared inputs: Starlink, its
 // +grid, and one planner per seeded user group.
 func groupPlanners(cfg Fig67Config) (*constellation.Constellation, *isl.Grid, []*meetup.Planner, error) {
@@ -119,8 +122,8 @@ func groupPlanners(cfg Fig67Config) (*constellation.Constellation, *isl.Grid, []
 	groups, err := trace.Groups(trace.GroupConfig{
 		Seed:         cfg.Seed,
 		Groups:       cfg.Groups,
-		MinUsers:     cfg.UsersMin,
-		MaxUsers:     cfg.UsersMax,
+		MinUsers:     groupUsersMin,
+		MaxUsers:     groupUsersMax,
 		SpreadKm:     cfg.SpreadKm,
 		MaxAbsLatDeg: 52,
 	})

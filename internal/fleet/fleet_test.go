@@ -11,8 +11,6 @@ import (
 	"repro/internal/constellation"
 	"repro/internal/ephem"
 	"repro/internal/geo"
-	"repro/internal/isl"
-	"repro/internal/meetup"
 	"repro/internal/obs"
 	"repro/internal/visibility"
 )
@@ -611,9 +609,9 @@ func TestRemoveReleasesCapacity(t *testing.T) {
 }
 
 // TestTimeToExpiryMatchesMeetup cross-validates the fleet's ring-based
-// expiry against meetup.Planner.TimeToExpiry configured to the same step
-// and horizon: both must agree exactly for the same group, satellite, and
-// epoch.
+// expiry against the look-ahead behind meetup.Planner.TimeToExpiry,
+// visibility.Observer.VisibleUntil, stepped at the fleet's epoch up to its
+// horizon: both must agree exactly for the same group, satellite, and epoch.
 func TestTimeToExpiryMatchesMeetup(t *testing.T) {
 	c := toyConst(t)
 	cfg := testConfig()
@@ -632,28 +630,21 @@ func TestTimeToExpiryMatchesMeetup(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := ephem.New(c, ephem.Config{})
-	grid := isl.NewPlusGrid(c)
-	mCfg := meetup.Config{LookaheadStepSec: cfg.StepSec, LookaheadHorizonSec: cfg.LookaheadSec}
+	obsv := visibility.NewObserver(c)
 	checked := 0
 	for _, s := range sessions {
 		if s.Sat < 0 {
 			continue
 		}
-		var users []geo.LatLon
-		for _, u := range s.Users {
-			users = append(users, geo.FromECEF(u))
-		}
-		p, err := meetup.NewPlanner(c, grid, users, mCfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantWarn, wantCapped := p.TimeToExpiry(eng, s.Sat, o.Now())
+		now := o.Now()
+		until, wantCapped := obsv.VisibleUntil(eng, s.Users, s.Sat, now, cfg.StepSec, now+cfg.LookaheadSec)
+		wantWarn := until - now
 		gotWarn, gotCapped, err := o.TimeToExpiry(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if gotWarn != wantWarn || gotCapped != wantCapped {
-			t.Fatalf("session %d sat %d: fleet (%v, %v) vs meetup (%v, %v)",
+			t.Fatalf("session %d sat %d: fleet (%v, %v) vs look-ahead (%v, %v)",
 				s.ID, s.Sat, gotWarn, gotCapped, wantWarn, wantCapped)
 		}
 		checked++

@@ -53,20 +53,17 @@ type Config struct {
 	// PoolSize is how many longest-visible candidates survive to the
 	// tie-break (paper: 5).
 	PoolSize int
-	// LookaheadStepSec is the time resolution of the visibility lookahead.
-	LookaheadStepSec float64
-	// LookaheadHorizonSec caps the lookahead; candidates still visible at
-	// the horizon are treated as equally long-lived.
-	LookaheadHorizonSec float64
 }
+
+// The visibility look-ahead (paper: 5 s steps over 20 min). Candidates still
+// visible at the horizon are treated as equally long-lived.
+const lookaheadStepSec, lookaheadHorizonSec = 5, 1200
 
 // DefaultConfig returns the paper's parameters.
 func DefaultConfig() Config {
 	return Config{
-		LatencyBand:         0.10,
-		PoolSize:            5,
-		LookaheadStepSec:    5,
-		LookaheadHorizonSec: 1200,
+		LatencyBand: 0.10,
+		PoolSize:    5,
 	}
 }
 
@@ -77,12 +74,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = d.PoolSize
-	}
-	if c.LookaheadStepSec <= 0 {
-		c.LookaheadStepSec = d.LookaheadStepSec
-	}
-	if c.LookaheadHorizonSec <= 0 {
-		c.LookaheadHorizonSec = d.LookaheadHorizonSec
 	}
 	return c
 }
@@ -125,9 +116,8 @@ type Planner struct {
 	nearT           float64
 
 	// SelectSticky scratch, reused across calls.
-	elig  []Candidate
-	band  []bandMember
-	alive []int // indices into band still visible in the look-ahead
+	elig []Candidate
+	band []bandMember
 }
 
 const nearWindowSec, reachSlackKm = 60, 1 // a window's life; rounding room
@@ -146,7 +136,7 @@ func NewPlanner(c *constellation.Constellation, grid *isl.Grid, users []geo.LatL
 		return nil, fmt.Errorf("meetup: empty user group")
 	}
 	cfg = cfg.withDefaults()
-	if !units.Finite(cfg.LatencyBand, cfg.LookaheadStepSec, cfg.LookaheadHorizonSec) {
+	if !units.Finite(cfg.LatencyBand) {
 		return nil, fmt.Errorf("meetup: config %+v must be finite", cfg)
 	}
 	p := &Planner{
@@ -276,34 +266,17 @@ func (p *Planner) selectSticky(eng Ephemeris, t0 float64, snap []geo.Vec3) (Cand
 	if err != nil {
 		return Candidate{}, err
 	}
-	band, alive := p.band[:0], p.alive[:0]
+	// Look-ahead: each band member's end time, censored at the horizon.
+	// Only the band's own satellites are propagated — no frame is needed to
+	// test them.
+	band := p.band[:0]
 	for _, c := range p.elig {
 		if c.GroupRTTMs <= opt.GroupRTTMs*(1+p.cfg.LatencyBand) {
-			alive = append(alive, len(band))
-			band = append(band, bandMember{Candidate: c})
+			end, _ := p.obs.VisibleUntil(eng, p.users, c.SatID, t0, lookaheadStepSec, t0+lookaheadHorizonSec)
+			band = append(band, bandMember{Candidate: c, end: end})
 		}
 	}
-
-	// Lookahead: march forward in time, dropping band members as they lose
-	// full-group visibility; record each member's end time. Only the band's
-	// own satellites are propagated — no frame is needed to test them.
-	horizon := t0 + p.cfg.LookaheadHorizonSec
-	for t := t0 + p.cfg.LookaheadStepSec; t <= horizon && len(alive) > 0; t += p.cfg.LookaheadStepSec {
-		keep := alive[:0]
-		for _, i := range alive {
-			id := band[i].SatID
-			if _, ok := p.groupRTT(eng.PositionAt(t, id), id); ok {
-				keep = append(keep, i)
-			} else {
-				band[i].end = t
-			}
-		}
-		alive = keep
-	}
-	for _, i := range alive { // censored at the horizon
-		band[i].end = horizon
-	}
-	p.band, p.alive = band, alive
+	p.band = band
 
 	// Top PoolSize by time-until-hand-off (then RTT, then ID: a total order,
 	// for determinism).
@@ -366,14 +339,12 @@ func (p *Planner) TransferLatencyMs(snap []geo.Vec3, a, b int) (float64, error) 
 
 // TimeToExpiry returns how long satellite satID remains visible to the
 // whole group after t0 — the warning time a migration planner has before
-// the hand-off must complete. Scans forward at the Sticky lookahead step;
-// capped at the lookahead horizon (returned with capped=true).
+// the hand-off must complete. Sticky's look-ahead answers it, capped at the
+// look-ahead horizon (returned with capped=true).
 func (p *Planner) TimeToExpiry(eng *ephem.Engine, satID int, t0 float64) (warnSec float64, capped bool) {
-	horizon := t0 + p.cfg.LookaheadHorizonSec
-	for t := t0 + p.cfg.LookaheadStepSec; t <= horizon; t += p.cfg.LookaheadStepSec {
-		if _, ok := p.groupRTT(eng.PositionAt(t, satID), satID); !ok {
-			return t - t0, false
-		}
+	t, capped := p.obs.VisibleUntil(eng, p.users, satID, t0, lookaheadStepSec, t0+lookaheadHorizonSec)
+	if capped {
+		return lookaheadHorizonSec, true
 	}
-	return p.cfg.LookaheadHorizonSec, true
+	return t - t0, false
 }

@@ -51,12 +51,9 @@ func TestNewPlannerValidation(t *testing.T) {
 	if _, err := NewPlanner(c, grid, []geo.LatLon{{LatDeg: 91}}, Config{}); err == nil {
 		t.Fatal("invalid location should fail")
 	}
-	// A NaN band used to empty Sticky's band and panic on pool[0]; a NaN
-	// step or an infinite horizon used to skip or never end the look-ahead.
+	// A NaN band used to empty Sticky's band and panic on pool[0].
 	for _, cfg := range []Config{
 		{LatencyBand: math.NaN()}, {LatencyBand: math.Inf(1)},
-		{LookaheadStepSec: math.NaN()}, {LookaheadStepSec: math.Inf(1)},
-		{LookaheadHorizonSec: math.NaN()}, {LookaheadHorizonSec: math.Inf(1)},
 	} {
 		if _, err := NewPlanner(c, grid, westAfrica(), cfg); err == nil {
 			t.Fatalf("config %+v accepted", cfg)
@@ -79,8 +76,8 @@ func TestConfigDefaults(t *testing.T) {
 		t.Fatalf("defaults = %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{LatencyBand: 0.2, PoolSize: 3, LookaheadStepSec: 1, LookaheadHorizonSec: 60}.withDefaults()
-	if c2.LatencyBand != 0.2 || c2.PoolSize != 3 || c2.LookaheadStepSec != 1 || c2.LookaheadHorizonSec != 60 {
+	c2 := Config{LatencyBand: 0.2, PoolSize: 3}.withDefaults()
+	if c2.LatencyBand != 0.2 || c2.PoolSize != 3 {
 		t.Fatalf("explicit config overridden: %+v", c2)
 	}
 }
@@ -338,15 +335,21 @@ func TestTimeToExpiry(t *testing.T) {
 	if warn <= 0 || warn > 1200 {
 		t.Fatalf("warning time %v s implausible", warn)
 	}
-	// At t0+warn the satellite is no longer fully visible; just before, it is.
-	if _, ok := p.groupRTT(eng.SnapshotAt(warn + p.cfg.LookaheadStepSec)[cand.SatID], cand.SatID); ok {
-		t.Fatal("satellite still visible after reported expiry")
+	// At t0+warn the satellite is no longer fully visible; at every earlier
+	// step, it is.
+	if _, ok := p.groupRTT(eng.SnapshotAt(warn)[cand.SatID], cand.SatID); ok {
+		t.Fatalf("satellite still visible at the reported expiry %v s", warn)
+	}
+	for ts := float64(lookaheadStepSec); ts < warn; ts += lookaheadStepSec {
+		if _, ok := p.groupRTT(eng.SnapshotAt(ts)[cand.SatID], cand.SatID); !ok {
+			t.Fatalf("satellite out of view at %v s, before the reported expiry %v s", ts, warn)
+		}
 	}
 	// A satellite that is already invisible expires within one step.
 	for id := 0; id < c.Size(); id++ {
 		if _, ok := p.groupRTT(eng.SnapshotAt(0)[id], id); !ok {
 			w, capped2 := p.TimeToExpiry(eng, id, 0)
-			if capped2 || w > p.cfg.LookaheadStepSec {
+			if capped2 || w > lookaheadStepSec {
 				t.Fatalf("invisible sat %d has warning %v", id, w)
 			}
 			break

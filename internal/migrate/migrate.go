@@ -85,27 +85,16 @@ func Cold(s State, l Link) (Result, error) {
 
 // LiveConfig tunes iterative live migration.
 type LiveConfig struct {
-	// MaxRounds caps the pre-copy iterations before the final
-	// stop-and-copy (default 10).
-	MaxRounds int
-	// StopConditionMB: when the remaining dirty set falls below this, do the
-	// final stop-and-copy (default 1 MB).
-	StopConditionMB float64
 	// GenericReplicatedAhead marks the generic state as already present on
 	// the successor (§5's "generic state is replicated even further ahead"),
 	// leaving only session state on the critical path.
 	GenericReplicatedAhead bool
 }
 
-func (c LiveConfig) withDefaults() LiveConfig {
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 10
-	}
-	if c.StopConditionMB <= 0 {
-		c.StopConditionMB = 1
-	}
-	return c
-}
+// Iterative pre-copy runs at most liveMaxRounds rounds, and stops early once
+// the remaining dirty set is at most liveStopMB; then it does the final
+// stop-and-copy.
+const liveMaxRounds, liveStopMB = 10, 1
 
 // ErrDiverges is returned when the dirty rate matches or exceeds the link
 // bandwidth, so iterative pre-copy cannot converge.
@@ -121,8 +110,6 @@ func Live(s State, l Link, cfg LiveConfig) (Result, error) {
 	if err := l.Validate(); err != nil {
 		return Result{}, err
 	}
-	cfg = cfg.withDefaults()
-
 	res := Result{}
 	toSend := s.SessionMB
 	if !cfg.GenericReplicatedAhead {
@@ -140,14 +127,14 @@ func Live(s State, l Link, cfg LiveConfig) (Result, error) {
 	}
 
 	dirty := toSend
-	for round := 0; round < cfg.MaxRounds; round++ {
+	for round := 0; round < liveMaxRounds; round++ {
 		res.Rounds++
 		sendSec := dirty / l.BandwidthMBps
 		res.TotalSec += sendSec
 		res.TransferredMB += dirty
 		// While that round was in flight, the app dirtied more state.
 		dirty = sendSec * s.DirtyRateMBps
-		if dirty <= cfg.StopConditionMB {
+		if dirty <= liveStopMB {
 			break
 		}
 	}

@@ -94,7 +94,8 @@ type legacyEngine struct {
 
 	// ring holds snapshots at now, now+refresh, ..., now+lookahead*refresh;
 	// rotated one slot per refresh so steady state freezes one new graph.
-	ring []*netgraph.Snapshot
+	ring      []*netgraph.Snapshot
+	lookahead int
 
 	cands    [][]Candidate // per site, rebuilt each refresh
 	downOnly []bool        // per site: visible sats exist but all are down
@@ -121,8 +122,9 @@ type legacyEngine struct {
 	inflightG *obs.Gauge
 }
 
-// newLegacyEngine builds the oracle engine; same contract as NewEngine.
-func newLegacyEngine(c *constellation.Constellation, cfg Config) (*legacyEngine, error) {
+// newLegacyEngine builds the oracle engine; same contract as NewEngine, with
+// a ring lookahead refreshes deep (the engine's is lookaheadEpochs).
+func newLegacyEngine(c *constellation.Constellation, cfg Config, lookahead int) (*legacyEngine, error) {
 	cfg = cfg.withDefaults()
 	if c == nil {
 		return nil, fmt.Errorf("serve: nil constellation")
@@ -142,6 +144,7 @@ func newLegacyEngine(c *constellation.Constellation, cfg Config) (*legacyEngine,
 	}
 	e := &legacyEngine{
 		cfg:         cfg,
+		lookahead:   lookahead,
 		policy:      cfg.Policy,
 		coresPerSat: int(math.Max(1, math.Floor(cfg.Server.EffectiveCores()))),
 		queueCap:    cfg.QueueCap,
@@ -201,7 +204,7 @@ func (e *legacyEngine) refresh(t float64) {
 		e.cfg.Faults.Advance(t)
 	}
 	step := e.cfg.RefreshSec
-	depth := e.cfg.LookaheadEpochs + 1
+	depth := e.lookahead + 1
 	if len(e.ring) == 0 {
 		e.ring = make([]*netgraph.Snapshot, depth)
 		for k := range e.ring {

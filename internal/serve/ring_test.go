@@ -9,6 +9,7 @@ import (
 	"repro/internal/ephem"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/visibility"
 )
 
 // TestCandidatesMatchNetgraphOracle pins the engine's candidate lists — read
@@ -24,7 +25,9 @@ import (
 // pairs are laid out as a Latin square over the cells, so every preset and
 // every site count runs all three, and every value pair of any two of the
 // factors is run somewhere. The full cross product costs four times as
-// long.
+// long. The engine's ring is lookaheadEpochs deep; a lookahead-1 row
+// rebuilds it one refresh deep in place, so the oracle also checks lives
+// that the ring caps at one refresh.
 func TestCandidatesMatchNetgraphOracle(t *testing.T) {
 	type row struct {
 		lookahead int
@@ -61,7 +64,7 @@ func TestCandidatesMatchNetgraphOracle(t *testing.T) {
 					t.Parallel()
 					cfg := func() Config {
 						cfg := Config{Sites: SitesFromCities(nSites), Policy: Nearest(),
-							RefreshSec: r.refresh, LookaheadEpochs: r.lookahead, Ephem: eph}
+							RefreshSec: r.refresh, Ephem: eph}
 						if r.chaos {
 							// Failures without recovery, an eighth of the period apart
 							// per satellite: the up satellites thin out over the orbit,
@@ -78,7 +81,11 @@ func TestCandidatesMatchNetgraphOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					l, err := newLegacyEngine(c, cfg())
+					if r.lookahead != lookaheadEpochs {
+						e.ring = visibility.NewRing(e.obs, eph, 0, r.refresh, r.lookahead)
+						e.refresh(0)
+					}
+					l, err := newLegacyEngine(c, cfg(), r.lookahead)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -65,11 +65,6 @@ type Config struct {
 	// candidates and fault state are refreshed (default 60, matching the
 	// fleet epoch). It is also the engine's slice width.
 	RefreshSec float64
-	// LookaheadEpochs is the depth of the engine's look-ahead ring: how
-	// many future refresh intervals a candidate's remaining visibility
-	// (Candidate.LifeSec, read by affinity policies) is counted over
-	// (default 3).
-	LookaheadEpochs int
 	// Registry, when set, receives the serve_* metric families.
 	Registry *obs.Registry
 	// Faults, when set, marks failed satellites unroutable at each
@@ -91,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RefreshSec <= 0 {
 		c.RefreshSec = 60
-	}
-	if c.LookaheadEpochs <= 0 {
-		c.LookaheadEpochs = 3
 	}
 	return c
 }

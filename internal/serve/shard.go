@@ -209,6 +209,11 @@ func heapPop(h *[]satEvent) satEvent {
 	return top
 }
 
+// lookaheadEpochs is the depth of the engine's look-ahead ring: how many
+// future refresh intervals a candidate's remaining visibility
+// (Candidate.LifeSec, read by affinity policies) is counted over.
+const lookaheadEpochs = 3
+
 // Engine simulates request serving for one routing policy. Drive it with
 // Feed or FeedFrom (workload) and RunUntil (time); read Result anytime. All
 // behaviour is deterministic in (constellation, config, arrivals).
@@ -224,9 +229,10 @@ type Engine struct {
 	now      float64
 	refreshN int // refreshes performed; the next is due at refreshN*RefreshSec
 
-	// ring holds the frames at now, now+refresh, ..., now+lookahead*refresh,
-	// advanced one slot per refresh; obs and grounds (the sites' surface
-	// vectors) are what refresh tests against them.
+	// ring holds the frames at now, now+refresh, ...,
+	// now+lookaheadEpochs*refresh, advanced one slot per refresh; obs and
+	// grounds (the sites' surface vectors) are what refresh tests against
+	// them.
 	ring    *visibility.Ring
 	obs     *visibility.Observer
 	grounds []geo.Vec3
@@ -323,7 +329,7 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 		e.grounds[i] = s.Loc.ECEF()
 	}
 	e.obs = visibility.NewObserver(c)
-	e.ring = visibility.NewRing(e.obs, cfg.Ephem, 0, cfg.RefreshSec, cfg.LookaheadEpochs)
+	e.ring = visibility.NewRing(e.obs, cfg.Ephem, 0, cfg.RefreshSec, lookaheadEpochs)
 	if cfg.Registry != nil {
 		e.m = newMetricsSet(cfg.Registry)
 		name := cfg.Policy.Name()

@@ -76,7 +76,7 @@ func runShardedSteps(t testing.TB, c *constellation.Constellation, cfg Config, r
 
 func runLegacyOracle(t testing.TB, c *constellation.Constellation, cfg Config, reqs []Request, horizon float64) Result {
 	t.Helper()
-	eng, err := newLegacyEngine(c, cfg)
+	eng, err := newLegacyEngine(c, cfg, lookaheadEpochs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/geo"
+	"repro/internal/units"
 )
 
 // PassWindow is one interval during which a satellite is visible from a
@@ -23,6 +24,15 @@ type PassWindow struct {
 // DurationSec returns the pass length.
 func (p PassWindow) DurationSec() float64 { return p.LOSSec - p.AOSSec }
 
+// checkScan rejects a pass scan that would never end or never start: a
+// non-finite start, horizon or step, or a non-positive horizon or step.
+func checkScan(t0, horizonSec, coarseStepSec float64) error {
+	if !units.Finite(t0, horizonSec, coarseStepSec) || horizonSec <= 0 || coarseStepSec <= 0 {
+		return fmt.Errorf("visibility: scan from t0=%v over %v s in %v s steps: need a finite start and a positive, finite horizon and step", t0, horizonSec, coarseStepSec)
+	}
+	return nil
+}
+
 // PassWindows predicts the visibility windows of satellite satID from the
 // ground point over [t0, t0+horizonSec], scanning at coarseStepSec and
 // refining the boundaries by bisection to sub-second accuracy. Windows
@@ -32,8 +42,8 @@ func (o *Observer) PassWindows(ground geo.Vec3, satID int, t0, horizonSec, coars
 	if satID < 0 || satID >= o.c.Size() {
 		return nil, fmt.Errorf("visibility: satellite %d out of range", satID)
 	}
-	if horizonSec <= 0 || coarseStepSec <= 0 {
-		return nil, fmt.Errorf("visibility: positive horizon and step required")
+	if err := checkScan(t0, horizonSec, coarseStepSec); err != nil {
+		return nil, err
 	}
 	prop := o.c.Satellites[satID].Prop
 	visAt := func(t float64) bool {
@@ -119,8 +129,8 @@ func (o *Observer) NextPass(ground geo.Vec3, satID int, t0, horizonSec float64) 
 // refines like PassWindows; for constellations with continuous coverage it
 // returns an immediately-open window.
 func (o *Observer) NextPassAny(ground geo.Vec3, t0, horizonSec, coarseStepSec float64) (PassWindow, bool, error) {
-	if horizonSec <= 0 || coarseStepSec <= 0 {
-		return PassWindow{}, false, fmt.Errorf("visibility: positive horizon and step required")
+	if err := checkScan(t0, horizonSec, coarseStepSec); err != nil {
+		return PassWindow{}, false, err
 	}
 	snap := make([]geo.Vec3, o.c.Size())
 	anyVis := func(t float64) (int, bool, error) {

@@ -1,6 +1,7 @@
 package visibility
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/constellation"
@@ -81,6 +82,18 @@ func TestPassWindowsValidation(t *testing.T) {
 	}
 	if _, err := o.PassWindows(g, 0, 0, 100, 0); err == nil {
 		t.Fatal("zero step accepted")
+	}
+	// A NaN or infinite end used to scan forever.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, a := range [][3]float64{
+		{nan, 100, 10}, {inf, 100, 10}, {0, nan, 10}, {0, inf, 10}, {0, 100, nan}, {0, 100, inf},
+	} {
+		if _, err := o.PassWindows(g, 0, a[0], a[1], a[2]); err == nil {
+			t.Fatalf("PassWindows(t0=%v, horizon=%v, step=%v) accepted", a[0], a[1], a[2])
+		}
+		if _, _, err := o.NextPassAny(g, a[0], a[1], a[2]); err == nil {
+			t.Fatalf("NextPassAny(t0=%v, horizon=%v, step=%v) accepted", a[0], a[1], a[2])
+		}
 	}
 }
 

@@ -58,9 +58,14 @@ func (r *Ring) Frame(k int) []geo.Vec3 { return r.frames[k] }
 // VisibleAll reports whether satellite sat is visible from every ground
 // point in slot k's frame.
 func (r *Ring) VisibleAll(grounds []geo.Vec3, sat, k int) bool {
-	pos := r.frames[k][sat]
+	return r.obs.visibleAll(grounds, sat, r.frames[k][sat])
+}
+
+// visibleAll reports whether satellite id at position sat is visible from
+// every ground point.
+func (o *Observer) visibleAll(grounds []geo.Vec3, id int, sat geo.Vec3) bool {
 	for _, g := range grounds {
-		if !r.obs.Visible(g, sat, pos) {
+		if !o.Visible(g, id, sat) {
 			return false
 		}
 	}
@@ -76,4 +81,25 @@ func (r *Ring) Life(grounds []geo.Vec3, sat int) int {
 		}
 	}
 	return r.K()
+}
+
+// Positions yields one satellite's position at a time: *ephem.Engine and
+// *ephem.Sweep both do, without fetching a frame.
+type Positions interface {
+	PositionAt(t float64, id int) geo.Vec3
+}
+
+// VisibleUntil steps satellite sat forward from t0 by step (t += step, up to
+// the instant horizon) and returns the first step at which some ground point
+// loses sight of it; a satellite still in view of every ground point at the
+// last step is censored, returning horizon, true. It is Sticky's
+// time-until-hand-off, read one position at a time; Life answers the same
+// question from the ring's frames.
+func (o *Observer) VisibleUntil(src Positions, grounds []geo.Vec3, sat int, t0, step, horizon float64) (t float64, censored bool) {
+	for t = t0 + step; t <= horizon; t += step {
+		if !o.visibleAll(grounds, sat, src.PositionAt(t, sat)) {
+			return t, false
+		}
+	}
+	return horizon, true
 }

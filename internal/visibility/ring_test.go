@@ -62,14 +62,16 @@ func TestRingReservesItsDepth(t *testing.T) {
 }
 
 // TestRingLifeMatchesBruteForce checks VisibleAll and Life against
-// Observer.Visible over freshly propagated snapshots, for random groups of
-// one to three nearby ground points, and requires the walk to reach the
-// zero-life, capped and in-between cases among satellites in view now.
+// Observer.Visible over freshly propagated snapshots, and Life against
+// VisibleUntil's answer in slots, for random groups of one to three nearby
+// ground points, and requires the walk to reach the zero-life, capped and
+// in-between cases among satellites in view now.
 func TestRingLifeMatchesBruteForce(t *testing.T) {
 	c := testConstellation(t)
 	o := NewObserver(c)
 	const t0, step, k = 0.0, 60.0, 5
 	r := NewRing(o, nil, t0, step, k)
+	eng := ephem.New(c, ephem.Config{Registry: obs.NewRegistry()})
 	snaps := make([][]geo.Vec3, k+1)
 	for slot := range snaps {
 		snaps[slot] = c.Snapshot(t0 + float64(slot)*step)
@@ -100,8 +102,17 @@ func TestRingLifeMatchesBruteForce(t *testing.T) {
 			for want < k && visibleAll(grounds, sat, want+1) {
 				want++
 			}
-			if got := r.Life(grounds, sat); got != want {
+			got := r.Life(grounds, sat)
+			if got != want {
 				t.Fatalf("sat %d: Life %d, brute force %d", sat, got, want)
+			}
+			until, censored := o.VisibleUntil(eng, grounds, sat, t0, step, t0+k*step)
+			slots := k
+			if !censored {
+				slots = int((until-t0)/step) - 1
+			}
+			if got != slots {
+				t.Fatalf("sat %d: Life %d, VisibleUntil (%v, %v) is %d slots", sat, got, until, censored, slots)
 			}
 			if !visibleAll(grounds, sat, 0) {
 				continue

@@ -5,7 +5,6 @@ import (
 	"repro/internal/ephem"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/meetup"
 	"repro/internal/obs"
 )
 
@@ -24,7 +23,6 @@ type Option interface {
 // the defaults the option documenting each one names.
 type settings struct {
 	server  compute.ServerSpec
-	meetup  meetup.Config
 	islGbps float64
 	ephem   ephem.Config
 	fleet   fleet.Config
@@ -43,12 +41,6 @@ func WithServer(spec compute.ServerSpec) Option {
 		s.server = spec
 		s.fleet.Server = spec
 	})
-}
-
-// WithMeetup sets the meetup selection parameters (Sticky band, pool,
-// lookahead; default: the paper's §5 values).
-func WithMeetup(cfg meetup.Config) Option {
-	return funcOption(func(s *settings) { s.meetup = cfg })
 }
 
 // WithISLBandwidth sets the inter-satellite link rate in Gb/s used for
