@@ -50,7 +50,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *snapshot >= 0 {
+	// A negative -snapshot is off; NaN and ±Inf go to printSnapshot, which
+	// refuses them.
+	if *snapshot >= 0 || !units.Finite(*snapshot) {
 		any = true
 		if err := printSnapshot(os.Stdout, c, *snapshot); err != nil {
 			fatal(err)
@@ -105,6 +107,9 @@ func exportTLE(out io.Writer, c *constellation.Constellation) error {
 }
 
 func printSnapshot(out io.Writer, c *constellation.Constellation, tSec float64) error {
+	if !units.Finite(tSec) {
+		return fmt.Errorf("-snapshot must be finite, got %v", tSec)
+	}
 	w := bufio.NewWriter(out)
 	defer w.Flush()
 	if _, err := fmt.Fprintln(w, "id,shell,plane,slot,lat,lon,alt_km"); err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -61,6 +62,14 @@ func TestPrintSnapshot(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "0,kuiper-") {
 		t.Fatalf("first row = %q", lines[1])
+	}
+	// A non-finite time is refused before the header or any row is
+	// written.
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		var out strings.Builder
+		if err := printSnapshot(&out, c, bad); err == nil || out.Len() != 0 {
+			t.Fatalf("-snapshot %v: err = %v, wrote %d bytes", bad, err, out.Len())
+		}
 	}
 }
 

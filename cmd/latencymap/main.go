@@ -32,7 +32,7 @@ func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("latencymap", flag.ContinueOnError)
 	var o options
 	fs.StringVar(&o.name, "name", "starlink", "constellation: starlink, kuiper, telesat")
-	fs.Float64Var(&o.stepDeg, "step", 5, "grid step in degrees")
+	fs.Float64Var(&o.stepDeg, "step", 5, "grid step in degrees, 0.1 to 30")
 	fs.Float64Var(&o.atSec, "t", 0, "snapshot time (seconds after epoch)")
 	fs.StringVar(&o.outPath, "out", "", "optional CSV output path")
 	if err := fs.Parse(args); err != nil {
@@ -41,8 +41,10 @@ func parseFlags(args []string) (options, error) {
 	if !units.Finite(o.stepDeg, o.atSec) {
 		return o, fmt.Errorf("-step and -t must be finite")
 	}
-	if o.stepDeg <= 0 || o.stepDeg > 30 {
-		return o, fmt.Errorf("step %v out of (0,30]", o.stepDeg)
+	// The CSV prints lat/lon to 0.1°, so a finer grid only repeats rows,
+	// and its row buffer (360/step cells) can outgrow memory.
+	if o.stepDeg < 0.1 || o.stepDeg > 30 {
+		return o, fmt.Errorf("step %v out of [0.1,30]", o.stepDeg)
 	}
 	return o, nil
 }

@@ -16,8 +16,13 @@ func TestParseFlags(t *testing.T) {
 	if o.name != "kuiper" || o.stepDeg != 10 || o.atSec != 120 {
 		t.Fatalf("parsed %+v", o)
 	}
+	if _, err := parseFlags([]string{"-step", "0.1"}); err != nil {
+		t.Fatalf("the CSV's own resolution refused: %v", err)
+	}
 	for _, args := range [][]string{
 		{"-step", "0"},
+		{"-step", "0.09"},
+		{"-step", "1e-9"},
 		{"-step", "31"},
 		{"-step", "NaN"},
 		{"-t", "NaN"},

@@ -178,7 +178,7 @@ func TestV1MigrationStillAccepted(t *testing.T) {
 	if _, err := fmt.Fprintln(conn, migrationHandshake); err != nil {
 		t.Fatal(err)
 	}
-	if err := migrate.SendState(conn, nil, payload); err != nil {
+	if err := migrate.SendStateResumable(conn, nil, payload, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	if got := readLine(t, bufio.NewReader(conn)); got != "IMPORTED 7" {

@@ -265,8 +265,7 @@ func (v *VirtualServer) Run(t0, durationSec, stepSec float64) (RunReport, error)
 	rep := RunReport{SessionResult: res}
 	bw := migrate.GbpsToMBps(v.svc.set.islGbps)
 	for _, h := range res.Handoffs {
-		m, err := migrate.Live(v.state, migrate.Link{BandwidthMBps: bw, OneWayMs: h.TransferMs},
-			migrate.LiveConfig{GenericReplicatedAhead: true})
+		m, err := migrate.Live(v.state, migrate.Link{BandwidthMBps: bw, OneWayMs: h.TransferMs})
 		if err != nil {
 			return RunReport{}, fmt.Errorf("inorbit: migration at t=%.0fs: %w", h.TimeSec, err)
 		}

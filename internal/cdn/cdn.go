@@ -76,17 +76,6 @@ func (t Terrestrial) RTTMs(client geo.LatLon) (float64, error) {
 	return 2 * oneWay, nil
 }
 
-// NearestPoPKm returns the great-circle distance to the closest PoP.
-func (t Terrestrial) NearestPoPKm(client geo.LatLon) float64 {
-	best := math.Inf(1)
-	for _, p := range t.PoPs {
-		if d := geo.GreatCircleKm(client, p); d < best {
-			best = d
-		}
-	}
-	return best
-}
-
 // Orbital models the satellite edge.
 type Orbital struct {
 	// Observer evaluates satellite visibility.

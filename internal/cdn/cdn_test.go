@@ -65,11 +65,16 @@ func TestTerrestrialRTTRemote(t *testing.T) {
 	}
 }
 
+// TestNearestPoPKm: a client standing on a PoP is zero km from the nearest
+// one, so its RTT is the two last-mile legs alone.
 func TestNearestPoPKm(t *testing.T) {
 	m := Terrestrial{PoPs: popSet()}
-	d := m.NearestPoPKm(geo.LatLon{LatDeg: 40.71, LonDeg: -74.01})
-	if d > 1 {
-		t.Fatalf("distance at PoP = %v", d)
+	rtt, err := m.RTTMs(geo.LatLon{LatDeg: 40.71, LonDeg: -74.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * m.Defaults().LastMileMs; math.Abs(rtt-want) > 1e-9 {
+		t.Fatalf("RTT at a PoP = %v ms, want the last mile's %v", rtt, want)
 	}
 }
 

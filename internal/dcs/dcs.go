@@ -39,19 +39,6 @@ func ByName(name string) (Region, bool) {
 	return Region{}, false
 }
 
-// Nearest returns the region closest (great-circle) to the given point.
-func Nearest(p geo.LatLon) Region {
-	best := regions[0]
-	bestD := math.Inf(1)
-	for _, r := range regions {
-		if d := geo.GreatCircleKm(p, r.Loc); d < bestD {
-			bestD = d
-			best = r
-		}
-	}
-	return best
-}
-
 // MinimaxRegion returns the region minimising the maximum great-circle
 // distance to any of the given user locations — the best possible
 // terrestrial meetup-server placement in the paper's Fig 3 sense — along

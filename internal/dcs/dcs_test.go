@@ -54,7 +54,7 @@ func TestNearestFromWestAfrica(t *testing.T) {
 	// From Abuja the nearest Azure region is one of the South African pair —
 	// thousands of km away, the paper's motivating sparsity.
 	abuja := geo.LatLon{LatDeg: 9.06, LonDeg: 7.49}
-	r := Nearest(abuja)
+	r, _ := MinimaxRegion([]geo.LatLon{abuja}) // one user: the nearest region
 	if r.Name != "South Africa North" && r.Name != "South Africa West" && r.Name != "West Europe" && r.Name != "France South" {
 		t.Logf("nearest to Abuja = %s", r.Name)
 	}
@@ -63,6 +63,8 @@ func TestNearestFromWestAfrica(t *testing.T) {
 	}
 }
 
+// TestNearestIsActuallyNearest: for a single user the minimax region is the
+// nearest one.
 func TestNearestIsActuallyNearest(t *testing.T) {
 	pts := []geo.LatLon{
 		{LatDeg: 40.71, LonDeg: -74.01}, // New York
@@ -71,11 +73,10 @@ func TestNearestIsActuallyNearest(t *testing.T) {
 		{LatDeg: 70, LonDeg: 100},
 	}
 	for _, p := range pts {
-		got := Nearest(p)
-		gd := geo.GreatCircleKm(p, got.Loc)
+		got, gd := MinimaxRegion([]geo.LatLon{p})
 		for _, r := range Regions() {
 			if geo.GreatCircleKm(p, r.Loc) < gd-1e-9 {
-				t.Fatalf("Nearest(%v)=%s at %.0f km but %s is closer", p, got.Name, gd, r.Name)
+				t.Fatalf("nearest to %v = %s at %.0f km but %s is closer", p, got.Name, gd, r.Name)
 			}
 		}
 	}

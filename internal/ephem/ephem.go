@@ -49,8 +49,6 @@ type Config struct {
 	GridStepSec float64
 	// Registry receives the ephem_* metric families (default obs.Default()).
 	Registry *obs.Registry
-	// Tracer, when set, records one span per propagation batch.
-	Tracer *obs.Tracer
 }
 
 func (c Config) withDefaults() Config {
@@ -225,12 +223,6 @@ func (e *Engine) PositionAt(t float64, id int) geo.Vec3 {
 // chunk. A satellite's position does not depend on where its chunk starts,
 // so results are bit-identical regardless of Workers.
 func (e *Engine) propagate(t float64, dst []geo.Vec3) {
-	var sp *obs.Span
-	if e.cfg.Tracer != nil {
-		sp = e.cfg.Tracer.Start("ephem.propagate")
-		sp.SetAttr("t_sec", fmt.Sprintf("%g", t))
-		sp.SetAttr("sats", fmt.Sprintf("%d", len(dst)))
-	}
 	start := time.Now()
 	props := e.c.Propagators()
 	width := e.cfg.Workers
@@ -243,9 +235,6 @@ func (e *Engine) propagate(t float64, dst []geo.Vec3) {
 	e.m.propagateSec.Observe(time.Since(start).Seconds())
 	e.m.propagated.Add(uint64(len(props)))
 	e.propagated.Add(uint64(len(props)))
-	if sp != nil {
-		sp.End()
-	}
 }
 
 // minParallelSats is the frame size below which fan-out costs more than

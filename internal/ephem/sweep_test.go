@@ -1,7 +1,6 @@
 package ephem
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -128,10 +127,10 @@ func TestSweepBelowFloorIsEngineFrame(t *testing.T) {
 }
 
 // TestSweepConcurrentMissPropagatesOnce: two goroutines missing one instant
-// share one propagation, counted with the tracer's propagation spans.
+// share one propagation: the engine propagates one frame's worth of
+// satellites.
 func TestSweepConcurrentMissPropagatesOnce(t *testing.T) {
-	tr := obs.NewTracer(nil)
-	eng := testEngine(t, Config{Workers: 2, Tracer: tr})
+	eng := testEngine(t, Config{Workers: 2})
 	sw := eng.Sweep()
 	const at = 61.5
 	var got [2][]geo.Vec3
@@ -147,14 +146,8 @@ func TestSweepConcurrentMissPropagatesOnce(t *testing.T) {
 	}
 	start.Done()
 	done.Wait()
-	spans := 0
-	for _, sp := range tr.Records() {
-		if sp.Name == "ephem.propagate" && sp.Attrs["t_sec"] == fmt.Sprintf("%g", at) {
-			spans++
-		}
-	}
-	if spans != 1 {
-		t.Fatalf("t=%g propagated %d times", at, spans)
+	if st := eng.Stats(); st.PropagatedSats != uint64(eng.Size()) {
+		t.Fatalf("t=%g propagated %d satellites, want one frame of %d", at, st.PropagatedSats, eng.Size())
 	}
 	if &got[0][0] != &got[1][0] {
 		t.Fatal("the two callers got different frames")

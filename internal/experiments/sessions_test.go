@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"runtime"
@@ -99,30 +100,49 @@ func TestSessionDriverPropagatesEachStepOnce(t *testing.T) {
 	}
 
 	// With Sticky the extra misses are successor frames; no instant, step
-	// or successor, is ever propagated twice. (One worker: two groups
-	// missing the same successor instant at the same moment would both
-	// propagate it.)
+	// or successor, is ever propagated twice, so the driver misses once per
+	// distinct instant that Simulate's serial loop asks for. (One worker:
+	// two groups missing the same successor instant at the same moment
+	// would both propagate it.)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	tr := obs.NewTracer(nil)
-	eng = sweepEngine(c, ephem.Config{Tracer: tr})
+	eng = sweepEngine(c, ephem.Config{})
 	if _, err := simulateSessions(eng, planners, bothPolicies, durationSec, stepSec); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, sp := range tr.Records() {
-		if sp.Name != "ephem.propagate" {
-			continue
-		}
-		if at := sp.Attrs["t_sec"]; seen[at] {
-			t.Fatalf("instant t=%s propagated twice", at)
-		} else {
-			seen[at] = true
+	_, oracle := testPlanners(t)
+	rec := frameRecorder{eng: sweepEngine(c, ephem.Config{}), asked: map[float64]bool{}}
+	for _, p := range oracle {
+		for _, policy := range bothPolicies {
+			s, err := p.Begin(rec, policy, 0, rec.SnapshotAt(0))
+			if errors.Is(err, meetup.ErrNoCandidate) {
+				break // the driver skips the group, as here
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for at := float64(stepSec); at <= durationSec; at += stepSec {
+				s.Step(at, rec.SnapshotAt(at))
+			}
 		}
 	}
-	if st := eng.Stats(); int(st.Misses) != len(seen) || len(seen) < instants {
-		t.Fatalf("%d misses, %d distinct propagated instants, %d step instants", st.Misses, len(seen), instants)
+	if st := eng.Stats(); int(st.Misses) != len(rec.asked) || len(rec.asked) < instants {
+		t.Fatalf("%d misses, %d distinct instants asked for, %d step instants", st.Misses, len(rec.asked), instants)
 	}
 }
+
+// frameRecorder is a meetup.Ephemeris that notes every instant a frame is
+// asked for.
+type frameRecorder struct {
+	eng   *ephem.Engine
+	asked map[float64]bool
+}
+
+func (r frameRecorder) SnapshotAt(t float64) []geo.Vec3 {
+	r.asked[t] = true
+	return r.eng.SnapshotAt(t)
+}
+
+func (r frameRecorder) PositionAt(t float64, id int) geo.Vec3 { return r.eng.PositionAt(t, id) }
 
 // TestSessionDriverCountsPlannersOnce: the sweep-progress counter moves once
 // per planner, not once per window.

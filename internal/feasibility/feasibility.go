@@ -178,34 +178,3 @@ func Analyze(s Study) (Report, error) {
 	r.CostRatio = r.OrbitCost3yUSD / r.DCCost3yUSD
 	return r, nil
 }
-
-// FleetSurvival models the life-cycle point: with an annual server failure
-// probability and no in-orbit repair, what fraction of the fleet still
-// offers compute after years of service? Operators replenish satellites
-// continuously, so the steady-state fraction is the average over a
-// satellite's life.
-func FleetSurvival(annualFailureProb, satelliteLifeYears float64) (steadyStateAlive float64, err error) {
-	if annualFailureProb < 0 || annualFailureProb >= 1 {
-		return 0, fmt.Errorf("feasibility: annual failure probability %v outside [0,1)", annualFailureProb)
-	}
-	if satelliteLifeYears <= 0 {
-		return 0, fmt.Errorf("feasibility: non-positive satellite life")
-	}
-	if annualFailureProb == 0 {
-		return 1, nil
-	}
-	// Survival S(t) = (1-p)^t; fleet age uniform over [0, life] at steady
-	// state (continuous replenishment) → average survival = ∫S/life.
-	lnS := math.Log(1 - annualFailureProb)
-	return (math.Exp(lnS*satelliteLifeYears) - 1) / (lnS * satelliteLifeYears), nil
-}
-
-// ConstellationServerCount compares fleet scale to a CDN: the paper notes
-// Starlink's full 40,000-satellite buildout with one server each would be
-// only ~7x smaller than Akamai (~325,000 servers).
-func ConstellationServerCount(satellites int, serversPerSat int) int {
-	if satellites < 0 || serversPerSat < 0 {
-		return 0
-	}
-	return satellites * serversPerSat
-}

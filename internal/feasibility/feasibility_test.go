@@ -109,56 +109,3 @@ func TestCostScalesWithLaunchPrice(t *testing.T) {
 		t.Fatal("higher launch price should raise the cost ratio")
 	}
 }
-
-func TestFleetSurvival(t *testing.T) {
-	// Zero failures → everyone alive.
-	if got, err := FleetSurvival(0, 5); err != nil || got != 1 {
-		t.Fatalf("FleetSurvival(0) = %v, %v", got, err)
-	}
-	// 10%/yr over 5-year life: average survival ≈ (1-0.9^5)/(5·ln(1/0.9))
-	got, err := FleetSurvival(0.1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := (math.Pow(0.9, 5) - 1) / (math.Log(0.9) * 5)
-	if !almostEq(got, want, 1e-12) {
-		t.Fatalf("FleetSurvival = %v, want %v", got, want)
-	}
-	if got < 0.7 || got > 0.85 {
-		t.Fatalf("survival %v implausible for 10%%/yr", got)
-	}
-	// More failures → lower survival.
-	worse, err := FleetSurvival(0.3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if worse >= got {
-		t.Fatal("higher failure rate should reduce survival")
-	}
-	// Validation.
-	if _, err := FleetSurvival(-0.1, 5); err == nil {
-		t.Error("negative probability accepted")
-	}
-	if _, err := FleetSurvival(1, 5); err == nil {
-		t.Error("certain failure accepted")
-	}
-	if _, err := FleetSurvival(0.1, 0); err == nil {
-		t.Error("zero life accepted")
-	}
-}
-
-func TestConstellationServerCount(t *testing.T) {
-	// The paper: Starlink at 40,000 satellites with one server each would
-	// be ~7x smaller than Akamai's ~325k-server CDN.
-	got := ConstellationServerCount(40000, 1)
-	if got != 40000 {
-		t.Fatalf("count = %d", got)
-	}
-	ratio := 325000.0 / float64(got)
-	if ratio < 6 || ratio > 9 {
-		t.Fatalf("Akamai ratio = %.1f, want ≈7-8x", ratio)
-	}
-	if ConstellationServerCount(-1, 1) != 0 || ConstellationServerCount(1, -1) != 0 {
-		t.Fatal("negative inputs should yield 0")
-	}
-}

@@ -432,7 +432,6 @@ func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochRep
 			res, merr := migrate.Live(
 				migrate.State{SessionMB: s.StateMB, DirtyRateMBps: o.cfg.DirtyRateMBps},
 				migrate.Link{BandwidthMBps: migrate.GbpsToMBps(o.cfg.ISLBandwidthGbps), OneWayMs: transfer},
-				migrate.LiveConfig{GenericReplicatedAhead: true},
 			)
 			if merr != nil {
 				return fmt.Errorf("fleet: migration cost of session %d: %w", s.ID, merr)

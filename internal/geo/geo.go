@@ -135,32 +135,6 @@ func CentralAngleRad(a, b LatLon) float64 {
 	return GreatCircleKm(a, b) / units.EarthRadiusKm
 }
 
-// Midpoint returns the great-circle midpoint of a and b (altitude zero).
-func Midpoint(a, b LatLon) LatLon {
-	va := LatLon{LatDeg: a.LatDeg, LonDeg: a.LonDeg}.ECEF()
-	vb := LatLon{LatDeg: b.LatDeg, LonDeg: b.LonDeg}.ECEF()
-	m := va.Add(vb)
-	if m.Norm() < 1e-6 {
-		// Antipodal points: every great circle through a and b is a valid
-		// path, so the midpoint is ill-defined. Pick a's pole-ward
-		// neighbour deterministically: the point 90° from a along the
-		// meridian toward a's nearer pole (the north pole for equatorial
-		// a). When a is itself a pole, fall back to the equator point at
-		// a's longitude.
-		ua := va.Unit()
-		pole := Vec3{Z: 1}
-		if a.LatDeg < 0 {
-			pole.Z = -1
-		}
-		n := pole.Sub(ua.Scale(ua.Dot(pole)))
-		if n.Norm() < 1e-9 {
-			return LatLon{LatDeg: 0, LonDeg: a.LonDeg}
-		}
-		return FromECEF(n.Unit().Scale(units.EarthRadiusKm))
-	}
-	return FromECEF(m.Unit().Scale(units.EarthRadiusKm))
-}
-
 // Centroid returns the normalised spherical centroid of the given positions.
 // It is the point on the sphere minimising the sum of squared chord lengths,
 // a good "centre of a user group" for meetup-server reasoning.
@@ -176,17 +150,6 @@ func Centroid(pts []LatLon) LatLon {
 		return LatLon{}
 	}
 	return FromECEF(sum.Unit().Scale(units.EarthRadiusKm))
-}
-
-// InitialBearingDeg returns the initial great-circle bearing from a to b in
-// degrees clockwise from north.
-func InitialBearingDeg(a, b LatLon) float64 {
-	la1 := units.Deg2Rad(a.LatDeg)
-	la2 := units.Deg2Rad(b.LatDeg)
-	dLon := units.Deg2Rad(b.LonDeg - a.LonDeg)
-	y := math.Sin(dLon) * math.Cos(la2)
-	x := math.Cos(la1)*math.Sin(la2) - math.Sin(la1)*math.Cos(la2)*math.Cos(dLon)
-	return units.WrapDegrees(units.Rad2Deg(math.Atan2(y, x)))
 }
 
 // Destination returns the point reached by travelling distanceKm from start

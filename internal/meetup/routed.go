@@ -22,20 +22,6 @@ type RoutedPlacement struct {
 	PerUserRTTMs []float64
 }
 
-// SpreadMs returns the max-min RTT difference across users — the paper's
-// latency-consistency concern for competitive games.
-func (r RoutedPlacement) SpreadMs() float64 {
-	if len(r.PerUserRTTMs) == 0 {
-		return 0
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range r.PerUserRTTMs {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	return hi - lo
-}
-
 // BestRouted finds the satellite minimising the group's maximum routed RTT
 // at the snapshot. The network's ground stations must be exactly the user
 // terminals (in group order).

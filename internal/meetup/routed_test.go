@@ -38,9 +38,6 @@ func TestBestRoutedSingleUser(t *testing.T) {
 	if placed.GroupRTTMs < 3.5 || placed.GroupRTTMs > 15 {
 		t.Fatalf("single-user RTT %v out of range", placed.GroupRTTMs)
 	}
-	if placed.SpreadMs() != 0 {
-		t.Fatalf("single-user spread %v", placed.SpreadMs())
-	}
 }
 
 func TestBestRoutedOptimality(t *testing.T) {
@@ -67,27 +64,13 @@ func TestBestRoutedOptimality(t *testing.T) {
 			t.Fatalf("sat %d at %v ms beats placement %v ms", id, worst, placed.GroupRTTMs)
 		}
 	}
-	// Spread is consistent with the per-user values.
-	lo, hi := math.Inf(1), math.Inf(-1)
+	// The group RTT is the worst of the per-user values.
+	hi := math.Inf(-1)
 	for _, v := range placed.PerUserRTTMs {
-		lo, hi = math.Min(lo, v), math.Max(hi, v)
+		hi = math.Max(hi, v)
 	}
-	if math.Abs(placed.SpreadMs()-(hi-lo)) > 1e-9 {
-		t.Fatalf("spread mismatch: %v vs %v", placed.SpreadMs(), hi-lo)
-	}
-}
-
-func TestSpreadMsEdgeCases(t *testing.T) {
-	// A zero-user placement (e.g. a zero value carried through an error
-	// path) and a single-user placement both have zero spread by definition.
-	if got := (RoutedPlacement{}).SpreadMs(); got != 0 {
-		t.Fatalf("zero-user spread = %v", got)
-	}
-	if got := (RoutedPlacement{PerUserRTTMs: []float64{12.5}}).SpreadMs(); got != 0 {
-		t.Fatalf("one-user spread = %v", got)
-	}
-	if got := (RoutedPlacement{PerUserRTTMs: []float64{12.5, 10, 14}}).SpreadMs(); got != 4 {
-		t.Fatalf("spread = %v, want 4", got)
+	if placed.GroupRTTMs != hi {
+		t.Fatalf("group RTT %v, worst user %v", placed.GroupRTTMs, hi)
 	}
 }
 

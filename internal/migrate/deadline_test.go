@@ -46,7 +46,7 @@ func TestTimeoutReaderStalledPeer(t *testing.T) {
 	}()
 
 	start := time.Now()
-	_, _, err := ReceiveState(TimeoutReader(bufio.NewReader(server), server, 50*time.Millisecond))
+	_, _, err := receiveState(TimeoutReader(bufio.NewReader(server), server, 50*time.Millisecond))
 	if err == nil {
 		t.Fatal("receive from a stalled peer succeeded")
 	}

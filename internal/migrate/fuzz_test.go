@@ -37,7 +37,7 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzReceiveState drives the full state stream parser.
 func FuzzReceiveState(f *testing.F) {
 	var good bytes.Buffer
-	if err := SendState(&good, []byte("generic"), []byte("session")); err != nil {
+	if err := sendState(&good, []byte("generic"), []byte("session")); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(good.Bytes())
@@ -45,16 +45,16 @@ func FuzzReceiveState(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, s, err := ReceiveState(bytes.NewReader(data))
+		g, s, err := receiveState(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		// Accepted streams round-trip.
 		var buf bytes.Buffer
-		if err := SendState(&buf, g, s); err != nil {
+		if err := sendState(&buf, g, s); err != nil {
 			t.Fatalf("re-send failed: %v", err)
 		}
-		g2, s2, err := ReceiveState(&buf)
+		g2, s2, err := receiveState(&buf)
 		if err != nil || !bytes.Equal(g, g2) || !bytes.Equal(s, s2) {
 			t.Fatalf("round trip mismatch: %v", err)
 		}

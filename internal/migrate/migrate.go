@@ -60,35 +60,14 @@ type Result struct {
 	// TotalSec is the wall-clock duration from migration start to
 	// completion.
 	TotalSec float64
-	// DowntimeSec is how long the application was paused (the stop-and-copy
-	// round of live migration, or the whole transfer for cold migration).
+	// DowntimeSec is how long the application was paused: the final
+	// stop-and-copy round.
 	DowntimeSec float64
 	// Rounds is the number of iterative pre-copy rounds performed.
 	Rounds int
 	// TransferredMB is the total volume moved, including re-sent dirty
 	// state.
 	TransferredMB float64
-}
-
-// Cold computes a stop-the-world migration: pause, copy everything, resume.
-func Cold(s State, l Link) (Result, error) {
-	if err := s.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := l.Validate(); err != nil {
-		return Result{}, err
-	}
-	size := s.SessionMB + s.GenericMB
-	t := l.OneWayMs/1000 + size/l.BandwidthMBps
-	return Result{TotalSec: t, DowntimeSec: t, Rounds: 1, TransferredMB: size}, nil
-}
-
-// LiveConfig tunes iterative live migration.
-type LiveConfig struct {
-	// GenericReplicatedAhead marks the generic state as already present on
-	// the successor (§5's "generic state is replicated even further ahead"),
-	// leaving only session state on the critical path.
-	GenericReplicatedAhead bool
 }
 
 // Iterative pre-copy runs at most liveMaxRounds rounds, and stops early once
@@ -102,8 +81,10 @@ var ErrDiverges = fmt.Errorf("migrate: dirty rate >= bandwidth; live migration c
 
 // Live computes an iterative pre-copy live migration (pre-copy rounds while
 // the application runs, then a brief stop-and-copy of the residual dirty
-// set).
-func Live(s State, l Link, cfg LiveConfig) (Result, error) {
+// set). The generic state is already present on the successor (§5's
+// "generic state is replicated even further ahead"), so only session state
+// rides the critical path.
+func Live(s State, l Link) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
@@ -112,9 +93,6 @@ func Live(s State, l Link, cfg LiveConfig) (Result, error) {
 	}
 	res := Result{}
 	toSend := s.SessionMB
-	if !cfg.GenericReplicatedAhead {
-		toSend += s.GenericMB
-	}
 	if toSend == 0 {
 		res.DowntimeSec = l.OneWayMs / 1000 // still need the cut-over signal
 		res.TotalSec = res.DowntimeSec
@@ -145,32 +123,6 @@ func Live(s State, l Link, cfg LiveConfig) (Result, error) {
 	res.TransferredMB += dirty
 	res.DowntimeSec = stopSec
 	return res, nil
-}
-
-// HandoffBudget answers the planning question behind §5: given a hand-off
-// must complete within budgetSec (the warning time before the current
-// satellite sets), what is the largest session state that can be migrated
-// live over the link? Returns 0 when even empty state cannot cut over in
-// time.
-func HandoffBudget(budgetSec float64, dirtyRateMBps float64, l Link, cfg LiveConfig) float64 {
-	if err := l.Validate(); err != nil || budgetSec <= 0 {
-		return 0
-	}
-	// Binary search over session size: Live() duration is monotone in size.
-	lo, hi := 0.0, l.BandwidthMBps*budgetSec
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		r, err := Live(State{SessionMB: mid, DirtyRateMBps: dirtyRateMBps}, l, cfg)
-		if err != nil {
-			return 0
-		}
-		if r.TotalSec <= budgetSec {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // GEOComparison quantifies the abstraction the paper highlights: a series of

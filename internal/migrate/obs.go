@@ -56,8 +56,9 @@ func (k FrameKind) String() string {
 	return "unknown"
 }
 
-// tracer is the package tracer for SendState/ReceiveState phase spans. The
-// obs tracer is nil-safe, so an unset tracer costs a single atomic load.
+// tracer is the package tracer for SendStateResumable/Receiver.Receive phase
+// spans. The obs tracer is nil-safe, so an unset tracer costs a single atomic
+// load.
 var tracer atomic.Pointer[obs.Tracer]
 
 // SetTracer installs (or, with nil, removes) the tracer that records

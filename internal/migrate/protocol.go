@@ -129,50 +129,10 @@ func readFrame(r io.Reader) (FrameKind, []byte, error) {
 	return kind, payload, nil
 }
 
-// SendState streams a full migration over w: generic state first (may be
-// empty), then session state, then the cut-over marker. Each phase is
-// recorded as a child span on the tracer installed via SetTracer.
-func SendState(w io.Writer, generic, session []byte) error {
-	start := time.Now()
-	defer func() { wire().sendQ.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
-	root := tracer.Load().Start("migrate.send")
-	root.SetAttr("generic_bytes", fmt.Sprint(len(generic)))
-	root.SetAttr("session_bytes", fmt.Sprint(len(session)))
-	defer root.End()
-
-	if len(generic) > 0 {
-		sp := root.Child("send.generic")
-		err := WriteFrame(w, FrameGeneric, generic)
-		sp.End()
-		if err != nil {
-			return err
-		}
-	}
-	sp := root.Child("send.session")
-	err := WriteFrame(w, FrameSession, session)
-	sp.End()
-	if err != nil {
-		return err
-	}
-	sp = root.Child("send.cutover")
-	err = WriteFrame(w, FrameCutover, nil)
-	sp.End()
-	return err
-}
-
-// ReceiveState consumes frames until the cut-over marker and returns the
-// reassembled generic and session state.
-func ReceiveState(r io.Reader) (generic, session []byte, err error) {
-	var rx Receiver
-	if err := rx.Receive(r); err != nil {
-		return nil, nil, err
-	}
-	return rx.Generic, rx.Session, nil
-}
-
-// SendStateResumable streams a migration like SendState, but chunks both
-// payloads into frames of at most chunk bytes (0 means DefaultChunk) and
-// skips the first genericOff/sessionOff bytes — the prefix a receiver
+// SendStateResumable streams a migration over w: generic state first
+// (skipped when empty), then session state, then the cut-over marker. It
+// chunks both payloads into frames of at most chunk bytes (0 means
+// DefaultChunk) and skips the first genericOff/sessionOff bytes — the prefix a receiver
 // already holds from an earlier, interrupted attempt (Receiver.Offsets).
 // Offsets outside [0, len] are an error: they indicate the two sides
 // disagree about the transfer.

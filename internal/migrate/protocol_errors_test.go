@@ -15,7 +15,7 @@ import (
 // Deterministic regression cases for the wire protocol's error paths,
 // complementing the coverage-by-accident of the fuzz tests: short writes,
 // truncated frames mid-stream, and oversized length prefixes must surface
-// as errors (never panics) through SendState/ReceiveState.
+// as errors (never panics) through SendStateResumable/Receiver.Receive.
 
 // frameBytes renders one valid frame for surgery.
 func frameBytes(t *testing.T, kind FrameKind, payload []byte) []byte {
@@ -65,7 +65,7 @@ func TestWriteFrameShortWrite(t *testing.T) {
 func TestSendStateShortWrite(t *testing.T) {
 	wireErr := errors.New("link dropped")
 	for _, n := range []int{0, 5, 20, 40} {
-		if err := SendState(&failAfter{n: n, err: wireErr}, []byte("generic"), []byte("session")); !errors.Is(err, wireErr) {
+		if err := sendState(&failAfter{n: n, err: wireErr}, []byte("generic"), []byte("session")); !errors.Is(err, wireErr) {
 			t.Fatalf("accept %d bytes: err = %v, want wrapped %v", n, err, wireErr)
 		}
 	}
@@ -92,14 +92,14 @@ func TestReadFrameTruncated(t *testing.T) {
 
 func TestReceiveStateTruncatedMidStream(t *testing.T) {
 	var stream bytes.Buffer
-	if err := SendState(&stream, []byte("generic"), []byte("session")); err != nil {
+	if err := sendState(&stream, []byte("generic"), []byte("session")); err != nil {
 		t.Fatal(err)
 	}
 	full := stream.Bytes()
 	// Drop the trailing cut-over frame and some of the session frame: the
 	// receiver must error out rather than return partial state as success.
 	for _, cut := range []int{len(full) - 1, len(full) - frameOverhead, len(full) - frameOverhead - 3} {
-		_, _, err := ReceiveState(bytes.NewReader(full[:cut]))
+		_, _, err := receiveState(bytes.NewReader(full[:cut]))
 		if err == nil {
 			t.Fatalf("cut at %d: ReceiveState returned partial state without error", cut)
 		}
@@ -160,7 +160,7 @@ func TestReceiveStateUnknownFrameKind(t *testing.T) {
 	var crc [4]byte
 	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
 	stream.Write(crc[:])
-	_, _, err := ReceiveState(&stream)
+	_, _, err := receiveState(&stream)
 	if err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
 		t.Fatalf("unknown kind: err = %v", err)
 	}
@@ -178,11 +178,11 @@ func TestWireMetricsAndSpans(t *testing.T) {
 	defer SetTracer(nil)
 
 	var stream bytes.Buffer
-	if err := SendState(&stream, []byte("ggg"), []byte("ssss")); err != nil {
+	if err := sendState(&stream, []byte("ggg"), []byte("ssss")); err != nil {
 		t.Fatal(err)
 	}
 	wireLen := uint64(stream.Len())
-	if _, _, err := ReceiveState(bytes.NewReader(stream.Bytes())); err != nil {
+	if _, _, err := receiveState(bytes.NewReader(stream.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 
@@ -194,7 +194,7 @@ func TestWireMetricsAndSpans(t *testing.T) {
 	}
 
 	// A truncated stream bumps the decode-error counter.
-	if _, _, err := ReceiveState(bytes.NewReader(stream.Bytes()[:5])); err == nil {
+	if _, _, err := receiveState(bytes.NewReader(stream.Bytes()[:5])); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 	if got := m.errors.With("in").Value(); got <= errBefore {

@@ -292,7 +292,8 @@ func BenchmarkFreeze(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for ci, stepSec := range []float64{2, 60} {
 					for k := 0; k < steps; k++ {
-						s := n.At(float64(i*steps+k) * stepSec)
+						tSec := float64(i*steps+k) * stepSec
+						s := n.At(tSec)
 						start := time.Now()
 						got := indexFrozen(s, fp)
 						ns[ci].index += time.Since(start).Nanoseconds()
@@ -300,7 +301,7 @@ func BenchmarkFreeze(b *testing.B) {
 						want := buildFrozen(s)
 						ns[ci].linear += time.Since(start).Nanoseconds()
 						if !slices.Equal(got.g.adj, want.g.adj) || !slices.Equal(got.g.w, want.g.w) {
-							b.Fatalf("t=%g: indexed and linear freezes differ", s.Time())
+							b.Fatalf("t=%g: indexed and linear freezes differ", tSec)
 						}
 					}
 				}

@@ -152,7 +152,7 @@ func TestIndexFreezeFallbacks(t *testing.T) {
 		// assume.
 		id := at.VisibleSats(4)[0]
 		pos[id] = pos[id].Scale(1 - 50/pos[id].Norm())
-		s := &Snapshot{net: n, tSec: 300, satPos: pos}
+		s := &Snapshot{net: n, satPos: pos}
 		if indexFrozen(s, n.footprint()) != nil {
 			t.Fatal("a satellite 50 km below its shell was indexed")
 		}

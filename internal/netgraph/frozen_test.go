@@ -158,11 +158,11 @@ func TestGroundRTTNoPathErrors(t *testing.T) {
 	if len(s.VisibleSats(0)) != 0 {
 		t.Skip("pole unexpectedly covered — geometry changed")
 	}
-	if _, err := s.GroundToGroundRTTMs(0, 1); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("GroundToGroundRTTMs err = %v, want ErrNoPath", err)
+	if _, err := s.ShortestPath(n.GroundNode(0), n.GroundNode(1)); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("ground-to-ground err = %v, want ErrNoPath", err)
 	}
-	if _, err := s.GroundToSatRTTMs(0, 3); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("GroundToSatRTTMs err = %v, want ErrNoPath", err)
+	if _, err := s.ShortestPath(n.GroundNode(0), n.SatNode(3)); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("ground-to-sat err = %v, want ErrNoPath", err)
 	}
 }
 

@@ -103,8 +103,7 @@ func (*noCopy) Unlock() {}
 type Snapshot struct {
 	noCopy noCopy //nolint:unused // vet copylocks guard
 
-	net  *Network
-	tSec float64
+	net *Network
 	// satPos[id] is the ECEF position of satellite id.
 	satPos []geo.Vec3
 
@@ -117,18 +116,15 @@ type Snapshot struct {
 // immutable); otherwise they are propagated fresh.
 func (n *Network) At(tSec float64) *Snapshot {
 	if n.eng != nil {
-		return &Snapshot{net: n, tSec: tSec, satPos: n.eng.SnapshotAt(tSec)}
+		return &Snapshot{net: n, satPos: n.eng.SnapshotAt(tSec)}
 	}
-	return &Snapshot{net: n, tSec: tSec, satPos: n.Constellation.Snapshot(tSec)}
+	return &Snapshot{net: n, satPos: n.Constellation.Snapshot(tSec)}
 }
 
 // AtAfter is At(tSec): snapshots hold no state of their predecessors. It
 // remains only because bench/ calls it, and leaves with the next benchmark
 // PR (as serve.EngineStats does).
 func (n *Network) AtAfter(_ *Snapshot, tSec float64) *Snapshot { return n.At(tSec) }
-
-// Time returns the snapshot time in seconds after epoch.
-func (s *Snapshot) Time() float64 { return s.tSec }
 
 // SatPositions returns the satellite position slice (shared; do not mutate).
 func (s *Snapshot) SatPositions() []geo.Vec3 { return s.satPos }
@@ -181,17 +177,6 @@ type Path struct {
 	OneWayMs float64
 }
 
-// RTTMs returns the round-trip latency of the path.
-func (p Path) RTTMs() float64 { return 2 * p.OneWayMs }
-
-// Hops returns the number of edges on the path.
-func (p Path) Hops() int {
-	if len(p.Nodes) == 0 {
-		return 0
-	}
-	return len(p.Nodes) - 1
-}
-
 // ShortestPath runs Dijkstra from src to dst over the snapshot's frozen
 // graph and returns the minimum-propagation-delay path.
 func (s *Snapshot) ShortestPath(src, dst NodeID) (Path, error) {
@@ -224,16 +209,6 @@ func route(g csr, nodes int, src, dst int32, h heuristic, k *kindMetrics, start 
 		return Path{}, ErrNoPath
 	}
 	return p, nil
-}
-
-// SatToSatLatencyMs returns the one-way latency between two satellites over
-// the ISL grid (no ground bounce).
-func (s *Snapshot) SatToSatLatencyMs(a, b int) (float64, error) {
-	p, err := s.ISLPath(a, b)
-	if err != nil {
-		return 0, err
-	}
-	return p.OneWayMs, nil
 }
 
 // ISLPath returns the shortest ISL-only path between two satellites. Having
@@ -404,27 +379,6 @@ func (s *Snapshot) LatenciesWithin(src NodeID, maxMs float64, dst []NodeMs) []No
 	}
 	s.net.metrics().sssp.observe(start)
 	return dst
-}
-
-// GroundToGroundRTTMs returns the round-trip latency between two ground
-// stations routed up-ISL-down over the snapshot.
-func (s *Snapshot) GroundToGroundRTTMs(gi, gj int) (float64, error) {
-	p, err := s.ShortestPath(s.net.GroundNode(gi), s.net.GroundNode(gj))
-	if err != nil {
-		return 0, err
-	}
-	return p.RTTMs(), nil
-}
-
-// GroundToSatRTTMs returns the round-trip latency from ground station gi to
-// satellite satID, routed over the constellation if the satellite is not in
-// direct view.
-func (s *Snapshot) GroundToSatRTTMs(gi, satID int) (float64, error) {
-	p, err := s.ShortestPath(s.net.GroundNode(gi), s.net.SatNode(satID))
-	if err != nil {
-		return 0, err
-	}
-	return p.RTTMs(), nil
 }
 
 // LineOfSightMs returns the direct free-space one-way latency between two

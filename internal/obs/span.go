@@ -29,8 +29,6 @@ type Tracer struct {
 	finished []SpanRecord // circular once len == limit; oldest at head
 	head     int
 	dropped  uint64
-
-	droppedCtr *Counter // optional: spans_dropped_total on a registry
 }
 
 // SpanRecord is one completed span.
@@ -47,8 +45,7 @@ type SpanRecord struct {
 func (r SpanRecord) Duration() float64 { return r.End - r.Start }
 
 // NewTracer creates a tracer. A nil clock uses wall time; pass a simulation
-// clock (e.g. serve's Engine.Now) to drive spans from simulated time
-// deterministically.
+// clock to drive spans from simulated time deterministically.
 func NewTracer(clock func() float64) *Tracer {
 	if clock == nil {
 		epoch := time.Now()
@@ -84,19 +81,6 @@ func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
-}
-
-// Instrument registers spans_dropped_total on reg and wires ring evictions
-// into it, so long-running daemons can alert on trace loss.
-func (t *Tracer) Instrument(reg *Registry) {
-	if t == nil || reg == nil {
-		return
-	}
-	c := reg.Counter("spans_dropped_total",
-		"Finished spans evicted from the tracer ring (oldest-first) after it filled.")
-	t.mu.Lock()
-	t.droppedCtr = c
-	t.mu.Unlock()
 }
 
 // Span is an in-flight span. Create via Tracer.Start or Span.Child; finish
@@ -167,7 +151,6 @@ func (s *Span) End() float64 {
 
 	rec := SpanRecord{ID: s.id, Parent: s.parent, Name: s.name, Start: s.start, End: end, Attrs: attrs}
 	t := s.t
-	var droppedCtr *Counter
 	t.mu.Lock()
 	if len(t.finished) < t.limit {
 		t.finished = append(t.finished, rec)
@@ -175,12 +158,8 @@ func (s *Span) End() float64 {
 		t.finished[t.head] = rec
 		t.head = (t.head + 1) % len(t.finished)
 		t.dropped++
-		droppedCtr = t.droppedCtr
 	}
 	t.mu.Unlock()
-	if droppedCtr != nil {
-		droppedCtr.Inc()
-	}
 	return rec.Duration()
 }
 

@@ -10,8 +10,6 @@ import (
 func TestTracerRingBound(t *testing.T) {
 	tr := NewTracer(nil)
 	tr.SetLimit(4)
-	reg := NewRegistry()
-	tr.Instrument(reg)
 	for i := 0; i < 10; i++ {
 		tr.Start(fmt.Sprintf("span%d", i)).End()
 	}
@@ -27,18 +25,6 @@ func TestTracerRingBound(t *testing.T) {
 	}
 	if tr.Dropped() != 6 {
 		t.Errorf("dropped = %d, want 6", tr.Dropped())
-	}
-	found := false
-	for _, fam := range reg.Snapshot() {
-		if fam.Name == "spans_dropped_total" {
-			found = true
-			if len(fam.Samples) != 1 || fam.Samples[0].Value != 6 {
-				t.Errorf("spans_dropped_total = %+v, want 6", fam.Samples)
-			}
-		}
-	}
-	if !found {
-		t.Error("Instrument did not register spans_dropped_total")
 	}
 }
 

@@ -64,18 +64,6 @@ type ServerLoad struct {
 	DrawW float64
 }
 
-// FractionOfAverage returns the paper's headline metric: the server draw as
-// a fraction of the orbit-average solar output. The orbit average accounts
-// for the eclipse fraction f: average available power = solar × (1-f) ×
-// (storing through the battery for the dark arc costs efficiency).
-func (b Budget) FractionOfAverage(s ServerLoad, eclipseFraction float64) float64 {
-	avg := b.AverageAvailableW(eclipseFraction)
-	if avg <= 0 {
-		return math.Inf(1)
-	}
-	return s.DrawW / avg
-}
-
 // AverageAvailableW returns the orbit-average power available to loads,
 // given the eclipse fraction: sunlit generation is used directly, dark-arc
 // consumption pays the battery round-trip penalty.
@@ -122,12 +110,4 @@ func OrbitEclipseFraction(altitudeKm float64, outOfPlaneDeg float64) (float64, e
 	beta := outOfPlaneDeg * math.Pi / 180
 	sun := geo.Vec3{X: math.Cos(beta), Z: math.Sin(beta)}
 	return p.EclipseFraction(sun, 5), nil
-}
-
-// DutyCycledDraw returns the average draw of a server that runs at full
-// power a fraction of the time and idles otherwise — the "lower wattage
-// servers could be used" mitigation in §4.
-func DutyCycledDraw(fullW, idleW, dutyFraction float64) float64 {
-	d := math.Min(math.Max(dutyFraction, 0), 1)
-	return fullW*d + idleW*(1-d)
 }

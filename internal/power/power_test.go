@@ -37,13 +37,13 @@ func TestValidate(t *testing.T) {
 
 func TestPaperPowerFractions(t *testing.T) {
 	// §4: the 225 W (350 W) server consumes 15% (23%) of the ~1.5 kW
-	// average output. The paper divides by average output directly; our
-	// FractionOfAverage with zero eclipse matches that.
-	b := DefaultStarlinkBudget()
-	if got := b.FractionOfAverage(ServerLoad{DrawW: 225}, 0); !almostEq(got, 0.15, 0.001) {
+	// average output. The paper divides by average output directly, which
+	// is the available power with zero eclipse.
+	avg := DefaultStarlinkBudget().AverageAvailableW(0)
+	if got := 225 / avg; !almostEq(got, 0.15, 0.001) {
 		t.Fatalf("225 W fraction = %v, want 0.15", got)
 	}
-	if got := b.FractionOfAverage(ServerLoad{DrawW: 350}, 0); !almostEq(got, 0.2333, 0.001) {
+	if got := 350 / avg; !almostEq(got, 0.2333, 0.001) {
 		t.Fatalf("350 W fraction = %v, want ~0.23", got)
 	}
 }
@@ -125,24 +125,5 @@ func TestOrbitEclipseFraction(t *testing.T) {
 	}
 	if _, err := OrbitEclipseFraction(-5, 0); err == nil {
 		t.Fatal("negative altitude accepted")
-	}
-}
-
-func TestFractionOfAverageDegenerate(t *testing.T) {
-	b := Budget{SolarOutputW: 1, BatteryEfficiency: 1}
-	if !math.IsInf(b.FractionOfAverage(ServerLoad{DrawW: 100}, 1), 1) {
-		t.Fatal("full eclipse should give +Inf fraction")
-	}
-}
-
-func TestDutyCycledDraw(t *testing.T) {
-	if got := DutyCycledDraw(350, 50, 0.5); !almostEq(got, 200, 1e-9) {
-		t.Fatalf("duty 0.5 = %v", got)
-	}
-	if got := DutyCycledDraw(350, 50, 2); !almostEq(got, 350, 1e-9) {
-		t.Fatalf("clamped duty = %v", got)
-	}
-	if got := DutyCycledDraw(350, 50, -1); !almostEq(got, 50, 1e-9) {
-		t.Fatalf("clamped duty low = %v", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/geo"
 	"repro/internal/orbit"
-	"repro/internal/units"
 )
 
 // SunDirectionECI returns the approximate unit vector from the Earth to the
@@ -94,18 +93,3 @@ const (
 	EquinoxDay  = 80  // ~March 21
 	SolsticeDay = 172 // ~June 21
 )
-
-// BetaAngleDeg returns the angle between the orbit plane and the Sun
-// direction for the given geometry and day — the standard figure of merit
-// for eclipse seasons.
-func BetaAngleDeg(inclinationDeg, raanDeg float64, dayOfYear int) (float64, error) {
-	sun, err := SunDirectionECI(dayOfYear)
-	if err != nil {
-		return 0, err
-	}
-	// Orbit normal in ECI.
-	si, ci := math.Sincos(units.Deg2Rad(inclinationDeg))
-	sR, cR := math.Sincos(units.Deg2Rad(raanDeg))
-	normal := geo.Vec3{X: sR * si, Y: -cR * si, Z: ci}
-	return units.Rad2Deg(math.Asin(units.Clamp(normal.Dot(sun), -1, 1))), nil
-}

@@ -50,36 +50,6 @@ func TestSunSeasons(t *testing.T) {
 	}
 }
 
-func TestBetaAngle(t *testing.T) {
-	// An equatorial orbit at the equinox: sun in the orbit plane, β ≈ 0.
-	b, err := BetaAngleDeg(0, 0, EquinoxDay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(b) > 3 {
-		t.Fatalf("equatorial equinox beta = %v", b)
-	}
-	// A polar orbit whose plane contains the equinox sun: normal ⟂ sun.
-	b2, err := BetaAngleDeg(90, 0, EquinoxDay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(b2) > 3 {
-		t.Fatalf("polar RAAN-0 equinox beta = %v", b2)
-	}
-	// A polar dawn-dusk plane (RAAN 90 at equinox): normal ∥ sun, |β| ≈ 90.
-	b3, err := BetaAngleDeg(90, 90, EquinoxDay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(b3) < 85 {
-		t.Fatalf("dawn-dusk beta = %v", b3)
-	}
-	if _, err := BetaAngleDeg(53, 0, 0); err == nil {
-		t.Fatal("bad day accepted")
-	}
-}
-
 func TestSeasonalSweepShape(t *testing.T) {
 	b := DefaultStarlinkBudget()
 	load := ServerLoad{Name: "DL325@225", DrawW: 225}

@@ -495,9 +495,6 @@ func (e *Engine) RunUntil(tSec float64) error {
 	return e.srcErr
 }
 
-// Now returns the engine's simulation time.
-func (e *Engine) Now() float64 { return e.now }
-
 // runSegment pulls and admits the arrivals up to hi, then advances the
 // simulation to hi (inclusive).
 func (e *Engine) runSegment(hi float64, excludeAtHi bool) {

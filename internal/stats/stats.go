@@ -145,16 +145,6 @@ func (c *CDF) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// At returns P(X <= v), the empirical CDF evaluated at v.
-func (c *CDF) At(v float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.ensureSorted()
-	i := sort.SearchFloat64s(c.samples, math.Nextafter(v, math.Inf(1)))
-	return float64(i) / float64(len(c.samples))
-}
-
 // Min returns the smallest sample; panics when empty.
 func (c *CDF) Min() float64 {
 	c.ensureSorted()

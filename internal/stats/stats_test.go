@@ -109,21 +109,6 @@ func TestCDFQuantileRangePanics(t *testing.T) {
 	NewCDF(1).Quantile(1.5)
 }
 
-func TestCDFAt(t *testing.T) {
-	c := NewCDF(1, 2, 2, 3)
-	tests := []struct{ v, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2, 0.75}, {2.5, 0.75}, {3, 1}, {10, 1},
-	}
-	for _, tc := range tests {
-		if got := c.At(tc.v); !almostEq(got, tc.want, 1e-12) {
-			t.Errorf("At(%v) = %v, want %v", tc.v, got, tc.want)
-		}
-	}
-	if NewCDF().At(1) != 0 {
-		t.Fatal("empty CDF At != 0")
-	}
-}
-
 func TestCDFMonotonic(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -145,15 +130,18 @@ func TestCDFMonotonic(t *testing.T) {
 }
 
 func TestCDFQuantileAtInverse(t *testing.T) {
-	// For continuous samples, At(Quantile(q)) ≈ q.
+	// For continuous samples, the plotted CDF at Quantile(q) is ≈ q.
 	r := rand.New(rand.NewSource(9))
 	c := NewCDF()
 	for i := 0; i < 1000; i++ {
 		c.Add(r.Float64() * 100)
 	}
+	xs, ps := c.Points()
 	for _, q := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
-		if got := c.At(c.Quantile(q)); math.Abs(got-q) > 0.01 {
-			t.Fatalf("At(Quantile(%v)) = %v", q, got)
+		// P(X <= x) is the last point at or left of x.
+		i := sort.SearchFloat64s(xs, math.Nextafter(c.Quantile(q), math.Inf(1))) - 1
+		if got := ps[i]; math.Abs(got-q) > 0.01 {
+			t.Fatalf("CDF(Quantile(%v)) = %v", q, got)
 		}
 	}
 }

@@ -67,15 +67,6 @@ func OrbitalVelocityKmS(altitudeKm float64) float64 {
 	return math.Sqrt(EarthMuKm3S2 / (EarthRadiusKm + altitudeKm))
 }
 
-// WrapRadians normalises an angle to [0, 2π).
-func WrapRadians(a float64) float64 {
-	a = math.Mod(a, 2*math.Pi)
-	if a < 0 {
-		a += 2 * math.Pi
-	}
-	return a
-}
-
 // WrapDegrees normalises an angle to [0, 360).
 func WrapDegrees(a float64) float64 {
 	a = math.Mod(a, 360)

@@ -30,12 +30,6 @@ func ElevationDeg(ground, sat geo.Vec3) float64 {
 	return units.Rad2Deg(math.Asin(units.Clamp(sinEl, -1, 1)))
 }
 
-// SlantRangeKm returns the straight-line distance in kilometres between a
-// ground position and a satellite, both in ECEF.
-func SlantRangeKm(ground, sat geo.Vec3) float64 {
-	return ground.Distance(sat)
-}
-
 // MaxSlantRangeKm returns the slant range to a satellite at altitudeKm when
 // it sits exactly at elevation elevDeg — the longest usable path to that
 // shell. Closed form from the law of sines on the Earth-centre triangle.

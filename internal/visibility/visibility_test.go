@@ -89,7 +89,7 @@ func TestCoverageCentralAngle(t *testing.T) {
 			t.Fatalf("alt %v mask %v: edge elevation %v", tc.alt, tc.elev, got)
 		}
 		// And the chord at the edge equals MaxSlantRangeKm.
-		if got := SlantRangeKm(g, sat); !almostEq(got, MaxSlantRangeKm(tc.alt, tc.elev), 1e-6) {
+		if got := g.Distance(sat); !almostEq(got, MaxSlantRangeKm(tc.alt, tc.elev), 1e-6) {
 			t.Fatalf("edge slant %v vs MaxSlantRangeKm %v", got, MaxSlantRangeKm(tc.alt, tc.elev))
 		}
 	}
@@ -144,7 +144,7 @@ func TestReachableConsistency(t *testing.T) {
 		if !almostEq(p.RTTMs, units.RTTMs(p.SlantKm), 1e-12) {
 			t.Fatalf("RTT inconsistent: %+v", p)
 		}
-		if !almostEq(p.SlantKm, SlantRangeKm(g, snap[p.SatID]), 1e-9) {
+		if !almostEq(p.SlantKm, g.Distance(snap[p.SatID]), 1e-9) {
 			t.Fatalf("slant inconsistent: %+v", p)
 		}
 	}

@@ -13,7 +13,6 @@ package weather
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/units"
 )
@@ -113,19 +112,6 @@ func (l Link) Validate() error {
 	return err
 }
 
-// Available reports whether the link closes through rain at rainMmH and the
-// given elevation.
-func (l Link) Available(rainMmH, elevationDeg float64) (bool, error) {
-	if err := l.Validate(); err != nil {
-		return false, err
-	}
-	att, err := PathAttenuationDB(l.Band, rainMmH, elevationDeg)
-	if err != nil {
-		return false, err
-	}
-	return att <= l.MarginDB, nil
-}
-
 // RainAtOutage returns the rain rate (mm/h) at which the link stops closing
 // for the given elevation — the knee of the availability curve.
 func (l Link) RainAtOutage(elevationDeg float64) (float64, error) {
@@ -204,15 +190,6 @@ func LinkAvailability(l Link, c Climate, elevationDeg float64) (float64, error) 
 	}
 	pOutGivenRain := math.Exp(-rOut / c.MeanRateMmH)
 	return 1 - c.RainProb*pOutGivenRain, nil
-}
-
-// SampleRainMmH draws an instantaneous rain rate from the climate
-// (0 when not raining).
-func (c Climate) SampleRainMmH(r *rand.Rand) float64 {
-	if r.Float64() >= c.RainProb {
-		return 0
-	}
-	return r.ExpFloat64() * c.MeanRateMmH
 }
 
 // ComputeAvailability answers the paper's §6 worry quantitatively: given a

@@ -98,15 +98,13 @@ func TestPathAttenuationMonotoneInRain(t *testing.T) {
 
 func TestLinkAvailable(t *testing.T) {
 	l := Link{Band: KaBand, MarginDB: 8}
-	ok, err := l.Available(0, 40)
-	if err != nil || !ok {
-		t.Fatalf("clear sky should close: %v %v", ok, err)
+	if r, err := l.RainAtOutage(40); err != nil || r <= 0 {
+		t.Fatalf("clear sky should close: outage at %v mm/h, %v", r, err)
 	}
-	ok, err = l.Available(120, 25)
-	if err != nil || ok {
-		t.Fatalf("violent rain at low elevation should drop: %v %v", ok, err)
+	if r, err := l.RainAtOutage(25); err != nil || r >= 120 {
+		t.Fatalf("violent rain at low elevation should drop: outage at %v mm/h, %v", r, err)
 	}
-	if _, err := (Link{Band: KaBand, MarginDB: -1}).Available(0, 40); err == nil {
+	if _, err := (Link{Band: KaBand, MarginDB: -1}).RainAtOutage(40); err == nil {
 		t.Fatal("negative margin accepted")
 	}
 }
@@ -208,25 +206,31 @@ func TestComputeAvailabilityUsesBestElevation(t *testing.T) {
 	}
 }
 
+// TestSampleRain draws rain from the climate model (rain with probability
+// RainProb, exponential rate with mean MeanRateMmH) and checks that the
+// sampled outage fraction is what LinkAvailability derives analytically.
 func TestSampleRain(t *testing.T) {
+	l := Link{Band: KaBand, MarginDB: 8}
+	const elev = 25
 	r := rand.New(rand.NewSource(5))
-	wet, n := 0, 50000
-	var sum float64
+	down, n := 0, 200000
 	for i := 0; i < n; i++ {
-		v := Tropical.SampleRainMmH(r)
-		if v < 0 {
-			t.Fatalf("negative rain %v", v)
+		if r.Float64() >= Tropical.RainProb {
+			continue
 		}
-		if v > 0 {
-			wet++
-			sum += v
+		att, err := PathAttenuationDB(l.Band, r.ExpFloat64()*Tropical.MeanRateMmH, elev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if att > l.MarginDB {
+			down++
 		}
 	}
-	frac := float64(wet) / float64(n)
-	if math.Abs(frac-Tropical.RainProb) > 0.01 {
-		t.Fatalf("wet fraction %v, want %v", frac, Tropical.RainProb)
+	avail, err := LinkAvailability(l, Tropical, elev)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if mean := sum / float64(wet); math.Abs(mean-Tropical.MeanRateMmH) > 1 {
-		t.Fatalf("mean rate %v, want %v", mean, Tropical.MeanRateMmH)
+	if sampled := 1 - float64(down)/float64(n); down == 0 || math.Abs(sampled-avail) > 0.005 {
+		t.Fatalf("sampled availability %v (%d outages), analytic %v", sampled, down, avail)
 	}
 }
