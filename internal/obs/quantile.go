@@ -45,10 +45,17 @@ type Quantile struct {
 	hasMM   atomic.Uint32 // min/max initialised
 }
 
+// quantileTop is the last bucket's value: the Log below maps everything at
+// or above it to the last bucket too, but +Inf must not reach the int.
+var quantileTop = quantileBucketValue(quantileBuckets - 1)
+
 // quantileIndex maps a value to its bucket.
 func quantileIndex(v float64) int {
 	if !(v > quantileMinValue) { // NaN, zero, negatives, denormals → underflow
 		return 0
+	}
+	if v >= quantileTop {
+		return quantileBuckets - 1
 	}
 	i := 1 + int(math.Log(v/quantileMinValue)*invLogQuantileGamma)
 	if i >= quantileBuckets {
@@ -66,8 +73,11 @@ func quantileBucketValue(i int) float64 {
 	return quantileMinValue * math.Pow(quantileGamma, float64(i)-0.5)
 }
 
-// Observe records one value.
+// Observe records one value. NaN is dropped, as stats.CDF.Add drops it.
 func (q *Quantile) Observe(v float64) {
+	if math.IsNaN(v) {
+		return
+	}
 	q.counts[quantileIndex(v)].Add(1)
 	q.count.Add(1)
 	for {
@@ -77,13 +87,57 @@ func (q *Quantile) Observe(v float64) {
 			break
 		}
 	}
+	q.foldExtremes(v, v)
+}
+
+// foldExtremes folds a batch's extremes into the sketch's, keeping the
+// earlier of equal values.
+func (q *Quantile) foldExtremes(lo, hi float64) {
 	if q.hasMM.Load() == 0 && q.hasMM.CompareAndSwap(0, 1) {
-		q.minBits.Store(math.Float64bits(v))
-		q.maxBits.Store(math.Float64bits(v))
+		q.minBits.Store(math.Float64bits(lo))
+		q.maxBits.Store(math.Float64bits(hi))
 		return
 	}
-	casFloatIf(&q.minBits, v, func(cur float64) bool { return v < cur })
-	casFloatIf(&q.maxBits, v, func(cur float64) bool { return v > cur })
+	casFloatIf(&q.minBits, lo, func(cur float64) bool { return lo < cur })
+	casFloatIf(&q.maxBits, hi, func(cur float64) bool { return hi > cur })
+}
+
+// ObserveAll records vs in order, NaNs dropped. With no concurrent writer
+// the sketch ends as one Observe per value would leave it, bit for bit: the
+// sum folds left from its current value, and min and max keep the earliest
+// of equal extremes. The batch takes one count add and one sum CAS.
+func (q *Quantile) ObserveAll(vs []float64) {
+	n, lo, hi := uint64(0), math.Inf(1), math.Inf(-1)
+	for _, v := range vs {
+		if math.IsNaN(v) {
+			continue
+		}
+		q.counts[quantileIndex(v)].Add(1)
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	q.count.Add(n)
+	for {
+		old := q.sumBits.Load()
+		sum := math.Float64frombits(old)
+		for _, v := range vs {
+			if !math.IsNaN(v) {
+				sum += v
+			}
+		}
+		if q.sumBits.CompareAndSwap(old, math.Float64bits(sum)) {
+			break
+		}
+	}
+	q.foldExtremes(lo, hi)
 }
 
 func casFloatIf(bits *atomic.Uint64, v float64, better func(cur float64) bool) {

@@ -107,6 +107,144 @@ func TestQuantileEdgeCases(t *testing.T) {
 	q.Quantile(1.5)
 }
 
+// TestQuantileObserveInf: +Inf lands in the last bucket instead of
+// converting Log(+Inf) to an int, and reads back as the maximum.
+func TestQuantileObserveInf(t *testing.T) {
+	q := &Quantile{}
+	q.Observe(3)
+	q.Observe(math.Inf(1))
+	q.Observe(math.MaxFloat64)
+	if got := q.counts[quantileBuckets-1].Load(); got != 2 {
+		t.Errorf("last bucket holds %d, want 2 (+Inf and MaxFloat64)", got)
+	}
+	if q.Count() != 3 || !math.IsInf(q.Max(), 1) || !math.IsInf(q.Sum(), 1) || q.Min() != 3 {
+		t.Errorf("count %d min %g max %g sum %g, want 3, 3, +Inf, +Inf", q.Count(), q.Min(), q.Max(), q.Sum())
+	}
+	if got := q.Quantile(1); got != quantileTop {
+		t.Errorf("p100 = %g, want the last bucket's value %g", got, quantileTop)
+	}
+	// The clamp moves no finite value: at and just below the last bucket's
+	// value the Log path agrees with it.
+	for _, v := range []float64{quantileTop, math.Nextafter(quantileTop, 0), quantileTop * 2} {
+		if got, want := quantileIndex(v), 1+int(math.Log(v/quantileMinValue)*invLogQuantileGamma); min(want, quantileBuckets-1) != got {
+			t.Errorf("quantileIndex(%g) = %d, Log path %d", v, got, want)
+		}
+	}
+}
+
+// TestQuantileDropsNaN: a NaN is not an observation — it poisons neither
+// the sum nor the extremes, as stats.CDF.Add drops it.
+func TestQuantileDropsNaN(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		q := &Quantile{}
+		vs := []float64{math.NaN(), 5, math.NaN(), 7}
+		if batch {
+			q.ObserveAll(vs)
+		} else {
+			for _, v := range vs {
+				q.Observe(v)
+			}
+		}
+		if q.Count() != 2 || q.Min() != 5 || q.Max() != 7 || q.Sum() != 12 {
+			t.Errorf("batch=%v: count %d min %g max %g sum %g, want 2, 5, 7, 12",
+				batch, q.Count(), q.Min(), q.Max(), q.Sum())
+		}
+	}
+}
+
+// sketchState is every recorded bit of a sketch.
+type sketchState struct {
+	counts             [quantileBuckets]uint64
+	count, sum, lo, hi uint64
+	hasMM              uint32
+}
+
+func stateOf(q *Quantile) sketchState {
+	s := sketchState{count: q.count.Load(), sum: q.sumBits.Load(), lo: q.minBits.Load(), hi: q.maxBits.Load(), hasMM: q.hasMM.Load()}
+	for i := range s.counts {
+		s.counts[i] = q.counts[i].Load()
+	}
+	return s
+}
+
+// TestObserveAllMatchesObserveLoop: a batch leaves every bucket count, the
+// count and the bits of sum, min and max where an Observe loop leaves them,
+// on a fresh sketch and after earlier observations.
+func TestObserveAllMatchesObserveLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	noisy := make([]float64, 1000)
+	for i := range noisy {
+		noisy[i] = r.ExpFloat64() * 100
+	}
+	negZero := math.Copysign(0, -1)
+	batches := map[string][]float64{
+		"empty":     nil,
+		"nan only":  {math.NaN()},
+		"one":       {42},
+		"noisy":     noisy,
+		"signed 0":  {negZero, 0, 3, negZero},
+		"+0 first":  {0, negZero, -1, 2},
+		"inf":       {1, math.Inf(1), 2, math.Inf(-1)},
+		"nan mixed": {math.NaN(), 1e-12, 9, math.NaN(), 1e15},
+		"ulp sum":   {1e16, 1, 1, 1, 1, -1e16},
+	}
+	priors := map[string][]float64{
+		"fresh":    nil,
+		"observed": {7, 0.5, 3e3},
+		"zero":     {negZero},
+	}
+	for bn, batch := range batches {
+		for pn, prior := range priors {
+			loop, all := &Quantile{}, &Quantile{}
+			for _, v := range prior {
+				loop.Observe(v)
+				all.Observe(v)
+			}
+			for _, v := range batch {
+				loop.Observe(v)
+			}
+			all.ObserveAll(batch)
+			if stateOf(loop) != stateOf(all) {
+				l, a := stateOf(loop), stateOf(all)
+				t.Errorf("%s after %s: ObserveAll count %d sum %#x min %#x max %#x, Observe loop %d %#x %#x %#x (or a bucket differs)",
+					bn, pn, a.count, a.sum, a.lo, a.hi, l.count, l.sum, l.lo, l.hi)
+			}
+		}
+	}
+}
+
+// TestObserveAllConcurrent: batches and single observations on one series
+// from several goroutines lose no count (run under -race).
+func TestObserveAllConcurrent(t *testing.T) {
+	q := &Quantile{}
+	const workers, rounds = 4, 200
+	batch := []float64{1, math.NaN(), 2, 3, math.Inf(1)}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				q.ObserveAll(batch)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				q.Observe(float64(i))
+				q.Observe(math.NaN())
+			}
+		}()
+	}
+	wg.Wait()
+	if want := uint64(workers * rounds * (4 + 1)); q.Count() != want {
+		t.Errorf("count = %d, want %d non-NaN observations", q.Count(), want)
+	}
+	if !math.IsInf(q.Max(), 1) || q.Min() != 0 {
+		t.Errorf("min %g max %g, want 0 and +Inf", q.Min(), q.Max())
+	}
+}
+
 func TestQuantileConcurrent(t *testing.T) {
 	q := &Quantile{}
 	const workers, per = 8, 5000

@@ -120,3 +120,60 @@ func FuzzReadTrace(f *testing.F) {
 		}
 	})
 }
+
+// sampleTimes are the times FuzzSampleOrder's third mode draws from: both
+// zeros, subnormals, the largest finite values and the infinities.
+var sampleTimes = []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -1e-310,
+	math.SmallestNonzeroFloat64 * 3, math.MaxFloat64, -math.MaxFloat64, 1e300, math.Inf(1), math.Inf(-1)}
+
+// FuzzSampleOrder: sortRecs leaves a slice's merge records exactly where a
+// comparison sort by byTimeOwner puts them. There are n records, n from
+// count so that lengths cross the insertion cutoff (48) and the bucket
+// widths. Record i takes byte data[i%len(data)] as its time's mode — all at
+// base, base plus a coarse step of spread (many ties), a value from
+// sampleTimes, or its own point on [base, base+spread] — and a distinct
+// owner from an odd multiplier, so owners arrive in any order and either
+// sign.
+func FuzzSampleOrder(f *testing.F) {
+	f.Add(1500.0, 60.0, uint16(8100), uint32(0x9e3779b9), []byte{3, 7, 11, 1, 5})
+	f.Add(0.0, 0.0, uint16(300), uint32(1), []byte{0})
+	f.Add(7.25, 1.0, uint16(47), uint32(3), []byte{1, 5, 9})
+	f.Add(7.25, 1.0, uint16(49), uint32(5), []byte{1, 5, 9, 13, 3})
+	f.Add(-3.0, 6.0, uint16(2000), uint32(0xdeadbeef), []byte{2, 6, 10, 14, 18, 22, 26, 30, 34, 38, 42, 46, 3})
+	f.Add(5e-324, 1e-310, uint16(600), uint32(77), []byte{3, 1, 0})
+	f.Add(1e300, 1e308, uint16(5000), uint32(12345), []byte{3, 1, 2, 6})
+	f.Fuzz(func(t *testing.T, base, spread float64, count uint16, mul uint32, data []byte) {
+		if math.IsNaN(base) || math.IsNaN(spread) || len(data) == 0 {
+			t.Skip()
+		}
+		n := int(count) % 6000
+		recs := make([]mergeRec, n)
+		for i := range recs {
+			b := data[i%len(data)]
+			var tm float64
+			switch b & 3 {
+			case 0:
+				tm = base
+			case 1:
+				tm = base + spread*float64(b>>2)/63
+			case 2:
+				tm = sampleTimes[int(b>>2)%len(sampleTimes)]
+			case 3:
+				tm = base + spread*float64(i)/float64(n)
+			}
+			if math.IsNaN(tm) { // Inf - Inf, 0 * Inf: the sort's contract excludes NaN
+				tm = math.Copysign(0, -1)
+			}
+			recs[i] = mergeRec{t: tm, owner: int32(uint32(i)*(mul|1) + mul>>7), v: float64(i)}
+		}
+		want := slices.Clone(recs)
+		slices.SortFunc(want, byTimeOwner)
+		sortRecs(recs, false)
+		for i := range recs {
+			g, w := recs[i], want[i]
+			if math.Float64bits(g.t) != math.Float64bits(w.t) || g.owner != w.owner || g.v != w.v {
+				t.Fatalf("n=%d: position %d holds %+v, comparison sort %+v", n, i, g, w)
+			}
+		}
+	})
+}

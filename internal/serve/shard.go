@@ -41,12 +41,16 @@ package serve
 // request, so the merge is a total order. Against the legacy engine the key
 // reproduces its event order except when two *distinct* requests collide at
 // an identical float64 timestamp on different satellites — a measure-zero
-// coincidence for the continuous workloads the generator produces.
+// coincidence for the continuous workloads the generator produces. The
+// latency sketch's float sum folds as the legacy engine's only in this order;
+// sortRecs produces it with a distribution sort, no comparison sort and no
+// allocation (EXPERIMENTS.md, "Receipts").
 
 import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/constellation"
@@ -136,30 +140,105 @@ func (st *satShard) allocRec(r reqRec) int32 {
 	return int32(len(st.slab) - 1)
 }
 
-// deltaEvt is a queue-depth change; the slice merge replays all
-// satellites' deltas in (t, owner) order to recover the global peak depth.
-type deltaEvt struct {
-	t     float64
-	owner int32
-	d     int8
+// mergeRec is one record of the two streams the slice merge replays in
+// (t, owner) order: a served request's latency in ms, or a queue-depth
+// change of ±1.
+type mergeRec struct {
+	t     float64 // event time
+	owner int32   // global arrival index
+	v     float64
 }
 
-// sampleRec is a served-request latency observation with its merge key.
-type sampleRec struct {
-	t     float64 // completion time
-	owner int32
-	ms    float64
-}
-
-// byTimeOwner compares two (t, owner) merge keys.
-func byTimeOwner(at, bt float64, ao, bo int32) int {
-	if at != bt {
-		if at < bt {
+// byTimeOwner compares two records' (t, owner) merge keys.
+func byTimeOwner(a, b mergeRec) int {
+	if a.t != b.t {
+		if a.t < b.t {
 			return -1
 		}
 		return 1
 	}
-	return cmp.Compare(ao, bo)
+	return cmp.Compare(a.owner, b.owner)
+}
+
+// sortMaxBits caps sortRecs at 2,048 buckets: two int32 counter arrays,
+// 16 KB of stack.
+const sortMaxBits = 11
+
+// recKey maps a record's time, or with byOwner its owner, to an integer in
+// the same order, with -0 equal to +0. NaN, which no simulated time is, has
+// no place in it.
+func recKey(r *mergeRec, byOwner bool) uint64 {
+	b := math.Float64bits(r.t)
+	switch {
+	case byOwner:
+		return uint64(uint32(r.owner) ^ 1<<31)
+	case r.t == 0:
+		return 1 << 63
+	case b>>63 != 0:
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// sortRecs puts s in byTimeOwner order with a distribution sort that
+// allocates nothing. One pass finds the keys' range, one counts the records
+// per bucket — about one bucket per four records, over the range's top
+// bits — and one permutes them into place in cycles. Buckets longer than 48
+// go round again, on owner keys once their times all agree; insertion sorts
+// with byTimeOwner finish the rest.
+func sortRecs(s []mergeRec, byOwner bool) {
+	if len(s) <= 48 {
+		for i := 1; i < len(s); i++ {
+			r, j := s[i], i
+			for ; j > 0 && byTimeOwner(r, s[j-1]) < 0; j-- {
+				s[j] = s[j-1]
+			}
+			s[j] = r
+		}
+		return
+	}
+	lo, hi := recKey(&s[0], byOwner), recKey(&s[0], byOwner)
+	for i := range s {
+		k := recKey(&s[i], byOwner)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	if lo == hi {
+		if !byOwner {
+			sortRecs(s, true)
+		}
+		return
+	}
+	width := min(bits.Len(uint(len(s)))-2, sortMaxBits)
+	shift := uint(max(bits.Len64(hi-lo)-width, 0))
+	nb := int((hi-lo)>>shift) + 1
+	var next, end [1 << sortMaxBits]int32
+	for i := range s {
+		end[(recKey(&s[i], byOwner)-lo)>>shift]++
+	}
+	sum := int32(0)
+	for b, n := range end[:nb] {
+		next[b] = sum
+		sum += n
+		end[b] = sum
+	}
+	for b := range next[:nb] {
+		for next[b] < end[b] {
+			r := s[next[b]]
+			for d := (recKey(&r, byOwner) - lo) >> shift; d != uint64(b); d = (recKey(&r, byOwner) - lo) >> shift {
+				s[next[d]], r = r, s[next[d]]
+				next[d]++
+			}
+			s[next[b]] = r
+			next[b]++
+		}
+	}
+	start := int32(0)
+	for _, stop := range end[:nb] {
+		if stop-start > 1 {
+			sortRecs(s[start:stop], byOwner)
+		}
+		start = stop
+	}
 }
 
 // evLess orders events by (t, seq).
@@ -265,8 +344,8 @@ type Engine struct {
 	siteGen   []uint32  // per site: memo generation
 	sitePick  []int32   // per site: sat (>=0) or -(1+shed slot)
 	sitePickD []float64 // per site: one-way seconds of the picked sat
-	segDeltas []deltaEvt
-	segSamps  []sampleRec
+	segDeltas []mergeRec
+	segSamps  []mergeRec
 
 	offered  int // arrivals simulated so far: the next one's merge key
 	served   int
@@ -608,20 +687,20 @@ func (e *Engine) drainSat(st *satShard, limit float64, inclusive bool) {
 			st.cores[ci] = start + rec.svc
 			st.busySec += rec.svc
 			if start > ev.t {
-				e.segDeltas = append(e.segDeltas, deltaEvt{t: ev.t, owner: rec.owner, d: 1})
+				e.segDeltas = append(e.segDeltas, mergeRec{t: ev.t, owner: rec.owner, v: 1})
 				heapPush(&st.heap, satEvent{t: start, seq: st.seq, kind: evRelease, sat: ev.sat, ref: rec.owner})
 				st.seq++
 			}
 			heapPush(&st.heap, satEvent{t: start + rec.svc, seq: st.seq, kind: evDone, sat: ev.sat, ref: ev.ref})
 			st.seq++
 		case evRelease:
-			e.segDeltas = append(e.segDeltas, deltaEvt{t: ev.t, owner: ev.ref, d: -1})
+			e.segDeltas = append(e.segDeltas, mergeRec{t: ev.t, owner: ev.ref, v: -1})
 		case evDone:
 			rec := st.slab[ev.ref]
 			st.outstanding--
 			e.inflight--
 			e.served++
-			e.segSamps = append(e.segSamps, sampleRec{t: ev.t, owner: rec.owner, ms: (ev.t - rec.t + rec.d) * 1000})
+			e.segSamps = append(e.segSamps, mergeRec{t: ev.t, owner: rec.owner, v: (ev.t - rec.t + rec.d) * 1000})
 			st.free = append(st.free, ev.ref)
 		}
 	}
@@ -632,14 +711,14 @@ func (e *Engine) drainSat(st *satShard, limit float64, inclusive bool) {
 // request, and a request's queue entry and exit never coincide — so both
 // sorts induce a total order.
 func (e *Engine) mergeSegment() {
-	slices.SortFunc(e.segSamps, func(a, b sampleRec) int { return byTimeOwner(a.t, b.t, a.owner, b.owner) })
+	sortRecs(e.segSamps, false)
 	for _, s := range e.segSamps {
-		e.observe(s.ms)
+		e.observe(s.v)
 	}
 	e.segSamps = e.segSamps[:0]
-	slices.SortFunc(e.segDeltas, func(a, b deltaEvt) int { return byTimeOwner(a.t, b.t, a.owner, b.owner) })
+	sortRecs(e.segDeltas, false)
 	for _, d := range e.segDeltas {
-		e.queueDelta(int(d.d))
+		e.queueDelta(int(d.v))
 	}
 	e.segDeltas = e.segDeltas[:0]
 }
@@ -796,9 +875,7 @@ func (e *Engine) flushMetrics() {
 			e.repShed[i] = e.shedN[i]
 		}
 	}
-	for _, s := range e.pendSamples {
-		e.latQ.Observe(s)
-	}
+	e.latQ.ObserveAll(e.pendSamples)
 	e.pendSamples = e.pendSamples[:0]
 	e.queueG.Set(float64(e.nQueued))
 	e.inflightG.Set(float64(e.inflight))

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -303,39 +305,51 @@ func TestFeedNonMonotonic(t *testing.T) {
 }
 
 // TestShardedMetricsMatchLegacy compares the obs registry contents the two
-// engines produce for an identical run.
+// engines produce for an identical run. For the slice-local policies the
+// latency sketch's sum bits and extremes pin the merge order: the sum folds
+// exactly as the legacy engine's event order folds it only if the slice's
+// samples are replayed in that order.
 func TestShardedMetricsMatchLegacy(t *testing.T) {
 	c := testConst(t)
 	reqs := testTrace(t, 200, 60)
 	srv := compute.ServerSpec{Cores: 1, MemoryGB: 8, PowerCapFraction: 1}
 
-	regL := obs.NewRegistry()
-	lcfg := Config{Sites: testSites(), Policy: Nearest(), Server: srv, QueueCap: 2, RefreshSec: 15, Registry: regL}
-	_ = runLegacyOracle(t, c, lcfg, reqs, 90)
+	for _, p := range []Policy{Nearest(), Sticky(0)} {
+		name := p.Name()
+		regL := obs.NewRegistry()
+		lcfg := Config{Sites: testSites(), Policy: p, Server: srv, QueueCap: 2, RefreshSec: 15, Registry: regL}
+		_ = runLegacyOracle(t, c, lcfg, reqs, 90)
 
-	regS := obs.NewRegistry()
-	scfg := lcfg
-	scfg.Registry = regS
-	_ = runShardedSteps(t, c, scfg, reqs, 90, 15)
+		regS := obs.NewRegistry()
+		scfg := lcfg
+		scfg.Registry = regS
+		_ = runShardedSteps(t, c, scfg, reqs, 90, 15)
 
-	for _, name := range []string{"serve_requests_total", "serve_served_total"} {
-		l := regL.CounterVec(name, "", "policy").With("nearest").Value()
-		s := regS.CounterVec(name, "", "policy").With("nearest").Value()
-		if l != s {
-			t.Errorf("%s: legacy %d, sharded %d", name, l, s)
+		for _, fam := range []string{"serve_requests_total", "serve_served_total"} {
+			l := regL.CounterVec(fam, "", "policy").With(name).Value()
+			s := regS.CounterVec(fam, "", "policy").With(name).Value()
+			if l != s {
+				t.Errorf("%s %s: legacy %d, sharded %d", name, fam, l, s)
+			}
 		}
-	}
-	for _, reason := range ShedReasons {
-		l := regL.CounterVec("serve_shed_total", "", "policy", "reason").With("nearest", string(reason)).Value()
-		s := regS.CounterVec("serve_shed_total", "", "policy", "reason").With("nearest", string(reason)).Value()
-		if l != s {
-			t.Errorf("serve_shed_total{%s}: legacy %d, sharded %d", reason, l, s)
+		for _, reason := range ShedReasons {
+			l := regL.CounterVec("serve_shed_total", "", "policy", "reason").With(name, string(reason)).Value()
+			s := regS.CounterVec("serve_shed_total", "", "policy", "reason").With(name, string(reason)).Value()
+			if l != s {
+				t.Errorf("%s serve_shed_total{%s}: legacy %d, sharded %d", name, reason, l, s)
+			}
 		}
-	}
-	lq := regL.QuantileVec("serve_request_ms", "", "policy").With("nearest")
-	sq := regS.QuantileVec("serve_request_ms", "", "policy").With("nearest")
-	if lq.Count() != sq.Count() {
-		t.Errorf("latency observations: legacy %d, sharded %d", lq.Count(), sq.Count())
+		lq := regL.QuantileVec("serve_request_ms", "", "policy").With(name)
+		sq := regS.QuantileVec("serve_request_ms", "", "policy").With(name)
+		if lq.Count() == 0 || lq.Count() != sq.Count() {
+			t.Errorf("%s latency observations: legacy %d, sharded %d", name, lq.Count(), sq.Count())
+		}
+		if math.Float64bits(lq.Sum()) != math.Float64bits(sq.Sum()) {
+			t.Errorf("%s latency sum: legacy %v, sharded %v (bits differ: samples merged out of order)", name, lq.Sum(), sq.Sum())
+		}
+		if lq.Min() != sq.Min() || lq.Max() != sq.Max() {
+			t.Errorf("%s latency extremes: legacy [%v, %v], sharded [%v, %v]", name, lq.Min(), lq.Max(), sq.Min(), sq.Max())
+		}
 	}
 }
 
@@ -615,5 +629,21 @@ func TestPulledHourStaysSmall(t *testing.T) {
 	t.Logf("offered %d served %d, HeapSys %d MB (+%d MB over the test)", r.Offered, r.Served, after.HeapSys>>20, grew)
 	if grew > 400 {
 		t.Fatalf("HeapSys grew %d MB over a pulled 10 M-request hour, want under 400 MB", grew)
+	}
+}
+
+// TestSortRecsAllocatesNothing: the merge sort runs on the stack, whatever
+// the slice's length.
+func TestSortRecsAllocatesNothing(t *testing.T) {
+	recs := make([]mergeRec, 21000)
+	r := rand.New(rand.NewSource(3))
+	for i := range recs {
+		recs[i] = mergeRec{t: 1500 + 60*r.Float64(), owner: int32(i)}
+	}
+	if a := testing.AllocsPerRun(5, func() { sortRecs(recs, false) }); a != 0 {
+		t.Errorf("sortRecs allocated %v times", a)
+	}
+	if !slices.IsSortedFunc(recs, byTimeOwner) {
+		t.Error("sortRecs left the records out of order")
 	}
 }
