@@ -214,7 +214,7 @@ func TestFigureSLOsJudgeLiveFamilies(t *testing.T) {
 	if _, err := snap.ShortestPath(net.GroundNode(0), net.GroundNode(1)); err != nil {
 		t.Fatal(err)
 	}
-	snap.LatencyToAllNodes(net.GroundNode(0))
+	snap.LatencyToAllNodesInto(net.GroundNode(0), nil)
 
 	tl := obs.NewTimeline(obs.Default(), obs.TimelineConfig{})
 	tl.Record(1)

@@ -149,12 +149,6 @@ func NewCustom(c *constellation.Constellation, opts ...Option) (*Service, error)
 // Constellation exposes the underlying constellation.
 func (s *Service) Constellation() *constellation.Constellation { return s.constellation }
 
-// Observer exposes the visibility evaluator.
-func (s *Service) Observer() *visibility.Observer { return s.observer }
-
-// Grid exposes the ISL topology.
-func (s *Service) Grid() *isl.Grid { return s.grid }
-
 // Ephemeris returns the service-wide propagation engine.
 func (s *Service) Ephemeris() Ephemeris { return s.eng }
 
@@ -282,17 +276,22 @@ func (v *VirtualServer) Run(t0, durationSec, stepSec float64) (RunReport, error)
 func (v *VirtualServer) Policy() Policy { return v.policy }
 
 // NewFleet builds a fleet orchestrator from the service's construction
-// options (WithStepSec, WithFleet, WithWorkers, ...) refined by
-// per-orchestrator FleetOptions (WithFleetSessions, WithFleetEpoch,
-// WithFleetCapacity, ...). The orchestrator shares the service's ISL grid
-// and ephemeris engine; WithFaults arms it with a fresh injector. Each call
-// returns an independent orchestrator.
-func (s *Service) NewFleet(opts ...FleetOption) (*Fleet, error) {
+// options (WithFleet, WithStepSec, WithServer, WithWorkers, ...). A server
+// spec, ISL rate or worker bound that WithFleet's configuration leaves zero
+// takes the service-wide value, whichever order the options came in. The
+// orchestrator shares the service's ISL grid and ephemeris engine;
+// WithFaults arms it with a fresh injector. Each call returns an
+// independent orchestrator.
+func (s *Service) NewFleet() (*Fleet, error) {
 	cfg := s.set.fleet
-	for _, o := range opts {
-		if o != nil {
-			o.applyFleet(&cfg)
-		}
+	if cfg.Server == (compute.ServerSpec{}) {
+		cfg.Server = s.set.server
+	}
+	if cfg.ISLBandwidthGbps == 0 {
+		cfg.ISLBandwidthGbps = s.set.islGbps
+	}
+	if cfg.Workers == 0 {
+		cfg.Workers = s.set.ephem.Workers
 	}
 	cfg.Ephem = s.eng
 	if s.set.faults != nil {
@@ -346,7 +345,7 @@ type FleetSession = fleet.Session
 type FleetStats = fleet.Stats
 
 // ServerSpec is the per-satellite compute payload, for WithServer and
-// WithFleetCapacity.
+// FleetConfig.Server.
 type ServerSpec = compute.ServerSpec
 
 // NewFleetSession builds a session for a user group with default demand;

@@ -143,12 +143,6 @@ func (c *Constellation) Propagators() []*orbit.Propagator { return c.props }
 // Size returns the total number of satellites.
 func (c *Constellation) Size() int { return len(c.Satellites) }
 
-// MinElevationDeg returns the elevation mask for the given satellite,
-// taken from its shell.
-func (c *Constellation) MinElevationDeg(satID int) float64 {
-	return c.Shells[c.Satellites[satID].ShellIndex].MinElevationDeg
-}
-
 // Snapshot returns the ECEF position of every satellite at t seconds after
 // epoch, indexed by satellite ID. The slice is freshly allocated.
 func (c *Constellation) Snapshot(tSec float64) []geo.Vec3 {
@@ -172,16 +166,4 @@ func (c *Constellation) SnapshotInto(tSec float64, dst []geo.Vec3) error {
 	}
 	orbit.ECEFInto(c.props, tSec, dst)
 	return nil
-}
-
-// MaxAltitudeKm returns the highest shell altitude, useful for sizing
-// worst-case slant ranges.
-func (c *Constellation) MaxAltitudeKm() float64 {
-	maxAlt := 0.0
-	for _, sh := range c.Shells {
-		if sh.AltitudeKm > maxAlt {
-			maxAlt = sh.AltitudeKm
-		}
-	}
-	return maxAlt
 }

@@ -281,25 +281,15 @@ func TestMinElevationPerShell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.MinElevationDeg(0); got != 25 {
+	if got := c.Shells[c.Satellites[0].ShellIndex].MinElevationDeg; got != 25 {
 		t.Fatalf("Starlink mask = %v, want 25", got)
 	}
 	k, err := Kuiper(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := k.MinElevationDeg(0); got != 35 {
+	if got := k.Shells[k.Satellites[0].ShellIndex].MinElevationDeg; got != 35 {
 		t.Fatalf("Kuiper mask = %v, want 35", got)
-	}
-}
-
-func TestMaxAltitude(t *testing.T) {
-	c, err := StarlinkPhase1(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.MaxAltitudeKm(); got != 1325 {
-		t.Fatalf("MaxAltitudeKm = %v, want 1325", got)
 	}
 }
 

@@ -34,17 +34,6 @@ const (
 	SatRecover
 )
 
-// String names the kind for logs and metric labels.
-func (k Kind) String() string {
-	switch k {
-	case SatFail:
-		return "sat_fail"
-	case SatRecover:
-		return "sat_recover"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
 // Event is one injected fault, in simulated time.
 type Event struct {
 	// TSec is when the event fires.
@@ -139,8 +128,6 @@ type Injector struct {
 	// exponential draws so its stream is independent of every other's.
 	nextT []float64
 	draws []uint64
-
-	failures, recoveries uint64
 }
 
 // New builds an injector over n satellites starting at time 0 with every
@@ -173,13 +160,6 @@ func New(n int, cfg Config) (*Injector, error) {
 // N returns the satellite count the injector covers.
 func (in *Injector) N() int { return in.n }
 
-// Now returns the injector's current simulated time.
-func (in *Injector) Now() float64 { return in.now }
-
-// Failures and Recoveries return the cumulative event counts fired so far.
-func (in *Injector) Failures() uint64   { return in.failures }
-func (in *Injector) Recoveries() uint64 { return in.recoveries }
-
 // DownCount returns how many satellites are currently failed.
 func (in *Injector) DownCount() int { return in.nDown }
 
@@ -210,7 +190,6 @@ func (in *Injector) Advance(t float64) []Event {
 			ev.Kind = SatFail
 			in.up[sat] = false
 			in.nDown++
-			in.failures++
 			if in.cfg.SatMTTRSec < 0 {
 				in.nextT[sat] = math.Inf(1) // permanent loss
 			} else {
@@ -220,7 +199,6 @@ func (in *Injector) Advance(t float64) []Event {
 			ev.Kind = SatRecover
 			in.up[sat] = true
 			in.nDown--
-			in.recoveries++
 			in.nextT[sat] = best + in.expSec(sat, in.cfg.SatMTBFHours*3600)
 		}
 		out = append(out, ev)

@@ -34,7 +34,7 @@ func chaosOrch(t testing.TB, nSessions int, fc faults.Config) (*Orchestrator, *f
 // auditSessions scans the whole table and returns (assigned, evacuating,
 // onDownSat) counts.
 func auditSessions(o *Orchestrator, inj *faults.Injector) (assigned, evacuating, onDown int) {
-	for _, s := range o.Table().Ordered() {
+	for _, s := range o.tab.Ordered() {
 		if s.Sat >= 0 {
 			assigned++
 			if !inj.SatUp(s.Sat) {
@@ -160,7 +160,7 @@ func TestMigrationFailureBackoff(t *testing.T) {
 	}
 
 	// Any session that completed a hand-off must have its backoff cleared.
-	for _, s := range o.Table().Ordered() {
+	for _, s := range o.tab.Ordered() {
 		if s.Handoffs > 0 && s.Sat >= 0 && s.Retries != 0 && s.RetryAt == 0 {
 			t.Errorf("session %d: retries not reset after successful hand-off", s.ID)
 		}

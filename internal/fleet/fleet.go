@@ -50,8 +50,8 @@ type Config struct {
 	// detection, placement, and migration work is batched per epoch.
 	StepSec float64
 	// LookaheadSec is the visibility lookahead horizon used to rank
-	// candidates by remaining visibility and to answer TimeToExpiry
-	// (default 1200, the meetup Sticky horizon). Must be at least StepSec.
+	// candidates by remaining visibility (default 1200, the meetup Sticky
+	// horizon). Must be at least StepSec.
 	LookaheadSec float64
 	// LatencyBand is the fractional latency slack over the per-session
 	// optimum a candidate may have and still be preferred for longevity
@@ -307,12 +307,6 @@ func New(c *constellation.Constellation, grid *isl.Grid, cfg Config) (*Orchestra
 	return o, nil
 }
 
-// Table exposes the session table.
-func (o *Orchestrator) Table() *Table { return o.tab }
-
-// Constellation returns the underlying constellation.
-func (o *Orchestrator) Constellation() *constellation.Constellation { return o.c }
-
 // Ephemeris returns the engine backing the look-ahead ring (the configured
 // shared engine, or the private one built by New).
 func (o *Orchestrator) Ephemeris() *ephem.Engine { return o.eng }
@@ -379,24 +373,6 @@ func (o *Orchestrator) SubmitBatch(ss []*Session) error {
 	return nil
 }
 
-// Remove drops a session immediately, releasing its capacity.
-func (o *Orchestrator) Remove(id uint64) bool {
-	s, ok := o.tab.Get(id)
-	if !ok {
-		return false
-	}
-	if s.Sat >= 0 {
-		o.credit(s.Sat, s)
-		s.Sat = -1
-		o.nAssigned--
-	}
-	if s.Evacuating {
-		s.Evacuating = false
-		o.nEvacPending--
-	}
-	return o.tab.Delete(id)
-}
-
 // Start fixes the epoch clock at t0 and builds the look-ahead ring and
 // footprint index. Call once before Step.
 func (o *Orchestrator) Start(t0 float64) error {
@@ -417,24 +393,6 @@ func (o *Orchestrator) Start(t0 float64) error {
 	o.nsnap = o.net.At(t0)
 	o.started = true
 	return nil
-}
-
-// TimeToExpiry returns how long the session's current assignment stays
-// visible to the whole group, at epoch granularity — the fleet-scale
-// batched form of meetup.Planner.TimeToExpiry (capped=true when the
-// assignment survives the whole lookahead ring).
-func (o *Orchestrator) TimeToExpiry(s *Session) (warnSec float64, capped bool, err error) {
-	if !o.started {
-		return 0, false, fmt.Errorf("fleet: not started")
-	}
-	if s.Sat < 0 {
-		return 0, false, fmt.Errorf("fleet: session %d is unassigned", s.ID)
-	}
-	life, k := o.ring.Life(s.Users, s.Sat), o.ring.K()
-	if life < k {
-		return float64(life+1) * o.cfg.StepSec, false, nil
-	}
-	return float64(k) * o.cfg.StepSec, true, nil
 }
 
 // candidate is one placement option for a session.

@@ -572,44 +572,13 @@ func TestDepartures(t *testing.T) {
 			t.Fatal("capacity not released on departure")
 		}
 	}
-	if o.Table().Len() != 0 {
+	if o.tab.Len() != 0 {
 		t.Fatal("table not empty after departures")
 	}
 }
 
-func TestRemoveReleasesCapacity(t *testing.T) {
-	o, err := New(toyConst(t), nil, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := testGroups(t, 1)[0]
-	if err := o.Submit(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Start(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Step(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Sat < 0 {
-		t.Fatal("session did not place")
-	}
-	if !o.Remove(s.ID) {
-		t.Fatal("Remove failed")
-	}
-	if o.Remove(s.ID) {
-		t.Fatal("double Remove succeeded")
-	}
-	for _, u := range o.Utilization() {
-		if u != 0 {
-			t.Fatal("capacity not released on Remove")
-		}
-	}
-}
-
 // TestTimeToExpiryMatchesMeetup cross-validates the fleet's ring-based
-// expiry against the look-ahead behind meetup.Planner.TimeToExpiry,
+// expiry against meetup Sticky's look-ahead,
 // visibility.Observer.VisibleUntil, stepped at the fleet's epoch up to its
 // horizon: both must agree exactly for the same group, satellite, and epoch.
 func TestTimeToExpiryMatchesMeetup(t *testing.T) {
@@ -639,9 +608,12 @@ func TestTimeToExpiryMatchesMeetup(t *testing.T) {
 		now := o.Now()
 		until, wantCapped := obsv.VisibleUntil(eng, s.Users, s.Sat, now, cfg.StepSec, now+cfg.LookaheadSec)
 		wantWarn := until - now
-		gotWarn, gotCapped, err := o.TimeToExpiry(s)
-		if err != nil {
-			t.Fatal(err)
+		// The ring's answer at epoch grain: Life slots still in view, or the
+		// whole ring.
+		life, k := o.ring.Life(s.Users, s.Sat), o.ring.K()
+		gotWarn, gotCapped := float64(k)*cfg.StepSec, true
+		if life < k {
+			gotWarn, gotCapped = float64(life+1)*cfg.StepSec, false
 		}
 		if gotWarn != wantWarn || gotCapped != wantCapped {
 			t.Fatalf("session %d sat %d: fleet (%v, %v) vs look-ahead (%v, %v)",

@@ -121,7 +121,7 @@ func TestPlannerWorkerInvariance(t *testing.T) {
 // TestPlannerSubmitOrderInvariance: the table, not the caller, puts the work
 // in session-ID order. The same 400 sessions submitted ascending, descending
 // and shuffled — plus, mid-run, a Submit of an ID below every live one and
-// a Remove — must plan identically at every worker count, chaos on, on full
+// a departure — must plan identically at every worker count, chaos on, on full
 // satellites where admission order decides who fits. A table that only
 // appended would hand admission its work in submission order.
 func TestPlannerSubmitOrderInvariance(t *testing.T) {
@@ -161,9 +161,11 @@ func TestPlannerSubmitOrderInvariance(t *testing.T) {
 				if err := o.Submit(held); err != nil {
 					t.Fatal(err)
 				}
-				if !o.Remove(200) {
-					t.Fatal("Remove(200) found no session")
+				gone, ok := o.tab.Get(200)
+				if !ok {
+					t.Fatal("session 200 not in the table")
 				}
+				gone.ExpiresAt = o.Now() // departs at the next Step
 			}
 			rep, err := o.Step()
 			if err != nil {
@@ -264,8 +266,8 @@ func TestPlannerAllCandidatesDead(t *testing.T) {
 		}
 		// Epoch 0 runs at t=0, before any failure fires; epoch 1 consumes
 		// the full burst (every draw lands within milliseconds of t=0).
-		if epoch == 1 && rep.SatFailures != o.Constellation().Size() {
-			t.Fatalf("epoch 1: %d failures, want all %d satellites", rep.SatFailures, o.Constellation().Size())
+		if epoch == 1 && rep.SatFailures != o.c.Size() {
+			t.Fatalf("epoch 1: %d failures, want all %d satellites", rep.SatFailures, o.c.Size())
 		}
 		if epoch > 0 && rep.Assigned != 0 {
 			t.Fatalf("epoch %d: %d sessions assigned with zero live satellites", epoch, rep.Assigned)
@@ -279,9 +281,9 @@ func TestPlannerAllCandidatesDead(t *testing.T) {
 		t.Fatalf("%d sessions evacuating, want all 30", evacuating)
 	}
 	st := o.Stats()
-	if st.DownSats != o.Constellation().Size() || st.EvacuationsPending != 30 {
+	if st.DownSats != o.c.Size() || st.EvacuationsPending != 30 {
 		t.Fatalf("Stats down=%d pending=%d, want %d/%d",
-			st.DownSats, st.EvacuationsPending, o.Constellation().Size(), 30)
+			st.DownSats, st.EvacuationsPending, o.c.Size(), 30)
 	}
 }
 

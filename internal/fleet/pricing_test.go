@@ -25,7 +25,7 @@ func oracleTransferMs(o *Orchestrator, snap []geo.Vec3, nsnap *netgraph.Snapshot
 	if f := o.cfg.Faults; f != nil && f.ISLDegraded(a, b, now) {
 		return relay, relay
 	}
-	return math.Min(nsnap.LatencyToAllNodes(netgraph.NodeID(a))[b], relay), relay
+	return math.Min(nsnap.LatencyToAllNodesInto(netgraph.NodeID(a), nil)[b], relay), relay
 }
 
 // pricingEpoch is what a Step is about to overwrite and its pricing read.

@@ -38,25 +38,6 @@ func TestVec3Basics(t *testing.T) {
 	}
 }
 
-func TestCrossOrthogonal(t *testing.T) {
-	f := func(ax, ay, az, bx, by, bz float64) bool {
-		bound := func(v float64) float64 {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 1
-			}
-			return math.Mod(v, 1e3)
-		}
-		a := Vec3{bound(ax), bound(ay), bound(az)}
-		b := Vec3{bound(bx), bound(by), bound(bz)}
-		c := a.Cross(b)
-		tol := 1e-6 * (1 + a.Norm()*b.Norm())
-		return math.Abs(c.Dot(a)) < tol && math.Abs(c.Dot(b)) < tol
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestUnitLength(t *testing.T) {
 	v := Vec3{10, -20, 5}.Unit()
 	if !almostEq(v.Norm(), 1, 1e-12) {

@@ -100,14 +100,8 @@ func (g *Grid) dedupe() {
 	}
 }
 
-// Links returns the link list (shared slice; do not mutate).
-func (g *Grid) Links() []Link { return g.links }
-
 // Neighbors returns the IDs adjacent to sat id (shared slice; do not mutate).
 func (g *Grid) Neighbors(id int) []int { return g.neighbors[id] }
-
-// Degree returns the number of ISLs terminating at satellite id.
-func (g *Grid) Degree(id int) int { return len(g.neighbors[id]) }
 
 // LengthKm returns the instantaneous length of link l given a position
 // snapshot indexed by satellite ID.

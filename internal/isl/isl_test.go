@@ -24,12 +24,12 @@ func TestPlusGridDegreeFour(t *testing.T) {
 	c := smallConst(t, 6, 8)
 	g := NewPlusGrid(c)
 	for id := 0; id < c.Size(); id++ {
-		if got := g.Degree(id); got != 4 {
+		if got := len(g.Neighbors(id)); got != 4 {
 			t.Fatalf("sat %d degree = %d, want 4", id, got)
 		}
 	}
 	// Total links = 2 per satellite (each of the 4 links shared by 2).
-	if got, want := len(g.Links()), c.Size()*2; got != want {
+	if got, want := len(g.links), c.Size()*2; got != want {
 		t.Fatalf("links = %d, want %d", got, want)
 	}
 }
@@ -40,7 +40,7 @@ func TestPlusGridSmallRings(t *testing.T) {
 	c := smallConst(t, 2, 4)
 	g := NewPlusGrid(c)
 	for id := 0; id < c.Size(); id++ {
-		if got := g.Degree(id); got != 3 {
+		if got := len(g.Neighbors(id)); got != 3 {
 			t.Fatalf("sat %d degree = %d, want 3 (2 in-plane + 1 cross)", id, got)
 		}
 	}
@@ -51,7 +51,7 @@ func TestPlusGridNoSelfLinksNoDuplicates(t *testing.T) {
 		c := smallConst(t, dims[0], dims[1])
 		g := NewPlusGrid(c)
 		seen := map[Link]bool{}
-		for _, l := range g.Links() {
+		for _, l := range g.links {
 			if l.A == l.B {
 				t.Fatalf("%v: self link %v", dims, l)
 			}
@@ -94,7 +94,7 @@ func TestShellsNotCrossLinked(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := NewPlusGrid(c)
-	for _, l := range g.Links() {
+	for _, l := range g.links {
 		sa := c.Satellites[l.A].ShellIndex
 		sb := c.Satellites[l.B].ShellIndex
 		if sa != sb {
@@ -110,7 +110,7 @@ func TestLinkGeometry(t *testing.T) {
 	// Any link is bounded by the orbital diameter; with 6 planes the
 	// cross-plane links legitimately span up to 60° of RAAN.
 	diameter := 2 * (units.EarthRadiusKm + 550)
-	for _, l := range g.Links() {
+	for _, l := range g.links {
 		d := LengthKm(l, snap)
 		if d <= 0 || d >= diameter {
 			t.Fatalf("link %v length %v km implausible", l, d)
@@ -124,7 +124,7 @@ func TestInPlaneLinkLengthExact(t *testing.T) {
 	g := NewPlusGrid(c)
 	snap := c.Snapshot(0)
 	// Find an in-plane link (both sats in plane 0).
-	for _, l := range g.Links() {
+	for _, l := range g.links {
 		if c.Satellites[l.A].Plane == 0 && c.Satellites[l.B].Plane == 0 {
 			want := 2 * (units.EarthRadiusKm + 550) * 0.3826834323650898 // sin(22.5°)
 			if d := LengthKm(l, snap); d < want-1 || d > want+1 {
@@ -144,7 +144,7 @@ func TestStatsAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Links != len(g.Links()) {
+	if s.Links != len(g.links) {
 		t.Fatalf("Stats.Links = %d", s.Links)
 	}
 	if s.MinKm <= 0 || s.MinKm > s.MeanKm || s.MeanKm > s.MaxKm {
@@ -176,7 +176,7 @@ func TestStarlinkGridScale(t *testing.T) {
 	}
 	g := NewPlusGrid(c)
 	// 4409 satellites × 4 links / 2 = 8818 links.
-	if got := len(g.Links()); got != 8818 {
+	if got := len(g.links); got != 8818 {
 		t.Fatalf("Starlink +grid links = %d, want 8818", got)
 	}
 }

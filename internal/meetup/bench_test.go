@@ -73,7 +73,7 @@ func BenchmarkBestRouted(b *testing.B) {
 		perUser := make([][]float64, len(users))
 		if parallelAvail {
 			for u := range users {
-				perUser[u] = snap.LatencyToAllSats(u)
+				perUser[u] = snap.LatencyToAllSatsInto(u, nil)
 			}
 		} else {
 			var wg sync.WaitGroup
@@ -81,7 +81,7 @@ func BenchmarkBestRouted(b *testing.B) {
 			for u := range users {
 				go func(u int) {
 					defer wg.Done()
-					perUser[u] = snap.LatencyToAllSats(u)
+					perUser[u] = snap.LatencyToAllSatsInto(u, nil)
 				}(u)
 			}
 			wg.Wait()

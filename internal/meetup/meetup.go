@@ -13,7 +13,6 @@ import (
 	"slices"
 
 	"repro/internal/constellation"
-	"repro/internal/ephem"
 	"repro/internal/geo"
 	"repro/internal/isl"
 	"repro/internal/netgraph"
@@ -115,7 +114,7 @@ type Planner struct {
 	near            []int     // IDs within reach2 at nearT, ascending
 	nearT           float64
 
-	// SelectSticky scratch, reused across calls.
+	// selectSticky scratch, reused across calls.
 	elig []Candidate
 	band []bandMember
 }
@@ -172,9 +171,6 @@ func NewPlanner(c *constellation.Constellation, grid *isl.Grid, users []geo.LatL
 	return p, nil
 }
 
-// Users returns the group size.
-func (p *Planner) Users() int { return len(p.users) }
-
 // groupRTT returns the max RTT over users to satellite id at position pos,
 // and whether the satellite is visible to every user.
 func (p *Planner) groupRTT(pos geo.Vec3, id int) (float64, bool) {
@@ -190,12 +186,6 @@ func (p *Planner) groupRTT(pos geo.Vec3, id int) (float64, bool) {
 		}
 	}
 	return worst, true
-}
-
-// Eligible appends all candidates at the snapshot to dst and returns it.
-func (p *Planner) Eligible(snap []geo.Vec3, dst []Candidate) []Candidate {
-	p.scan(snap, p.all, -1, &dst)
-	return dst
 }
 
 // ErrNoCandidate is returned when no satellite is visible to all users.
@@ -246,20 +236,14 @@ func (p *Planner) window(t float64, snap []geo.Vec3) []int {
 	return p.near
 }
 
-// SelectSticky runs the paper's three-step heuristic at time t0:
+// selectSticky runs the paper's three-step heuristic at time t0, whose
+// frame is snap:
 //
-//  1. candidates within LatencyBand of the MinMax optimum,
+//  1. candidates within LatencyBand of the MinMax optimum (read from the
+//     planner's candidate window),
 //  2. the PoolSize candidates with the longest time until hand-off,
 //  3. among those, the one whose eventual hand-off to its successor is
 //     cheapest (lowest state-transfer latency).
-//
-// eng must propagate the planner's constellation; planners sharing one
-// engine reuse each other's frames.
-func (p *Planner) SelectSticky(eng *ephem.Engine, t0 float64) (Candidate, error) {
-	return p.selectSticky(eng, t0, eng.SnapshotAt(t0))
-}
-
-// selectSticky is SelectSticky given the t0 frame; its band reads the window.
 func (p *Planner) selectSticky(eng Ephemeris, t0 float64, snap []geo.Vec3) (Candidate, error) {
 	p.elig = p.elig[:0]
 	opt, err := p.scan(snap, p.window(t0, snap), -1, &p.elig)
@@ -335,16 +319,4 @@ func (p *Planner) TransferLatencyMs(snap []geo.Vec3, a, b int) (float64, error) 
 	relay := units.PropagationDelayMs(snap[a].Distance(p.centroid) + p.centroid.Distance(snap[b]))
 	ms, _ := netgraph.ISLWithin(p.grid, snap, a, b, relay) // min(ISL, relay) either way
 	return ms, nil
-}
-
-// TimeToExpiry returns how long satellite satID remains visible to the
-// whole group after t0 — the warning time a migration planner has before
-// the hand-off must complete. Sticky's look-ahead answers it, capped at the
-// look-ahead horizon (returned with capped=true).
-func (p *Planner) TimeToExpiry(eng *ephem.Engine, satID int, t0 float64) (warnSec float64, capped bool) {
-	t, capped := p.obs.VisibleUntil(eng, p.users, satID, t0, lookaheadStepSec, t0+lookaheadHorizonSec)
-	if capped {
-		return lookaheadHorizonSec, true
-	}
-	return t - t0, false
 }

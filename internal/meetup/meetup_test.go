@@ -86,7 +86,8 @@ func TestEligibleAllVisible(t *testing.T) {
 	c := toyConst(t)
 	p, eng := newPlanner(t, c, westAfrica(), Config{})
 	snap := eng.SnapshotAt(0)
-	elig := p.Eligible(snap, nil)
+	var elig []Candidate
+	p.scan(snap, p.all, -1, &elig)
 	if len(elig) == 0 {
 		t.Fatal("no eligible satellite for a compact group on a dense shell")
 	}
@@ -114,7 +115,9 @@ func TestSelectMinMaxIsOptimal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cand := range p.Eligible(snap, nil) {
+	var elig []Candidate
+	p.scan(snap, p.all, -1, &elig)
+	for _, cand := range elig {
 		if cand.GroupRTTMs < best.GroupRTTMs-1e-9 {
 			t.Fatalf("MinMax %v beaten by %v", best, cand)
 		}
@@ -133,7 +136,7 @@ func TestSelectMinMaxNoCandidate(t *testing.T) {
 	if _, err := p.SelectMinMax(eng.SnapshotAt(0)); !errors.Is(err, ErrNoCandidate) {
 		t.Fatalf("err = %v, want ErrNoCandidate", err)
 	}
-	if _, err := p.SelectSticky(eng, 0); !errors.Is(err, ErrNoCandidate) {
+	if _, err := p.selectSticky(eng, 0, eng.SnapshotAt(0)); !errors.Is(err, ErrNoCandidate) {
 		t.Fatalf("sticky err = %v, want ErrNoCandidate", err)
 	}
 }
@@ -146,7 +149,7 @@ func TestStickyWithinLatencyBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := p.SelectSticky(eng, 0)
+	st, err := p.selectSticky(eng, 0, eng.SnapshotAt(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +166,8 @@ func TestSelectStickyScratchReuse(t *testing.T) {
 	reused, eng := newPlanner(t, c, westAfrica(), Config{})
 	for t0 := 0.0; t0 <= 1800; t0 += 90 {
 		fresh, _ := newPlanner(t, c, westAfrica(), Config{})
-		want, errW := fresh.SelectSticky(eng, t0)
-		got, errG := reused.SelectSticky(eng, t0)
+		want, errW := fresh.selectSticky(eng, t0, eng.SnapshotAt(t0))
+		got, errG := reused.selectSticky(eng, t0, eng.SnapshotAt(t0))
 		if got != want || !errors.Is(errG, errW) {
 			t.Fatalf("t0=%v: reused planner picked %+v (%v), fresh planner %+v (%v)", t0, got, errG, want, errW)
 		}
@@ -312,14 +315,6 @@ func TestTransferLatency(t *testing.T) {
 	}
 }
 
-func TestUsersAccessor(t *testing.T) {
-	c := toyConst(t)
-	p, _ := newPlanner(t, c, westAfrica(), Config{})
-	if p.Users() != 3 {
-		t.Fatalf("Users = %d", p.Users())
-	}
-}
-
 func TestTimeToExpiry(t *testing.T) {
 	c := toyConst(t)
 	p, eng := newPlanner(t, c, westAfrica(), Config{})
@@ -328,7 +323,9 @@ func TestTimeToExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warn, capped := p.TimeToExpiry(eng, cand.SatID, 0)
+	// Sticky's look-ahead answers the hand-off warning time from t0 = 0,
+	// censored at its horizon.
+	warn, capped := p.obs.VisibleUntil(eng, p.users, cand.SatID, 0, lookaheadStepSec, lookaheadHorizonSec)
 	if capped {
 		t.Skip("candidate visible beyond the lookahead horizon")
 	}
@@ -348,7 +345,7 @@ func TestTimeToExpiry(t *testing.T) {
 	// A satellite that is already invisible expires within one step.
 	for id := 0; id < c.Size(); id++ {
 		if _, ok := p.groupRTT(eng.SnapshotAt(0)[id], id); !ok {
-			w, capped2 := p.TimeToExpiry(eng, id, 0)
+			w, capped2 := p.obs.VisibleUntil(eng, p.users, id, 0, lookaheadStepSec, lookaheadHorizonSec)
 			if capped2 || w > lookaheadStepSec {
 				t.Fatalf("invisible sat %d has warning %v", id, w)
 			}

@@ -53,8 +53,8 @@ func TestBestRoutedOptimality(t *testing.T) {
 	}
 	// No satellite offers a lower max RTT: cross-check against the raw
 	// per-user latency vectors.
-	l0 := snap.LatencyToAllSats(0)
-	l1 := snap.LatencyToAllSats(1)
+	l0 := snap.LatencyToAllSatsInto(0, nil)
+	l1 := snap.LatencyToAllSatsInto(1, nil)
 	for id := range l0 {
 		if math.IsInf(l0[id], 1) || math.IsInf(l1[id], 1) {
 			continue

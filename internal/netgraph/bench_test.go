@@ -146,7 +146,7 @@ func naiveFanout(s *Snapshot, gis []int) [][]float64 {
 	for i := range gis {
 		go func(slot int) {
 			defer wg.Done()
-			out[slot] = s.LatencyToAllSats(gis[slot])
+			out[slot] = s.LatencyToAllSatsInto(gis[slot], nil)
 		}(i)
 	}
 	wg.Wait()
@@ -184,7 +184,7 @@ func BenchmarkAllSourcesLatencies(b *testing.B) {
 		if parallelChosen {
 			out := make([][]float64, len(gis))
 			for i, gi := range gis {
-				out[i] = s.LatencyToAllSats(gi)
+				out[i] = s.LatencyToAllSatsInto(gi, nil)
 			}
 			return out
 		}
@@ -245,7 +245,7 @@ func BenchmarkISLShortest(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		for _, pr := range pairs {
-			p, err := ISLShortest(n.Grid, s.SatPositions(), pr[0], pr[1])
+			p, err := ISLShortest(n.Grid, s.satPos, pr[0], pr[1])
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -254,7 +254,7 @@ func BenchmarkISLShortest(b *testing.B) {
 		frozenNs += time.Since(start).Nanoseconds()
 		start = time.Now()
 		for _, pr := range pairs {
-			p, err := legacyISLShortest(n.Grid, s.SatPositions(), pr[0], pr[1])
+			p, err := legacyISLShortest(n.Grid, s.satPos, pr[0], pr[1])
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -91,7 +91,7 @@ func TestDifferentialFrozenVsLegacy(t *testing.T) {
 
 				// Full SSSP per ground: every satellite distance bitwise.
 				for gi := range diffGrounds {
-					got := s.LatencyToAllSats(gi)
+					got := s.LatencyToAllSatsInto(gi, nil)
 					want := s.legacyLatencyToAllSats(gi)
 					for id := range want {
 						if got[id] != want[id] && !(math.IsInf(got[id], 1) && math.IsInf(want[id], 1)) {
@@ -104,8 +104,8 @@ func TestDifferentialFrozenVsLegacy(t *testing.T) {
 				// ISL-grid queries over a spread of satellite pairs.
 				sats := n.Sats()
 				for _, pair := range [][2]int{{0, sats - 1}, {1, sats / 2}, {sats / 3, 2 * sats / 3}, {7, 7}} {
-					got, gotErr := ISLShortest(n.Grid, s.SatPositions(), pair[0], pair[1])
-					want, wantErr := legacyISLShortest(n.Grid, s.SatPositions(), pair[0], pair[1])
+					got, gotErr := ISLShortest(n.Grid, s.satPos, pair[0], pair[1])
+					want, wantErr := legacyISLShortest(n.Grid, s.satPos, pair[0], pair[1])
 					if !errors.Is(gotErr, wantErr) {
 						t.Fatalf("t=%.0f isl %v: err %v vs legacy %v", tSec, pair, gotErr, wantErr)
 					}
@@ -142,7 +142,7 @@ func TestLatencyToAllSatsIsolatedGround(t *testing.T) {
 	if len(s.VisibleSats(0)) != 0 {
 		t.Skip("pole unexpectedly covered — geometry changed")
 	}
-	for id, d := range s.LatencyToAllSats(0) {
+	for id, d := range s.LatencyToAllSatsInto(0, nil) {
 		if !math.IsInf(d, 1) {
 			t.Fatalf("isolated ground reaches sat %d at %v ms", id, d)
 		}
@@ -169,14 +169,14 @@ func TestGroundRTTNoPathErrors(t *testing.T) {
 func TestLatencyToAllSatsInto(t *testing.T) {
 	n := testNet(t, []geo.LatLon{{LatDeg: 10, LonDeg: 20}, {LatDeg: -5, LonDeg: 140}})
 	s := n.At(42)
-	want := s.LatencyToAllSats(0)
+	want := s.LatencyToAllSatsInto(0, nil)
 	buf := make([]float64, 0, n.Sats())
 	got := s.LatencyToAllSatsInto(0, buf)
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("Into did not reuse the provided buffer")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Into result differs from LatencyToAllSats")
+		t.Fatal("reused buffer differs from a fresh row")
 	}
 	// Undersized buffers grow transparently.
 	if got := s.LatencyToAllSatsInto(1, make([]float64, 3)); len(got) != n.Sats() {
@@ -196,7 +196,7 @@ func TestAllSourcesLatenciesMatchesSerial(t *testing.T) {
 		t.Fatalf("rows = %d", len(par))
 	}
 	for i, gi := range gis {
-		if want := s.LatencyToAllSats(gi); !reflect.DeepEqual(par[i], want) {
+		if want := s.LatencyToAllSatsInto(gi, nil); !reflect.DeepEqual(par[i], want) {
 			t.Fatalf("row %d differs from serial", i)
 		}
 	}
@@ -252,7 +252,7 @@ func TestConcurrentQueriesSameSnapshot(t *testing.T) {
 						return
 					}
 				case 1:
-					s.LatencyToAllSats(4)
+					s.LatencyToAllSatsInto(4, nil)
 				default:
 					s.VisibleSats(w % len(diffGrounds))
 				}

@@ -42,7 +42,7 @@ func FuzzISLWithin(f *testing.F) {
 			t.Skip()
 		}
 		s := n.At(math.Mod(math.Abs(tSec), 2*86400))
-		pos := s.SatPositions()
+		pos := s.satPos
 		ia, ib := int(a%sats), int(b%sats)
 		d := math.Inf(1)
 		if p, err := ISLShortest(n.Grid, pos, ia, ib); err == nil {
@@ -81,7 +81,7 @@ func FuzzISLWithin(f *testing.F) {
 // records a query, and that a real query allocates nothing.
 func TestISLWithinEdgeCases(t *testing.T) {
 	n := twoShellNet(t)
-	pos := n.At(0).SatPositions()
+	pos := n.At(0).satPos
 	sats := len(pos)
 	nan := math.NaN()
 	cases := []struct {

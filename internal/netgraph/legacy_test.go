@@ -121,8 +121,8 @@ func (s *Snapshot) legacyShortestPath(src, dst NodeID) (Path, error) {
 	return Path{Nodes: nodes, OneWayMs: dist[dst]}, nil
 }
 
-// legacyLatencyToAllSats is the per-call-allocating SSSP LatencyToAllSats
-// wrapped.
+// legacyLatencyToAllSats is the per-call-allocating SSSP that
+// LatencyToAllSatsInto replaced.
 func (s *Snapshot) legacyLatencyToAllSats(gi int) []float64 {
 	nNodes := s.net.Nodes()
 	dist := make([]float64, nNodes)

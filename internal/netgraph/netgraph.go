@@ -112,7 +112,7 @@ type Snapshot struct {
 }
 
 // At builds a snapshot at t seconds after epoch. With an ephemeris engine
-// attached the positions are a shared cached frame (treat SatPositions as
+// attached the positions are a shared cached frame (treat them as
 // immutable); otherwise they are propagated fresh.
 func (n *Network) At(tSec float64) *Snapshot {
 	if n.eng != nil {
@@ -125,9 +125,6 @@ func (n *Network) At(tSec float64) *Snapshot {
 // remains only because bench/ calls it, and leaves with the next benchmark
 // PR (as serve.EngineStats does).
 func (n *Network) AtAfter(_ *Snapshot, tSec float64) *Snapshot { return n.At(tSec) }
-
-// SatPositions returns the satellite position slice (shared; do not mutate).
-func (s *Snapshot) SatPositions() []geo.Vec3 { return s.satPos }
 
 // Position returns the ECEF position of any node.
 func (s *Snapshot) Position(id NodeID) geo.Vec3 {
@@ -313,17 +310,11 @@ func ISLWithin(g *isl.Grid, satPos []geo.Vec3, a, b int, maxMs float64) (ms floa
 	return ms, ok
 }
 
-// LatencyToAllSats returns the one-way latency in milliseconds from ground
-// station gi to every satellite (indexed by satellite ID), +Inf where no
-// path exists — everywhere when gi is out of range, since it names no
-// ground. One SSSP pass; used by routed meetup-server selection where the
-// server need not be directly visible to every user.
-func (s *Snapshot) LatencyToAllSats(gi int) []float64 {
-	return s.LatencyToAllSatsInto(gi, nil)
-}
-
-// LatencyToAllSatsInto is LatencyToAllSats writing into dst (grown if too
-// small), so steady-state callers make zero allocations per query.
+// LatencyToAllSatsInto writes the one-way latency in milliseconds from
+// ground station gi to every satellite (indexed by satellite ID) into dst,
+// grown if too small, and returns it: +Inf where no path exists, everywhere
+// when gi is out of range, since it names no ground. One SSSP pass; a
+// reused dst makes zero allocations per query.
 func (s *Snapshot) LatencyToAllSatsInto(gi int, dst []float64) []float64 {
 	src := -1
 	if gi >= 0 && gi < len(s.net.Grounds) {
@@ -332,16 +323,9 @@ func (s *Snapshot) LatencyToAllSatsInto(gi int, dst []float64) []float64 {
 	return s.row(src, s.net.Sats(), dst)
 }
 
-// LatencyToAllNodes returns the one-way latency from src to every node
-// (satellites then ground stations), +Inf where unreachable — everywhere
-// when src is out of range. Used by fig3 to price one user against every
-// data centre in a single pass.
-func (s *Snapshot) LatencyToAllNodes(src NodeID) []float64 {
-	return s.LatencyToAllNodesInto(src, nil)
-}
-
-// LatencyToAllNodesInto is LatencyToAllNodes writing into dst (grown if too
-// small), for callers batching many sources over one snapshot.
+// LatencyToAllNodesInto writes the one-way latency from src to every node
+// (satellites then ground stations) into dst, grown if too small, and
+// returns it: +Inf where unreachable, everywhere when src is out of range.
 func (s *Snapshot) LatencyToAllNodesInto(src NodeID, dst []float64) []float64 {
 	return s.row(int(src), s.net.Nodes(), dst)
 }
@@ -365,10 +349,11 @@ func (s *Snapshot) row(src, w int, dst []float64) []float64 {
 
 // LatenciesWithin appends to dst every node within maxMs one-way of src with
 // its latency, nearest first, and returns the extended slice: the prefix of
-// LatencyToAllNodes a caller with a known price ceiling needs, at the cost
-// of the nodes inside the radius instead of the whole reachable graph. Each
-// reported latency is bit-equal to the full row's; a node not reported is
-// farther than maxMs (or unreachable). An out-of-range src appends nothing.
+// LatencyToAllNodesInto's row a caller with a known price ceiling needs, at
+// the cost of the nodes inside the radius instead of the whole reachable
+// graph. Each reported latency is bit-equal to the full row's; a node not
+// reported is farther than maxMs (or unreachable). An out-of-range src
+// appends nothing.
 func (s *Snapshot) LatenciesWithin(src NodeID, maxMs float64, dst []NodeMs) []NodeMs {
 	start := time.Now()
 	f := s.frozen()

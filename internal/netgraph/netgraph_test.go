@@ -51,7 +51,7 @@ func TestPositionLookup(t *testing.T) {
 	if got := s.Position(n.GroundNode(0)); got.Distance(g.ECEF()) > 1e-9 {
 		t.Fatal("ground position mismatch")
 	}
-	if got := s.Position(n.SatNode(7)); got.Distance(s.SatPositions()[7]) > 1e-9 {
+	if got := s.Position(n.SatNode(7)); got.Distance(s.satPos[7]) > 1e-9 {
 		t.Fatal("sat position mismatch")
 	}
 }
@@ -100,14 +100,13 @@ func TestOutOfRangeSourcesReachNothing(t *testing.T) {
 	}
 	grounds := len(n.Grounds)
 	for _, gi := range []int{-1, -5, -n.Sats(), grounds, grounds + 1, n.Nodes()} {
-		allInf("LatencyToAllSats", s.LatencyToAllSats(gi), n.Sats())
+		allInf("LatencyToAllSatsInto(nil)", s.LatencyToAllSatsInto(gi, nil), n.Sats())
 		allInf("LatencyToAllSatsInto", s.LatencyToAllSatsInto(gi, make([]float64, 3, n.Sats())), n.Sats())
 		if vis := s.VisibleSats(gi); vis != nil {
 			t.Fatalf("VisibleSats(%d) = %v, want nil", gi, vis)
 		}
 	}
 	for _, src := range []NodeID{-1, -5, NodeID(n.Nodes()), NodeID(n.Nodes() + 7), 1<<32 + 3} {
-		allInf("LatencyToAllNodes", s.LatencyToAllNodes(src), n.Nodes())
 		allInf("LatencyToAllNodesInto", s.LatencyToAllNodesInto(src, nil), n.Nodes())
 		prefix := []NodeMs{{Node: 1, Ms: 2}}
 		if got := s.LatenciesWithin(src, math.Inf(1), prefix); len(got) != 1 || got[0] != prefix[0] {
@@ -195,11 +194,11 @@ func TestTriangleOptimality(t *testing.T) {
 	a := s.Position(n.GroundNode(0))
 	b := s.Position(n.GroundNode(1))
 	for _, satID := range s.VisibleSats(0) {
-		if !n.Observer.Visible(b, satID, s.SatPositions()[satID]) {
+		if !n.Observer.Visible(b, satID, s.satPos[satID]) {
 			continue
 		}
-		relay := units.PropagationDelayMs(a.Distance(s.SatPositions()[satID])) +
-			units.PropagationDelayMs(b.Distance(s.SatPositions()[satID]))
+		relay := units.PropagationDelayMs(a.Distance(s.satPos[satID])) +
+			units.PropagationDelayMs(b.Distance(s.satPos[satID]))
 		if p.OneWayMs > relay+1e-9 {
 			t.Fatalf("Dijkstra %v ms worse than single relay %v ms", p.OneWayMs, relay)
 		}
@@ -271,7 +270,7 @@ func TestVisibleSatsMatchesObserver(t *testing.T) {
 	vis := s.VisibleSats(0)
 	g := grounds[0].ECEF()
 	want := 0
-	for id, pos := range s.SatPositions() {
+	for id, pos := range s.satPos {
 		if n.Observer.Visible(g, id, pos) {
 			want++
 			found := false
@@ -314,7 +313,7 @@ func TestSnapshotTimeEvolves(t *testing.T) {
 	n := testNet(t, nil)
 	s0 := n.At(0)
 	s60 := n.At(60)
-	moved := s0.SatPositions()[0].Distance(s60.SatPositions()[0])
+	moved := s0.satPos[0].Distance(s60.satPos[0])
 	// 60 s at ~7.6 km/s ≈ 455 km (minus Earth-rotation correction).
 	if moved < 300 || moved > 600 {
 		t.Fatalf("satellite moved %v km in 60 s", moved)

@@ -25,7 +25,7 @@ import "repro/internal/par"
 // atomics, and cross-worker cache traffic.
 const serialFanoutWork = 1 << 12
 
-// AllSourcesLatencies runs LatencyToAllSats for every ground station index
+// AllSourcesLatencies runs LatencyToAllSatsInto for every ground station index
 // in gis concurrently (up to par.Workers() workers) and returns the results in
 // matching order: out[i][satID] is the one-way latency from gis[i]. Rows
 // share one backing slab.
@@ -41,7 +41,7 @@ func (s *Snapshot) AllSourcesLatencies(gis []int) [][]float64 {
 	return out
 }
 
-// AllSourcesNodeLatencies runs LatencyToAllNodes for every source node
+// AllSourcesNodeLatencies runs LatencyToAllNodesInto for every source node
 // concurrently: out[i][node] is the one-way latency from srcs[i] to node.
 // Rows share one backing slab.
 func (s *Snapshot) AllSourcesNodeLatencies(srcs []NodeID) [][]float64 {

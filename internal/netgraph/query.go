@@ -1,11 +1,11 @@
 package netgraph
 
 // The frozen-graph query core: every routing entry point — ShortestPath,
-// LatencyToAllSats, LatenciesWithin, ISLShortest and the parallel multi-source
-// fan-outs — runs over flat CSR arrays with a pooled scratch context, and
-// every search pops from one queue: the monotone bucket queue below, which
-// popped sorted yields exact (key, node id) order, the order the pre-freeze
-// oracle's heap defines (legacy_test.go).
+// LatencyToAllSatsInto, LatenciesWithin, ISLShortest and the parallel
+// multi-source fan-outs — runs over flat CSR arrays with a pooled scratch
+// context, and every search pops from one queue: the monotone bucket queue
+// below, which popped sorted yields exact (key, node id) order, the order the
+// pre-freeze oracle's heap defines (legacy_test.go).
 //
 // Three searches share it. D(v) is the least fixed point of D(v) = min over u
 // of fl(D(u)+w(u,v)); "legacy order" is ascending (D(v), v), the pop order of

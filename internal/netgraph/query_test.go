@@ -268,7 +268,7 @@ func TestLabelsSettleOnce(t *testing.T) {
 		if slices.Contains(ctx.stamp, ctx.gen) {
 			t.Fatalf("ground %d: labels stamped nodes", gi)
 		}
-		if row := s.LatencyToAllSats(gi); !slices.Equal(row, ctx.dist[:f.sats]) {
+		if row := s.LatencyToAllSatsInto(gi, nil); !slices.Equal(row, ctx.dist[:f.sats]) {
 			t.Fatalf("ground %d: LatencyToAllSats differs from labels", gi)
 		}
 	}

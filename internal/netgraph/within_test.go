@@ -33,7 +33,7 @@ func TestLatenciesWithinIsPrefixOfFullRow(t *testing.T) {
 			seen := make([]int, n.Nodes())
 			for q := 0; q < 50; q++ {
 				src := NodeID(rng.Intn(n.Nodes()))
-				full := s.LatencyToAllNodes(src)
+				full := s.LatencyToAllNodesInto(src, nil)
 				for _, radius := range []float64{0, 2, 8.5, 40, math.Inf(1)} {
 					got = s.LatenciesWithin(src, radius, got[:0])
 					clear(seen)
@@ -88,9 +88,9 @@ func TestSSSPDurationRecordedOnce(t *testing.T) {
 			case 0:
 				s.LatenciesWithin(NodeID(q), 5, nil)
 			case 1:
-				s.LatencyToAllNodes(NodeID(q))
+				s.LatencyToAllNodesInto(NodeID(q), nil)
 			default:
-				s.LatencyToAllSats(q % len(diffGrounds))
+				s.LatencyToAllSatsInto(q%len(diffGrounds), nil)
 			}
 		}},
 		{"path", &m.path, func(q int) { s.ShortestPath(n.GroundNode(q%len(diffGrounds)), n.SatNode(7*q+1)) }},

@@ -174,15 +174,10 @@ func (q *Quantile) Max() float64 {
 	return math.Float64frombits(q.maxBits.Load())
 }
 
-// Quantile returns the streaming estimate of the p-quantile (p in [0,1]).
-// An empty sketch returns 0. Estimates are clamped to the exact observed
-// [Min, Max] so p=0 and p=1 never stray outside the data.
-func (q *Quantile) Quantile(p float64) float64 {
-	return q.Quantiles(p)[0]
-}
-
 // Quantiles returns estimates for several probabilities in one pass over
-// the buckets. Each p must be in [0,1]; it panics otherwise.
+// the buckets. Each p must be in [0,1]; it panics otherwise. An empty sketch
+// returns zeros. Estimates are clamped to the exact observed [Min, Max] so
+// p=0 and p=1 never stray outside the data.
 func (q *Quantile) Quantiles(ps ...float64) []float64 {
 	for _, p := range ps {
 		if p < 0 || p > 1 || math.IsNaN(p) {

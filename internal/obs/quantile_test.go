@@ -33,7 +33,7 @@ func checkAccuracy(t *testing.T, name string, samples []float64) {
 	sorted := append([]float64(nil), samples...)
 	sort.Float64s(sorted)
 	for _, p := range []float64{0.5, 0.9, 0.95, 0.99} {
-		got := q.Quantile(p)
+		got := q.Quantiles(p)[0]
 		want := exactQuantile(sorted, p)
 		if want == 0 {
 			continue
@@ -82,12 +82,12 @@ func TestQuantileAccuracyBimodal(t *testing.T) {
 
 func TestQuantileEdgeCases(t *testing.T) {
 	q := &Quantile{}
-	if got := q.Quantile(0.5); got != 0 {
+	if got := q.Quantiles(0.5)[0]; got != 0 {
 		t.Errorf("empty sketch p50 = %g, want 0", got)
 	}
 	q.Observe(42)
 	for _, p := range []float64{0, 0.5, 1} {
-		if got := q.Quantile(p); got != 42 {
+		if got := q.Quantiles(p)[0]; got != 42 {
 			t.Errorf("single-sample p%g = %g, want 42 (clamped to [min,max])", 100*p, got)
 		}
 	}
@@ -101,10 +101,10 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Error("Quantile(1.5) did not panic")
+			t.Error("Quantiles(1.5) did not panic")
 		}
 	}()
-	q.Quantile(1.5)
+	q.Quantiles(1.5)
 }
 
 // TestQuantileObserveInf: +Inf lands in the last bucket instead of
@@ -120,7 +120,7 @@ func TestQuantileObserveInf(t *testing.T) {
 	if q.Count() != 3 || !math.IsInf(q.Max(), 1) || !math.IsInf(q.Sum(), 1) || q.Min() != 3 {
 		t.Errorf("count %d min %g max %g sum %g, want 3, 3, +Inf, +Inf", q.Count(), q.Min(), q.Max(), q.Sum())
 	}
-	if got := q.Quantile(1); got != quantileTop {
+	if got := q.Quantiles(1)[0]; got != quantileTop {
 		t.Errorf("p100 = %g, want the last bucket's value %g", got, quantileTop)
 	}
 	// The clamp moves no finite value: at and just below the last bucket's
@@ -263,7 +263,7 @@ func TestQuantileConcurrent(t *testing.T) {
 	if q.Count() != workers*per {
 		t.Errorf("count = %d, want %d", q.Count(), workers*per)
 	}
-	if p50 := q.Quantile(0.5); p50 < 1 || p50 > 2 {
+	if p50 := q.Quantiles(0.5)[0]; p50 < 1 || p50 > 2 {
 		t.Errorf("p50 = %g outside observed [1,2]", p50)
 	}
 }

@@ -61,11 +61,6 @@ func (e Elements) MeanMotionRadS() float64 {
 	return 2 * math.Pi / e.PeriodSec()
 }
 
-// VelocityKmS returns the orbital speed in km/s.
-func (e Elements) VelocityKmS() float64 {
-	return units.OrbitalVelocityKmS(e.AltitudeKm)
-}
-
 // J2NodalRateRadS returns the secular RAAN drift rate due to the Earth's
 // oblateness (J2). Negative for prograde orbits (westward regression).
 func (e Elements) J2NodalRateRadS() float64 {
@@ -163,12 +158,6 @@ func ECEFInto(props []*Propagator, tSec float64, dst []geo.Vec3) {
 		y := p.radius * (sR*cu + cR*su*p.cosInc)
 		dst[i] = geo.Vec3{X: cE*x - sE*y, Y: sE*x + cE*y, Z: p.radius * (su * p.sinInc)}
 	}
-}
-
-// SubpointAt returns the geographic point directly beneath the satellite at
-// t seconds after epoch (altitude = orbit altitude).
-func (p *Propagator) SubpointAt(tSec float64) geo.LatLon {
-	return geo.FromECEF(p.ECEFAt(tSec))
 }
 
 // ECIVelocityAt returns the inertial-frame velocity (km/s) at t seconds

@@ -84,7 +84,7 @@ func TestInclinationBoundsLatitude(t *testing.T) {
 	e := Elements{AltitudeKm: 550, InclinationDeg: 53, RAANDeg: 0, ArgLatDeg: 0}
 	p := mustProp(t, e, Options{})
 	for tt := 0.0; tt < 2*e.PeriodSec(); tt += 10 {
-		lat := p.SubpointAt(tt).LatDeg
+		lat := geo.FromECEF(p.ECEFAt(tt)).LatDeg
 		if math.Abs(lat) > 53.0001 {
 			t.Fatalf("subpoint latitude %v exceeds inclination at t=%v", lat, tt)
 		}
@@ -96,7 +96,7 @@ func TestLatitudeReachesInclination(t *testing.T) {
 	p := mustProp(t, e, Options{})
 	maxLat := 0.0
 	for tt := 0.0; tt < e.PeriodSec(); tt += 5 {
-		if lat := math.Abs(p.SubpointAt(tt).LatDeg); lat > maxLat {
+		if lat := math.Abs(geo.FromECEF(p.ECEFAt(tt)).LatDeg); lat > maxLat {
 			maxLat = lat
 		}
 	}
@@ -139,8 +139,8 @@ func TestSpeedMatchesCircularVelocity(t *testing.T) {
 	p := mustProp(t, e, Options{})
 	dt := 0.1
 	v := p.ECIAt(dt).Sub(p.ECIAt(0)).Norm() / dt
-	if !almostEq(v, e.VelocityKmS(), 0.01) {
-		t.Fatalf("numeric speed %v, want %v", v, e.VelocityKmS())
+	if !almostEq(v, units.OrbitalVelocityKmS(e.AltitudeKm), 0.01) {
+		t.Fatalf("numeric speed %v, want %v", v, units.OrbitalVelocityKmS(e.AltitudeKm))
 	}
 }
 
@@ -296,8 +296,8 @@ func TestECIVelocityAnalytic(t *testing.T) {
 	for _, tt := range []float64{0, 100, 2500} {
 		v := p.ECIVelocityAt(tt)
 		// Speed equals the circular orbital velocity.
-		if !almostEq(v.Norm(), e.VelocityKmS(), 1e-9) {
-			t.Fatalf("speed %v, want %v", v.Norm(), e.VelocityKmS())
+		if !almostEq(v.Norm(), units.OrbitalVelocityKmS(e.AltitudeKm), 1e-9) {
+			t.Fatalf("speed %v, want %v", v.Norm(), units.OrbitalVelocityKmS(e.AltitudeKm))
 		}
 		// Velocity is perpendicular to the radius (circular orbit).
 		r := p.ECIAt(tt)

@@ -80,12 +80,6 @@ func (b Budget) AverageAvailableW(eclipseFraction float64) float64 {
 	return b.SolarOutputW * sunlit / den
 }
 
-// Headroom reports whether the budget can sustain the server on top of the
-// bus load, and the remaining margin in watts (negative when over budget).
-func (b Budget) Headroom(s ServerLoad, eclipseFraction float64) float64 {
-	return b.AverageAvailableW(eclipseFraction) - b.BusLoadW - s.DrawW
-}
-
 // EclipseSurvivalHours returns how long the battery alone sustains the bus
 // plus server load.
 func (b Budget) EclipseSurvivalHours(s ServerLoad) float64 {

@@ -70,21 +70,6 @@ func TestAverageAvailableWithEclipse(t *testing.T) {
 	}
 }
 
-func TestHeadroom(t *testing.T) {
-	b := DefaultStarlinkBudget()
-	h := b.Headroom(ServerLoad{DrawW: 225}, 0.33)
-	// 1.5kW at 33% eclipse (η=0.9) → avg ≈ 1500×0.67/(0.67+0.367) ≈ 970 W;
-	// minus 800 bus minus 225 server → negative: the paper's point that a
-	// beefy server strains the budget.
-	if h >= 0 {
-		t.Fatalf("headroom = %v, expected strained (negative)", h)
-	}
-	// A lighter edge box fits.
-	if b.Headroom(ServerLoad{DrawW: 50}, 0.33) >= h+100 == false {
-		t.Fatal("lighter server should have more headroom")
-	}
-}
-
 func TestEclipseSurvival(t *testing.T) {
 	b := DefaultStarlinkBudget()
 	h := b.EclipseSurvivalHours(ServerLoad{DrawW: 225})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -90,8 +91,8 @@ func runLegacyOracle(t testing.TB, c *constellation.Constellation, cfg Config, r
 }
 
 // renderResult canonicalizes a Result into a byte string: every counter,
-// per-reason sheds in report order, latency quantiles, and per-satellite
-// utilization, all at full float precision.
+// per-reason sheds in report order, the latency distribution, and
+// per-satellite utilization, all at full float precision.
 func renderResult(r Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "policy=%s offered=%d served=%d inflight=%d sats=%d peakq=%d\n",
@@ -101,8 +102,15 @@ func renderResult(r Result) string {
 	}
 	fmt.Fprintf(&b, "lat n=%d", r.LatencyMs.N())
 	if r.LatencyMs.N() > 0 {
-		fmt.Fprintf(&b, " min=%x max=%x mean=%x p50=%x p90=%x p99=%x p999=%x",
-			r.LatencyMs.Min(), r.LatencyMs.Max(), r.LatencyMs.Mean(),
+		// The CDF's points fix the whole sample multiset; a hash keeps the
+		// string short.
+		xs, ps := r.LatencyMs.Points()
+		h := fnv.New64a()
+		for i := range xs {
+			fmt.Fprintf(h, "%x:%x,", xs[i], ps[i])
+		}
+		fmt.Fprintf(&b, " min=%x max=%x points=%x p50=%x p90=%x p99=%x p999=%x",
+			r.LatencyMs.Quantile(0), r.LatencyMs.Max(), h.Sum64(),
 			r.LatencyMs.Quantile(0.5), r.LatencyMs.Quantile(0.9),
 			r.LatencyMs.Quantile(0.99), r.LatencyMs.Quantile(0.999))
 	}

@@ -9,18 +9,17 @@ import (
 	"sort"
 )
 
-// Summary accumulates count/min/max/mean/variance in one pass (Welford).
-// The zero value is ready to use.
+// Summary accumulates count/min/max/mean in one pass (Welford's running
+// mean). The zero value is ready to use.
 type Summary struct {
 	n    int
 	min  float64
 	max  float64
 	mean float64
-	m2   float64
 }
 
 // Add folds a value into the summary. NaN values are dropped: one NaN
-// would make every later Mean/Variance NaN.
+// would make every later Mean NaN.
 func (s *Summary) Add(v float64) {
 	if math.IsNaN(v) {
 		return
@@ -38,7 +37,6 @@ func (s *Summary) Add(v float64) {
 	s.n++
 	d := v - s.mean
 	s.mean += d / float64(s.n)
-	s.m2 += d * (v - s.mean)
 }
 
 // N returns the number of values added.
@@ -52,22 +50,6 @@ func (s *Summary) Max() float64 { return s.max }
 
 // Mean returns the arithmetic mean (0 when empty).
 func (s *Summary) Mean() float64 { return s.mean }
-
-// Variance returns the sample variance (0 for fewer than two values).
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 { return math.Sqrt(s.Variance()) }
-
-// String renders "n=... min=... mean=... max=...".
-func (s *Summary) String() string {
-	return fmt.Sprintf("n=%d min=%.3f mean=%.3f max=%.3f sd=%.3f", s.n, s.min, s.mean, s.max, s.Stddev())
-}
 
 // CDF is an empirical cumulative distribution over collected samples.
 type CDF struct {
@@ -84,7 +66,7 @@ func NewCDF(samples ...float64) *CDF {
 
 // Add appends one sample. NaN samples are dropped: NaN compares false
 // with everything, so a single one would poison every later
-// Quantile/Median/At/Min (NaN order statistics and skewed ranks) with no
+// Quantile/Median/At/Max (NaN order statistics and skewed ranks) with no
 // error surfacing.
 func (c *CDF) Add(v float64) {
 	if math.IsNaN(v) {
@@ -145,28 +127,10 @@ func (c *CDF) Quantile(q float64) float64 {
 // Median returns the 0.5 quantile.
 func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
-// Min returns the smallest sample; panics when empty.
-func (c *CDF) Min() float64 {
-	c.ensureSorted()
-	return c.samples[0]
-}
-
 // Max returns the largest sample; panics when empty.
 func (c *CDF) Max() float64 {
 	c.ensureSorted()
 	return c.samples[len(c.samples)-1]
-}
-
-// Mean returns the sample mean (0 when empty).
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range c.samples {
-		sum += v
-	}
-	return sum / float64(len(c.samples))
 }
 
 // Points returns (x, P(X<=x)) pairs suitable for plotting: one per distinct

@@ -12,7 +12,7 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestSummaryBasics(t *testing.T) {
 	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.Variance() != 0 {
+	if s.N() != 0 || s.Mean() != 0 {
 		t.Fatal("zero Summary not neutral")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -27,23 +27,13 @@ func TestSummaryBasics(t *testing.T) {
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Fatalf("Min/Max = %v/%v", s.Min(), s.Max())
 	}
-	// Sample variance of this classic set is 32/7.
-	if !almostEq(s.Variance(), 32.0/7, 1e-12) {
-		t.Fatalf("Variance = %v", s.Variance())
-	}
-	if !almostEq(s.Stddev(), math.Sqrt(32.0/7), 1e-12) {
-		t.Fatalf("Stddev = %v", s.Stddev())
-	}
-	if s.String() == "" {
-		t.Fatal("String empty")
-	}
 }
 
 func TestSummarySingleValue(t *testing.T) {
 	var s Summary
 	s.Add(42)
-	if s.Variance() != 0 || s.Min() != 42 || s.Max() != 42 || s.Mean() != 42 {
-		t.Fatalf("single-value summary wrong: %v", s.String())
+	if s.Min() != 42 || s.Max() != 42 || s.Mean() != 42 {
+		t.Fatalf("single-value summary wrong: %+v", s)
 	}
 }
 
@@ -60,13 +50,7 @@ func TestSummaryMatchesDirectComputation(t *testing.T) {
 			sum += vals[i]
 		}
 		mean := sum / float64(n)
-		var ss float64
-		for _, v := range vals {
-			ss += (v - mean) * (v - mean)
-		}
-		wantVar := ss / float64(n-1)
-		return almostEq(s.Mean(), mean, 1e-9*math.Max(1, math.Abs(mean))) &&
-			almostEq(s.Variance(), wantVar, 1e-6*math.Max(1, wantVar))
+		return almostEq(s.Mean(), mean, 1e-9*math.Max(1, math.Abs(mean)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -146,19 +130,6 @@ func TestCDFQuantileAtInverse(t *testing.T) {
 	}
 }
 
-func TestCDFMinMaxMean(t *testing.T) {
-	c := NewCDF(5, 1, 3)
-	if c.Min() != 1 || c.Max() != 5 {
-		t.Fatal("Min/Max wrong")
-	}
-	if !almostEq(c.Mean(), 3, 1e-12) {
-		t.Fatalf("Mean = %v", c.Mean())
-	}
-	if NewCDF().Mean() != 0 {
-		t.Fatal("empty Mean != 0")
-	}
-}
-
 func TestCDFAddAllAndN(t *testing.T) {
 	c := NewCDF()
 	c.AddAll([]float64{3, 1, 2})
@@ -216,9 +187,6 @@ func TestSummaryDropsNaN(t *testing.T) {
 	if s.Mean() != 2 || s.Min() != 1 || s.Max() != 3 {
 		t.Fatalf("mean/min/max = %v/%v/%v, want 2/1/3", s.Mean(), s.Min(), s.Max())
 	}
-	if math.IsNaN(s.Variance()) || math.IsNaN(s.Stddev()) {
-		t.Fatal("NaN leaked into variance")
-	}
 	// A summary fed only NaNs stays empty.
 	var empty Summary
 	empty.Add(math.NaN())
@@ -237,8 +205,8 @@ func TestCDFDropsNaN(t *testing.T) {
 	if got := c.Median(); got != 3 {
 		t.Fatalf("Median = %v, want 3", got)
 	}
-	if got := c.Min(); got != 1 {
-		t.Fatalf("Min = %v, want 1", got)
+	if got := c.Quantile(0); got != 1 {
+		t.Fatalf("Quantile(0) = %v, want 1", got)
 	}
 	if got := c.Max(); got != 5 {
 		t.Fatalf("Max = %v, want 5", got)
@@ -247,9 +215,6 @@ func TestCDFDropsNaN(t *testing.T) {
 		if v := c.Quantile(q); math.IsNaN(v) {
 			t.Fatalf("Quantile(%v) is NaN", q)
 		}
-	}
-	if math.IsNaN(c.Mean()) {
-		t.Fatal("Mean is NaN")
 	}
 	c.Add(math.NaN())
 	if c.N() != 3 {

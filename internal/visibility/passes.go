@@ -111,19 +111,6 @@ func (o *Observer) PassWindows(ground geo.Vec3, satID int, t0, horizonSec, coars
 	return out, nil
 }
 
-// NextPass returns the first pass of satID over the ground point at or
-// after t0 within horizonSec, with ok=false when none occurs.
-func (o *Observer) NextPass(ground geo.Vec3, satID int, t0, horizonSec float64) (PassWindow, bool, error) {
-	ws, err := o.PassWindows(ground, satID, t0, horizonSec, 10)
-	if err != nil {
-		return PassWindow{}, false, err
-	}
-	if len(ws) == 0 {
-		return PassWindow{}, false, nil
-	}
-	return ws[0], true, nil
-}
-
 // NextPassAny returns the earliest upcoming pass of any satellite over the
 // ground point — "when am I next covered". It scans coarsely forward and
 // refines like PassWindows; for constellations with continuous coverage it

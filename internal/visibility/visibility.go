@@ -123,9 +123,6 @@ func NewObserverWithMask(c *constellation.Constellation, elevDeg float64) *Obser
 	return o
 }
 
-// Constellation returns the constellation the observer watches.
-func (o *Observer) Constellation() *constellation.Constellation { return o.c }
-
 // Visible reports whether satellite id at position sat (ECEF) is reachable
 // from ground (ECEF).
 func (o *Observer) Visible(ground geo.Vec3, id int, sat geo.Vec3) bool {
@@ -234,18 +231,4 @@ func (o *Observer) MarkVisibleFromAny(grounds []geo.Vec3, snapshot []geo.Vec3, s
 			}
 		}
 	}
-}
-
-// CountInvisible returns how many satellites in snapshot are reachable from
-// none of the ground points.
-func (o *Observer) CountInvisible(grounds []geo.Vec3, snapshot []geo.Vec3) int {
-	seen := make([]bool, len(snapshot))
-	o.MarkVisibleFromAny(grounds, snapshot, seen)
-	n := 0
-	for _, s := range seen {
-		if !s {
-			n++
-		}
-	}
-	return n
 }

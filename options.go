@@ -5,7 +5,6 @@ import (
 	"repro/internal/ephem"
 	"repro/internal/faults"
 	"repro/internal/fleet"
-	"repro/internal/obs"
 )
 
 // Option configures a Service at construction:
@@ -60,8 +59,10 @@ func WithStepSec(sec float64) Option {
 }
 
 // WithFleet overrides the full fleet orchestrator configuration for
-// Service.NewFleet. Finer-grained options (WithStepSec, WithFaults,
-// WithWorkers) applied after it still take effect.
+// Service.NewFleet. Finer-grained options (WithStepSec, WithServer,
+// WithISLBandwidth, WithWorkers) applied after it still take effect; the
+// server spec, ISL rate and worker bound also reach the fleet from before
+// it wherever cfg leaves them zero.
 func WithFleet(cfg FleetConfig) Option {
 	return funcOption(func(s *settings) { s.fleet = fleet.Config(cfg) })
 }
@@ -83,60 +84,4 @@ func WithWorkers(n int) Option {
 		s.ephem.Workers = n
 		s.fleet.Workers = n
 	})
-}
-
-// WithRegistry routes ephem_* and fleet_* metric families to a caller
-// registry instead of the process default.
-func WithRegistry(reg *obs.Registry) Option {
-	return funcOption(func(s *settings) {
-		s.ephem.Registry = reg
-		s.fleet.Registry = reg
-	})
-}
-
-// FleetOption configures one orchestrator built by Service.NewFleet. It
-// refines the service-wide fleet settings (WithFleet, WithStepSec,
-// WithWorkers, ...) for that orchestrator only:
-//
-//	fl, err := svc.NewFleet(
-//	        inorbit.WithFleetSessions(1_000_000),
-//	        inorbit.WithFleetEpoch(60))
-//
-// FleetOptions apply in order; later options win on conflict.
-type FleetOption interface {
-	applyFleet(*fleet.Config)
-}
-
-// fleetFuncOption adapts a closure to the FleetOption interface.
-type fleetFuncOption func(*fleet.Config)
-
-func (f fleetFuncOption) applyFleet(c *fleet.Config) { f(c) }
-
-// WithFleetSessions sizes the orchestrator for the intended session
-// population: the session table and the planner's per-epoch scratch are
-// pre-allocated for n sessions. It is a hint — the fleet grows past it
-// without error — but the right hint avoids incremental growth stalls on
-// million-session ingest.
-func WithFleetSessions(n int) FleetOption {
-	return fleetFuncOption(func(c *fleet.Config) { c.ExpectedSessions = n })
-}
-
-// WithFleetEpoch sets this orchestrator's epoch length in simulated
-// seconds (default 60, or the service-wide WithStepSec value).
-func WithFleetEpoch(stepSec float64) FleetOption {
-	return fleetFuncOption(func(c *fleet.Config) { c.StepSec = stepSec })
-}
-
-// WithFleetLookahead sets the visibility lookahead horizon in simulated
-// seconds used to rank candidates by remaining visibility (default 1200,
-// the meetup Sticky horizon). Must be at least the epoch length.
-func WithFleetLookahead(sec float64) FleetOption {
-	return fleetFuncOption(func(c *fleet.Config) { c.LookaheadSec = sec })
-}
-
-// WithFleetCapacity sets the per-satellite compute payload for this
-// orchestrator (default: the paper's HPE DL325 reference, or the
-// service-wide WithServer value).
-func WithFleetCapacity(spec ServerSpec) FleetOption {
-	return fleetFuncOption(func(c *fleet.Config) { c.Server = spec })
 }

@@ -138,7 +138,7 @@ func TestCoveredInvalidLocation(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	s := denseService(t)
-	if s.Constellation() == nil || s.Observer() == nil || s.Grid() == nil || s.Ephemeris() == nil {
+	if s.Constellation() == nil || s.Ephemeris() == nil {
 		t.Fatal("nil accessor")
 	}
 	if s.Servers() != 1024 {
