@@ -113,7 +113,7 @@ func parseFlags(args []string) (options, error) {
 	fs.StringVar(&o.timelineHTML, "timeline-html", "", "timeline HTML report path (empty = off)")
 	fs.IntVar(&o.timelineCap, "timeline-cap", obs.DefaultTimelineCapacity,
 		"flight-recorder ring capacity in frames (oldest evicted beyond this)")
-	fs.Float64Var(&o.sloReplanMs, "slo-replan-ms", 50, "SLO: p99 per-session replan latency bound in ms")
+	fs.Float64Var(&o.sloReplanMs, "slo-replan-ms", 50, "SLO: p99 per-session replan latency bound in ms, over the sessions whose ID is a multiple of 16")
 	fs.Float64Var(&o.sloXferMs, "slo-transfer-ms", 250, "SLO: p99 hand-off transfer latency bound in ms")
 	fs.Float64Var(&o.sloAvail, "slo-avail", 0.999, "SLO: assigned/sessions availability floor in (0,1]")
 	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed (independent of the workload seed)")

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -141,4 +142,58 @@ func TestBenchReportCommittedFormat(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzBenchReport: two arbitrary byte strings as BENCH_*.json files must
+// never panic the trajectory report. When both decode, it prints one row per
+// distinct (benchmark, metric) pair across the files, under a title that
+// counts them.
+func FuzzBenchReport(f *testing.F) {
+	f.Add([]byte(`{"generated_unix":100,"benchmarks":[{"name":"Demo","metrics":{"ns/op":1000,"only-a":7}}]}`),
+		[]byte(`{"generated_unix":200,"benchmarks":[{"name":"Demo","metrics":{"ns/op":1500}}]}`))
+	f.Add([]byte(`{"benchmarks":[{"name":"A","metrics":{"x":0}},{"name":"A","metrics":{"x":1,"y":-2e300}}]}`),
+		[]byte(`{"benchmarks":null}`))
+	f.Add([]byte(`{"benchmarks":[{"name":"a\nb","metrics":{"":1}}]} trailing`), []byte(`[]`))
+	f.Add([]byte(``), []byte(`{`))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		dir := t.TempDir()
+		paths := []string{filepath.Join(dir, "BENCH_a.json"), filepath.Join(dir, "BENCH_b.json")}
+		pairs, multiline, decoded := map[[2]string]bool{}, false, true
+		for i, data := range [][]byte{a, b} {
+			if err := os.WriteFile(paths[i], data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var bf benchFile
+			if json.NewDecoder(bytes.NewReader(data)).Decode(&bf) != nil {
+				decoded = false
+				continue
+			}
+			for _, r := range bf.Benchmarks {
+				for metric := range r.Metrics {
+					pairs[[2]string{r.Name, metric}] = true
+					multiline = multiline || strings.ContainsAny(r.Name+metric, "\n")
+				}
+			}
+		}
+		var out bytes.Buffer
+		err := benchReport(&out, paths)
+		if !decoded {
+			if err == nil {
+				t.Fatalf("an input that does not decode was reported:\n%s", out.String())
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("both inputs decode, yet benchReport failed: %v", err)
+		}
+		got := out.String()
+		if title := fmt.Sprintf("2 files, %d metrics\n", len(pairs)); !strings.Contains(got, title) {
+			t.Fatalf("want a title %q for %d pairs, got:\n%s", title, len(pairs), got)
+		}
+		// A blank line, the title and a blank line, then the header, the rule
+		// and one line per pair.
+		if lines := strings.Count(got, "\n"); !multiline && lines != 5+len(pairs) {
+			t.Fatalf("%d lines for %d pairs, want %d:\n%s", lines, len(pairs), 5+len(pairs), got)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -237,4 +238,70 @@ func TestNoPlacementsOnDownSatellites(t *testing.T) {
 	if inj.DownCount() == 0 {
 		t.Fatal("no satellite went down — test exercised nothing")
 	}
+}
+
+// TestBooksHoldUnderChaos: the capacity books stay exact through failures,
+// flapping ISLs, failed migrations, arrivals and departures. After every
+// Step each satellite's booked cores equal the summed demand of the
+// sessions holding it and stay within its effective cores, the report's
+// assigned count is the table's, and every submitted session is live or
+// departed. Colocated 25-core arrivals, two to a 64-core satellite, make
+// admission spill and reject.
+func TestBooksHoldUnderChaos(t *testing.T) {
+	o, _ := chaosOrch(t, 60, faults.Config{
+		Seed: 5, SatMTBFHours: 1, SatMTTRSec: 600, ISLFlapPerHour: 6, MigrationFailProb: 0.2,
+	})
+	eff := o.cfg.Server.EffectiveCores()
+	submitted, departed := 60, 0
+	var tot EpochReport
+	for epoch := 0; epoch < 25; epoch++ {
+		if epoch%5 == 0 {
+			for _, s := range colocated(t, 12, 25, 8) {
+				s.ID += uint64(1000 * (epoch + 1))
+				s.ExpiresAt = o.Now() + float64(300+60*(s.ID%7))
+				if err := o.Submit(s); err != nil {
+					t.Fatal(err)
+				}
+				submitted++
+			}
+		}
+		rep, err := o.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		departed += rep.Departures
+		tot.Handoffs += rep.Handoffs
+		tot.Rejections += rep.Rejections
+		tot.SatFailures += rep.SatFailures
+		tot.MigrationFailures += rep.MigrationFailures
+		tot.ISLDegradations += rep.ISLDegradations
+
+		held, assigned := make([]float64, len(o.usedCores)), 0
+		for _, s := range o.tab.Ordered() {
+			if s.Sat >= 0 {
+				held[s.Sat] += s.CoresDemand
+				assigned++
+			}
+		}
+		for id, used := range o.usedCores {
+			if math.Abs(used-held[id]) > 1e-9 {
+				t.Fatalf("epoch %d: sat %d books %v cores, its sessions hold %v", epoch, id, used, held[id])
+			}
+			if used > eff+1e-9 {
+				t.Fatalf("epoch %d: sat %d books %v cores of %v effective", epoch, id, used, eff)
+			}
+		}
+		if rep.Assigned != assigned {
+			t.Fatalf("epoch %d: report assigns %d sessions, the table %d", epoch, rep.Assigned, assigned)
+		}
+		if live := o.tab.Len(); submitted != live+departed {
+			t.Fatalf("epoch %d: %d submitted, %d live + %d departed", epoch, submitted, live, departed)
+		}
+	}
+	if departed == 0 || tot.Handoffs == 0 || tot.Rejections == 0 || tot.SatFailures == 0 ||
+		tot.MigrationFailures == 0 || tot.ISLDegradations == 0 {
+		t.Fatalf("a path is not exercised: %d departures, totals %+v", departed, tot)
+	}
+	t.Logf("%d submitted, %d departed: %d hand-offs, %d rejections, %d failures, %d failed migrations, %d flapped transfers",
+		submitted, departed, tot.Handoffs, tot.Rejections, tot.SatFailures, tot.MigrationFailures, tot.ISLDegradations)
 }

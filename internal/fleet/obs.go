@@ -15,11 +15,12 @@ type metricsSet struct {
 	departures   *obs.Counter // fleet_departures_total
 	epochs       *obs.Counter // fleet_epochs_total
 
-	// Streaming quantiles. The fleetsim SLO report reads replanQ and
-	// transferQ; the bench harness adds up indexQuery's sum by name.
-	indexQuery *obs.Quantile // fleet_index_query_seconds
+	// Streaming quantiles, each folded once per planner chunk. The fleetsim
+	// SLO report reads replanQ and transferQ; the bench harness adds up
+	// indexQuery's sum by name.
+	indexQuery *obs.Quantile // fleet_index_query_seconds — one per proposer block, one per spilling chunk
 	epochSec   *obs.Quantile // fleet_epoch_seconds
-	replanQ    *obs.Quantile // fleet_replan_ms — per-session proposal/replan latency
+	replanQ    *obs.Quantile // fleet_replan_ms — per-session proposal latency, 1 session in replanSample
 	transferQ  *obs.Quantile // fleet_transfer_ms — hand-off one-way transfer latency
 
 	// Streaming-planner families.
@@ -86,12 +87,12 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 		epochs: reg.Counter("fleet_epochs_total",
 			"Planner epochs executed."),
 		indexQuery: reg.Quantile("fleet_index_query_seconds",
-			"Wall-clock time of one session's footprint-index scans: its proposal's plus any its spill needed in admission."),
+			"Wall-clock time of footprint-index scans: one observation per 64-session proposer block, plus one per planner chunk for the skipped shells its admission spill scanned. The sum covers every scan."),
 		epochSec: reg.Quantile("fleet_epoch_seconds",
 			"Wall-clock time of one full planner epoch."),
 		replanQ: reg.Quantile("fleet_replan_ms",
-			"Streaming quantile of per-session placement/replan proposal latency in wall-clock ms."),
+			"Streaming quantile of per-session placement/replan proposal latency in wall-clock ms, sampled: only sessions whose ID is a multiple of 16 are timed."),
 		transferQ: reg.Quantile("fleet_transfer_ms",
-			"Streaming quantile of hand-off one-way state-transfer latency in simulated ms."),
+			"Streaming quantile of hand-off one-way state-transfer latency in simulated ms, every hand-off, folded in admission order once per planner chunk."),
 	}
 }

@@ -59,25 +59,35 @@ const streamChunk = 2048
 
 // proposeBlock is how many of a chunk's sessions a proposer claims at a
 // time: a worker that shares its core with the admission phase falls
-// behind, and must not be left holding half a chunk.
+// behind, and must not be left holding half a chunk. It is also the grain
+// of the index-scan timer: one clock pair a block, not one a session.
 const proposeBlock = 64
+
+// replanSample: fleet_replan_ms times the proposals of the sessions whose ID
+// it divides, one in replanSample — deterministic, and it needs no seed.
+const replanSample = 16
 
 // proposal locates one session's candidates inside its block's arena:
 // arena[lo:pool] is the ranked Sticky pool, best first, and arena[pool:hi]
 // the spill candidates of the scanned shells in no order. The shells from
-// shellOrder[next] on were not scanned: none can reach the band.
+// shellOrder[next] on were not scanned: none can reach the band, whose
+// latency bound the scan found.
 type proposal struct {
 	lo, pool, hi, next int32
-	scanSec, latSec    float64 // wall clock of the index scans and of the whole proposal
+	bound              float64
 }
 
 // chunkBuf holds one streaming round's proposals. props[i] is work item i's,
 // inside arenas[i/proposeBlock]: a block is proposed by one goroutine into
-// its own arena, so no arena is shared. There are two, so that one can fill
-// while the other is admitted.
+// its own arena, so no arena is shared. scanSec[b] is block b's index-scan
+// wall clock, and replanSec[i] work item i's proposal wall clock when the
+// item is sampled. There are two, so that one can fill while the other is
+// admitted.
 type chunkBuf struct {
-	props  []proposal
-	arenas [][]candidate
+	props     []proposal
+	arenas    [][]candidate
+	scanSec   []float64
+	replanSec []float64
 }
 
 // srcState is one source satellite's transfer-pricing state for the epoch.
@@ -99,6 +109,12 @@ type plannerState struct {
 	lazy     []candidate       // admission's scratch for a skipped shell's candidates
 	rows     []netgraph.NodeMs // the epoch's pricing rows, back to back
 
+	// A chunk's admission probes, observed once the chunk is admitted.
+	spillSec  float64   // wall clock of the skipped shells admission scanned
+	spilled   bool      // whether admission scanned any skipped shell
+	transfers []float64 // hand-off transfer prices, in admission order
+	replanMs  []float64 // the sampled proposal latencies, in work order
+
 	src      []srcState // per-satellite pricing state
 	srcTouch []int32    // satellites with pending movers (reset list)
 }
@@ -106,7 +122,12 @@ type plannerState struct {
 func (pl *plannerState) init(o *Orchestrator) {
 	pl.chunkLen = streamChunk
 	for b := range pl.bufs {
-		pl.bufs[b] = chunkBuf{make([]proposal, streamChunk), make([][]candidate, streamChunk/proposeBlock)}
+		pl.bufs[b] = chunkBuf{
+			props:     make([]proposal, streamChunk),
+			arenas:    make([][]candidate, streamChunk/proposeBlock),
+			scanSec:   make([]float64, streamChunk/proposeBlock),
+			replanSec: make([]float64, streamChunk),
+		}
 	}
 	pl.src = make([]srcState, o.c.Size())
 }
@@ -294,14 +315,11 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 		join()
 		join = o.proposeAhead(&pl.bufs[(k+1)&1], chunkAt(k+1))
 		o.m.streamChunks.Inc()
-		if err := o.admitChunk(chunk, buf, &rep); err != nil {
+		err := o.admitChunk(chunk, buf, &rep)
+		o.observeChunk(chunk, buf)
+		if err != nil {
 			join()
 			return rep, err
-		}
-		// Observed here, not by the proposers: one goroutine per series.
-		for _, pr := range buf.props[:len(chunk)] {
-			o.m.indexQuery.Observe(pr.scanSec)
-			o.m.replanQ.Observe(pr.latSec * 1e3)
 		}
 	}
 	o.m.rejections.Add(uint64(rep.Rejections))
@@ -340,13 +358,8 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 // on the caller's goroutine.
 func (o *Orchestrator) proposeAhead(buf *chunkBuf, chunk []*Session) (join func()) {
 	propose := func() {
-		blocks := (len(chunk) + proposeBlock - 1) / proposeBlock
-		_ = par.Each(blocks, o.cfg.Workers, func(b int) error {
-			arena := buf.arenas[b][:0]
-			for i := b * proposeBlock; i < min((b+1)*proposeBlock, len(chunk)); i++ {
-				arena, buf.props[i] = o.propose(arena, chunk[i])
-			}
-			buf.arenas[b] = arena
+		_ = par.Each(blocksOf(len(chunk)), o.cfg.Workers, func(b int) error {
+			o.propose(buf, b, chunk[b*proposeBlock:min((b+1)*proposeBlock, len(chunk))])
 			return nil
 		})
 	}
@@ -357,11 +370,37 @@ func (o *Orchestrator) proposeAhead(buf *chunkBuf, chunk []*Session) (join func(
 	return par.Async(propose)
 }
 
+// blocksOf is how many proposer blocks a chunk of n work items makes.
+func blocksOf(n int) int { return (n + proposeBlock - 1) / proposeBlock }
+
+// observeChunk folds one admitted chunk's probes into the sketches: its
+// blocks' index scans and its admission's spill scans as one more, its
+// sampled proposal latencies, and its transfer prices in admission order.
+// It runs on the caller's goroutine, so each series has one writer and a
+// batch folds as a loop of Observe calls would.
+func (o *Orchestrator) observeChunk(chunk []*Session, buf *chunkBuf) {
+	pl := &o.pl
+	o.m.indexQuery.ObserveAll(buf.scanSec[:blocksOf(len(chunk))])
+	if pl.spilled {
+		o.m.indexQuery.Observe(pl.spillSec)
+	}
+	pl.replanMs = pl.replanMs[:0]
+	for i, s := range chunk {
+		if s.ID%replanSample == 0 {
+			pl.replanMs = append(pl.replanMs, buf.replanSec[i]*1e3)
+		}
+	}
+	o.m.replanQ.ObserveAll(pl.replanMs)
+	o.m.transferQ.ObserveAll(pl.transfers)
+}
+
 // admitChunk runs the serial admission phase over one streaming chunk and
 // its proposals in buf: first candidate in admission order with spare
 // capacity wins (pick), and the session is rejected (retrying next epoch)
 // when nothing fits.
 func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochReport) error {
+	pl := &o.pl
+	pl.spillSec, pl.spilled, pl.transfers = 0, false, pl.transfers[:0]
 	for i, s := range chunk {
 		// A held satellite that is down makes this an evacuation, one still
 		// up an expiry, as detection found: the fault state holds still
@@ -379,11 +418,12 @@ func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochRep
 			if k == 0 {
 				t0 = time.Now()
 			}
-			o.pl.lazy = o.scanShell(o.pl.lazy[:0], s, skipped[k])
-			return o.pl.lazy
+			pl.lazy = o.scanShell(pl.lazy[:0], s, skipped[k])
+			return pl.lazy
 		}, func(id int) bool { return id == s.Sat || o.fits(id, s) })
-		if scanned > 0 { // the session's index time includes its spill's scans
-			buf.props[i].scanSec += time.Since(t0).Seconds()
+		if scanned > 0 { // the chunk's index time includes its spill's scans
+			pl.spillSec += time.Since(t0).Seconds()
+			pl.spilled = true
 			o.m.spillShells.Add(uint64(scanned))
 		}
 		if chosen.id < 0 {
@@ -442,7 +482,7 @@ func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochRep
 			s.Handoffs++
 			rep.Transfer.Add(transfer)
 			rep.Downtime.Add(res.DowntimeSec)
-			o.m.transferQ.Observe(transfer)
+			pl.transfers = append(pl.transfers, transfer)
 			o.m.placeHandoff.Inc()
 		} else {
 			// Unassigned (re-)placements restore from the pre-replicated
@@ -468,19 +508,48 @@ func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochRep
 	return nil
 }
 
-// propose appends a session's candidates to arena in admission order — the
-// Sticky pool (band candidates ranked by remaining visibility, the paper's
-// stationarity objective) sorted, then the rest, unordered, for load spill.
-// It scans shells by ascending floor and stops at the first whose floor
-// exceeds the band's bound (infinite while nothing is found): no candidate
-// there or beyond can join the band or lower the optimum it is measured from.
-func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, proposal) {
+// propose fills block b of buf with the proposals of block, its sessions,
+// in two passes: the index scans of every session, timed once for the
+// block, then each session's band and rank. A session's candidates go to
+// the block's arena in admission order — the Sticky pool (band candidates
+// ranked by remaining visibility, the paper's stationarity objective)
+// sorted, then the rest, unordered, for load spill. Sampled sessions time
+// their share of both passes.
+func (o *Orchestrator) propose(buf *chunkBuf, b int, block []*Session) {
+	arena, props, lat := buf.arenas[b][:0], buf.props[b*proposeBlock:], buf.replanSec[b*proposeBlock:]
 	t0 := time.Now()
-	lo := len(arena)
+	for i, s := range block {
+		if s.ID%replanSample != 0 {
+			arena, props[i] = o.scan(arena, s)
+			continue
+		}
+		ts := time.Now()
+		arena, props[i] = o.scan(arena, s)
+		lat[i] = time.Since(ts).Seconds()
+	}
+	buf.scanSec[b] = time.Since(t0).Seconds()
+	for i, s := range block {
+		if s.ID%replanSample != 0 {
+			o.rank(arena, s, &props[i])
+			continue
+		}
+		ts := time.Now()
+		o.rank(arena, s, &props[i])
+		lat[i] += time.Since(ts).Seconds()
+	}
+	buf.arenas[b] = arena
+}
+
+// scan appends a session's candidates to arena and returns its proposal
+// with the band's latency bound. It scans shells by ascending floor and
+// stops at the first whose floor exceeds the bound (infinite while nothing
+// is found): no candidate there or beyond can join the band or lower the
+// optimum it is measured from.
+func (o *Orchestrator) scan(arena []candidate, s *Session) ([]candidate, proposal) {
 	if s.win == nil {
 		s.win = o.idx.Window(s.Users)
 	}
-	pr := proposal{lo: int32(lo)}
+	pr := proposal{lo: int32(len(arena))}
 	minRTT, bound := math.Inf(1), math.Inf(1)
 	for ; int(pr.next) < len(o.shellOrder) && o.floorMs[pr.next] <= bound; pr.next++ {
 		at := len(arena)
@@ -490,15 +559,19 @@ func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, prop
 		}
 		bound = minRTT * (1 + o.cfg.LatencyBand)
 	}
-	pr.hi, pr.scanSec = int32(len(arena)), time.Since(t0).Seconds()
-	cands := arena[lo:]
-	if len(cands) == 0 {
-		pr.pool, pr.latSec = pr.lo, pr.scanSec
-		return arena, pr
-	}
+	pr.hi, pr.bound = int32(len(arena)), bound
+	return arena, pr
+}
+
+// rank puts a scanned session's candidates in arena into admission order:
+// the band — those within the bound — to the front with their remaining
+// visibility, the pool of them ranked. Keeping the scanned list (not just
+// the pool) is what lets admission spill under load instead of rejecting.
+func (o *Orchestrator) rank(arena []candidate, s *Session, pr *proposal) {
+	cands := arena[pr.lo:pr.hi]
 	band := 0
 	for i := range cands {
-		if cands[i].rtt <= bound {
+		if cands[i].rtt <= pr.bound {
 			cands[band], cands[i] = cands[i], cands[band]
 			band++
 		}
@@ -506,11 +579,7 @@ func (o *Orchestrator) propose(arena []candidate, s *Session) ([]candidate, prop
 	for i := 0; i < band; i++ {
 		cands[i].life = o.ring.Life(s.Users, cands[i].id)
 	}
-	// Keeping the scanned list (not just the pool) is what lets admission
-	// spill under load instead of rejecting.
 	pr.pool = pr.lo + int32(rankForAdmission(cands, band, o.cfg.PoolSize))
-	pr.latSec = time.Since(t0).Seconds()
-	return arena, pr
 }
 
 // scanShell appends every live satellite of shell si the whole group sees,

@@ -462,3 +462,85 @@ func TestResetClearsScratchAfterFailedStep(t *testing.T) {
 		t.Fatalf("report says %d assigned, sessions %d; nodes hold %.3f cores, sessions demand %.3f", rep.Assigned, assigned, used, demand)
 	}
 }
+
+// TestPlannerProbeGrain is the count gate on the planner's probes. Every Step
+// adds to fleet_replan_ms one observation per proposed session whose ID
+// replanSample divides, to fleet_index_query_seconds one per proposer block
+// plus one per chunk whose admission scanned a skipped shell, and to
+// fleet_transfer_ms one per hand-off. Full satellites under the sparse high
+// shell make admission spill. A proposal skips at most that one shell, so
+// the spill counter counts the sessions that spilled: with one work item a
+// chunk that is the number of spilled chunks, and with one chunk an epoch
+// it is non-zero exactly when that chunk spilled.
+func TestPlannerProbeGrain(t *testing.T) {
+	c := twoShellConst(t)
+	for _, workers := range []int{1, 4} {
+		for _, chunkLen := range []int{1, streamChunk} {
+			cfg := testConfig()
+			cfg.Workers = workers
+			cfg.Server = compute.ServerSpec{Cores: 2, MemoryGB: 64, PowerCapFraction: 1}
+			o, err := New(c, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.pl.chunkLen = chunkLen
+			if err := o.SubmitBatch(testGroups(t, 400)); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Start(0); err != nil {
+				t.Fatal(err)
+			}
+			counts := func() [5]uint64 {
+				return [5]uint64{o.m.replanQ.Count(), o.m.indexQuery.Count(), o.m.transferQ.Count(),
+					o.m.spillShells.Value(), o.m.streamChunks.Value()}
+			}
+			var sampled, spills, handoffs int
+			for epoch := 0; epoch < 12; epoch++ {
+				before := counts()
+				rep, err := o.Step()
+				if err != nil {
+					t.Fatal(err)
+				}
+				after := counts()
+				var d [5]uint64
+				for i := range d {
+					d[i] = after[i] - before[i]
+				}
+				work := o.pl.work
+				wantReplan, blocks, chunks := 0, 0, 0
+				for _, s := range work {
+					if s.ID%replanSample == 0 {
+						wantReplan++
+					}
+				}
+				for lo := 0; lo < len(work); lo += chunkLen {
+					blocks += blocksOf(min(chunkLen, len(work)-lo))
+					chunks++
+				}
+				spilled := int(d[3])
+				if chunkLen > len(work) {
+					spilled = min(spilled, 1)
+				}
+				if int(d[4]) != chunks {
+					t.Fatalf("workers %d chunk %d epoch %d: %d chunks for %d work items, want %d", workers, chunkLen, epoch, d[4], len(work), chunks)
+				}
+				if int(d[0]) != wantReplan {
+					t.Errorf("workers %d chunk %d epoch %d: fleet_replan_ms +%d over %d proposals, want +%d (1 in %d)",
+						workers, chunkLen, epoch, d[0], len(work), wantReplan, replanSample)
+				}
+				if int(d[1]) != blocks+spilled {
+					t.Errorf("workers %d chunk %d epoch %d: fleet_index_query_seconds +%d, want %d blocks + %d spilled chunks",
+						workers, chunkLen, epoch, d[1], blocks, spilled)
+				}
+				if int(d[2]) != rep.Handoffs {
+					t.Errorf("workers %d chunk %d epoch %d: fleet_transfer_ms +%d, want %d hand-offs", workers, chunkLen, epoch, d[2], rep.Handoffs)
+				}
+				sampled, spills, handoffs = sampled+wantReplan, spills+spilled, handoffs+rep.Handoffs
+			}
+			if sampled == 0 || spills == 0 || handoffs == 0 {
+				t.Fatalf("workers %d chunk %d: %d sampled proposals, %d spilled chunks, %d hand-offs: a probe path is not exercised",
+					workers, chunkLen, sampled, spills, handoffs)
+			}
+		}
+	}
+}

@@ -124,10 +124,11 @@ func TestWindowAcrossPolesAndDateline(t *testing.T) {
 // cell size, groups spread up to 1,500 km about an anchor that may sit on a
 // pole, the dateline or a row boundary. Every satellite the linear
 // Observer.Visible-for-all-users scan accepts must lie inside the session's
-// boxes, at an RTT above its shell's floor; propose's list plus scanShell
-// over the shells it skipped must be exactly the oracle's candidate set with
-// bit-equal RTTs, and no candidate of a skipped shell may lie within the
-// band of propose's best.
+// boxes, at an RTT above its shell's floor; the scan pass's list plus
+// scanShell over the shells it skipped must be exactly the oracle's
+// candidate set with bit-equal RTTs, the bound it hands the rank pass must be
+// the band of its best, and no candidate of a skipped shell may lie within
+// that band.
 func FuzzSessionWindow(f *testing.F) {
 	f.Add(int64(1), uint8(0), 4.0, 40.0, -100.0, uint8(0))
 	f.Add(int64(2), uint8(3), 0.5, 90.0, 0.0, uint8(0))     // north pole, finest grid
@@ -185,13 +186,16 @@ func FuzzSessionWindow(f *testing.F) {
 		if err := o.Start(rng.Float64() * 6000); err != nil {
 			t.Fatal(err)
 		}
-		got, pr := o.propose(nil, s)
+		got, pr := o.scan(nil, s)
 		if int(pr.hi) != len(got) || pr.lo != 0 {
 			t.Fatalf("proposal %+v over %d candidates", pr, len(got))
 		}
 		bound := math.Inf(1)
 		if len(got) > 0 {
 			bound = slices.MinFunc(got, cmpByRTT).rtt * (1 + o.cfg.LatencyBand)
+		}
+		if pr.bound != bound {
+			t.Fatalf("scan's band bound %v, want %v", pr.bound, bound)
 		}
 		skipped := o.shellOrder[pr.next:]
 		for _, si := range skipped {
@@ -231,14 +235,14 @@ func FuzzSessionWindow(f *testing.F) {
 		}
 		slices.SortFunc(got, func(a, b candidate) int { return a.id - b.id })
 		if !slices.Equal(got, want) {
-			t.Fatalf("propose kept plus skipped shells %v\nlinear oracle  %v", got, want)
+			t.Fatalf("scan kept plus skipped shells %v\nlinear oracle  %v", got, want)
 		}
 	})
 }
 
 // TestProposeScansTightWindow is the count gate on the session window and
 // the floor cut-off: on Starlink, over city-weighted groups of 2–5 users,
-// the satellites inside the boxes of the shells propose scans stay within
+// the satellites inside the boxes of the shells a proposal scans stay within
 // 2.5× the candidates it keeps and 20 a proposal, and it scans at most 1.05
 // shells a proposal. One rectangle at the largest shell's coverage angle
 // about the centroid read 3.6 scanned per kept; the boxes of all five shells
@@ -261,7 +265,7 @@ func TestProposeScansTightWindow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cands, pr := o.propose(nil, s)
+		cands, pr := o.scan(nil, s)
 		kept += len(cands)
 		shells += int(pr.next)
 		forEachBoxed(o.idx, s, o.shellOrder[:pr.next], func(int32) { scanned++ })
@@ -270,7 +274,7 @@ func TestProposeScansTightWindow(t *testing.T) {
 	t.Logf("%d proposals scanned %.3f shells and %d satellites (%.1f each) to keep %d (%.1f each): ratio %.2f",
 		len(groups), float64(shells)/n, scanned, float64(scanned)/n, kept, float64(kept)/n, float64(scanned)/float64(kept))
 	if kept == 0 || float64(scanned) > 2.5*float64(kept) {
-		t.Fatalf("propose scans %d satellites to keep %d, want at most 2.5 scanned per kept", scanned, kept)
+		t.Fatalf("proposals scan %d satellites to keep %d, want at most 2.5 scanned per kept", scanned, kept)
 	}
 	if float64(scanned) > 20*n || float64(shells) > 1.05*n {
 		t.Fatalf("%d proposals scan %d shells and %d satellites, want at most 1.05 shells and 20 satellites each", len(groups), shells, scanned)
