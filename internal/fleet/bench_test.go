@@ -8,6 +8,7 @@ import (
 	"repro/internal/constellation"
 	"repro/internal/geo"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // benchAnchors are mid-latitude population centres the benchmark workload
@@ -98,4 +99,51 @@ func BenchmarkFleetScale(b *testing.B) {
 			b.ReportMetric(float64(o.m.spillShells.Value()-spilled)/float64(b.N), "spill-shells/epoch")
 		})
 	}
+}
+
+// BenchmarkScanShell times the planner's candidate kernel, scanShell, alone:
+// Starlink at t = 0 and 2,000 groups shaped like the fleet-steady workload
+// (2–5 users, 300 km spread, |lat| ≤ 55°), every shell of each session
+// scanned. Beside ns/scan it reports two counts that repeat exactly on any
+// host — tested/scan, the CSR positions inside a session's box of one shell,
+// and kept/scan, the satellites every user sees — which CI gates against
+// the committed BENCH_fleet.json; ns/scan is recorded, not gated.
+func BenchmarkScanShell(b *testing.B) {
+	o, err := New(starlink(b), nil, Config{Registry: obs.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups, err := trace.Groups(trace.GroupConfig{Seed: 5, Groups: 2000, MinUsers: 2, MaxUsers: 5, SpreadKm: 300, MaxAbsLatDeg: 55})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := o.Start(0); err != nil {
+		b.Fatal(err)
+	}
+	sessions := make([]*Session, len(groups))
+	tested := 0
+	for i, g := range groups {
+		if sessions[i], err = NewSession(uint64(i+1), g.Users); err != nil {
+			b.Fatal(err)
+		}
+		sessions[i].win = o.idx.Window(sessions[i].Users)
+		forEachBoxed(o.idx, sessions[i], o.shellOrder, func(int32) { tested++ })
+	}
+	var arena []candidate
+	kept := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		kept = 0
+		for _, s := range sessions {
+			for _, si := range o.shellOrder {
+				arena = o.scanShell(arena[:0], s, si)
+				kept += len(arena)
+			}
+		}
+	}
+	b.StopTimer()
+	scans := float64(len(sessions) * len(o.shellOrder))
+	b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(b.N)/scans, "ns/scan")
+	b.ReportMetric(float64(tested)/scans, "tested/scan")
+	b.ReportMetric(float64(kept)/scans, "kept/scan")
 }

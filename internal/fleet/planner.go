@@ -586,35 +586,54 @@ func (o *Orchestrator) rank(arena []candidate, s *Session, pr *proposal) {
 // at the group's RTT: it walks the session's cell box over contiguous CSR
 // positions, testing every user's chord against the shell's one limit. sqrt
 // and km→ms are monotone, so the worst squared range gives the group RTT.
+//
+// It is the planner's hottest loop, written as a register kernel that takes
+// no branch on the geometry (DESIGN.md §6): a branch on whether this range
+// is the group's worst, or beyond the limit, goes either way from one
+// position to the next and mispredicts about as often.
+//   - Component arithmetic, each product rounded by an explicit float64(...)
+//     so that no platform fuses a multiply-add: the squared range is
+//     Vec3.Dot's sum, in its order, bit for bit.
+//   - The group's worst is a max over the ranges' IEEE bits, which order as
+//     the values do for non-negative floats, so it is a conditional move; a
+//     position is kept when that worst is within the limit, which is when no
+//     user's range exceeds it.
+//   - Every tested position is written to the arena, grown once per row, and
+//     the length advances only past a kept one.
+//   - The kept tail holds squared ranges until one pass turns them into RTTs.
 func (o *Orchestrator) scanShell(arena []candidate, s *Session, si int) []candidate {
 	ix, inj := o.idx, o.cfg.Faults
 	sats, posCSR := ix.CSR()
-	first, rest, limit := s.Users[0], s.Users[1:], ix.Limit2(si)
+	users, limit := s.Users, math.Float64bits(ix.Limit2(si))
+	at := len(arena)
 	for _, b := range ix.Halves(s.win[si]) {
 		for r := b.RowLo; r <= b.RowHi; r++ {
-		scan:
-			for k, hi := ix.RowSpan(si, b, r); k < hi; k++ {
-				pos := posCSR[k]
-				rel := pos.Sub(first)
-				worst2 := rel.Dot(rel)
-				if worst2 > limit {
-					continue
+			lo, hi := ix.RowSpan(si, b, r)
+			n := len(arena)
+			arena = slices.Grow(arena, int(hi-lo))[:n+int(hi-lo)]
+			for k := lo; k < hi; k++ {
+				px, py, pz := posCSR[k].X, posCSR[k].Y, posCSR[k].Z
+				var worst uint64
+				for j := range users {
+					dx, dy, dz := px-users[j].X, py-users[j].Y, pz-users[j].Z
+					worst = max(worst, math.Float64bits(float64(dx*dx)+float64(dy*dy)+float64(dz*dz)))
 				}
-				for _, u := range rest {
-					rel := pos.Sub(u)
-					d2 := rel.Dot(rel)
-					if d2 > limit {
-						continue scan
-					}
-					if d2 > worst2 {
-						worst2 = d2
-					}
+				id := int(sats[k])
+				arena[n] = candidate{id: id, rtt: math.Float64frombits(worst)}
+				keep := worst <= limit
+				if inj != nil && keep {
+					keep = inj.SatUp(id) // hard-failed satellites take no placements
 				}
-				if id := int(sats[k]); inj == nil || inj.SatUp(id) { // hard-failed satellites take no placements
-					arena = append(arena, candidate{id: id, rtt: units.RTTMs(math.Sqrt(worst2))})
+				if keep {
+					n++
 				}
 			}
+			arena = arena[:n]
 		}
+	}
+	kept := arena[at:]
+	for i := range kept {
+		kept[i].rtt = units.RTTMs(math.Sqrt(kept[i].rtt))
 	}
 	return arena
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/constellation"
+	"repro/internal/faults"
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -128,7 +129,9 @@ func TestWindowAcrossPolesAndDateline(t *testing.T) {
 // scanShell over the shells it skipped must be exactly the oracle's
 // candidate set with bit-equal RTTs, the bound it hands the rank pass must be
 // the band of its best, and no candidate of a skipped shell may lie within
-// that band.
+// that band. Bit 2 of layout attaches a seeded fault injector whose
+// one-hour MTBF leaves satellites down at the start time: the scan must skip
+// exactly those, as the oracle does.
 func FuzzSessionWindow(f *testing.F) {
 	f.Add(int64(1), uint8(0), 4.0, 40.0, -100.0, uint8(0))
 	f.Add(int64(2), uint8(3), 0.5, 90.0, 0.0, uint8(0))     // north pole, finest grid
@@ -136,9 +139,13 @@ func FuzzSessionWindow(f *testing.F) {
 	f.Add(int64(4), uint8(1), 7.0, 3.5, 180.0, uint8(0))    // dateline, a cell size that does not divide 360
 	f.Add(int64(5), uint8(2), 4.0, 50.0, -179.99, uint8(0)) // row boundary (90−50 = 10·4) beside the dateline
 	f.Add(int64(6), uint8(5), 11.0, -66.0, 179.5, uint8(0))
-	f.Add(int64(7), uint8(2), 4.0, 35.0, 20.0, uint8(1))   // descending floors, the Kuiper order
-	f.Add(int64(15), uint8(4), 4.0, -20.0, 60.0, uint8(2)) // interleaved floors
-	f.Add(int64(18), uint8(1), 4.0, 45.0, -70.0, uint8(3)) // equal floors
+	f.Add(int64(7), uint8(2), 4.0, 35.0, 20.0, uint8(1))    // descending floors, the Kuiper order
+	f.Add(int64(15), uint8(4), 4.0, -20.0, 60.0, uint8(2))  // interleaved floors
+	f.Add(int64(18), uint8(1), 4.0, 45.0, -70.0, uint8(3))  // equal floors
+	f.Add(int64(31), uint8(3), 4.0, 40.0, -100.0, uint8(4)) // satellites down at the start time
+	f.Add(int64(34), uint8(0), 0.5, 89.0, 10.0, uint8(5))   // down, descending floors, near a pole
+	f.Add(int64(35), uint8(1), 2.0, 60.0, 10.0, uint8(5))   // down, a skipped shell
+	f.Add(int64(39), uint8(3), 4.0, 10.0, -60.0, uint8(7))  // down, equal floors
 	f.Fuzz(func(t *testing.T, seed int64, nUsers uint8, cellDeg, lat, lon float64, layout uint8) {
 		if !(cellDeg >= 0.5 && cellDeg <= 30) || !(math.Abs(lat) <= 90) || !(math.Abs(lon) <= 180) {
 			t.Skip()
@@ -179,7 +186,13 @@ func FuzzSessionWindow(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o, err := New(c, nil, Config{CellDeg: cellDeg, Workers: 1, Registry: obs.NewRegistry()})
+		var inj *faults.Injector
+		if layout&4 != 0 {
+			if inj, err = faults.New(c.Size(), faults.Config{Seed: seed, SatMTBFHours: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o, err := New(c, nil, Config{CellDeg: cellDeg, Workers: 1, Registry: obs.NewRegistry(), Faults: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,6 +221,7 @@ func FuzzSessionWindow(f *testing.F) {
 		checkWindowHoldsFootprint(t, shells, cellDeg, s.win, users, rng, 64)
 
 		var want []candidate
+		down := 0
 		for id, pos := range o.ring.Frame(0) {
 			if !o.ring.VisibleAll(s.Users, id, 0) {
 				continue
@@ -227,9 +241,14 @@ func FuzzSessionWindow(f *testing.F) {
 			if slices.Contains(skipped, si) && rtt <= bound {
 				t.Fatalf("sat %d of skipped shell %d at %v ms, within the band's bound %v ms", id, si, rtt, bound)
 			}
+			if inj != nil && !inj.SatUp(id) {
+				down++ // hard-failed: visible, but no candidate
+				continue
+			}
 			want = append(want, candidate{id: id, rtt: rtt})
 		}
-		t.Logf("%d shells, %d users, cell %v°: %d candidates, %d shells skipped", len(shells), len(users), cellDeg, len(want), len(skipped))
+		t.Logf("%d shells, %d users, cell %v°: %d candidates, %d visible but down, %d shells skipped",
+			len(shells), len(users), cellDeg, len(want), down, len(skipped))
 		for i := range got {
 			got[i].life = 0
 		}

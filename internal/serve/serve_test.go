@@ -284,3 +284,92 @@ func TestEngineConfigValidation(t *testing.T) {
 		t.Fatalf("%d rejected requests reached the engine", r.Offered)
 	}
 }
+
+// TestBooksBalanceAfterEveryStep checks the serve books at every RunUntil
+// boundary, not only at the end of a run: all three policies under chaos,
+// with two-deep queues and a rate past what the footprint's cores sustain,
+// so that requests shed as queue_full while others wait and run, and
+// satellites fail under them. After each step every arrival is served, shed
+// or in flight, no queue is negative, and the registry's serve_* series
+// read the engine's own counts.
+func TestBooksBalanceAfterEveryStep(t *testing.T) {
+	c := testConst(t)
+	reqs, err := Generate(testSites(), Workload{Seed: 21, RatePerSec: 600, ServiceMedianMs: 50}, 180)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	var engines []*Engine
+	var injs []*faults.Injector
+	for _, p := range Policies() {
+		inj, err := faults.New(c.Size(), faults.Config{Seed: 3, SatMTBFHours: 0.2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		injs = append(injs, inj)
+		eng, err := NewEngine(c, Config{
+			Sites: testSites(), Policy: p, QueueCap: 2, RefreshSec: 15, Faults: inj, Registry: reg,
+			Server: compute.ServerSpec{Cores: 1, MemoryGB: 8, PowerCapFraction: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Feed(reqs); err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, eng)
+	}
+	series := func(fams []obs.FamilySnapshot, name, policy string) (sum float64, n int) {
+		for _, f := range fams {
+			if f.Name != name {
+				continue
+			}
+			for _, s := range f.Samples {
+				if s.Labels["policy"] == policy {
+					sum += s.Value
+					n++
+				}
+			}
+		}
+		return sum, n
+	}
+	for k := 1; k <= 3; k++ {
+		for _, eng := range engines {
+			if err := eng.RunUntil(float64(k) * 60); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fams := reg.Snapshot()
+		for _, eng := range engines {
+			r := eng.Result()
+			if r.Offered != r.Served+r.ShedTotal()+r.InFlight {
+				t.Fatalf("t=%ds %s: offered %d != served %d + shed %d + in flight %d",
+					k*60, r.Policy, r.Offered, r.Served, r.ShedTotal(), r.InFlight)
+			}
+			for _, c := range []struct {
+				name string
+				want int
+			}{
+				{"serve_requests_total", r.Offered},
+				{"serve_served_total", r.Served},
+				{"serve_shed_total", r.ShedTotal()},
+				{"serve_inflight", r.InFlight},
+			} {
+				if got, n := series(fams, c.name, r.Policy); n == 0 || got != float64(c.want) {
+					t.Fatalf("t=%ds %s: %s reads %v over %d series, the engine %d", k*60, r.Policy, c.name, got, n, c.want)
+				}
+			}
+			if q, n := series(fams, "serve_queue_depth", r.Policy); n != 1 || q < 0 {
+				t.Fatalf("t=%ds %s: serve_queue_depth %v over %d series", k*60, r.Policy, q, n)
+			}
+		}
+	}
+	for i, eng := range engines {
+		r := eng.Result()
+		t.Logf("%s: offered %d, served %d, in flight %d, shed %v, %d satellites down",
+			r.Policy, r.Offered, r.Served, r.InFlight, r.Shed, injs[i].DownCount())
+		if r.Shed[ShedQueueFull] == 0 || r.InFlight == 0 || injs[i].DownCount() == 0 {
+			t.Fatalf("%s never shed queue_full with requests in flight and satellites down: %+v", r.Policy, r)
+		}
+	}
+}

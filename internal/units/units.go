@@ -43,13 +43,17 @@ func Deg2Rad(d float64) float64 { return d * math.Pi / 180 }
 func Rad2Deg(r float64) float64 { return r * 180 / math.Pi }
 
 // PropagationDelayMs returns the one-way propagation delay in milliseconds
-// for a path of the given length in kilometres.
+// for a path of the given length in kilometres. The explicit conversion
+// rounds the product, so a caller's add cannot fuse with it into a
+// multiply-add (arm64 would otherwise): the delay has the same bits on
+// every platform.
 func PropagationDelayMs(distanceKm float64) float64 {
-	return distanceKm / SpeedOfLightKmS * 1000
+	return float64(distanceKm / SpeedOfLightKmS * 1000)
 }
 
 // RTTMs returns the round-trip propagation time in milliseconds for a one-way
-// path of the given length in kilometres.
+// path of the given length in kilometres. Doubling is exact, so it has the
+// same bits on every platform too.
 func RTTMs(oneWayKm float64) float64 {
 	return 2 * PropagationDelayMs(oneWayKm)
 }
