@@ -274,17 +274,18 @@ func BenchmarkISLShortest(b *testing.B) {
 
 // BenchmarkFreeze times the two visibility scans on the same snapshots of the
 // Starlink preset, by ground count (the N most populous cities) — the
-// receipt behind indexMinGrounds. Snapshots are propagated outside the
-// timers; the primary run is 2 s apart (the hand-off cadence), the second a
-// minute apart (the figure and fleet cadence), which a stateless scan must
-// not care about. Every indexed CSR is checked against the linear one.
+// receipt behind visibility.IndexMinGrounds. Snapshots are propagated
+// outside the timers; the primary run is 2 s apart (the hand-off cadence),
+// the second a minute apart (the figure and fleet cadence), which a
+// stateless scan must not care about. Every indexed CSR is checked against
+// the linear one.
 func BenchmarkFreeze(b *testing.B) {
 	c, err := constellation.StarlinkPhase1(constellation.Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	const steps = 16
-	for _, grounds := range []int{2, 16, 40, 200} {
+	for _, grounds := range []int{2, 8, 16, 24, 32, 40, 200} {
 		b.Run(fmt.Sprintf("grounds=%d", grounds), func(b *testing.B) {
 			n := New(c, cities.Locations(cities.TopN(grounds)))
 			fp := newFootprint(n)

@@ -92,11 +92,11 @@ func TestIndexFreezeMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// manyGrounds is diffGrounds padded past indexMinGrounds, so frozen() takes
-// the indexed scan when the network allows it.
+// manyGrounds is diffGrounds padded past visibility.IndexMinGrounds, so
+// frozen() takes the indexed scan when the network allows it.
 func manyGrounds() []geo.LatLon {
 	gs := append([]geo.LatLon(nil), diffGrounds...)
-	for lon := -180.0; len(gs) < indexMinGrounds+6; lon += 17 {
+	for lon := -180.0; len(gs) < visibility.IndexMinGrounds+6; lon += 17 {
 		gs = append(gs, geo.LatLon{LatDeg: lon / 3, LonDeg: lon})
 	}
 	return gs
@@ -112,7 +112,7 @@ func TestIndexFreezeFallbacks(t *testing.T) {
 
 	t.Run("below the crossover", func(t *testing.T) {
 		if n := New(c, diffGrounds); n.footprint() != nil {
-			t.Fatalf("%d grounds indexed, crossover is %d", len(diffGrounds), indexMinGrounds)
+			t.Fatalf("%d grounds indexed, crossover is %d", len(diffGrounds), visibility.IndexMinGrounds)
 		}
 		if New(c, manyGrounds()).footprint() == nil {
 			t.Fatal("a ground set past the crossover is not indexed")

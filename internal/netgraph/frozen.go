@@ -123,14 +123,6 @@ func buildFrozen(s *Snapshot) *frozen {
 	return assembleCSR(s, visSat, visW, downDeg)
 }
 
-// indexMinGrounds is the ground count from which the indexed scan beats the
-// linear one: bucketing a snapshot is a fixed asin + atan2 per satellite
-// that a handful of grounds' scans cannot repay. Both costs grow with the
-// constellation, so the crossover is a ground count: BenchmarkFreeze reads
-// 0.40 / 0.72 / 0.97 / 1.11 / 1.2 / 2.6× at 2 / 16 / 24 / 32 / 40 / 200
-// grounds (EXPERIMENTS.md "Receipts").
-const indexMinGrounds = 32
-
 // footprint is the per-Network half of the indexed scan.
 type footprint struct {
 	// boxes holds one cell box per (ground, shell), ground-major: the cells of
@@ -163,7 +155,7 @@ type indexScan struct {
 // or nil when the linear scan serves it.
 func (n *Network) footprint() *footprint {
 	n.fpOnce.Do(func() {
-		if len(n.Grounds) >= indexMinGrounds {
+		if len(n.Grounds) >= visibility.IndexMinGrounds {
 			n.fp = newFootprint(n)
 		}
 	})
@@ -171,30 +163,16 @@ func (n *Network) footprint() *footprint {
 }
 
 // newFootprint computes every ground's cell boxes. It returns nil for a
-// network the index does not cover: a ground off the surface (the boxes
-// bound central angles from the surface) or an observer the index rejects.
+// network the index does not cover (visibility.NewSurfaceIndex).
 func newFootprint(n *Network) *footprint {
-	for _, g := range n.Grounds {
-		if g.AltKm != 0 {
-			return nil
-		}
-	}
-	sc := newIndexScan(n)
-	if sc == nil {
+	ix, boxes := visibility.NewSurfaceIndex(n.Observer, n.Grounds)
+	if ix == nil {
 		return nil
 	}
-	fp := &footprint{free: []*indexScan{sc}}
-	for _, g := range n.groundECEF {
-		fp.boxes = append(fp.boxes, sc.ix.Window([]geo.Vec3{g})...)
-	}
-	return fp
+	return &footprint{boxes: boxes, free: []*indexScan{newIndexScan(n, ix)}}
 }
 
-func newIndexScan(n *Network) *indexScan {
-	ix, err := visibility.NewIndex(n.Observer, 0)
-	if err != nil {
-		return nil
-	}
+func newIndexScan(n *Network, ix *visibility.Index) *indexScan {
 	return &indexScan{
 		ix:      ix,
 		seen:    make([]uint64, (n.Sats()+63)/64),
@@ -215,7 +193,11 @@ func (fp *footprint) take(n *Network) *indexScan {
 	}
 	fp.mu.Unlock()
 	if sc == nil {
-		sc = newIndexScan(n)
+		ix, err := visibility.NewIndex(n.Observer, 0)
+		if err != nil {
+			return nil
+		}
+		sc = newIndexScan(n, ix)
 	}
 	return sc
 }

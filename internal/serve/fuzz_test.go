@@ -11,10 +11,10 @@ import (
 
 // fullScanLeastLoaded is least-loaded's pick without the early exit: every
 // candidate's ETA is computed and the first strict minimum wins.
-func fullScanLeastLoaded(nowSec float64, cands []Candidate) int {
+func fullScanLeastLoaded(nowSec float64, cands []Candidate, freeAt []float64) int {
 	idx, best := -1, math.Inf(1)
 	for i := range cands {
-		eta := math.Max(cands[i].FreeAtSec, nowSec) + cands[i].OneWayMs/1000
+		eta := math.Max(freeAt[cands[i].SatID], nowSec) + cands[i].OneWayMs/1000
 		if eta < best {
 			best = eta
 			idx = i
@@ -42,6 +42,7 @@ func FuzzLeastLoadedPick(f *testing.F) {
 		}
 		ulp := math.Nextafter(math.Max(nowSec, 1), math.Inf(1)) - math.Max(nowSec, 1)
 		var cands []Candidate
+		freeAt := make([]float64, len(data)/3)
 		for i := 0; i+3 <= len(data); i += 3 {
 			c := Candidate{SatID: i / 3, OneWayMs: 2 + float64(data[i]%32)*0.25}
 			off := float64(data[i+2])
@@ -52,11 +53,11 @@ func FuzzLeastLoadedPick(f *testing.F) {
 			}
 			switch data[i+1] & 3 {
 			case 1:
-				c.FreeAtSec = nowSec - off
+				freeAt[c.SatID] = nowSec - off
 			case 2:
-				c.FreeAtSec = nowSec
+				freeAt[c.SatID] = nowSec
 			case 3:
-				c.FreeAtSec = nowSec + off
+				freeAt[c.SatID] = nowSec + off
 			}
 			cands = append(cands, c)
 		}
@@ -69,8 +70,8 @@ func FuzzLeastLoadedPick(f *testing.F) {
 			}
 			return cmp.Compare(a.SatID, b.SatID)
 		})
-		if got, want := LeastLoaded().Pick(nowSec, -1, cands), fullScanLeastLoaded(nowSec, cands); got != want {
-			t.Fatalf("nowSec %v: early exit picked %d, full scan %d, cands %+v", nowSec, got, want, cands)
+		if got, want := LeastLoaded().Pick(nowSec, -1, cands, freeAt), fullScanLeastLoaded(nowSec, cands, freeAt); got != want {
+			t.Fatalf("nowSec %v: early exit picked %d, full scan %d, cands %+v, free at %v", nowSec, got, want, cands, freeAt)
 		}
 	})
 }

@@ -104,6 +104,7 @@ type legacyEngine struct {
 	cores       [][]float64 // per sat: busy-until per core (lazy)
 	outstanding []int       // per sat: admitted, not completed
 	busySec     []float64   // per sat: accumulated service seconds
+	loads       []float64   // per sat: the load book Pick reads, filled per arrival
 
 	offered  int
 	served   int
@@ -154,6 +155,7 @@ func newLegacyEngine(c *constellation.Constellation, cfg Config, lookahead int) 
 		cores:       make([][]float64, c.Size()),
 		outstanding: make([]int, c.Size()),
 		busySec:     make([]float64, c.Size()),
+		loads:       make([]float64, c.Size()),
 		shed:        make(map[ShedReason]int),
 		latency:     stats.NewCDF(),
 	}
@@ -301,9 +303,9 @@ func (e *legacyEngine) arrive(r Request) {
 		return
 	}
 	for i := range cands {
-		cands[i].FreeAtSec = e.earliestFree(cands[i].SatID)
+		e.loads[cands[i].SatID] = e.earliestFree(cands[i].SatID)
 	}
-	idx := e.policy.Pick(now, e.prevSat[r.Site], cands)
+	idx := e.policy.Pick(now, e.prevSat[r.Site], cands, e.loads)
 	if idx < 0 || idx >= len(cands) {
 		e.reject(ShedRefused)
 		return

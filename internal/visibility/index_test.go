@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/constellation"
@@ -70,7 +71,9 @@ func TestIndexFollowsObserverMask(t *testing.T) {
 }
 
 // TestRebuildRejectsBadSnapshot: a snapshot the index cannot bucket soundly
-// is a typed error, not a panic or a silently short reachable set.
+// is a typed error naming the satellite, not a panic or a silently short
+// reachable set. A NaN coordinate once filed its satellite in cell 0 and an
+// infinite one at (0°, 0°), both without an error.
 func TestRebuildRejectsBadSnapshot(t *testing.T) {
 	c := starlink(t)
 	ix, err := NewIndex(NewObserver(c), 0)
@@ -84,6 +87,18 @@ func TestRebuildRejectsBadSnapshot(t *testing.T) {
 	snap[17] = snap[17].Scale(1 - 5/snap[17].Norm())
 	if err := ix.Rebuild(snap); !errors.Is(err, ErrBelowShell) {
 		t.Fatalf("satellite 5 km below its shell: %v, want ErrBelowShell", err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for axis := 0; axis < 3; axis++ {
+			snap := c.Snapshot(0)
+			v := [3]float64{snap[42].X, snap[42].Y, snap[42].Z}
+			v[axis] = bad
+			snap[42] = geo.Vec3{X: v[0], Y: v[1], Z: v[2]}
+			err := ix.Rebuild(snap)
+			if !errors.Is(err, ErrNonFinite) || !strings.Contains(err.Error(), "satellite 42 ") {
+				t.Fatalf("coordinate %d = %v: %v, want ErrNonFinite naming satellite 42", axis, bad, err)
+			}
+		}
 	}
 }
 
