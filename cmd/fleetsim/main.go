@@ -329,19 +329,8 @@ func run(out io.Writer, o options) error {
 		c.Name, c.Size(), o.sessions, o.churn, o.hours, o.stepSec, o.seed)
 
 	epochs := int(horizonSec / o.stepSec)
-	var (
-		tS, sessS, assignS, handS, rejS, placeS, departS, utilS []float64
-		downS, evacS, faultS                                    []float64
-
-		totalHandoffs, totalRejections, totalPlacements, totalDepartures int
-		transfer, downtime                                               stats.Summary
-		peakSessions                                                     int
-		nextArrival                                                      int
-
-		chaos chaosTotals
-	)
-	chaos.minAssignedFrac = 1
-	for e := 0; e < epochs; e++ {
+	reps := make([]fleet.EpochReport, 0, epochs)
+	for e, nextArrival := 0, 0; e < epochs; e++ {
 		for nextArrival < len(churn) && churn[nextArrival].at <= orch.Now() {
 			if err := orch.Submit(churn[nextArrival].sess); err != nil {
 				return err
@@ -352,31 +341,7 @@ func run(out io.Writer, o options) error {
 		if err != nil {
 			return err
 		}
-		totalHandoffs += rep.Handoffs
-		totalRejections += rep.Rejections
-		totalPlacements += rep.Placements
-		totalDepartures += rep.Departures
-		if rep.Transfer.N() > 0 {
-			transfer.Add(rep.Transfer.Mean())
-			downtime.Add(rep.Downtime.Mean())
-		}
-		if rep.Sessions > peakSessions {
-			peakSessions = rep.Sessions
-		}
-		tS = append(tS, rep.TSec)
-		sessS = append(sessS, float64(rep.Sessions))
-		assignS = append(assignS, float64(rep.Assigned))
-		handS = append(handS, float64(rep.Handoffs))
-		rejS = append(rejS, float64(rep.Rejections))
-		placeS = append(placeS, float64(rep.Placements))
-		departS = append(departS, float64(rep.Departures))
-		utilS = append(utilS, rep.MeanUtilization)
-		if inj != nil {
-			chaos.fold(rep)
-			downS = append(downS, float64(rep.DownSats))
-			evacS = append(evacS, float64(rep.Evacuations))
-			faultS = append(faultS, float64(rep.SatFailures+rep.SatRecoveries))
-		}
+		reps = append(reps, rep)
 		if o.progress {
 			log.Printf("t=%6.0fs sessions=%d assigned=%d handoffs=%d rejected=%d wall=%.2fs",
 				rep.TSec, rep.Sessions, rep.Assigned, rep.Handoffs, rep.Rejections, rep.WallSec)
@@ -392,22 +357,7 @@ func run(out io.Writer, o options) error {
 	}
 
 	if o.csvPath != "" {
-		series := []plot.Series{
-			{Name: "sessions", X: tS, Y: sessS},
-			{Name: "assigned", X: tS, Y: assignS},
-			{Name: "placements", X: tS, Y: placeS},
-			{Name: "handoffs", X: tS, Y: handS},
-			{Name: "rejections", X: tS, Y: rejS},
-			{Name: "departures", X: tS, Y: departS},
-			{Name: "mean_util", X: tS, Y: utilS},
-		}
-		if inj != nil {
-			series = append(series,
-				plot.Series{Name: "down_sats", X: tS, Y: downS},
-				plot.Series{Name: "evacuations", X: tS, Y: evacS},
-				plot.Series{Name: "fault_events", X: tS, Y: faultS},
-			)
-		}
+		series := epochSeries(reps, inj != nil)
 		if err := writeFile(o.csvPath, func(w io.Writer) error { return plot.WriteCSV(w, series...) }); err != nil {
 			return err
 		}
@@ -421,19 +371,11 @@ func run(out io.Writer, o options) error {
 	}
 
 	if err := report(out, orch, reportInputs{
-		epochs:       epochs,
-		horizonSec:   horizonSec,
-		peakSessions: peakSessions,
-		handoffs:     totalHandoffs,
-		rejections:   totalRejections,
-		placements:   totalPlacements,
-		departures:   totalDepartures,
-		transfer:     transfer,
-		downtime:     downtime,
-		inj:          inj,
-		chaos:        chaos,
-		tl:           tl,
-		slos:         slos,
+		horizonSec: horizonSec,
+		reps:       reps,
+		chaos:      inj != nil,
+		tl:         tl,
+		slos:       slos,
 	}); err != nil {
 		return err
 	}
@@ -480,72 +422,90 @@ func exportTimeline(out io.Writer, tl *obs.Timeline, o options) error {
 	return nil
 }
 
+// epochSeries is the per-epoch CSV: a column per report count, plus the
+// fault columns when chaos is on.
+func epochSeries(reps []fleet.EpochReport, chaos bool) []plot.Series {
+	cols := []struct {
+		name string
+		of   func(fleet.EpochReport) float64
+	}{
+		{"sessions", func(r fleet.EpochReport) float64 { return float64(r.Sessions) }},
+		{"assigned", func(r fleet.EpochReport) float64 { return float64(r.Assigned) }},
+		{"placements", func(r fleet.EpochReport) float64 { return float64(r.Placements) }},
+		{"handoffs", func(r fleet.EpochReport) float64 { return float64(r.Handoffs) }},
+		{"rejections", func(r fleet.EpochReport) float64 { return float64(r.Rejections) }},
+		{"departures", func(r fleet.EpochReport) float64 { return float64(r.Departures) }},
+		{"mean_util", func(r fleet.EpochReport) float64 { return r.MeanUtilization }},
+		{"down_sats", func(r fleet.EpochReport) float64 { return float64(r.DownSats) }},
+		{"evacuations", func(r fleet.EpochReport) float64 { return float64(r.Evacuations) }},
+		{"fault_events", func(r fleet.EpochReport) float64 { return float64(r.SatFailures + r.SatRecoveries) }},
+	}
+	if !chaos {
+		cols = cols[:7]
+	}
+	x := make([]float64, len(reps))
+	for i, r := range reps {
+		x[i] = r.TSec
+	}
+	series := make([]plot.Series, len(cols))
+	for j, c := range cols {
+		y := make([]float64, len(reps))
+		for i, r := range reps {
+			y[i] = c.of(r)
+		}
+		series[j] = plot.Series{Name: c.name, X: x, Y: y}
+	}
+	return series
+}
+
 type reportInputs struct {
-	epochs       int
-	horizonSec   float64
-	peakSessions int
-
-	handoffs, rejections, placements, departures int
-	transfer, downtime                           stats.Summary
-
-	inj   *faults.Injector // nil when chaos is off
-	chaos chaosTotals
+	horizonSec float64
+	reps       []fleet.EpochReport // every epoch's report, in order
+	chaos      bool                // whether faults were injected
 
 	tl   *obs.Timeline // nil when -timeline=off
 	slos []obs.SLO
 }
 
-// chaosTotals accumulates the fault-injection story over the run. All of
-// it is deterministic for a fixed flag set, so the chaos report section is
-// safe to diff across same-seed runs.
-type chaosTotals struct {
-	satFailures, satRecoveries          int
-	evacuations, evacuationsDeferred    int
-	migrationFailures, backoffDeferrals int
-	islDegradations                     int
-	minAssignedFrac, finalAssignedFrac  float64
-}
-
-func (ct *chaosTotals) fold(rep fleet.EpochReport) {
-	ct.satFailures += rep.SatFailures
-	ct.satRecoveries += rep.SatRecoveries
-	ct.evacuations += rep.Evacuations
-	ct.evacuationsDeferred += rep.EvacuationsDeferred
-	ct.migrationFailures += rep.MigrationFailures
-	ct.backoffDeferrals += rep.BackoffDeferrals
-	ct.islDegradations += rep.ISLDegradations
-	if rep.Sessions > 0 {
-		frac := float64(rep.Assigned) / float64(rep.Sessions)
-		if frac < ct.minAssignedFrac {
-			ct.minAssignedFrac = frac
-		}
-		ct.finalAssignedFrac = frac
-	}
-}
-
 // report prints the fleet summary: population, hand-off pressure, placement
 // latency quantiles, and how the load spread over the satellite-servers.
-// Everything fleet-side comes off one fleet.Stats snapshot instead of
-// scraping obs metric families by name.
+// The lifetime counts come off one fleet.Stats snapshot; what needs the
+// epochs one by one (the peak, the per-epoch transfer means, the assigned
+// fraction's low point) comes off their reports. All of the chaos section is
+// deterministic for a fixed flag set, so it is safe to diff across runs.
 func report(out io.Writer, orch *fleet.Orchestrator, in reportInputs) error {
 	st := orch.Stats()
 	hours := in.horizonSec / 3600
 
+	var transfer, downtime stats.Summary
+	peakSessions, minFrac, finalFrac := 0, 1.0, 0.0
+	for _, rep := range in.reps {
+		peakSessions = max(peakSessions, rep.Sessions)
+		if rep.Transfer.N() > 0 {
+			transfer.Add(rep.Transfer.Mean())
+			downtime.Add(rep.Downtime.Mean())
+		}
+		if rep.Sessions > 0 {
+			finalFrac = float64(rep.Assigned) / float64(rep.Sessions)
+			minFrac = min(minFrac, finalFrac)
+		}
+	}
+
 	sessionHours := float64(st.Sessions) * hours // steady-state approximation
 	handoffRate := 0.0
 	if sessionHours > 0 {
-		handoffRate = float64(in.handoffs) / sessionHours
+		handoffRate = float64(st.Handoffs) / sessionHours
 	}
 
-	fmt.Fprintf(out, "\nfleet report — %d epochs, %.1f h simulated\n", in.epochs, hours)
+	fmt.Fprintf(out, "\nfleet report — %d epochs, %.1f h simulated\n", st.Epochs, hours)
 	rows := [][]string{
-		{"sessions (final / peak)", fmt.Sprintf("%d / %d", st.Sessions, in.peakSessions)},
-		{"initial placements", fmt.Sprintf("%d", in.placements)},
-		{"hand-offs", fmt.Sprintf("%d (%.2f per session-hour)", in.handoffs, handoffRate)},
-		{"rejections", fmt.Sprintf("%d", in.rejections)},
-		{"departures", fmt.Sprintf("%d", in.departures)},
-		{"mean transfer latency", fmt.Sprintf("%.2f ms one-way", in.transfer.Mean())},
-		{"mean migration downtime", fmt.Sprintf("%.1f ms", in.downtime.Mean()*1000)},
+		{"sessions (final / peak)", fmt.Sprintf("%d / %d", st.Sessions, peakSessions)},
+		{"initial placements", fmt.Sprintf("%d", st.Placements)},
+		{"hand-offs", fmt.Sprintf("%d (%.2f per session-hour)", st.Handoffs, handoffRate)},
+		{"rejections", fmt.Sprintf("%d", st.Rejections)},
+		{"departures", fmt.Sprintf("%d", st.Departures)},
+		{"mean transfer latency", fmt.Sprintf("%.2f ms one-way", transfer.Mean())},
+		{"mean migration downtime", fmt.Sprintf("%.1f ms", downtime.Mean()*1000)},
 		{"placement latency", fmt.Sprintf("p50 %.1f µs, p90 %.1f µs, p99 %.1f µs",
 			st.ReplanMs.P50*1000, st.ReplanMs.P90*1000, st.ReplanMs.P99*1000)},
 		{"satellites loaded", fmt.Sprintf("%d of %d", st.LoadedSats, st.Satellites)},
@@ -569,21 +529,19 @@ func report(out io.Writer, orch *fleet.Orchestrator, in reportInputs) error {
 			return err
 		}
 	}
-	if in.inj == nil {
+	if !in.chaos {
 		return nil
 	}
 
-	ct := in.chaos
 	fmt.Fprintf(out, "\nchaos report — injected faults and how the fleet absorbed them\n")
 	crows := [][]string{
 		{"satellite failures / recoveries", fmt.Sprintf("%d / %d (%d down at end)",
-			ct.satFailures, ct.satRecoveries, in.inj.DownCount())},
-		{"evacuations (completed / deferred)", fmt.Sprintf("%d / %d", ct.evacuations, ct.evacuationsDeferred)},
+			st.SatFailures, st.SatRecoveries, st.DownSats)},
+		{"evacuations (completed / deferred)", fmt.Sprintf("%d / %d", st.Evacuations, st.EvacuationsDeferred)},
 		{"migration transfer failures", fmt.Sprintf("%d (backoff deferrals: %d)",
-			ct.migrationFailures, ct.backoffDeferrals)},
-		{"ISL-degraded transfers", fmt.Sprintf("%d (spilled to ground relay)", ct.islDegradations)},
-		{"assigned fraction (min / final)", fmt.Sprintf("%.1f%% / %.1f%%",
-			100*ct.minAssignedFrac, 100*ct.finalAssignedFrac)},
+			st.MigrationFailures, st.BackoffDeferrals)},
+		{"ISL-degraded transfers", fmt.Sprintf("%d (spilled to ground relay)", st.ISLDegradations)},
+		{"assigned fraction (min / final)", fmt.Sprintf("%.1f%% / %.1f%%", 100*minFrac, 100*finalFrac)},
 	}
 	return plot.Table(out, nil, crows)
 }

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -234,7 +236,8 @@ func goldenFlags(chaos bool, extra ...string) []string {
 	return append(args, extra...)
 }
 
-func runCSV(t *testing.T, args []string) string {
+// runCSV runs fleetsim with args and returns its CSV and its text output.
+func runCSV(t *testing.T, args []string) (csv, out string) {
 	t.Helper()
 	path := t.TempDir() + "/run.csv"
 	o, err := parseFlags(append(args, "-csv", path))
@@ -249,12 +252,14 @@ func runCSV(t *testing.T, args []string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(data)
+	return string(data), b.String()
 }
 
 // TestRunGolden pins the planner's decisions to CSVs captured from the
 // pre-sharding implementation: refactors of the epoch planner must not
-// change a single placement, hand-off, or rejection on a fixed seed.
+// change a single placement, hand-off, or rejection on a fixed seed. The
+// chaos run's report, which reads the orchestrator's lifetime Stats, must
+// also tell the golden's column sums and assigned-fraction extremes.
 func TestRunGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs simulate 15 epochs of telesat")
@@ -272,11 +277,79 @@ func TestRunGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := runCSV(t, goldenFlags(tc.chaos)); got != string(want) {
+			got, out := runCSV(t, goldenFlags(tc.chaos))
+			if got != string(want) {
 				t.Fatalf("CSV diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", tc.golden, got, want)
+			}
+			if tc.chaos {
+				checkReportTellsCSV(t, out, string(want))
 			}
 		})
 	}
+}
+
+// checkReportTellsCSV requires the report rows of out to be the sums and
+// extremes of the per-epoch CSV's columns.
+func checkReportTellsCSV(t *testing.T, out, csv string) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSpace(csv), "\n")
+	header := strings.Split(lines[0], ",")
+	sum := map[string]int{}
+	minFrac, finalFrac := 1.0, 0.0
+	for _, line := range lines[1:] {
+		row := map[string]float64{}
+		for i, cell := range strings.Split(line, ",") {
+			v, err := strconv.ParseFloat(cell, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row[header[i]] = v
+			sum[header[i]] += int(v)
+		}
+		if row["sessions"] > 0 {
+			finalFrac = row["assigned"] / row["sessions"]
+			minFrac = min(minFrac, finalFrac)
+		}
+	}
+	for _, c := range []struct{ row, want string }{
+		{"initial placements", fmt.Sprint(sum["placements"])},
+		{"rejections", fmt.Sprint(sum["rejections"])},
+		{"departures", fmt.Sprint(sum["departures"])},
+		{"assigned fraction (min / final)", fmt.Sprintf("%.1f%% / %.1f%%", 100*minFrac, 100*finalFrac)},
+	} {
+		if got := rowOf(t, out, c.row); got != c.want {
+			t.Fatalf("report row %q reads %q, the CSV says %q", c.row, got, c.want)
+		}
+	}
+	// These rows lead with one count, or two ("a / b"); both says the column
+	// sums the two.
+	for _, c := range []struct {
+		row, col string
+		both     bool
+	}{
+		{"hand-offs", "handoffs", false},
+		{"evacuations (completed / deferred)", "evacuations", false},
+		{"satellite failures / recoveries", "fault_events", true},
+	} {
+		var a, b int
+		n, _ := fmt.Sscanf(rowOf(t, out, c.row), "%d / %d", &a, &b)
+		if c.both {
+			a += b
+		}
+		if n < 1 || c.both && n < 2 || a != sum[c.col] {
+			t.Fatalf("report row %q counts %d, the CSV's %s column sums to %d", c.row, a, c.col, sum[c.col])
+		}
+	}
+}
+
+// rowOf returns the value cell of the report table row named row.
+func rowOf(t *testing.T, out, row string) string {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(row) + `  +(.*)$`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("report has no row %q:\n%s", row, out)
+	}
+	return m[1]
 }
 
 // TestServeReportDeterministic: the serve-report tail (everything from
@@ -335,7 +408,7 @@ func TestRunGOMAXPROCSInvariance(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		if got := runCSV(t, goldenFlags(false)); got != string(want) {
+		if got, _ := runCSV(t, goldenFlags(false)); got != string(want) {
 			t.Fatalf("GOMAXPROCS=%d diverged from golden CSV:\n%s", procs, got)
 		}
 	}

@@ -35,7 +35,9 @@ func (s ServerSpec) Validate() error {
 	return nil
 }
 
-// EffectiveCores returns the sustained core capacity under the power cap.
+// EffectiveCores returns the sustained core capacity under the power cap,
+// rounded by an explicit float64(...) so that no caller's addition fuses
+// with the product.
 func (s ServerSpec) EffectiveCores() float64 {
-	return float64(s.Cores) * s.PowerCapFraction
+	return float64(float64(s.Cores) * s.PowerCapFraction)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/obs"
 )
 
 // chaosOrch builds an orchestrator over the toy constellation with a fault
@@ -49,11 +50,83 @@ func auditSessions(o *Orchestrator, inj *faults.Injector) (assigned, evacuating,
 	return
 }
 
+// seriesCount pairs one kept fleet_* decision counter with the count of an
+// EpochReport it must move by.
+type seriesCount struct {
+	name string
+	ctr  *obs.Counter
+	n    int
+}
+
+func decisionSeries(m *metricsSet, rep EpochReport) []seriesCount {
+	return []seriesCount{
+		{`fleet_placements_total{kind="initial"}`, m.placeInitial, rep.Placements},
+		{`fleet_placements_total{kind="handoff"}`, m.placeHandoff, rep.Handoffs},
+		{"fleet_rejections_total", m.rejections, rep.Rejections},
+		{`fleet_faults_total{kind="sat_fail"}`, m.faultSatFail, rep.SatFailures},
+		{`fleet_faults_total{kind="sat_recover"}`, m.faultSatRec, rep.SatRecoveries},
+		{`fleet_faults_total{kind="migration_fail"}`, m.faultMig, rep.MigrationFailures},
+		{`fleet_faults_total{kind="isl_degraded"}`, m.faultISL, rep.ISLDegradations},
+		{`fleet_evacuations_total{result="ok"}`, m.evacOK, rep.Evacuations},
+		{`fleet_evacuations_total{result="deferred"}`, m.evacDeferred, rep.EvacuationsDeferred},
+		{"fleet_retry_backoff_deferrals_total", m.retryDeferred, rep.BackoffDeferrals},
+		{"fleet_epochs_total", m.epochs, 1},
+	}
+}
+
+// lifetimeCounts lists Stats' cumulative fields; reportCounts lists what one
+// EpochReport adds to each, in the same order.
+func lifetimeCounts(st Stats) [13]uint64 {
+	return [...]uint64{st.Placements, st.Handoffs, st.Rejections, st.Departures, st.Epochs, st.Expiring,
+		st.Evacuations, st.EvacuationsDeferred, st.MigrationFailures, st.BackoffDeferrals,
+		st.ISLDegradations, st.SatFailures, st.SatRecoveries}
+}
+
+func reportCounts(rep EpochReport) [13]uint64 {
+	return [...]uint64{uint64(rep.Placements), uint64(rep.Handoffs), uint64(rep.Rejections),
+		uint64(rep.Departures), 1, uint64(rep.Expiring), uint64(rep.Evacuations),
+		uint64(rep.EvacuationsDeferred), uint64(rep.MigrationFailures), uint64(rep.BackoffDeferrals),
+		uint64(rep.ISLDegradations), uint64(rep.SatFailures), uint64(rep.SatRecoveries)}
+}
+
+// tally runs Steps and checks after each one that every kept decision
+// counter moved by exactly its report count, that the gauges read the
+// report, and that Stats' cumulative fields are the running sums of the
+// reports.
+type tally struct{ sums [13]uint64 }
+
+func (tl *tally) step(t *testing.T, o *Orchestrator) EpochReport {
+	t.Helper()
+	var before []uint64
+	for _, sc := range decisionSeries(o.m, EpochReport{}) {
+		before = append(before, sc.ctr.Value())
+	}
+	rep, err := o.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sc := range decisionSeries(o.m, rep) {
+		if d := sc.ctr.Value() - before[i]; d != uint64(sc.n) {
+			t.Fatalf("t=%v: %s moved by %d, the report counts %d", rep.TSec, sc.name, d, sc.n)
+		}
+	}
+	if g, a := o.m.sessions.Value(), o.m.assigned.Value(); g != float64(rep.Sessions) || a != float64(rep.Assigned) {
+		t.Fatalf("t=%v: gauges read %v sessions, %v assigned; the report %d, %d", rep.TSec, g, a, rep.Sessions, rep.Assigned)
+	}
+	for i, n := range reportCounts(rep) {
+		tl.sums[i] += n
+	}
+	if got := lifetimeCounts(o.Stats()); got != tl.sums {
+		t.Fatalf("t=%v: Stats counts %v, the reports sum to %v", rep.TSec, got, tl.sums)
+	}
+	return rep
+}
+
 // TestEvacuationOnFailure is the graceful-degradation anchor: under
 // permanent satellite failures every session leaves its dead satellite the
 // epoch the failure is consumed, no session is ever assigned to a down
-// satellite, and every event shows up in both the epoch report and the
-// fleet_faults_*/fleet_evacuations_* metrics.
+// satellite, and after every Step each event is in the epoch report, the
+// fleet_faults_*/fleet_evacuations_* counters and Stats alike.
 func TestEvacuationOnFailure(t *testing.T) {
 	o, inj := chaosOrch(t, 60, faults.Config{
 		Seed:         7,
@@ -61,17 +134,9 @@ func TestEvacuationOnFailure(t *testing.T) {
 		SatMTTRSec:   -1, // the paper's no-repairs regime
 	})
 
-	var totFail, totRec, totEvac, totEvacDef, totRej int
+	var tl tally
 	for epoch := 0; epoch < 30; epoch++ {
-		rep, err := o.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		totFail += rep.SatFailures
-		totRec += rep.SatRecoveries
-		totEvac += rep.Evacuations
-		totEvacDef += rep.EvacuationsDeferred
-		totRej += rep.Rejections
+		rep := tl.step(t, o)
 
 		assigned, _, onDown := auditSessions(o, inj)
 		if onDown != 0 {
@@ -90,32 +155,19 @@ func TestEvacuationOnFailure(t *testing.T) {
 		}
 	}
 
-	if totFail == 0 {
+	st := o.Stats()
+	if st.SatFailures == 0 {
 		t.Fatal("no satellite failures in 30 min at 2 h MTBF over 1024 satellites")
 	}
-	if totRec != 0 {
-		t.Fatalf("%d recoveries under permanent failures", totRec)
+	if st.SatRecoveries != 0 {
+		t.Fatalf("%d recoveries under permanent failures", st.SatRecoveries)
 	}
-	if totEvac == 0 {
+	if st.Evacuations == 0 {
 		t.Fatal("failures hit no session satellite — evacuation path untested (tune seed/rates)")
 	}
-
-	// The metrics must agree with the summed reports exactly.
-	if got := int(o.m.faultSatFail.Value()); got != totFail {
-		t.Errorf("fleet_faults_total{sat_fail} = %d, want %d", got, totFail)
-	}
-	if got := int(o.m.evacOK.Value()); got != totEvac {
-		t.Errorf("fleet_evacuations_total{ok} = %d, want %d", got, totEvac)
-	}
-	if got := int(o.m.evacDeferred.Value()); got != totEvacDef {
-		t.Errorf("fleet_evacuations_total{deferred} = %d, want %d", got, totEvacDef)
-	}
-	if got := int(o.m.rejections.Value()); got != totRej {
-		t.Errorf("fleet_rejections_total = %d, want %d", got, totRej)
-	}
 	_, evacuating, _ := auditSessions(o, inj)
-	if got := int(o.m.evacPending.Value()); got != evacuating {
-		t.Errorf("fleet_evacuations_pending = %d, table says %d", got, evacuating)
+	if got := int(o.m.evacPending.Value()); got != evacuating || st.EvacuationsPending != evacuating {
+		t.Errorf("fleet_evacuations_pending = %d, Stats %d, table says %d", got, st.EvacuationsPending, evacuating)
 	}
 }
 
@@ -244,9 +296,9 @@ func TestNoPlacementsOnDownSatellites(t *testing.T) {
 // flapping ISLs, failed migrations, arrivals and departures. After every
 // Step each satellite's booked cores equal the summed demand of the
 // sessions holding it and stay within its effective cores, the report's
-// assigned count is the table's, and every submitted session is live or
-// departed. Colocated 25-core arrivals, two to a 64-core satellite, make
-// admission spill and reject.
+// assigned count is the table's, every submitted session is live or
+// departed, and the counters and Stats tally the report. Colocated 25-core
+// arrivals, two to a 64-core satellite, make admission spill and reject.
 func TestBooksHoldUnderChaos(t *testing.T) {
 	o, _ := chaosOrch(t, 60, faults.Config{
 		Seed: 5, SatMTBFHours: 1, SatMTTRSec: 600, ISLFlapPerHour: 6, MigrationFailProb: 0.2,
@@ -254,6 +306,7 @@ func TestBooksHoldUnderChaos(t *testing.T) {
 	eff := o.cfg.Server.EffectiveCores()
 	submitted, departed := 60, 0
 	var tot EpochReport
+	var tl tally
 	for epoch := 0; epoch < 25; epoch++ {
 		if epoch%5 == 0 {
 			for _, s := range colocated(t, 12, 25, 8) {
@@ -265,10 +318,7 @@ func TestBooksHoldUnderChaos(t *testing.T) {
 				submitted++
 			}
 		}
-		rep, err := o.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := tl.step(t, o)
 		departed += rep.Departures
 		tot.Handoffs += rep.Handoffs
 		tot.Rejections += rep.Rejections

@@ -250,11 +250,10 @@ type Orchestrator struct {
 	started      bool
 	nAssigned    int
 	nEvacPending int // sessions off a failed satellite, not yet re-placed
-	epochISL     int // ISL-degraded transfers seen this epoch (serial phase)
 	m            *metricsSet
 
-	tot totals       // cumulative decision counters backing Stats
-	pl  plannerState // reusable per-epoch planner scratch (planner.go)
+	life Stats        // the lifetime counts publish keeps; Stats adds the rest
+	pl   plannerState // reusable per-epoch planner scratch (planner.go)
 }
 
 // New builds an orchestrator over the constellation. grid may be nil to
@@ -422,7 +421,6 @@ func (o *Orchestrator) backoffSec(n int) float64 {
 // be re-placed this epoch and stays pending.
 func (o *Orchestrator) deferEvacuation(s *Session, rep *EpochReport) {
 	rep.EvacuationsDeferred++
-	o.m.evacDeferred.Inc()
 	if !s.Evacuating {
 		s.Evacuating = true
 		o.nEvacPending++

@@ -6,14 +6,23 @@ import "repro/internal/obs"
 // the configured registry (obs.Default() unless overridden); hot paths
 // hold the concrete metric so an update is a few atomic ops. Two
 // orchestrators on the same registry share families — counters aggregate.
+// The decision counters and the gauges are written only by publish, once a
+// Step, from its EpochReport; the probes below them keep their call sites.
 type metricsSet struct {
-	sessions     *obs.Gauge   // fleet_sessions
-	assigned     *obs.Gauge   // fleet_sessions_assigned
-	placeInitial *obs.Counter // fleet_placements_total{kind="initial"}
-	placeHandoff *obs.Counter // fleet_placements_total{kind="handoff"}
-	rejections   *obs.Counter // fleet_rejections_total
-	departures   *obs.Counter // fleet_departures_total
-	epochs       *obs.Counter // fleet_epochs_total
+	sessions      *obs.Gauge   // fleet_sessions
+	assigned      *obs.Gauge   // fleet_sessions_assigned
+	evacPending   *obs.Gauge   // fleet_evacuations_pending
+	placeInitial  *obs.Counter // fleet_placements_total{kind="initial"}
+	placeHandoff  *obs.Counter // fleet_placements_total{kind="handoff"}
+	rejections    *obs.Counter // fleet_rejections_total
+	epochs        *obs.Counter // fleet_epochs_total
+	faultSatFail  *obs.Counter // fleet_faults_total{kind="sat_fail"}
+	faultSatRec   *obs.Counter // fleet_faults_total{kind="sat_recover"}
+	faultMig      *obs.Counter // fleet_faults_total{kind="migration_fail"}
+	faultISL      *obs.Counter // fleet_faults_total{kind="isl_degraded"}
+	evacOK        *obs.Counter // fleet_evacuations_total{result="ok"}
+	evacDeferred  *obs.Counter // fleet_evacuations_total{result="deferred"}
+	retryDeferred *obs.Counter // fleet_retry_backoff_deferrals_total
 
 	// Streaming quantiles, each folded once per planner chunk. The fleetsim
 	// SLO report reads replanQ and transferQ; the bench harness adds up
@@ -23,24 +32,10 @@ type metricsSet struct {
 	replanQ    *obs.Quantile // fleet_replan_ms — per-session proposal latency, 1 session in replanSample
 	transferQ  *obs.Quantile // fleet_transfer_ms — hand-off one-way transfer latency
 
-	// Streaming-planner families.
+	// Streaming-planner probes.
 	streamChunks *obs.Counter // fleet_planner_chunks_total
 	spillShells  *obs.Counter // fleet_spill_shell_scans_total
 	ssspLazy     *obs.Counter // fleet_transfer_sssp_rows_total{mode="lazy"}
-	ssspSettled  *obs.Counter // fleet_transfer_sssp_settled_nodes_total
-
-	// Fault-injection families (all events are counted even when no
-	// injector is configured — they then stay at zero).
-	faultSatFail  *obs.Counter // fleet_faults_total{kind="sat_fail"}
-	faultSatRec   *obs.Counter // fleet_faults_total{kind="sat_recover"}
-	faultMig      *obs.Counter // fleet_faults_total{kind="migration_fail"}
-	faultISL      *obs.Counter // fleet_faults_total{kind="isl_degraded"}
-	downSats      *obs.Gauge   // fleet_faults_down_satellites
-	evacOK        *obs.Counter // fleet_evacuations_total{result="ok"}
-	evacDeferred  *obs.Counter // fleet_evacuations_total{result="deferred"}
-	evacPending   *obs.Gauge   // fleet_evacuations_pending
-	migRetries    *obs.Counter // fleet_migration_retries_total
-	retryDeferred *obs.Counter // fleet_retry_backoff_deferrals_total
 }
 
 func newMetrics(reg *obs.Registry) *metricsSet {
@@ -57,21 +52,15 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 			"Streaming chunks the epoch planner proposed and admitted."),
 		spillShells: reg.Counter("fleet_spill_shell_scans_total",
 			"Shells a proposal skipped that admission scanned because the load spill reached them."),
-		ssspLazy: ssspRows.With("lazy"),
-		ssspSettled: reg.Counter("fleet_transfer_sssp_settled_nodes_total",
-			"Nodes settled by the radius-bounded SSSP rows of hand-off transfer pricing."),
+		ssspLazy:     ssspRows.With("lazy"),
 		faultSatFail: faults.With("sat_fail"),
 		faultSatRec:  faults.With("sat_recover"),
 		faultMig:     faults.With("migration_fail"),
 		faultISL:     faults.With("isl_degraded"),
-		downSats: reg.Gauge("fleet_faults_down_satellites",
-			"Satellites currently hard-failed."),
 		evacOK:       evac.With("ok"),
 		evacDeferred: evac.With("deferred"),
 		evacPending: reg.Gauge("fleet_evacuations_pending",
 			"Sessions off a failed satellite still waiting for a new assignment."),
-		migRetries: reg.Counter("fleet_migration_retries_total",
-			"Migration attempts that were retries after an injected transfer failure."),
 		retryDeferred: reg.Counter("fleet_retry_backoff_deferrals_total",
 			"Per-epoch placement skips while a session waits out its retry backoff."),
 		sessions: reg.Gauge("fleet_sessions",
@@ -82,8 +71,6 @@ func newMetrics(reg *obs.Registry) *metricsSet {
 		placeHandoff: placements.With("handoff"),
 		rejections: reg.Counter("fleet_rejections_total",
 			"Placement attempts that found no satellite with both visibility and capacity."),
-		departures: reg.Counter("fleet_departures_total",
-			"Sessions removed at their departure time."),
 		epochs: reg.Counter("fleet_epochs_total",
 			"Planner epochs executed."),
 		indexQuery: reg.Quantile("fleet_index_query_seconds",

@@ -217,14 +217,30 @@ func nearestFit(best candidate, cands []candidate, fits func(id int) bool) candi
 // Step runs one planner epoch at the current simulated time: removes
 // departed sessions, detects assignments about to lose visibility,
 // re-places them (and places arrivals) under load-aware admission, costs
-// the resulting migrations, then advances the clock by one step.
+// the resulting migrations, then advances the clock by one step. The report
+// is the epoch's only tally: publish turns it into the fleet_* series and
+// the lifetime Stats, also when the epoch fails part-way.
 func (o *Orchestrator) Step() (EpochReport, error) {
 	if !o.started {
 		return EpochReport{}, fmt.Errorf("fleet: Start must be called before Step")
 	}
 	wall := time.Now()
 	rep := EpochReport{TSec: o.now}
-	o.epochISL = 0
+	err := o.plan(&rep)
+	rep.Sessions = o.tab.Len()
+	rep.Assigned = o.nAssigned
+	util := 0.0
+	for id := range o.usedCores {
+		util += o.utilization(id)
+	}
+	rep.MeanUtilization = util / float64(len(o.usedCores))
+	rep.WallSec = time.Since(wall).Seconds()
+	o.publish(rep)
+	return rep, err
+}
+
+// plan runs the phases of one epoch, counting its decisions into rep.
+func (o *Orchestrator) plan(rep *EpochReport) error {
 	pl := &o.pl
 	pl.reset()
 
@@ -236,10 +252,8 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 			switch ev.Kind {
 			case faults.SatFail:
 				rep.SatFailures++
-				o.m.faultSatFail.Inc()
 			case faults.SatRecover:
 				rep.SatRecoveries++
-				o.m.faultSatRec.Inc()
 			}
 		}
 		rep.DownSats = f.DownCount()
@@ -281,7 +295,6 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 			src.radiusMs = max(src.radiusMs, o.relayBoundMs(s))
 		}
 	}
-	o.m.retryDeferred.Add(uint64(rep.BackoffDeferrals))
 
 	// Departures leave before placement so their capacity frees this epoch.
 	for _, s := range pl.gone {
@@ -297,7 +310,6 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 		o.tab.Delete(s.ID)
 		rep.Departures++
 	}
-	o.m.departures.Add(uint64(rep.Departures))
 
 	// Phases B/C — streaming rounds over the sorted work: admit chunk k
 	// serially in session-ID order while the workers propose chunk k+1 into
@@ -315,14 +327,13 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 		join()
 		join = o.proposeAhead(&pl.bufs[(k+1)&1], chunkAt(k+1))
 		o.m.streamChunks.Inc()
-		err := o.admitChunk(chunk, buf, &rep)
+		err := o.admitChunk(chunk, buf, rep)
 		o.observeChunk(chunk, buf)
 		if err != nil {
 			join()
-			return rep, err
+			return err
 		}
 	}
-	o.m.rejections.Add(uint64(rep.Rejections))
 
 	// Phase D — advance the epoch clock: rotate the ring, fetch the new
 	// horizon snapshot from the ephemeris engine (every other ring frame
@@ -330,27 +341,9 @@ func (o *Orchestrator) Step() (EpochReport, error) {
 	o.now += o.cfg.StepSec
 	o.ring.Advance(o.now)
 	if err := o.idx.Rebuild(o.ring.Frame(0)); err != nil {
-		return rep, fmt.Errorf("fleet: footprint index at t=%g: %w", o.now, err)
+		return fmt.Errorf("fleet: footprint index at t=%g: %w", o.now, err)
 	}
-
-	rep.Sessions = o.tab.Len()
-	rep.Assigned = o.nAssigned
-	util := 0.0
-	for id := range o.usedCores {
-		util += o.utilization(id)
-	}
-	rep.MeanUtilization = util / float64(len(o.usedCores))
-	rep.ISLDegradations = o.epochISL
-	rep.WallSec = time.Since(wall).Seconds()
-
-	o.tot.fold(rep)
-	o.m.sessions.Set(float64(rep.Sessions))
-	o.m.assigned.Set(float64(rep.Assigned))
-	o.m.downSats.Set(float64(rep.DownSats))
-	o.m.evacPending.Set(float64(o.nEvacPending))
-	o.m.epochs.Inc()
-	o.m.epochSec.Observe(rep.WallSec)
-	return rep, nil
+	return nil
 }
 
 // proposeAhead starts proposing chunk into buf and returns the call that
@@ -409,9 +402,6 @@ func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochRep
 		if s.Sat >= 0 && !evac {
 			rep.Expiring++
 		}
-		if s.Retries > 0 {
-			o.m.migRetries.Inc()
-		}
 		pr, arena := buf.props[i], buf.arenas[i/proposeBlock]
 		skipped, t0 := o.shellOrder[pr.next:], time.Time{}
 		chosen, scanned := pick(arena[pr.lo:pr.pool], arena[pr.pool:pr.hi], o.floorMs[pr.next:], func(k int) []candidate {
@@ -452,7 +442,6 @@ func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochRep
 			// holding its current satellite when that is still alive.
 			if f := o.cfg.Faults; f != nil && !f.MigrationOK(s.ID, from, chosen.id, s.Retries) {
 				rep.MigrationFailures++
-				o.m.faultMig.Inc()
 				s.Retries++
 				s.RetryAt = o.now + o.backoffSec(s.Retries)
 				if evac {
@@ -468,7 +457,7 @@ func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochRep
 			}
 			// Cost the move before any capacity moves, so that an error
 			// leaves the books as they were.
-			transfer := o.transferMs(from, chosen.id, s.Centroid)
+			transfer := o.transferMs(from, chosen.id, s.Centroid, rep)
 			res, merr := migrate.Live(
 				migrate.State{SessionMB: s.StateMB, DirtyRateMBps: o.cfg.DirtyRateMBps},
 				migrate.Link{BandwidthMBps: migrate.GbpsToMBps(o.cfg.ISLBandwidthGbps), OneWayMs: transfer},
@@ -483,18 +472,15 @@ func (o *Orchestrator) admitChunk(chunk []*Session, buf *chunkBuf, rep *EpochRep
 			rep.Transfer.Add(transfer)
 			rep.Downtime.Add(res.DowntimeSec)
 			pl.transfers = append(pl.transfers, transfer)
-			o.m.placeHandoff.Inc()
 		} else {
 			// Unassigned (re-)placements restore from the pre-replicated
 			// generic state plus checkpoint, so no transfer coin is flipped.
 			o.debit(chosen.id, s)
 			rep.Placements++
 			o.nAssigned++
-			o.m.placeInitial.Inc()
 		}
 		if evac {
 			rep.Evacuations++
-			o.m.evacOK.Inc()
 			if s.Evacuating {
 				s.Evacuating = false
 				o.nEvacPending--
@@ -651,16 +637,15 @@ func (o *Orchestrator) relayBoundMs(s *Session) float64 {
 // current epoch: the cheaper of the shortest ISL path (same-shell pairs,
 // read off the source's pricing row, which the first read computes) and a
 // ground relay through the session's region — the same accounting as
-// meetup.Planner.TransferLatencyMs.
-func (o *Orchestrator) transferMs(a, b int, centroid geo.Vec3) float64 {
+// meetup.Planner.TransferLatencyMs. A flapped ISL counts in rep.
+func (o *Orchestrator) transferMs(a, b int, centroid geo.Vec3, rep *EpochReport) float64 {
 	snap := o.ring.Frame(0)
 	relay := units.PropagationDelayMs(snap[a].Distance(centroid) + centroid.Distance(snap[b]))
 	if o.c.Satellites[a].ShellIndex != o.c.Satellites[b].ShellIndex {
 		return relay // the +grid does not link shells
 	}
 	if f := o.cfg.Faults; f != nil && f.ISLDegraded(a, b, o.now) {
-		o.m.faultISL.Inc()
-		o.epochISL++
+		rep.ISLDegradations++
 		return relay // flapped path: spill the transfer to the ground relay
 	}
 	pl, src := &o.pl, &o.pl.src[a]
@@ -669,7 +654,6 @@ func (o *Orchestrator) transferMs(a, b int, centroid geo.Vec3) float64 {
 		pl.rows = o.nsnap.LatenciesWithin(netgraph.NodeID(a), src.radiusMs, pl.rows)
 		src.row = pl.rows[lo:]
 		o.m.ssspLazy.Inc()
-		o.m.ssspSettled.Add(uint64(len(src.row)))
 	}
 	// A target beyond the pricing radius or unreachable is not in the row,
 	// and the relay wins — as it would against the full row's value.

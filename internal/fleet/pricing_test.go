@@ -75,7 +75,7 @@ func checkEpochPricing(t *testing.T, o *Orchestrator, ep pricingEpoch, rep Epoch
 		}
 		from, to := ep.sat[s.ID], s.Sat
 		oracle, relay := oracleTransferMs(o, ep.snap, o.nsnap, ep.now, from, to, s.Centroid)
-		got := o.transferMs(from, to, s.Centroid)
+		got := o.transferMs(from, to, s.Centroid, &EpochReport{})
 		if math.Float64bits(got) != math.Float64bits(oracle) {
 			t.Fatalf("t=%v session %d move %d→%d: transferMs %v, full-row oracle %v", ep.now, s.ID, from, to, got, oracle)
 		}
@@ -229,7 +229,7 @@ func TestTransferPricingCornerMoves(t *testing.T) {
 				t.Fatalf("moves %+v, want one move %d→%d", moves, from, target)
 			}
 			mv := moves[0]
-			rows, settled := o.m.ssspLazy.Value(), o.m.ssspSettled.Value()
+			rows, settled := o.m.ssspLazy.Value(), len(o.pl.rows)
 			t.Logf("move %d→%d: price %v ms, relay %v ms, radius %v ms, %d row(s) settled %d nodes",
 				mv.from, mv.to, mv.got, mv.relay, o.pl.src[from].radiusMs, rows, settled)
 			if tc.sameShell {
@@ -259,13 +259,14 @@ func TestTransferPricingStaysLocal(t *testing.T) {
 	if err := o.Start(0); err != nil {
 		t.Fatal(err)
 	}
+	var settled uint64 // an epoch's rows lie back to back in pl.rows until the next Step
 	for epoch := 0; epoch < 10; epoch++ {
 		if _, err := o.Step(); err != nil {
 			t.Fatal(err)
 		}
+		settled += uint64(len(o.pl.rows))
 	}
 	rows := o.m.ssspLazy.Value()
-	settled := o.m.ssspSettled.Value()
 	if rows == 0 {
 		t.Fatal("no transfer-pricing rows in 10 epochs")
 	}

@@ -1,36 +1,9 @@
 package fleet
 
-import "repro/internal/stats"
-
-// totals accumulates the orchestrator's lifetime decision counters. They
-// duplicate the obs counter families on purpose: Stats reads these plain
-// fields instead of scraping metric names off a registry, so the snapshot
-// stays stable even when the metric surface evolves.
-type totals struct {
-	placements, handoffs, rejections, departures uint64
-	epochs                                       uint64
-	expiring                                     uint64
-	evacuations, evacuationsDeferred             uint64
-	migrationFailures, backoffDeferrals          uint64
-	islDegradations                              uint64
-	satFailures, satRecoveries                   uint64
-}
-
-func (t *totals) fold(rep EpochReport) {
-	t.placements += uint64(rep.Placements)
-	t.handoffs += uint64(rep.Handoffs)
-	t.rejections += uint64(rep.Rejections)
-	t.departures += uint64(rep.Departures)
-	t.epochs++
-	t.expiring += uint64(rep.Expiring)
-	t.evacuations += uint64(rep.Evacuations)
-	t.evacuationsDeferred += uint64(rep.EvacuationsDeferred)
-	t.migrationFailures += uint64(rep.MigrationFailures)
-	t.backoffDeferrals += uint64(rep.BackoffDeferrals)
-	t.islDegradations += uint64(rep.ISLDegradations)
-	t.satFailures += uint64(rep.SatFailures)
-	t.satRecoveries += uint64(rep.SatRecoveries)
-}
+import (
+	"repro/internal/obs"
+	"repro/internal/stats"
+)
 
 // QuantileSummary is a compact distribution snapshot inside Stats.
 type QuantileSummary struct {
@@ -57,7 +30,8 @@ type Stats struct {
 	// carrying at least one session.
 	Satellites, LoadedSats int
 
-	// Cumulative decision counters.
+	// Cumulative decision counters: the sums of every Step's EpochReport
+	// (Epochs counts the Steps, a failed one included).
 	Placements, Handoffs, Rejections, Departures uint64
 	Epochs, Expiring                             uint64
 
@@ -81,28 +55,48 @@ type Stats struct {
 	ReplanMs, TransferMs QuantileSummary
 }
 
-// Stats snapshots the orchestrator. Safe to call between Steps.
-func (o *Orchestrator) Stats() Stats {
-	st := Stats{
-		TSec:                o.now,
-		Sessions:            o.tab.Len(),
-		Assigned:            o.nAssigned,
-		Satellites:          o.c.Size(),
-		Placements:          o.tot.placements,
-		Handoffs:            o.tot.handoffs,
-		Rejections:          o.tot.rejections,
-		Departures:          o.tot.departures,
-		Epochs:              o.tot.epochs,
-		Expiring:            o.tot.expiring,
-		Evacuations:         o.tot.evacuations,
-		EvacuationsDeferred: o.tot.evacuationsDeferred,
-		MigrationFailures:   o.tot.migrationFailures,
-		BackoffDeferrals:    o.tot.backoffDeferrals,
-		ISLDegradations:     o.tot.islDegradations,
-		SatFailures:         o.tot.satFailures,
-		SatRecoveries:       o.tot.satRecoveries,
-		EvacuationsPending:  o.nEvacPending,
+// publish is the one tally of a Step's decisions: it adds each count of
+// rep to the lifetime Stats and to its fleet_* counter, sets the gauges and
+// times the epoch. Step calls it once, on its error return too, so the
+// counters, Stats and the reports a caller sums never disagree.
+func (o *Orchestrator) publish(rep EpochReport) {
+	m, st := o.m, &o.life
+	for _, c := range [...]struct {
+		n     int
+		total *uint64
+		ctr   *obs.Counter // nil: the count has no series of its own
+	}{
+		{rep.Placements, &st.Placements, m.placeInitial},
+		{rep.Handoffs, &st.Handoffs, m.placeHandoff},
+		{rep.Rejections, &st.Rejections, m.rejections},
+		{rep.Departures, &st.Departures, nil},
+		{1, &st.Epochs, m.epochs},
+		{rep.Expiring, &st.Expiring, nil},
+		{rep.Evacuations, &st.Evacuations, m.evacOK},
+		{rep.EvacuationsDeferred, &st.EvacuationsDeferred, m.evacDeferred},
+		{rep.MigrationFailures, &st.MigrationFailures, m.faultMig},
+		{rep.BackoffDeferrals, &st.BackoffDeferrals, m.retryDeferred},
+		{rep.ISLDegradations, &st.ISLDegradations, m.faultISL},
+		{rep.SatFailures, &st.SatFailures, m.faultSatFail},
+		{rep.SatRecoveries, &st.SatRecoveries, m.faultSatRec},
+	} {
+		*c.total += uint64(c.n)
+		if c.ctr != nil {
+			c.ctr.Add(uint64(c.n))
+		}
 	}
+	m.sessions.Set(float64(rep.Sessions))
+	m.assigned.Set(float64(rep.Assigned))
+	m.evacPending.Set(float64(o.nEvacPending))
+	m.epochSec.Observe(rep.WallSec)
+}
+
+// Stats snapshots the orchestrator: the lifetime counts publish keeps, and
+// the instantaneous fields read now. Safe to call between Steps.
+func (o *Orchestrator) Stats() Stats {
+	st := o.life
+	st.TSec, st.Sessions, st.Assigned, st.Satellites = o.now, o.tab.Len(), o.nAssigned, o.c.Size()
+	st.EvacuationsPending = o.nEvacPending
 	if o.cfg.Faults != nil {
 		st.DownSats = o.cfg.Faults.DownCount()
 	}

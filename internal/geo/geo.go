@@ -26,8 +26,10 @@ func (v Vec3) Sub(w Vec3) Vec3 { return Vec3{v.X - w.X, v.Y - w.Y, v.Z - w.Z} }
 // Scale returns v scaled by s.
 func (v Vec3) Scale(s float64) Vec3 { return Vec3{v.X * s, v.Y * s, v.Z * s} }
 
-// Dot returns the dot product of v and w.
-func (v Vec3) Dot(w Vec3) float64 { return v.X*w.X + v.Y*w.Y + v.Z*w.Z }
+// Dot returns the dot product of v and w. Each product is rounded by an
+// explicit float64(...), so that no platform fuses a multiply-add into the
+// sum: every platform gets amd64's bits.
+func (v Vec3) Dot(w Vec3) float64 { return float64(v.X*w.X) + float64(v.Y*w.Y) + float64(v.Z*w.Z) }
 
 // Norm returns the Euclidean length of v.
 func (v Vec3) Norm() float64 { return math.Sqrt(v.Dot(v)) }

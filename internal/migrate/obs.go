@@ -7,17 +7,15 @@ import (
 	"repro/internal/obs"
 )
 
-// Wire-protocol instrumentation: frame/byte counters on the process-wide
+// Wire-protocol instrumentation: byte and error counters on the process-wide
 // obs registry, and transfer-phase spans on an optionally installed tracer.
 // Everything is lazy and lock-cheap so the uninstrumented path costs one
 // atomic load.
 
 type wireMetrics struct {
-	frames   *obs.CounterVec // migrate_frames_total{dir,kind}
-	bytesOut *obs.Counter    // migrate_frame_bytes_total{dir} — wire bytes incl. framing
+	bytesOut *obs.Counter // migrate_frame_bytes_total{dir} — wire bytes incl. framing
 	bytesIn  *obs.Counter
 	errors   *obs.CounterVec // migrate_frame_errors_total{dir}
-	sendQ    *obs.Quantile   // migrate_send_ms — whole-transfer wall latency
 }
 
 var (
@@ -31,29 +29,13 @@ func wire() *wireMetrics {
 		bytes := reg.CounterVec("migrate_frame_bytes_total",
 			"Wire bytes moved by the migration protocol, including framing overhead.", "dir")
 		metrics = &wireMetrics{
-			frames: reg.CounterVec("migrate_frames_total",
-				"Wire-protocol frames by direction and kind.", "dir", "kind"),
 			bytesOut: bytes.With("out"),
 			bytesIn:  bytes.With("in"),
 			errors: reg.CounterVec("migrate_frame_errors_total",
 				"Frame encode/decode failures by direction.", "dir"),
-			sendQ: reg.Quantile("migrate_send_ms",
-				"Streaming quantile of whole state-transfer send latency in wall-clock ms."),
 		}
 	})
 	return metrics
-}
-
-func (k FrameKind) String() string {
-	switch k {
-	case FrameSession:
-		return "session"
-	case FrameGeneric:
-		return "generic"
-	case FrameCutover:
-		return "cutover"
-	}
-	return "unknown"
 }
 
 // tracer is the package tracer for SendStateResumable/Receiver.Receive phase

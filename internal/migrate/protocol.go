@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -53,9 +52,7 @@ func WriteFrame(w io.Writer, kind FrameKind, payload []byte) error {
 		wire().errors.With("out").Inc()
 		return err
 	}
-	m := wire()
-	m.frames.With("out", kind.String()).Inc()
-	m.bytesOut.Add(uint64(len(payload)) + frameOverhead)
+	wire().bytesOut.Add(uint64(len(payload)) + frameOverhead)
 	return nil
 }
 
@@ -93,9 +90,7 @@ func ReadFrame(r io.Reader) (FrameKind, []byte, error) {
 		}
 		return kind, payload, err
 	}
-	m := wire()
-	m.frames.With("in", kind.String()).Inc()
-	m.bytesIn.Add(uint64(len(payload)) + frameOverhead)
+	wire().bytesIn.Add(uint64(len(payload)) + frameOverhead)
 	return kind, payload, nil
 }
 
@@ -144,8 +139,6 @@ func SendStateResumable(w io.Writer, generic, session []byte, genericOff, sessio
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
-	start := time.Now()
-	defer func() { wire().sendQ.Observe(float64(time.Since(start)) / float64(time.Millisecond)) }()
 	root := tracer.Load().Start("migrate.send")
 	root.SetAttr("generic_bytes", fmt.Sprint(len(generic)-genericOff))
 	root.SetAttr("session_bytes", fmt.Sprint(len(session)-sessionOff))

@@ -100,15 +100,13 @@ func DebugMux(reg *Registry, opts ...DebugOption) *http.ServeMux {
 	return mux
 }
 
-// RuntimeMetrics is a set of Go runtime gauges (goroutines, heap bytes, GC
-// cycles). RegisterRuntimeMetrics hooks Collect into the registry's scrape
+// RuntimeMetrics is a set of Go runtime gauges (goroutines, live heap
+// bytes). RegisterRuntimeMetrics hooks Collect into the registry's scrape
 // path, so /metrics always serves fresh values; call Collect directly only
 // when reading the gauges without a scrape.
 type RuntimeMetrics struct {
 	goroutines *Gauge
 	heapAlloc  *Gauge
-	totalAlloc *Gauge
-	numGC      *Gauge
 }
 
 // RegisterRuntimeMetrics registers the go_* gauge families on reg and
@@ -118,8 +116,6 @@ func RegisterRuntimeMetrics(reg *Registry) *RuntimeMetrics {
 	m := &RuntimeMetrics{
 		goroutines: reg.Gauge("go_goroutines", "Number of live goroutines."),
 		heapAlloc:  reg.Gauge("go_heap_alloc_bytes", "Bytes of allocated heap objects."),
-		totalAlloc: reg.Gauge("go_total_alloc_bytes", "Cumulative bytes allocated on the heap."),
-		numGC:      reg.Gauge("go_gc_cycles", "Completed GC cycles."),
 	}
 	reg.hookMu.Lock()
 	hooked := reg.runtimeHooked
@@ -137,6 +133,4 @@ func (m *RuntimeMetrics) Collect() {
 	runtime.ReadMemStats(&ms)
 	m.goroutines.Set(float64(runtime.NumGoroutine()))
 	m.heapAlloc.Set(float64(ms.HeapAlloc))
-	m.totalAlloc.Set(float64(ms.TotalAlloc))
-	m.numGC.Set(float64(ms.NumGC))
 }
