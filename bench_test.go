@@ -10,12 +10,10 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/constellation"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
-	"repro/internal/geo"
 	"repro/internal/meetup"
 	"repro/internal/obs"
 	"repro/internal/power"
@@ -411,77 +409,6 @@ func BenchmarkExtensionCDNDistribution(b *testing.B) {
 }
 
 // Fleet-scale control-plane benchmarks (PR 2).
-
-// BenchmarkReachableLinearVsIndex times the same reachable-set queries
-// through the O(N) linear scan and the footprint index, and reports the
-// speed-up — the index must win by ≥5× at 4,409 satellites.
-//
-// The headline metric compares CountReachable with CountReachableFrom:
-// set determination with identical per-hit work on both sides, which is
-// what the fleet hot path performs. The full Pass-materialising pair
-// (Reachable vs ReachableFrom) is also timed — its ratio is smaller
-// because ~30 visible satellites each pay the same ElevationDeg asin on
-// both sides, a per-hit cost no index can remove — and cross-validated
-// for agreement.
-func BenchmarkReachableLinearVsIndex(b *testing.B) {
-	c, err := constellation.StarlinkPhase1(constellation.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	obs := visibility.NewObserver(c)
-	ix, err := visibility.NewIndex(obs, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	snap := c.Snapshot(0)
-	if err := ix.Rebuild(snap); err != nil {
-		b.Fatal(err)
-	}
-	var grounds []geo.Vec3
-	for lat := -55.0; lat <= 55; lat += 11 {
-		for lon := -180.0; lon < 180; lon += 45 {
-			grounds = append(grounds, geo.LatLon{LatDeg: lat, LonDeg: lon}.ECEF())
-		}
-	}
-	var buf []visibility.Pass
-	var linearNs, indexNs, fullLinearNs, fullIndexNs, checksum int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		start := time.Now()
-		for _, g := range grounds {
-			checksum += int64(obs.CountReachable(g, snap))
-		}
-		linearNs += time.Since(start).Nanoseconds()
-		start = time.Now()
-		for _, g := range grounds {
-			checksum -= int64(ix.CountReachableFrom(g))
-		}
-		indexNs += time.Since(start).Nanoseconds()
-		start = time.Now()
-		for _, g := range grounds {
-			buf = obs.Reachable(g, snap, buf[:0])
-			checksum += int64(len(buf))
-		}
-		fullLinearNs += time.Since(start).Nanoseconds()
-		start = time.Now()
-		for _, g := range grounds {
-			buf = ix.ReachableFrom(g, buf[:0])
-			checksum -= int64(len(buf))
-		}
-		fullIndexNs += time.Since(start).Nanoseconds()
-	}
-	b.StopTimer()
-	if checksum != 0 {
-		b.Fatalf("index and linear scan disagree on reachable counts (checksum %d)", checksum)
-	}
-	if indexNs > 0 {
-		b.ReportMetric(float64(linearNs)/float64(indexNs), "index-speedup-x")
-	}
-	if fullIndexNs > 0 {
-		b.ReportMetric(float64(fullLinearNs)/float64(fullIndexNs), "pass-speedup-x")
-	}
-	b.ReportMetric(float64(indexNs)/float64(b.N)/float64(len(grounds)), "index-query-ns")
-}
 
 // BenchmarkFleetIndexRebuild times re-bucketing all 4,409 satellites — the
 // per-epoch fixed cost of the footprint index.

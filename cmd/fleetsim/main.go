@@ -48,7 +48,6 @@ import (
 	"repro/internal/netgraph"
 	"repro/internal/obs"
 	"repro/internal/plot"
-	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
@@ -88,6 +87,18 @@ type options struct {
 // chaosEnabled reports whether any fault channel is active.
 func (o options) chaosEnabled() bool {
 	return o.satMTBFHr > 0 || o.islFlapHr > 0 || o.migFail > 0
+}
+
+// faultConfig is the fault schedule the flags ask for. The fleet and each
+// serve engine build their own injector from it: same seed, same schedule.
+func (o options) faultConfig() faults.Config {
+	return faults.Config{
+		Seed:              o.faultSeed,
+		SatMTBFHours:      o.satMTBFHr,
+		SatMTTRSec:        o.satMTTRSec,
+		ISLFlapPerHour:    o.islFlapHr,
+		MigrationFailProb: o.migFail,
+	}
 }
 
 func parseFlags(args []string) (options, error) {
@@ -262,13 +273,7 @@ func run(out io.Writer, o options) error {
 	reg := obs.NewRegistry()
 	var inj *faults.Injector
 	if o.chaosEnabled() {
-		inj, err = faults.New(c.Size(), faults.Config{
-			Seed:              o.faultSeed,
-			SatMTBFHours:      o.satMTBFHr,
-			SatMTTRSec:        o.satMTTRSec,
-			ISLFlapPerHour:    o.islFlapHr,
-			MigrationFailProb: o.migFail,
-		})
+		inj, err = faults.New(c.Size(), o.faultConfig())
 		if err != nil {
 			return err
 		}
@@ -372,6 +377,7 @@ func run(out io.Writer, o options) error {
 
 	if err := report(out, orch, reportInputs{
 		horizonSec: horizonSec,
+		stepSec:    o.stepSec,
 		reps:       reps,
 		chaos:      inj != nil,
 		tl:         tl,
@@ -460,6 +466,7 @@ func epochSeries(reps []fleet.EpochReport, chaos bool) []plot.Series {
 
 type reportInputs struct {
 	horizonSec float64
+	stepSec    float64             // the epoch each report covers
 	reps       []fleet.EpochReport // every epoch's report, in order
 	chaos      bool                // whether faults were injected
 
@@ -469,32 +476,33 @@ type reportInputs struct {
 
 // report prints the fleet summary: population, hand-off pressure, placement
 // latency quantiles, and how the load spread over the satellite-servers.
-// The lifetime counts come off one fleet.Stats snapshot; what needs the
-// epochs one by one (the peak, the per-epoch transfer means, the assigned
-// fraction's low point) comes off their reports. All of the chaos section is
-// deterministic for a fixed flag set, so it is safe to diff across runs.
+// The lifetime counts and the per-hand-off transfer mean come off one
+// fleet.Stats snapshot; what needs the epochs one by one (the peak, the
+// session-hours, the downtime sum, the assigned fraction's low point) comes
+// off their reports. All of the chaos section is deterministic for a fixed
+// flag set, so it is safe to diff across runs.
 func report(out io.Writer, orch *fleet.Orchestrator, in reportInputs) error {
 	st := orch.Stats()
 	hours := in.horizonSec / 3600
 
-	var transfer, downtime stats.Summary
 	peakSessions, minFrac, finalFrac := 0, 1.0, 0.0
+	sessionHours, downtimeSec, moves := 0.0, 0.0, 0
 	for _, rep := range in.reps {
 		peakSessions = max(peakSessions, rep.Sessions)
-		if rep.Transfer.N() > 0 {
-			transfer.Add(rep.Transfer.Mean())
-			downtime.Add(rep.Downtime.Mean())
-		}
+		sessionHours += float64(rep.Sessions) * in.stepSec / 3600
+		downtimeSec += rep.Downtime.Mean() * float64(rep.Downtime.N())
+		moves += rep.Downtime.N()
 		if rep.Sessions > 0 {
 			finalFrac = float64(rep.Assigned) / float64(rep.Sessions)
 			minFrac = min(minFrac, finalFrac)
 		}
 	}
-
-	sessionHours := float64(st.Sessions) * hours // steady-state approximation
-	handoffRate := 0.0
+	handoffRate, meanDowntimeSec := 0.0, 0.0
 	if sessionHours > 0 {
 		handoffRate = float64(st.Handoffs) / sessionHours
+	}
+	if moves > 0 {
+		meanDowntimeSec = downtimeSec / float64(moves)
 	}
 
 	fmt.Fprintf(out, "\nfleet report — %d epochs, %.1f h simulated\n", st.Epochs, hours)
@@ -504,8 +512,8 @@ func report(out io.Writer, orch *fleet.Orchestrator, in reportInputs) error {
 		{"hand-offs", fmt.Sprintf("%d (%.2f per session-hour)", st.Handoffs, handoffRate)},
 		{"rejections", fmt.Sprintf("%d", st.Rejections)},
 		{"departures", fmt.Sprintf("%d", st.Departures)},
-		{"mean transfer latency", fmt.Sprintf("%.2f ms one-way", transfer.Mean())},
-		{"mean migration downtime", fmt.Sprintf("%.1f ms", downtime.Mean()*1000)},
+		{"mean transfer latency", fmt.Sprintf("%.2f ms one-way", st.TransferMs.Mean)},
+		{"mean migration downtime", fmt.Sprintf("%.1f ms", meanDowntimeSec*1000)},
 		{"placement latency", fmt.Sprintf("p50 %.1f µs, p90 %.1f µs, p99 %.1f µs",
 			st.ReplanMs.P50*1000, st.ReplanMs.P90*1000, st.ReplanMs.P99*1000)},
 		{"satellites loaded", fmt.Sprintf("%d of %d", st.LoadedSats, st.Satellites)},

@@ -311,7 +311,10 @@ func checkReportTellsCSV(t *testing.T, out, csv string) {
 			minFrac = min(minFrac, finalFrac)
 		}
 	}
+	// Every run checked here steps 60 s epochs.
+	sessionHours := float64(sum["sessions"]) * 60 / 3600
 	for _, c := range []struct{ row, want string }{
+		{"hand-offs", fmt.Sprintf("%d (%.2f per session-hour)", sum["handoffs"], float64(sum["handoffs"])/sessionHours)},
 		{"initial placements", fmt.Sprint(sum["placements"])},
 		{"rejections", fmt.Sprint(sum["rejections"])},
 		{"departures", fmt.Sprint(sum["departures"])},
@@ -340,6 +343,26 @@ func checkReportTellsCSV(t *testing.T, out, csv string) {
 			t.Fatalf("report row %q counts %d, the CSV's %s column sums to %d", c.row, a, c.col, sum[c.col])
 		}
 	}
+}
+
+// TestReportPerHandoffRates pins CI's telesat chaos run (40 sessions plus
+// 2/s churn for 0.1 h): the hand-off rate divides by the session-hours the
+// epoch reports add up, not the final population times the horizon (0.57),
+// and the transfer and downtime means weigh every hand-off once, not every
+// epoch once (8.21 ms and 8.3 ms).
+func TestReportPerHandoffRates(t *testing.T) {
+	csv, out := runCSV(t, []string{"-name", "telesat", "-sessions", "40", "-hours", "0.1", "-step", "60",
+		"-fault-seed", "7", "-sat-mtbf", "0.5", "-sat-mttr", "-1", "-isl-flap", "5", "-mig-fail", "0.2"})
+	for _, c := range []struct{ row, want string }{
+		{"hand-offs", "36 (1.04 per session-hour)"},
+		{"mean transfer latency", "9.93 ms one-way"},
+		{"mean migration downtime", "10.0 ms"},
+	} {
+		if got := rowOf(t, out, c.row); got != c.want {
+			t.Fatalf("report row %q reads %q, want %q", c.row, got, c.want)
+		}
+	}
+	checkReportTellsCSV(t, out, csv)
 }
 
 // rowOf returns the value cell of the report table row named row.

@@ -159,13 +159,7 @@ func newServeRun(o options, c *constellation.Constellation, reg *obs.Registry,
 	for _, p := range policies {
 		var inj *faults.Injector
 		if o.chaosEnabled() {
-			inj, err = faults.New(c.Size(), faults.Config{
-				Seed:              o.faultSeed,
-				SatMTBFHours:      o.satMTBFHr,
-				SatMTTRSec:        o.satMTTRSec,
-				ISLFlapPerHour:    o.islFlapHr,
-				MigrationFailProb: o.migFail,
-			})
+			inj, err = faults.New(c.Size(), o.faultConfig())
 			if err != nil {
 				return nil, err
 			}

@@ -67,16 +67,6 @@ func Locations(cs []City) []geo.LatLon {
 	return out
 }
 
-// ECEF projects a city slice onto surface ECEF vectors, the form the
-// visibility fast paths consume.
-func ECEF(cs []City) []geo.Vec3 {
-	out := make([]geo.Vec3, len(cs))
-	for i, c := range cs {
-		out[i] = c.Loc.ECEF()
-	}
-	return out
-}
-
 // withSyntheticTail extends the real list to exactly n entries with
 // deterministic synthetic cities.
 func withSyntheticTail(n int) []City {

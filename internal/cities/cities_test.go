@@ -4,6 +4,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/units"
 )
 
 func TestRealAllValid(t *testing.T) {
@@ -120,20 +122,21 @@ func TestSyntheticTailProperties(t *testing.T) {
 	}
 }
 
+// TestLocationsAndECEF: Locations projects cities onto their coordinates,
+// surface points whose ECEF vectors lie on the Earth's radius — the ground
+// sets a visibility.Surface indexes.
 func TestLocationsAndECEF(t *testing.T) {
-	top := TopN(50)
+	top := TopN(MaxCities)
 	locs := Locations(top)
-	vecs := ECEF(top)
-	if len(locs) != 50 || len(vecs) != 50 {
-		t.Fatal("projection lengths wrong")
+	if len(locs) != MaxCities {
+		t.Fatal("projection length wrong")
 	}
 	for i := range top {
 		if locs[i] != top[i].Loc {
 			t.Fatalf("Locations[%d] mismatch", i)
 		}
-		want := top[i].Loc.ECEF()
-		if math.Abs(vecs[i].X-want.X) > 1e-9 {
-			t.Fatalf("ECEF[%d] mismatch", i)
+		if r := locs[i].ECEF().Norm(); locs[i].AltKm != 0 || math.Abs(r-units.EarthRadiusKm) > 1e-9 {
+			t.Fatalf("city %d at %v km altitude, |ECEF| %v km: not a surface point", i, locs[i].AltKm, r)
 		}
 	}
 }

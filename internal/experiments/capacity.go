@@ -111,16 +111,15 @@ func footprintsOf(c *constellation.Constellation, topN int) (footprints, error) 
 		return footprints{}, fmt.Errorf("experiments: topN %d out of range", topN)
 	}
 	fp := footprints{top: cities.TopN(topN), visible: make([][]int, c.Size()), inView: make([]int, topN)}
-	grounds := cities.ECEF(fp.top)
-	obs := visibility.NewObserver(c)
-	for sat, pos := range engineFor(c).SnapshotAt(0) {
-		for ci, g := range grounds {
-			if obs.Visible(g, sat, pos) {
+	surf := visibility.NewSurface(visibility.NewObserver(c), cities.Locations(fp.top))
+	surf.Scan(engineFor(c).SnapshotAt(0), func(rows [][]int32) {
+		for ci, row := range rows {
+			fp.inView[ci] = len(row)
+			for _, sat := range row {
 				fp.visible[sat] = append(fp.visible[sat], ci)
-				fp.inView[ci]++
 			}
 		}
-	}
+	})
 	return fp, nil
 }
 

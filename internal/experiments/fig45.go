@@ -63,30 +63,28 @@ func Fig4(cfg Fig4Config) ([]Fig4Result, error) {
 			maxN = n
 		}
 	}
-	grounds := cities.ECEF(cities.TopN(maxN))
+	locs := cities.Locations(cities.TopN(maxN))
 	consts, err := cfg.Constellations.build()
 	if err != nil {
 		return nil, err
 	}
-	var out []Fig4Result
-	for _, c := range consts {
-		obs := visibility.NewObserver(c)
-		snap := engineFor(c).SnapshotAt(fig4SnapshotSec)
+	// One constellation a worker: each is one serial Surface scan.
+	out := make([]Fig4Result, len(consts))
+	err = parallelFor(len(consts), func(i int) error {
+		c := consts[i]
 		// firstSeen[id] = smallest city rank (1-based) that sees sat id,
 		// or 0 when no city in the full list does. One pass covers all n.
 		firstSeen := make([]int, c.Size())
-		err := parallelFor(c.Size(), func(id int) error {
-			for rank, g := range grounds {
-				if obs.Visible(g, id, snap[id]) {
-					firstSeen[id] = rank + 1
-					break
+		surf := visibility.NewSurface(visibility.NewObserver(c), locs)
+		surf.Scan(engineFor(c).SnapshotAt(fig4SnapshotSec), func(rows [][]int32) {
+			for rank, row := range rows {
+				for _, id := range row {
+					if firstSeen[id] == 0 {
+						firstSeen[id] = rank + 1
+					}
 				}
 			}
-			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
 		res := Fig4Result{Constellation: c.Name, Total: c.Size(), NValues: cfg.NValues}
 		for _, n := range cfg.NValues {
 			inv := 0
@@ -97,7 +95,11 @@ func Fig4(cfg Fig4Config) ([]Fig4Result, error) {
 			}
 			res.Invisible = append(res.Invisible, inv)
 		}
-		out = append(out, res)
+		out[i] = res
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -120,19 +122,22 @@ func Fig5(set ConstellationSet, n int, snapshotSec float64) ([]Fig5Result, error
 	if n <= 0 || n > cities.MaxCities {
 		return nil, fmt.Errorf("experiments: n=%d out of range", n)
 	}
-	top := cities.TopN(n)
-	grounds := cities.ECEF(top)
-	locs := cities.Locations(top)
+	locs := cities.Locations(cities.TopN(n))
 	consts, err := set.build()
 	if err != nil {
 		return nil, err
 	}
 	var out []Fig5Result
 	for _, c := range consts {
-		obs := visibility.NewObserver(c)
 		snap := engineFor(c).SnapshotAt(snapshotSec)
 		seen := make([]bool, c.Size())
-		obs.MarkVisibleFromAny(grounds, snap, seen)
+		visibility.NewSurface(visibility.NewObserver(c), locs).Scan(snap, func(rows [][]int32) {
+			for _, row := range rows {
+				for _, id := range row {
+					seen[id] = true
+				}
+			}
+		})
 		res := Fig5Result{Constellation: c.Name, Cities: locs, Total: c.Size()}
 		for id, s := range seen {
 			if !s {

@@ -6,15 +6,12 @@ package netgraph
 // still yields meaningful speedup and allocation metrics.
 
 import (
-	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/cities"
 	"repro/internal/constellation"
 	"repro/internal/geo"
 	"repro/internal/par"
@@ -270,51 +267,6 @@ func BenchmarkISLShortest(b *testing.B) {
 	b.ReportMetric(float64(frozenNs)/queries, "frozen-ns/op")
 	b.ReportMetric(float64(legacyNs)/queries, "legacy-ns/op")
 	b.ReportMetric(float64(legacyNs)/float64(frozenNs), "frozen-speedup-x")
-}
-
-// BenchmarkFreeze times the two visibility scans on the same snapshots of the
-// Starlink preset, by ground count (the N most populous cities) — the
-// receipt behind visibility.IndexMinGrounds. Snapshots are propagated
-// outside the timers; the primary run is 2 s apart (the hand-off cadence),
-// the second a minute apart (the figure and fleet cadence), which a
-// stateless scan must not care about. Every indexed CSR is checked against
-// the linear one.
-func BenchmarkFreeze(b *testing.B) {
-	c, err := constellation.StarlinkPhase1(constellation.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const steps = 16
-	for _, grounds := range []int{2, 8, 16, 24, 32, 40, 200} {
-		b.Run(fmt.Sprintf("grounds=%d", grounds), func(b *testing.B) {
-			n := New(c, cities.Locations(cities.TopN(grounds)))
-			fp := newFootprint(n)
-			var ns [2]struct{ index, linear int64 }
-			for i := 0; i < b.N; i++ {
-				for ci, stepSec := range []float64{2, 60} {
-					for k := 0; k < steps; k++ {
-						tSec := float64(i*steps+k) * stepSec
-						s := n.At(tSec)
-						start := time.Now()
-						got := indexFrozen(s, fp)
-						ns[ci].index += time.Since(start).Nanoseconds()
-						start = time.Now()
-						want := buildFrozen(s)
-						ns[ci].linear += time.Since(start).Nanoseconds()
-						if !slices.Equal(got.g.adj, want.g.adj) || !slices.Equal(got.g.w, want.g.w) {
-							b.Fatalf("t=%g: indexed and linear freezes differ", tSec)
-						}
-					}
-				}
-			}
-			per := float64(b.N * steps)
-			b.ReportMetric(float64(ns[0].index)/per, "index-ns/op")
-			b.ReportMetric(float64(ns[0].linear)/per, "linear-ns/op")
-			b.ReportMetric(float64(ns[0].linear)/float64(ns[0].index), "index-speedup-x")
-			b.ReportMetric(float64(ns[1].index)/per, "index60-ns/op")
-			b.ReportMetric(float64(ns[1].linear)/float64(ns[1].index), "index-speedup-60s-x")
-		})
-	}
 }
 
 // BenchmarkSnapshotFreeze times the one-time per-snapshot CSR build that

@@ -1,15 +1,18 @@
 package netgraph
 
-// Differential tests for the indexed visibility scan: a freeze through the
-// footprint index must produce CSR arrays byte-identical to the linear scan
-// at every instant — including the mask-crossing churn the poles and
-// dateline stations in diffGrounds provoke — and every input the index does
-// not cover must degrade to the linear scan, never to a wrong graph.
+// Differential tests for the freeze over the footprint index: past
+// visibility.IndexMinGrounds the network's Surface scans each snapshot
+// through the index, and the CSR it freezes must be byte-identical to one
+// assembled from the linear scan at every instant — including the
+// mask-crossing churn the poles and dateline stations in diffGrounds provoke.
+// Every input the index does not cover must freeze to the same linear graph,
+// never to a wrong one. Which scan the Surface picks is pinned in
+// visibility's own tests; these pin what the freeze makes of its rows.
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/constellation"
@@ -46,20 +49,40 @@ func sameCSR(t *testing.T, label string, got, want *frozen) {
 	}
 }
 
-// indexVsLinear freezes s through the footprint index and pins it to the
-// linear scan.
-func indexVsLinear(t *testing.T, label string, s *Snapshot, fp *footprint) {
-	t.Helper()
-	got := indexFrozen(s, fp)
-	if got == nil {
-		t.Fatalf("%s: snapshot not indexed", label)
+// linearFrozen is the oracle: the CSR assembled from every (ground,
+// satellite) pair tested through the network's Observer.
+func linearFrozen(s *Snapshot) *frozen {
+	rows := make([][]int32, len(s.net.Grounds))
+	for gi, g := range s.net.groundECEF {
+		for id, p := range s.satPos {
+			if s.net.Observer.Visible(g, id, p) {
+				rows[gi] = append(rows[gi], int32(id))
+			}
+		}
 	}
-	sameCSR(t, label, got, buildFrozen(s))
+	return assembleCSR(s, rows)
+}
+
+// freezeVsLinear freezes s through the network's Surface and pins it to the
+// linear scan.
+func freezeVsLinear(t *testing.T, label string, s *Snapshot) {
+	t.Helper()
+	sameCSR(t, label, s.frozen(), linearFrozen(s))
+}
+
+// manyGrounds is diffGrounds padded past visibility.IndexMinGrounds, so the
+// network's Surface takes the indexed scan when the input allows it.
+func manyGrounds() []geo.LatLon {
+	gs := append([]geo.LatLon(nil), diffGrounds...)
+	for lon := -180.0; len(gs) < visibility.IndexMinGrounds+6; lon += 17 {
+		gs = append(gs, geo.LatLon{LatDeg: lon / 3, LonDeg: lon})
+	}
+	return gs
 }
 
 // TestIndexFreezeMatchesLinearScan sweeps the three presets — Telesat for
 // its polar shell and 10° mask — over one orbital period a minute apart and
-// over 24 minutes at the 2 s hand-off cadence, through one pooled index.
+// over 24 minutes at the 2 s hand-off cadence, through one network's Surface.
 func TestIndexFreezeMatchesLinearScan(t *testing.T) {
 	presets := map[string]func(constellation.Config) (*constellation.Constellation, error){
 		"starlink": constellation.StarlinkPhase1, "kuiper": constellation.Kuiper, "telesat": constellation.Telesat,
@@ -71,35 +94,21 @@ func TestIndexFreezeMatchesLinearScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := New(c, diffGrounds)
-			fp := newFootprint(n)
-			if fp == nil {
-				t.Fatal("preset over surface grounds not indexed")
-			}
+			n := New(c, manyGrounds())
 			fine := 720
 			if testing.Short() {
 				fine = 60
 			}
 			for i := 0; 60*float64(i) <= orbitalPeriodSec; i++ {
 				tSec := 60 * float64(i)
-				indexVsLinear(t, fmt.Sprintf("%s t=%g", name, tSec), n.At(tSec), fp)
+				freezeVsLinear(t, fmt.Sprintf("%s t=%g", name, tSec), n.At(tSec))
 			}
 			for i := 0; i < fine; i++ {
 				tSec := 1801 + 2*float64(i)
-				indexVsLinear(t, fmt.Sprintf("%s t=%g", name, tSec), n.At(tSec), fp)
+				freezeVsLinear(t, fmt.Sprintf("%s t=%g", name, tSec), n.At(tSec))
 			}
 		})
 	}
-}
-
-// manyGrounds is diffGrounds padded past visibility.IndexMinGrounds, so
-// frozen() takes the indexed scan when the network allows it.
-func manyGrounds() []geo.LatLon {
-	gs := append([]geo.LatLon(nil), diffGrounds...)
-	for lon := -180.0; len(gs) < visibility.IndexMinGrounds+6; lon += 17 {
-		gs = append(gs, geo.LatLon{LatDeg: lon / 3, LonDeg: lon})
-	}
-	return gs
 }
 
 // TestIndexFreezeFallbacks: each input the index does not cover must freeze
@@ -111,34 +120,22 @@ func TestIndexFreezeFallbacks(t *testing.T) {
 	}
 
 	t.Run("below the crossover", func(t *testing.T) {
-		if n := New(c, diffGrounds); n.footprint() != nil {
-			t.Fatalf("%d grounds indexed, crossover is %d", len(diffGrounds), visibility.IndexMinGrounds)
-		}
-		if New(c, manyGrounds()).footprint() == nil {
-			t.Fatal("a ground set past the crossover is not indexed")
+		for _, gs := range [][]geo.LatLon{diffGrounds, manyGrounds()} {
+			freezeVsLinear(t, fmt.Sprintf("%d grounds", len(gs)), New(c, gs).At(300))
 		}
 	})
 
 	t.Run("elevated ground", func(t *testing.T) {
 		gs := manyGrounds()
 		gs[7].AltKm = 2.5
-		n := New(c, gs)
-		if n.footprint() != nil {
-			t.Fatal("a ground off the surface must not be indexed")
-		}
-		s := n.At(300)
-		sameCSR(t, "elevated", s.frozen(), buildFrozen(s))
+		freezeVsLinear(t, "elevated", New(c, gs).At(300))
 	})
 
 	t.Run("mask override", func(t *testing.T) {
 		n := New(c, manyGrounds())
 		n.Observer = visibility.NewObserverWithMask(c, 40)
-		fp := n.footprint()
-		if fp == nil {
-			t.Fatal("a mask-overridden observer has one limit per shell and must be indexed")
-		}
 		s := n.At(300)
-		indexVsLinear(t, "mask 40", s, fp)
+		freezeVsLinear(t, "mask 40", s)
 		if tight, wide := len(s.frozen().g.adj), len(New(c, manyGrounds()).At(300).frozen().g.adj); tight >= wide {
 			t.Fatalf("40° mask froze %d edges, shell masks %d: override not applied", tight, wide)
 		}
@@ -153,57 +150,9 @@ func TestIndexFreezeFallbacks(t *testing.T) {
 		id := at.VisibleSats(4)[0]
 		pos[id] = pos[id].Scale(1 - 50/pos[id].Norm())
 		s := &Snapshot{net: n, satPos: pos}
-		if indexFrozen(s, n.footprint()) != nil {
-			t.Fatal("a satellite 50 km below its shell was indexed")
-		}
-		sameCSR(t, "displaced", s.frozen(), buildFrozen(s))
-		if got := indexFrozen(&Snapshot{net: n, satPos: pos[:10]}, n.footprint()); got != nil {
-			t.Fatal("a short snapshot was indexed")
-		}
-	})
-}
-
-// FuzzFreezeMatchesLinearScan pins the indexed scan to the linear one over
-// random Walker constellations, ground sets and cadences: shells of mixed
-// altitude, inclination and mask, grounds anywhere including the poles and
-// the dateline, a run of instants any step apart.
-func FuzzFreezeMatchesLinearScan(f *testing.F) {
-	f.Add(int64(1), uint8(6), 0.0, 2.0)
-	f.Add(int64(2), uint8(40), 5000.0, 60.0)
-	f.Add(int64(3), uint8(1), 86399.0, 0.0)
-	f.Add(int64(4), uint8(200), 12.5, 1800.0)
-	f.Fuzz(func(t *testing.T, seed int64, nGrounds uint8, t0, stepSec float64) {
-		if !(t0 >= 0 && t0 <= 2*86400) || !(stepSec >= 0 && stepSec <= 7200) {
-			t.Skip()
-		}
-		rng := rand.New(rand.NewSource(seed))
-		shells := make([]constellation.Shell, 1+rng.Intn(3))
-		for i := range shells {
-			shells[i] = constellation.Shell{
-				Name: "s", AltitudeKm: 300 + rng.Float64()*1500, InclinationDeg: 30 + rng.Float64()*70,
-				Planes: 3 + rng.Intn(20), SatsPerPlane: 3 + rng.Intn(24),
-				MinElevationDeg: 5 + rng.Float64()*40,
-			}
-			shells[i].PhaseFactor = rng.Intn(shells[i].Planes)
-		}
-		c, err := constellation.Build("fuzz", shells, constellation.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		grounds := []geo.LatLon{{LatDeg: 90}, {LatDeg: -90, LonDeg: 77}, {LonDeg: 180}, {LatDeg: 3, LonDeg: -180}}
-		for len(grounds) < 1+int(nGrounds) {
-			grounds = append(grounds, geo.LatLon{LatDeg: 180*rng.Float64() - 90, LonDeg: 360*rng.Float64() - 180})
-		}
-		n := New(c, grounds[:1+int(nGrounds)])
-		// The ISL CSR cache keys on the grid and never evicts.
-		defer islCSRCache.Delete(n.Grid)
-		fp := newFootprint(n)
-		if fp == nil {
-			t.Fatal("Walker shells over surface grounds not indexed")
-		}
-		for i := 0; i < 4; i++ {
-			tSec := t0 + float64(i)*stepSec
-			indexVsLinear(t, fmt.Sprintf("t=%g", tSec), n.At(tSec), fp)
+		freezeVsLinear(t, "displaced", s)
+		if row, _ := s.frozen().groundRow(4); !slices.Contains(row, int32(id)) {
+			t.Fatalf("New York's row %v lost the lowered satellite %d: the case tests nothing", row, id)
 		}
 	})
 }

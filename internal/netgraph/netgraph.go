@@ -37,17 +37,19 @@ type NodeID int
 type Network struct {
 	Constellation *constellation.Constellation
 	Grid          *isl.Grid
-	Observer      *visibility.Observer
-	Grounds       []geo.LatLon
+	// Observer decides ground–satellite visibility. The first freeze builds
+	// the network's Surface from it, so set it before the first At.
+	Observer *visibility.Observer
+	Grounds  []geo.LatLon
 
 	groundECEF []geo.Vec3
 	eng        *ephem.Engine // optional shared ephemeris
 	m          *metricsSet   // optional registry override (UseObs)
 
-	// fp is the footprint-index half of the freeze (frozen.go), built by the
-	// first one; nil when the linear scan serves this network.
-	fpOnce sync.Once
-	fp     *footprint
+	// surf answers the freeze's visibility scan (frozen.go), built by the
+	// first one.
+	surfOnce sync.Once
+	surf     *visibility.Surface
 }
 
 // UseEphemeris routes snapshot propagation through a shared ephemeris

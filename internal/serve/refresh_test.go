@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/constellation"
 	"repro/internal/faults"
 	"repro/internal/geo"
+	"repro/internal/units"
 	"repro/internal/visibility"
 )
 
@@ -43,33 +45,42 @@ func chaosInjector(t testing.TB, c *constellation.Constellation) *faults.Injecto
 }
 
 // checkLinear fails unless the engine's candidate lists and downOnly flags
-// are the ones the linear scan builds from the same frame: the same IDs in
-// the same order with the same OneWayMs and LifeSec bits. It leaves the
-// engine's lists the linear scan's. It returns how many sites were downOnly.
-func checkLinear(t *testing.T, e *Engine, label string) int {
+// are the ones a test of every satellite builds from the same frame: the
+// same IDs in the same order with the same OneWayMs and LifeSec bits. It
+// returns how many sites were downOnly.
+func checkLinear(t *testing.T, e *Engine, obs *visibility.Observer, label string) int {
 	t.Helper()
-	got := make([][]Candidate, len(e.cands))
-	for si := range e.cands {
-		got[si] = slices.Clone(e.cands[si])
-	}
-	gotDown := slices.Clone(e.downOnly)
-	ix := e.ix
-	e.ix = nil
-	e.fillCands()
-	e.ix = ix
-	down := 0
-	for si, want := range e.cands {
-		if gotDown[si] != e.downOnly[si] {
-			t.Fatalf("%s site %d: downOnly %v, linear scan %v", label, si, gotDown[si], e.downOnly[si])
+	now, inj, down := e.ring.Frame(0), e.cfg.Faults, 0
+	for si, g := range e.grounds {
+		var want []Candidate
+		visible := false
+		for id, p := range now {
+			if !obs.Visible(g, id, p) {
+				continue
+			}
+			visible = true
+			if inj != nil && !inj.SatUp(id) {
+				continue
+			}
+			life := 0.0
+			for n := e.ring.Life(e.grounds[si:si+1], id); n > 0; n-- {
+				life += e.cfg.RefreshSec
+			}
+			want = append(want, Candidate{SatID: id, OneWayMs: units.PropagationDelayMs(g.Distance(p)), LifeSec: life})
+		}
+		slices.SortStableFunc(want, func(a, b Candidate) int { return cmp.Compare(a.OneWayMs, b.OneWayMs) })
+		if e.downOnly[si] != (len(want) == 0 && visible) {
+			t.Fatalf("%s site %d: downOnly %v, linear scan %v", label, si, e.downOnly[si], !e.downOnly[si])
 		}
 		if e.downOnly[si] {
 			down++
 		}
-		if len(got[si]) != len(want) {
-			t.Fatalf("%s site %d: %d candidates, linear scan %d", label, si, len(got[si]), len(want))
+		got := e.cands[si]
+		if len(got) != len(want) {
+			t.Fatalf("%s site %d: %d candidates, linear scan %d", label, si, len(got), len(want))
 		}
 		for i, w := range want {
-			g := got[si][i]
+			g := got[i]
 			if g.SatID != w.SatID || math.Float64bits(g.OneWayMs) != math.Float64bits(w.OneWayMs) ||
 				math.Float64bits(g.LifeSec) != math.Float64bits(w.LifeSec) {
 				t.Fatalf("%s site %d candidate %d: %+v, linear scan %+v", label, si, i, g, w)
@@ -81,11 +92,12 @@ func checkLinear(t *testing.T, e *Engine, label string) int {
 
 // TestIndexedRefreshMatchesLinear: at every refresh of a half-hour run under
 // chaos, for every policy, each site's candidate list and downOnly flag
-// through the footprint index equal the linear scan's, over Starlink's five
-// shells, the poles and the dateline. A site off the surface sends the
-// engine to the linear scan.
+// through the footprint index equal a test of every satellite, over
+// Starlink's five shells, the poles and the dateline. (Surface's own tests
+// in internal/visibility cover the inputs that send it to the linear scan.)
 func TestIndexedRefreshMatchesLinear(t *testing.T) {
 	c := starlink(t)
+	obs := visibility.NewObserver(c)
 	sites := manySites()
 	horizon := 1800.0
 	if testing.Short() {
@@ -102,18 +114,18 @@ func TestIndexedRefreshMatchesLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.ix == nil {
+		if !e.surf.Indexed() {
 			t.Fatalf("%d surface sites not indexed", len(sites))
 		}
 		if err := e.Feed(reqs); err != nil {
 			t.Fatal(err)
 		}
-		down += checkLinear(t, e, p.Name()+" t=0")
+		down += checkLinear(t, e, obs, p.Name()+" t=0")
 		for ts := 60.0; ts <= horizon; ts += 60 {
 			if err := e.RunUntil(ts); err != nil {
 				t.Fatal(err)
 			}
-			down += checkLinear(t, e, p.Name())
+			down += checkLinear(t, e, obs, p.Name())
 		}
 		if r := e.Result(); r.Served == 0 || r.Shed[ShedSatDown] == 0 {
 			t.Fatalf("%s: served %d, %d shed sat_down: the run exercised too little", p.Name(), r.Served, r.Shed[ShedSatDown])
@@ -121,24 +133,6 @@ func TestIndexedRefreshMatchesLinear(t *testing.T) {
 	}
 	if down == 0 {
 		t.Fatal("no refresh had a site whose visible satellites were all down")
-	}
-
-	elevated := manySites()
-	elevated[3].Loc.AltKm = 2.5
-	e, err := NewEngine(c, Config{Sites: elevated, Policy: Nearest(), Faults: chaosInjector(t, c)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ix != nil {
-		t.Fatal("a site off the surface must send the engine to the linear scan")
-	}
-	checkLinear(t, e, "elevated")
-	few, err := NewEngine(c, Config{Sites: sites[:visibility.IndexMinGrounds-1], Policy: Nearest()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if few.ix != nil {
-		t.Fatalf("%d sites indexed, crossover is %d", visibility.IndexMinGrounds-1, visibility.IndexMinGrounds)
 	}
 }
 
@@ -165,20 +159,27 @@ func TestIndexedEngineMatchesLegacy(t *testing.T) {
 }
 
 // refreshWork counts the engine's last refresh: the site–satellite compares
-// it made and the candidates it kept.
-func refreshWork(e *Engine) (tested, kept int) {
+// its Surface made and the candidates it kept. A linear Surface tests every
+// pair; an indexed one the satellites inside each site's cell boxes, counted
+// on ix rebuilt from the same frame, which the engine's index accepts iff ix
+// does.
+func refreshWork(b *testing.B, e *Engine, ix *visibility.Index) (tested, kept int) {
 	for _, cs := range e.cands {
 		kept += len(cs)
 	}
-	if e.ix == nil {
+	if !e.surf.Indexed() {
 		return len(e.grounds) * e.nsats, kept
 	}
-	shells := len(e.boxes) / len(e.grounds)
-	for i, box := range e.boxes {
-		for _, b := range e.ix.Halves(box) {
-			for r := b.RowLo; r <= b.RowHi; r++ {
-				lo, hi := e.ix.RowSpan(i%shells, b, r)
-				tested += int(hi - lo)
+	if err := ix.Rebuild(e.ring.Frame(0)); err != nil {
+		b.Fatal(err)
+	}
+	for _, g := range e.grounds {
+		for si, box := range ix.Window([]geo.Vec3{g}) {
+			for _, b := range ix.Halves(box) {
+				for r := b.RowLo; r <= b.RowHi; r++ {
+					lo, hi := ix.RowSpan(si, b, r)
+					tested += int(hi - lo)
+				}
 			}
 		}
 	}
@@ -194,6 +195,10 @@ func refreshWork(e *Engine) (tested, kept int) {
 func BenchmarkServeRefresh(b *testing.B) {
 	c := starlink(b)
 	sites := SitesFromCities(40)
+	ix, err := visibility.NewIndex(visibility.NewObserver(c), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
 	const refreshes, step = 60, 60.0
 	var tested, kept int
 	b.ReportAllocs()
@@ -210,7 +215,7 @@ func BenchmarkServeRefresh(b *testing.B) {
 			b.StartTimer()
 			e.refresh(float64(k) * step)
 			b.StopTimer()
-			n, m := refreshWork(e)
+			n, m := refreshWork(b, e, ix)
 			tested += n
 			kept += m
 		}

@@ -82,7 +82,7 @@ func TestCandidatesMatchNetgraphOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 					if r.lookahead != lookaheadEpochs {
-						e.ring = visibility.NewRing(e.obs, eph, 0, r.refresh, r.lookahead)
+						e.ring = visibility.NewRing(visibility.NewObserver(c), eph, 0, r.refresh, r.lookahead)
 						e.refresh(0)
 					}
 					l, err := newLegacyEngine(c, cfg(), r.lookahead)

@@ -310,19 +310,12 @@ type Engine struct {
 	refreshN int // refreshes performed; the next is due at refreshN*RefreshSec
 
 	// ring holds the frames at now, now+refresh, ...,
-	// now+lookaheadEpochs*refresh, advanced one slot per refresh; obs and
-	// grounds (the sites' surface vectors) are what refresh tests against
-	// them.
+	// now+lookaheadEpochs*refresh, advanced one slot per refresh; surf
+	// answers which satellites each site sees in slot 0, and grounds (the
+	// sites' surface vectors) are what the look-ahead tests.
 	ring    *visibility.Ring
-	obs     *visibility.Observer
+	surf    *visibility.Surface
 	grounds []geo.Vec3
-	// ix buckets slot 0 at each refresh, and boxes holds one cell box per
-	// (site, shell), site-major: the cells that can hold a satellite
-	// visible from the site. Both are nil where refresh tests every
-	// satellite, as netgraph's freeze does: below
-	// visibility.IndexMinGrounds sites, or where NewSurfaceIndex refuses.
-	ix    *visibility.Index
-	boxes []visibility.CellBox
 
 	cands    [][]Candidate // per site, rebuilt each refresh
 	downOnly []bool        // per site: visible sats exist but all are down
@@ -412,18 +405,13 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 		e.prevSat[i] = -1
 	}
 	e.grounds = make([]geo.Vec3, len(cfg.Sites))
+	locs := make([]geo.LatLon, len(cfg.Sites))
 	for i, s := range cfg.Sites {
-		e.grounds[i] = s.Loc.ECEF()
+		e.grounds[i], locs[i] = s.Loc.ECEF(), s.Loc
 	}
-	e.obs = visibility.NewObserver(c)
-	e.ring = visibility.NewRing(e.obs, cfg.Ephem, 0, cfg.RefreshSec, lookaheadEpochs)
-	if len(cfg.Sites) >= visibility.IndexMinGrounds {
-		locs := make([]geo.LatLon, len(cfg.Sites))
-		for i, s := range cfg.Sites {
-			locs[i] = s.Loc
-		}
-		e.ix, e.boxes = visibility.NewSurfaceIndex(e.obs, locs)
-	}
+	o := visibility.NewObserver(c)
+	e.ring = visibility.NewRing(o, cfg.Ephem, 0, cfg.RefreshSec, lookaheadEpochs)
+	e.surf = visibility.NewSurface(o, locs)
 	if cfg.Registry != nil {
 		e.m = newMetricsSet(cfg.Registry)
 		name := cfg.Policy.Name()
@@ -454,54 +442,35 @@ func (e *Engine) refresh(t float64) {
 
 // fillCands rebuilds each site's candidates: the satellites up and in view
 // in the ring's slot 0, nearest first, each with how long the ring keeps it
-// in view. With an index, a site tests only the satellites inside its
-// boxes, with Observer.Visible's compare; a frame the index cannot bucket
-// is tested whole, like every frame without one.
+// in view.
 func (e *Engine) fillCands() {
 	inj := e.cfg.Faults
 	step := e.cfg.RefreshSec
 	now := e.ring.Frame(0)
-	var ids []int32
-	var pos []geo.Vec3
-	if e.ix != nil && e.ix.Rebuild(now) == nil {
-		ids, pos = e.ix.CSR()
-	}
-	shells := len(e.boxes) / len(e.grounds)
-	for si := range e.grounds {
-		site := e.grounds[si : si+1]
-		g := site[0]
-		cands, visible := e.cands[si][:0], false
-		add := func(id int, p geo.Vec3) {
-			visible = true
-			if inj != nil && !inj.SatUp(id) {
-				return
-			}
-			life := 0.0
-			for n := e.ring.Life(site, id); n > 0; n-- {
-				life += step
-			}
-			cands = append(cands, Candidate{SatID: id, OneWayMs: units.PropagationDelayMs(g.Distance(p)), LifeSec: life})
-		}
-		if ids != nil {
-			for sh, box := range e.boxes[si*shells : (si+1)*shells] {
-				e.ix.ScanBox(sh, box, g, func(k int32, _ float64) { add(int(ids[k]), pos[k]) })
-			}
-		} else {
-			for id, p := range now {
-				if e.obs.Visible(g, id, p) {
-					add(id, p)
+	e.surf.Scan(now, func(rows [][]int32) {
+		for si, row := range rows {
+			site := e.grounds[si : si+1]
+			cands := e.cands[si][:0]
+			for _, id := range row {
+				if inj != nil && !inj.SatUp(int(id)) {
+					continue
 				}
+				life := 0.0
+				for n := e.ring.Life(site, int(id)); n > 0; n-- {
+					life += step
+				}
+				cands = append(cands, Candidate{SatID: int(id), OneWayMs: units.PropagationDelayMs(site[0].Distance(now[id])), LifeSec: life})
 			}
+			slices.SortFunc(cands, func(a, b Candidate) int {
+				if c := cmp.Compare(a.OneWayMs, b.OneWayMs); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.SatID, b.SatID)
+			})
+			e.cands[si] = cands
+			e.downOnly[si] = len(cands) == 0 && len(row) > 0
 		}
-		slices.SortFunc(cands, func(a, b Candidate) int {
-			if c := cmp.Compare(a.OneWayMs, b.OneWayMs); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.SatID, b.SatID)
-		})
-		e.cands[si] = cands
-		e.downOnly[si] = len(cands) == 0 && visible
-	}
+	})
 }
 
 // checkArrivals applies the arrival contract to a run: each request

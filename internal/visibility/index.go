@@ -15,16 +15,15 @@ import (
 // studies while a shell's query box stays a few dozen cells.
 const DefaultCellDeg = 4
 
-// IndexMinGrounds is the ground count from which scanning a snapshot through
-// an Index beats testing every (ground, satellite) pair, and the one rule
-// netgraph's freeze and serve's refresh both read. Rebuild is a fixed cost
-// per satellite — two square roots, two divisions and two table loads, about
-// 0.2 ms for Starlink's 4,409 — that a handful of grounds' scans cannot
-// repay. Both costs grow with the constellation, so the crossover is a
-// ground count: BenchmarkFreeze in netgraph reads 0.61 / 0.85 / 1.12 / 1.43 /
-// 1.62 / 1.88 / 4.07× at 2 / 8 / 16 / 24 / 32 / 40 / 200 grounds
-// (EXPERIMENTS.md "Receipts").
-const IndexMinGrounds = 16
+// IndexMinGrounds is the ground count from which a Surface scans a frame
+// through an Index rather than testing every (ground, satellite) pair; only
+// Surface reads it. Rebuild is a fixed cost per satellite — two square
+// roots, two divisions and two table loads, about 0.2 ms for Starlink's
+// 4,409 — that a handful of grounds' scans cannot repay. Both costs grow
+// with the constellation, so the crossover is a ground count:
+// BenchmarkSurface reads 0.10 / 0.39 / 0.67 / 1.01 / 1.24 / 1.5 / 3.2× at
+// 2 / 8 / 16 / 24 / 32 / 40 / 200 grounds (EXPERIMENTS.md "Receipts").
+const IndexMinGrounds = 24
 
 // altSlackKm is the rounding allowance under a shell's lowest orbit: a
 // propagated position sits on its orbit's radius to a few ulps.
@@ -156,29 +155,6 @@ func NewIndex(o *Observer, cellDeg float64) (*Index, error) {
 	ix.pos = make([]geo.Vec3, c.Size())
 	ix.cellOfSat = make([]int32, c.Size())
 	return ix, nil
-}
-
-// NewSurfaceIndex returns an index over the observer's constellation and,
-// ground-major, each ground point's cell box per shell: the cells that can
-// hold a satellite visible from it. Ground points are Earth-fixed, so the
-// boxes hold for every snapshot. It returns nil, nil for a point off the
-// surface (the boxes bound central angles from the surface) or an observer
-// NewIndex rejects; the caller then tests every satellite.
-func NewSurfaceIndex(o *Observer, grounds []geo.LatLon) (*Index, []CellBox) {
-	for _, g := range grounds {
-		if g.AltKm != 0 {
-			return nil, nil
-		}
-	}
-	ix, err := NewIndex(o, 0)
-	if err != nil {
-		return nil, nil
-	}
-	boxes := make([]CellBox, 0, len(grounds)*len(ix.shells))
-	for _, g := range grounds {
-		boxes = append(boxes, ix.Window([]geo.Vec3{g.ECEF()})...)
-	}
-	return ix, boxes
 }
 
 // Limit2 returns shell si's squared slant-range limit.
@@ -332,38 +308,4 @@ func (ix *Index) ScanBox(si int, box CellBox, ground geo.Vec3, fn func(k int32, 
 			}
 		}
 	}
-}
-
-// forEachVisible is ScanBox over the surface point's own box in every shell.
-func (ix *Index) forEachVisible(ground geo.Vec3, fn func(k int32, d2 float64)) {
-	at := []geo.LatLon{geo.FromECEF(ground)}
-	for si := range ix.shells {
-		ix.ScanBox(si, ix.box(si, at), ground, fn)
-	}
-}
-
-// ReachableFrom appends a Pass for every satellite reachable from the
-// surface point ground to dst and returns the extended slice — the indexed
-// equivalent of Observer.Reachable over the indexed snapshot, with the same
-// dst append/reuse contract. Results are grouped by shell and grid cell,
-// not sorted by satellite ID.
-func (ix *Index) ReachableFrom(ground geo.Vec3, dst []Pass) []Pass {
-	ix.forEachVisible(ground, func(k int32, d2 float64) {
-		d := math.Sqrt(d2)
-		dst = append(dst, Pass{
-			SatID:        int(ix.sats[k]),
-			SlantKm:      d,
-			ElevationDeg: ElevationDeg(ground, ix.pos[k]),
-			RTTMs:        units.RTTMs(d),
-		})
-	})
-	return dst
-}
-
-// CountReachableFrom returns how many satellites are reachable from the
-// surface point without materialising the pass list.
-func (ix *Index) CountReachableFrom(ground geo.Vec3) int {
-	n := 0
-	ix.forEachVisible(ground, func(int32, float64) { n++ })
-	return n
 }

@@ -4,8 +4,11 @@
 // elevation angle above the local horizon meets the constellation's minimum
 // elevation mask. Observer answers it with a linear scan over a snapshot;
 // Index (index.go) buckets the snapshot by sub-satellite point so bulk
-// callers — the fleet planner's session windows, netgraph's freeze — test
-// only the satellites that can be in view, with the same compare.
+// callers test only the satellites that can be in view, with the same
+// compare. Surface (surface.go) answers it for a fixed set of ground points
+// frame after frame — netgraph's freeze, serve's refresh, Figures 4 and 5 —
+// and alone decides between the index and the linear scan; the fleet
+// planner's session windows read the Index directly.
 package visibility
 
 import (
@@ -213,22 +216,4 @@ func (o *Observer) Nearest(ground geo.Vec3, snapshot []geo.Vec3) (id int, slantK
 		}
 	}
 	return id, best, id >= 0
-}
-
-// MarkVisibleFromAny sets seen[id]=true for every satellite reachable from at
-// least one of the ground points. Used by the Fig 4/5 "invisible satellites"
-// computation; seen must have length Size().
-func (o *Observer) MarkVisibleFromAny(grounds []geo.Vec3, snapshot []geo.Vec3, seen []bool) {
-	for id, sat := range snapshot {
-		if seen[id] {
-			continue
-		}
-		for _, g := range grounds {
-			rel := sat.Sub(g)
-			if rel.Dot(rel) <= o.maxChord2[id] {
-				seen[id] = true
-				break
-			}
-		}
-	}
 }

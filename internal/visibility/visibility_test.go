@@ -201,30 +201,6 @@ func TestNearestNoneReachable(t *testing.T) {
 	}
 }
 
-func TestMarkVisibleFromAny(t *testing.T) {
-	c := testConstellation(t)
-	o := NewObserver(c)
-	snap := c.Snapshot(60)
-	grounds := []geo.Vec3{
-		geo.LatLon{LatDeg: 0, LonDeg: 0}.ECEF(),
-		geo.LatLon{LatDeg: 45, LonDeg: 90}.ECEF(),
-	}
-	seen := make([]bool, c.Size())
-	o.MarkVisibleFromAny(grounds, snap, seen)
-	for id := range snap {
-		want := false
-		for _, g := range grounds {
-			if o.Visible(g, id, snap[id]) {
-				want = true
-				break
-			}
-		}
-		if seen[id] != want {
-			t.Fatalf("seen[%d]=%v, want %v", id, seen[id], want)
-		}
-	}
-}
-
 func TestObserverWithMaskMonotonic(t *testing.T) {
 	// A stricter (higher) mask never increases the reachable count.
 	c := testConstellation(t)
