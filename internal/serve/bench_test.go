@@ -49,17 +49,27 @@ func BenchmarkServeSticky(b *testing.B)      { benchServe(b, Sticky(0)) }
 // BenchmarkGenerate draws the repo benchmark's trace shape (40 sites,
 // 350 req/s, one diurnal hour). B/op is the receipt for the presized k-way
 // merge: CI holds it to 1.1 x 24 B x requests, where append-then-sort
-// allocated about five times the trace.
+// allocated about five times the trace. curve-evals/request is the receipt
+// for the thinning envelope: diurnal-curve evaluations per kept request,
+// 2.085 at this shape when every thinning draw evaluated the curve, under
+// 0.006 with the envelope; CI holds it within 1 % of the committed record.
 func BenchmarkGenerate(b *testing.B) {
 	sites := SitesFromCities(40)
 	w := Workload{Seed: 1, RatePerSec: 350, ServiceMedianMs: 20, DiurnalAmplitude: 0.6}
 	var reqs []Request
+	evals := 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if reqs, err = Generate(sites, w, 3600); err != nil {
+		g, err := NewGenerator(sites, w, 3600)
+		if err != nil {
 			b.Fatal(err)
+		}
+		reqs = g.drain(g.sizeHint())
+		evals = 0
+		for i := range g.streams {
+			evals += g.streams[i].evals
 		}
 	}
 	b.ReportMetric(float64(len(reqs)), "requests")
+	b.ReportMetric(float64(evals)/float64(len(reqs)), "curve-evals/request")
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -176,5 +177,38 @@ func FuzzSampleOrder(f *testing.F) {
 				t.Fatalf("n=%d: position %d holds %+v, comparison sort %+v", n, i, g, w)
 			}
 		}
+	})
+}
+
+// FuzzGenerateMatchesOracle: the generator's trace equals the direct
+// thinning oracle's, which evaluates the diurnal curve at every draw, for
+// any seed, amplitude, peak hour, rate, horizon and site count. The inputs
+// are folded into range, and rate times horizon is held to 20,000 expected
+// requests so each case stays quick.
+func FuzzGenerateMatchesOracle(f *testing.F) {
+	f.Add(int64(1), 0.6, 20.0, 350.0, 50.0, uint8(39))
+	f.Add(int64(7), 0.95, 3.5, 0.05, 216000.0, uint8(12))
+	f.Add(int64(-3), 0.0, 0.0, 1.0, 90000.0, uint8(1))
+	f.Add(int64(42), 0.3, 23.99, 0.001, 1e7, uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, amp, peakHour, rate, horizon float64, nsites uint8) {
+		for _, v := range []float64{amp, peakHour, rate, horizon} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Skip()
+			}
+		}
+		amp = math.Mod(math.Abs(amp), 1)
+		peakHour = math.Mod(math.Abs(peakHour), 24)
+		rate = math.Max(math.Mod(math.Abs(rate), 1000), 1e-6)
+		horizon = math.Max(math.Mod(math.Abs(horizon), 1e7), 1)
+		if rate*horizon > 20_000 {
+			horizon = 20_000 / rate
+		}
+		sites := SitesFromCities(1 + int(nsites)%40)
+		w := Workload{Seed: seed, RatePerSec: rate, ServiceMedianMs: 20, DiurnalAmplitude: amp, PeakLocalHour: peakHour}
+		got, err := Generate(sites, w, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTrace(t, fmt.Sprintf("%+v horizon=%g sites=%d", w, horizon, len(sites)), got, generateSorted(sites, w, horizon))
 	})
 }

@@ -537,9 +537,17 @@ func (e *Engine) pull() bool {
 			e.queue = e.queue[1:]
 			continue
 		}
-		n, err := e.checkArrivals(run, e.lastPull)
+		check := run
+		if _, fed := e.queue[0].(*fedBatch); fed {
+			// Feed checked the batch whole, so it is valid and sorted: its
+			// first arrival passing the floor and the clock passes them all.
+			check = run[:1]
+		}
+		n, err := e.checkArrivals(check, e.lastPull)
 		if err != nil {
 			e.srcErr = fmt.Errorf("serve: arrival %d: %w", e.offered+n, err)
+		} else {
+			n = len(run)
 		}
 		if n == 0 {
 			return false
@@ -688,7 +696,7 @@ func (e *Engine) drainSat(st *satShard, limit float64, inclusive bool) {
 		switch ev.kind {
 		case evUplink:
 			rec := st.slab[ev.ref]
-			ci := e.pickCore(st)
+			ci, _ := e.pickCore(st)
 			start := math.Max(ev.t, st.cores[ci])
 			st.cores[ci] = start + rec.svc
 			st.busySec += rec.svc
@@ -781,10 +789,10 @@ func (e *Engine) globalDrain(limit float64, inclusive bool) {
 		switch ev.kind {
 		case evUplink:
 			rec := st.slab[ev.ref]
-			ci := e.pickCore(st)
+			ci, rest := e.pickCore(st)
 			start := math.Max(ev.t, st.cores[ci])
 			st.cores[ci] = start + rec.svc
-			e.freeAt[ev.sat] = slices.Min(st.cores)
+			e.freeAt[ev.sat] = min(rest, st.cores[ci])
 			st.busySec += rec.svc
 			if start > ev.t {
 				e.queueDelta(+1)
@@ -826,19 +834,23 @@ func (e *Engine) admit(h *[]satEvent, seq *uint32, idx int, r *Request, sat int,
 }
 
 // pickCore returns the satellite's earliest-free core index (lowest index
-// on ties, keeping runs deterministic).
-func (e *Engine) pickCore(st *satShard) int {
+// on ties, keeping runs deterministic) and the earliest free time among the
+// other cores (+Inf with one core), so the global path's load book needs no
+// second scan. rest is kept without a branch: min(rest, max(c, best)) is
+// the old best when c takes its place and c otherwise.
+func (e *Engine) pickCore(st *satShard) (int, float64) {
 	if st.cores == nil {
 		st.cores = make([]float64, e.coresPerSat)
 	}
-	ci, best := 0, st.cores[0]
+	ci, best, rest := 0, st.cores[0], math.Inf(1)
 	for i := 1; i < len(st.cores); i++ {
-		if st.cores[i] < best {
-			best = st.cores[i]
-			ci = i
+		c := st.cores[i]
+		rest = min(rest, max(c, best))
+		if c < best {
+			ci, best = i, c
 		}
 	}
-	return ci
+	return ci, rest
 }
 
 func (e *Engine) queueDelta(d int) {

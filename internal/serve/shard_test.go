@@ -599,6 +599,44 @@ func TestPulledSourceRejectsBadArrival(t *testing.T) {
 	}
 }
 
+// TestFedBatchBehindSourceRejected: a batch passes Feed against the last
+// fed time, so one queued behind a FeedFrom source whose arrivals are later
+// is caught only when it is pulled, at its first arrival — which is all
+// the pull checks of a fed batch. A batch that starts at or after the
+// source's last arrival runs whole.
+func TestFedBatchBehindSourceRejected(t *testing.T) {
+	c := testConst(t)
+	ok := func(tSec float64) Request { return Request{TSec: tSec, Site: 0, ServiceMs: 5} }
+	for _, tc := range []struct {
+		batch   []Request
+		offered int
+		wantErr string
+	}{
+		{[]Request{ok(15), ok(25)}, 2, "serve: arrival 2: t=15s before earlier arrival t=20s"},
+		{[]Request{ok(20), ok(25), ok(26)}, 5, ""},
+	} {
+		eng, err := NewEngine(c, Config{Sites: testSites(), Policy: Nearest(), Server: testServer()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.FeedFrom(&runsSource{{ok(10), ok(20)}})
+		if err := eng.Feed(tc.batch); err != nil {
+			t.Fatalf("Feed rejected a batch sorted from 0: %v", err)
+		}
+		err = eng.RunUntil(30)
+		if tc.wantErr == "" {
+			if err != nil {
+				t.Fatalf("batch from %gs: %v", tc.batch[0].TSec, err)
+			}
+		} else if !errors.Is(err, ErrNonMonotonic) || !strings.HasPrefix(err.Error(), tc.wantErr) {
+			t.Fatalf("batch from %gs: got %v, want %q wrapping ErrNonMonotonic", tc.batch[0].TSec, err, tc.wantErr)
+		}
+		if r := eng.Result(); r.Offered != tc.offered {
+			t.Fatalf("batch from %gs: offered %d, want %d", tc.batch[0].TSec, r.Offered, tc.offered)
+		}
+	}
+}
+
 // TestPulledHourStaysSmall: a 10 M-request hour pulled from the generator
 // never exists as a trace, so the heap holds the in-flight requests, one
 // run, and the latency samples — ROADMAP item 6's "under 400 MB". HeapSys

@@ -126,19 +126,60 @@ type siteStream struct {
 	peak float64 // rate of the homogeneous process the thinning draws from
 	t    float64 // that process's clock
 	next Request // the stream's next kept arrival
+
+	// The keep envelope: kLo <= keep(t) <= kHi for every t before segEnd.
+	kLo, kHi, segEnd float64
+	evals            int // diurnalFactor calls, read by BenchmarkGenerate's gated curve-evals/request
+}
+
+// thinSegSec is the span of the thinning clock one keep envelope covers.
+// The curve moves under 0.2 % a minute, so a draw lands in the band the
+// envelope leaves undecided about 1 time in 600.
+const thinSegSec = 60
+
+// keep is the exact keep probability at t, rate(t)/peak.
+func (s *siteStream) keep(w *Workload, t float64) float64 {
+	s.evals++
+	return diurnalFactor(t, s.lon, w.DiurnalAmplitude, w.PeakLocalHour) / (1 + w.DiurnalAmplitude)
+}
+
+// envelope bounds keep over [s.t, s.t+thinSegSec) from one curve evaluation
+// at the segment's midpoint. The exact curve (1 + a cos(ωt + φ))/(1 + a)
+// moves at most a·ω/(1+a) per second, so it stays within that slope times
+// half a segment of its midpoint value. The computed curve adds rounding in
+// localHour, the phase, Cos and the division: a few ulps of the phase's
+// inputs, under 1e-15·(X + 100) with X = |t|/3600 + |lon|/15 + 2|peakHour|.
+// The margin, 1e-12·(X + 64), covers that at the midpoint and at the tested
+// point over a hundred times, so the envelope never decides a draw the
+// curve would decide the other way.
+func (s *siteStream) envelope(w *Workload) {
+	const omega = 2 * math.Pi / 86400 // the diurnal curve's angular rate
+	a := w.DiurnalAmplitude
+	t0 := s.t
+	mid := s.keep(w, t0+thinSegSec/2)
+	x := (math.Abs(t0)+thinSegSec)/3600 + math.Abs(s.lon)/15 + 2*math.Abs(w.PeakLocalHour)
+	slack := a*omega/(1+a)*thinSegSec/2 + 1e-12*(x+64)
+	s.kLo, s.kHi = mid-slack, mid+slack
+	s.segEnd = t0 + thinSegSec
 }
 
 // advance draws the stream's next arrival into s.next; false once the
 // stream has run past the horizon. Thinning: step a homogeneous process at
 // the diurnal peak rate and keep each point with probability rate(t)/peak.
+// The draws and every keep decision are those of the exact test; the
+// envelope only spares the curve for draws outside [kLo, kHi).
 func (s *siteStream) advance(w *Workload, horizonSec float64) bool {
 	for {
 		s.t += s.r.ExpFloat64() / s.peak
 		if s.t >= horizonSec {
 			return false
 		}
-		keep := diurnalFactor(s.t, s.lon, w.DiurnalAmplitude, w.PeakLocalHour) / (1 + w.DiurnalAmplitude)
-		if s.r.Float64() >= keep {
+		if s.t >= s.segEnd {
+			s.envelope(w)
+		}
+		// Kept iff u < keep(t). Written so that NaN bounds fall through to
+		// the exact test.
+		if u := s.r.Float64(); !(u < s.kLo) && (u >= s.kHi || u >= s.keep(w, s.t)) {
 			continue
 		}
 		s.next.TSec = s.t
@@ -157,12 +198,32 @@ const generatorRun = 1024
 // holding one pending arrival per site. It is a Source, so an engine can
 // pull from it directly; two generators built from the same arguments yield
 // the same trace, bit for bit, however their pulls interleave.
+//
+// The merge is a loser tree over the streams in site order. Leaf i, stream
+// i, sits at node len(streams)+i, and node j's children are 2j and 2j+1;
+// tree[j] for j > 0 holds the loser of the match at node j and tree[0] the
+// overall winner, each with its next arrival time (+Inf once its stream has
+// ended) inline. A pop replays the winner's path: one match per level.
 type Generator struct {
 	w          Workload
 	horizonSec float64
-	heap       []*siteStream // min-heap on (next.TSec, next.Site)
-	expected   float64       // mean request count, from the rate integral
-	run        []Request     // Next's buffer, reused across calls
+	streams    []siteStream
+	tree       []mergeNode
+	expected   float64   // mean request count, from the rate integral
+	run        []Request // Next's buffer, reused across calls
+}
+
+// mergeNode is one entry of the loser tree: a stream and its next arrival.
+type mergeNode struct {
+	t    float64
+	leaf int32
+}
+
+// before orders entries by (next arrival, site): within a site arrival
+// times only grow, and leaves are in site order, so this orders the merged
+// trace totally.
+func (a mergeNode) before(b mergeNode) bool {
+	return a.t < b.t || (a.t == b.t && a.leaf < b.leaf)
 }
 
 // NewGenerator validates the workload and primes every site's stream.
@@ -200,55 +261,63 @@ func NewGenerator(sites []Site, w Workload, horizonSec float64) (*Generator, err
 		phi0 := 2 * math.Pi * (s.Loc.LonDeg/15 - w.PeakLocalHour) / 24
 		g.expected += rate * (horizonSec +
 			w.DiurnalAmplitude*(math.Sin(omega*horizonSec+phi0)-math.Sin(phi0))/omega)
-		st := &siteStream{
+		st := siteStream{
 			r:    rand.New(rand.NewSource(w.Seed*1_000_003 + int64(si))),
 			lon:  s.Loc.LonDeg,
 			peak: rate * (1 + w.DiurnalAmplitude),
 			next: Request{Site: si},
 		}
-		if st.advance(&g.w, horizonSec) {
-			g.heap = append(g.heap, st)
-		}
+		g.streams = append(g.streams, st)
 	}
-	for i := len(g.heap)/2 - 1; i >= 0; i-- {
-		g.siftDown(i)
-	}
+	g.build()
 	return g, nil
 }
 
-// siftDown restores the heap below i. Within a site arrival times only
-// grow, so (TSec, Site) orders the merged trace totally.
-func (g *Generator) siftDown(i int) {
-	h := g.heap
-	for {
-		m := i
-		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-			a, b := &h[c].next, &h[m].next
-			if a.TSec < b.TSec || (a.TSec == b.TSec && a.Site < b.Site) {
-				m = c
-			}
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+// build primes every stream and plays every match bottom-up, holding each
+// node's winner in scratch.
+func (g *Generator) build() {
+	n := len(g.streams)
+	g.tree = make([]mergeNode, n)
+	if n == 0 {
+		return
 	}
+	win := make([]mergeNode, 2*n)
+	for i := range g.streams {
+		win[n+i] = g.draw(int32(i))
+	}
+	for j := n - 1; j > 0; j-- {
+		a, b := win[2*j], win[2*j+1]
+		if b.before(a) {
+			a, b = b, a
+		}
+		win[j], g.tree[j] = a, b
+	}
+	g.tree[0] = win[1]
+}
+
+// draw advances stream i to its next arrival and returns its tree entry.
+func (g *Generator) draw(i int32) mergeNode {
+	st := &g.streams[i]
+	if !st.advance(&g.w, g.horizonSec) {
+		return mergeNode{t: math.Inf(1), leaf: i}
+	}
+	return mergeNode{t: st.next.TSec, leaf: i}
 }
 
 // pop returns the trace's next request; false once every stream has ended.
 func (g *Generator) pop() (Request, bool) {
-	if len(g.heap) == 0 {
+	if len(g.tree) == 0 || math.IsInf(g.tree[0].t, 1) {
 		return Request{}, false
 	}
-	top := g.heap[0]
-	r := top.next
-	if !top.advance(&g.w, g.horizonSec) {
-		n := len(g.heap) - 1
-		g.heap[0] = g.heap[n]
-		g.heap = g.heap[:n]
+	i := g.tree[0].leaf
+	r := g.streams[i].next
+	w := g.draw(i)
+	for j := (int(i) + len(g.tree)) >> 1; j > 0; j >>= 1 {
+		if l := g.tree[j]; l.before(w) {
+			g.tree[j], w = w, l
+		}
 	}
-	g.siftDown(0)
+	g.tree[0] = w
 	return r, true
 }
 

@@ -227,59 +227,72 @@ func sameTrace(t *testing.T, what string, got, want []Request) {
 // append-then-sort trace exactly — one drained slice, the source pulled in
 // one run, in single requests, and from a capacity hint that is far too
 // small — across site counts (one with a zero-weight site), diurnal
-// amplitudes and horizons down to one where most sites emit nothing.
+// amplitudes, peak hours (0 takes the default, 20), and rates and horizons
+// from one where most sites emit nothing to a few arrivals a site an hour
+// over two and a half days, so every site crosses local midnight and both
+// extrema of its curve. The oracle evaluates the curve at every draw; the
+// generator decides most draws from its thinning envelope.
 func TestGenerateMatchesSortOracle(t *testing.T) {
 	sawSilentSite := false
+	shapes := []struct{ rate, horizon float64 }{
+		{15, 1}, {15, 120}, {15, 3600}, {0.2, 100_000}, {0.05, 216_000},
+	}
 	for _, nsites := range []int{1, 12, 40} {
 		sites := SitesFromCities(nsites)
 		if nsites == 12 {
 			sites[3].Weight = 0
 		}
 		for _, amp := range []float64{0, 0.3, 0.6, 0.95} {
-			for _, horizon := range []float64{1, 120, 3600} {
-				for seed := int64(1); seed <= 3; seed++ {
-					w := Workload{Seed: seed, RatePerSec: 15, ServiceMedianMs: 20, DiurnalAmplitude: amp}
-					what := fmt.Sprintf("sites=%d amp=%g horizon=%g seed=%d", nsites, amp, horizon, seed)
-					want := generateSorted(sites, w, horizon)
-					got, err := Generate(sites, w, horizon)
-					if err != nil {
-						t.Fatal(err)
+			for _, peakHour := range []float64{0, 3.5, 20} {
+				for _, sh := range shapes {
+					seeds := int64(3)
+					if peakHour != 0 {
+						seeds = 1
 					}
-					sameTrace(t, what, got, want)
-
-					emitted := map[int]bool{}
-					for _, r := range want {
-						emitted[r.Site] = true
-					}
-					if nsites == 40 && len(emitted) > 0 && len(emitted) < nsites {
-						sawSilentSite = true
-					}
-					if emitted[3] && nsites == 12 {
-						t.Fatalf("%s: the zero-weight site emitted", what)
-					}
-					if seed > 1 {
-						continue // the pull shapes need one seed per cell
-					}
-					for _, runLen := range []int{1, len(want) + 1} {
-						g, err := NewGenerator(sites, w, horizon)
+					for seed := int64(1); seed <= seeds; seed++ {
+						w := Workload{Seed: seed, RatePerSec: sh.rate, ServiceMedianMs: 20, DiurnalAmplitude: amp, PeakLocalHour: peakHour}
+						what := fmt.Sprintf("sites=%d amp=%g peak=%g rate=%g horizon=%g seed=%d", nsites, amp, peakHour, sh.rate, sh.horizon, seed)
+						want := generateSorted(sites, w, sh.horizon)
+						got, err := Generate(sites, w, sh.horizon)
 						if err != nil {
 							t.Fatal(err)
 						}
-						g.run = make([]Request, runLen)
-						var pulled []Request
-						for run := g.Next(); len(run) > 0; run = g.Next() {
-							pulled = append(pulled, run...)
+						sameTrace(t, what, got, want)
+
+						emitted := map[int]bool{}
+						for _, r := range want {
+							emitted[r.Site] = true
 						}
-						sameTrace(t, fmt.Sprintf("%s pulled %d at a time", what, runLen), pulled, want)
+						if nsites == 40 && len(emitted) > 0 && len(emitted) < nsites {
+							sawSilentSite = true
+						}
+						if emitted[3] && nsites == 12 {
+							t.Fatalf("%s: the zero-weight site emitted", what)
+						}
+						if seed > 1 || peakHour != 0 {
+							continue // the pull shapes need one workload per cell
+						}
+						for _, runLen := range []int{1, len(want) + 1} {
+							g, err := NewGenerator(sites, w, sh.horizon)
+							if err != nil {
+								t.Fatal(err)
+							}
+							g.run = make([]Request, runLen)
+							var pulled []Request
+							for run := g.Next(); len(run) > 0; run = g.Next() {
+								pulled = append(pulled, run...)
+							}
+							sameTrace(t, fmt.Sprintf("%s pulled %d at a time", what, runLen), pulled, want)
+						}
+						g, err := NewGenerator(sites, w, sh.horizon)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if hint := g.sizeHint(); hint < len(want) {
+							t.Fatalf("%s: size hint %d below the %d requests drawn", what, hint, len(want))
+						}
+						sameTrace(t, what+" from a short capacity hint", g.drain(1), want)
 					}
-					g, err := NewGenerator(sites, w, horizon)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if hint := g.sizeHint(); hint < len(want) {
-						t.Fatalf("%s: size hint %d below the %d requests drawn", what, hint, len(want))
-					}
-					sameTrace(t, what+" from a short capacity hint", g.drain(1), want)
 				}
 			}
 		}
