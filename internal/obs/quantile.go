@@ -28,8 +28,6 @@ const (
 	quantileBuckets = 2496
 )
 
-var invLogQuantileGamma = 1 / math.Log(quantileGamma)
-
 // ExportQuantiles is the quantile set rendered in snapshots and the
 // Prometheus summary exposition.
 var ExportQuantiles = []float64{0.5, 0.9, 0.95, 0.99}
@@ -45,11 +43,73 @@ type Quantile struct {
 	hasMM   atomic.Uint32 // min/max initialised
 }
 
-// quantileTop is the last bucket's value: the Log below maps everything at
-// or above it to the last bucket too, but +Inf must not reach the int.
+// quantileTop is the last bucket's value: the bucket rule maps everything
+// at or above it to the last bucket too, but +Inf must not reach the int.
 var quantileTop = quantileBucketValue(quantileBuckets - 1)
 
-// quantileIndex maps a value to its bucket.
+// invLogQuantileGamma scales a log ratio into buckets in the bucket rule.
+var invLogQuantileGamma = 1 / math.Log(quantileGamma)
+
+// quantileRule is the bucket rule for v in (quantileMinValue, quantileTop):
+// 1 + floor(log_gamma(v/quantileMinValue)), as the float64 Log evaluates it.
+// It defines quantileBounds; quantileIndex never calls it.
+func quantileRule(v float64) int {
+	return 1 + int(math.Log(v/quantileMinValue)*invLogQuantileGamma)
+}
+
+// The bucket index reads two tables instead of taking a Log. A positive
+// float64's IEEE bits order as its values, so a bucket is the bit range
+// [quantileBounds[i], quantileBounds[i+1]): quantileBounds[i] is the bits
+// of the smallest float the rule puts in bucket i, and the last entry is
+// past every finite float. The guess table is keyed by a value's exponent
+// and top 7 mantissa bits, a cell spanning under 2^-7 of its values, less
+// than a bucket's 2 %: a cell holds at most one bound, so its guess, the
+// bucket of its smallest value in range, is the answer or one below it.
+var (
+	quantileBounds    [quantileBuckets + 1]uint64
+	quantileGuess     []uint16
+	quantileGuessBase = math.Float64bits(quantileMinValue) >> quantileGuessShift
+)
+
+// quantileGuessShift keeps the sign, the exponent and 7 mantissa bits.
+const quantileGuessShift = 52 - 7
+
+// quantileWindow is how many ulps either side of quantileMinValue·gamma^(i−1)
+// the search for bound i covers; the rule's bounds lie under 100 ulps from it
+// (TestQuantileIndexThresholds fails on a bound the search missed).
+const quantileWindow = 1024
+
+func init() {
+	quantileBounds[1] = math.Float64bits(quantileMinValue) + 1
+	for i := 2; i < quantileBuckets; i++ {
+		// quantileMinValue·gamma^(i−1) with the gamma the rule divides by:
+		// this Exp lands within 100 ulps of the bound, Pow(1.02, i−1) up to
+		// 473 away, and the Exp is the cheaper call.
+		mid := math.Float64bits(quantileMinValue * math.Exp(float64(i-1)/invLogQuantileGamma))
+		lo, hi := mid-quantileWindow, mid+quantileWindow // rule(lo) < i <= rule(hi)
+		for hi-lo > 1 {
+			m := lo + (hi-lo)/2
+			if quantileRule(math.Float64frombits(m)) >= i {
+				hi = m
+			} else {
+				lo = m
+			}
+		}
+		quantileBounds[i] = hi
+	}
+	quantileBounds[quantileBuckets] = math.MaxUint64
+	quantileGuess = make([]uint16, math.Float64bits(quantileTop)>>quantileGuessShift-quantileGuessBase+1)
+	i := 1
+	for k := range quantileGuess {
+		low := max((quantileGuessBase+uint64(k))<<quantileGuessShift, quantileBounds[1])
+		for quantileBounds[i+1] <= low {
+			i++
+		}
+		quantileGuess[k] = uint16(i)
+	}
+}
+
+// quantileIndex maps a value to its bucket: the rule's, for every float64.
 func quantileIndex(v float64) int {
 	if !(v > quantileMinValue) { // NaN, zero, negatives, denormals → underflow
 		return 0
@@ -57,9 +117,10 @@ func quantileIndex(v float64) int {
 	if v >= quantileTop {
 		return quantileBuckets - 1
 	}
-	i := 1 + int(math.Log(v/quantileMinValue)*invLogQuantileGamma)
-	if i >= quantileBuckets {
-		return quantileBuckets - 1
+	b := math.Float64bits(v)
+	i := int(quantileGuess[b>>quantileGuessShift-quantileGuessBase])
+	if b >= quantileBounds[i+1] {
+		i++
 	}
 	return i
 }
@@ -105,14 +166,16 @@ func (q *Quantile) foldExtremes(lo, hi float64) {
 // ObserveAll records vs in order, NaNs dropped. With no concurrent writer
 // the sketch ends as one Observe per value would leave it, bit for bit: the
 // sum folds left from its current value, and min and max keep the earliest
-// of equal extremes. The batch takes one count add and one sum CAS.
+// of equal extremes. The batch counts into buckets on the stack, then takes
+// one add per bucket it touched, one count add and one sum CAS.
 func (q *Quantile) ObserveAll(vs []float64) {
+	var local [quantileBuckets]uint64
 	n, lo, hi := uint64(0), math.Inf(1), math.Inf(-1)
 	for _, v := range vs {
 		if math.IsNaN(v) {
 			continue
 		}
-		q.counts[quantileIndex(v)].Add(1)
+		local[quantileIndex(v)]++
 		if v < lo {
 			lo = v
 		}
@@ -123,6 +186,13 @@ func (q *Quantile) ObserveAll(vs []float64) {
 	}
 	if n == 0 {
 		return
+	}
+	// The index is monotone, so every touched bucket lies between the
+	// extremes' buckets.
+	for i := quantileIndex(lo); i <= quantileIndex(hi); i++ {
+		if c := local[i]; c != 0 {
+			q.counts[i].Add(c)
+		}
 	}
 	q.count.Add(n)
 	for {

@@ -316,3 +316,116 @@ func TestQuantilePrometheusSummary(t *testing.T) {
 		}
 	}
 }
+
+// logQuantileIndex is the bucket index as the Log computes it: the rule
+// quantileIndex's tables are built from, kept whole as its oracle.
+func logQuantileIndex(v float64) int {
+	if !(v > quantileMinValue) {
+		return 0
+	}
+	if v >= quantileTop {
+		return quantileBuckets - 1
+	}
+	i := 1 + int(math.Log(v/quantileMinValue)*invLogQuantileGamma)
+	if i >= quantileBuckets {
+		return quantileBuckets - 1
+	}
+	return i
+}
+
+// TestQuantileIndexThresholds: the table index equals the Log path on every
+// float64 within 512 ulps of each bucket's lower bound, of quantileMinValue
+// and of quantileTop, at both ends of every guess cell, and on the
+// special values.
+func TestQuantileIndexThresholds(t *testing.T) {
+	check := func(v float64) {
+		if got, want := quantileIndex(v), logQuantileIndex(v); got != want {
+			t.Helper()
+			t.Fatalf("quantileIndex(%v) [%#x] = %d, Log path %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	around := func(b uint64) {
+		for d := b - 512; d != b+513; d++ {
+			check(math.Float64frombits(d))
+		}
+	}
+	for i := 1; i < quantileBuckets; i++ {
+		if quantileBounds[i] <= quantileBounds[i-1] {
+			t.Fatalf("bound %d %#x not above bound %d %#x", i, quantileBounds[i], i-1, quantileBounds[i-1])
+		}
+		around(quantileBounds[i])
+	}
+	around(math.Float64bits(quantileMinValue))
+	around(math.Float64bits(quantileTop))
+	for k := range quantileGuess {
+		first := (quantileGuessBase + uint64(k)) << quantileGuessShift
+		check(math.Float64frombits(first))
+		check(math.Float64frombits(first + 1<<quantileGuessShift - 1))
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1, 1e3} {
+		check(v)
+	}
+}
+
+// FuzzQuantileIndex: for any float64 bit pattern the table index is the
+// Log path's bucket: 0 for NaN, negatives and values at or below
+// quantileMinValue, the last bucket at or above quantileTop.
+func FuzzQuantileIndex(f *testing.F) {
+	for _, b := range []uint64{
+		quantileBounds[1], quantileBounds[2] - 1, quantileBounds[1234], quantileBounds[quantileBuckets-1] - 1,
+		math.Float64bits(quantileMinValue), math.Float64bits(quantileTop) - 1, math.Float64bits(quantileTop),
+		math.Float64bits(math.NaN()), math.Float64bits(math.Inf(1)), math.Float64bits(-2.5), 0, 1 << 63,
+	} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		got := quantileIndex(v)
+		if want := logQuantileIndex(v); got != want {
+			t.Fatalf("quantileIndex(%v) [%#x] = %d, Log path %d", v, bits, got, want)
+		}
+		switch {
+		case !(v > quantileMinValue) && got != 0:
+			t.Fatalf("quantileIndex(%v) = %d, want the underflow bucket", v, got)
+		case v >= quantileTop && got != quantileBuckets-1:
+			t.Fatalf("quantileIndex(%v) = %d, want the last bucket", v, got)
+		}
+	})
+}
+
+// TestObserveAllAllocatesNothing: the batch's bucket counts live on the
+// stack.
+func TestObserveAllAllocatesNothing(t *testing.T) {
+	q := &Quantile{}
+	vs := []float64{3, 0.5, math.NaN(), 1e-12, 7e4, 3}
+	if n := testing.AllocsPerRun(100, func() { q.ObserveAll(vs) }); n != 0 {
+		t.Errorf("ObserveAll allocates %v times a batch, want 0", n)
+	}
+}
+
+var quantileIndexSink int
+
+// BenchmarkQuantileIndex: the Log path against the tables, over latencies
+// spread across six decades.
+func BenchmarkQuantileIndex(b *testing.B) {
+	r := rand.New(rand.NewSource(5))
+	vs := make([]float64, 4096)
+	for i := range vs {
+		vs[i] = math.Pow(10, 6*r.Float64()-3) // 1e-3 .. 1e3
+	}
+	b.Run("log", func(b *testing.B) {
+		s := 0
+		for i := 0; i < b.N; i++ {
+			s += logQuantileIndex(vs[i%len(vs)])
+		}
+		quantileIndexSink = s
+	})
+	b.Run("table", func(b *testing.B) {
+		s := 0
+		for i := 0; i < b.N; i++ {
+			s += quantileIndex(vs[i%len(vs)])
+		}
+		quantileIndexSink = s
+	})
+}

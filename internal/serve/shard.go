@@ -837,20 +837,26 @@ func (e *Engine) admit(h *[]satEvent, seq *uint32, idx int, r *Request, sat int,
 // on ties, keeping runs deterministic) and the earliest free time among the
 // other cores (+Inf with one core), so the global path's load book needs no
 // second scan. rest is kept without a branch: min(rest, max(c, best)) is
-// the old best when c takes its place and c otherwise.
+// the old best when c takes its place and c otherwise. Busy-until times are
+// never NaN and at least +0 (Request.Validate admits only finite arrivals
+// at or after 0 and finite positive service times), and on such floats the
+// order of the IEEE bits is the order of the values, so the scan compares
+// integers: CMOVs, where Go's NaN-safe float min and max chain through each
+// other across iterations.
 func (e *Engine) pickCore(st *satShard) (int, float64) {
 	if st.cores == nil {
 		st.cores = make([]float64, e.coresPerSat)
 	}
-	ci, best, rest := 0, st.cores[0], math.Inf(1)
-	for i := 1; i < len(st.cores); i++ {
-		c := st.cores[i]
+	cores := st.cores
+	ci, best, rest := 0, math.Float64bits(cores[0]), math.Float64bits(math.Inf(1))
+	for i := 1; i < len(cores); i++ {
+		c := math.Float64bits(cores[i])
 		rest = min(rest, max(c, best))
 		if c < best {
 			ci, best = i, c
 		}
 	}
-	return ci, rest
+	return ci, math.Float64frombits(rest)
 }
 
 func (e *Engine) queueDelta(d int) {

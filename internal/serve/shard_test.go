@@ -244,6 +244,67 @@ func TestFreeAtMatchesCores(t *testing.T) {
 	}
 }
 
+// TestPickCore pins pickCore's integer compare to the float rule the legacy
+// oracle keeps: the lowest index among the earliest-free cores, and as rest
+// the earliest free time among the other cores (+Inf with one core), on
+// every busy-until time an engine can hold — finite or +Inf, at least +0.
+func TestPickCore(t *testing.T) {
+	inf := math.Inf(1)
+	cases := []struct {
+		name  string
+		n     int
+		cores []float64 // nil: fresh, allocated by pickCore
+		ci    int
+		rest  float64
+	}{
+		{"one core", 1, []float64{5}, 0, inf},
+		{"one fresh core", 1, nil, 0, inf},
+		{"fresh cores", 4, nil, 0, 0},
+		{"tie takes lowest", 4, []float64{3, 1, 1, 2}, 1, 1},
+		{"all equal", 3, []float64{2, 2, 2}, 0, 2},
+		{"min last", 3, []float64{9, 8, 7}, 2, 8},
+		{"min first", 3, []float64{1, 5, 3}, 0, 3},
+		{"rest after min", 4, []float64{6, 0.5, 9, 4}, 1, 4},
+		{"zero and subnormal", 2, []float64{math.SmallestNonzeroFloat64, 0}, 1, math.SmallestNonzeroFloat64},
+		{"top of range", 3, []float64{math.MaxFloat64, inf, 1e308}, 2, math.MaxFloat64},
+	}
+	for _, tc := range cases {
+		e := &Engine{coresPerSat: tc.n}
+		st := &satShard{cores: slices.Clone(tc.cores)}
+		ci, rest := e.pickCore(st)
+		if ci != tc.ci || rest != tc.rest || len(st.cores) != tc.n {
+			t.Errorf("%s: pickCore = %d, %g over %d cores, want %d, %g over %d", tc.name, ci, rest, len(st.cores), tc.ci, tc.rest, tc.n)
+		}
+	}
+
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20000; trial++ {
+		n := 1 + r.Intn(8)
+		cores := make([]float64, n)
+		for i := range cores {
+			switch r.Intn(4) {
+			case 0:
+				cores[i] = float64(r.Intn(3)) // ties, zeros
+			case 1:
+				cores[i] = math.Ldexp(r.Float64(), r.Intn(2100)-1074) // any exponent
+			default:
+				cores[i] = 3600 * r.Float64()
+			}
+		}
+		leg := &legacyEngine{coresPerSat: n, cores: [][]float64{slices.Clone(cores)}}
+		wantCI, wantRest := leg.pickCore(0), inf
+		for i, c := range cores {
+			if i != wantCI {
+				wantRest = math.Min(wantRest, c)
+			}
+		}
+		ci, rest := (&Engine{coresPerSat: n}).pickCore(&satShard{cores: cores})
+		if ci != wantCI || math.Float64bits(rest) != math.Float64bits(wantRest) {
+			t.Fatalf("cores %v: pickCore = %d, %g, float rule %d, %g", cores, ci, rest, wantCI, wantRest)
+		}
+	}
+}
+
 // TestTraceReplayShardingDeterminism replays one JSONL trace and
 // byte-compares the reports with feeding the in-memory trace it was written
 // from — the round-trip a recorded production trace would take.

@@ -73,19 +73,24 @@ func (w Workload) withDefaults() Workload {
 	return w
 }
 
-// Validate reports whether the workload is usable.
+// Validate reports whether the workload is usable. Every field must be
+// finite: a NaN or infinite rate would stall the generator's clock. The
+// negated comparisons also catch NaN.
 func (w Workload) Validate() error {
-	if w.RatePerSec <= 0 {
-		return fmt.Errorf("serve: arrival rate %v must be positive", w.RatePerSec)
+	if !(w.RatePerSec > 0) || math.IsInf(w.RatePerSec, 1) {
+		return fmt.Errorf("serve: arrival rate %v must be finite and positive", w.RatePerSec)
 	}
-	if w.ServiceMedianMs <= 0 {
-		return fmt.Errorf("serve: service median %v ms must be positive", w.ServiceMedianMs)
+	if !(w.ServiceMedianMs > 0) || math.IsInf(w.ServiceMedianMs, 1) {
+		return fmt.Errorf("serve: service median %v ms must be finite and positive", w.ServiceMedianMs)
 	}
-	if w.ServiceSigma < 0 {
-		return fmt.Errorf("serve: service sigma %v must be non-negative", w.ServiceSigma)
+	if !(w.ServiceSigma >= 0) || math.IsInf(w.ServiceSigma, 1) {
+		return fmt.Errorf("serve: service sigma %v must be finite and non-negative", w.ServiceSigma)
 	}
-	if w.DiurnalAmplitude < 0 || w.DiurnalAmplitude >= 1 {
+	if !(w.DiurnalAmplitude >= 0 && w.DiurnalAmplitude < 1) {
 		return fmt.Errorf("serve: diurnal amplitude %v outside [0,1)", w.DiurnalAmplitude)
+	}
+	if math.IsNaN(w.PeakLocalHour) || math.IsInf(w.PeakLocalHour, 0) {
+		return fmt.Errorf("serve: peak local hour %v must be finite", w.PeakLocalHour)
 	}
 	return nil
 }
@@ -229,26 +234,10 @@ func (a mergeNode) before(b mergeNode) bool {
 // NewGenerator validates the workload and primes every site's stream.
 func NewGenerator(sites []Site, w Workload, horizonSec float64) (*Generator, error) {
 	w = w.withDefaults()
-	if err := w.Validate(); err != nil {
+	totalW, err := checkTrace(sites, w, horizonSec)
+	if err != nil {
 		return nil, err
 	}
-	if len(sites) == 0 {
-		return nil, fmt.Errorf("serve: no sites")
-	}
-	if horizonSec <= 0 {
-		return nil, fmt.Errorf("serve: horizon %v must be positive", horizonSec)
-	}
-	totalW := 0.0
-	for i, s := range sites {
-		if s.Weight < 0 {
-			return nil, fmt.Errorf("serve: site %d (%s) has negative weight", i, s.Name)
-		}
-		totalW += s.Weight
-	}
-	if totalW <= 0 {
-		return nil, fmt.Errorf("serve: all site weights are zero")
-	}
-
 	g := &Generator{w: w, horizonSec: horizonSec}
 	const omega = 2 * math.Pi / 86400 // the diurnal curve's angular rate
 	for si, s := range sites {
@@ -271,6 +260,35 @@ func NewGenerator(sites []Site, w Workload, horizonSec float64) (*Generator, err
 	}
 	g.build()
 	return g, nil
+}
+
+// checkTrace validates NewGenerator's arguments, w with its defaults, and
+// returns the sites' total weight. It draws nothing, so a bad value fails
+// here instead of stalling a stream's clock.
+func checkTrace(sites []Site, w Workload, horizonSec float64) (float64, error) {
+	if err := w.Validate(); err != nil {
+		return 0, err
+	}
+	if len(sites) == 0 {
+		return 0, fmt.Errorf("serve: no sites")
+	}
+	if !(horizonSec > 0) || math.IsInf(horizonSec, 1) {
+		return 0, fmt.Errorf("serve: horizon %v must be finite and positive", horizonSec)
+	}
+	totalW := 0.0
+	for i, s := range sites {
+		if !(s.Weight >= 0) || math.IsInf(s.Weight, 1) {
+			return 0, fmt.Errorf("serve: site %d (%s) weight %v must be finite and non-negative", i, s.Name, s.Weight)
+		}
+		if math.IsNaN(s.Loc.LonDeg) || math.IsInf(s.Loc.LonDeg, 0) {
+			return 0, fmt.Errorf("serve: site %d (%s) longitude %v must be finite", i, s.Name, s.Loc.LonDeg)
+		}
+		totalW += s.Weight
+	}
+	if !(totalW > 0) || math.IsInf(totalW, 1) {
+		return 0, fmt.Errorf("serve: site weights sum to %v, want a finite positive total", totalW)
+	}
+	return totalW, nil
 }
 
 // build primes every stream and plays every match bottom-up, holding each

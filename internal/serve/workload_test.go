@@ -149,6 +149,58 @@ func TestGenerateValidation(t *testing.T) {
 	}
 }
 
+// TestWorkloadRefusesNonFinite: every NaN or infinite workload field,
+// horizon, site weight or longitude is an error. Each is judged by the
+// returned error alone: a draw with such a value would never return.
+func TestWorkloadRefusesNonFinite(t *testing.T) {
+	good := Workload{Seed: 1, RatePerSec: 10, ServiceMedianMs: 5}.withDefaults()
+	nan, inf := math.NaN(), math.Inf(1)
+	fields := map[string]func(w *Workload, v float64){
+		"rate":      func(w *Workload, v float64) { w.RatePerSec = v },
+		"median":    func(w *Workload, v float64) { w.ServiceMedianMs = v },
+		"sigma":     func(w *Workload, v float64) { w.ServiceSigma = v },
+		"amplitude": func(w *Workload, v float64) { w.DiurnalAmplitude = v },
+		"peak hour": func(w *Workload, v float64) { w.PeakLocalHour = v },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{nan, inf, -inf} {
+			w := good
+			set(&w, v)
+			if err := w.Validate(); err == nil {
+				t.Errorf("%s %v: Validate accepted", name, v)
+			}
+			if _, err := checkTrace(twoSites(), w, 10); err == nil {
+				t.Errorf("%s %v: checkTrace accepted", name, v)
+			}
+		}
+	}
+	for _, h := range []float64{nan, inf, -inf} {
+		if _, err := checkTrace(twoSites(), good, h); err == nil {
+			t.Errorf("horizon %v: accepted", h)
+		}
+	}
+	for _, v := range []float64{nan, inf, -inf} {
+		sites := twoSites()
+		sites[1].Weight = v
+		if _, err := checkTrace(sites, good, 10); err == nil {
+			t.Errorf("weight %v: accepted", v)
+		}
+		sites = twoSites()
+		sites[0].Loc.LonDeg = v
+		if _, err := checkTrace(sites, good, 10); err == nil {
+			t.Errorf("longitude %v: accepted", v)
+		}
+	}
+	huge := twoSites()
+	huge[0].Weight, huge[1].Weight = math.MaxFloat64, math.MaxFloat64
+	if _, err := checkTrace(huge, good, 10); err == nil {
+		t.Error("weights summing to +Inf: accepted")
+	}
+	if total, err := checkTrace(twoSites(), good, 10); err != nil || total != 4 {
+		t.Errorf("valid arguments: total weight %v, error %v; want 4, nil", total, err)
+	}
+}
+
 func TestSitesFromCities(t *testing.T) {
 	sites := SitesFromCities(10)
 	if len(sites) != 10 {

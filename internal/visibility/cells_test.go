@@ -52,11 +52,26 @@ func checkCell(t *testing.T, ix *Index, p geo.Vec3) {
 // orbital radii, and every row and column edge of six grids. The tables must
 // decide nearly all of the satellites and directions.
 func TestRebuildMatchesTrig(t *testing.T) {
-	frames := 200
+	// The gate is on the full run: 200 frames 30 s apart and 2 M random
+	// directions. -short samples it — every tenth frame and 100 k
+	// directions — and weighs each sampled position by how many of the full
+	// run's it stands for, so both modes estimate one ratio. Frame 0 is its
+	// own stratum at weight 1: at t = 0 the symmetric layouts put
+	// satellites on cell edges, and counted as a tenth of the frames it
+	// would carry ten times its share of the fallbacks.
+	const fullFrames, fullDirections = 200, 2_000_000
+	frames, directions := fullFrames, fullDirections
 	if testing.Short() {
-		frames = 20
+		frames, directions = 20, 100_000
+	}
+	frameWeight := func(f int) float64 {
+		if f == 0 {
+			return 1
+		}
+		return float64(fullFrames-1) / float64(frames-1)
 	}
 	var total, fellBack int
+	var totalW, fellBackW float64
 	for _, name := range []string{"starlink", "kuiper", "telesat"} {
 		c, err := constellation.Preset(name)
 		if err != nil {
@@ -77,9 +92,11 @@ func TestRebuildMatchesTrig(t *testing.T) {
 				want[id] = int32((c.Satellites[id].ShellIndex*ix.rows+row)*ix.cols + col)
 				if !decided(ix, p) {
 					fellBack++
+					fellBackW += frameWeight(f)
 				}
 			}
 			total += len(snap)
+			totalW += frameWeight(f) * float64(len(snap))
 			for id := range want {
 				if ix.cellOfSat[id] != want[id] {
 					t.Fatalf("%s frame %d: satellite %d in cell %d, trig path %d", name, f, id, ix.cellOfSat[id], want[id])
@@ -93,22 +110,21 @@ func TestRebuildMatchesTrig(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	directions := 2_000_000
-	if testing.Short() {
-		directions = 100_000
-	}
+	directionWeight := float64(fullDirections) / float64(directions)
 	for i := 0; i < directions; i++ {
 		p := geo.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}
 		p = p.Scale((units.EarthRadiusKm + 300 + 1700*rng.Float64()) / p.Norm())
 		checkCell(t, ix, p)
 		if !decided(ix, p) {
 			fellBack++
+			fellBackW += directionWeight
 		}
 	}
 	total += directions
-	t.Logf("%d positions, %d took the trig path", total, fellBack)
-	if fellBack*10_000 > total {
-		t.Fatalf("%d of %d positions took the trig path: the tables decide too little", fellBack, total)
+	totalW += directionWeight * float64(directions)
+	t.Logf("%d positions, %d took the trig path; weighted to the full run, %.0f of %.0f", total, fellBack, fellBackW, totalW)
+	if fellBackW*10_000 > totalW {
+		t.Fatalf("%.0f of %.0f positions (weighted to the full run) took the trig path: the tables decide too little", fellBackW, totalW)
 	}
 
 	for _, n := range edgeGrids {
