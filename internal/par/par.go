@@ -1,12 +1,13 @@
 // Package par is the repository's one fan-out kernel. Every engine that
 // spreads CPU-bound work over cores — ephemeris propagation, multi-source
-// SSSP, the fleet planner, the serve shards, the experiment sweeps — goes
-// through Chunks or Each, so there is one worker clamp and one place that
-// launches and waits for goroutines. Both primitives run inline on the
-// caller's goroutine when the resolved width is one, and both hand work out
-// by index alone, so what is computed never depends on the width; whether a
-// batch is worth fanning out is the call site's decision (its units differ).
-// Async is the one way to keep the caller busy meanwhile.
+// SSSP, the fleet planner, the experiment sweeps — goes through Chunks or
+// Each, so there is one worker clamp and one place that launches and waits
+// for goroutines. Both primitives run inline on the caller's goroutine when
+// the resolved width is one, and both hand work out by index alone, so what
+// is computed never depends on the width; whether a batch is worth fanning
+// out is the call site's decision (its units differ). Async is the one way
+// to keep the caller busy meanwhile: the fleet planner proposes ahead with
+// it, and each serve engine refreshes the next slice.
 package par
 
 import (

@@ -4,8 +4,9 @@
 // times); a pluggable routing policy picks a visible satellite for each
 // request; per-satellite admission control bounds the queue and sheds the
 // rest with typed reasons. The engine simulates in refresh-aligned time
-// slices on one goroutine (see shard.go) while staying byte-identical to
-// the legacy event-queue reference (legacy_test.go) for every seed. Each refresh reads visibility
+// slices, replaying each on the caller's goroutine while the next slice's
+// refresh runs beside it (see shard.go), and stays byte-identical to the
+// legacy event-queue reference (legacy_test.go) for every seed. Each refresh reads visibility
 // straight off the ephemeris frames through a visibility.Ring, the
 // look-ahead type the fleet orchestrator reads too (share its ephemeris
 // engine and the frames are the same), and the engine reports into the obs
@@ -68,8 +69,10 @@ type Config struct {
 	// Registry, when set, receives the serve_* metric families.
 	Registry *obs.Registry
 	// Faults, when set, marks failed satellites unroutable at each
-	// refresh. The engine owns Advance; give each engine its own
-	// injector (same seed = same schedule).
+	// refresh. The engine owns Advance and calls it during RunUntil on a
+	// goroutine of its own, beside the slice's replay: give each engine
+	// its own injector (same seed = same schedule), and read it only
+	// between RunUntil calls.
 	Faults *faults.Injector
 	// Ephem, when set, supplies the look-ahead ring's frames from its
 	// frame store (share the fleet orchestrator's engine), where the ring
@@ -125,7 +128,7 @@ func (r Result) ShedTotal() int {
 }
 
 // EngineStats is what is left of the deleted slice fan-out's execution
-// report. The engine runs on one goroutine; the type and Engine.Stats
+// report. The engine replays on one goroutine; the type and Engine.Stats
 // remain only because bench/workloads.go reads these three fields, and
 // they leave with the next benchmark PR.
 type EngineStats struct {

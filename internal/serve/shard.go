@@ -2,9 +2,16 @@ package serve
 
 // The slab-backed discrete-event serving engine. The legacy engine (the
 // test oracle, legacy_test.go) replays one closure per event through a
-// global (time, seq) heap; this engine gets the same answers on
-// one goroutine from refresh-aligned time slices, and picks one of two
-// replay orders from the policy it was given.
+// global (time, seq) heap; this engine gets the same answers from
+// refresh-aligned time slices, and picks one of two replay orders from the
+// policy it was given.
+//
+// The replay runs on the caller's goroutine. Each slice's closing refresh —
+// the ring's advance, the injector's, and the next slice's candidate lists —
+// runs beside it through par.Async, into a second set of lists that swaps in
+// at the boundary. That is exact because the replay reads only the current
+// lists, never the ring, the Surface, the injector or the set being built,
+// and the injector still advances once per boundary in boundary order.
 //
 // Why slices compose exactly:
 //
@@ -57,6 +64,7 @@ import (
 	"repro/internal/constellation"
 	"repro/internal/geo"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/units"
 	"repro/internal/visibility"
@@ -317,9 +325,14 @@ type Engine struct {
 	surf    *visibility.Surface
 	grounds []geo.Vec3
 
-	cands    [][]Candidate // per site, rebuilt each refresh
-	downOnly []bool        // per site: visible sats exist but all are down
-	prevSat  []int         // per site: satellite that served the last request
+	// Per site, the current slice's candidates and whether visible sats
+	// exist but all are down; the refresh builds the next slice's into
+	// nextCands and nextDown, and the two sets swap at the boundary.
+	cands     [][]Candidate
+	downOnly  []bool
+	nextCands [][]Candidate
+	nextDown  []bool
+	prevSat   []int // per site: satellite that served the last request
 
 	// Arrivals: queued sources drained in order, one pulled run at a time.
 	// The engine owns no copy; cur aliases the source's (or Feed caller's)
@@ -393,6 +406,8 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 		nsats:       c.Size(),
 		cands:       make([][]Candidate, len(cfg.Sites)),
 		downOnly:    make([]bool, len(cfg.Sites)),
+		nextCands:   make([][]Candidate, len(cfg.Sites)),
+		nextDown:    make([]bool, len(cfg.Sites)),
 		prevSat:     make([]int, len(cfg.Sites)),
 		sats:        make([]satShard, c.Size()),
 		freeAt:      make([]float64, c.Size()),
@@ -427,30 +442,36 @@ func NewEngine(c *constellation.Constellation, cfg Config) (*Engine, error) {
 	}
 	e.refresh(0)
 	e.refreshN = 1
+	// Size the second set from the first: appended from empty it costs
+	// about 4 % more alloc_gb on serve-heavy (EXPERIMENTS.md, "Receipts").
+	for si, cs := range e.cands {
+		e.nextCands[si] = make([]Candidate, 0, cap(cs)+cap(cs)/4)
+	}
 	return e, nil
 }
 
 // refresh rebuilds fault state and the per-site candidate lists at time t,
 // the ring's slot-0 time — the per-slice batch that replaces per-arrival
-// lookups.
+// lookups — and makes them current.
 func (e *Engine) refresh(t float64) {
-	if e.cfg.Faults != nil {
-		e.cfg.Faults.Advance(t)
-	}
-	e.fillCands()
+	e.fillNext(t)
+	e.swapCands()
 }
 
-// fillCands rebuilds each site's candidates: the satellites up and in view
-// in the ring's slot 0, nearest first, each with how long the ring keeps it
-// in view.
-func (e *Engine) fillCands() {
+// fillNext advances the fault state to t and rebuilds each site's next
+// candidates: the satellites up and in view in the ring's slot 0, nearest
+// first, each with how long the ring keeps it in view.
+func (e *Engine) fillNext(t float64) {
 	inj := e.cfg.Faults
+	if inj != nil {
+		inj.Advance(t)
+	}
 	step := e.cfg.RefreshSec
 	now := e.ring.Frame(0)
 	e.surf.Scan(now, func(rows [][]int32) {
 		for si, row := range rows {
 			site := e.grounds[si : si+1]
-			cands := e.cands[si][:0]
+			cands := e.nextCands[si][:0]
 			for _, id := range row {
 				if inj != nil && !inj.SatUp(int(id)) {
 					continue
@@ -467,10 +488,16 @@ func (e *Engine) fillCands() {
 				}
 				return cmp.Compare(a.SatID, b.SatID)
 			})
-			e.cands[si] = cands
-			e.downOnly[si] = len(cands) == 0 && len(row) > 0
+			e.nextCands[si] = cands
+			e.nextDown[si] = len(cands) == 0 && len(row) > 0
 		}
 	})
+}
+
+// swapCands makes the lists fillNext built current.
+func (e *Engine) swapCands() {
+	e.cands, e.nextCands = e.nextCands, e.cands
+	e.downOnly, e.nextDown = e.nextDown, e.downOnly
 }
 
 // checkArrivals applies the arrival contract to a run: each request
@@ -568,13 +595,19 @@ func (e *Engine) RunUntil(tSec float64) error {
 	for {
 		next := float64(e.refreshN) * e.cfg.RefreshSec
 		if next <= tSec {
+			// The boundary's refresh runs beside the slice's replay, which
+			// reads none of what it writes (see the file header).
+			join := par.Async(func() {
+				e.ring.Advance(next)
+				e.fillNext(next)
+			})
 			// Arrivals at exactly the first boundary land after that refresh
 			// (its event predates every feed in the legacy order); later
 			// boundaries are scheduled mid-run and lose the tie to arrivals.
 			e.runSegment(next, e.refreshN == 1)
+			join()
+			e.swapCands()
 			e.now = next
-			e.ring.Advance(next)
-			e.refresh(next)
 			e.refreshN++
 			continue
 		}
@@ -697,7 +730,7 @@ func (e *Engine) drainSat(st *satShard, limit float64, inclusive bool) {
 		case evUplink:
 			rec := st.slab[ev.ref]
 			ci, _ := e.pickCore(st)
-			start := math.Max(ev.t, st.cores[ci])
+			start := max(ev.t, st.cores[ci])
 			st.cores[ci] = start + rec.svc
 			st.busySec += rec.svc
 			if start > ev.t {
@@ -790,7 +823,7 @@ func (e *Engine) globalDrain(limit float64, inclusive bool) {
 		case evUplink:
 			rec := st.slab[ev.ref]
 			ci, rest := e.pickCore(st)
-			start := math.Max(ev.t, st.cores[ci])
+			start := max(ev.t, st.cores[ci])
 			st.cores[ci] = start + rec.svc
 			e.freeAt[ev.sat] = min(rest, st.cores[ci])
 			st.busySec += rec.svc

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -202,6 +203,105 @@ func TestBoundaryArrivalsMatchLegacy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStepInvariance: how RunUntil is stepped does not change what the
+// engine simulates, now that each boundary's refresh runs beside the
+// slice's replay. One chaos trace, with arrivals at exactly every boundary
+// (t = 60, the first, lands after its refresh; later ones before), goes to
+// each policy three ways — one call to the horizon, one call per boundary,
+// and off-grid steps that hit exact boundaries, repeat a time and span
+// several boundaries — and every Result field, the latency CDF's bits and
+// every serve_* series must agree across the three, and the Results with the
+// legacy oracle's, which advances the injector before it builds the lists.
+// Run it under -race: a swap of the candidate lists before the refresh's
+// join races with the refresh that fills them.
+func TestStepInvariance(t *testing.T) {
+	c := testConst(t)
+	const refresh, horizon = 60.0, 330.0
+	reqs := testTrace(t, 150, horizon)
+	for k := 0.0; k < horizon; k += refresh {
+		for site := range testSites() {
+			reqs = append(reqs, Request{TSec: k, Site: site, ServiceMs: 4}, Request{TSec: k, Site: site, ServiceMs: 6})
+		}
+	}
+	slices.SortStableFunc(reqs, func(a, b Request) int { return cmp.Compare(a.TSec, b.TSec) })
+	var perBoundary []float64
+	for k := refresh; k < horizon; k += refresh {
+		perBoundary = append(perBoundary, k)
+	}
+	drives := []struct {
+		name  string
+		steps []float64
+	}{
+		{"one-call", []float64{horizon}},
+		{"per-boundary", append(perBoundary, horizon)},
+		{"off-grid", []float64{0, 7.3, 60, 60, 61.2, 119.999, 250, 300, 301.5, horizon}},
+	}
+	for _, p := range Policies() {
+		cfg := func(reg *obs.Registry) Config {
+			inj, err := faults.New(c.Size(), faults.Config{Seed: 9, SatMTBFHours: 0.02, SatMTTRSec: 120})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return Config{Sites: testSites(), Policy: p, QueueCap: 2, RefreshSec: refresh, Registry: reg, Faults: inj,
+				Server: compute.ServerSpec{Cores: 1, MemoryGB: 8, PowerCapFraction: 1}}
+		}
+		oracle := renderResult(runLegacyOracle(t, c, cfg(nil), reqs, horizon))
+		var first, firstSeries string
+		for _, d := range drives {
+			reg := obs.NewRegistry()
+			eng, err := NewEngine(c, cfg(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Feed(reqs); err != nil {
+				t.Fatal(err)
+			}
+			for _, ts := range d.steps {
+				if err := eng.RunUntil(ts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := eng.Result()
+			if r.Shed[ShedSatDown] == 0 || r.Shed[ShedQueueFull] == 0 {
+				t.Fatalf("%s/%s: shed %v: the run exercised too little", p.Name(), d.name, r.Shed)
+			}
+			got, series := renderResult(r), renderServeSeries(reg)
+			if got != oracle {
+				t.Errorf("%s/%s diverged from legacy:\n got: %s\nwant: %s", p.Name(), d.name, got, oracle)
+			}
+			if first == "" {
+				first, firstSeries = got, series
+				continue
+			}
+			if got != first {
+				t.Errorf("%s: %s diverged from %s:\n got: %s\nwant: %s", p.Name(), d.name, drives[0].name, got, first)
+			}
+			if series != firstSeries {
+				t.Errorf("%s: %s serve_* series diverged from %s:\n got: %s\nwant: %s", p.Name(), d.name, drives[0].name, series, firstSeries)
+			}
+		}
+	}
+}
+
+// renderServeSeries prints every serve_* sample in reg at full float
+// precision: counters, gauges, and each sketch's count, sum and quantiles.
+func renderServeSeries(reg *obs.Registry) string {
+	var b strings.Builder
+	for _, f := range reg.Snapshot() {
+		if !strings.HasPrefix(f.Name, "serve_") {
+			continue
+		}
+		for _, s := range f.Samples {
+			fmt.Fprintf(&b, "%s%v %x n=%d", f.Name, s.Labels, s.Value, s.Count)
+			for _, q := range s.Quantiles {
+				fmt.Fprintf(&b, " %v:%x", q.P, q.Value)
+			}
+			b.WriteString("\n")
+		}
+	}
+	return b.String()
 }
 
 // TestFreeAtMatchesCores pins the global path's load book: after every
