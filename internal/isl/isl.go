@@ -21,7 +21,6 @@ type Link struct {
 
 // Grid is the +grid ISL topology for one constellation.
 type Grid struct {
-	c     *constellation.Constellation
 	links []Link
 	// neighbors[id] lists the satellite IDs adjacent to id.
 	neighbors [][]int
@@ -34,7 +33,7 @@ const BandwidthGbps = 20.0
 
 // NewPlusGrid wires the +grid topology over the constellation.
 func NewPlusGrid(c *constellation.Constellation) *Grid {
-	g := &Grid{c: c, neighbors: make([][]int, c.Size())}
+	g := &Grid{neighbors: make([][]int, c.Size())}
 	addLink := func(a, b int) {
 		if a == b {
 			return
@@ -103,6 +102,10 @@ func (g *Grid) dedupe() {
 // Neighbors returns the IDs adjacent to sat id (shared slice; do not mutate).
 func (g *Grid) Neighbors(id int) []int { return g.neighbors[id] }
 
+// Size returns the number of satellites the grid wires, the length every
+// position snapshot indexed by satellite ID must have.
+func (g *Grid) Size() int { return len(g.neighbors) }
+
 // LengthKm returns the instantaneous length of link l given a position
 // snapshot indexed by satellite ID.
 func LengthKm(l Link, snapshot []geo.Vec3) float64 {
@@ -119,8 +122,8 @@ type Stats struct {
 
 // StatsAt computes topology statistics for a snapshot.
 func (g *Grid) StatsAt(snapshot []geo.Vec3) (Stats, error) {
-	if len(snapshot) != g.c.Size() {
-		return Stats{}, fmt.Errorf("isl: snapshot size %d, constellation %d", len(snapshot), g.c.Size())
+	if len(snapshot) != g.Size() {
+		return Stats{}, fmt.Errorf("isl: snapshot size %d, constellation %d", len(snapshot), g.Size())
 	}
 	s := Stats{Links: len(g.links), MinDegree: 1 << 30}
 	if len(g.links) == 0 {

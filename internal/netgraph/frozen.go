@@ -48,14 +48,6 @@ type frozen struct {
 	groundPos []geo.Vec3
 }
 
-// pos returns the position of a node (satellite or ground).
-func (f *frozen) pos(node int32) geo.Vec3 {
-	if int(node) < f.sats {
-		return f.satPos[node]
-	}
-	return f.groundPos[int(node)-f.sats]
-}
-
 // frozen returns the snapshot's CSR, building it on first use. Safe for
 // concurrent callers; the build runs at most once per snapshot.
 func (s *Snapshot) frozen() *frozen {
@@ -97,7 +89,7 @@ func assembleCSR(s *Snapshot, rows [][]int32) *frozen {
 	nodes := net.Nodes()
 	grounds := net.groundECEF
 	satPos := s.satPos
-	ic := islGraph(net.Grid, sats)
+	ic := islGraph(net.Grid)
 
 	// Guard the int32 offsets before accumulating into them: directed edge
 	// count is grid degree sum plus twice the ground links. cursor holds each

@@ -1,16 +1,19 @@
 package netgraph
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/constellation"
+	"repro/internal/geo"
+	"repro/internal/isl"
 	"repro/internal/orbit"
 )
 
-// twoShellNet is a two-shell constellation whose larger shell earns ALT
-// tables (the first ISLPath builds them): the +grid links no shells, so a
-// cross-shell pair has no ISL path.
+// twoShellNet is a two-shell constellation (528 + 240 satellites, J2 on): the
+// +grid links no shells, so a cross-shell pair has no ISL path.
 func twoShellNet(tb testing.TB) *Network {
 	c, err := constellation.Build("within", []constellation.Shell{
 		{Name: "low", AltitudeKm: 550, InclinationDeg: 53, Planes: 24, SatsPerPlane: 22, PhaseFactor: 5, MinElevationDeg: 25},
@@ -19,9 +22,7 @@ func twoShellNet(tb testing.TB) *Network {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	n := New(c, nil)
-	n.islOverlay()
-	return n
+	return New(c, nil)
 }
 
 // FuzzISLWithin: ISLWithin(a, b, bound) is min(D, bound) bit for bit, where D
@@ -114,6 +115,15 @@ func TestISLWithinEdgeCases(t *testing.T) {
 		}
 	}
 
+	// Positions one short of the grid are refused, not searched.
+	before := TotalStats().ISLQueries
+	if ms, ok := ISLWithin(n.Grid, pos[:sats-1], 0, 300, 50); ms != 50 || ok {
+		t.Errorf("short positions: ISLWithin = (%v, %v), want (50, false)", ms, ok)
+	}
+	if q := TotalStats().ISLQueries - before; q != 0 {
+		t.Errorf("short positions: recorded %d isl queries, want none", q)
+	}
+
 	// A searched query records exactly one isl query, capped or not.
 	for _, bound := range []float64{0, 1, math.Inf(1)} {
 		before := TotalStats().ISLQueries
@@ -130,4 +140,36 @@ func TestISLWithinEdgeCases(t *testing.T) {
 			t.Errorf("bound %v: ISLWithin allocates %v times a query, want 0", bound, allocs)
 		}
 	}
+}
+
+// TestISLRefusesMismatchedPositions: a position slice whose length is not
+// the grid's is refused before any search — ISLShortest with an error,
+// ISLWithin with (bound, false) — shorter or longer, before and after a
+// well-sized query has cached the grid's CSR. Its IDs may all be in range of
+// the slice: the grid's neighbours past its end are what a search would read.
+func TestISLRefusesMismatchedPositions(t *testing.T) {
+	c, err := constellation.Build("mismatch", []constellation.Shell{
+		{Name: "s", AltitudeKm: 550, InclinationDeg: 53, Planes: 10, SatsPerPlane: 10, PhaseFactor: 1, MinElevationDeg: 25},
+	}, constellation.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := isl.NewPlusGrid(c)
+	pos := c.Snapshot(0)
+	refused := func(when string) {
+		t.Helper()
+		for _, bad := range [][]geo.Vec3{pos[:20], append(slices.Clone(pos), pos[0])} {
+			if _, err := ISLShortest(g, bad, 3, 15); err == nil || errors.Is(err, ErrNoPath) {
+				t.Errorf("%s: ISLShortest on %d positions for %d satellites: err %v, want a mismatch", when, len(bad), g.Size(), err)
+			}
+			if ms, ok := ISLWithin(g, bad, 3, 15, 80); ms != 80 || ok {
+				t.Errorf("%s: ISLWithin on %d positions = (%v, %v), want (80, false)", when, len(bad), ms, ok)
+			}
+		}
+	}
+	refused("cold")
+	if _, err := ISLShortest(g, pos, 3, 15); err != nil {
+		t.Fatalf("well-sized query: %v", err)
+	}
+	refused("cached")
 }

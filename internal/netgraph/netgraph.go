@@ -7,11 +7,11 @@
 // Routing runs on a frozen-graph engine: each Snapshot freezes its topology
 // into CSR adjacency once (frozen.go), queries share a pooled search core on
 // one monotone bucket queue — a label-only search for the SSSP rows, one-pass
-// goal-directed search for point-to-point paths (query.go, overlay.go) — and
-// multi-source fan-outs parallelise across GOMAXPROCS (parallel.go). The
-// public entry points here are thin wrappers that return results
-// bit-identical to the pre-freeze implementations the tests keep as their
-// oracle (legacy_test.go).
+// goal-directed search on the line-of-sight bound for point-to-point paths
+// (query.go) — and multi-source fan-outs parallelise across GOMAXPROCS
+// (parallel.go). The public entry points here are thin wrappers that return
+// results bit-identical to the pre-freeze implementations the tests keep as
+// their oracle (legacy_test.go).
 package netgraph
 
 import (
@@ -168,6 +168,10 @@ func errSatOutOfRange(a, b, sats int) error {
 	return fmt.Errorf("netgraph: satellite out of range (a=%d b=%d sats=%d)", a, b, sats)
 }
 
+func errPosMismatch(positions, sats int) error {
+	return fmt.Errorf("netgraph: %d satellite positions for a %d-satellite ISL grid", positions, sats)
+}
+
 // Path is a routed path with its one-way latency.
 type Path struct {
 	// Nodes from source to destination inclusive.
@@ -188,18 +192,18 @@ func (s *Snapshot) ShortestPath(src, dst NodeID) (Path, error) {
 	}
 	start := time.Now()
 	f := s.frozen()
-	// Goal-directed with the line-of-sight bound (overlay.go); the answer is
-	// bit-identical to the plain dijkstra's.
-	h := &losHeur{f: f, dst: f.pos(int32(dst))}
-	return route(f.g, f.nodes, int32(src), int32(dst), h, &s.net.metrics().path, start)
+	return route(f.g, f.satPos, f.groundPos, int32(src), int32(dst), &s.net.metrics().path, start)
 }
 
-// route answers one point-to-point query on g with the goal-directed search
-// and records it under kind k as begun at start.
-func route(g csr, nodes int, src, dst int32, h heuristic, k *kindMetrics, start time.Time) (Path, error) {
-	c := getCtx(nodes)
+// route answers one point-to-point query on g, whose nodes sit at sats then
+// grounds, with the goal-directed search on the line-of-sight bound — the
+// answer is bit-identical to the plain dijkstra's — and records it under
+// kind k as begun at start.
+func route(g csr, sats, grounds []geo.Vec3, src, dst int32, k *kindMetrics, start time.Time) (Path, error) {
+	c := getCtx(len(sats) + len(grounds))
+	c.ih.aim(sats, grounds, dst)
 	var p Path
-	if c.astar(g, src, dst, h, math.Inf(1)) {
+	if c.astar(g, src, dst, &c.ih, math.Inf(1)) {
 		p = Path{Nodes: c.pathTo(dst), OneWayMs: c.dist[dst]}
 	}
 	putCtx(c)
@@ -210,12 +214,9 @@ func route(g csr, nodes int, src, dst int32, h heuristic, k *kindMetrics, start 
 	return p, nil
 }
 
-// ISLPath returns the shortest ISL-only path between two satellites. Having
-// the constellation at hand, it builds (once per grid) the ALT landmark
-// overlay that prunes long-haul queries; the standalone ISLShortest then
-// picks it up from the cache.
+// ISLPath returns the shortest ISL-only path between two satellites at the
+// snapshot: ISLShortest on the snapshot's positions.
 func (s *Snapshot) ISLPath(a, b int) (Path, error) {
-	s.net.islOverlay()
 	return ISLShortest(s.net.Grid, s.satPos, a, b)
 }
 
@@ -233,12 +234,13 @@ type islCSR struct {
 
 var islCSRCache sync.Map // *isl.Grid -> islCSR
 
-func islGraph(g *isl.Grid, sats int) islCSR {
+// islGraph returns g's static CSR over its g.Size() satellites, building it
+// on first use.
+func islGraph(g *isl.Grid) islCSR {
 	if v, ok := islCSRCache.Load(g); ok {
-		if ic := v.(islCSR); len(ic.off) == sats+1 {
-			return ic
-		}
+		return v.(islCSR)
 	}
+	sats := g.Size()
 	off := make([]int32, sats+1)
 	for u := 0; u < sats; u++ {
 		off[u+1] = off[u] + int32(len(g.Neighbors(u)))
@@ -269,11 +271,15 @@ func islGraph(g *isl.Grid, sats int) islCSR {
 }
 
 // ISLShortest runs Dijkstra over the ISL grid alone, with positions given by
-// satPos (indexed by satellite ID). It is the standalone form used by
-// packages that manage their own snapshots (meetup, migrate); it shares the
-// pooled query core, with the grid's static CSR cached per Grid.
+// satPos (indexed by satellite ID, one per grid satellite). It is the
+// standalone form used by packages that manage their own snapshots (meetup,
+// the ablation); it shares the pooled query core, with the grid's static CSR
+// cached per Grid. A satPos of another length than the grid's is refused.
 func ISLShortest(g *isl.Grid, satPos []geo.Vec3, a, b int) (Path, error) {
 	sats := len(satPos)
+	if sats != g.Size() {
+		return Path{}, errPosMismatch(sats, g.Size())
+	}
 	if a < 0 || a >= sats || b < 0 || b >= sats {
 		return Path{}, errSatOutOfRange(a, b, sats)
 	}
@@ -281,28 +287,27 @@ func ISLShortest(g *isl.Grid, satPos []geo.Vec3, a, b int) (Path, error) {
 		return Path{Nodes: []NodeID{NodeID(a)}}, nil
 	}
 	start := time.Now()
-	ic := islGraph(g, sats)
-	h := new(islHeur)
-	h.init(g, satPos, b)
-	return route(csr{off: ic.off, adj: ic.adj, pos: satPos}, sats, int32(a), int32(b), h, &defaultMetrics().isl, start)
+	ic := islGraph(g)
+	return route(csr{off: ic.off, adj: ic.adj, pos: satPos}, satPos, nil, int32(a), int32(b), &defaultMetrics().isl, start)
 }
 
 // ISLWithin is ISLShortest's latency D capped at maxMs, bit for bit: (D, true)
 // when D ≤ maxMs, else (maxMs, false), for no path too. Its search stops past
-// maxMs; out-of-range IDs and a NaN or negative maxMs run none. It builds no
-// Path, allocates nothing and records on the isl query kind.
+// maxMs; a satPos of another length than the grid's, out-of-range IDs and a
+// NaN or negative maxMs run none. It builds no Path, allocates nothing and
+// records on the isl query kind.
 func ISLWithin(g *isl.Grid, satPos []geo.Vec3, a, b int, maxMs float64) (ms float64, ok bool) {
 	sats := len(satPos)
-	if a < 0 || a >= sats || b < 0 || b >= sats || !(maxMs >= 0) {
+	if sats != g.Size() || a < 0 || a >= sats || b < 0 || b >= sats || !(maxMs >= 0) {
 		return maxMs, false
 	}
 	if a == b {
 		return 0, true
 	}
 	start := time.Now()
-	ic := islGraph(g, sats)
+	ic := islGraph(g)
 	c := getCtx(sats)
-	c.ih.init(g, satPos, b)
+	c.ih.aim(satPos, nil, int32(b))
 	ms = maxMs
 	if c.astar(csr{off: ic.off, adj: ic.adj, pos: satPos}, int32(a), int32(b), &c.ih, maxMs) && c.dist[b] <= maxMs {
 		ms, ok = c.dist[b], true

@@ -17,8 +17,9 @@ package netgraph
 // every label is some path's sum. The other two read pop order:
 // dijkstraWithin returns a nearest-first prefix, and astar, behind every
 // point-to-point query, is one pass keyed by dist+π for an admissible π
-// (overlay.go) whose stop rule and tie rule make its dist[dst] and prev chain
-// from dst exactly dijkstra's. Why astar's are, in the arithmetic it runs:
+// (losHeur below: straight-line delay to dst) whose stop rule and tie rule
+// make its dist[dst] and prev chain from dst exactly dijkstra's, for any
+// admissible π. Why astar's are, in the arithmetic it runs:
 //
 //   - Labels. Rounding is monotone, so astar's labels never drop below D. Let P
 //     be dijkstra's path to dst. While dist[dst] > D(dst), the last node p of P
@@ -77,7 +78,7 @@ type queryCtx struct {
 	pi    []float64 // astar only: π(v), evaluated when v is first reached
 	gen   uint32
 	q     bucketQueue
-	ih    islHeur // ISLWithin's heuristic, kept here so the query allocates nothing
+	ih    losHeur // the point-to-point queries' heuristic, kept here so it is not allocated
 
 	// expanded counts node expansions by every search run on this context
 	// since it was made; tests read deltas (TestGoalDirectedSettlesOnce).
@@ -385,6 +386,33 @@ func (c *queryCtx) dijkstraWithin(g csr, src int32, maxMs float64, out []NodeMs)
 // destination. astar evaluates it once per reached node.
 type heuristic interface {
 	eval(v int32) float64
+}
+
+// losHeur lower-bounds the remaining distance by the straight-line
+// propagation delay to the destination: admissible on any graph whose edge
+// weights are propagation delays (triangle inequality), ground nodes
+// included. Node v sits at sats[v], or at grounds[v-len(sats)] past the
+// satellites; the ISL-only graph has no grounds.
+type losHeur struct {
+	sats, grounds []geo.Vec3
+	dst           geo.Vec3
+}
+
+// aim points h at node dst over the given node positions.
+func (h *losHeur) aim(sats, grounds []geo.Vec3, dst int32) {
+	*h = losHeur{sats: sats, grounds: grounds}
+	h.dst = h.pos(dst)
+}
+
+func (h *losHeur) pos(v int32) geo.Vec3 {
+	if int(v) < len(h.sats) {
+		return h.sats[v]
+	}
+	return h.grounds[int(v)-len(h.sats)]
+}
+
+func (h *losHeur) eval(v int32) float64 {
+	return units.PropagationDelayMs(h.pos(v).Distance(h.dst))
 }
 
 // goalEps widens astar's stop key past dist[dst]: it absorbs the rounding in

@@ -3,10 +3,12 @@ package netgraph
 // Tests for the properties the query core rests on: the bucket queue pops in
 // exact (key, id) order at any width when sorted, and bucket by bucket when
 // not; labels equals the ordered dijkstra bit for bit and expands each node
-// once; and astar reports dijkstra's distance and node sequence even where
-// exact ties are the norm.
+// once; and astar reports dijkstra's distance and node sequence — on the
+// presets' ISL and ground+satellite graphs, and even where exact ties are the
+// norm.
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -52,6 +54,19 @@ func (c *queryCtx) dijkstra(g csr, src, dst int32) {
 			}
 		}
 	}
+}
+
+// dijkstraPath is the plain ordered dijkstra's path a→b over g, the
+// reference every goal-directed query is pinned to; false when unreachable.
+func dijkstraPath(g csr, a, b int) (Path, bool) {
+	c := getCtx(len(g.off) - 1)
+	defer putCtx(c)
+	c.dijkstra(g, int32(a), int32(b))
+	d := c.distAt(int32(b))
+	if math.IsInf(d, 1) {
+		return Path{}, false
+	}
+	return Path{Nodes: c.pathTo(int32(b)), OneWayMs: d}, true
 }
 
 // oracleRow is dijkstra as a labels stand-in: the full row from src, dense in
@@ -434,7 +449,7 @@ func TestGoalDirectedTieTorture(t *testing.T) {
 		if src == dst {
 			continue
 		}
-		want, _ := rawISL(tr.g, src, dst)
+		want, _ := dijkstraPath(tr.g, src, dst)
 		c := getCtx(side * side)
 		if !c.astar(tr.g, int32(src), int32(dst), gridHeur{side, int32(dst), tr.scale}, math.Inf(1)) {
 			t.Fatalf("pair %d (%d→%d): astar found no path", i, src, dst)
@@ -510,11 +525,11 @@ func TestGoalDirectedSettlesOnce(t *testing.T) {
 
 // FuzzGoalDirectedMatchesDijkstra: on a random Walker shell with a random
 // ground set, instant and endpoints, ShortestPath and ISLPath — both
-// goal-directed, with ALT tables on the larger shells — equal the plain
-// dijkstra over the same frozen CSR in OneWayMs bits and node sequence.
+// goal-directed on the line-of-sight bound — equal the plain dijkstra over
+// the same frozen CSR in OneWayMs bits and node sequence.
 func FuzzGoalDirectedMatchesDijkstra(f *testing.F) {
 	f.Add(uint8(6), uint8(7), 53.0, 550.0, uint8(1), int64(1), 100.0)
-	f.Add(uint8(24), uint8(22), 53.0, 550.0, uint8(5), int64(2), 4000.0) // ALT tables
+	f.Add(uint8(24), uint8(22), 53.0, 550.0, uint8(5), int64(2), 4000.0) // 528 satellites, long ISL routes
 	f.Add(uint8(3), uint8(3), 98.0, 1400.0, uint8(0), int64(3), 0.0)
 	f.Add(uint8(12), uint8(40), 70.0, 1200.0, uint8(11), int64(4), 86400.0)
 	f.Fuzz(func(t *testing.T, planes, per uint8, inclDeg, altKm float64, phase uint8, seed int64, tSec float64) {
@@ -542,23 +557,22 @@ func FuzzGoalDirectedMatchesDijkstra(f *testing.F) {
 			grounds[i] = geo.LatLon{LatDeg: 160*rng.Float64() - 80, LonDeg: 360*rng.Float64() - 180}
 		}
 		n := New(c, grounds)
-		// The overlay and ISL CSR caches key on the grid and never evict.
-		defer overlayCache.Delete(n.Grid)
+		// The ISL CSR cache keys on the grid and never evicts.
 		defer islCSRCache.Delete(n.Grid)
 		s := n.At(math.Mod(math.Abs(tSec), 2*86400))
 		fz := s.frozen()
-		ic := islGraph(n.Grid, n.Sats())
+		ic := islGraph(n.Grid)
 		isl := csr{off: ic.off, adj: ic.adj, pos: s.satPos}
 		for q := 0; q < 6; q++ {
 			a, b := rng.Intn(n.Nodes()), rng.Intn(n.Nodes())
-			want, ok := rawISL(fz.g, a, b)
+			want, ok := dijkstraPath(fz.g, a, b)
 			got, err := s.ShortestPath(NodeID(a), NodeID(b))
 			if a != b && (ok != (err == nil) || ok && !samePath(got, want)) {
 				t.Fatalf("ShortestPath(%d, %d): %v (%v) err %v, dijkstra %v (%v) ok %v",
 					a, b, got.Nodes, got.OneWayMs, err, want.Nodes, want.OneWayMs, ok)
 			}
 			a, b = rng.Intn(n.Sats()), rng.Intn(n.Sats())
-			want, ok = rawISL(isl, a, b)
+			want, ok = dijkstraPath(isl, a, b)
 			got, err = s.ISLPath(a, b)
 			if a != b && (ok != (err == nil) || ok && !samePath(got, want)) {
 				t.Fatalf("ISLPath(%d, %d): %v (%v) err %v, dijkstra %v (%v) ok %v",
@@ -566,4 +580,88 @@ func FuzzGoalDirectedMatchesDijkstra(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkISLPathMatchesDijkstra sweeps satellite pairs (near, antipodal, same
+// shell and across shells) on n at each instant and asserts ISLPath returns
+// exactly — latency bits, node for node — what the plain dijkstra returns
+// over the same ISL grid: a path within a shell, ErrNoPath across shells (the
+// +grid links no shells).
+func checkISLPathMatchesDijkstra(t *testing.T, n *Network, times []float64, stepA, stepB int) {
+	t.Helper()
+	csts := n.Constellation.Satellites
+	sats := n.Sats()
+	ic := islGraph(n.Grid)
+	for _, tSec := range times {
+		snap := n.At(tSec)
+		g := csr{off: ic.off, adj: ic.adj, pos: snap.satPos}
+		for a := 0; a < sats; a += stepA {
+			for b := sats - 1; b > a; b -= stepB {
+				want, ok := dijkstraPath(g, a, b)
+				if same := csts[a].ShellIndex == csts[b].ShellIndex; ok != same {
+					t.Fatalf("%s (%d,%d) t=%v: reachable %v, same shell %v", n.Constellation.Name, a, b, tSec, ok, same)
+				}
+				got, err := snap.ISLPath(a, b)
+				if !ok && !errors.Is(err, ErrNoPath) || ok && (err != nil || !samePath(got, want)) {
+					t.Fatalf("%s (%d,%d) t=%v: ISLPath %v (%v) err %v, dijkstra %v (%v) ok %v",
+						n.Constellation.Name, a, b, tSec, got.Nodes, got.OneWayMs, err, want.Nodes, want.OneWayMs, ok)
+				}
+			}
+		}
+	}
+}
+
+// TestOverlayISLEquality checks ISLPath against the plain dijkstra on
+// Starlink phase 1 (five shells) at three instants. The name is older than
+// the deletion of the ALT landmark layer; the test now pins the
+// line-of-sight search alone.
+func TestOverlayISLEquality(t *testing.T) {
+	checkISLPathMatchesDijkstra(t, presetNet(t, "starlink"), []float64{0, 911, 3604}, 487, 613)
+}
+
+// TestOverlayGate checks ISLPath against the plain dijkstra on a
+// 400-satellite single shell, the small grid that once sat below the ALT
+// tables' size gate.
+func TestOverlayGate(t *testing.T) {
+	small, err := constellation.Build("small", []constellation.Shell{
+		{Name: "s", AltitudeKm: 550, InclinationDeg: 53, Planes: 20, SatsPerPlane: 20, PhaseFactor: 3, MinElevationDeg: 10},
+	}, constellation.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkISLPathMatchesDijkstra(t, New(small, nil), []float64{60}, 37, 53)
+}
+
+// TestShortestPathMatchesDijkstra asserts ShortestPath returns exactly what
+// the plain dijkstra returns on Starlink's mixed ground+satellite frozen
+// graph: ground to ground, ground to satellite and satellite to satellite.
+func TestShortestPathMatchesDijkstra(t *testing.T) {
+	n := presetNet(t, "starlink")
+	snap := n.At(1800)
+	f := snap.frozen()
+	var pairs [][2]NodeID
+	for gi := 0; gi < len(n.Grounds); gi++ {
+		for gj := gi + 1; gj < len(n.Grounds); gj++ {
+			pairs = append(pairs, [2]NodeID{n.GroundNode(gi), n.GroundNode(gj)})
+		}
+	}
+	for s := 11; s < n.Sats(); s += 1021 {
+		pairs = append(pairs, [2]NodeID{n.GroundNode(4), n.SatNode(s)})
+		pairs = append(pairs, [2]NodeID{n.SatNode(s), n.SatNode((s + n.Sats()/2) % n.Sats())})
+	}
+	checked := 0
+	for _, p := range pairs {
+		want, ok := dijkstraPath(f.g, int(p[0]), int(p[1]))
+		got, err := snap.ShortestPath(p[0], p[1])
+		if !ok && !errors.Is(err, ErrNoPath) || ok && (err != nil || !samePath(got, want)) {
+			t.Fatalf("(%d,%d): ShortestPath %v (%v) err %v, dijkstra %v (%v) ok %v",
+				p[0], p[1], got.Nodes, got.OneWayMs, err, want.Nodes, want.OneWayMs, ok)
+		}
+		if ok {
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no reachable pairs checked")
+	}
 }

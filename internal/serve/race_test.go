@@ -2,6 +2,7 @@
 
 package serve
 
-// raceEnabled gates the one test sized past what the race detector's
-// slowdown makes reasonable (TestPulledHourStaysSmall).
+// raceEnabled shrinks or skips the tests sized past what the race
+// detector's slowdown makes reasonable (TestPulledHourStaysSmall,
+// TestGenerateMatchesSortOracle, the ring oracle's walk).
 const raceEnabled = true
