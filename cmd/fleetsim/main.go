@@ -35,34 +35,27 @@ import (
 	"io"
 	"log"
 	"math"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"strconv"
 
 	"repro/internal/constellation"
+	"repro/internal/driver"
 	"repro/internal/ephem"
 	"repro/internal/faults"
 	"repro/internal/fleet"
 	"repro/internal/netgraph"
 	"repro/internal/obs"
 	"repro/internal/plot"
-	"repro/internal/trace"
 )
 
 type options struct {
+	driver.Workload // the session population
+
 	name     string
-	sessions int
 	hours    float64
 	stepSec  float64
-	seed     int64
-	spreadKm float64
-	minUsers int
-	maxUsers int
-	churn    float64 // extra transient arrivals per second
-	dwellSec float64 // mean lifetime of transient sessions
-	demand   float64 // per-session cores demand
 	csvPath  string
 	debug    string
 	progress bool
@@ -75,46 +68,29 @@ type options struct {
 	sloXferMs    float64 // p99 transfer latency objective
 	sloAvail     float64 // session-availability ratio objective
 
-	faultSeed  int64
-	satMTBFHr  float64 // mean time between satellite hard failures (0 = off)
-	satMTTRSec float64 // mean recovery time (negative = permanent)
-	islFlapHr  float64 // per-pair ISL degradation windows per hour
-	migFail    float64 // per-attempt migration transfer failure probability
-
-	serve serveOptions // -serve-* request-serving layer
+	faults faults.Config // the fault schedule (-fault-seed, -sat-mtbf, ...)
+	serve  serveOptions  // -serve-* request-serving layer
 }
 
 // chaosEnabled reports whether any fault channel is active.
 func (o options) chaosEnabled() bool {
-	return o.satMTBFHr > 0 || o.islFlapHr > 0 || o.migFail > 0
-}
-
-// faultConfig is the fault schedule the flags ask for. The fleet and each
-// serve engine build their own injector from it: same seed, same schedule.
-func (o options) faultConfig() faults.Config {
-	return faults.Config{
-		Seed:              o.faultSeed,
-		SatMTBFHours:      o.satMTBFHr,
-		SatMTTRSec:        o.satMTTRSec,
-		ISLFlapPerHour:    o.islFlapHr,
-		MigrationFailProb: o.migFail,
-	}
+	return o.faults.SatMTBFHours > 0 || o.faults.ISLFlapPerHour > 0 || o.faults.MigrationFailProb > 0
 }
 
 func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("fleetsim", flag.ContinueOnError)
 	var o options
 	fs.StringVar(&o.name, "name", "starlink", "constellation: starlink, kuiper, telesat")
-	fs.IntVar(&o.sessions, "sessions", 100000, "concurrent long-lived sessions")
+	fs.IntVar(&o.Sessions, "sessions", 100000, "concurrent long-lived sessions")
 	fs.Float64Var(&o.hours, "hours", 2, "simulated window in hours")
 	fs.Float64Var(&o.stepSec, "step", 60, "planner epoch in simulated seconds")
-	fs.Int64Var(&o.seed, "seed", 1, "workload seed")
-	fs.Float64Var(&o.spreadKm, "spread", 300, "max user distance from the group's anchor city (km)")
-	fs.IntVar(&o.minUsers, "minusers", 2, "smallest group size")
-	fs.IntVar(&o.maxUsers, "maxusers", 5, "largest group size")
-	fs.Float64Var(&o.churn, "churn", 2, "transient session arrivals per second (0 disables churn)")
-	fs.Float64Var(&o.dwellSec, "dwell", 1800, "mean transient session lifetime in seconds")
-	fs.Float64Var(&o.demand, "demand", 0.5, "per-session compute demand in cores")
+	fs.Int64Var(&o.Seed, "seed", 1, "workload seed")
+	fs.Float64Var(&o.SpreadKm, "spread", 300, "max user distance from the group's anchor city (km)")
+	fs.IntVar(&o.MinUsers, "minusers", 2, "smallest group size")
+	fs.IntVar(&o.MaxUsers, "maxusers", 5, "largest group size")
+	fs.Float64Var(&o.Churn, "churn", 2, "transient session arrivals per second (0 disables churn)")
+	fs.Float64Var(&o.DwellSec, "dwell", 1800, "mean transient session lifetime in seconds")
+	fs.Float64Var(&o.Demand, "demand", 0.5, "per-session compute demand in cores")
 	fs.StringVar(&o.csvPath, "csv", "", "per-epoch CSV output path (empty = off)")
 	fs.StringVar(&o.debug, "debug", "", "debug listen address for /metrics, /healthz, /debug/pprof (empty = off)")
 	fs.BoolVar(&o.progress, "v", false, "log per-epoch progress to stderr")
@@ -127,20 +103,20 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&o.sloReplanMs, "slo-replan-ms", 50, "SLO: p99 per-session replan latency bound in ms, over the sessions whose ID is a multiple of 16")
 	fs.Float64Var(&o.sloXferMs, "slo-transfer-ms", 250, "SLO: p99 hand-off transfer latency bound in ms")
 	fs.Float64Var(&o.sloAvail, "slo-avail", 0.999, "SLO: assigned/sessions availability floor in (0,1]")
-	fs.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed (independent of the workload seed)")
-	fs.Float64Var(&o.satMTBFHr, "sat-mtbf", 0, "mean hours between per-satellite hard failures (0 = no failures; 100 ≈ 1%/h)")
-	fs.Float64Var(&o.satMTTRSec, "sat-mttr", 0, "mean seconds to recover a failed satellite (0 = default 1800, negative = never)")
-	fs.Float64Var(&o.islFlapHr, "isl-flap", 0, "per-satellite-pair ISL degradation windows per hour (0 = off)")
-	fs.Float64Var(&o.migFail, "mig-fail", 0, "probability a migration transfer attempt fails in flight, in [0,1)")
-	fs.Float64Var(&o.serve.rate, "serve-rate", 0, "request arrivals per second across all serve sites (0 = serving layer off)")
+	fs.Int64Var(&o.faults.Seed, "fault-seed", 1, "fault-injection seed (independent of the workload seed)")
+	fs.Float64Var(&o.faults.SatMTBFHours, "sat-mtbf", 0, "mean hours between per-satellite hard failures (0 = no failures; 100 ≈ 1%/h)")
+	fs.Float64Var(&o.faults.SatMTTRSec, "sat-mttr", 0, "mean seconds to recover a failed satellite (0 = default 1800, negative = never)")
+	fs.Float64Var(&o.faults.ISLFlapPerHour, "isl-flap", 0, "per-satellite-pair ISL degradation windows per hour (0 = off)")
+	fs.Float64Var(&o.faults.MigrationFailProb, "mig-fail", 0, "probability a migration transfer attempt fails in flight, in [0,1)")
+	fs.Float64Var(&o.serve.RatePerSec, "serve-rate", 0, "request arrivals per second across all serve sites (0 = serving layer off)")
 	fs.StringVar(&o.serve.policy, "serve-policy", "all", "request routing policy: nearest, least-loaded, sticky, or all (compare)")
 	fs.IntVar(&o.serve.sites, "serve-sites", 40, "request sites = the N most populous cities")
-	fs.Float64Var(&o.serve.serviceMs, "serve-service-ms", 20, "median request service time on one core in ms (lognormal)")
-	fs.Float64Var(&o.serve.sigma, "serve-sigma", 0.5, "lognormal shape of the service-time distribution")
-	fs.Float64Var(&o.serve.diurnal, "serve-diurnal", 0.6, "diurnal arrival-rate amplitude in [0,1) around the local evening peak")
+	fs.Float64Var(&o.serve.ServiceMedianMs, "serve-service-ms", 20, "median request service time on one core in ms (lognormal)")
+	fs.Float64Var(&o.serve.ServiceSigma, "serve-sigma", 0.5, "lognormal shape of the service-time distribution")
+	fs.Float64Var(&o.serve.DiurnalAmplitude, "serve-diurnal", 0.6, "diurnal arrival-rate amplitude in [0,1) around the local evening peak")
 	fs.IntVar(&o.serve.cores, "serve-cores", 8, "request-serving cores per satellite")
 	fs.IntVar(&o.serve.queue, "serve-queue", 64, "per-satellite queue bound beyond the cores, at least 1 (-1 = unbounded; a zero-length queue cannot be expressed)")
-	fs.Int64Var(&o.serve.seed, "serve-seed", 1, "request workload seed (independent of the fleet seed)")
+	fs.Int64Var(&o.serve.Seed, "serve-seed", 1, "request workload seed (independent of the fleet seed)")
 	fs.StringVar(&o.serve.tracePath, "serve-trace", "", "write the request trace as JSONL (empty = off)")
 	fs.StringVar(&o.serve.replay, "serve-replay", "", "replay a JSONL request trace instead of generating one")
 	fs.Float64Var(&o.serve.availSLO, "slo-serve-avail", 0.99, "SLO: served/offered request availability floor per policy, in (0,1]")
@@ -158,26 +134,26 @@ func parseFlags(args []string) (options, error) {
 	if notFinite != nil {
 		return o, notFinite
 	}
-	if o.sessions <= 0 {
-		return o, fmt.Errorf("sessions %d must be positive", o.sessions)
+	if o.Sessions <= 0 {
+		return o, fmt.Errorf("sessions %d must be positive", o.Sessions)
 	}
 	if o.hours <= 0 || o.stepSec <= 0 {
 		return o, fmt.Errorf("hours %v and step %v must be positive", o.hours, o.stepSec)
 	}
-	if o.minUsers <= 0 || o.maxUsers < o.minUsers {
-		return o, fmt.Errorf("bad user bounds [%d,%d]", o.minUsers, o.maxUsers)
+	if o.MinUsers <= 0 || o.MaxUsers < o.MinUsers {
+		return o, fmt.Errorf("bad user bounds [%d,%d]", o.MinUsers, o.MaxUsers)
 	}
-	if o.churn < 0 || o.dwellSec <= 0 {
-		return o, fmt.Errorf("churn %v and dwell %v must be non-negative/positive", o.churn, o.dwellSec)
+	if o.Churn < 0 || o.DwellSec <= 0 {
+		return o, fmt.Errorf("churn %v and dwell %v must be non-negative/positive", o.Churn, o.DwellSec)
 	}
-	if o.demand <= 0 {
-		return o, fmt.Errorf("demand %v must be positive", o.demand)
+	if o.Demand <= 0 {
+		return o, fmt.Errorf("demand %v must be positive", o.Demand)
 	}
-	if o.satMTBFHr < 0 || o.islFlapHr < 0 {
-		return o, fmt.Errorf("sat-mtbf %v and isl-flap %v must be non-negative", o.satMTBFHr, o.islFlapHr)
+	if f := o.faults; f.SatMTBFHours < 0 || f.ISLFlapPerHour < 0 {
+		return o, fmt.Errorf("sat-mtbf %v and isl-flap %v must be non-negative", f.SatMTBFHours, f.ISLFlapPerHour)
 	}
-	if o.migFail < 0 || o.migFail >= 1 {
-		return o, fmt.Errorf("mig-fail %v outside [0,1)", o.migFail)
+	if f := o.faults; f.MigrationFailProb < 0 || f.MigrationFailProb >= 1 {
+		return o, fmt.Errorf("mig-fail %v outside [0,1)", f.MigrationFailProb)
 	}
 	if _, err := o.timelineCadence(); err != nil {
 		return o, err
@@ -225,84 +201,39 @@ func (o options) slos() []obs.SLO {
 	}
 }
 
-// arrival is one transient session joining mid-run.
-type arrival struct {
-	at   float64
-	sess *fleet.Session
-}
-
-// buildWorkload generates the seeded session population: o.sessions
-// long-lived groups plus a Poisson stream of transient ones.
-func buildWorkload(o options, horizonSec float64) (persistent []*fleet.Session, churn []arrival, err error) {
-	times := trace.Poisson(o.seed+1, o.churn, horizonSec)
-	groups, err := trace.Groups(trace.GroupConfig{
-		Seed:         o.seed,
-		Groups:       o.sessions + len(times),
-		MinUsers:     o.minUsers,
-		MaxUsers:     o.maxUsers,
-		SpreadKm:     o.spreadKm,
-		MaxAbsLatDeg: 55, // inside every preset's coverage band
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	r := rand.New(rand.NewSource(o.seed + 2))
-	for i, g := range groups {
-		s, err := fleet.NewSession(uint64(i+1), g.Users)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.StateMB = trace.StateSizeMB(r, 64, 0.5)
-		s.CoresDemand = o.demand
-		if i < o.sessions {
-			persistent = append(persistent, s)
-			continue
-		}
-		at := times[i-o.sessions]
-		s.ExpiresAt = at + r.ExpFloat64()*o.dwellSec
-		churn = append(churn, arrival{at: at, sess: s})
-	}
-	return persistent, churn, nil
-}
-
 func run(out io.Writer, o options) error {
 	c, err := constellation.Preset(o.name)
 	if err != nil {
 		return err
 	}
 	reg := obs.NewRegistry()
-	var inj *faults.Injector
-	if o.chaosEnabled() {
-		inj, err = faults.New(c.Size(), o.faultConfig())
-		if err != nil {
-			return err
-		}
-	}
-	orch, err := fleet.New(c, nil, fleet.Config{
-		StepSec:          o.stepSec,
-		ExpectedSessions: o.sessions,
-		Registry:         reg,
-		Faults:           inj,
-	})
-	if err != nil {
-		return err
-	}
-
 	var tl *obs.Timeline
-	slos := o.slos()
 	if cadence, _ := o.timelineCadence(); cadence > 0 {
 		tl = obs.NewTimeline(reg, obs.TimelineConfig{CadenceSec: cadence, Capacity: o.timelineCap})
 	}
-
 	horizonSec := o.hours * 3600
-	var sr *serveRun
+	cfg := driver.Config{
+		Fleet:      fleet.Config{StepSec: o.stepSec, ExpectedSessions: o.Sessions, Registry: reg},
+		HorizonSec: horizonSec,
+		Timeline:   tl,
+	}
+	if o.chaosEnabled() {
+		cfg.Faults = &o.faults
+	}
 	if o.serve.enabled() {
-		sr, err = newServeRun(o, c, reg, orch.Ephemeris(), horizonSec, out)
-		if err != nil {
+		if err := o.serve.configure(&cfg, out); err != nil {
 			return err
 		}
-		slos = append(slos, sr.slos(o.serve.availSLO)...)
 	}
+	persistent, churn, err := driver.Sessions(o.Workload, horizonSec)
+	if err != nil {
+		return err
+	}
+	d, err := driver.New(c, cfg, persistent, churn)
+	if err != nil {
+		return err
+	}
+	slos := append(o.slos(), o.serve.slos(cfg.Policies)...)
 
 	if o.debug != "" {
 		ln, err := net.Listen("tcp", o.debug)
@@ -319,30 +250,13 @@ func run(out io.Writer, o options) error {
 		log.Printf("fleetsim: debug endpoint on http://%s/metrics", ln.Addr())
 	}
 
-	persistent, churn, err := buildWorkload(o, horizonSec)
-	if err != nil {
-		return err
-	}
-	if err := orch.SubmitBatch(persistent); err != nil {
-		return err
-	}
-	if err := orch.Start(0); err != nil {
-		return err
-	}
-
 	fmt.Fprintf(out, "%s: %d satellites — %d sessions + %.1f/s churn over %.1f h, %vs epochs (seed %d)\n",
-		c.Name, c.Size(), o.sessions, o.churn, o.hours, o.stepSec, o.seed)
+		c.Name, c.Size(), o.Sessions, o.Churn, o.hours, o.stepSec, o.Seed)
 
 	epochs := int(horizonSec / o.stepSec)
 	reps := make([]fleet.EpochReport, 0, epochs)
-	for e, nextArrival := 0, 0; e < epochs; e++ {
-		for nextArrival < len(churn) && churn[nextArrival].at <= orch.Now() {
-			if err := orch.Submit(churn[nextArrival].sess); err != nil {
-				return err
-			}
-			nextArrival++
-		}
-		rep, err := orch.Step()
+	for e := 0; e < epochs; e++ {
+		rep, err := d.Step()
 		if err != nil {
 			return err
 		}
@@ -351,18 +265,10 @@ func run(out io.Writer, o options) error {
 			log.Printf("t=%6.0fs sessions=%d assigned=%d handoffs=%d rejected=%d wall=%.2fs",
 				rep.TSec, rep.Sessions, rep.Assigned, rep.Handoffs, rep.Rejections, rep.WallSec)
 		}
-		if sr != nil {
-			if err := sr.advance(orch.Now()); err != nil {
-				return err
-			}
-		}
-		if tl != nil {
-			tl.MaybeRecord(orch.Now())
-		}
 	}
 
 	if o.csvPath != "" {
-		series := epochSeries(reps, inj != nil)
+		series := epochSeries(reps, cfg.Faults != nil)
 		if err := writeFile(o.csvPath, func(w io.Writer) error { return plot.WriteCSV(w, series...) }); err != nil {
 			return err
 		}
@@ -375,11 +281,11 @@ func run(out io.Writer, o options) error {
 		}
 	}
 
-	if err := report(out, orch, reportInputs{
+	if err := report(out, d.Orchestrator(), reportInputs{
 		horizonSec: horizonSec,
 		stepSec:    o.stepSec,
 		reps:       reps,
-		chaos:      inj != nil,
+		chaos:      cfg.Faults != nil,
 		tl:         tl,
 		slos:       slos,
 	}); err != nil {
@@ -387,8 +293,8 @@ func run(out io.Writer, o options) error {
 	}
 	// The serve report prints last: it contains only simulated quantities,
 	// so `sed -n '/^serve report/,$p'` of two same-seed runs is diffable.
-	if sr != nil {
-		return serveReport(out, sr)
+	if len(d.Engines()) > 0 {
+		return serveReport(out, d.Engines())
 	}
 	return nil
 }
@@ -419,7 +325,7 @@ func exportTimeline(out io.Writer, tl *obs.Timeline, o options) error {
 		fmt.Fprintf(out, "timeline JSONL written to %s\n", o.timelineOut)
 	}
 	if o.timelineHTML != "" {
-		title := fmt.Sprintf("fleetsim %s — %d sessions", o.name, o.sessions)
+		title := fmt.Sprintf("fleetsim %s — %d sessions", o.name, o.Sessions)
 		if err := writeFile(o.timelineHTML, func(w io.Writer) error { return tl.WriteHTML(w, title) }); err != nil {
 			return err
 		}

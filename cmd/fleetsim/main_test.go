@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/constellation"
+	"repro/internal/driver"
 )
 
 func TestParseFlags(t *testing.T) {
@@ -19,7 +20,7 @@ func TestParseFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.sessions != 42 || o.hours != 0.25 || o.name != "telesat" || o.churn != 0 {
+	if o.Sessions != 42 || o.hours != 0.25 || o.name != "telesat" || o.Churn != 0 {
 		t.Fatalf("parsed %+v", o)
 	}
 
@@ -69,14 +70,14 @@ func TestBuildWorkloadSeeded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, c1, err := buildWorkload(o, 600)
+	p1, c1, err := driver.Sessions(o.Workload, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p1) != 20 {
 		t.Fatalf("persistent = %d, want 20", len(p1))
 	}
-	p2, c2, err := buildWorkload(o, 600)
+	p2, c2, err := driver.Sessions(o.Workload, 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestBuildWorkloadSeeded(t *testing.T) {
 		}
 	}
 	for i := range c1 {
-		if c1[i].at != c2[i].at || c1[i].sess.ExpiresAt != c2[i].sess.ExpiresAt {
+		if c1[i].At != c2[i].At || c1[i].Sess.ExpiresAt != c2[i].Sess.ExpiresAt {
 			t.Fatalf("churn arrival %d differs between same-seed builds", i)
 		}
 	}
@@ -151,7 +152,7 @@ func TestParseFaultFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.faultSeed != 9 || o.satMTBFHr != 100 || o.satMTTRSec != -1 || o.islFlapHr != 2 || o.migFail != 0.1 {
+	if f := o.faults; f.Seed != 9 || f.SatMTBFHours != 100 || f.SatMTTRSec != -1 || f.ISLFlapPerHour != 2 || f.MigrationFailProb != 0.1 {
 		t.Fatalf("parsed %+v", o)
 	}
 	if !o.chaosEnabled() {
@@ -259,7 +260,8 @@ func runCSV(t *testing.T, args []string) (csv, out string) {
 // pre-sharding implementation: refactors of the epoch planner must not
 // change a single placement, hand-off, or rejection on a fixed seed. The
 // chaos run's report, which reads the orchestrator's lifetime Stats, must
-// also tell the golden's column sums and assigned-fraction extremes.
+// also tell the golden's column sums and assigned-fraction extremes. The
+// serve golden pins the request-serving layer's report tail the same way.
 func TestRunGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden runs simulate 15 epochs of telesat")
@@ -286,6 +288,21 @@ func TestRunGolden(t *testing.T) {
 			}
 		})
 	}
+	// The serve half: the report tail of a chaos run with the serving layer
+	// on, whose failures reach the engines' candidate lists.
+	t.Run("serve_chaos", func(t *testing.T) {
+		const golden = "testdata/telesat_serve_chaos.txt"
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, out := runCSV(t, goldenFlags(false,
+			"-fault-seed", "3", "-sat-mtbf", "1", "-sat-mttr", "-1", "-mig-fail", "0.05", "-isl-flap", "0.5",
+			"-serve-rate", "300", "-serve-sites", "8", "-serve-cores", "1", "-serve-queue", "2"))
+		if i := strings.Index(out, "serve report"); i < 0 || out[i:] != string(want) {
+			t.Fatalf("serve report diverged from %s:\n--- got ---\n%s\n--- want ---\n%s", golden, out, want)
+		}
+	})
 }
 
 // checkReportTellsCSV requires the report rows of out to be the sums and

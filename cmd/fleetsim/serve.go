@@ -8,9 +8,7 @@ import (
 
 	"repro/internal/cities"
 	"repro/internal/compute"
-	"repro/internal/constellation"
-	"repro/internal/ephem"
-	"repro/internal/faults"
+	"repro/internal/driver"
 	"repro/internal/obs"
 	"repro/internal/plot"
 	"repro/internal/serve"
@@ -22,41 +20,38 @@ import (
 // (no wall-clock quantities), so the serve report is byte-identical per
 // seed and safe to diff across runs.
 type serveOptions struct {
-	rate      float64 // aggregate request arrivals per second (0 = off unless replaying)
+	serve.Workload // the generated arrivals (RatePerSec 0 = off unless replaying)
+
 	policy    string  // nearest, least-loaded, sticky, or all
 	sites     int     // request sites = top-N cities
-	serviceMs float64 // lognormal median service time
-	sigma     float64 // lognormal shape
-	diurnal   float64 // diurnal rate amplitude in [0,1)
 	cores     int     // request cores per satellite-server
 	queue     int     // per-satellite queue bound beyond the cores (>= 1, or -1 = unbounded)
-	seed      int64   // workload seed (independent of the fleet seed)
 	tracePath string  // write the generated trace as JSONL
 	replay    string  // replay a JSONL trace instead of generating
 	availSLO  float64 // served/offered availability objective per policy
 }
 
 // enabled reports whether the serving layer runs at all.
-func (so serveOptions) enabled() bool { return so.rate > 0 || so.replay != "" }
+func (so serveOptions) enabled() bool { return so.RatePerSec > 0 || so.replay != "" }
 
 func (so serveOptions) validate() error {
 	if !so.enabled() {
 		return nil
 	}
-	if so.rate < 0 {
-		return fmt.Errorf("serve-rate %v must be non-negative", so.rate)
+	if so.RatePerSec < 0 {
+		return fmt.Errorf("serve-rate %v must be non-negative", so.RatePerSec)
 	}
 	if so.sites <= 0 || so.sites > cities.MaxCities {
 		return fmt.Errorf("serve-sites %d outside [1,%d]", so.sites, cities.MaxCities)
 	}
-	if so.serviceMs <= 0 {
-		return fmt.Errorf("serve-service-ms %v must be positive", so.serviceMs)
+	if so.ServiceMedianMs <= 0 {
+		return fmt.Errorf("serve-service-ms %v must be positive", so.ServiceMedianMs)
 	}
-	if so.sigma < 0 {
-		return fmt.Errorf("serve-sigma %v must be non-negative", so.sigma)
+	if so.ServiceSigma < 0 {
+		return fmt.Errorf("serve-sigma %v must be non-negative", so.ServiceSigma)
 	}
-	if so.diurnal < 0 || so.diurnal >= 1 {
-		return fmt.Errorf("serve-diurnal %v outside [0,1)", so.diurnal)
+	if so.DiurnalAmplitude < 0 || so.DiurnalAmplitude >= 1 {
+		return fmt.Errorf("serve-diurnal %v outside [0,1)", so.DiurnalAmplitude)
 	}
 	if so.cores <= 0 {
 		return fmt.Errorf("serve-cores %d must be positive", so.cores)
@@ -85,54 +80,36 @@ func (so serveOptions) policies() ([]serve.Policy, error) {
 	return []serve.Policy{p}, nil
 }
 
-// serveRun is one engine per compared policy, all given the same arrivals
-// and advanced in lockstep with the fleet epochs.
-type serveRun struct {
-	engines []*serve.Engine
-}
-
-// newServeRun builds the per-policy engines over the shared ephemeris
-// engine. Under -serve-rate no trace is ever held: each engine pulls from
-// its own generator, and generators built from one seed yield the same
-// requests. A replayed trace is read once and the engines share the slice.
-// Under chaos each engine gets its own fault injector from the same seed, so
-// every policy faces the identical failure schedule.
-func newServeRun(o options, c *constellation.Constellation, reg *obs.Registry,
-	eng *ephem.Engine, horizonSec float64, out io.Writer) (*serveRun, error) {
-	so := o.serve
+// configure sets cfg's serving half: one engine per compared policy, and
+// where their arrivals come from. Under -serve-rate no trace is ever held:
+// each engine pulls its own generator, and generators built from one seed
+// yield the same requests. A replayed trace is read once and the engines
+// share the slice.
+func (so serveOptions) configure(cfg *driver.Config, out io.Writer) error {
 	sites := serve.SitesFromCities(so.sites)
-	newGenerator := func() (*serve.Generator, error) {
-		return serve.NewGenerator(sites, serve.Workload{
-			Seed:             so.seed,
-			RatePerSec:       so.rate,
-			ServiceMedianMs:  so.serviceMs,
-			ServiceSigma:     so.sigma,
-			DiurnalAmplitude: so.diurnal,
-		}, horizonSec)
-	}
-
-	var replayed []serve.Request
 	if so.replay != "" {
 		f, err := os.Open(so.replay)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		replayed, err = serve.ReadTrace(bufio.NewReader(f))
+		cfg.Requests, err = serve.ReadTrace(bufio.NewReader(f))
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		fmt.Fprintf(out, "serve: replaying %d requests from %s\n", len(replayed), so.replay)
+		fmt.Fprintf(out, "serve: replaying %d requests from %s\n", len(cfg.Requests), so.replay)
+	} else {
+		cfg.Generate = &so.Workload
 	}
 	if so.tracePath != "" {
-		write := func(w io.Writer) error { return serve.WriteTrace(w, replayed) }
+		write := func(w io.Writer) error { return serve.WriteTrace(w, cfg.Requests) }
 		if so.replay == "" {
 			// One more generator instance, streamed to the file run by run.
-			g, err := newGenerator()
+			g, err := serve.NewGenerator(sites, so.Workload, cfg.HorizonSec)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			write = func(w io.Writer) error {
 				for run := g.Next(); len(run) > 0; run = g.Next() {
@@ -144,78 +121,33 @@ func newServeRun(o options, c *constellation.Constellation, reg *obs.Registry,
 			}
 		}
 		if err := writeFile(so.tracePath, write); err != nil {
-			return nil, err
+			return err
 		}
 		fmt.Fprintf(out, "serve: trace written to %s\n", so.tracePath)
 	}
 
 	policies, err := so.policies()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	server := compute.DefaultServerSpec()
 	server.Cores = so.cores
-	sr := &serveRun{}
-	for _, p := range policies {
-		var inj *faults.Injector
-		if o.chaosEnabled() {
-			inj, err = faults.New(c.Size(), o.faultConfig())
-			if err != nil {
-				return nil, err
-			}
-		}
-		e, err := serve.NewEngine(c, serve.Config{
-			Sites:      sites,
-			Policy:     p,
-			Server:     server,
-			QueueCap:   so.queue,
-			RefreshSec: o.stepSec,
-			Registry:   reg,
-			Faults:     inj,
-			Ephem:      eng,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if so.replay != "" {
-			if err := e.Feed(replayed); err != nil {
-				return nil, err
-			}
-		} else {
-			g, err := newGenerator()
-			if err != nil {
-				return nil, err
-			}
-			e.FeedFrom(g)
-		}
-		sr.engines = append(sr.engines, e)
-	}
-	return sr, nil
-}
-
-// advance runs every policy engine up to the fleet's current epoch time,
-// so timeline frames capture the serve counters in lockstep.
-func (sr *serveRun) advance(tSec float64) error {
-	for _, e := range sr.engines {
-		if err := e.RunUntil(tSec); err != nil {
-			return err
-		}
-	}
+	cfg.Policies = policies
+	cfg.Serve = serve.Config{Sites: sites, Server: server, QueueCap: so.queue, Registry: cfg.Fleet.Registry}
 	return nil
 }
 
 // slos builds one availability objective per compared policy.
-func (sr *serveRun) slos(objective float64) []obs.SLO {
-	out := make([]obs.SLO, 0, len(sr.engines))
-	for _, e := range sr.engines {
-		name := e.Result().Policy
+func (so serveOptions) slos(policies []serve.Policy) []obs.SLO {
+	out := make([]obs.SLO, 0, len(policies))
+	for _, p := range policies {
 		out = append(out, obs.SLO{
-			Name:        fmt.Sprintf("serve %s avail >= %.1f%%", name, 100*objective),
+			Name:        fmt.Sprintf("serve %s avail >= %.1f%%", p.Name(), 100*so.availSLO),
 			Kind:        obs.SLORatio,
 			Metric:      "serve_served_total",
 			TotalMetric: "serve_requests_total",
-			Labels:      map[string]string{"policy": name},
-			Objective:   objective,
+			Labels:      map[string]string{"policy": p.Name()},
+			Objective:   so.availSLO,
 		})
 	}
 	return out
@@ -224,12 +156,12 @@ func (sr *serveRun) slos(objective float64) []obs.SLO {
 // serveReport prints the per-policy serving summary: request latency
 // quantiles, shedding by reason, and how the load spread over the
 // satellite-servers. Simulated quantities only — diffable across runs.
-func serveReport(out io.Writer, sr *serveRun) error {
+func serveReport(out io.Writer, engines []*serve.Engine) error {
 	// Every engine pulled the same arrivals up to the same instant.
-	fmt.Fprintf(out, "\nserve report — %d requests offered per policy\n", sr.engines[0].Result().Offered)
+	fmt.Fprintf(out, "\nserve report — %d requests offered per policy\n", engines[0].Result().Offered)
 	header := []string{"policy", "served", "shed", "p50 ms", "p99 ms", "sats", "util p50", "util max", "peak q"}
-	rows := make([][]string, 0, len(sr.engines))
-	for _, e := range sr.engines {
+	rows := make([][]string, 0, len(engines))
+	for _, e := range engines {
 		r := e.Result()
 		var p50, p99 float64
 		if r.LatencyMs.N() > 0 {

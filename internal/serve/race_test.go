@@ -4,5 +4,6 @@ package serve
 
 // raceEnabled shrinks or skips the tests sized past what the race
 // detector's slowdown makes reasonable (TestPulledHourStaysSmall,
-// TestGenerateMatchesSortOracle, the ring oracle's walk).
+// TestGenerateMatchesSortOracle, TestFeedSharesTrace, the ring oracle's
+// walk).
 const raceEnabled = true

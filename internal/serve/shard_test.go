@@ -667,10 +667,11 @@ func syntheticTrace(n int, horizonSec float64) []Request {
 
 // TestFeedSharesTrace: Feed keeps the caller's slice, so three engines fed
 // one trace allocate next to nothing beyond their latency reservations, and
-// a full run leaves the slice as it was.
+// a full run leaves the slice as it was. Under the race detector it runs
+// its short size; CI runs the full size without it.
 func TestFeedSharesTrace(t *testing.T) {
 	n := 1_000_000
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		n = 100_000
 	}
 	const horizon = 300
